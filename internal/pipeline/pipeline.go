@@ -47,133 +47,151 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Entry is one in-flight instruction.
+// Entry is one in-flight instruction. It is kept to 48 bytes — five words,
+// then the byte-sized fields — so copies stay inline moves.
 type Entry struct {
-	Seq    uint64
-	Addr   isa.Addr
-	Class  isa.Class
-	Branch isa.BranchType
-	// Architectural truth (correct-path entries only).
-	Taken  bool
-	Target isa.Addr
-	// WrongPath marks instructions fetched past a misprediction.
-	WrongPath bool
-	// Mispredicted marks the branch whose prediction diverged; Recovery
-	// is where fetch must resume.
-	Mispredicted bool
-	Recovery     isa.Addr
-
-	FetchCycle   uint64
+	Seq  uint64
+	Addr isa.Addr
+	// Target is the architectural taken target (correct-path entries).
+	Target       isa.Addr
 	DoneCycle    uint64
 	ResolveCycle uint64
-	issued       bool
+
+	Class  isa.Class
+	Branch isa.BranchType
+	// Taken is the architectural direction (correct-path entries).
+	Taken bool
+	// WrongPath marks instructions fetched past a misprediction.
+	WrongPath bool
+	// Mispredicted marks the branch whose prediction diverged.
+	Mispredicted bool
 }
 
-// ROB is a bounded in-order window of Entry backed by a fixed-capacity ring
-// buffer: Push, PopHead and SquashAfter never move or reallocate entries,
-// so the simulation hot loop is allocation-free. Entries must be pushed
-// with consecutive sequence numbers (Push enforces this), which makes
-// SquashAfter and Find pure seq-offset arithmetic instead of linear scans.
-// The driver maintains the invariant by rewinding its sequence counter to
-// the squash point on every wrong-path flush.
-type ROB struct {
-	buf  []Entry
-	head int // index of the oldest entry
-	n    int // occupancy
+// Window is the in-flight instruction window: one fixed-capacity ring whose
+// oldest entries form the reorder buffer and whose remaining entries form
+// the fetch buffer. Push appends to the fetch buffer, Issue moves the
+// oldest fetch-buffer entry into the ROB by advancing the boundary, and
+// PopHead retires the oldest ROB entry — no entry is ever copied between
+// the parts, and nothing is reallocated, so the simulation hot loop is
+// allocation-free.
+//
+// Entries must be pushed with consecutive sequence numbers (Push enforces
+// this); since the parts are adjacent in the ring, sequence numbers are
+// contiguous across the whole window, which makes SquashAfter and Find
+// pure seq-offset arithmetic over both parts at once. The driver keeps the
+// invariant by rewinding its sequence counter to the squash point on every
+// wrong-path flush.
+type Window struct {
+	buf      []Entry
+	head     int // ring index of the oldest entry
+	n        int // occupancy, both parts
+	rob      int // entries in the ROB part (the oldest rob of n)
+	robCap   int
+	fetchCap int
 }
 
-// NewROB builds a reorder buffer of the given capacity.
-func NewROB(size int) *ROB {
-	if size <= 0 {
-		panic("pipeline: ROB capacity must be positive")
+// NewWindow builds a window of a robSize-entry reorder buffer followed by
+// a fetchSize-entry fetch buffer.
+func NewWindow(robSize, fetchSize int) *Window {
+	if robSize <= 0 || fetchSize <= 0 {
+		panic("pipeline: window capacities must be positive")
 	}
-	return &ROB{buf: make([]Entry, size)}
+	return &Window{buf: make([]Entry, robSize+fetchSize), robCap: robSize, fetchCap: fetchSize}
 }
 
-// Cap returns the capacity.
-func (r *ROB) Cap() int { return len(r.buf) }
+// ROBLen returns the ROB part's occupancy.
+func (w *Window) ROBLen() int { return w.rob }
 
-// Full reports whether the window is at capacity.
-func (r *ROB) Full() bool { return r.n == len(r.buf) }
+// ROBFull reports whether the ROB part is at capacity.
+func (w *Window) ROBFull() bool { return w.rob == w.robCap }
 
-// Len returns the occupancy.
-func (r *ROB) Len() int { return r.n }
+// FetchLen returns the fetch buffer's occupancy.
+func (w *Window) FetchLen() int { return w.n - w.rob }
+
+// FetchCap returns the fetch buffer's capacity.
+func (w *Window) FetchCap() int { return w.fetchCap }
 
 // idx maps the i-th oldest entry to its ring position.
-func (r *ROB) idx(i int) int {
-	i += r.head
-	if i >= len(r.buf) {
-		i -= len(r.buf)
+func (w *Window) idx(i int) int {
+	i += w.head
+	if i >= len(w.buf) {
+		i -= len(w.buf)
 	}
 	return i
 }
 
-// Push appends an entry; callers must check Full. Sequence numbers must be
-// consecutive with the current tail — the contiguity that turns Find and
-// SquashAfter into O(1) arithmetic.
-func (r *ROB) Push(e Entry) {
-	if r.Full() {
-		panic("pipeline: push to full ROB")
+// Push appends an entry to the fetch buffer and returns its slot; callers
+// must check the buffer's capacity. Sequence numbers must be consecutive
+// with the current tail — the contiguity that turns Find and SquashAfter
+// into O(1) arithmetic. A slot is only rewritten once the ring wraps.
+func (w *Window) Push(e Entry) *Entry {
+	if w.n-w.rob == w.fetchCap {
+		panic("pipeline: push to full fetch buffer")
 	}
-	if r.n > 0 {
-		if tail := r.buf[r.idx(r.n-1)].Seq; e.Seq != tail+1 {
-			panic("pipeline: non-consecutive seq pushed to ROB")
+	if w.n > 0 {
+		if tail := w.buf[w.idx(w.n-1)].Seq; e.Seq != tail+1 {
+			panic("pipeline: non-consecutive seq pushed to window")
 		}
 	}
-	r.buf[r.idx(r.n)] = e
-	r.n++
+	s := &w.buf[w.idx(w.n)]
+	*s = e
+	w.n++
+	return s
 }
 
-// Head returns the oldest entry for inspection; callers must check Len.
-func (r *ROB) Head() *Entry { return &r.buf[r.head] }
-
-// PopHead retires the oldest entry; callers must check Len.
-func (r *ROB) PopHead() Entry {
-	e := r.buf[r.head]
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.n--
+// Issue moves the oldest fetch-buffer entry into the ROB and returns it for
+// in-place update; callers must check FetchLen and ROBFull.
+func (w *Window) Issue() *Entry {
+	e := &w.buf[w.idx(w.rob)]
+	w.rob++
 	return e
 }
 
-// SquashAfter drops every entry with Seq > seq (wrong-path flush) and
-// returns how many were dropped.
-func (r *ROB) SquashAfter(seq uint64) int {
-	if r.n == 0 {
+// Head returns the oldest ROB entry for inspection; callers must check
+// ROBLen.
+func (w *Window) Head() *Entry { return &w.buf[w.head] }
+
+// PopHead retires the oldest ROB entry; callers must check ROBLen. The
+// returned entry stays valid until the next Push.
+func (w *Window) PopHead() *Entry {
+	e := &w.buf[w.head]
+	w.head++
+	if w.head == len(w.buf) {
+		w.head = 0
+	}
+	w.n--
+	w.rob--
+	return e
+}
+
+// SquashAfter drops every entry with Seq > seq from both parts (wrong-path
+// flush) and returns how many were dropped.
+func (w *Window) SquashAfter(seq uint64) int {
+	if w.n == 0 {
 		return 0
 	}
-	headSeq := r.buf[r.head].Seq
-	if seq < headSeq {
-		n := r.n
-		r.n = 0
-		return n
+	keep := 0
+	if headSeq := w.buf[w.head].Seq; seq >= headSeq {
+		keep = int(min(seq-headSeq+1, uint64(w.n)))
 	}
-	keep := int(seq-headSeq) + 1
-	if keep >= r.n {
-		return 0
-	}
-	dropped := r.n - keep
-	r.n = keep
+	dropped := w.n - keep
+	w.n = keep
+	w.rob = min(w.rob, keep)
 	return dropped
 }
 
-// At returns the i-th oldest entry (diagnostics); callers must check Len.
-func (r *ROB) At(i int) *Entry { return &r.buf[r.idx(i)] }
-
-// Find returns the in-flight entry with the given sequence number, if
-// present (used to attach misprediction state at divergence detection).
-// Thanks to seq contiguity this is offset arithmetic, not a scan.
-func (r *ROB) Find(seq uint64) *Entry {
-	if r.n == 0 {
+// Find returns the in-flight entry, in either part, with the given
+// sequence number, if present (used to attach misprediction state at
+// divergence detection).
+func (w *Window) Find(seq uint64) *Entry {
+	if w.n == 0 {
 		return nil
 	}
-	headSeq := r.buf[r.head].Seq
-	if seq < headSeq || seq-headSeq >= uint64(r.n) {
+	headSeq := w.buf[w.head].Seq
+	if seq < headSeq || seq-headSeq >= uint64(w.n) {
 		return nil
 	}
-	return &r.buf[r.idx(int(seq-headSeq))]
+	return &w.buf[w.idx(int(seq-headSeq))]
 }
 
 // LoadAddrGen synthesizes deterministic data addresses for loads and

@@ -7,46 +7,59 @@ import (
 	"streamfetch/internal/isa"
 )
 
+// The TestROB* tests pin the ROB part of the in-flight Window.
+
 func TestROBOrderAndSquash(t *testing.T) {
-	r := NewROB(8)
+	w := NewWindow(8, 8)
 	for i := 1; i <= 5; i++ {
-		r.Push(Entry{Seq: uint64(i)})
+		w.Push(Entry{Seq: uint64(i)})
 	}
-	if r.Len() != 5 {
-		t.Fatalf("len = %d", r.Len())
+	for i := 0; i < 4; i++ {
+		w.Issue()
 	}
-	if n := r.SquashAfter(3); n != 2 {
+	if w.ROBLen() != 4 || w.FetchLen() != 1 {
+		t.Fatalf("rob %d, fetch %d", w.ROBLen(), w.FetchLen())
+	}
+	// The squash point lies in the ROB part: the fetch buffer empties too.
+	if n := w.SquashAfter(3); n != 2 {
 		t.Fatalf("squashed %d, want 2", n)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len after squash = %d", r.Len())
+	if w.ROBLen() != 3 || w.FetchLen() != 0 {
+		t.Fatalf("after squash: rob %d, fetch %d", w.ROBLen(), w.FetchLen())
 	}
-	if e := r.PopHead(); e.Seq != 1 {
+	if e := w.PopHead(); e.Seq != 1 {
 		t.Fatalf("head seq = %d", e.Seq)
 	}
 }
 
 func TestROBFind(t *testing.T) {
-	r := NewROB(4)
-	r.Push(Entry{Seq: 10})
-	r.Push(Entry{Seq: 11})
-	if e := r.Find(11); e == nil || e.Seq != 11 {
-		t.Fatal("Find failed")
+	w := NewWindow(4, 4)
+	w.Push(Entry{Seq: 10})
+	w.Push(Entry{Seq: 11})
+	w.Issue()
+	if e := w.Find(10); e == nil || e.Seq != 10 {
+		t.Fatal("Find missed a ROB entry")
 	}
-	if r.Find(99) != nil {
+	if e := w.Find(11); e == nil || e.Seq != 11 {
+		t.Fatal("Find missed a fetch-buffer entry")
+	}
+	if w.Find(99) != nil || w.Find(9) != nil {
 		t.Fatal("Find invented an entry")
 	}
 }
 
 func TestROBFull(t *testing.T) {
-	r := NewROB(2)
-	r.Push(Entry{Seq: 1})
-	if r.Full() {
+	w := NewWindow(2, 4)
+	for i := 1; i <= 3; i++ {
+		w.Push(Entry{Seq: uint64(i)})
+	}
+	w.Issue()
+	if w.ROBFull() {
 		t.Fatal("full too early")
 	}
-	r.Push(Entry{Seq: 2})
-	if !r.Full() {
-		t.Fatal("not full at capacity")
+	w.Issue()
+	if !w.ROBFull() || w.FetchLen() != 1 {
+		t.Fatalf("not full at capacity: rob %d, fetch %d", w.ROBLen(), w.FetchLen())
 	}
 }
 

@@ -433,23 +433,23 @@ func (p *Processor) Run() Result {
 	cfg := p.cfg
 	width := cfg.Width
 	lat := p.lat
-	rob := pipeline.NewROB(cfg.Pipeline.ROBSize)
-	// The fetch buffer reuses the ROB's ring structure: a fixed-capacity
-	// in-order window of entries with contiguous sequence numbers.
-	fetchBuf := pipeline.NewROB(4 * width)
+	// The ROB and the fetch buffer behind it share one ring: issue moves
+	// the boundary between them instead of copying entries.
+	win := pipeline.NewWindow(cfg.Pipeline.ROBSize, 4*width)
 
 	var (
-		cycle, seq      uint64
-		out             []frontend.FetchedInst
-		wrongPath       bool
-		pending         outstanding
-		havePending     bool
-		prev            pipeline.Entry
-		prevValid       bool
+		cycle, seq  uint64
+		out         []frontend.FetchedInst
+		wrongPath   bool
+		pending     outstanding
+		havePending bool
+		// prev is the last fetched instruction, in its window slot (nil
+		// after a redirect). A slot is rewritten only once the ring wraps,
+		// and prev moves to every newly pushed entry first.
+		prev            *pipeline.Entry
 		lastCorrectSeq  uint64
 		fetchHold       uint64
 		supplyDone      bool
-		validated       uint64
 		nextProgress    = cfg.ProgressInterval
 		nextProgCycle   = uint64(progressCycles)
 		res             Result
@@ -471,14 +471,6 @@ func (p *Processor) Run() Result {
 		warmSnap    Counters
 		haveWarm    bool
 	)
-
-	// findEntry locates an in-flight entry by sequence number.
-	findEntry := func(s uint64) *pipeline.Entry {
-		if e := fetchBuf.Find(s); e != nil {
-			return e
-		}
-		return rob.Find(s)
-	}
 
 	// Functional warming: the interval's pre-warmup prefix is replayed
 	// through the cache hierarchy, the load address generator and the
@@ -539,14 +531,14 @@ func (p *Processor) Run() Result {
 		// retirement-side state (histories, path registers, stream
 		// builders) then includes the diverging stream when Redirect
 		// copies it into the speculative state.
-		for k := 0; k < width && rob.Len() > 0; k++ {
+		for k := 0; k < width && win.ROBLen() > 0; k++ {
 			// Hold retirement at the warmup boundary so the snapshot
 			// below lands exactly between the last warm and the first
 			// measured instruction (a single cycle can retire both).
 			if warmPending && res.Retired >= p.supply.warmDyn {
 				break
 			}
-			h := rob.Head()
+			h := win.Head()
 			if h.WrongPath || h.DoneCycle > cycle {
 				break
 			}
@@ -561,7 +553,7 @@ func (p *Processor) Run() Result {
 					break
 				}
 			}
-			e := rob.PopHead()
+			e := win.PopHead()
 			res.Retired++
 			correctInFlight--
 			if e.Branch != isa.BranchNone {
@@ -597,29 +589,14 @@ func (p *Processor) Run() Result {
 		}
 		// 2. Resolve an outstanding misprediction.
 		if havePending && cycle >= pending.resolve {
-			if debugSquash != nil {
-				for i := 0; i < rob.Len(); i++ {
-					e := rob.At(i)
-					if e.Seq > pending.seq && !e.WrongPath {
-						debugSquash(*e)
-					}
-				}
-				for i := 0; i < fetchBuf.Len(); i++ {
-					e := fetchBuf.At(i)
-					if e.Seq > pending.seq && !e.WrongPath {
-						debugSquash(*e)
-					}
-				}
-			}
-			rob.SquashAfter(pending.seq)
-			fetchBuf.SquashAfter(pending.seq)
+			win.SquashAfter(pending.seq)
 			// Rewind the sequence counter to the squash point so in-flight
 			// sequence numbers stay contiguous — the invariant that lets
-			// the ring buffers locate entries by offset arithmetic.
+			// the window locate entries by offset arithmetic.
 			seq = pending.seq
 			p.engine.Redirect(pending.recovery, true)
 			wrongPath = false
-			prevValid = false
+			prev = nil
 			havePending = false
 		}
 		if wantRetired > 0 && res.Retired >= wantRetired {
@@ -643,32 +620,31 @@ func (p *Processor) Run() Result {
 		}
 
 		// 3. Issue fetch buffer into the ROB.
-		for k := 0; k < width && fetchBuf.Len() > 0 && !rob.Full(); k++ {
-			e := fetchBuf.PopHead()
-			e.DoneCycle = cycle + uint64(lat.For(&e))
-			rob.Push(e)
+		for k := 0; k < width && win.FetchLen() > 0 && !win.ROBFull(); k++ {
+			e := win.Issue()
+			e.DoneCycle = cycle + uint64(lat.For(e))
 		}
 
 		// 4. Fetch.
 		if supplyDone && !wrongPath {
 			continue // nothing correct left to fetch
 		}
-		if cycle < fetchHold || fetchBuf.Len()+width > fetchBuf.Cap() {
+		if cycle < fetchHold || win.FetchLen()+width > win.FetchCap() {
 			continue
 		}
 		out = p.engine.Cycle(out[:0])
 		for _, fi := range out {
 			// Decode-stage consistency check against the previous
 			// fetched instruction.
-			if prevValid {
-				if fix, bad := p.staticCheck(prev, fi.Addr); bad {
+			if prev != nil {
+				if fix, bad := p.staticCheck(prev.Addr, prev.Branch, fi.Addr); bad {
 					p.engine.Redirect(fix, false)
 					fetchHold = cycle + decodePenalty
-					prevValid = false
 					res.Misfetches++
 					if cfg.OnMisfetch != nil {
 						cfg.OnMisfetch(prev.Addr, prev.Branch, fi.Addr, fix, wrongPath, prev.WrongPath, prev.Taken, prev.Seq)
 					}
+					prev = nil
 					break
 				}
 			}
@@ -678,7 +654,6 @@ func (p *Processor) Run() Result {
 				Addr:         fi.Addr,
 				Class:        fi.Inst.Class,
 				Branch:       fi.Inst.Branch,
-				FetchCycle:   cycle,
 				ResolveCycle: cycle + resolveDepth,
 			}
 			if !wrongPath {
@@ -688,9 +663,6 @@ func (p *Processor) Run() Result {
 					break
 				}
 				if fi.Addr == c.Addr {
-					if debugValidateHook != nil {
-						debugValidateHook(fi.Addr)
-					}
 					e.Class = c.Class
 					e.Branch = c.Branch
 					e.Taken = c.Taken
@@ -699,17 +671,15 @@ func (p *Processor) Run() Result {
 					}
 					p.supply.advance()
 					lastCorrectSeq = seq
-					validated++
 					correctInFlight++
 				} else {
 					// Divergence: the previous correct-path
 					// instruction was mispredicted.
-					me := findEntry(lastCorrectSeq)
+					me := win.Find(lastCorrectSeq)
 					if me == nil {
 						panic("sim: diverging entry already retired")
 					}
 					me.Mispredicted = true
-					me.Recovery = c.Addr
 					pending = outstanding{
 						seq:      me.Seq,
 						resolve:  me.ResolveCycle,
@@ -722,9 +692,7 @@ func (p *Processor) Run() Result {
 			} else {
 				e.WrongPath = true
 			}
-			fetchBuf.Push(e)
-			prev = e
-			prevValid = true
+			prev = win.Push(e)
 		}
 	}
 
@@ -745,30 +713,31 @@ func (p *Processor) Run() Result {
 	return res
 }
 
-// staticCheck verifies that the transition prev→cur is consistent with the
+// staticCheck verifies that the transition from the instruction at
+// prevAddr (of branch type prevBranch) to cur is consistent with the
 // static code, as the decode stage would. It returns the redirect target
 // when the transition is impossible.
-func (p *Processor) staticCheck(prev pipeline.Entry, cur isa.Addr) (fix isa.Addr, bad bool) {
-	seqNext := prev.Addr.Next()
+func (p *Processor) staticCheck(prevAddr isa.Addr, prevBranch isa.BranchType, cur isa.Addr) (fix isa.Addr, bad bool) {
+	seqNext := prevAddr.Next()
 	if cur == seqNext {
 		// Sequential flow: impossible after a direct unconditional
 		// transfer (decode computes the target and redirects).
-		switch prev.Branch {
+		switch prevBranch {
 		case isa.BranchUncond, isa.BranchCall:
-			if t, ok := p.lay.StaticTarget(prev.Addr); ok {
+			if t, ok := p.lay.StaticTarget(prevAddr); ok {
 				return t, true
 			}
 		}
 		return 0, false
 	}
 	// Taken transition.
-	switch prev.Branch {
+	switch prevBranch {
 	case isa.BranchNone:
 		// A non-branch cannot transfer control: the predicted unit was
 		// too short; decode resumes at the fall-through.
 		return seqNext, true
 	case isa.BranchCond, isa.BranchUncond, isa.BranchCall:
-		if t, ok := p.lay.StaticTarget(prev.Addr); ok && cur != t {
+		if t, ok := p.lay.StaticTarget(prevAddr); ok && cur != t {
 			return t, true
 		}
 		return 0, false
@@ -777,18 +746,6 @@ func (p *Processor) staticCheck(prev pipeline.Entry, cur isa.Addr) (fix isa.Addr
 		return 0, false
 	}
 }
-
-// SetDebugValidate installs a hook observing every validation.
-func SetDebugValidate(f func(a isa.Addr)) { debugValidateHook = f }
-
-var debugValidateHook func(a isa.Addr)
-
-// SetDebugSquash installs a hook observing squashed non-wrong-path entries.
-func SetDebugSquash(f func(e pipeline.Entry)) { debugSquash = f }
-
-// debugSquash, when set by tests, observes squashed entries that were not
-// wrong-path (which should be impossible).
-var debugSquash func(e pipeline.Entry)
 
 // Run is a convenience: build and run one simulation. It panics on an
 // unresolvable engine configuration (callers wanting an error use New).

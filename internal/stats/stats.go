@@ -1,6 +1,7 @@
 // Package stats provides the small statistical helpers the evaluation
 // harness needs: means, harmonic means (the paper aggregates IPC with
-// harmonic means over the SPECint2000 suite), rates and histograms.
+// harmonic means over the SPECint2000 suite), Student-t confidence
+// intervals, rates and histograms.
 package stats
 
 import (
@@ -50,6 +51,43 @@ func GeoMean(xs []float64) float64 {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs)))
+}
+
+// CI95 returns the 95% confidence half-width on the mean of xs (Student's
+// t on n-1 degrees of freedom). Fewer than two observations give no spread
+// estimate: 0.
+func CI95(xs []float64) float64 {
+	n := len(xs)
+	if n < 2 {
+		return 0
+	}
+	mean := Mean(xs)
+	ss := 0.0
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	sd := math.Sqrt(ss / float64(n-1))
+	return TCrit95(n-1) * sd / math.Sqrt(float64(n))
+}
+
+// TCrit95 is the two-sided 95% Student-t critical value for df degrees of
+// freedom, 1.96 asymptotically (df > 30); 0 for df < 1.
+func TCrit95(df int) float64 {
+	table := [...]float64{
+		12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+		2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101,
+		2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052,
+		2.048, 2.045, 2.042,
+	}
+	switch {
+	case df < 1:
+		return 0
+	case df <= len(table):
+		return table[df-1]
+	default:
+		return 1.96
+	}
 }
 
 // Speedup returns (a/b - 1), the relative improvement of a over b.

@@ -41,6 +41,39 @@ func TestHarmonicLeqGeoLeqArithmetic(t *testing.T) {
 	}
 }
 
+func TestTCrit95(t *testing.T) {
+	for _, c := range []struct {
+		df   int
+		want float64
+	}{
+		{-1, 0}, {0, 0}, {1, 12.706}, {7, 2.365}, {30, 2.042}, {31, 1.96}, {1000, 1.96},
+	} {
+		if got := TCrit95(c.df); got != c.want {
+			t.Errorf("TCrit95(%d) = %v, want %v", c.df, got, c.want)
+		}
+	}
+}
+
+func TestCI95(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"one observation", []float64{3}, 0},
+		{"no spread", []float64{2, 2, 2}, 0},
+		// mean 2, sample sd sqrt(0.5), n 2: t(1) = 12.706.
+		{"df=1", []float64{1.5, 2.5}, 12.706 * math.Sqrt(0.5) / math.Sqrt(2)},
+		// 8 observations: sample sd sqrt(6), t(7) = 2.365.
+		{"df=7", []float64{1, 2, 3, 4, 5, 6, 7, 8}, 2.365 * math.Sqrt(6) / math.Sqrt(8)},
+	} {
+		if got := CI95(c.xs); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: CI95 = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestSpeedup(t *testing.T) {
 	if got := Speedup(1.1, 1.0); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("Speedup = %v", got)

@@ -807,6 +807,10 @@ type jobManager struct {
 	// them so the capacity promise holds without holding m.mu across
 	// store I/O. Guarded by m.mu.
 	admitting int
+	// admittingKeys holds, per content key, a channel closed when the
+	// submission journaling that key settles; identical submissions wait
+	// on it instead of starting a twin job. Guarded by m.mu.
+	admittingKeys map[string]chan struct{}
 
 	slotFree chan struct{}  // pulsed when an extra job runner finishes
 	wg       sync.WaitGroup // dispatcher + spawned job runners
@@ -921,18 +925,19 @@ func newJobManager(cfg serverConfig, st store.Store, ownStore bool) (*jobManager
 		queue:   newJobQueue(),
 		// Sized to hold the full recovery debt even when it exceeds
 		// queueDepth, so a restart never drops journaled work.
-		queueCap:    max(queueDepth, pending),
-		slotFree:    make(chan struct{}, 1),
-		jobs:        map[string]*job{},
-		inflight:    map[string]*job{},
-		store:       st,
-		ownStore:    ownStore,
-		maxJobTime:  cfg.maxJobTime,
-		watchdog:    cfg.watchdog,
-		probeEvery:  probeEvery,
-		retryPolicy: retry.Default(),
-		slo:         slo.NewModel(),
-		predErr:     -1,
+		queueCap:      max(queueDepth, pending),
+		slotFree:      make(chan struct{}, 1),
+		jobs:          map[string]*job{},
+		inflight:      map[string]*job{},
+		admittingKeys: map[string]chan struct{}{},
+		store:         st,
+		ownStore:      ownStore,
+		maxJobTime:    cfg.maxJobTime,
+		watchdog:      cfg.watchdog,
+		probeEvery:    probeEvery,
+		retryPolicy:   retry.Default(),
+		slo:           slo.NewModel(),
+		predErr:       -1,
 	}
 	m.initMetrics()
 	m.sessions.cap = cfg.sessionCap
@@ -1277,10 +1282,9 @@ func (m *jobManager) queueEstimate() (backlog, delay float64) {
 // when the store misbehaves, and holding the registry lock across that
 // would convoy every poll, cancel and /healthz behind disk I/O. The
 // queue-capacity promise survives the unlock through the admitting
-// reservation; the cost is a small window where an identical twin
-// submitted mid-journal starts its own job instead of coalescing
-// (benign: both run, persist's inflight guard keeps the registry
-// consistent).
+// reservation, and coalescing through admittingKeys: an identical twin
+// submitted mid-journal waits for that journal to settle, then coalesces
+// onto the admitted job (or, if it was refused, tries on its own).
 func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, build func(*job) jobFunc) (*job, error) {
 	// Cache lookup outside the registry lock: blob reads may touch disk.
 	var cachedBlob []byte
@@ -1291,17 +1295,28 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 	}
 
 	m.mu.Lock()
-	if m.draining {
+	for {
+		if m.draining {
+			m.mu.Unlock()
+			return nil, ErrDraining
+		}
+		if leader := m.inflight[key]; leader != nil && key != "" {
+			// An identical job is queued or running: one simulation,
+			// fan-out of the result. The submitter shares the leader's id
+			// (and its cancellation — DELETE cancels for every submitter).
+			m.coalesced.Add(1)
+			m.mu.Unlock()
+			return leader, nil
+		}
+		// An identical submission journaling outside the lock: wait for
+		// it to settle, then look again.
+		twin := m.admittingKeys[key]
+		if twin == nil {
+			break
+		}
 		m.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if leader := m.inflight[key]; leader != nil && key != "" {
-		// An identical job is queued or running: one simulation, fan-out
-		// of the result. The submitter shares the leader's id (and its
-		// cancellation — DELETE cancels for every submitter).
-		m.coalesced.Add(1)
-		m.mu.Unlock()
-		return leader, nil
+		<-twin
+		m.mu.Lock()
 	}
 	m.nextID++
 	seq := m.nextID
@@ -1347,6 +1362,10 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		return nil, ErrQueueFull
 	}
 	m.admitting++
+	settled := make(chan struct{})
+	if key != "" {
+		m.admittingKeys[key] = settled
+	}
 	degraded := m.degraded.Load()
 	m.mu.Unlock()
 
@@ -1387,6 +1406,10 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 
 	m.mu.Lock()
 	m.admitting--
+	// Waiters re-check under m.mu, after this section has registered the
+	// job in inflight or refused it.
+	delete(m.admittingKeys, key)
+	close(settled)
 	if storeErr != nil {
 		// The 202 is a durability promise; without the journal record the
 		// job would silently vanish in a crash. Refuse this one — the

@@ -27,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 
 	"streamfetch/internal/cfg"
@@ -36,6 +35,7 @@ import (
 	"streamfetch/internal/layout"
 	"streamfetch/internal/par"
 	"streamfetch/internal/sim"
+	"streamfetch/internal/stats"
 	"streamfetch/internal/store"
 	"streamfetch/internal/trace"
 )
@@ -585,9 +585,8 @@ func (s *Session) mergeSamples(lay *layout.Layout, k int, outs []*shardOut) *Rep
 	return rep
 }
 
-// ipcCI95 is the 95% confidence half-width on IPC from the spread of
-// per-window IPC observations (Student's t on n-1 degrees of freedom).
-// Fewer than two observations give no spread estimate: 0.
+// ipcCI95 is the 95% confidence half-width on IPC from the spread of the
+// completed windows' IPC observations.
 func ipcCI95(outs []*shardOut) float64 {
 	var ipcs []float64
 	for _, o := range outs {
@@ -596,41 +595,7 @@ func ipcCI95(outs []*shardOut) float64 {
 		}
 		ipcs = append(ipcs, o.res.IPC)
 	}
-	n := len(ipcs)
-	if n < 2 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range ipcs {
-		mean += v
-	}
-	mean /= float64(n)
-	ss := 0.0
-	for _, v := range ipcs {
-		d := v - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	return tCrit95(n-1) * sd / math.Sqrt(float64(n))
-}
-
-// tCrit95 is the two-sided 95% Student-t critical value for df degrees
-// of freedom, 1.96 asymptotically.
-func tCrit95(df int) float64 {
-	table := [...]float64{
-		12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
-		2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101,
-		2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052,
-		2.048, 2.045, 2.042,
-	}
-	switch {
-	case df < 1:
-		return 0
-	case df <= len(table):
-		return table[df-1]
-	default:
-		return 1.96
-	}
+	return stats.CI95(ipcs)
 }
 
 // attachTimings fills rep.Timings for a sharded or sampled run under
