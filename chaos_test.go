@@ -41,6 +41,9 @@ func (e *chaosEngine) Redirect(isa.Addr, bool)         {}
 func (e *chaosEngine) Commit(frontend.Committed)       {}
 func (e *chaosEngine) FetchStats() frontend.FetchStats { return frontend.FetchStats{} }
 
+func (e *chaosEngine) AppendWarmState(dst []byte) []byte { return dst }
+func (e *chaosEngine) LoadWarmState([]byte) error        { return nil }
+
 var chaosEnginesOnce sync.Once
 
 func registerChaosEngines() {

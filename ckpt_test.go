@@ -88,6 +88,38 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 	}
 }
 
+// TestCheckpointNoWarmupDifferential: without a timed lead-in, a run
+// restoring every boundary from the store reports exactly what a run that
+// walks the boundaries itself reports, per engine — each mid-trace
+// interval counts its first timed cycle either way.
+func TestCheckpointNoWarmupDifferential(t *testing.T) {
+	ctx := context.Background()
+	for _, engine := range benchEngines() {
+		engine := engine
+		t.Run(engine, func(t *testing.T) {
+			t.Parallel()
+			s := ckptSession(engine)
+			plain, err := s.RunWith(ctx, streamfetch.WithWarmup(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := store.NewMem()
+			if _, err := s.RunWith(ctx, streamfetch.WithWarmup(0), streamfetch.WithCheckpoints(st)); err != nil {
+				t.Fatal(err)
+			}
+			warm, err := s.RunWith(ctx, streamfetch.WithWarmup(0), streamfetch.WithCheckpoints(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.CheckpointHits != 2 || warm.CheckpointMisses != 0 {
+				t.Fatalf("warm run counters hits=%d misses=%d, want 2/0",
+					warm.CheckpointHits, warm.CheckpointMisses)
+			}
+			sameReport(t, "restored warmup-free run vs plain", stripCkpt(warm), plain)
+		})
+	}
+}
+
 // mangleStore corrupts every blob it serves, exercising the
 // torn-checkpoint path end to end.
 type mangleStore struct {

@@ -52,8 +52,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	insts := fs.Uint64("insts", 2_000_000, "dynamic instructions")
 	seed := fs.Uint64("seed", 99, "branch behaviour seed (input selection)")
 	out := fs.String("o", "", "output trace file")
-	fs.Bool("stream", true,
-		"deprecated: traces always stream (constant memory, any trace length)")
 	inspect := fs.String("inspect", "", "print a summary of an existing trace file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -65,3 +65,43 @@ func TestReportGolden(t *testing.T) {
 		})
 	}
 }
+
+// warmGoldenShapes are the mid-trace interval shapes pinned by
+// TestWarmGolden, each run without a checkpoint store so every interval
+// boundary is warmed functionally: the sharded shape of the checkpoint
+// differentials and a sampled shape. Their goldens were captured from the
+// per-interval prefix replay that preceded the single warming pass, so
+// they check the walker against an oracle that does not share its code.
+var warmGoldenShapes = []struct {
+	name    string
+	session func(engine string) *streamfetch.Session
+}{
+	{"sharded", ckptSession},
+	{"sampled", func(engine string) *streamfetch.Session {
+		return streamfetch.New("164.gzip",
+			streamfetch.WithEngine(engine),
+			streamfetch.WithInstructions(1_000_000),
+			streamfetch.WithSampling(8, 25_000),
+			streamfetch.WithWarmup(5_000),
+		)
+	}},
+}
+
+// TestWarmGolden pins the sharded and sampled reports of every engine,
+// byte for byte, against goldens recorded before functional warming moved
+// into one pass per run.
+func TestWarmGolden(t *testing.T) {
+	for _, shape := range warmGoldenShapes {
+		for _, engine := range benchEngines() {
+			shape, engine := shape, engine
+			t.Run(shape.name+"/"+engine, func(t *testing.T) {
+				t.Parallel()
+				rep, err := shape.session(engine).Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertReportGolden(t, rep, "golden_warm_"+shape.name+"_"+engine+".json")
+			})
+		}
+	}
+}

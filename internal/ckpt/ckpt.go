@@ -3,14 +3,15 @@
 // hierarchy, the deterministic load address generator, and the fetch
 // engine's warm state as an opaque section keyed by engine name.
 //
-// A snapshot is taken at an interval boundary, after functional warming
-// of the prefix has completed and before the first timed cycle. Stored
-// in the artifact store under a key derived from the preparation inputs
-// and the boundary position, it lets a later run open the same boundary
-// in O(state) instead of replaying O(prefix) instructions. Snapshots
-// are pure cache entries: any decode failure — truncation, corruption,
-// a version or geometry mismatch — is a clean miss that sends the
-// caller back to functional warming, never an error surfaced to users.
+// A snapshot is taken at an interval boundary by the functional-warming
+// walk (sim.Processor.WarmPrefix), and every mid-trace interval opens by
+// restoring one before its first timed cycle. Stored in the artifact
+// store under a key derived from the preparation inputs and the boundary
+// position, it lets a later run open the same boundary in O(state)
+// instead of walking O(prefix) instructions. Stored snapshots are pure
+// cache entries: any decode failure — truncation, corruption, a version
+// or geometry mismatch — is a clean miss that sends the caller back to
+// the warming walk, never an error surfaced to users.
 package ckpt
 
 import (
@@ -53,7 +54,7 @@ type Snapshot struct {
 	Boundary uint64
 	// EngineName identifies the fetch engine that produced Engine.
 	EngineName string
-	// Engine is the engine's warm state (WarmStater encoding).
+	// Engine is the engine's warm state (Engine.AppendWarmState encoding).
 	Engine []byte
 
 	hier []byte
@@ -107,8 +108,8 @@ func Decode(data []byte) (*Snapshot, error) {
 
 // Apply restores the hierarchy and generator sections onto components of
 // identical geometry. On error the components may be partially restored
-// and the caller must discard them (rebuild and fall back to functional
-// warming). The engine section is applied separately by the caller.
+// and the caller must discard them (rebuild and take the state from the
+// warming walk). The engine section is applied separately by the caller.
 func (s *Snapshot) Apply(hier *cache.Hierarchy, gen *pipeline.LoadAddrGen) error {
 	hr := wire.NewReader(s.hier)
 	if err := hier.LoadState(hr); err != nil {

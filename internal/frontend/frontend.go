@@ -51,6 +51,19 @@ type Engine interface {
 	Commit(c Committed)
 	// FetchStats reports delivery statistics.
 	FetchStats() FetchStats
+	// AppendWarmState appends the engine's warm microarchitectural state
+	// (predictor tables, trace storage, return stacks, in-flight
+	// commit-side builders) to dst, for a checkpoint. Fetch-side state
+	// (fetch address, FTQ, busy counters) is deliberately out of scope:
+	// checkpoints are taken at an interval boundary before the first
+	// timed cycle, where that state still holds its construction-time
+	// values in both the capturing and the restoring run. Statistics
+	// counters are likewise excluded.
+	AppendWarmState(dst []byte) []byte
+	// LoadWarmState restores state produced by AppendWarmState on an
+	// engine of identical configuration. On error the engine may be
+	// partially modified and must be discarded.
+	LoadWarmState(data []byte) error
 }
 
 // FetchStats aggregates front-end delivery statistics. The counters are

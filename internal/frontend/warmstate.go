@@ -5,24 +5,7 @@ import (
 	"streamfetch/internal/isa"
 )
 
-// WarmStater is implemented by engines whose warm microarchitectural
-// state (predictor tables, trace storage, return stacks, in-flight
-// commit-side builders) can be captured into and restored from a
-// checkpoint. Fetch-side state (fetch address, FTQ, busy counters) is
-// deliberately out of scope: checkpoints are taken at an interval
-// boundary before the first timed cycle, where that state still holds
-// its construction-time values in both the capturing and the restoring
-// run. Statistics counters are likewise excluded.
-type WarmStater interface {
-	// AppendWarmState appends the engine's warm state to dst.
-	AppendWarmState(dst []byte) []byte
-	// LoadWarmState restores state produced by AppendWarmState on an
-	// engine of identical configuration. On error the engine may be
-	// partially modified and must be discarded.
-	LoadWarmState(data []byte) error
-}
-
-// AppendWarmState implements WarmStater.
+// AppendWarmState implements Engine.
 func (e *StreamEngine) AppendWarmState(dst []byte) []byte {
 	dst = e.pred.AppendState(dst)
 	dst = e.builder.AppendState(dst)
@@ -30,7 +13,7 @@ func (e *StreamEngine) AppendWarmState(dst []byte) []byte {
 	return e.retRAS.AppendState(dst)
 }
 
-// LoadWarmState implements WarmStater.
+// LoadWarmState implements Engine.
 func (e *StreamEngine) LoadWarmState(data []byte) error {
 	r := wire.NewReader(data)
 	if err := e.pred.LoadState(r); err != nil {
@@ -48,7 +31,7 @@ func (e *StreamEngine) LoadWarmState(data []byte) error {
 	return r.Done()
 }
 
-// AppendWarmState implements WarmStater.
+// AppendWarmState implements Engine.
 func (e *EV8Engine) AppendWarmState(dst []byte) []byte {
 	dst = e.gskew.AppendState(dst)
 	dst = e.btb.AppendState(dst)
@@ -56,7 +39,7 @@ func (e *EV8Engine) AppendWarmState(dst []byte) []byte {
 	return e.retRAS.AppendState(dst)
 }
 
-// LoadWarmState implements WarmStater.
+// LoadWarmState implements Engine.
 func (e *EV8Engine) LoadWarmState(data []byte) error {
 	r := wire.NewReader(data)
 	if err := e.gskew.LoadState(r); err != nil {
@@ -74,7 +57,7 @@ func (e *EV8Engine) LoadWarmState(data []byte) error {
 	return r.Done()
 }
 
-// AppendWarmState implements WarmStater.
+// AppendWarmState implements Engine.
 func (e *FTBEngine) AppendWarmState(dst []byte) []byte {
 	dst = e.ftb.AppendState(dst)
 	dst = e.perc.AppendState(dst)
@@ -83,7 +66,7 @@ func (e *FTBEngine) AppendWarmState(dst []byte) []byte {
 	return wire.AppendU64(dst, uint64(e.commitBlockStart))
 }
 
-// LoadWarmState implements WarmStater.
+// LoadWarmState implements Engine.
 func (e *FTBEngine) LoadWarmState(data []byte) error {
 	r := wire.NewReader(data)
 	if err := e.ftb.LoadState(r); err != nil {
@@ -106,7 +89,7 @@ func (e *FTBEngine) LoadWarmState(data []byte) error {
 	return nil
 }
 
-// AppendWarmState implements WarmStater.
+// AppendWarmState implements Engine.
 func (e *TraceCacheEngine) AppendWarmState(dst []byte) []byte {
 	dst = e.pred.AppendState(dst)
 	dst = e.store.AppendState(dst)
@@ -116,7 +99,7 @@ func (e *TraceCacheEngine) AppendWarmState(dst []byte) []byte {
 	return e.retRAS.AppendState(dst)
 }
 
-// LoadWarmState implements WarmStater.
+// LoadWarmState implements Engine.
 func (e *TraceCacheEngine) LoadWarmState(data []byte) error {
 	r := wire.NewReader(data)
 	if err := e.pred.LoadState(r); err != nil {
@@ -139,11 +122,3 @@ func (e *TraceCacheEngine) LoadWarmState(data []byte) error {
 	}
 	return r.Done()
 }
-
-// Compile-time checks that every engine supports checkpointing.
-var (
-	_ WarmStater = (*StreamEngine)(nil)
-	_ WarmStater = (*EV8Engine)(nil)
-	_ WarmStater = (*FTBEngine)(nil)
-	_ WarmStater = (*TraceCacheEngine)(nil)
-)

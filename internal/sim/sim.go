@@ -15,6 +15,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"streamfetch/internal/cache"
@@ -64,13 +65,6 @@ type Config struct {
 	// false stops the simulation early (Result.Aborted is set). Long
 	// sweeps use it for cancellation and progress reporting.
 	OnProgress func(retired, cycles uint64) bool
-
-	// OnWarmed, when set, fires once per run at the instant the
-	// functional-warming prefix has fully drained — after the warm state
-	// (caches, address generator, engine tables) reflects the replayed
-	// prefix and before the first timed cycle. Checkpoint capture hangs
-	// off this hook; it only fires for sources with a lead-in.
-	OnWarmed func(p *Processor)
 	// ProgressInterval is the OnProgress cadence in retired instructions
 	// (0 = 65536).
 	ProgressInterval uint64
@@ -144,11 +138,10 @@ func (r Result) String() string {
 		100*r.ICache.MissRate())
 }
 
-// warmSource is the optional source contract for interval sources with
-// lead-in regions (trace.IntervalSource): delivered blocks carry a region
-// flag. Functional-warming blocks are replayed through the fwarm callback
-// without entering the pipeline; timing-warmup blocks are simulated with
-// counters frozen until they have all retired.
+// warmSource is the optional source contract for interval sources with a
+// timing-warmup lead-in (trace.IntervalSource): delivered blocks carry a
+// region flag, and warmup blocks are simulated with counters frozen until
+// they have all retired.
 type warmSource interface {
 	// WarmupPending reports whether any lead-in remains.
 	WarmupPending() bool
@@ -162,54 +155,42 @@ type warmSource interface {
 const supplyBatch = 512
 
 // dynSupply lazily expands the block trace into dynamic instructions under
-// the layout. In the common case (no lead-in regions) it pulls blocks
-// supplyBatch at a time through one Source.NextBatch interface call and
-// expands them en masse into a reusable dyn-inst window, so the driver's
-// peek/advance path is an array read — no interface calls, no allocation
-// — and memory stays one batch's worth regardless of trace length. The
-// final block of each batch is carried into the next one, since expansion
-// needs the dynamically following block.
+// the layout. It pulls blocks supplyBatch at a time through one
+// Source.NextBatch interface call and expands them en masse into a
+// reusable dyn-inst window, so the driver's peek/advance path is an array
+// read — no interface calls, no allocation — and memory stays one batch's
+// worth regardless of trace length. The final block of each batch is
+// carried into the next fill, since expansion needs the dynamically
+// following block.
 //
-// When the source carries lead-in regions (warm != nil), the supply still
-// pulls batch-wise: IntervalSource.NextBatch never spans a region
-// boundary, so one LastRegion call classifies a whole batch. Regions are
-// handled in expansion order: functional-warming batches are expanded,
-// handed to the fwarm callback instruction by instruction, and never
-// delivered to the pipeline; timing-warmup batches are delivered and
-// counted into warmDyn. Lead-in blocks are a strict prefix of the stream,
-// so once a measured block has been expanded (crossed), warmDyn is the
-// exact retirement count at which the measure phase begins.
+// A source with a warmup lead-in (warm != nil) never spans a region
+// boundary in one NextBatch, so one LastRegion call classifies a whole
+// batch, and the carried block keeps the region it was delivered under.
+// Warmup instructions are counted into warmDyn. Lead-in blocks are a
+// strict prefix of the stream, so once a measured block has been expanded
+// (crossed), warmDyn is the exact retirement count at which the measure
+// phase begins. Without a lead-in every batch is measured.
 type dynSupply struct {
 	lay *layout.Layout
 	src trace.Source
 	buf []layout.DynInst
 	pos int
 
-	// Batched path state (warm == nil).
 	blk     []cfg.BlockID
-	blkLen  int // blocks in blk awaiting expansion (0 or 1 between fills)
 	srcDone bool
 
-	// Warm-path carry (warm != nil): the final block of the previous
-	// batch, held until its lookahead — the next batch's first block —
-	// is known, together with the region it was delivered under.
+	// The final block of the previous batch, held until its lookahead —
+	// the next batch's first block — is known, with its region.
 	carryBlk  [1]cfg.BlockID
 	carryReg  trace.Region
 	haveCarry bool
 
 	warm    warmSource
-	fwarm   func(layout.DynInst)
 	warmDyn uint64
 	crossed bool
 }
 
 func (d *dynSupply) peek() (layout.DynInst, bool) {
-	if d.pos < len(d.buf) {
-		return d.buf[d.pos], true
-	}
-	if d.warm != nil {
-		return d.peekWarm()
-	}
 	for d.pos >= len(d.buf) {
 		if !d.fill() {
 			return layout.DynInst{}, false
@@ -218,103 +199,29 @@ func (d *dynSupply) peek() (layout.DynInst, bool) {
 	return d.buf[d.pos], true
 }
 
-// initBatch readies the batched path's buffers up front: the block window,
-// and a dyn-inst window sized for the worst-case expansion of a full batch,
-// so the run loop itself performs no allocation.
+// initBatch readies the block window and a dyn-inst window sized for the
+// worst-case expansion of a full batch, so the loops over them perform no
+// allocation.
 func (d *dynSupply) initBatch() {
 	d.blk = make([]cfg.BlockID, supplyBatch)
 	d.buf = make([]layout.DynInst, 0, supplyBatch*d.lay.MaxBlockSlots())
 }
 
-// fill refills the block window through one NextBatch call and expands it
-// into the dyn buffer. The previous window's final block (whose lookahead
-// was unknown) moves to the front; all blocks but the new final one are
-// expanded, and once the source is exhausted the last block expands with
-// NoBlock. It returns false when nothing remains to expand.
-func (d *dynSupply) fill() bool {
-	if d.blk == nil {
-		d.blk = make([]cfg.BlockID, supplyBatch)
-	}
-	have := d.blkLen
-	if !d.srcDone {
-		n := d.src.NextBatch(d.blk[have:])
-		if n == 0 {
-			d.srcDone = true
-		}
-		have += n
-	}
-	d.buf = d.buf[:0]
-	d.pos = 0
-	if have == 0 {
-		d.blkLen = 0
-		return false
-	}
-	if d.srcDone {
-		d.buf = d.lay.AppendDynRun(d.buf, d.blk[:have], cfg.NoBlock)
-		d.blkLen = 0
-		return true
-	}
-	d.buf = d.lay.AppendDynRun(d.buf, d.blk[:have-1], d.blk[have-1])
-	d.blk[0] = d.blk[have-1]
-	d.blkLen = 1
-	return true
-}
-
-// peekWarm is the supply path for sources with lead-in regions: batched
-// pulls like the common path, one region classification per batch.
-func (d *dynSupply) peekWarm() (layout.DynInst, bool) {
-	for d.pos >= len(d.buf) {
-		if !d.fillWarm() {
-			return layout.DynInst{}, false
-		}
-	}
-	return d.buf[d.pos], true
-}
-
-// deliverWarm expands a same-region run of blocks (the last expanding
-// toward nb) and routes the result by region: functional-warming
-// instructions are fed to the fwarm callback and dropped, warmup and
-// measured instructions are appended for the pipeline.
-func (d *dynSupply) deliverWarm(blocks []cfg.BlockID, nb cfg.BlockID, reg trace.Region) {
-	start := len(d.buf)
-	d.buf = d.lay.AppendDynRun(d.buf, blocks, nb)
-	switch reg {
-	case trace.RegionFuncWarm:
-		// Replay state functionally and drop the run: the pipeline
-		// never sees it.
-		if d.fwarm != nil {
-			for _, di := range d.buf[start:] {
-				d.fwarm(di)
-			}
-		}
-		d.buf = d.buf[:start]
-	case trace.RegionWarm:
-		d.warmDyn += uint64(len(d.buf) - start)
-	default:
-		d.crossed = true
-	}
-}
-
-// fillWarm refills the dyn window through one NextBatch pull. The source
-// guarantees a batch never spans a region boundary, so LastRegion after
-// the pull classifies every delivered block; the carried final block of
-// the previous batch keeps the region it was delivered under. It returns
+// fill refills the dyn window through one NextBatch pull: the carried
+// block expands toward the new batch's first block, the new batch's blocks
+// all but the last expand in place, and the last is carried. Once the
+// source is exhausted the carried block expands with NoBlock. It returns
 // false when nothing remains, and true after making progress — possibly
-// with an empty window, when the whole batch was functional warming.
-func (d *dynSupply) fillWarm() bool {
-	if d.blk == nil {
-		d.blk = make([]cfg.BlockID, supplyBatch)
-		d.buf = make([]layout.DynInst, 0, supplyBatch*d.lay.MaxBlockSlots())
-	}
+// with an empty window, when the batch held a single block.
+func (d *dynSupply) fill() bool {
 	d.buf = d.buf[:0]
 	d.pos = 0
 	n := 0
-	var reg trace.Region
+	reg := trace.RegionMeasure
 	if !d.srcDone {
-		n = d.src.NextBatch(d.blk)
-		if n == 0 {
+		if n = d.src.NextBatch(d.blk); n == 0 {
 			d.srcDone = true
-		} else {
+		} else if d.warm != nil {
 			reg = d.warm.LastRegion()
 		}
 	}
@@ -327,13 +234,25 @@ func (d *dynSupply) fillWarm() bool {
 			nb = d.blk[0]
 		}
 		d.haveCarry = false
-		d.deliverWarm(d.carryBlk[:], nb, d.carryReg)
+		d.expand(d.carryBlk[:], nb, d.carryReg)
 	}
 	if n > 0 {
-		d.deliverWarm(d.blk[:n-1], d.blk[n-1], reg)
+		d.expand(d.blk[:n-1], d.blk[n-1], reg)
 		d.carryBlk[0], d.carryReg, d.haveCarry = d.blk[n-1], reg, true
 	}
 	return true
+}
+
+// expand appends a same-region run of blocks (the last expanding toward
+// nb) to the dyn window, counting warmup instructions.
+func (d *dynSupply) expand(blocks []cfg.BlockID, nb cfg.BlockID, reg trace.Region) {
+	start := len(d.buf)
+	d.buf = d.lay.AppendDynRun(d.buf, blocks, nb)
+	if reg == trace.RegionWarm {
+		d.warmDyn += uint64(len(d.buf) - start)
+	} else {
+		d.crossed = true
+	}
 }
 
 func (d *dynSupply) advance() { d.pos++ }
@@ -383,9 +302,8 @@ func New(lay *layout.Layout, src trace.Source, cfg Config) (*Processor, error) {
 	// warmup phase and a measured phase.
 	if ws, ok := src.(warmSource); ok && ws.WarmupPending() {
 		p.supply.warm = ws
-	} else {
-		p.supply.initBatch()
 	}
+	p.supply.initBatch()
 	return p, nil
 }
 
@@ -411,6 +329,105 @@ func (p *Processor) Hier() *cache.Hierarchy { return p.hier }
 // Gen exposes the load address generator (for checkpoint
 // capture/restore).
 func (p *Processor) Gen() *pipeline.LoadAddrGen { return p.lat.Gen }
+
+// WarmPrefix functionally warms the processor from the head of its
+// source: every instruction is replayed without timing through the
+// I-cache (one access per line change), the load address generator and
+// the data caches, and the engine's commit-side training (predictor
+// tables, return stacks, stream and trace builders). The walk runs at
+// decode speed — no pipeline — and visits the trace once however many
+// boundaries it serves.
+//
+// bounds are ascending trace positions in CFG instructions. At each one
+// the walk stops and calls at(i, warmed) with the state reflecting exactly
+// the maximal whole-block prefix of at most bounds[i] instructions — the
+// rule trace.Source.Skip and trace.NewInterval use — warmed being that
+// prefix's length. The prefix's last block expands under the layout with
+// its real successor as lookahead, as in a run over the whole trace; a
+// boundary past the trace's end sees the whole trace. An error from at
+// ends the walk and is returned, as is ctx's error, polled once per
+// batch of blocks.
+//
+// The walk consumes the processor's source and leaves it mid-trace: a
+// walked processor serves to capture warm state, not to Run.
+func (p *Processor) WarmPrefix(ctx context.Context, bounds []uint64, at func(i int, warmed uint64) error) error {
+	d := &p.supply
+	blocks := p.lay.Prog.Blocks
+	lastLine := ^isa.Addr(0)
+	var pos uint64
+	bi := 0
+	have := 0 // d.blk[:have] is the block carried from the previous batch
+	for bi < len(bounds) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := d.src.NextBatch(d.blk[have:])
+		end := have + n
+		from := 0 // d.blk[from:j] are warmed but not yet replayed
+		for j := have; j < end; j++ {
+			id := d.blk[j]
+			if int(id) < 0 || int(id) >= len(blocks) {
+				return fmt.Errorf("sim: trace block %d outside the program (%d blocks)", id, len(blocks))
+			}
+			ni := uint64(blocks[id].NInsts)
+			for ; bi < len(bounds) && pos+ni > bounds[bi]; bi++ {
+				lastLine = p.replay(d.blk[from:j], id, lastLine)
+				from = j
+				if err := at(bi, pos); err != nil {
+					return err
+				}
+			}
+			if bi == len(bounds) {
+				return nil
+			}
+			pos += ni
+		}
+		if n == 0 {
+			p.replay(d.blk[from:end], cfg.NoBlock, lastLine)
+			for ; bi < len(bounds); bi++ {
+				if err := at(bi, pos); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		// The batch's final block waits for its lookahead, the next
+		// batch's first block.
+		lastLine = p.replay(d.blk[from:end-1], d.blk[end-1], lastLine)
+		d.blk[0] = d.blk[end-1]
+		have = 1
+	}
+	return nil
+}
+
+// replay expands a run of blocks (the last toward next) and replays it
+// functionally for WarmPrefix. lastLine is the I-cache line of the
+// previous replayed instruction; the updated one is returned.
+func (p *Processor) replay(run []cfg.BlockID, next cfg.BlockID, lastLine isa.Addr) isa.Addr {
+	d := &p.supply
+	d.buf = p.lay.AppendDynRun(d.buf[:0], run, next)
+	lineMask := ^isa.Addr(p.hier.ICache.LineBytes() - 1)
+	gen := p.lat.Gen
+	for i := range d.buf {
+		di := &d.buf[i]
+		if line := di.Addr & lineMask; line != lastLine {
+			lastLine = line
+			p.hier.FetchLatency(di.Addr)
+		}
+		switch di.Class {
+		case isa.ClassLoad:
+			p.hier.LoadLatency(isa.Addr(gen.Next(di.Addr)))
+		case isa.ClassStore:
+			p.hier.Store(isa.Addr(gen.Next(di.Addr)))
+		}
+		cm := frontend.Committed{Addr: di.Addr, Branch: di.Branch, Taken: di.Taken}
+		if di.Taken {
+			cm.Target = di.NextAddr
+		}
+		p.engine.Commit(cm)
+	}
+	return lastLine
+}
 
 // outstanding tracks the single unresolved misprediction. It is held by
 // value in Run (no per-misprediction heap allocation).
@@ -472,51 +489,11 @@ func (p *Processor) Run() Result {
 		haveWarm    bool
 	)
 
-	// Functional warming: the interval's pre-warmup prefix is replayed
-	// through the cache hierarchy, the load address generator and the
-	// engine's commit-side training (predictor tables, return stacks,
-	// stream/trace builders) without timing, so a mid-trace shard starts
-	// its measure window with in-situ-accurate memory and predictor state
-	// — and with the per-PC address sequences exactly where a whole-trace
-	// run would have them. The instruction stream is walked at decode
-	// speed (no pipeline), which is what keeps sharding profitable.
-	if p.supply.warm != nil {
-		lineMask := ^isa.Addr(p.hier.ICache.LineBytes() - 1)
-		lastLine := ^isa.Addr(0)
-		p.supply.fwarm = func(di layout.DynInst) {
-			if line := di.Addr & lineMask; line != lastLine {
-				lastLine = line
-				p.hier.FetchLatency(di.Addr)
-			}
-			switch di.Class {
-			case isa.ClassLoad:
-				p.hier.LoadLatency(isa.Addr(lat.Gen.Next(di.Addr)))
-			case isa.ClassStore:
-				p.hier.Store(isa.Addr(lat.Gen.Next(di.Addr)))
-			}
-			cm := frontend.Committed{
-				Addr:   di.Addr,
-				Branch: di.Branch,
-				Taken:  di.Taken,
-			}
-			if di.Taken {
-				cm.Target = di.NextAddr
-			}
-			p.engine.Commit(cm)
-		}
-	}
-
 	// A mid-trace interval's first correct-path instruction is not the
 	// program entry the engine was built to fetch from: point fetch at it
 	// before the first cycle. Whole-trace runs start at the entry already,
 	// so they see no redirect (and stay byte-identical).
 	first, haveFirst := p.supply.peek()
-	// The first peek drains the whole functional-warming prefix (it is a
-	// strict prefix of the stream): warm state is complete here, before
-	// any timed cycle — the checkpoint capture point.
-	if cfg.OnWarmed != nil && p.supply.warm != nil {
-		cfg.OnWarmed(p)
-	}
 	if haveFirst && first.Addr != p.lay.Start(p.lay.Prog.Entry) {
 		p.engine.Redirect(first.Addr, false)
 	}

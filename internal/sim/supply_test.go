@@ -76,25 +76,24 @@ func TestSupplyBatchedAllocFree(t *testing.T) {
 }
 
 // TestSupplyWarmBatchedAllocFree pins the warm path's perf contract: a
-// lead-in-bearing source pulls region-wise batches through the same
-// reused block and dyn windows as the plain path, so after the lazily
-// allocated buffers exist the peek/advance/refill loop — functional
-// warming, timed warmup and measurement alike — performs zero heap
-// allocations.
+// source with a timed-warmup lead-in pulls region-wise batches through the
+// same reused block and dyn windows as the plain path, so the
+// peek/advance/refill loop — timed warmup and measurement alike — performs
+// zero heap allocations.
 func TestSupplyWarmBatchedAllocFree(t *testing.T) {
 	b := loadBench(t, "164.gzip", 4_000_000)
 	src := b.tr.Source()
 	iv, err := trace.NewInterval(src, b.lay.Prog, trace.IntervalConfig{
-		Start: 1_000_000, Warmup: 50_000, FuncWarm: true,
+		Start: 1_000_000, Warmup: 200_000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer iv.Close()
 
-	d := dynSupply{lay: b.lay, src: iv, warm: iv, fwarm: func(layout.DynInst) {}}
-	// The first peek allocates the batch buffers and drains the whole
-	// functional-warming prefix; everything after it must be free.
+	d := dynSupply{lay: b.lay, src: iv, warm: iv}
+	d.initBatch()
+	// Measurement starts inside the warmup lead-in and runs well past it.
 	if _, ok := d.peek(); !ok {
 		t.Fatal("empty supply")
 	}
@@ -127,6 +126,7 @@ func TestSupplyWarmPathUnchanged(t *testing.T) {
 	defer iv.Close()
 
 	d := dynSupply{lay: b.lay, src: iv, warm: iv}
+	d.initBatch()
 	n := 0
 	for {
 		_, ok := d.peek()

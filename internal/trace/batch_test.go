@@ -102,51 +102,6 @@ func TestNextBatchEmptyDst(t *testing.T) {
 	}
 }
 
-// legacyOnly exposes a source through the pre-NextBatch interface only, so
-// Batched must wrap it.
-type legacyOnly struct{ s Source }
-
-func (l *legacyOnly) Next() (cfg.BlockID, bool)     { return l.s.Next() }
-func (l *legacyOnly) Skip(n uint64) (uint64, error) { return l.s.Skip(n) }
-func (l *legacyOnly) Name() string                  { return l.s.Name() }
-func (l *legacyOnly) TotalInsts() (uint64, bool)    { return l.s.TotalInsts() }
-func (l *legacyOnly) Close() error                  { return l.s.Close() }
-
-// TestBatchedAdapter: Batched passes full sources through untouched and
-// wraps legacy ones in a loop adapter with identical delivery.
-func TestBatchedAdapter(t *testing.T) {
-	prog, tr := skipTrace(t)
-	full := tr.Source()
-	if got := Batched(full); got != Source(full) {
-		t.Fatal("Batched did not pass a full Source through")
-	}
-
-	src := Batched(&legacyOnly{s: NewGenSource(prog, GenConfig{Seed: 11, MaxInsts: 120_000})})
-	dst := make([]cfg.BlockID, 100)
-	idx := 0
-	for {
-		n := src.NextBatch(dst)
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			if dst[i] != tr.Blocks[idx+i] {
-				t.Fatalf("adapter block %d = %d, want %d", idx+i, dst[i], tr.Blocks[idx+i])
-			}
-		}
-		idx += n
-	}
-	if idx != len(tr.Blocks) {
-		t.Fatalf("adapter delivered %d blocks, want %d", idx, len(tr.Blocks))
-	}
-	if src.Name() != tr.Name {
-		t.Fatalf("adapter Name = %q, want %q", src.Name(), tr.Name)
-	}
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestIntervalNextBatchRegions: interval batches never span a region
 // boundary — every block of a batch shares the region LastRegion reports —
 // and batched delivery matches the per-block walk exactly.
@@ -186,7 +141,7 @@ func TestIntervalNextBatchRegions(t *testing.T) {
 	mk := func() *IntervalSource {
 		src := tr.Source()
 		iv, err := NewInterval(src, prog, IntervalConfig{
-			Start: 60_000, End: 90_000, Warmup: 10_000, FuncWarm: true,
+			Start: 60_000, End: 90_000, Warmup: 10_000,
 		})
 		if err != nil {
 			t.Fatal(err)

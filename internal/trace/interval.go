@@ -1,16 +1,11 @@
 // Interval windows over trace sources: the unit of parallelism for sharded
 // simulation. An IntervalSource restricts an underlying source to one
-// contiguous instruction range of the trace, preceded by up to two lead-in
-// regions the simulator treats specially:
-//
-//   - a functional-warming prefix (FuncWarm): every block before the timing
-//     warmup, delivered flagged so the consumer can replay cache and
-//     address-generator state through it without simulating timing;
-//   - a timing warmup (Warmup): blocks simulated normally but with counters
-//     frozen, training predictors and pipeline state.
-//
-// Without functional warming the prefix is skipped outright (Skip seeks
-// through indexed trace files, or fast-forwards the CFG walk).
+// contiguous instruction range of the trace, preceded by an optional
+// timing warmup (Warmup): blocks simulated normally but with counters
+// frozen, training predictors and pipeline state. Everything before the
+// warmup is skipped outright (Skip seeks through indexed trace files, or
+// fast-forwards the CFG walk); a consumer that wants warm state at the
+// skip point restores it (see sim.Processor.WarmPrefix).
 //
 // Interval boundaries snap to whole blocks with the same maximal-prefix
 // rule Skip uses, so the measured windows of consecutive intervals tile the
@@ -34,9 +29,6 @@ const (
 	// RegionWarm blocks are the timing-warmup lead-in: simulated with
 	// counters frozen.
 	RegionWarm
-	// RegionFuncWarm blocks precede the timing warmup: delivered only so
-	// the consumer can warm state functionally, never simulated.
-	RegionFuncWarm
 )
 
 // IntervalConfig describes one interval of a trace.
@@ -46,11 +38,6 @@ type IntervalConfig struct {
 	Start, End uint64
 	// Warmup is the timing-warmup lead-in length in instructions.
 	Warmup uint64
-	// FuncWarm delivers the entire prefix before the timing warmup
-	// flagged RegionFuncWarm instead of skipping it, so the consumer can
-	// replay cache and address-generator state through it — the accuracy
-	// mode for mid-trace intervals. When false the prefix is skipped.
-	FuncWarm bool
 }
 
 // IntervalSource is a Source delivering one instruction interval of an
@@ -60,15 +47,12 @@ type IntervalSource struct {
 	src  Source
 	prog *cfg.Program
 
-	pos      uint64 // absolute CFG-inst position of the next block
-	warmFrom uint64 // absolute position where the timing warmup starts
-	fwarm    bool
+	pos uint64 // absolute CFG-inst position of the next block
 
 	measureAt uint64 // absolute position where measurement starts
 	end       uint64 // absolute limit (0 = to the trace's end)
 
 	skipped  uint64 // insts jumped over before delivery began
-	fwarmed  uint64 // insts delivered flagged for functional warming
 	warm     uint64 // insts delivered as timing-warmup lead-in
 	measured uint64 // insts delivered inside the measure window
 
@@ -90,22 +74,18 @@ func NewInterval(src Source, p *cfg.Program, c IntervalConfig) (*IntervalSource,
 	if c.Start > c.Warmup {
 		warmFrom = c.Start - c.Warmup
 	}
-	s := &IntervalSource{
+	skipped, err := src.Skip(warmFrom)
+	if err != nil {
+		return nil, fmt.Errorf("trace: skipping to interval at %d: %w", warmFrom, err)
+	}
+	return &IntervalSource{
 		src:       src,
 		prog:      p,
-		warmFrom:  warmFrom,
-		fwarm:     c.FuncWarm,
+		pos:       skipped,
+		skipped:   skipped,
 		measureAt: c.Start,
 		end:       c.End,
-	}
-	if !c.FuncWarm {
-		skipped, err := src.Skip(warmFrom)
-		if err != nil {
-			return nil, fmt.Errorf("trace: skipping to interval at %d: %w", warmFrom, err)
-		}
-		s.pos, s.skipped = skipped, skipped
-	}
-	return s, nil
+	}, nil
 }
 
 // peekLen stages the next block and returns its instruction count.
@@ -132,26 +112,19 @@ func (s *IntervalSource) peekLen() (uint64, bool) {
 
 // region classifies the block of length ni at the current position.
 func (s *IntervalSource) region(ni uint64) Region {
-	switch {
-	case s.fwarm && s.pos+ni <= s.warmFrom:
-		return RegionFuncWarm
-	case s.pos+ni <= s.measureAt:
+	if s.pos+ni <= s.measureAt {
 		return RegionWarm
-	default:
-		return RegionMeasure
 	}
+	return RegionMeasure
 }
 
 // consume delivers the staged block of length ni.
 func (s *IntervalSource) consume(ni uint64) cfg.BlockID {
 	s.lastRegion = s.region(ni)
 	s.pos += ni
-	switch s.lastRegion {
-	case RegionFuncWarm:
-		s.fwarmed += ni
-	case RegionWarm:
+	if s.lastRegion == RegionWarm {
 		s.warm += ni
-	default:
+	} else {
 		s.measured += ni
 	}
 	s.pendingOK = false
@@ -230,7 +203,7 @@ func (s *IntervalSource) LastRegion() Region { return s.lastRegion }
 // in the timing-warmup lead-in.
 func (s *IntervalSource) LastWarm() bool { return s.lastRegion == RegionWarm }
 
-// WarmupPending reports whether any lead-in (functional or timing) remains
+// WarmupPending reports whether any timing-warmup lead-in remains
 // ahead of the current position; once it returns false every further block
 // is measured. It peeks the next block: lead-in blocks are a strict
 // prefix, so lead-in remains exactly when the next block ends at or before
@@ -242,10 +215,6 @@ func (s *IntervalSource) WarmupPending() bool {
 
 // SkippedInsts returns the instructions jumped over before delivery began.
 func (s *IntervalSource) SkippedInsts() uint64 { return s.skipped }
-
-// FuncWarmedInsts returns the instructions delivered flagged for
-// functional warming so far.
-func (s *IntervalSource) FuncWarmedInsts() uint64 { return s.fwarmed }
 
 // WarmupInsts returns the instructions delivered as timing-warmup lead-in
 // so far.

@@ -267,8 +267,7 @@ func TestIntervalTiling(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{1, 2, 3, 4, 7} {
-		for _, mode := range []IntervalConfig{{Warmup: 0}, {Warmup: 10_000}, {Warmup: 10_000, FuncWarm: true}} {
-			warmup := mode.Warmup
+		for _, warmup := range []uint64{0, 10_000} {
 			var merged []cfg.BlockID
 			var measured uint64
 			for i := 0; i < shards; i++ {
@@ -279,7 +278,7 @@ func TestIntervalTiling(t *testing.T) {
 				}
 				src := tr.Source()
 				iv, err := NewInterval(src, prog, IntervalConfig{
-					Start: start, End: end, Warmup: warmup, FuncWarm: mode.FuncWarm,
+					Start: start, End: end, Warmup: warmup,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -287,7 +286,7 @@ func TestIntervalTiling(t *testing.T) {
 				if warmup == 0 && iv.WarmupPending() && start == 0 {
 					t.Fatalf("shards=%d: interval 0 claims pending warmup without any", shards)
 				}
-				warmSeen, fwSeen := uint64(0), uint64(0)
+				warmSeen := uint64(0)
 				for {
 					id, ok := iv.Next()
 					if !ok {
@@ -300,31 +299,12 @@ func TestIntervalTiling(t *testing.T) {
 							t.Fatalf("shards=%d interval %d: warm lead-in %d exceeds warmup %d + block slack %d",
 								shards, i, warmSeen, warmup, maxBlock)
 						}
-					case RegionFuncWarm:
-						if !mode.FuncWarm {
-							t.Fatalf("shards=%d interval %d: functional-warming block without FuncWarm", shards, i)
-						}
-						fwSeen += uint64(prog.Blocks[id].NInsts)
 					default:
 						merged = append(merged, id)
 					}
 				}
 				if iv.WarmupInsts() != warmSeen {
 					t.Fatalf("WarmupInsts = %d, saw %d", iv.WarmupInsts(), warmSeen)
-				}
-				if iv.FuncWarmedInsts() != fwSeen {
-					t.Fatalf("FuncWarmedInsts = %d, saw %d", iv.FuncWarmedInsts(), fwSeen)
-				}
-				if mode.FuncWarm {
-					// The functional prefix plus the lead-ins cover the
-					// whole trace up to the measure window: nothing is
-					// skipped.
-					if iv.SkippedInsts() != 0 {
-						t.Fatalf("FuncWarm interval skipped %d insts", iv.SkippedInsts())
-					}
-					if got := fwSeen + warmSeen + iv.MeasuredInsts(); got != total-iv.SkippedInsts() && i == shards-1 {
-						t.Fatalf("shards=%d interval %d: delivered %d of %d insts", shards, i, got, total)
-					}
 				}
 				measured += iv.MeasuredInsts()
 				if err := iv.Close(); err != nil {

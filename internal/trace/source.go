@@ -35,8 +35,6 @@ type Source interface {
 	// non-zero batches are allowed (a file source may stop at a chunk
 	// boundary, an interval source at a region boundary). Interleaving
 	// NextBatch and Next is valid: both consume the same cursor.
-	// Third-party sources implementing only the legacy interface can be
-	// adapted with Batched.
 	NextBatch(dst []cfg.BlockID) int
 	// Skip fast-forwards the source past the maximal prefix of its
 	// remaining whole blocks whose cumulative CFG-level instruction count
@@ -71,44 +69,6 @@ func satAdd(a, b uint64) uint64 {
 		return s
 	}
 	return ^uint64(0)
-}
-
-// LegacySource is the pre-NextBatch source contract: everything a Source
-// provides except bulk delivery. Third-party implementations written
-// against the old interface satisfy it unchanged.
-type LegacySource interface {
-	Next() (id cfg.BlockID, ok bool)
-	Skip(n uint64) (skipped uint64, err error)
-	Name() string
-	TotalInsts() (n uint64, exact bool)
-	Close() error
-}
-
-// Batched adapts a legacy source to the full Source interface, deriving
-// NextBatch from repeated Next calls. A source that already implements
-// Source is returned as-is. The adapter forwards only the Source methods:
-// optional contracts on the wrapped value (Bind, warmup regions, Seekable)
-// are hidden, so adapt third-party sources, not the built-in ones.
-func Batched(s LegacySource) Source {
-	if full, ok := s.(Source); ok {
-		return full
-	}
-	return &batchAdapter{s}
-}
-
-type batchAdapter struct{ LegacySource }
-
-func (a *batchAdapter) NextBatch(dst []cfg.BlockID) int {
-	n := 0
-	for n < len(dst) {
-		id, ok := a.LegacySource.Next()
-		if !ok {
-			break
-		}
-		dst[n] = id
-		n++
-	}
-	return n
 }
 
 // GenSource produces the block sequence on the fly from a seeded CFG walk,

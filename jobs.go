@@ -431,11 +431,12 @@ type runKeySpec struct {
 	// as they did before these fields existed, preserving cached results.
 	Samples     int    `json:"samples,omitempty"`
 	SampleInsts uint64 `json:"sample_insts,omitempty"`
-	// FwarmV versions the functional-warming semantics (2 = the prefix
+	// FwarmV versions the functional-warming semantics for runs that
+	// warm mid-trace boundaries; omitempty keeps every other key — and its
+	// cached result — intact across semantics changes. 2: the prefix
 	// replay trains the engine's commit-side state, not just caches and
-	// the address generator). Set only for runs that functionally warm a
-	// prefix; omitempty keeps every other key — and its cached result —
-	// intact across the semantics change.
+	// the address generator. 3 (warmup 0 only): an interval opened from
+	// warm state counts its first cycle, as a restored one always did.
 	FwarmV int `json:"fwarm_v,omitempty"`
 }
 
@@ -479,7 +480,7 @@ func (r *RunRequest) contentKey() string {
 		}
 	}
 	if !k.ColdShards && (k.Shards > 1 || k.Samples > 0) {
-		k.FwarmV = 2
+		k.FwarmV = fwarmVersion(k.Warmup)
 	}
 	return store.Key(k)
 }
@@ -533,9 +534,18 @@ func (r *SweepRequest) contentKey() string {
 		k.ColdShards = false
 	}
 	if !k.ColdShards && k.Shards > 1 {
-		k.FwarmV = 2
+		k.FwarmV = fwarmVersion(k.Warmup)
 	}
 	return store.Key(k)
+}
+
+// fwarmVersion is the content keys' FwarmV for a warmed sharded or
+// sampled run with the given timed warmup.
+func fwarmVersion(warmup uint64) int {
+	if warmup == 0 {
+		return 3
+	}
+	return 2
 }
 
 // maxCachedSessions is the default session-cache bound
@@ -1278,6 +1288,10 @@ func (m *jobManager) queueEstimate() (backlog, delay float64) {
 // rejecting when draining, deadline-infeasible or full. build receives
 // the job so run closures can reference it for progress reporting.
 //
+// The returned envelope is the submission's answer. A fresh job's is
+// taken before the job is queued, so it says queued however fast a
+// worker picks the job up; a coalesced or cached job's is its state now.
+//
 // Store writes happen outside m.mu: the journal retries with backoff
 // when the store misbehaves, and holding the registry lock across that
 // would convoy every poll, cancel and /healthz behind disk I/O. The
@@ -1285,7 +1299,7 @@ func (m *jobManager) queueEstimate() (backlog, delay float64) {
 // reservation, and coalescing through admittingKeys: an identical twin
 // submitted mid-journal waits for that journal to settle, then coalesces
 // onto the admitted job (or, if it was refused, tries on its own).
-func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, build func(*job) jobFunc) (*job, error) {
+func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, build func(*job) jobFunc) (*job, *JobEnvelope, error) {
 	// Cache lookup outside the registry lock: blob reads may touch disk.
 	var cachedBlob []byte
 	if key != "" {
@@ -1298,7 +1312,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 	for {
 		if m.draining {
 			m.mu.Unlock()
-			return nil, ErrDraining
+			return nil, nil, ErrDraining
 		}
 		if leader := m.inflight[key]; leader != nil && key != "" {
 			// An identical job is queued or running: one simulation,
@@ -1306,7 +1320,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 			// (and its cancellation — DELETE cancels for every submitter).
 			m.coalesced.Add(1)
 			m.mu.Unlock()
-			return leader, nil
+			return leader, leader.envelope(), nil
 		}
 		// An identical submission journaling outside the lock: wait for
 		// it to settle, then look again.
@@ -1330,7 +1344,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 			m.trimDoneLocked()
 			m.mu.Unlock()
 			m.journal(j, JobDone) // restarts keep serving it
-			return j, nil
+			return j, j.envelope(), nil
 		}
 	}
 
@@ -1344,7 +1358,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		if delay+pol.predicted > deadlineSecs {
 			m.shed.Add(1)
 			m.mu.Unlock()
-			return nil, &InfeasibleError{
+			return nil, nil, &InfeasibleError{
 				PredictedSeconds:  pol.predicted,
 				QueueDelaySeconds: delay,
 				DeadlineSeconds:   deadlineSecs,
@@ -1359,7 +1373,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 	// out of the journal: a journaled job is a promise to run it.
 	if m.queue.len()+m.admitting >= m.queueCap {
 		m.mu.Unlock()
-		return nil, ErrQueueFull
+		return nil, nil, ErrQueueFull
 	}
 	m.admitting++
 	settled := make(chan struct{})
@@ -1417,7 +1431,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		// accepted memory-only under the declared policy.
 		m.mu.Unlock()
 		j.cancel()
-		return nil, fmt.Errorf("%w: %v", ErrStore, storeErr)
+		return nil, nil, fmt.Errorf("%w: %v", ErrStore, storeErr)
 	}
 	if m.draining {
 		// Drain flipped during the journaling window: this process will
@@ -1435,7 +1449,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		if !degraded {
 			m.journal(j, JobCancelled)
 		}
-		return nil, ErrDraining
+		return nil, nil, ErrDraining
 	}
 	m.jobs[id] = j
 	if key != "" {
@@ -1443,8 +1457,9 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 	}
 	m.misses.Add(1)
 	m.mu.Unlock()
+	env := j.envelope()
 	m.queue.push(j)
-	return j, nil
+	return j, env, nil
 }
 
 // msToDuration converts validated (non-negative) milliseconds to a
@@ -1470,12 +1485,12 @@ func (m *jobManager) effTimeout(ms int64) time.Duration {
 }
 
 // useCheckpoints decides whether a job's runs should share the daemon's
-// store for warm-state checkpoints. Gated on a timed warmup lead-in:
-// with warmup > 0 a checkpoint-restored interval is byte-identical to a
-// functionally warmed one, so the content-keyed result cache stays sound
-// (reports differ at most in their checkpoint hit/miss counters);
-// without warmup a restored interval's supply path can differ by a
-// cycle, which would let store state leak into cached results.
+// store for warm-state checkpoints: warmed sharded and sampled runs. An
+// interval opens by restoring its boundary's warm state whether the
+// snapshot comes from the store or from the run's own warming walk, so
+// the content-keyed result cache stays sound — reports differ at most in
+// their checkpoint hit/miss counters. The warmup > 0 gate keeps those
+// counters out of warmup-free jobs' reports.
 func (m *jobManager) useCheckpoints(warmup uint64, shards, samples int) bool {
 	return warmup > 0 && (shards > 1 || samples > 0)
 }
@@ -1553,27 +1568,27 @@ func (m *jobManager) sweepJobFunc(req SweepRequest) func(*job) jobFunc {
 	}
 }
 
-// newRunJob validates and submits a single-configuration run.
-func (m *jobManager) newRunJob(req RunRequest) (*job, error) {
+// submitRun validates and submits a single-configuration run.
+func (m *jobManager) submitRun(req RunRequest) (*job, *JobEnvelope, error) {
 	if err := req.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	reqJSON, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return m.submit("run", req.contentKey(), reqJSON,
 		m.runPolicy(&req, time.Now()), m.runJobFunc(req))
 }
 
-// newSweepJob validates and submits a grid sweep as one job.
-func (m *jobManager) newSweepJob(req SweepRequest) (*job, error) {
+// submitSweep validates and submits a grid sweep as one job.
+func (m *jobManager) submitSweep(req SweepRequest) (*job, *JobEnvelope, error) {
 	if err := req.normalize(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	reqJSON, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return m.submit("sweep", req.contentKey(), reqJSON,
 		m.sweepPolicy(&req, time.Now()), m.sweepJobFunc(req))

@@ -156,3 +156,10 @@ func TestRunGridErrorCellsProgress(t *testing.T) {
 		t.Fatalf("progress after an erroring cell: done=%d total=%d, want 1/1", done, total)
 	}
 }
+
+// newRunJob submits a run and returns its job, for tests that do not need
+// the submission's envelope.
+func (m *jobManager) newRunJob(req RunRequest) (*job, error) {
+	j, _, err := m.submitRun(req)
+	return j, err
+}

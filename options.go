@@ -89,13 +89,15 @@ func WithTrace(tr *trace.Trace) Option {
 // WithShards splits the run into n contiguous trace intervals simulated
 // independently — in parallel up to the process-wide worker budget — and
 // merged into one report (default 1: a single sequential run). By default
-// each mid-trace shard functionally warms its prefix (caches and address
-// generators replay at decode speed, no pipeline), so merged figures track
-// a single-shot run closely; pair with WithWarmup to also train predictors
-// before each measure window. WithColdShards skips the prefix instead —
-// seeking through an indexed trace file (see cmd/tracegen) or
-// fast-forwarding the seeded CFG walk — for O(interval) work per shard at
-// the cost of cold-start bias.
+// each mid-trace shard starts from the warm state of everything before it:
+// one functional-warming pass over the trace (caches, address generators
+// and predictor tables replay at decode speed, no pipeline) snapshots
+// every shard boundary, so merged figures track a single-shot run closely
+// and warming costs one O(trace) walk however many shards there are. Pair
+// with WithWarmup to also warm the pipeline before each measure window.
+// WithColdShards skips the prefix instead — seeking through an indexed
+// trace file (see cmd/tracegen) or fast-forwarding the seeded CFG walk —
+// for O(interval) work per shard at the cost of cold-start bias.
 func WithShards(n int) Option {
 	return func(s *Session) { s.shards = n }
 }
@@ -109,15 +111,15 @@ func WithWarmup(insts uint64) Option {
 	return func(s *Session) { s.warmup = insts }
 }
 
-// WithColdShards disables functional warming in sharded runs: instead of
-// replaying each shard's prefix through the caches and address generators
-// at decode speed, shards skip straight to their intervals — seeking
-// through the trace file's chunk index when it has one, or fast-forwarding
-// the seeded CFG walk — and start cold except for the WithWarmup lead-in.
-// This is the speed-maximal mode: per-shard work drops to O(interval), at
-// the cost of cold-start bias in cycle-derived figures (the 1MB L2 in
-// particular warms far slower than any practical WithWarmup covers).
-// Instruction and branch counts still merge losslessly.
+// WithColdShards disables functional warming in sharded runs: no pass
+// walks the trace to warm the shard boundaries; shards skip straight to
+// their intervals — seeking through the trace file's chunk index when it
+// has one, or fast-forwarding the seeded CFG walk — and start cold except
+// for the WithWarmup lead-in. This is the speed-maximal mode: the run's
+// work drops to O(intervals) with no O(trace) warming walk, at the cost
+// of cold-start bias in cycle-derived figures (the 1MB L2 in particular
+// warms far slower than any practical WithWarmup covers). Instruction and
+// branch counts still merge losslessly.
 func WithColdShards() Option {
 	return func(s *Session) { s.coldShards = true }
 }
@@ -125,13 +127,15 @@ func WithColdShards() Option {
 // WithCheckpoints caches warm microarchitectural state in st: every
 // mid-trace interval (sharded shard or sampled window) looks up a
 // checkpoint for its boundary and, on a hit, restores caches, predictor
-// tables and the load address generator in O(state) instead of
-// functionally replaying its O(prefix) lead-in; on a miss it warms
-// functionally and publishes the checkpoint it produced for the next
-// run — including a restarted daemon or another daemon sharing the
-// store. Checkpoints key on the preparation inputs (benchmark, seeds,
-// engine, width, layout, trace file path) plus the boundary position;
-// any mismatch, torn blob or stale format decodes as a clean miss.
+// tables and the load address generator in O(state); the run's one
+// functional-warming walk visits only the missed boundaries (and is
+// skipped when every boundary hits), and publishes the checkpoint it
+// takes at each for the next run — including a restarted daemon or
+// another daemon sharing the store. A hit and a miss restore the same
+// bytes, so reports differ only in their checkpoint counters.
+// Checkpoints key on the preparation inputs (benchmark, seeds, engine,
+// width, layout, trace file path) plus the boundary position; any
+// mismatch, torn blob or stale format decodes as a clean miss.
 // In-memory traces (WithTrace) have no stable identity and never use
 // checkpoints, nor do cold shards (WithColdShards), whose skipped
 // prefix leaves nothing to capture. Report.CheckpointHits/Misses count
@@ -143,8 +147,9 @@ func WithCheckpoints(st store.Store) Option {
 // WithSampling switches the run to statistical sampling: instead of
 // simulating the whole trace, k measure windows of intervalInsts
 // instructions each are spread evenly across it, simulated independently
-// (with the WithWarmup lead-in and, under WithCheckpoints, checkpoint
-// restore per window), and merged. The report carries the merged
+// (each opened from the warm state at its lead-in, taken by one
+// functional-warming walk or, under WithCheckpoints, restored from the
+// store; then the WithWarmup lead-in), and merged. The report carries the merged
 // counters plus ipc_ci95, the 95% confidence half-width on IPC derived
 // from the per-window spread. Cycle-exact totals are replaced by
 // estimates — counts cover only the sampled windows — so sampled runs

@@ -98,11 +98,12 @@ type Report struct {
 // Timings is the per-stage wall-clock breakdown of one run or job,
 // designed to land in CSVs and JSON dashboards as-is. Queue is filled by
 // the daemon (time between acceptance and start); the session fills the
-// rest. Warmup and Measure are summed across a sharded run's parallel
+// rest. Warmup is the wall time of a sharded or sampled run's
+// functional-warming walk (zero when every boundary restored from the
+// checkpoint store). Measure is summed across the run's parallel
 // intervals — per-stage work-seconds, not elapsed wall time — so the
-// attribution stays meaningful whatever the parallelism. For a
-// checkpoint-restored or unwarmed interval the whole simulation counts
-// as Measure.
+// attribution stays meaningful whatever the parallelism; an interval's
+// timed lead-in counts as Measure.
 type Timings struct {
 	PrepareSeconds float64 `json:"prepare_seconds,omitempty"`
 	QueueSeconds   float64 `json:"queue_seconds,omitempty"`

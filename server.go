@@ -300,12 +300,12 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	j, err := s.mgr.newRunJob(req)
+	j, env, err := s.mgr.submitRun(req)
 	if err != nil {
 		writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, acceptStatus(j), j.envelope())
+	writeJSON(w, acceptStatus(j), env)
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
@@ -313,12 +313,12 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	j, err := s.mgr.newSweepJob(req)
+	j, env, err := s.mgr.submitSweep(req)
 	if err != nil {
 		writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, acceptStatus(j), j.envelope())
+	writeJSON(w, acceptStatus(j), env)
 }
 
 // acceptStatus picks the submission status: 202 for a job that still has

@@ -459,6 +459,31 @@ func TestServiceJobRetention(t *testing.T) {
 	}
 }
 
+// TestServiceSubmitEnvelopeQueued: a fresh submission's 202 body says
+// queued even when an idle worker starts the job at once — the envelope
+// is taken before the job reaches the queue, not after.
+func TestServiceSubmitEnvelopeQueued(t *testing.T) {
+	srv := newTestServer(t, streamfetch.WithWorkers(1))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	sc := newServiceClient(t, srv)
+	req := streamfetch.RunRequest{Benchmark: "164.gzip", Engine: "streams", Layout: "base", Insts: 2_000}
+	for i := 0; i < 40; i++ {
+		req.Seed = uint64(500 + i)        // distinct: a repeat would be a cache hit
+		env := sc.submit("/v1/runs", req) // fails unless 202 and queued
+		sc.await(env.ID, time.Minute)
+	}
+	sweep := streamfetch.SweepRequest{Benchmarks: []string{"164.gzip"}, Engines: []string{"ev8"}, Insts: 2_000}
+	for i := 0; i < 10; i++ {
+		sweep.Seed = uint64(900 + i)
+		env := sc.submit("/v1/sweeps", sweep)
+		sc.await(env.ID, time.Minute)
+	}
+}
+
 // TestJobQueueRaceStress: 8 concurrent sweep submissions plus concurrent
 // cancellations, with the par saturation metric sampled throughout — the
 // shared budget must never oversubscribe (InUse ≤ Budget, so simulation

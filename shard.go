@@ -4,34 +4,38 @@
 // cells over 100M+-instruction traces) wall-clock-bounded by hardware
 // rather than by one sequential instruction stream: each interval skips to
 // its start (seeking through the trace-file chunk index, or fast-forwarding
-// the seeded CFG walk), optionally warms caches and predictors on a
-// counters-frozen lead-in, measures exactly its window, and the mergeable
-// counter blocks combine into one Report.
+// the seeded CFG walk), restores the warm state at its boundary, runs a
+// counters-frozen timed lead-in, measures exactly its window, and the
+// mergeable counter blocks combine into one Report.
+//
+// Warm state comes from one functional-warming pass per run
+// (sim.Processor.WarmPrefix): a single walk from the trace head, at decode
+// speed, that snapshots caches, predictors and the load address generator
+// at every interval boundary in turn. Warming therefore costs O(trace),
+// not O(intervals × prefix), and the walk overlaps the intervals it has
+// already served. With WithCheckpoints the snapshots are also stored
+// content-addressed, and a later run of the same boundary restores from
+// the store without walking at all. Sampled runs (WithSampling) stack K
+// short measure windows on the same executor and report a confidence
+// interval instead of simulating the whole trace.
 //
 // Accuracy: interval boundaries snap to whole blocks and tile the trace
 // exactly, so instruction/branch counts merge losslessly; cycle-derived
-// figures (IPC, miss rates) carry cold-start error at each interval head,
+// figures (IPC, miss rates) carry the cold pipeline of each interval head,
 // which warmup shrinks. shards=1 with no warmup is byte-identical to a
 // plain Run.
-//
-// Warm-state checkpoints (WithCheckpoints) attack the remaining O(shards ×
-// prefix) term of functional warming: the warm microarchitectural state a
-// shard builds by replaying its prefix is serialized at the interval
-// boundary and stored content-addressed; the next run of the same boundary
-// restores it in O(state) and skips straight to the timed window. Sampled
-// runs (WithSampling) stack K short measure windows on the same executor
-// and report a confidence interval instead of simulating the whole trace.
 package streamfetch
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"streamfetch/internal/cfg"
 	"streamfetch/internal/ckpt"
-	"streamfetch/internal/frontend"
 	"streamfetch/internal/layout"
 	"streamfetch/internal/par"
 	"streamfetch/internal/sim"
@@ -83,10 +87,7 @@ type shardOut struct {
 	// Both false when checkpointing was off or inapplicable.
 	ckptHit  bool
 	ckptMiss bool
-	// Stage wall clock (WithStageTimings only): functional warming up to
-	// the first timed cycle, then the timed simulation. A restored or
-	// unwarmed interval counts entirely as measure.
-	warmSecs    float64
+	// measureSecs is the wall clock of the timed simulation.
 	measureSecs float64
 }
 
@@ -149,10 +150,10 @@ func (s *Session) runSharded(ctx context.Context) (*Report, error) {
 	}
 
 	prepSecs := time.Since(prepStart).Seconds()
-	outs, runErr := s.runIntervals(ctx, lay, prog, specs, partTotal, nshards)
+	outs, warmSecs, runErr := s.runIntervals(ctx, lay, prog, specs, partTotal, nshards)
 	mergeStart := time.Now()
 	rep := s.mergeShards(lay, nshards, outs)
-	s.attachTimings(rep, outs, prepSecs, time.Since(mergeStart).Seconds())
+	s.attachTimings(rep, outs, prepSecs, warmSecs, time.Since(mergeStart).Seconds())
 	if runErr != nil {
 		if rep == nil || ctx.Err() == nil {
 			return nil, runErr
@@ -170,8 +171,9 @@ func (s *Session) runSharded(ctx context.Context) (*Report, error) {
 
 // runSampled executes the session in sampled mode (WithSampling): K
 // measure windows of sampleInsts instructions spread evenly across the
-// trace, each opened through the shared interval executor — so warmup,
-// functional warming and checkpoint restore all apply per window — and
+// trace, each opened through the shared interval executor — so warm
+// state at its boundary, checkpoint restore and the timed lead-in all
+// apply per window — and
 // merged into one report carrying an IPC confidence interval. The
 // windows tile a small fraction of the trace; everything between them
 // is never simulated, which is where the speedup comes from.
@@ -226,10 +228,10 @@ func (s *Session) runSampled(ctx context.Context) (*Report, error) {
 	}
 
 	prepSecs := time.Since(prepStart).Seconds()
-	outs, runErr := s.runIntervals(ctx, lay, prog, specs, partTotal, len(specs))
+	outs, warmSecs, runErr := s.runIntervals(ctx, lay, prog, specs, partTotal, len(specs))
 	mergeStart := time.Now()
 	rep := s.mergeSamples(lay, len(specs), outs)
-	s.attachTimings(rep, outs, prepSecs, time.Since(mergeStart).Seconds())
+	s.attachTimings(rep, outs, prepSecs, warmSecs, time.Since(mergeStart).Seconds())
 	if runErr != nil {
 		if rep == nil || ctx.Err() == nil {
 			return nil, runErr
@@ -245,141 +247,203 @@ func (s *Session) runSampled(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
+// intervalOpening says how one interval obtains its warm state.
+type intervalOpening struct {
+	// boundary is where the interval's timed lead-in begins and its warm
+	// state is restored; 0 for an interval that starts cold (at the trace
+	// head, or under WithColdShards).
+	boundary uint64
+	// key is the boundary's checkpoint store key ("" when not
+	// checkpointed), and hit whether the store held a usable snapshot.
+	key string
+	hit bool
+	// walked delivers the warming walk's snapshot when the store did not.
+	walked chan []byte
+}
+
+// errNoRestore reports a snapshot that does not decode or does not fit the
+// processor it was restored onto.
+var errNoRestore = errors.New("streamfetch: warm state does not restore")
+
 // runIntervals simulates the given intervals in parallel (up to the
 // process-wide worker budget). group is the interval count reported to
 // progress callbacks. outs[i] stays nil for intervals that did not
-// complete (cancellation).
-func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cfg.Program, specs []intervalSpec, partTotal uint64, group int) ([]*shardOut, error) {
-	outs := make([]*shardOut, len(specs))
-	err := par.Do(ctx, len(specs), true, func(i int) error {
-		out, err := s.runInterval(ctx, lay, prog, specs[i], partTotal, group)
+// complete (cancellation). specs ascend by start.
+//
+// Every interval with a warm boundary opens by restoring a snapshot: from
+// the checkpoint store when it holds one, or else from a single
+// functional-warming walk over the trace that stops at each missing
+// boundary in turn. Snapshots stream from the walk to the workers as they
+// are taken: intervals without a boundary run alongside the walk, and the
+// walk waits for a worker to take each snapshot, so about one per worker
+// is alive at a time. The walk runs on its own goroutine outside the par
+// budget: holding a token while it waits for a worker would keep that
+// worker from starting. warmSecs is the walk's wall time.
+func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cfg.Program, specs []intervalSpec, partTotal uint64, group int) (outs []*shardOut, warmSecs float64, err error) {
+	opens := make([]intervalOpening, len(specs))
+	var bounds []uint64
+	var walked []chan []byte
+	for i, spec := range specs {
+		o := &opens[i]
+		if s.coldShards || spec.start <= s.warmup {
+			continue
+		}
+		o.boundary = spec.start - s.warmup
+		// In-memory traces have no stable identity across runs: they
+		// never checkpoint.
+		if s.ckptStore != nil && s.traceData == nil {
+			if key, ok := s.ckptKey(lay, o.boundary); ok {
+				o.key = key
+				o.hit = s.storedCkpt(key, o.boundary) != nil
+			}
+		}
+		if !o.hit {
+			o.walked = make(chan []byte)
+			bounds = append(bounds, o.boundary)
+			walked = append(walked, o.walked)
+		}
+	}
+
+	walkCtx, stopWalk := context.WithCancel(ctx)
+	walkDone := make(chan struct{})
+	var walkErr error
+	if len(bounds) == 0 {
+		close(walkDone)
+	} else {
+		go func() {
+			defer close(walkDone)
+			defer func() {
+				if r := recover(); r != nil {
+					walkErr = fmt.Errorf("streamfetch: warming panicked: %v\n%s", r, debug.Stack())
+				}
+			}()
+			start := time.Now()
+			walkErr = s.warmBoundaries(walkCtx, lay, prog, bounds, func(k int, snap []byte) error {
+				select {
+				case walked[k] <- snap:
+					return nil
+				case <-walkCtx.Done():
+					return walkCtx.Err()
+				}
+			})
+			warmSecs = time.Since(start).Seconds()
+		}()
+	}
+
+	outs = make([]*shardOut, len(specs))
+	err = par.Do(ctx, len(specs), true, func(i int) error {
+		o := &opens[i]
+		var snap []byte
+		switch {
+		case o.hit:
+			snap = s.storedCkpt(o.key, o.boundary)
+		case o.walked != nil:
+			select {
+			case snap = <-o.walked:
+			case <-walkDone:
+				return walkErr
+			}
+			s.publishCkpt(o.key, snap)
+		}
+		// snap is not read after runInterval, so it is garbage while the
+		// interval simulates.
+		out, err := s.runInterval(ctx, lay, prog, specs[i], o.boundary, snap, partTotal, group)
+		if err == errNoRestore && o.hit {
+			// The stored snapshot vanished or stopped fitting since it
+			// was checked: warm this boundary on its own instead.
+			o.hit = false
+			if snap, err = s.warmBoundary(ctx, lay, prog, o.boundary); err == nil {
+				s.publishCkpt(o.key, snap)
+				out, err = s.runInterval(ctx, lay, prog, specs[i], o.boundary, snap, partTotal, group)
+			}
+		}
 		if err != nil {
 			return err
 		}
+		out.ckptHit = o.hit
+		out.ckptMiss = o.key != "" && !o.hit
 		outs[i] = out
 		return nil
 	})
-	return outs, err
+	stopWalk()
+	<-walkDone
+	if err == nil {
+		// Every snapshot was taken; the walk can still fail closing its
+		// trace.
+		err = walkErr
+	}
+	return outs, warmSecs, err
 }
 
-// runInterval simulates one trace interval. With checkpointing active
-// it first tries to open the interval's warm boundary from the store —
-// O(state) instead of O(prefix) — and on any miss (no blob, torn blob,
-// stale version, geometry or engine mismatch) falls back to functional
-// warming, capturing the warm state it builds and publishing it for the
-// next run of the same boundary.
-func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg.Program, spec intervalSpec, partTotal uint64, group int) (*shardOut, error) {
-	// The checkpointable boundary: where functional warming would stop
-	// and the counters-frozen timed lead-in (WithWarmup) begins. A zero
-	// boundary means no functional-warming prefix exists — nothing to
-	// checkpoint. In-memory traces have no stable identity across runs
-	// and cold shards skip the prefix outright, so neither checkpoints.
-	boundary := uint64(0)
-	if spec.start > s.warmup {
-		boundary = spec.start - s.warmup
-	}
-	key := ""
-	useCkpt := false
-	if s.ckptStore != nil && !s.coldShards && s.traceData == nil && boundary > 0 {
-		key, useCkpt = s.ckptKey(lay, boundary)
-	}
-
-	if useCkpt {
-		out, err := s.runRestored(ctx, lay, prog, spec, key, boundary, partTotal, group)
-		if out != nil || err != nil {
-			return out, err
-		}
-		// Clean miss: warm functionally below and publish the result.
-	}
-
+// warmBoundaries walks the trace once from its head with a functional-
+// warming processor and hands take the encoded warm state at each of the
+// ascending bounds, in order.
+func (s *Session) warmBoundaries(ctx context.Context, lay *layout.Layout, prog *cfg.Program, bounds []uint64, take func(k int, snap []byte) error) error {
 	src, err := s.newSource(prog)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	iv, err := trace.NewInterval(src, prog, trace.IntervalConfig{
-		Start:  spec.start,
-		End:    spec.end,
-		Warmup: s.warmup,
-		// By default mid-trace intervals replay their prefix functionally
-		// (caches and address generators warm at decode speed), so
-		// measured memory behaviour matches a single-shot run closely.
-		// WithColdShards trades that accuracy for O(interval) work per
-		// shard: the prefix is skipped outright (seeking through an
-		// indexed trace file, or fast-forwarding the CFG walk).
-		FuncWarm: !s.coldShards,
-	})
+	proc, err := sim.New(lay, src, s.simConfig(ctx, lay, 0, 0, 0, 0))
 	if err != nil {
 		src.Close()
-		return nil, err
+		return err
 	}
-	scfg := s.simConfig(ctx, lay, 0, partTotal, spec.index, group)
-	var snapshot []byte
-	var warmedAt time.Time
-	if useCkpt || s.stageTimings {
-		// One OnWarmed serves both consumers: the timestamp splits the
-		// warmup stage from the measure stage, and (under checkpointing)
-		// the snapshot captures the warm state the prefix just built.
-		scfg.OnWarmed = func(p *sim.Processor) {
-			warmedAt = time.Now()
-			if !useCkpt {
-				return
-			}
-			ws, ok := p.Engine().(frontend.WarmStater)
-			if !ok {
-				return
-			}
-			snapshot = ckpt.Encode(nil, boundary, p.Hier(), p.Gen(),
-				p.Engine().Name(), ws.AppendWarmState(nil))
-		}
+	eng := proc.Engine()
+	err = proc.WarmPrefix(ctx, bounds, func(k int, _ uint64) error {
+		return take(k, ckpt.Encode(nil, bounds[k], proc.Hier(), proc.Gen(),
+			eng.Name(), eng.AppendWarmState(nil)))
+	})
+	if cerr := src.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("streamfetch: warming reading trace: %w", cerr)
 	}
-	proc, err := sim.New(lay, iv, scfg)
-	if err != nil {
-		iv.Close()
-		return nil, err
-	}
-	runStart := time.Now()
-	res := proc.Run()
-	runSecs := time.Since(runStart).Seconds()
-	if err := iv.Close(); err != nil {
-		return nil, fmt.Errorf("streamfetch: shard %d reading trace: %w", spec.index, err)
-	}
-	if snapshot != nil && !res.Aborted {
-		// Publishing is best-effort: a full or failing store must not
-		// fail a run that already has its result.
-		_ = s.ckptStore.PutBlob(key, snapshot)
-	}
-	out := &shardOut{
-		res:      res,
-		start:    spec.start,
-		measured: iv.MeasuredInsts(),
-		warm:     iv.WarmupInsts(),
-		ckptMiss: useCkpt,
-	}
-	if s.stageTimings {
-		out.measureSecs = runSecs
-		if !warmedAt.IsZero() {
-			out.warmSecs = warmedAt.Sub(runStart).Seconds()
-			out.measureSecs = runSecs - out.warmSecs
-		}
-	}
-	return out, nil
+	return err
 }
 
-// runRestored attempts the checkpoint fast path for one interval: load
-// the boundary's snapshot, build the interval with functional warming
-// disabled (it skips straight to the boundary), restore the warm state
-// onto the fresh processor, and run. A (nil, nil) return is a clean
-// miss — the blob is absent, undecodable or for a different
-// configuration — sending the caller to the functional-warming path; a
-// non-nil error is fatal (it would fail that path identically).
-func (s *Session) runRestored(ctx context.Context, lay *layout.Layout, prog *cfg.Program, spec intervalSpec, key string, boundary uint64, partTotal uint64, group int) (*shardOut, error) {
+// warmBoundary takes the warm state at one boundary with a walk of its
+// own.
+func (s *Session) warmBoundary(ctx context.Context, lay *layout.Layout, prog *cfg.Program, boundary uint64) (snap []byte, err error) {
+	err = s.warmBoundaries(ctx, lay, prog, []uint64{boundary}, func(_ int, b []byte) error {
+		snap = b
+		return nil
+	})
+	return snap, err
+}
+
+// storedCkpt returns the store's snapshot for boundary under key, or nil
+// when it is absent, undecodable or for another boundary: a clean miss.
+func (s *Session) storedCkpt(key string, boundary uint64) []byte {
 	blob, ok, err := s.ckptStore.GetBlob(key)
 	if err != nil || !ok {
-		return nil, nil
+		return nil
 	}
-	snap, err := ckpt.Decode(blob)
-	if err != nil || snap.Boundary != boundary {
-		return nil, nil
+	if snap, err := ckpt.Decode(blob); err != nil || snap.Boundary != boundary {
+		return nil
+	}
+	return blob
+}
+
+// publishCkpt stores a freshly warmed snapshot for the next run of its
+// boundary. Publishing is best-effort: a full or failing store must not
+// fail a run.
+func (s *Session) publishCkpt(key string, snap []byte) {
+	if key != "" {
+		_ = s.ckptStore.PutBlob(key, snap)
+	}
+}
+
+// runInterval simulates one trace interval. An interval with a warm
+// boundary restores snap, an encoded snapshot of the state there, onto
+// its fresh processor before the first timed cycle: the interval skips
+// straight to the boundary and simulates only its timed lead-in and
+// measure window. It fails with errNoRestore, before running, when snap
+// is missing, undecodable or for another configuration.
+func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg.Program, spec intervalSpec, boundary uint64, snap []byte, partTotal uint64, group int) (*shardOut, error) {
+	var cs *ckpt.Snapshot
+	if boundary > 0 {
+		var err error
+		if cs, err = ckpt.Decode(snap); err != nil || cs.Boundary != boundary {
+			return nil, errNoRestore
+		}
 	}
 	src, err := s.newSource(prog)
 	if err != nil {
@@ -389,31 +453,24 @@ func (s *Session) runRestored(ctx context.Context, lay *layout.Layout, prog *cfg
 		Start:  spec.start,
 		End:    spec.end,
 		Warmup: s.warmup,
-		// No functional warming: the snapshot already holds the prefix's
-		// effect, so the interval seeks to the boundary and delivers only
-		// the timed lead-in (if any) and the measure window.
-		FuncWarm: false,
 	})
 	if err != nil {
 		src.Close()
 		return nil, err
 	}
-	scfg := s.simConfig(ctx, lay, 0, partTotal, spec.index, group)
-	proc, err := sim.New(lay, iv, scfg)
+	proc, err := sim.New(lay, iv, s.simConfig(ctx, lay, 0, partTotal, spec.index, group))
 	if err != nil {
 		iv.Close()
 		return nil, err
 	}
-	ws, isWS := proc.Engine().(frontend.WarmStater)
-	if !isWS || proc.Engine().Name() != snap.EngineName ||
-		snap.Apply(proc.Hier(), proc.Gen()) != nil ||
-		ws.LoadWarmState(snap.Engine) != nil {
-		// Mismatch or partial restore: discard the whole processor (its
-		// state may be half-written) and fall back to functional
-		// warming. The source was not consumed before Run, so closing
-		// it is the only cleanup needed.
-		iv.Close()
-		return nil, nil
+	if cs != nil {
+		eng := proc.Engine()
+		if eng.Name() != cs.EngineName || cs.Apply(proc.Hier(), proc.Gen()) != nil ||
+			eng.LoadWarmState(cs.Engine) != nil {
+			// The processor may be half-restored: discard it unrun.
+			iv.Close()
+			return nil, errNoRestore
+		}
 	}
 	runStart := time.Now()
 	res := proc.Run()
@@ -421,19 +478,13 @@ func (s *Session) runRestored(ctx context.Context, lay *layout.Layout, prog *cfg
 	if err := iv.Close(); err != nil {
 		return nil, fmt.Errorf("streamfetch: shard %d reading trace: %w", spec.index, err)
 	}
-	out := &shardOut{
-		res:      res,
-		start:    spec.start,
-		measured: iv.MeasuredInsts(),
-		warm:     iv.WarmupInsts(),
-		ckptHit:  true,
-	}
-	if s.stageTimings {
-		// The restore replaced functional warming, so the whole simulation
-		// (timed lead-in included) counts as measure.
-		out.measureSecs = runSecs
-	}
-	return out, nil
+	return &shardOut{
+		res:         res,
+		start:       spec.start,
+		measured:    iv.MeasuredInsts(),
+		warm:        iv.WarmupInsts(),
+		measureSecs: runSecs,
+	}, nil
 }
 
 // ckptKeySpec is a checkpoint's canonical identity, hashed into its
@@ -599,19 +650,18 @@ func ipcCI95(outs []*shardOut) float64 {
 }
 
 // attachTimings fills rep.Timings for a sharded or sampled run under
-// WithStageTimings: prepare and merge are elapsed wall clock, warmup and
-// measure are summed across the (parallel) intervals — per-stage
-// work-seconds, which is what the SLO cost model predicts.
-func (s *Session) attachTimings(rep *Report, outs []*shardOut, prepSecs, mergeSecs float64) {
+// WithStageTimings: prepare, warmup (the warming walk) and merge are
+// elapsed wall clock, measure is summed across the (parallel) intervals —
+// per-stage work-seconds, which is what the SLO cost model predicts.
+func (s *Session) attachTimings(rep *Report, outs []*shardOut, prepSecs, warmSecs, mergeSecs float64) {
 	if rep == nil || !s.stageTimings {
 		return
 	}
-	tm := &Timings{PrepareSeconds: prepSecs, MergeSeconds: mergeSecs}
+	tm := &Timings{PrepareSeconds: prepSecs, WarmupSeconds: warmSecs, MergeSeconds: mergeSecs}
 	for _, o := range outs {
 		if o == nil {
 			continue
 		}
-		tm.WarmupSeconds += o.warmSecs
 		tm.MeasureSeconds += o.measureSecs
 	}
 	rep.Timings = tm

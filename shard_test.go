@@ -2,10 +2,13 @@ package streamfetch_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"streamfetch"
 )
@@ -199,12 +202,45 @@ func TestRunShardedCold(t *testing.T) {
 	}
 }
 
-// TestRunShardedCancel: cancelling mid-run surfaces the context error.
+// TestRunShardedCancel: cancelling mid-run surfaces the context error —
+// also for a sampled run cancelled while its warming walk is still
+// mid-prefix, which must return promptly and leak no goroutines.
 func TestRunShardedCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := streamfetch.New("164.gzip").RunSharded(ctx, streamfetch.WithShards(2))
 	if err == nil {
 		t.Fatal("cancelled sharded run returned no error")
+	}
+
+	s := streamfetch.New("176.gcc",
+		streamfetch.WithInstructions(8_000_000),
+		streamfetch.WithSampling(8, 200_000),
+		streamfetch.WithWarmup(40_000),
+	)
+	if err := s.Prepare(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel = context.WithCancel(context.Background())
+	cancelled := make(chan time.Time, 1)
+	time.AfterFunc(50*time.Millisecond, func() {
+		cancelled <- time.Now()
+		cancel()
+	})
+	_, err = s.Run(ctx)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sampled run cancelled mid-walk returned %v, want context.Canceled", err)
+	}
+	if lag := returned.Sub(<-cancelled); lag > time.Second {
+		t.Fatalf("sampled run returned %v after cancellation", lag)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
