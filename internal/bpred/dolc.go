@@ -16,9 +16,12 @@ type DOLC struct {
 }
 
 // PathHist is a ring of the most recent path elements (newest first is
-// logical order; stored as a ring).
+// logical order; stored as a ring). Beside each raw element it keeps the
+// element's DOLC mix (dolcMix of the element's word address), so Hash
+// only masks and chains.
 type PathHist struct {
 	ring []uint64
+	mix  []uint64
 	pos  int
 }
 
@@ -27,19 +30,27 @@ func NewPathHist(depth int) *PathHist {
 	if depth <= 0 {
 		depth = 1
 	}
-	return &PathHist{ring: make([]uint64, depth)}
+	// Zero elements mix to zero.
+	return &PathHist{ring: make([]uint64, depth), mix: make([]uint64, depth)}
 }
 
 // Push records a new path element (e.g. a stream start address).
 func (p *PathHist) Push(v uint64) {
-	p.pos = (p.pos + 1) % len(p.ring)
+	p.pos++
+	if p.pos == len(p.ring) {
+		p.pos = 0
+	}
 	p.ring[p.pos] = v
+	p.mix[p.pos] = dolcMix(v >> 2)
 }
 
-// At returns the i-th most recent element (0 = newest).
+// At returns the i-th most recent element (0 = newest), 0 <= i < Len().
 func (p *PathHist) At(i int) uint64 {
-	n := len(p.ring)
-	return p.ring[((p.pos-i)%n+n)%n]
+	j := p.pos - i
+	if j < 0 {
+		j += len(p.ring)
+	}
+	return p.ring[j]
 }
 
 // Len returns the history depth.
@@ -48,14 +59,22 @@ func (p *PathHist) Len() int { return len(p.ring) }
 // CopyFrom overwrites p with src (misprediction recovery).
 func (p *PathHist) CopyFrom(src *PathHist) {
 	copy(p.ring, src.ring)
+	copy(p.mix, src.mix)
 	p.pos = src.pos
 }
 
 // Clone returns an independent copy.
 func (p *PathHist) Clone() *PathHist {
-	q := &PathHist{ring: make([]uint64, len(p.ring)), pos: p.pos}
-	copy(q.ring, p.ring)
+	q := &PathHist{ring: make([]uint64, len(p.ring)), mix: make([]uint64, len(p.mix)), pos: p.pos}
+	q.CopyFrom(p)
 	return q
+}
+
+// dolcMix spreads a word address's entropy across all 64 bits before its
+// DOLC bit quota is extracted.
+func dolcMix(v uint64) uint64 {
+	v *= 0x9e3779b97f4a7c15
+	return v ^ v>>29
 }
 
 // Hash folds the path history and current address into an index of
@@ -65,24 +84,19 @@ func (p *PathHist) Clone() *PathHist {
 // low-bit entropy — the mixed version behaves identically for well-spread
 // addresses and avoids pathological collisions on aligned ones.
 func (d DOLC) Hash(hist *PathHist, current uint64, indexBits uint) uint64 {
-	var acc uint64 = 0xcbf29ce484222325
-	var n uint
-	put := func(v uint64, bits uint) {
-		v *= 0x9e3779b97f4a7c15 // spread entropy across all bits
-		v ^= v >> 29
-		v &= (1 << bits) - 1
-		acc = (acc ^ v) * 0x100000001b3 // order-sensitive chaining
-		n += bits
-	}
-	put(current>>2, d.Current)
-	depth := d.Depth
-	if depth > hist.Len() {
-		depth = hist.Len()
-	}
+	const prime = 0x100000001b3 // order-sensitive chaining
+	acc := (0xcbf29ce484222325 ^ dolcMix(current>>2)&(1<<d.Current-1)) * prime
+	depth := min(d.Depth, len(hist.mix))
 	if depth > 0 {
-		put(hist.At(0)>>2, d.Last)
-		for i := 1; i < depth; i++ {
-			put(hist.At(i)>>2, d.Older)
+		mix, i := hist.mix, hist.pos
+		acc = (acc ^ mix[i]&(1<<d.Last-1)) * prime
+		older := uint64(1)<<d.Older - 1
+		for k := 1; k < depth; k++ {
+			if i == 0 {
+				i = len(mix)
+			}
+			i--
+			acc = (acc ^ mix[i]&older) * prime
 		}
 	}
 	// Fold to the index width.

@@ -22,14 +22,25 @@ func NewRAS(depth int) *RAS {
 // Push records a return address (on a call prediction or commit).
 func (r *RAS) Push(a isa.Addr) {
 	r.entries[r.top] = a
-	r.top = (r.top + 1) % len(r.entries)
+	r.top++
+	if r.top == len(r.entries) {
+		r.top = 0
+	}
 }
 
 // Pop predicts the target of a return. An empty or wrapped stack simply
 // yields whatever is resident, as hardware would.
 func (r *RAS) Pop() isa.Addr {
-	r.top = (r.top - 1 + len(r.entries)) % len(r.entries)
+	r.top = r.below(r.top)
 	return r.entries[r.top]
+}
+
+// below returns the slot under slot i, wrapping.
+func (r *RAS) below(i int) int {
+	if i == 0 {
+		i = len(r.entries)
+	}
+	return i - 1
 }
 
 // Checkpoint captures the state needed to undo wrong-path stack activity:
@@ -42,15 +53,13 @@ type RASCheckpoint struct {
 
 // Save returns a checkpoint of the current top of stack.
 func (r *RAS) Save() RASCheckpoint {
-	idx := (r.top - 1 + len(r.entries)) % len(r.entries)
-	return RASCheckpoint{top: r.top, val: r.entries[idx]}
+	return RASCheckpoint{top: r.top, val: r.entries[r.below(r.top)]}
 }
 
 // Restore rewinds the stack to a checkpoint.
 func (r *RAS) Restore(c RASCheckpoint) {
 	r.top = c.top
-	idx := (r.top - 1 + len(r.entries)) % len(r.entries)
-	r.entries[idx] = c.val
+	r.entries[r.below(r.top)] = c.val
 }
 
 // Depth returns the stack capacity.

@@ -83,6 +83,9 @@ func (p *PathHist) LoadState(r *wire.Reader) error {
 		return wire.ErrMalformed
 	}
 	copy(p.ring, scratch)
+	for i, v := range scratch {
+		p.mix[i] = dolcMix(v >> 2)
+	}
 	p.pos = int(pos)
 	return nil
 }

@@ -67,6 +67,12 @@ const (
 	// model into accepting or shedding everything.
 	minRate = 1e3
 	maxRate = 1e12
+	// outlierFactor bounds how far one observation can pull a learned
+	// bucket: it is clamped to within this factor of the current rate
+	// before blending, so one stalled or watchdog-reaped job moves
+	// predictions by at most this factor and cannot trigger mass
+	// shedding, while a real shift in host speed still converges.
+	outlierFactor = 4
 )
 
 // Model holds the live rate buckets. The zero value is not usable; build
@@ -116,7 +122,8 @@ func (m *Model) Predict(k Key, insts uint64) float64 {
 // Observe folds one finished run into the bucket's EWMA: insts simulated
 // in seconds of work time. Degenerate observations (nothing retired,
 // non-positive time, rate outside the sane band) are dropped rather than
-// clamped into a lie.
+// clamped into a lie; a plausible one that lies beyond outlierFactor of
+// the bucket's learned rate is clamped to that factor before blending.
 func (m *Model) Observe(k Key, insts uint64, seconds float64) {
 	if insts == 0 || seconds <= 0 {
 		return
@@ -134,6 +141,7 @@ func (m *Model) Observe(k Key, insts uint64, seconds float64) {
 		m.rates[k] = obs
 		return
 	}
+	obs = min(max(obs, old/outlierFactor), old*outlierFactor)
 	m.rates[k] = alpha*obs + (1-alpha)*old
 }
 

@@ -49,6 +49,32 @@ func TestObserveAdoptsThenBlends(t *testing.T) {
 	}
 }
 
+// TestObserveClampsOutliers: one 100x-slow observation (a stalled job the
+// watchdog reaped after it had crawled along) moves Predict by at most
+// outlierFactor, a 100x-fast one likewise, and a few normal observations
+// bring the prediction back.
+func TestObserveClampsOutliers(t *testing.T) {
+	for _, scale := range []float64{100, 0.01} {
+		m := NewModel()
+		k := Key{Engine: "ftb", Width: 8, Mode: ModePlain}
+		for i := 0; i < 5; i++ {
+			m.Observe(k, 5_000_000, 1.0)
+		}
+		before := m.Predict(k, 1_000_000)
+		m.Observe(k, 5_000_000, scale) // 5M insts in 100 s (or 10 ms)
+		after := m.Predict(k, 1_000_000)
+		if r := after / before; r > outlierFactor || r < 1/float64(outlierFactor) {
+			t.Fatalf("scale %g: one outlier moved Predict by %.2fx, want at most %dx", scale, r, outlierFactor)
+		}
+		for i := 0; i < 8; i++ {
+			m.Observe(k, 5_000_000, 1.0)
+		}
+		if got := m.Predict(k, 1_000_000); math.Abs(got/before-1) > 0.05 {
+			t.Fatalf("scale %g: Predict %g s after recovery, want within 5%% of %g s", scale, got, before)
+		}
+	}
+}
+
 func TestShardedFallsBackToLearnedPlain(t *testing.T) {
 	m := NewModel()
 	plain := Key{Engine: "streams", Width: 8, Mode: ModePlain}

@@ -356,22 +356,24 @@ func (r *SweepRequest) cellOptions() []Option {
 	return opts
 }
 
-// prepSpec is the session-cache key: every field that shapes a session's
-// prepared artifacts (program, profile, both layouts). Requests agreeing
-// on these share one cached session — and therefore skip trace, profile
-// and layout preparation — whatever their engine, width or layout choice,
-// since both layouts live inside the session.
-type prepSpec struct {
+// contentSpec is the input half of a request's content identity: the
+// benchmark, seeds and instruction counts with defaults resolved. It
+// feeds runKeySpec and sweepKeySpec, and splits into a preparation
+// identity (prep, the session-cache key) and per-run options
+// (runOptions: the reference seed and length, which no prepared artifact
+// depends on).
+type contentSpec struct {
 	benchmark         string
 	seed, trainSeed   uint64
 	insts, trainInsts uint64
 }
 
 // normalized resolves zero fields to the session defaults so "default by
-// omission" and "default spelled out" share one cache entry. trainInsts
-// stays 0 when unset: the session derives its own default (a quarter of
-// the trace length) at preparation time, so the rule lives in one place.
-func (p prepSpec) normalized() prepSpec {
+// omission" and "default spelled out" share one content key. trainInsts
+// stays 0 when unset: the key has always hashed it as given, and the
+// session derives the effective training length itself (Session.training),
+// so the rule lives in one place.
+func (p contentSpec) normalized() contentSpec {
 	if p.seed == 0 {
 		p.seed = defaultSeed
 	}
@@ -384,24 +386,32 @@ func (p prepSpec) normalized() prepSpec {
 	return p
 }
 
-func (p prepSpec) options() []Option {
-	opts := []Option{
-		WithSeed(p.seed),
-		WithTrainSeed(p.trainSeed),
-		WithInstructions(p.insts),
-	}
-	if p.trainInsts > 0 {
-		opts = append(opts, WithTrainInstructions(p.trainInsts))
-	}
-	return opts
+// runOptions are the spec's per-run fields, passed to every run of a
+// shared session.
+func (p contentSpec) runOptions() []Option {
+	return []Option{WithSeed(p.seed), WithInstructions(p.insts)}
 }
 
-func (r *RunRequest) prepSpec() prepSpec {
-	return prepSpec{r.Benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
+// prep returns the spec's preparation identity.
+func (p contentSpec) prep() prepSpec {
+	return prepSpec{p.benchmark, trainingOf(p.trainSeed, p.trainInsts, p.insts)}
 }
 
-func (r *SweepRequest) prepSpec(benchmark string) prepSpec {
-	return prepSpec{benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
+// prepSpec is the session-cache key: what a session's prepared artifacts
+// depend on. The program and baseline layout depend on the benchmark
+// alone, the optimized layout also on the training input; the reference
+// seed and length reach each run as options (contentSpec.runOptions).
+type prepSpec struct {
+	benchmark string
+	train     training
+}
+
+func (r *RunRequest) contentSpec() contentSpec {
+	return contentSpec{r.Benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
+}
+
+func (r *SweepRequest) contentSpec(benchmark string) contentSpec {
+	return contentSpec{benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
 }
 
 // runKeySpec is the canonical identity of a run's output: every semantic
@@ -443,7 +453,7 @@ type runKeySpec struct {
 // contentKey hashes the request's normalized semantic fields. Call only
 // after validate.
 func (r *RunRequest) contentKey() string {
-	p := r.prepSpec()
+	p := r.contentSpec()
 	k := runKeySpec{
 		V:    1,
 		Kind: "run",
@@ -510,7 +520,7 @@ type sweepKeySpec struct {
 // contentKey hashes the sweep's normalized identity. Call only after
 // normalize (which fills defaulted axes).
 func (r *SweepRequest) contentKey() string {
-	p := r.prepSpec(r.Benchmarks[0])
+	p := r.contentSpec(r.Benchmarks[0])
 	k := sweepKeySpec{
 		V:    1,
 		Kind: "sweep",
@@ -550,34 +560,42 @@ func fwarmVersion(warmup uint64) int {
 
 // maxCachedSessions is the default session-cache bound
 // (WithSessionCacheSize overrides it): enough for a broad working set
-// (the full 11-benchmark suite at several seed/length configurations)
-// while keeping a long-lived daemon's prepared-artifact memory bounded
-// against clients that sweep the key space (e.g. a fresh seed per
+// (the full 11-benchmark suite at several training inputs) while keeping
+// a long-lived daemon's prepared-artifact memory bounded against clients
+// that sweep the training key space (e.g. a fresh train seed per
 // request).
 const maxCachedSessions = 64
 
-// sessionCache shares prepared sessions across jobs, least-recently-used
-// beyond its bound. Sessions are safe for concurrent RunWith, so two jobs
-// over the same benchmark and seeds reuse one preparation and run
-// simultaneously; an evicted session keeps serving jobs already holding
-// it and is garbage-collected when they finish.
+// sessionCache shares prepared sessions across jobs, keyed by preparation
+// identity (prepSpec) and least-recently-used beyond its bound. Requests
+// that differ only in reference seed or length share one session, since
+// those reach each run as options. Every session of one benchmark shares
+// one program and baseline layout (progs), so the bound limits optimized
+// layouts while programs are bounded by the benchmark registry. Sessions
+// are safe for concurrent RunWith, so two jobs over the same preparation
+// run simultaneously; an evicted session keeps serving jobs already
+// holding it and is garbage-collected when they finish.
 type sessionCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[prepSpec]*Session
-	use []prepSpec // LRU order, least recently used first
+	mu    sync.Mutex
+	cap   int
+	m     map[prepSpec]*Session
+	use   []prepSpec // LRU order, least recently used first
+	progs map[string]*program
 }
 
-func (c *sessionCache) get(spec prepSpec) *Session {
+// get returns the session for spec's preparation identity. Every run of
+// it passes its own seed and length (contentSpec.runOptions).
+func (c *sessionCache) get(spec contentSpec) *Session {
+	key := spec.prep()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
 		c.cap = maxCachedSessions
 	}
-	if s, ok := c.m[spec]; ok {
+	if s, ok := c.m[key]; ok {
 		for i, k := range c.use {
-			if k == spec {
-				c.use = append(append(c.use[:i:i], c.use[i+1:]...), spec)
+			if k == key {
+				c.use = append(append(c.use[:i:i], c.use[i+1:]...), key)
 				break
 			}
 		}
@@ -585,10 +603,20 @@ func (c *sessionCache) get(spec prepSpec) *Session {
 	}
 	if c.m == nil {
 		c.m = map[prepSpec]*Session{}
+		c.progs = map[string]*program{}
 	}
-	s := New(spec.benchmark, spec.options()...)
-	c.m[spec] = s
-	c.use = append(c.use, spec)
+	// The training length is spelled out, so no run's length changes it;
+	// spec.insts derives the same length where that is 0 (traces under 4
+	// instructions), which WithTrainInstructions cannot spell.
+	s := New(spec.benchmark, WithTrainSeed(key.train.seed),
+		WithTrainInstructions(key.train.insts), WithInstructions(spec.insts))
+	if p, ok := c.progs[spec.benchmark]; ok {
+		s.prog = p
+	} else {
+		c.progs[spec.benchmark] = s.prog
+	}
+	c.m[key] = s
+	c.use = append(c.use, key)
 	for len(c.use) > c.cap {
 		delete(c.m, c.use[0])
 		c.use = c.use[1:]
@@ -1201,7 +1229,7 @@ func (r *RunRequest) sloKey() slo.Key {
 // trace length, cut by max_insts, or the sampled windows' coverage
 // (lead-ins included) for sampled runs.
 func (r *RunRequest) workInsts() uint64 {
-	n := r.prepSpec().insts
+	n := r.contentSpec().insts
 	if r.MaxInsts > 0 && r.MaxInsts < n {
 		n = r.MaxInsts
 	}
@@ -1236,7 +1264,7 @@ func (m *jobManager) sweepPolicy(r *SweepRequest, at time.Time) jobPolicy {
 	}
 	var total float64
 	for _, b := range r.Benchmarks {
-		n := r.prepSpec(b).insts
+		n := r.contentSpec(b).insts
 		if r.MaxInsts > 0 && r.MaxInsts < n {
 			n = r.MaxInsts
 		}
@@ -1503,13 +1531,13 @@ func (m *jobManager) runJobFunc(req RunRequest) func(*job) jobFunc {
 			if h := m.runHook; h != nil {
 				h("run")
 			}
-			sess := m.sessions.get(req.prepSpec())
-			opts := append(req.runOptions(),
+			spec := req.contentSpec()
+			opts := append(append(spec.runOptions(), req.runOptions()...),
 				WithProgress(0, j.noteProgress), WithStageTimings())
 			if m.useCheckpoints(req.Warmup, req.Shards, req.Samples) {
 				opts = append(opts, WithCheckpoints(m.store))
 			}
-			rep, err := sess.RunWith(ctx, opts...)
+			rep, err := m.sessions.get(spec).RunWith(ctx, opts...)
 			if rep != nil {
 				m.ckptHits.Add(int64(rep.CheckpointHits))
 				m.ckptMisses.Add(int64(rep.CheckpointMisses))
@@ -1538,9 +1566,11 @@ func (m *jobManager) sweepJobFunc(req SweepRequest) func(*job) jobFunc {
 			}
 			sessions := make([]*Session, len(req.Benchmarks))
 			for i, b := range req.Benchmarks {
-				sessions[i] = m.sessions.get(req.prepSpec(b))
+				sessions[i] = m.sessions.get(req.contentSpec(b))
 			}
-			cellOpts := append(req.cellOptions(), WithStageTimings())
+			// Seed and length are the same for every benchmark.
+			spec := req.contentSpec(req.Benchmarks[0])
+			cellOpts := append(append(spec.runOptions(), req.cellOptions()...), WithStageTimings())
 			if m.useCheckpoints(req.Warmup, req.Shards, 0) {
 				cellOpts = append(cellOpts, WithCheckpoints(m.store))
 			}

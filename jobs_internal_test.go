@@ -8,28 +8,37 @@ import (
 	"time"
 )
 
-// TestSessionCacheLRU: the cache reuses sessions for repeated specs,
-// bounds its size, and evicts least-recently-used first — so a client
-// sweeping the key space (fresh seed per request) cannot grow a daemon's
-// prepared-artifact memory without limit.
+// TestSessionCacheLRU: the cache reuses sessions for repeated
+// preparation identities, bounds its size, and evicts least-recently-used
+// first — so a client sweeping the training key space (fresh train seed
+// per request) cannot grow a daemon's prepared-artifact memory without
+// limit. Reference seeds do not split entries: they are per-run options.
 func TestSessionCacheLRU(t *testing.T) {
 	c := sessionCache{cap: 2}
-	a := c.get(prepSpec{benchmark: "164.gzip", seed: 1})
-	if got := c.get(prepSpec{benchmark: "164.gzip", seed: 1}); got != a {
+	spec := func(seed, trainSeed uint64) contentSpec {
+		return contentSpec{benchmark: "164.gzip", seed: seed, trainSeed: trainSeed}.normalized()
+	}
+	a := c.get(spec(1, 1))
+	if got := c.get(spec(1, 1)); got != a {
 		t.Fatal("repeated spec did not reuse the cached session")
 	}
-	b := c.get(prepSpec{benchmark: "164.gzip", seed: 2})
-	_ = b
-	// Touch a so seed 2 is now least recently used, then overflow.
-	c.get(prepSpec{benchmark: "164.gzip", seed: 1})
-	c.get(prepSpec{benchmark: "164.gzip", seed: 3})
+	if got := c.get(spec(2, 1)); got != a {
+		t.Fatal("a fresh reference seed split the cache")
+	}
+	b := c.get(spec(1, 2))
+	if b == a {
+		t.Fatal("a fresh train seed shared a session")
+	}
+	// Touch a so train seed 2 is now least recently used, then overflow.
+	c.get(spec(1, 1))
+	c.get(spec(1, 3))
 	if got := c.size(); got != 2 {
 		t.Fatalf("cache size %d, want 2", got)
 	}
-	if got := c.get(prepSpec{benchmark: "164.gzip", seed: 1}); got != a {
+	if got := c.get(spec(1, 1)); got != a {
 		t.Error("recently used session was evicted")
 	}
-	if got := c.get(prepSpec{benchmark: "164.gzip", seed: 2}); got == b {
+	if got := c.get(spec(1, 2)); got == b {
 		t.Error("least recently used session was not evicted")
 	}
 }

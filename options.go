@@ -232,10 +232,12 @@ func WithJobRetention(n int) ServerOption {
 }
 
 // WithSessionCacheSize bounds the prepared-session LRU shared across jobs
-// (default 64): enough for a broad working set while keeping a long-lived
-// daemon's prepared-artifact memory bounded against clients that sweep
-// the key space. n must be positive; NewServer rejects the configuration
-// otherwise.
+// (default 64). A session is one benchmark at one training input (train
+// seed and training length); reference seeds and lengths share it, and
+// every session of a benchmark shares one program and baseline layout.
+// The bound keeps a long-lived daemon's optimized layouts bounded against
+// clients that sweep the training key space. n must be positive;
+// NewServer rejects the configuration otherwise.
 func WithSessionCacheSize(n int) ServerOption {
 	return func(c *serverConfig) {
 		if n <= 0 {

@@ -76,7 +76,7 @@ func (m *jobManager) initMetrics() {
 		"Sum of predicted execution work-seconds over queued and running jobs.",
 		func() float64 { b, _ := m.queueEstimate(); return b })
 	r.GaugeFunc("streamfetch_sessions_cached",
-		"Prepared sessions held by the LRU cache.",
+		"Prepared sessions held by the LRU cache, one per benchmark and training input.",
 		func() float64 { return float64(m.sessions.size()) })
 
 	for _, st := range []struct {

@@ -13,8 +13,9 @@
 //		streamfetch.WithSeed(99),
 //	).Run(ctx)
 //
-// Prepared artifacts (program, layouts) are cached in the session, so
-// RunWith can sweep engines, widths and layouts cheaply:
+// Prepared artifacts (program, layouts) are cached in the session, each
+// built on first use, so RunWith can sweep engines, widths, layouts and
+// reference seeds cheaply:
 //
 //	s := streamfetch.New("176.gcc", streamfetch.WithOptimizedLayout())
 //	for _, e := range streamfetch.Engines() {
@@ -35,6 +36,7 @@
 package streamfetch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -103,21 +105,96 @@ type Progress struct {
 	Shards int
 }
 
-// prepared caches the expensive artifacts a session builds once and reuses
-// across runs. The optimized layout and the materialized reference trace
-// (Trace, only) are built lazily on first use; runs themselves stream and
-// never populate ref.
-type prepared struct {
-	mu   sync.Mutex
-	prog *cfg.Program
-	base *layout.Layout
-	opt  *layout.Layout
-	ref  *trace.Trace
+// program holds the artifacts that depend on the benchmark alone: the
+// synthesized program and its baseline layout, each built on first use.
+// A session shares its program with every RunWith override, and the
+// daemon shares one per benchmark across all of its sessions.
+type program struct {
+	benchmark string
+	mu        sync.Mutex
+	prog      *cfg.Program
+	baseMu    sync.Mutex
+	base      *layout.Layout
+}
+
+func (p *program) program(ctx context.Context) (*cfg.Program, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.prog == nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		params, err := workload.ByName(p.benchmark)
+		if err != nil {
+			return nil, err
+		}
+		p.prog = workload.Generate(params)
+	}
+	return p.prog, nil
+}
+
+func (p *program) baseline(ctx context.Context) (*layout.Layout, error) {
+	prog, err := p.program(ctx)
+	if err != nil {
+		return nil, err
+	}
+	p.baseMu.Lock()
+	defer p.baseMu.Unlock()
+	if p.base == nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p.base = layout.Baseline(prog)
+	}
+	return p.base, nil
+}
+
+// training is the input an optimized layout is profiled on: the train
+// seed and the effective training length.
+type training struct{ seed, insts uint64 }
+
+// trainingOf resolves the effective training length: trainInsts
+// (WithTrainInstructions) or, by default, a quarter of the trace length.
+func trainingOf(seed, trainInsts, insts uint64) training {
+	return training{seed, cmp.Or(trainInsts, insts/4)}
+}
+
+// optimized holds the profile-guided layout of one program for one
+// training input, built on first use.
+type optimized struct {
+	train training
+	mu    sync.Mutex
+	lay   *layout.Layout
+}
+
+func (o *optimized) layout(ctx context.Context, p *program) (*layout.Layout, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.lay == nil {
+		prog, err := p.program(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		prof := trace.CollectProfile(prog, o.train.seed, o.train.insts)
+		o.lay = layout.Optimized(prog, prof)
+	}
+	return o.lay, nil
+}
+
+// refTrace caches a session's materialized reference trace (Trace). It
+// depends on the seed, length and trace source, so it belongs to the
+// session alone; runs stream their trace and never touch it.
+type refTrace struct {
+	mu sync.Mutex
+	tr *trace.Trace
 }
 
 // Session is one configured simulation pipeline. Options passed to New fix
 // its defaults; RunWith overrides them per run while sharing the prepared
-// workload and layouts. A Session is safe for concurrent RunWith calls.
+// program and layouts. A Session is safe for concurrent RunWith calls.
 type Session struct {
 	benchmark  string
 	width      int
@@ -155,24 +232,33 @@ type Session struct {
 	// their goldens; the daemon turns it on for every job it executes.
 	stageTimings bool
 
-	prep *prepared
+	prog *program
+	opt  *optimized
+	ref  *refTrace
 }
 
-// prepKey captures every field that shapes the prepared artifacts; when a
-// RunWith override changes one, the override runs with fresh preparation.
-type prepKey struct {
-	benchmark, traceFile string
-	traceData            *trace.Trace
-	seed, trainSeed      uint64
-	insts, trainInsts    uint64
+// training returns the input the session's optimized layout is profiled
+// on (see trainingOf).
+func (s *Session) training() training {
+	return trainingOf(s.trainSeed, s.trainInsts, s.insts)
 }
 
-func (s *Session) key() prepKey {
-	return prepKey{s.benchmark, s.traceFile, s.traceData, s.seed, s.trainSeed, s.insts, s.trainInsts}
+// withOverrides applies per-run options to a copy of s. The copy shares
+// s's program and baseline layout, and its optimized layout unless the
+// options change the training input; the copy then profiles its own.
+func (s *Session) withOverrides(opts []Option) *Session {
+	run := *s
+	for _, o := range opts {
+		o(&run)
+	}
+	if t := run.training(); t != s.opt.train {
+		run.opt = &optimized{train: t}
+	}
+	return &run
 }
 
-// Session defaults, shared with the service's session-cache key
-// (prepSpec) so "default by omission" and "default spelled out" stay one
+// Session defaults, shared with the service's content keys (contentSpec)
+// so "default by omission" and "default spelled out" stay one
 // configuration everywhere.
 const (
 	defaultSeed      = 99
@@ -196,11 +282,13 @@ func New(benchmark string, opts ...Option) *Session {
 		seed:       defaultSeed,
 		trainSeed:  defaultTrainSeed,
 		insts:      defaultInsts,
-		prep:       &prepared{},
+		prog:       &program{benchmark: benchmark},
+		ref:        &refTrace{},
 	}
 	for _, o := range opts {
 		o(s)
 	}
+	s.opt = &optimized{train: s.training()}
 	return s
 }
 
@@ -214,44 +302,16 @@ func (s *Session) validate() error {
 	return checkLayout(s.layoutName)
 }
 
-// ensure prepares (or reuses) the program and the requested layout.
+// ensure prepares (or reuses) the requested layout and the program under
+// it; the other layout is left unbuilt.
 func (s *Session) ensure(ctx context.Context, layoutName string) (*layout.Layout, error) {
-	p := s.prep
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.prog == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		params, err := workload.ByName(s.benchmark)
-		if err != nil {
-			return nil, err
-		}
-		p.prog = workload.Generate(params)
-		p.base = layout.Baseline(p.prog)
-	}
 	if err := checkLayout(layoutName); err != nil {
 		return nil, err
 	}
-	var lay *layout.Layout
-	switch layoutName {
-	case "base":
-		lay = p.base
-	case "optimized":
-		if p.opt == nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			train := s.trainInsts
-			if train == 0 {
-				train = s.insts / 4
-			}
-			prof := trace.CollectProfile(p.prog, s.trainSeed, train)
-			p.opt = layout.Optimized(p.prog, prof)
-		}
-		lay = p.opt
+	if layoutName == "optimized" {
+		return s.opt.layout(ctx, s.prog)
 	}
-	return lay, nil
+	return s.prog.baseline(ctx)
 }
 
 // newSource builds a fresh trace source for one run: the in-memory trace
@@ -288,12 +348,9 @@ func (s *Session) Prepare(ctx context.Context) error {
 }
 
 // Program returns the synthesized benchmark program, preparing it if
-// needed.
+// needed (and no layout).
 func (s *Session) Program() (*cfg.Program, error) {
-	if _, err := s.ensure(context.Background(), "base"); err != nil {
-		return nil, err
-	}
-	return s.prep.prog, nil
+	return s.prog.program(context.Background())
 }
 
 // Layout returns the named code layout ("base" or "optimized"), preparing
@@ -309,10 +366,11 @@ func (s *Session) Layout(name string) (*layout.Layout, error) {
 // analyses can walk the trace repeatedly without materializing it; the
 // caller closes it.
 func (s *Session) Source() (trace.Source, error) {
-	if _, err := s.ensure(context.Background(), "base"); err != nil {
+	prog, err := s.Program()
+	if err != nil {
 		return nil, err
 	}
-	return s.newSource(s.prep.prog)
+	return s.newSource(prog)
 }
 
 // Trace materializes the session's reference trace in memory, generating
@@ -324,14 +382,15 @@ func (s *Session) Trace() (*trace.Trace, error) {
 		// WithTrace already holds the materialized trace.
 		return s.traceData, nil
 	}
-	if _, err := s.ensure(context.Background(), "base"); err != nil {
+	prog, err := s.Program()
+	if err != nil {
 		return nil, err
 	}
-	p := s.prep
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ref == nil {
-		src, err := s.newSource(p.prog)
+	r := s.ref
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.tr == nil {
+		src, err := s.newSource(prog)
 		if err != nil {
 			return nil, err
 		}
@@ -339,9 +398,9 @@ func (s *Session) Trace() (*trace.Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("streamfetch: reading trace: %w", err)
 		}
-		p.ref = tr
+		r.tr = tr
 	}
-	return p.ref, nil
+	return r.tr, nil
 }
 
 // Benchmark returns the session's benchmark name.
@@ -355,10 +414,14 @@ func (s *Session) Run(ctx context.Context) (*Report, error) {
 }
 
 // RunWith executes one simulation with per-run option overrides, sharing
-// the session's prepared artifacts. Overriding a preparation-phase option
-// (benchmark, seeds, instruction counts, trace file) re-prepares for that
-// run only. With WithShards(n > 1) in effect the run executes as n
-// parallel trace intervals merged into one report (see RunSharded).
+// the session's prepared artifacts: the program and baseline layout depend
+// on the benchmark alone, so overriding the reference seed, instruction
+// count, trace file or in-memory trace reuses them. Only an override that
+// changes the training input (WithTrainSeed, WithTrainInstructions, or
+// WithInstructions when the training length defaults to a quarter of it)
+// profiles its own optimized layout, for that run only. With
+// WithShards(n > 1) in effect the run executes as n parallel trace
+// intervals merged into one report (see RunSharded).
 func (s *Session) RunWith(ctx context.Context, opts ...Option) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -366,14 +429,7 @@ func (s *Session) RunWith(ctx context.Context, opts ...Option) (*Report, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	run := *s
-	before := run.key()
-	for _, o := range opts {
-		o(&run)
-	}
-	if run.key() != before {
-		run.prep = &prepared{}
-	}
+	run := s.withOverrides(opts)
 	if run.samples > 0 {
 		return run.runSampled(ctx)
 	}
@@ -388,7 +444,7 @@ func (s *Session) RunWith(ctx context.Context, opts ...Option) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	src, err := run.newSource(run.prep.prog)
+	src, err := run.newSource(lay.Prog)
 	if err != nil {
 		return nil, err
 	}

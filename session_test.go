@@ -109,14 +109,14 @@ func TestRunAlreadyCancelled(t *testing.T) {
 }
 
 // TestRunWithSharesPreparation: per-run overrides must reuse the prepared
-// artifacts; preparation-phase overrides must re-prepare.
+// artifacts, and a training-input override must not leak into the parent.
 func TestRunWithSharesPreparation(t *testing.T) {
 	ctx := context.Background()
 	s := New("164.gzip", WithInstructions(60_000))
 	if err := s.Prepare(ctx); err != nil {
 		t.Fatal(err)
 	}
-	prog := s.prep.prog
+	prog := s.prog.prog
 	rep, err := s.RunWith(ctx, WithEngine("ev8"), WithWidth(4))
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRunWithSharesPreparation(t *testing.T) {
 	if rep.Engine != "ev8" || rep.Width != 4 {
 		t.Errorf("overrides not applied: %v", rep)
 	}
-	if s.prep.prog != prog {
+	if s.prog.prog != prog {
 		t.Error("run-phase override re-prepared the session")
 	}
 	if s.engine != "streams" || s.width != 8 {
@@ -138,7 +138,7 @@ func TestRunWithSharesPreparation(t *testing.T) {
 	if rep2.TraceInsts >= rep.TraceInsts {
 		t.Errorf("prep override ignored: %d >= %d", rep2.TraceInsts, rep.TraceInsts)
 	}
-	if s.prep.prog != prog {
+	if s.prog.prog != prog {
 		t.Error("prep override leaked into the parent session")
 	}
 }

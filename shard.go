@@ -46,8 +46,10 @@ import (
 
 // RunSharded executes the session as WithShards configures it — even for
 // shards=1, where it runs the single interval through the sharding path
-// and produces a report byte-identical to Run. RunWith with a WithShards
-// override dispatches here, so most callers never call it directly. The
+// and produces a report byte-identical to Run. Overrides share the
+// session's prepared artifacts exactly as RunWith's do. RunWith with a
+// WithShards override dispatches here, so most callers never call it
+// directly. The
 // context cancels in-flight shards; on cancellation the merged partial
 // report (completed shards only, Aborted set) is returned with ctx.Err().
 func (s *Session) RunSharded(ctx context.Context, opts ...Option) (*Report, error) {
@@ -57,15 +59,7 @@ func (s *Session) RunSharded(ctx context.Context, opts ...Option) (*Report, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	run := *s
-	before := run.key()
-	for _, o := range opts {
-		o(&run)
-	}
-	if run.key() != before {
-		run.prep = &prepared{}
-	}
-	return run.runSharded(ctx)
+	return s.withOverrides(opts).runSharded(ctx)
 }
 
 // intervalSpec positions one simulated interval in the trace: the
@@ -104,7 +98,7 @@ func (s *Session) runSharded(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := s.prep.prog
+	prog := lay.Prog
 
 	total, err := s.traceTotal(prog)
 	if err != nil {
@@ -189,7 +183,7 @@ func (s *Session) runSampled(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := s.prep.prog
+	prog := lay.Prog
 
 	total, err := s.traceTotal(prog)
 	if err != nil {
@@ -523,12 +517,9 @@ func (s *Session) ckptKey(lay *layout.Layout, boundary uint64) (string, bool) {
 		}
 		opts = string(b)
 	}
-	train := s.trainInsts
-	if train == 0 {
-		// Normalize the lazy default (see ensure) so "default by
-		// omission" and "default spelled out" share checkpoints.
-		train = s.insts / 4
-	}
+	// The effective training length, so "default by omission" and
+	// "default spelled out" share checkpoints.
+	train := s.training().insts
 	return store.Key(ckptKeySpec{
 		Kind:       "ckpt",
 		Version:    ckpt.Version,
