@@ -78,25 +78,23 @@ func (p *Perceptron) Predict(pc uint64) PerceptronPred {
 	return p.predictWith(pc, p.Hist.Spec)
 }
 
+// predictWith computes the output without a data-dependent branch per
+// history bit: with m = bit-1 (0 or -1), (w^m)-m is w for a set bit and -w
+// for a clear one.
 func (p *Perceptron) predictWith(pc, ghist uint64) PerceptronPred {
 	idx := p.index(pc)
 	w := p.weights[idx]
 	lhist := p.local.Get(pc)
 	y := int32(w[0]) // bias weight
-	k := 1
-	for i := uint(0); i < p.cfg.GlobalBits; i, k = i+1, k+1 {
-		if ghist>>i&1 == 1 {
-			y += int32(w[k])
-		} else {
-			y -= int32(w[k])
-		}
+	gw := w[1 : 1+p.cfg.GlobalBits]
+	for i, wi := range gw {
+		m := int32(ghist>>uint(i)&1) - 1
+		y += (int32(wi) ^ m) - m
 	}
-	for i := uint(0); i < p.cfg.LocalBits; i, k = i+1, k+1 {
-		if lhist>>i&1 == 1 {
-			y += int32(w[k])
-		} else {
-			y -= int32(w[k])
-		}
+	lw := w[1+p.cfg.GlobalBits:]
+	for i, wi := range lw {
+		m := int32(lhist>>uint(i)&1) - 1
+		y += (int32(wi) ^ m) - m
 	}
 	return PerceptronPred{
 		Taken:  y >= 0,
@@ -125,20 +123,17 @@ func (p *Perceptron) Update(pc uint64, pr PerceptronPred, taken bool) {
 			t = 1
 		}
 		w[0] = clampWeight(w[0] + t)
-		k := 1
-		for i := uint(0); i < p.cfg.GlobalBits; i, k = i+1, k+1 {
-			x := int16(-1)
-			if pr.ghist>>i&1 == 1 {
-				x = 1
-			}
-			w[k] = clampWeight(w[k] + x*t)
+		// Each input is x = 2*bit-1 (+1 for a set bit, -1 for a clear
+		// one).
+		gw := w[1 : 1+p.cfg.GlobalBits]
+		for i := range gw {
+			x := int16(pr.ghist>>uint(i)&1)*2 - 1
+			gw[i] = clampWeight(gw[i] + x*t)
 		}
-		for i := uint(0); i < p.cfg.LocalBits; i, k = i+1, k+1 {
-			x := int16(-1)
-			if pr.lhist>>i&1 == 1 {
-				x = 1
-			}
-			w[k] = clampWeight(w[k] + x*t)
+		lw := w[1+p.cfg.GlobalBits:]
+		for i := range lw {
+			x := int16(pr.lhist>>uint(i)&1)*2 - 1
+			lw[i] = clampWeight(lw[i] + x*t)
 		}
 	}
 	p.Hist.ShiftRet(taken)
@@ -158,13 +153,7 @@ func (p *Perceptron) Recover() { p.Hist.Recover() }
 func clampWeight(w int16) int16 {
 	// 8-bit weights as in the paper's hardware budget.
 	const lim = 127
-	if w > lim {
-		return lim
-	}
-	if w < -lim {
-		return -lim
-	}
-	return w
+	return max(-lim, min(lim, w))
 }
 
 // StorageBits returns the predictor's storage budget in bits.

@@ -43,13 +43,13 @@ const (
 // CondModel describes the dynamic behaviour of a conditional branch.
 type CondModel struct {
 	Kind CondKind
-	// P is the probability of choosing Succs[1] (CondBias only).
-	P float64
 	// Trip is the mean loop trip count (CondLoop only). The actual trip
 	// count of each loop entry is drawn near Trip.
-	Trip int
+	Trip int32
 	// TripJitter is the +/- range around Trip for per-entry trip counts.
-	TripJitter int
+	TripJitter int32
+	// P is the probability of choosing Succs[1] (CondBias only).
+	P float64
 	// Pattern is the repeating choice sequence (CondPattern only).
 	Pattern []bool
 }
@@ -65,13 +65,16 @@ type Edge struct {
 // Block is one basic block. NInsts counts all instructions including the
 // terminating branch (if any). Classes lists the functional class of each
 // instruction; when Branch != BranchNone the final class is ClassBranch.
+//
+// The fields are narrowed and ordered to leave no padding: a Block is 128
+// bytes, and a large program holds tens of thousands.
 type Block struct {
 	ID     BlockID
-	Proc   int
-	NInsts int
+	Proc   int32
+	NInsts int32
+	Branch isa.BranchType
 	// Classes has length NInsts; materialized once at synthesis time.
 	Classes []isa.Class
-	Branch  isa.BranchType
 	Succs   []Edge
 	// Cont is the block where execution continues after a call returns.
 	Cont BlockID
@@ -114,7 +117,7 @@ func (p *Program) NumBlocks() int { return len(p.Blocks) }
 func (p *Program) StaticInsts() int {
 	n := 0
 	for _, b := range p.Blocks {
-		n += b.NInsts
+		n += int(b.NInsts)
 	}
 	return n
 }
@@ -135,7 +138,7 @@ func (p *Program) Validate() error {
 		if b.NInsts <= 0 {
 			return fmt.Errorf("cfg: block %d has %d instructions", i, b.NInsts)
 		}
-		if len(b.Classes) != b.NInsts {
+		if len(b.Classes) != int(b.NInsts) {
 			return fmt.Errorf("cfg: block %d has %d classes for %d instructions",
 				i, len(b.Classes), b.NInsts)
 		}
@@ -190,7 +193,7 @@ func (p *Program) Validate() error {
 			if id < 0 || int(id) >= len(p.Blocks) {
 				return fmt.Errorf("cfg: proc %d lists block %d out of range", pi, id)
 			}
-			if p.Blocks[id].Proc != pi {
+			if int(p.Blocks[id].Proc) != pi {
 				return fmt.Errorf("cfg: block %d in proc %d list but tagged proc %d",
 					id, pi, p.Blocks[id].Proc)
 			}

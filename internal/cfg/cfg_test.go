@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"testing"
+	"unsafe"
 
 	"streamfetch/internal/isa"
 )
@@ -98,5 +99,13 @@ func TestProfileAccumulation(t *testing.T) {
 	prof.Merge(other)
 	if prof.BlockCount[1] != 1 || prof.EdgeCount[EdgeKey{0, 1}] != 2 {
 		t.Fatalf("merge wrong: %+v", prof)
+	}
+}
+
+// TestBlockSize pins a Block to 128 bytes; a field added or reordered
+// carelessly grows every program.
+func TestBlockSize(t *testing.T) {
+	if n := unsafe.Sizeof(Block{}); n != 128 {
+		t.Fatalf("cfg.Block is %d bytes, want 128", n)
 	}
 }

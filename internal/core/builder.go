@@ -30,6 +30,8 @@ type Builder struct {
 	partialStart isa.Addr
 	partialLen   int
 	hasPartial   bool
+	// closed is the storage Commit returns a pointer to.
+	closed Closed
 }
 
 // NewBuilder returns a builder that will start its first stream at entry.
@@ -47,14 +49,17 @@ type Closed struct {
 	HasPartial   bool
 }
 
-// Commit consumes one committed instruction and reports a Closed value when
-// the instruction completes a stream.
+// Commit consumes one committed instruction and, when the instruction
+// completes a stream, returns the streams it closed; otherwise it returns
+// nil. The Closed value is owned by the builder and is overwritten by the
+// next Commit, so it is returned by pointer instead of copied for every
+// retired instruction.
 //
 // taken/target describe the architectural outcome; mispredicted marks the
 // branch that caused a front-end redirect. A mispredicted not-taken branch
 // opens a partial stream at its fall-through; a taken branch (mispredicted
 // or not) terminates the current stream.
-func (b *Builder) Commit(addr isa.Addr, branch isa.BranchType, taken bool, target isa.Addr, mispredicted bool) (Closed, bool) {
+func (b *Builder) Commit(addr isa.Addr, branch isa.BranchType, taken bool, target isa.Addr, mispredicted bool) *Closed {
 	if !b.started {
 		b.start = addr
 		b.started = true
@@ -68,16 +73,16 @@ func (b *Builder) Commit(addr isa.Addr, branch isa.BranchType, taken bool, targe
 	}
 	switch {
 	case branch != isa.BranchNone && taken:
-		c := Closed{
-			Stream:       Stream{Start: b.start, Len: b.len, Type: branch, Next: target},
-			Mispredicted: b.mispredictedStream,
-		}
+		c := &b.closed
+		c.Stream = Stream{Start: b.start, Len: b.len, Type: branch, Next: target}
+		c.Mispredicted = b.mispredictedStream
+		c.Partial, c.HasPartial = Stream{}, false
 		if b.hasPartial && b.partialLen > 0 && b.partialLen < b.len {
 			c.Partial = Stream{Start: b.partialStart, Len: b.partialLen, Type: branch, Next: target}
 			c.HasPartial = true
 		}
 		b.reset(target)
-		return c, true
+		return c
 	case mispredicted:
 		// Predicted taken, fell through: fetch resumed at the
 		// fall-through — a partial stream starts there. The canonical
@@ -85,19 +90,19 @@ func (b *Builder) Commit(addr isa.Addr, branch isa.BranchType, taken bool, targe
 		b.partialStart = addr.Next()
 		b.partialLen = 0
 		b.hasPartial = true
-		return Closed{}, false
+		return nil
 	case b.len >= MaxStreamLen:
 		// Length cap: close a sequential pseudo-stream so table
 		// entries fit their length field.
 		next := b.start.Plus(b.len)
-		c := Closed{
-			Stream:       Stream{Start: b.start, Len: b.len, Type: isa.BranchNone, Next: next},
-			Mispredicted: b.mispredictedStream,
-		}
+		c := &b.closed
+		c.Stream = Stream{Start: b.start, Len: b.len, Type: isa.BranchNone, Next: next}
+		c.Mispredicted = b.mispredictedStream
+		c.Partial, c.HasPartial = Stream{}, false
 		b.reset(next)
-		return c, true
+		return c
 	}
-	return Closed{}, false
+	return nil
 }
 
 func (b *Builder) reset(start isa.Addr) {

@@ -98,12 +98,12 @@ func TestBuilderClosesAtTakenBranches(t *testing.T) {
 	b := NewBuilder(0x1000)
 	// 3 plain instructions then a taken conditional.
 	for i := 0; i < 3; i++ {
-		if _, ok := b.Commit(isa.Addr(0x1000+4*i), isa.BranchNone, false, 0, false); ok {
+		if cl := b.Commit(isa.Addr(0x1000+4*i), isa.BranchNone, false, 0, false); cl != nil {
 			t.Fatal("stream closed early")
 		}
 	}
-	cl, ok := b.Commit(0x100c, isa.BranchCond, true, 0x2000, false)
-	if !ok {
+	cl := b.Commit(0x100c, isa.BranchCond, true, 0x2000, false)
+	if cl == nil {
 		t.Fatal("taken branch did not close the stream")
 	}
 	if cl.Mispredicted {
@@ -120,12 +120,12 @@ func TestBuilderClosesAtTakenBranches(t *testing.T) {
 
 func TestBuilderIgnoresNotTakenBranches(t *testing.T) {
 	b := NewBuilder(0x1000)
-	if _, ok := b.Commit(0x1000, isa.BranchCond, false, 0, false); ok {
+	if cl := b.Commit(0x1000, isa.BranchCond, false, 0, false); cl != nil {
 		t.Fatal("not-taken branch closed a stream")
 	}
-	cl, ok := b.Commit(0x1004, isa.BranchUncond, true, 0x3000, false)
-	if !ok || cl.Stream.Len != 2 {
-		t.Fatalf("stream = %+v ok=%v, want len 2", cl.Stream, ok)
+	cl := b.Commit(0x1004, isa.BranchUncond, true, 0x3000, false)
+	if cl == nil || cl.Stream.Len != 2 {
+		t.Fatalf("closed = %+v, want a stream of len 2", cl)
 	}
 }
 
@@ -133,11 +133,11 @@ func TestBuilderPartialStreamAfterNTMispredict(t *testing.T) {
 	b := NewBuilder(0x1000)
 	// Predicted taken, actually fell through: the canonical stream keeps
 	// accumulating, and a partial stream opens at the fall-through.
-	if _, ok := b.Commit(0x1000, isa.BranchCond, false, 0, true); ok {
+	if cl := b.Commit(0x1000, isa.BranchCond, false, 0, true); cl != nil {
 		t.Fatal("mispredicted NT branch closed a stream")
 	}
-	cl, ok := b.Commit(0x1004, isa.BranchUncond, true, 0x4000, false)
-	if !ok {
+	cl := b.Commit(0x1004, isa.BranchUncond, true, 0x4000, false)
+	if cl == nil {
 		t.Fatal("stream did not close at the taken terminator")
 	}
 	if !cl.Mispredicted {
@@ -154,14 +154,20 @@ func TestBuilderPartialStreamAfterNTMispredict(t *testing.T) {
 	if cl.Partial.Next != 0x4000 {
 		t.Fatalf("partial next = %v", cl.Partial.Next)
 	}
+	// The next close reuses the builder's Closed: no partial of the
+	// previous stream may leak into it.
+	cl = b.Commit(0x4000, isa.BranchUncond, true, 0x5000, false)
+	if cl == nil || cl.Mispredicted || cl.HasPartial || cl.Partial != (Stream{}) {
+		t.Fatalf("next close = %+v, want a clean stream with no partial", cl)
+	}
 }
 
 func TestBuilderMispredictFlagPropagates(t *testing.T) {
 	b := NewBuilder(0x1000)
 	b.Commit(0x1000, isa.BranchNone, false, 0, false)
-	cl, ok := b.Commit(0x1004, isa.BranchCond, true, 0x2000, true)
-	if !ok || !cl.Mispredicted {
-		t.Fatalf("mispredicted taken close: ok=%v misp=%v", ok, cl.Mispredicted)
+	cl := b.Commit(0x1004, isa.BranchCond, true, 0x2000, true)
+	if cl == nil || !cl.Mispredicted {
+		t.Fatalf("mispredicted taken close: %+v", cl)
 	}
 	if cl.Stream.Next != 0x2000 {
 		t.Fatalf("next = %v", cl.Stream.Next)
@@ -172,8 +178,7 @@ func TestBuilderLengthCap(t *testing.T) {
 	b := NewBuilder(0x1000)
 	var s Stream
 	for i := 0; ; i++ {
-		cl, ok := b.Commit(isa.Addr(0x1000+4*i), isa.BranchNone, false, 0, false)
-		if ok {
+		if cl := b.Commit(isa.Addr(0x1000+4*i), isa.BranchNone, false, 0, false); cl != nil {
 			s = cl.Stream
 			break
 		}
@@ -210,10 +215,10 @@ func TestBuilderPartitionProperty(t *testing.T) {
 			}
 			misp := bt == isa.BranchCond && !taken && rng.Bool(0.1)
 			target := addr + 0x400
-			cl, ok := b.Commit(addr, bt, taken, target, misp)
+			cl := b.Commit(addr, bt, taken, target, misp)
 			total++
 			open++
-			if ok {
+			if cl != nil {
 				inStreams += cl.Stream.Len
 				if cl.Stream.Len != open {
 					return false

@@ -170,7 +170,7 @@ func (e *StreamEngine) Commit(c Committed) {
 	if c.Branch.IsReturn() && c.Taken {
 		e.retRAS.Pop()
 	}
-	if cl, ok := e.builder.Commit(c.Addr, c.Branch, c.Taken, c.Target, c.Mispredicted); ok {
+	if cl := e.builder.Commit(c.Addr, c.Branch, c.Taken, c.Target, c.Mispredicted); cl != nil {
 		if e.DebugValidate != nil {
 			e.DebugValidate(cl.Stream)
 		}

@@ -2,22 +2,70 @@
 // basic block dictionary" of the paper's simulator (§4.1), which lets the
 // front-end fetch down wrong paths through real code.
 //
-// The public lookups (BlockAt, InstAt, FetchAt, StaticTarget) are O(1)
-// loads from the flat decode tables built in build(); they run once per
-// fetched instruction (correct- and wrong-path), so they are the hottest
-// functions in the simulator. The sorted-start binary search is retained
-// below as the test oracle the tables are differentially checked against.
+// The image is one packed uint32 decode word per code slot, indexed by
+// (addr-CodeBase)/isa.InstBytes and built once in build():
+//
+//	bits  0-23  static taken-path target as slot+1 (0 = no encoded target)
+//	bits 24-27  isa.Class
+//	bits 28-31  isa.BranchType
+//
+// The slot's own address is its index, so it is not stored. FetchAt,
+// InstAt and StaticTarget run once per fetched instruction (correct- and
+// wrong-path) and are single loads plus shifts. BlockAt, which nothing on
+// the fetch path calls, answers by binary search over the block starts
+// instead of keeping a per-slot owner table.
 package layout
 
 import (
+	"fmt"
 	"sort"
 
 	"streamfetch/internal/cfg"
 	"streamfetch/internal/isa"
 )
 
-// slotOf maps an address to its decode-table slot; ok is false outside the
-// code segment.
+// Decode word fields.
+const (
+	targetBits  = 24
+	targetMask  = 1<<targetBits - 1
+	classShift  = 24
+	branchShift = 28
+	fieldMask   = 0xF // class and branch fields are 4 bits each
+
+	// maxSlots bounds the code segment: every slot+1 must fit the target
+	// field.
+	maxSlots = targetMask
+)
+
+// packWord encodes one slot's decode word; target is the slot index of
+// the static taken-path target, or -1 for none.
+func packWord(inst isa.Inst, target int) uint32 {
+	if inst.Class > fieldMask || inst.Branch > fieldMask {
+		panic(fmt.Sprintf("layout: class %d / branch %d at %v do not fit a decode word",
+			inst.Class, inst.Branch, inst.Addr))
+	}
+	return uint32(target+1) | uint32(inst.Class)<<classShift | uint32(inst.Branch)<<branchShift
+}
+
+// buildDecode fills the decode words from the per-block source of truth
+// (instAtSlot, staticTargetAt).
+func (l *Layout) buildDecode() {
+	l.decode = make([]uint32, l.totalSlots)
+	s := 0
+	for _, id := range l.Order {
+		for off := 0; off < int(l.slots[id]); off++ {
+			target := -1
+			if t, ok := l.staticTargetAt(id, off); ok {
+				target = int(t-CodeBase) / isa.InstBytes
+			}
+			l.decode[s] = packWord(l.instAtSlot(id, off, CodeBase.Plus(s)), target)
+			s++
+		}
+	}
+}
+
+// slotOf maps an address to its decode slot; ok is false outside the code
+// segment.
 func (l *Layout) slotOf(a isa.Addr) (int, bool) {
 	if a < CodeBase {
 		return 0, false
@@ -29,14 +77,25 @@ func (l *Layout) slotOf(a isa.Addr) (int, bool) {
 	return s, true
 }
 
+// instOf unpacks the instruction at address a from its decode word.
+func instOf(a isa.Addr, w uint32) isa.Inst {
+	return isa.Inst{
+		Addr:   a,
+		Class:  isa.Class(w >> classShift & fieldMask),
+		Branch: isa.BranchType(w >> branchShift),
+	}
+}
+
 // BlockAt returns the block containing address a and the slot offset within
-// it. ok is false when a is outside the code segment.
+// it. ok is false when a is outside the code segment. It binary-searches
+// the block starts: nothing on the per-instruction fetch path calls it.
 func (l *Layout) BlockAt(a isa.Addr) (id cfg.BlockID, slot int, ok bool) {
-	s, ok := l.slotOf(a)
-	if !ok {
+	if _, ok := l.slotOf(a); !ok {
 		return cfg.NoBlock, 0, false
 	}
-	id = l.slotBlock[s]
+	// The last block in address order starting at or before a.
+	i := sort.Search(len(l.Order), func(i int) bool { return l.start[l.Order[i]] > a }) - 1
+	id = l.Order[i]
 	return id, int(a-l.start[id]) / isa.InstBytes, true
 }
 
@@ -47,7 +106,7 @@ func (l *Layout) InstAt(a isa.Addr) (isa.Inst, bool) {
 	if !ok {
 		return isa.Inst{}, false
 	}
-	return l.slotInst[s], true
+	return instOf(a, l.decode[s]), true
 }
 
 // FetchAt is the total variant of InstAt used by fetch engines: addresses
@@ -57,7 +116,7 @@ func (l *Layout) InstAt(a isa.Addr) (isa.Inst, bool) {
 // redirects fetch back into code.
 func (l *Layout) FetchAt(a isa.Addr) isa.Inst {
 	if s, ok := l.slotOf(a); ok {
-		return l.slotInst[s]
+		return instOf(a, l.decode[s])
 	}
 	return isa.Inst{Addr: a, Class: isa.ClassALU}
 }
@@ -67,10 +126,14 @@ func (l *Layout) FetchAt(a isa.Addr) isa.Inst {
 // for non-branches and for dynamic-target branches (indirect, return).
 func (l *Layout) StaticTarget(a isa.Addr) (isa.Addr, bool) {
 	s, ok := l.slotOf(a)
-	if !ok || l.slotTarget[s] == 0 {
+	if !ok {
 		return 0, false
 	}
-	return l.slotTarget[s], true
+	t := l.decode[s] & targetMask
+	if t == 0 {
+		return 0, false
+	}
+	return CodeBase.Plus(int(t - 1)), true
 }
 
 // CodeLimit returns the first address past the code segment.
@@ -79,7 +142,7 @@ func (l *Layout) CodeLimit() isa.Addr {
 }
 
 // instAtSlot materializes the instruction at a given slot of a block; it is
-// the source of truth the decode tables are built from.
+// the source of truth the decode words are built from.
 func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
 	b := l.Prog.Blocks[id]
 	n := int(l.slots[id])
@@ -103,7 +166,7 @@ func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
 }
 
 // staticTargetAt computes the statically-encoded taken-path target of the
-// instruction at a given slot of a block (the decode-table source of truth).
+// instruction at a given slot of a block (the decode-word source of truth).
 func (l *Layout) staticTargetAt(id cfg.BlockID, slot int) (isa.Addr, bool) {
 	b := l.Prog.Blocks[id]
 	n := int(l.slots[id])
@@ -131,68 +194,8 @@ func (l *Layout) staticTargetAt(id cfg.BlockID, slot int) (isa.Addr, bool) {
 // branchAtCFG returns the branch type if slot is the block's terminating
 // branch slot.
 func branchAtCFG(b *cfg.Block, slot int) isa.BranchType {
-	if b.Branch != isa.BranchNone && slot == b.NInsts-1 {
+	if b.Branch != isa.BranchNone && slot == int(b.NInsts)-1 {
 		return b.Branch
 	}
 	return isa.BranchNone
-}
-
-// --- Binary-search oracle -------------------------------------------------
-//
-// The pre-table implementation, retained solely so tests can differentially
-// verify the flat decode tables against an independent lookup path.
-
-// image caches the sorted block starts for address lookup; built lazily.
-type image struct {
-	starts []isa.Addr    // ascending block start addresses
-	ids    []cfg.BlockID // block at starts[i]
-}
-
-func (l *Layout) img() *image {
-	if l.im == nil {
-		im := &image{
-			starts: make([]isa.Addr, len(l.Order)),
-			ids:    make([]cfg.BlockID, len(l.Order)),
-		}
-		for i, id := range l.Order {
-			im.starts[i] = l.start[id]
-			im.ids[i] = id
-		}
-		l.im = im
-	}
-	return l.im
-}
-
-// blockAtOracle is the binary-search BlockAt (test oracle).
-func (l *Layout) blockAtOracle(a isa.Addr) (id cfg.BlockID, slot int, ok bool) {
-	im := l.img()
-	if len(im.starts) == 0 || a < im.starts[0] {
-		return cfg.NoBlock, 0, false
-	}
-	// Find the last start <= a.
-	i := sort.Search(len(im.starts), func(i int) bool { return im.starts[i] > a }) - 1
-	id = im.ids[i]
-	off := int(a-im.starts[i]) / isa.InstBytes
-	if off >= int(l.slots[id]) {
-		return cfg.NoBlock, 0, false // past the end of the code segment
-	}
-	return id, off, true
-}
-
-// instAtOracle is the binary-search InstAt (test oracle).
-func (l *Layout) instAtOracle(a isa.Addr) (isa.Inst, bool) {
-	id, slot, ok := l.blockAtOracle(a)
-	if !ok {
-		return isa.Inst{}, false
-	}
-	return l.instAtSlot(id, slot, a), true
-}
-
-// staticTargetOracle is the binary-search StaticTarget (test oracle).
-func (l *Layout) staticTargetOracle(a isa.Addr) (isa.Addr, bool) {
-	id, slot, ok := l.blockAtOracle(a)
-	if !ok {
-		return 0, false
-	}
-	return l.staticTargetAt(id, slot)
 }

@@ -41,7 +41,11 @@ const (
 // CodeBase is the address of the first instruction.
 const CodeBase isa.Addr = 0x0001_0000
 
-// Layout is an address assignment for a program.
+// Layout is an address assignment for a program. Besides the per-block
+// tables it holds the static image: one packed uint32 decode word per code
+// slot (class, branch type and static target; format in image.go), about 4
+// bytes per slot. Slots are not mapped back to their owning blocks: BlockAt
+// searches the block starts, since nothing on the fetch path calls it.
 type Layout struct {
 	Prog *cfg.Program
 	// Name is "base" or "optimized".
@@ -58,20 +62,10 @@ type Layout struct {
 	// the fall-through.
 	condTarget []int8
 	totalSlots int
-	im         *image
 
-	// Flat decode tables, built once in build(): dense per-slot arrays over
-	// the code segment indexed by (addr-CodeBase)/isa.InstBytes, so the
-	// per-instruction lookups on the fetch hot path (InstAt, FetchAt,
-	// StaticTarget, BlockAt) are O(1) loads instead of binary searches.
-	// slotInst holds the fully materialized instruction (address, class,
-	// branch type); slotTarget holds the static taken-path target of the
-	// direct branch in that slot (0 = no statically-encoded target — valid
-	// as a sentinel because all code addresses are >= CodeBase); slotBlock
-	// holds the owning block.
-	slotInst   []isa.Inst
-	slotTarget []isa.Addr
-	slotBlock  []cfg.BlockID
+	// decode holds one packed word per slot of the code segment, built
+	// once in build(); see image.go.
+	decode []uint32
 }
 
 // contCalls returns, per block, the call block whose continuation it is
@@ -164,29 +158,12 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 		addr = addr.Plus(int(l.slots[id]))
 		l.totalSlots += int(l.slots[id])
 	}
-	l.buildTables()
-	return l
-}
-
-// buildTables populates the flat decode tables from the per-block oracle
-// functions (instAtSlot, staticTargetAt), so the table contents are by
-// construction identical to what the binary-search path would materialize.
-func (l *Layout) buildTables() {
-	l.slotInst = make([]isa.Inst, l.totalSlots)
-	l.slotTarget = make([]isa.Addr, l.totalSlots)
-	l.slotBlock = make([]cfg.BlockID, l.totalSlots)
-	s := 0
-	for _, id := range l.Order {
-		for off := 0; off < int(l.slots[id]); off++ {
-			a := CodeBase.Plus(s)
-			l.slotBlock[s] = id
-			l.slotInst[s] = l.instAtSlot(id, off, a)
-			if t, ok := l.staticTargetAt(id, off); ok {
-				l.slotTarget[s] = t
-			}
-			s++
-		}
+	if l.totalSlots >= maxSlots {
+		panic(fmt.Sprintf("layout %s: %d code slots do not fit a decode word (at most %d)",
+			name, l.totalSlots, maxSlots-1))
 	}
+	l.buildDecode()
+	return l
 }
 
 // Baseline lays blocks out in program (creation) order, repaired so that

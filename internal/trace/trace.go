@@ -118,7 +118,7 @@ func (g *Generator) PeekInsts() (int, bool) {
 	if g.cur == cfg.NoBlock {
 		return 0, false
 	}
-	return g.prog.Blocks[g.cur].NInsts, true
+	return int(g.prog.Blocks[g.cur].NInsts), true
 }
 
 // step evaluates the terminating branch of b and returns the next block.
@@ -158,9 +158,9 @@ func (g *Generator) condTakesBranchSide(b *cfg.Block) bool {
 	switch b.Cond.Kind {
 	case cfg.CondLoop:
 		if !st.active {
-			trip := b.Cond.Trip
-			if b.Cond.TripJitter > 0 {
-				trip += g.rng.IntRange(-b.Cond.TripJitter, b.Cond.TripJitter)
+			trip := int(b.Cond.Trip)
+			if j := int(b.Cond.TripJitter); j > 0 {
+				trip += g.rng.IntRange(-j, j)
 			}
 			if trip < 1 {
 				trip = 1

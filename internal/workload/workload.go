@@ -243,8 +243,8 @@ func (b *builder) newBlock(n int, br isa.BranchType) *cfg.Block {
 	}
 	blk := &cfg.Block{
 		ID:     cfg.BlockID(len(b.prog.Blocks)),
-		Proc:   b.proc,
-		NInsts: n,
+		Proc:   int32(b.proc),
+		NInsts: int32(n),
 		Branch: br,
 		Cont:   cfg.NoBlock,
 	}
@@ -410,8 +410,8 @@ func (b *builder) genLoop(depth int) (head, out *cfg.Block) {
 	}
 	header.Cond = cfg.CondModel{
 		Kind:       cfg.CondLoop,
-		Trip:       trip,
-		TripJitter: jitter,
+		Trip:       int32(trip),
+		TripJitter: int32(jitter),
 	}
 	// Loop bodies span several structured regions, like real inner loops;
 	// this sets the stream length achievable inside loops (one taken
@@ -538,7 +538,7 @@ func (b *builder) wireCalls() {
 	n := len(b.prog.Procs)
 	for _, cs := range b.callSites {
 		blk := b.prog.Blocks[cs.block]
-		caller := blk.Proc
+		caller := int(blk.Proc)
 		if caller >= n-1 {
 			// Last procedure cannot call anyone: demote to a plain
 			// fall-through block into its continuation.

@@ -109,7 +109,7 @@ func TestMeanBlockLenNearTarget(t *testing.T) {
 	prog := Generate(p)
 	total := 0
 	for _, b := range prog.Blocks {
-		total += b.NInsts
+		total += int(b.NInsts)
 	}
 	mean := float64(total) / float64(prog.NumBlocks())
 	if mean < 3.0 || mean > 9.0 {
