@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -249,6 +250,104 @@ func TestContentKeyEqualReports(t *testing.T) {
 		}
 		if !bytes.Equal(reps[0], reps[1]) {
 			t.Errorf("normalize-equal requests reported differently:\n%+v\n%+v\n%s\n%s", r, v, reps[0], reps[1])
+		}
+	}
+}
+
+// randomSweepRequest draws a valid sweep: a random subset of each axis
+// in random order (an empty axis stands for the full one), and random
+// seeds, lengths, shards, warmup and cold-shard mode.
+func randomSweepRequest(rng *rand.Rand) SweepRequest {
+	subset := func(all []string) []string {
+		if rng.IntN(3) == 0 {
+			return nil
+		}
+		s := slices.Clone(all)
+		rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		return s[:1+rng.IntN(len(s))]
+	}
+	pick := func(vals ...uint64) uint64 { return vals[rng.IntN(len(vals))] }
+	r := SweepRequest{
+		Benchmarks: subset(Benchmarks()),
+		Layouts:    subset(Layouts()),
+		Engines:    subset(Engines()),
+		Seed:       pick(0, 99, 1+rng.Uint64N(1000)),
+		TrainSeed:  pick(0, 7, 1+rng.Uint64N(1000)),
+		Insts:      pick(0, 20_000, 1+rng.Uint64N(1<<30)),
+		TrainInsts: pick(0, 3_000),
+		MaxInsts:   pick(0, 0, 15_000),
+		Shards:     rng.IntN(4),
+		Warmup:     pick(0, 2_000),
+		ColdShards: rng.IntN(4) == 0,
+	}
+	if rng.IntN(3) > 0 {
+		r.Widths = []int{8, 4, 2, 1 + rng.IntN(16)}[:1+rng.IntN(4)]
+	}
+	return r
+}
+
+// orFull spells out an empty sweep axis as the full one.
+func orFull[T any](axis, full []T) []T {
+	if len(axis) == 0 {
+		return full
+	}
+	return axis
+}
+
+// TestSweepKeyProperties: over random sweeps, the content key is the same
+// for empty and spelled-out axes, for seed 0 and 99, and for shards 0 and
+// 1; warmup and cold-shard mode never move an unsharded sweep's key; and
+// axis order is part of the identity, since cells return in enumeration
+// order.
+func TestSweepKeyProperties(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	key := func(r SweepRequest) string {
+		if err := r.normalize(); err != nil {
+			t.Fatalf("%+v: %v", r, err)
+		}
+		return r.contentKey()
+	}
+	for i := 0; i < 500; i++ {
+		r := randomSweepRequest(rng)
+		k := key(r)
+
+		v := r
+		v.Benchmarks = orFull(v.Benchmarks, Benchmarks())
+		v.Layouts = orFull(v.Layouts, Layouts())
+		v.Engines = orFull(v.Engines, Engines())
+		v.Widths = orFull(v.Widths, []int{defaultWidth})
+		if key(v) != k {
+			t.Fatalf("spelled-out axes moved the key: %+v", r)
+		}
+
+		v = r
+		switch v.Seed {
+		case 0:
+			v.Seed = defaultSeed
+		case defaultSeed:
+			v.Seed = 0
+		}
+		if key(v) != k {
+			t.Fatalf("seed %d and %d hash apart: %+v", r.Seed, v.Seed, r)
+		}
+
+		if r.Shards <= 1 {
+			v = r
+			v.Shards = 1 - r.Shards
+			v.Warmup = 3_000 - r.Warmup
+			v.ColdShards = !r.ColdShards
+			if key(v) != k {
+				t.Fatalf("shards, warmup or cold shards moved an unsharded sweep's key: %+v vs %+v", r, v)
+			}
+		}
+
+		v = r
+		v.Benchmarks = slices.Clone(orFull(r.Benchmarks, Benchmarks()))
+		if len(v.Benchmarks) > 1 {
+			slices.Reverse(v.Benchmarks)
+			if key(v) == k {
+				t.Fatalf("reversed benchmark axis kept the key: %+v", r)
+			}
 		}
 	}
 }
