@@ -1,6 +1,6 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus ablations for the design choices called out in
-// DESIGN.md. Run with:
+// paper's evaluation, plus ablations of the stream fetch design choices
+// (next-stream predictor, I-cache banks, FTQ depth). Run with:
 //
 //	go test -bench=. -benchmem
 //

@@ -155,6 +155,41 @@ func TestChaosEnginePanic(t *testing.T) {
 	}
 }
 
+// TestChaosSweepPanicCell: a sweep cell whose engine panics is a finished
+// cell that failed. The sweep ends failed, the cell carries the panic and
+// its stack, and the cell counts as done, so cells_done reaches
+// cells_total and the watchdog never mistakes the sweep for a stalled one.
+func TestChaosSweepPanicCell(t *testing.T) {
+	registerChaosEngines()
+	srv := newTestServer(t, streamfetch.WithQueueDepth(4), streamfetch.WithWorkers(1))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	sc := newServiceClient(t, srv)
+
+	env := sc.submit("/v1/sweeps", streamfetch.SweepRequest{
+		Benchmarks: []string{"164.gzip"}, Layouts: []string{"base"},
+		Engines: []string{"chaos-panic"}, Widths: []int{4}, Insts: 20_000, Seed: 83,
+	})
+	got := sc.await(env.ID, 2*time.Minute)
+	if got.State != streamfetch.JobFailed {
+		t.Fatalf("sweep over a panicking engine finished %s, want failed", got.State)
+	}
+	if len(got.Cells) != 1 {
+		t.Fatalf("sweep returned %d cells, want 1", len(got.Cells))
+	}
+	c := got.Cells[0]
+	if c.Report != nil || !strings.Contains(c.Error, "panicked") ||
+		!strings.Contains(c.Error, "chaos: injected engine panic") || !strings.Contains(c.Error, "goroutine") {
+		t.Errorf("cell misses the panic and its stack: report %v, error %q", c.Report != nil, c.Error)
+	}
+	if p := got.Progress; p == nil || p.CellsDone != 1 || p.CellsTotal != 1 {
+		t.Errorf("progress after a panicking cell: %+v, want 1 of 1 cells done", p)
+	}
+}
+
 // TestChaosJobDeadline: a job that outruns its budget — the request's
 // timeout_ms or the server's max-job-time cap — finishes failed with the
 // deadline in its error and its partial, Aborted report attached.

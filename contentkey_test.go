@@ -296,9 +296,9 @@ func orFull[T any](axis, full []T) []T {
 
 // TestSweepKeyProperties: over random sweeps, the content key is the same
 // for empty and spelled-out axes, for seed 0 and 99, and for shards 0 and
-// 1; warmup and cold-shard mode never move an unsharded sweep's key; and
-// axis order is part of the identity, since cells return in enumeration
-// order.
+// 1; warmup and cold-shard mode never move an unsharded sweep's key; axis
+// order is part of the identity, since cells return in enumeration order;
+// and each cell is keyed as the run built by hand from its fields.
 func TestSweepKeyProperties(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	key := func(r SweepRequest) string {
@@ -348,6 +348,33 @@ func TestSweepKeyProperties(t *testing.T) {
 			if key(v) == k {
 				t.Fatalf("reversed benchmark axis kept the key: %+v", r)
 			}
+		}
+
+		// Each cell is the run a client would submit for it, keyed as
+		// that run, in enumeration order.
+		n := r
+		if err := n.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		cells := n.cells()
+		c := 0
+		for _, b := range n.Benchmarks {
+			for _, l := range n.Layouts {
+				for _, e := range n.Engines {
+					for _, w := range n.Widths {
+						want := RunRequest{Benchmark: b, Engine: e, Layout: l, Width: w,
+							Seed: r.Seed, TrainSeed: r.TrainSeed, Insts: r.Insts, TrainInsts: r.TrainInsts,
+							MaxInsts: r.MaxInsts, Shards: r.Shards, Warmup: r.Warmup, ColdShards: r.ColdShards}
+						if c >= len(cells) || cells[c].contentKey() != want.contentKey() {
+							t.Fatalf("sweep %+v: cell %d is not the run %+v", r, c, want)
+						}
+						c++
+					}
+				}
+			}
+		}
+		if c != len(cells) {
+			t.Fatalf("sweep %+v has %d cells, want %d", r, len(cells), c)
 		}
 	}
 }

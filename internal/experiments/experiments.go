@@ -140,23 +140,39 @@ type Cell struct {
 }
 
 // Sweep runs every (benchmark, layout, engine) combination at one width on
-// a bounded worker pool — streamfetch.RunGrid over the benches' sessions,
-// the same grid runner streamfetchd sweep jobs execute. On error or
-// cancellation it returns the cells that completed (in job order,
-// incomplete cells dropped) together with the first error, so a cancelled
-// sweep still yields its partial results.
+// a bounded worker pool (forEach). On error or cancellation it returns the
+// cells that completed (in job order, incomplete cells dropped) together
+// with the first error, so a cancelled sweep still yields its partial
+// results.
 func Sweep(ctx context.Context, benches []Bench, width int, layouts []string, engines []string, parallel bool) ([]Cell, error) {
-	sessions := make([]*streamfetch.Session, len(benches))
-	for i := range benches {
-		sessions[i] = benches[i].Session
+	type job struct {
+		bench          *Bench
+		layout, engine string
 	}
-	grid, err := streamfetch.RunGrid(ctx, sessions, []int{width}, layouts, engines, parallel, nil)
-	cells := make([]Cell, 0, len(grid))
-	for _, g := range grid {
-		if g.Report == nil {
-			continue
+	var jobs []job
+	for i := range benches {
+		for _, l := range layouts {
+			for _, e := range engines {
+				jobs = append(jobs, job{&benches[i], l, e})
+			}
 		}
-		cells = append(cells, Cell{Bench: g.Benchmark, Layout: g.Layout, Result: g.Report})
+	}
+	reps := make([]*streamfetch.Report, len(jobs))
+	err := forEach(ctx, len(jobs), parallel, func(i int) error {
+		j := jobs[i]
+		rep, err := j.bench.Session.RunWith(ctx, streamfetch.WithWidth(width),
+			streamfetch.WithLayout(j.layout), streamfetch.WithEngine(j.engine))
+		if err != nil {
+			return fmt.Errorf("%s/%s/%s w=%d: %w", j.bench.Name, j.layout, j.engine, width, err)
+		}
+		reps[i] = rep
+		return nil
+	})
+	var cells []Cell
+	for i, j := range jobs {
+		if reps[i] != nil {
+			cells = append(cells, Cell{Bench: j.bench.Name, Layout: j.layout, Result: reps[i]})
+		}
 	}
 	return cells, err
 }

@@ -12,8 +12,9 @@
 // chunk index follows the footer (older readers stop at the footer and
 // never see it): per-chunk stream offsets, block/instruction positions and
 // decoder state, which is what lets Skip seek straight to an interval
-// instead of decoding everything before it. The previous count-prefixed
-// format (STRMTRC1) is still read.
+// instead of decoding everything before it. The retired count-prefixed
+// format (STRMTRC1) is no longer read; re-record such traces with
+// cmd/tracegen.
 package trace
 
 import (
@@ -31,7 +32,6 @@ import (
 )
 
 const (
-	magicV1 = "STRMTRC1"
 	magicV2 = "STRMTRC2"
 	// indexMagic terminates the optional chunk index trailing the footer.
 	// The index is backward-compatible both ways: old readers stop at the
@@ -297,9 +297,8 @@ type FileSource struct {
 	done bool
 	err  error
 
-	v1        bool
-	remaining uint64 // v1: blocks left in the trace; v2: in the current chunk
-	insts     uint64 // v1: from the header; v2: from the footer (or index)
+	remaining uint64 // blocks left in the current chunk
+	insts     uint64 // from the footer (or index)
 	exact     bool
 
 	// Skip support: the bound program supplies block lengths, the index
@@ -322,14 +321,10 @@ func NewReader(r io.Reader) (*FileSource, error) {
 	if _, err := io.ReadFull(br, got); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	s := &FileSource{br: br, raw: r}
-	switch string(got) {
-	case magicV2:
-	case magicV1:
-		s.v1 = true
-	default:
-		return nil, fmt.Errorf("trace: bad magic %q", got)
+	if string(got) != magicV2 {
+		return nil, fmt.Errorf("trace: bad magic %q (only %s is read)", got, magicV2)
 	}
+	s := &FileSource{br: br, raw: r}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading name length: %w", err)
@@ -342,28 +337,14 @@ func NewReader(r io.Reader) (*FileSource, error) {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
 	s.name = string(name)
-	if s.v1 {
-		// The old format carries both totals up front.
-		if s.insts, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("trace: reading instruction count: %w", err)
-		}
-		if s.remaining, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("trace: reading block count: %w", err)
-		}
-		const maxBlocks = 1 << 40
-		if s.remaining > maxBlocks {
-			return nil, fmt.Errorf("trace: block count %d exceeds limit", s.remaining)
-		}
-		s.exact = true
-	}
 	return s, nil
 }
 
 // Open opens a trace file as a streaming source; Close closes the file.
 // When the file carries a chunk index (written by an index-bound Writer)
 // the source is seekable — Skip jumps by chunk instead of decoding
-// linearly — and the totals are exact immediately. Footer-less legacy
-// files still replay and Skip, linearly.
+// linearly — and the totals are exact immediately. Index-less files
+// still replay and Skip, linearly.
 func Open(path string) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -377,7 +358,7 @@ func Open(path string) (*FileSource, error) {
 	}
 	s.file = f
 	s.seeker = f
-	if idx != nil && !s.v1 {
+	if idx != nil {
 		s.index = idx
 		s.insts = idx.totalInsts
 		s.exact = true
@@ -472,13 +453,11 @@ func (s *FileSource) Bind(p *cfg.Program) { s.prog = p }
 func (s *FileSource) Seekable() bool { return s.index != nil && s.seeker != nil }
 
 // TotalBlocks returns the trace's block count and whether it is exact
-// before EOF (legacy headers and indexed files know it up front).
+// before EOF (indexed files know it up front).
 func (s *FileSource) TotalBlocks() (uint64, bool) {
 	switch {
 	case s.index != nil:
 		return s.index.totalBlocks, true
-	case s.v1:
-		return s.read + s.remaining, true
 	default:
 		return s.read, s.done && s.err == nil
 	}
@@ -497,7 +476,7 @@ func (s *FileSource) blockInsts(id cfg.BlockID) (uint64, bool) {
 
 // Skip fast-forwards past whole blocks totalling at most n instructions.
 // With an index the skip seeks to the last chunk boundary at or before
-// the target and decodes the remainder; without one (legacy formats,
+// the target and decodes the remainder; without one (index-less files,
 // plain readers) it decodes and discards linearly. Requires Bind.
 func (s *FileSource) Skip(n uint64) (uint64, error) {
 	if s.done || n == 0 {
@@ -585,10 +564,6 @@ func (s *FileSource) startChunk() bool {
 	}
 	if s.remaining > 0 {
 		return true
-	}
-	if s.v1 {
-		s.done = true
-		return false
 	}
 	n, err := binary.ReadUvarint(s.br)
 	if err != nil {

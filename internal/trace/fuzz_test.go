@@ -142,16 +142,6 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		assertSequence(t, src, blocks, insts, "v2 plain")
 
-		// Round trip through the legacy format.
-		v1src, err := NewReader(bytes.NewReader(writeV1(t, &Trace{Name: prog.Name, Blocks: blocks, Insts: insts})))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, exact := v1src.TotalInsts(); !exact || n != insts {
-			t.Fatalf("v1 totals up front: %d exact=%v, want %d", n, exact, insts)
-		}
-		assertSequence(t, v1src, blocks, insts, "v1")
-
 		// Round trip through the indexed file, with a seek: Skip on the
 		// indexed FileSource must agree with the SliceSource oracle.
 		fsrc, err := Open(writeTempTrace(t, indexed))
@@ -252,8 +242,9 @@ func assertSequence(t *testing.T, src Source, blocks []cfg.BlockID, insts uint64
 // stream, footer and chunk index all attacker-controlled — and requires
 // that Open either fails cleanly or yields a source that can Skip (seeking
 // through whatever index survived validation) and drain without panicking
-// or running away. Seeds are the committed testdata traces, a legacy-v1
-// encoding, and an indexed file with its index region corrupted.
+// or running away. Seeds are the committed testdata traces, a current
+// encoding under the retired STRMTRC1 magic, and an indexed file with its
+// index region corrupted.
 func FuzzOpen(f *testing.F) {
 	prog := genProg(f, "164.gzip")
 	addTestdataSeeds(f, func(data []byte) {
@@ -261,8 +252,8 @@ func FuzzOpen(f *testing.F) {
 		f.Add(data, uint64(10_000))
 	})
 	tr := Generate(prog, GenConfig{Seed: 5, MaxInsts: 2_000})
-	f.Add(writeV1(f, tr), uint64(500))
 	indexed := encodeTrace(f, prog, tr.Blocks, tr.Insts, true)
+	f.Add(append([]byte("STRMTRC1"), indexed[len(magicV2):]...), uint64(500))
 	for _, flip := range []int{20, len(indexed) - 10, len(indexed) - 20} {
 		if flip < 0 || flip >= len(indexed) {
 			continue

@@ -38,7 +38,7 @@ func skipTrace(t testing.TB) (*cfg.Program, *Trace) {
 
 // sources returns fresh, program-bound sources over the identical
 // sequence, one per backing (generator, slice, plain reader, indexed
-// file, legacy v1).
+// file).
 func sources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]Source {
 	t.Helper()
 
@@ -51,12 +51,6 @@ func sources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]Source {
 		t.Fatal(err)
 	}
 	plain.Bind(prog)
-
-	v1, err := NewReader(bytes.NewReader(writeV1(t, tr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1.Bind(prog)
 
 	indexed := openIndexed(t, prog, tr)
 	if !indexed.Seekable() {
@@ -71,7 +65,6 @@ func sources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]Source {
 		"slice":   slice,
 		"plain":   plain,
 		"indexed": indexed,
-		"v1":      v1,
 	}
 }
 

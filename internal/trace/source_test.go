@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
+	"strings"
 	"testing"
 
 	"streamfetch/internal/cfg"
@@ -141,47 +141,12 @@ func TestFileSourceTruncation(t *testing.T) {
 	}
 }
 
-// writeV1 encodes a trace in the legacy count-prefixed format.
-func writeV1(t testing.TB, tr *Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(magicV1)
-	var tmp [binary.MaxVarintLen64]byte
-	uv := func(v uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], v)]) }
-	uv(uint64(len(tr.Name)))
-	buf.WriteString(tr.Name)
-	uv(tr.Insts)
-	uv(uint64(len(tr.Blocks)))
-	prev := int64(0)
-	for _, id := range tr.Blocks {
-		buf.Write(tmp[:binary.PutVarint(tmp[:], int64(id)-prev)])
-		prev = int64(id)
-	}
-	return buf.Bytes()
-}
-
-// TestFileSourceReadsV1: the legacy format still decodes, with its totals
-// exact up front.
-func TestFileSourceReadsV1(t *testing.T) {
-	tr := &Trace{Name: "legacy", Insts: 77, Blocks: []cfg.BlockID{0, 2, 2, 9, 1}}
-	src, err := NewReader(bytes.NewReader(writeV1(t, tr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, exact := src.TotalInsts(); !exact || n != 77 {
-		t.Fatalf("v1 TotalInsts = (%d,%v), want (77,true)", n, exact)
-	}
-	got, err := Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.Insts != tr.Insts || len(got.Blocks) != len(tr.Blocks) {
-		t.Fatalf("v1 round trip mismatch: %+v vs %+v", got, tr)
-	}
-	for i := range tr.Blocks {
-		if got.Blocks[i] != tr.Blocks[i] {
-			t.Fatalf("block %d mismatch", i)
-		}
+// TestFileSourceRejectsV1: a file in the retired STRMTRC1 format fails
+// to open with an error naming the format, instead of being read.
+func TestFileSourceRejectsV1(t *testing.T) {
+	_, err := NewReader(strings.NewReader("STRMTRC1\x06legacy"))
+	if err == nil || !strings.Contains(err.Error(), "STRMTRC1") {
+		t.Fatalf("STRMTRC1 file: err = %v, want a refusal naming the format", err)
 	}
 }
 

@@ -1,17 +1,18 @@
 // Job execution for the streamfetchd service: a bounded queue of run and
 // sweep jobs drained by a worker pool that shares the process-wide
-// internal/par budget with intra-job shard workers, a session cache that
-// amortizes preparation (program synthesis, profiling, layouts) across
-// requests, and the grid sweep runner the service shares with
-// internal/experiments.
+// internal/par budget with intra-job shard workers, and a session cache
+// that amortizes preparation (program synthesis, profiling, layouts)
+// across requests. A sweep is a grid of run requests, its cells: each
+// cell runs through the run path and is cached under its run content
+// key, so runs and sweeps answer each other's cells.
 //
 // Concurrency model: every concurrent job holds one par token while it
-// runs, and sharded runs inside a job draw their extra shard workers from
-// the same pool; only when the pool is empty and nothing is in flight
-// does the dispatcher run a single job inline as the budget-free caller,
-// which keeps a zero-token (one core) box progressing. Total simulation
-// concurrency therefore never exceeds GOMAXPROCS, however jobs, sweeps
-// and shards stack.
+// runs, and sweep cells and sharded runs inside a job draw their extra
+// workers from the same pool; only when the pool is empty and nothing is
+// in flight does the dispatcher run a single job inline as the
+// budget-free caller, which keeps a zero-token (one core) box
+// progressing. Total simulation concurrency therefore never exceeds
+// GOMAXPROCS, however jobs, sweeps and shards stack.
 package streamfetch
 
 import (
@@ -77,7 +78,7 @@ func (e *InfeasibleError) Error() string {
 		e.PredictedSeconds, e.QueueDelaySeconds, e.DeadlineSeconds)
 }
 
-// GridCell is one (benchmark, layout, engine, width) outcome of RunGrid.
+// GridCell is one (benchmark, layout, engine, width) cell of a sweep.
 // Report is nil when the cell failed (Error says why) or was never reached
 // because an earlier cell failed or the context was cancelled.
 type GridCell struct {
@@ -87,63 +88,6 @@ type GridCell struct {
 	Width     int     `json:"width"`
 	Report    *Report `json:"report,omitempty"`
 	Error     string  `json:"error,omitempty"`
-}
-
-// RunGrid runs every (session × layout × engine × width) combination on
-// the process-wide worker budget (one goroutine total when parallel is
-// false), returning one cell per combination in enumeration order:
-// sessions outermost, widths innermost. Extra opts apply to every cell
-// before the grid dimensions. The first error (or context cancellation)
-// stops new cells from being claimed; in-flight cells finish, and the
-// partially-filled grid is returned with that error.
-func RunGrid(ctx context.Context, sessions []*Session, widths []int, layouts, engines []string, parallel bool, onCell func(done, total int), opts ...Option) ([]GridCell, error) {
-	type dim struct {
-		s              *Session
-		layout, engine string
-		width          int
-	}
-	var jobs []dim
-	for _, s := range sessions {
-		for _, l := range layouts {
-			for _, e := range engines {
-				for _, w := range widths {
-					jobs = append(jobs, dim{s, l, e, w})
-				}
-			}
-		}
-	}
-	// Identity fields are filled for every cell up front, so a grid cut
-	// short by an error or cancellation still tells the caller exactly
-	// which combinations were never reached (their Report stays nil).
-	cells := make([]GridCell, len(jobs))
-	for i, j := range jobs {
-		cells[i] = GridCell{Benchmark: j.s.Benchmark(), Layout: j.layout, Engine: j.engine, Width: j.width}
-	}
-	var done atomic.Int64
-	err := par.Do(ctx, len(jobs), parallel, func(i int) error {
-		j := jobs[i]
-		runOpts := append(slices.Clone(opts),
-			WithWidth(j.width), WithLayout(j.layout), WithEngine(j.engine))
-		rep, err := j.s.RunWith(ctx, runOpts...)
-		if err != nil {
-			cells[i].Error = err.Error()
-			// A cell that completed with an error is still a completed
-			// cell: it must tick the progress callback, or a sweep
-			// grinding through erroring cells looks stalled (the service
-			// watchdog would reap it) and cells_done can never reach
-			// cells_total.
-			if onCell != nil {
-				onCell(int(done.Add(1)), len(jobs))
-			}
-			return fmt.Errorf("%s/%s/%s w=%d: %w", j.s.Benchmark(), j.layout, j.engine, j.width, err)
-		}
-		cells[i].Report = rep
-		if onCell != nil {
-			onCell(int(done.Add(1)), len(jobs))
-		}
-		return nil
-	})
-	return cells, err
 }
 
 // RunRequest is the body of POST /v1/runs: one simulation configuration.
@@ -292,7 +236,7 @@ type SweepRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// normalize fills defaulted axes and validates every dimension value.
+// normalize fills defaulted axes and validates every cell.
 func (r *SweepRequest) normalize() error {
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms %d", r.TimeoutMS)
@@ -303,26 +247,11 @@ func (r *SweepRequest) normalize() error {
 	if len(r.Benchmarks) == 0 {
 		r.Benchmarks = Benchmarks()
 	}
-	for _, b := range r.Benchmarks {
-		if !slices.Contains(Benchmarks(), b) {
-			return fmt.Errorf("unknown benchmark %q", b)
-		}
-	}
 	if len(r.Layouts) == 0 {
 		r.Layouts = Layouts()
 	}
-	for _, l := range r.Layouts {
-		if err := checkLayout(l); err != nil {
-			return err
-		}
-	}
 	if len(r.Engines) == 0 {
 		r.Engines = Engines()
-	}
-	for _, e := range r.Engines {
-		if !slices.Contains(Engines(), e) {
-			return fmt.Errorf("unknown engine %q", e)
-		}
 	}
 	if len(r.Widths) == 0 {
 		r.Widths = []int{8}
@@ -332,36 +261,41 @@ func (r *SweepRequest) normalize() error {
 			return fmt.Errorf("invalid width %d", w)
 		}
 	}
-	if r.Shards < 0 {
-		return fmt.Errorf("negative shards %d", r.Shards)
+	for _, c := range r.cells() {
+		if err := c.validate(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// cellOptions maps the scalar fields onto per-cell session options.
-func (r *SweepRequest) cellOptions() []Option {
-	var opts []Option
-	if r.MaxInsts > 0 {
-		opts = append(opts, WithMaxInstructions(r.MaxInsts))
+// cells enumerates the sweep's grid as run requests, in the order its
+// cells return: benchmarks outermost, then layouts, engines, and widths
+// innermost. Call only after normalize (which fills defaulted axes).
+func (r *SweepRequest) cells() []RunRequest {
+	cells := make([]RunRequest, 0, len(r.Benchmarks)*len(r.Layouts)*len(r.Engines)*len(r.Widths))
+	for _, b := range r.Benchmarks {
+		for _, l := range r.Layouts {
+			for _, e := range r.Engines {
+				for _, w := range r.Widths {
+					cells = append(cells, RunRequest{
+						Benchmark: b, Layout: l, Engine: e, Width: w,
+						Seed: r.Seed, TrainSeed: r.TrainSeed, Insts: r.Insts, TrainInsts: r.TrainInsts,
+						MaxInsts: r.MaxInsts, Shards: r.Shards, Warmup: r.Warmup, ColdShards: r.ColdShards,
+					})
+				}
+			}
+		}
 	}
-	if r.Shards > 0 {
-		opts = append(opts, WithShards(r.Shards))
-	}
-	if r.Warmup > 0 {
-		opts = append(opts, WithWarmup(r.Warmup))
-	}
-	if r.ColdShards {
-		opts = append(opts, WithColdShards())
-	}
-	return opts
+	return cells
 }
 
 // contentSpec is the input half of a request's content identity: the
 // benchmark, seeds and instruction counts with defaults resolved. It
-// feeds runKeySpec and sweepKeySpec, and splits into a preparation
-// identity (prep, the session-cache key) and per-run options
-// (runOptions: the reference seed and length, which no prepared artifact
-// depends on).
+// feeds runKeySpec (and, through a sweep's cells, sweepKeySpec), and
+// splits into a preparation identity (prep, the session-cache key) and
+// per-run options (runOptions: the reference seed and length, which no
+// prepared artifact depends on).
 type contentSpec struct {
 	benchmark         string
 	seed, trainSeed   uint64
@@ -410,10 +344,6 @@ func (r *RunRequest) contentSpec() contentSpec {
 	return contentSpec{r.Benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
 }
 
-func (r *SweepRequest) contentSpec(benchmark string) contentSpec {
-	return contentSpec{benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
-}
-
 // runKeySpec is the canonical identity of a run's output: every semantic
 // field of a RunRequest with defaults resolved, so "default by omission"
 // and "default spelled out" hash to one content key. Runs are
@@ -453,6 +383,12 @@ type runKeySpec struct {
 // contentKey hashes the request's normalized semantic fields. Call only
 // after validate.
 func (r *RunRequest) contentKey() string {
+	return store.Key(r.keySpec())
+}
+
+// keySpec resolves the request's semantic fields into its runKeySpec.
+// Call only after validate.
+func (r *RunRequest) keySpec() runKeySpec {
 	p := r.contentSpec()
 	k := runKeySpec{
 		V:    1,
@@ -492,7 +428,7 @@ func (r *RunRequest) contentKey() string {
 	if !k.ColdShards && (k.Shards > 1 || k.Samples > 0) {
 		k.FwarmV = fwarmVersion(k.Warmup)
 	}
-	return store.Key(k)
+	return k
 }
 
 // sweepKeySpec is the canonical identity of a sweep's cells. Axis order
@@ -518,10 +454,12 @@ type sweepKeySpec struct {
 }
 
 // contentKey hashes the sweep's normalized identity. Call only after
-// normalize (which fills defaulted axes).
+// normalize (which fills defaulted axes). The scalar fields are a cell's
+// (every cell shares them), so the run key's rules for defaults and for
+// fields an unsharded run ignores are the sweep's too.
 func (r *SweepRequest) contentKey() string {
-	p := r.contentSpec(r.Benchmarks[0])
-	k := sweepKeySpec{
+	c := r.cells()[0].keySpec()
+	return store.Key(sweepKeySpec{
 		V:    1,
 		Kind: "sweep",
 
@@ -530,23 +468,16 @@ func (r *SweepRequest) contentKey() string {
 		Engines:    r.Engines,
 		Widths:     r.Widths,
 
-		Seed:       p.seed,
-		TrainSeed:  p.trainSeed,
-		Insts:      p.insts,
-		TrainInsts: p.trainInsts,
-		MaxInsts:   r.MaxInsts,
-		Shards:     max(r.Shards, 1),
-		Warmup:     r.Warmup,
-		ColdShards: r.ColdShards,
-	}
-	if k.Shards <= 1 {
-		k.Warmup = 0
-		k.ColdShards = false
-	}
-	if !k.ColdShards && k.Shards > 1 {
-		k.FwarmV = fwarmVersion(k.Warmup)
-	}
-	return store.Key(k)
+		Seed:       c.Seed,
+		TrainSeed:  c.TrainSeed,
+		Insts:      c.Insts,
+		TrainInsts: c.TrainInsts,
+		MaxInsts:   c.MaxInsts,
+		Shards:     c.Shards,
+		Warmup:     c.Warmup,
+		ColdShards: c.ColdShards,
+		FwarmV:     c.FwarmV,
+	})
 }
 
 // fwarmVersion is the content keys' FwarmV for a warmed sharded or
@@ -917,11 +848,11 @@ type jobManager struct {
 	stageSeconds map[string]*metrics.Histogram
 	predErrGauge *metrics.Gauge
 
-	// runHook, when set, observes each job body that actually executes a
-	// simulation (test seam for coalescing/caching assertions: coalesced
-	// and cached submissions never trigger it). Set before any
-	// submission.
-	runHook func(kind string)
+	// runHook, when set, observes each simulation a job runs (test seam
+	// for coalescing/caching assertions: coalesced and cached submissions,
+	// and sweep cells answered from the cache, never trigger it). Set
+	// before any submission.
+	runHook func()
 }
 
 // newJobManager builds the manager and replays the store's journal:
@@ -1048,14 +979,16 @@ func (m *jobManager) restore(rec store.JournalRecord) {
 	case "run":
 		var req RunRequest
 		if json.Unmarshal(rec.Request, &req) == nil && req.validate() == nil {
-			build = m.runJobFunc(req)
-			pol = m.runPolicy(&req, rec.Time)
+			cells := []RunRequest{req}
+			build = m.body(cells, req.TimeoutMS)
+			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
 		}
 	case "sweep":
 		var req SweepRequest
 		if json.Unmarshal(rec.Request, &req) == nil && req.normalize() == nil {
-			build = m.sweepJobFunc(req)
-			pol = m.sweepPolicy(&req, rec.Time)
+			cells := req.cells()
+			build = m.body(cells, req.TimeoutMS)
+			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
 		}
 	}
 	ctx, abort := context.WithCancelCause(m.baseCtx)
@@ -1127,11 +1060,9 @@ func (m *jobManager) cachedJob(id, kind, key string, blob []byte) *job {
 	j.enqueued, j.finished = now, now
 	switch kind {
 	case "run":
-		var rep Report
-		if json.Unmarshal(blob, &rep) != nil || rep.Benchmark == "" {
+		if j.report = decodeReport(blob); j.report == nil {
 			return nil
 		}
-		j.report = &rep
 	case "sweep":
 		var cells []GridCell
 		if json.Unmarshal(blob, &cells) != nil || len(cells) == 0 {
@@ -1142,6 +1073,28 @@ func (m *jobManager) cachedJob(id, kind, key string, blob []byte) *job {
 		return nil
 	}
 	return j
+}
+
+// decodeReport decodes a stored run result, or returns nil when the blob
+// is not one.
+func decodeReport(blob []byte) *Report {
+	var rep Report
+	if json.Unmarshal(blob, &rep) != nil || rep.Benchmark == "" {
+		return nil
+	}
+	return &rep
+}
+
+// putResult stores a clean result (a run's report or a sweep's cells)
+// under its content key, where later submissions and sweep cells find it.
+func (m *jobManager) putResult(key string, v any) {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		m.storeErrs.Add(1)
+		return
+	}
+	payload := append(blob, '\n')
+	m.storeWrite(func() error { return m.store.PutBlob(key, payload) })
 }
 
 // storeWrite runs one store write under the retry policy: transient
@@ -1241,43 +1194,18 @@ func (r *RunRequest) workInsts() uint64 {
 	return n
 }
 
-// runPolicy resolves a run submission's admission policy at time at.
-func (m *jobManager) runPolicy(r *RunRequest, at time.Time) jobPolicy {
-	pol := jobPolicy{
-		priority:  r.Priority,
-		predicted: m.slo.Predict(r.sloKey(), r.workInsts()),
+// policy resolves a submission's admission policy at time at. The
+// predicted cost sums over the runs the job simulates: a run's one
+// request, or every cell of a sweep (serial work-seconds, a conservative
+// bound; the queue-delay estimate is what accounts for worker
+// parallelism).
+func (m *jobManager) policy(cells []RunRequest, priority int, deadlineMS int64, at time.Time) jobPolicy {
+	pol := jobPolicy{priority: priority}
+	for _, c := range cells {
+		pol.predicted += m.slo.Predict(c.sloKey(), c.workInsts())
 	}
-	if r.DeadlineMS > 0 {
-		pol.deadline = at.Add(msToDuration(r.DeadlineMS))
-	}
-	return pol
-}
-
-// sweepPolicy resolves a sweep's admission policy: predicted cost sums
-// over the grid's cells (serial work-seconds — a conservative bound; the
-// queue-delay estimate is what accounts for worker parallelism). r must
-// be normalized.
-func (m *jobManager) sweepPolicy(r *SweepRequest, at time.Time) jobPolicy {
-	mode := slo.ModePlain
-	if r.Shards > 1 {
-		mode = slo.ModeSharded
-	}
-	var total float64
-	for _, b := range r.Benchmarks {
-		n := r.contentSpec(b).insts
-		if r.MaxInsts > 0 && r.MaxInsts < n {
-			n = r.MaxInsts
-		}
-		for _, e := range r.Engines {
-			for _, w := range r.Widths {
-				total += m.slo.Predict(slo.Key{Engine: e, Width: w, Mode: mode}, n) *
-					float64(len(r.Layouts))
-			}
-		}
-	}
-	pol := jobPolicy{priority: r.Priority, predicted: total}
-	if r.DeadlineMS > 0 {
-		pol.deadline = at.Add(msToDuration(r.DeadlineMS))
+	if deadlineMS > 0 {
+		pol.deadline = at.Add(msToDuration(deadlineMS))
 	}
 	return pol
 }
@@ -1512,90 +1440,105 @@ func (m *jobManager) effTimeout(ms int64) time.Duration {
 	return d
 }
 
-// useCheckpoints decides whether a job's runs should share the daemon's
-// store for warm-state checkpoints: warmed sharded and sampled runs. An
-// interval opens by restoring its boundary's warm state whether the
-// snapshot comes from the store or from the run's own warming walk, so
-// the content-keyed result cache stays sound — reports differ at most in
-// their checkpoint hit/miss counters. The warmup > 0 gate keeps those
-// counters out of warmup-free jobs' reports.
-func (m *jobManager) useCheckpoints(warmup uint64, shards, samples int) bool {
-	return warmup > 0 && (shards > 1 || samples > 0)
-}
-
-// runJobFunc builds the executable body of a single-configuration run.
-func (m *jobManager) runJobFunc(req RunRequest) func(*job) jobFunc {
+// body builds a job's executable body over the runs it simulates: a run
+// job's one request, simulated with progress reporting, or a sweep's
+// cells, each answered by cell.
+func (m *jobManager) body(cells []RunRequest, timeoutMS int64) func(*job) jobFunc {
 	return func(j *job) jobFunc {
-		j.timeout = m.effTimeout(req.TimeoutMS)
+		j.timeout = m.effTimeout(timeoutMS)
+		if j.kind == "run" {
+			return func(ctx context.Context) (*Report, []GridCell, error) {
+				rep, err := m.simulate(ctx, cells[0], WithProgress(0, j.noteProgress))
+				return rep, nil, err
+			}
+		}
+		j.cellsTotal = len(cells)
 		return func(ctx context.Context) (*Report, []GridCell, error) {
-			if h := m.runHook; h != nil {
-				h("run")
-			}
-			spec := req.contentSpec()
-			opts := append(append(spec.runOptions(), req.runOptions()...),
-				WithProgress(0, j.noteProgress), WithStageTimings())
-			if m.useCheckpoints(req.Warmup, req.Shards, req.Samples) {
-				opts = append(opts, WithCheckpoints(m.store))
-			}
-			rep, err := m.sessions.get(spec).RunWith(ctx, opts...)
-			if rep != nil {
-				m.ckptHits.Add(int64(rep.CheckpointHits))
-				m.ckptMisses.Add(int64(rep.CheckpointMisses))
-			}
-			// Feed the cost model with the measured rate so the next
-			// prediction for this (engine, width, mode) reflects this
-			// machine. Aborted or failed runs are not representative.
-			if err == nil && rep != nil && !rep.Aborted && rep.Timings != nil {
-				m.slo.Observe(req.sloKey(), rep.Retired, rep.Timings.workSeconds())
-			}
-			return rep, nil, err
+			out, err := m.sweep(ctx, cells, j.noteCell)
+			return nil, out, err
 		}
 	}
 }
 
-// sweepJobFunc builds the executable body of a grid sweep. req must be
-// normalized.
-func (m *jobManager) sweepJobFunc(req SweepRequest) func(*job) jobFunc {
-	total := len(req.Benchmarks) * len(req.Layouts) * len(req.Engines) * len(req.Widths)
-	return func(j *job) jobFunc {
-		j.cellsTotal = total
-		j.timeout = m.effTimeout(req.TimeoutMS)
-		return func(ctx context.Context) (*Report, []GridCell, error) {
-			if h := m.runHook; h != nil {
-				h("sweep")
-			}
-			sessions := make([]*Session, len(req.Benchmarks))
-			for i, b := range req.Benchmarks {
-				sessions[i] = m.sessions.get(req.contentSpec(b))
-			}
-			// Seed and length are the same for every benchmark.
-			spec := req.contentSpec(req.Benchmarks[0])
-			cellOpts := append(append(spec.runOptions(), req.cellOptions()...), WithStageTimings())
-			if m.useCheckpoints(req.Warmup, req.Shards, 0) {
-				cellOpts = append(cellOpts, WithCheckpoints(m.store))
-			}
-			cells, err := RunGrid(ctx, sessions, req.Widths, req.Layouts, req.Engines,
-				true, j.noteCell, cellOpts...)
-			mode := slo.ModePlain
-			if req.Shards > 1 {
-				mode = slo.ModeSharded
-			}
-			for _, c := range cells {
-				if c.Report != nil {
-					m.ckptHits.Add(int64(c.Report.CheckpointHits))
-					m.ckptMisses.Add(int64(c.Report.CheckpointMisses))
-					// Each completed cell is one observation for its own
-					// (engine, width) bucket — a sweep trains the model
-					// across the whole grid in one job.
-					if c.Report.Timings != nil && !c.Report.Aborted && c.Error == "" {
-						m.slo.Observe(slo.Key{Engine: c.Engine, Width: c.Width, Mode: mode},
-							c.Report.Retired, c.Report.Timings.workSeconds())
-					}
-				}
-			}
-			return nil, cells, err
+// simulate runs one request on its cached session, with stage timings and
+// the daemon's store for warm-state checkpoints. An interval opens by
+// restoring its boundary's warm state whether the snapshot comes from the
+// store or from the run's own warming walk, so the content-keyed result
+// cache stays sound: reports differ at most in their checkpoint counters.
+// The run feeds those counters and, when clean, the cost model. A panic
+// fails this simulation only, with the stack in its error.
+func (m *jobManager) simulate(ctx context.Context, req RunRequest, opts ...Option) (rep *Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rep, err = nil, fmt.Errorf("streamfetch: simulation panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	if h := m.runHook; h != nil {
+		h()
+	}
+	spec := req.contentSpec()
+	opts = append(append(append(spec.runOptions(), req.runOptions()...), opts...),
+		WithStageTimings(), WithCheckpoints(m.store))
+	rep, err = m.sessions.get(spec).RunWith(ctx, opts...)
+	if rep != nil {
+		m.ckptHits.Add(int64(rep.CheckpointHits))
+		m.ckptMisses.Add(int64(rep.CheckpointMisses))
+	}
+	// Feed the cost model with the measured rate so the next prediction
+	// for this (engine, width, mode) reflects this machine. Aborted or
+	// failed runs are not representative.
+	if err == nil && rep != nil && !rep.Aborted && rep.Timings != nil {
+		m.slo.Observe(req.sloKey(), rep.Retired, rep.Timings.workSeconds())
+	}
+	return rep, err
+}
+
+// sweep answers a sweep's cells on the process-wide worker budget,
+// returning one GridCell per cell in enumeration order. The first error
+// (or cancellation) stops new cells from being claimed; in-flight cells
+// finish, and the partial grid is returned with that error. Every
+// finished cell, a failed one included, ticks onCell, or a sweep grinding
+// through failing cells would look stalled to the watchdog and its
+// cells_done could never reach cells_total.
+func (m *jobManager) sweep(ctx context.Context, reqs []RunRequest, onCell func(done, total int)) ([]GridCell, error) {
+	cells := make([]GridCell, len(reqs))
+	for i, r := range reqs {
+		cells[i] = GridCell{Benchmark: r.Benchmark, Layout: r.Layout, Engine: r.Engine, Width: r.Width}
+	}
+	var done atomic.Int64
+	err := par.Do(ctx, len(reqs), true, func(i int) error {
+		rep, err := m.cell(ctx, reqs[i])
+		c := &cells[i]
+		if err != nil {
+			c.Error = err.Error()
+			err = fmt.Errorf("%s/%s/%s w=%d: %w", c.Benchmark, c.Layout, c.Engine, c.Width, err)
+		} else {
+			c.Report = rep
+		}
+		onCell(int(done.Add(1)), len(reqs))
+		return err
+	})
+	return cells, err
+}
+
+// cell answers one sweep cell under its run content key: with the report
+// an earlier run or sweep stored there, or else by simulating it and
+// storing the report when it is clean. A stored report ran no
+// simulation, so it feeds neither the cost model nor the checkpoint
+// counters, and adds nothing to the sweep's timings.
+func (m *jobManager) cell(ctx context.Context, req RunRequest) (*Report, error) {
+	key := req.contentKey()
+	if blob, ok, err := m.store.GetBlob(key); err == nil && ok {
+		if rep := decodeReport(blob); rep != nil {
+			rep.Timings = nil
+			return rep, nil
 		}
 	}
+	rep, err := m.simulate(ctx, req)
+	if err == nil && rep != nil && !rep.Aborted {
+		m.putResult(key, rep)
+	}
+	return rep, err
 }
 
 // submitRun validates and submits a single-configuration run.
@@ -1607,8 +1550,9 @@ func (m *jobManager) submitRun(req RunRequest) (*job, *JobEnvelope, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	cells := []RunRequest{req}
 	return m.submit("run", req.contentKey(), reqJSON,
-		m.runPolicy(&req, time.Now()), m.runJobFunc(req))
+		m.policy(cells, req.Priority, req.DeadlineMS, time.Now()), m.body(cells, req.TimeoutMS))
 }
 
 // submitSweep validates and submits a grid sweep as one job.
@@ -1620,8 +1564,9 @@ func (m *jobManager) submitSweep(req SweepRequest) (*job, *JobEnvelope, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	cells := req.cells()
 	return m.submit("sweep", req.contentKey(), reqJSON,
-		m.sweepPolicy(&req, time.Now()), m.sweepJobFunc(req))
+		m.policy(cells, req.Priority, req.DeadlineMS, time.Now()), m.body(cells, req.TimeoutMS))
 }
 
 // get returns a job by id (nil when unknown).
@@ -1709,19 +1654,11 @@ func (m *jobManager) persist(j *job) {
 	}
 
 	if state == JobDone && j.key != "" {
-		var blob []byte
-		var err error
 		switch {
 		case j.kind == "run" && rep != nil && !rep.Aborted:
-			blob, err = json.MarshalIndent(rep, "", "  ")
+			m.putResult(j.key, rep)
 		case j.kind == "sweep" && len(cells) > 0:
-			blob, err = json.MarshalIndent(cells, "", "  ")
-		}
-		if err == nil && blob != nil {
-			payload := append(blob, '\n')
-			m.storeWrite(func() error { return m.store.PutBlob(j.key, payload) })
-		} else if err != nil {
-			m.storeErrs.Add(1)
+			m.putResult(j.key, cells)
 		}
 	}
 	m.journal(j, state)
@@ -1812,7 +1749,8 @@ func (m *jobManager) place(j *job) {
 
 // runJob executes one job and records its terminal state. A cancelled or
 // cut-down run may still carry a partial report (Aborted set), which is
-// preserved. The body runs behind a recover barrier: an engine panic
+// preserved. Every simulation runs behind a recover barrier (simulate,
+// and internal/par for shard and sweep-cell workers): an engine panic
 // fails that job — stack in its envelope — without taking the daemon
 // down.
 func (m *jobManager) runJob(j *job) {
@@ -1826,7 +1764,7 @@ func (m *jobManager) runJob(j *job) {
 		runCtx, stop = context.WithTimeoutCause(j.ctx, j.timeout, errJobDeadline)
 		defer stop()
 	}
-	rep, cells, err := m.guardedRun(j, runCtx)
+	rep, cells, err := j.run(runCtx)
 	// Timings go on the job before finish so the terminal envelope — and
 	// the journal record persist writes from it — carries them.
 	j.setTimings(buildTimings(j, rep, cells))
@@ -1924,19 +1862,6 @@ func (m *jobManager) observeFinished(j *job) {
 	if m.predErrGauge != nil {
 		m.predErrGauge.Set(v)
 	}
-}
-
-// guardedRun invokes the job body, converting a panic on this goroutine
-// into an error carrying the stack. Panics on shard and sweep-cell worker
-// goroutines are converted the same way inside internal/par, so every
-// execution path of a job is covered.
-func (m *jobManager) guardedRun(j *job, ctx context.Context) (rep *Report, cells []GridCell, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("streamfetch: job panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return j.run(ctx)
 }
 
 // watchdogLoop cancels running jobs that report no measurable progress —

@@ -1,7 +1,6 @@
 package streamfetch
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -141,28 +140,6 @@ func TestJobQueueCloseDrains(t *testing.T) {
 	}
 	if j, ok := q.pop(); ok || j != nil {
 		t.Fatal("empty closed queue must report closed, not block")
-	}
-}
-
-// TestRunGridErrorCellsProgress: a cell that completes with an error is
-// still a completed cell. onCell used to be skipped on the error path,
-// so a sweep grinding through erroring cells looked stalled to the
-// watchdog and its cells_done never reached cells_total.
-func TestRunGridErrorCellsProgress(t *testing.T) {
-	sess := New("164.gzip", WithInstructions(5_000))
-	var done, total int
-	cells, err := RunGrid(context.Background(), []*Session{sess},
-		[]int{-1}, // invalid width: the cell fails without simulating
-		[]string{"base"}, []string{"streams"}, false,
-		func(d, tot int) { done, total = d, tot })
-	if err == nil {
-		t.Fatal("invalid width must fail the cell")
-	}
-	if len(cells) != 1 || cells[0].Error == "" {
-		t.Fatalf("expected one errored cell, got %+v", cells)
-	}
-	if done != 1 || total != 1 {
-		t.Fatalf("progress after an erroring cell: done=%d total=%d, want 1/1", done, total)
 	}
 }
 

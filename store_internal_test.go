@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamfetch/internal/slo"
+	"streamfetch/internal/store"
 )
 
 func shutdownServer(t *testing.T, srv *Server) {
@@ -36,7 +39,7 @@ func TestSubmitCoalescing(t *testing.T) {
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	srv.mgr.runHook = func(string) {
+	srv.mgr.runHook = func() {
 		runs.Add(1)
 		<-release
 	}
@@ -154,5 +157,116 @@ func TestWithSessionCacheSize(t *testing.T) {
 		if _, err := NewServer(WithSessionCacheSize(n)); err == nil {
 			t.Errorf("WithSessionCacheSize(%d) accepted, want error", n)
 		}
+	}
+}
+
+// TestSweepCellsShareRunCache: runs and sweeps share results under the
+// run content key. A sweep that overlaps an earlier run simulates only its
+// new cell and serves the run's report; a later run of the sweep's new
+// cell is a cache hit with the cell's report byte for byte; and a cell
+// served from the cache feeds neither the cost model, the checkpoint
+// counters nor the sweep's stage timings.
+func TestSweepCellsShareRunCache(t *testing.T) {
+	var sims atomic.Int64
+	server := func(st store.Store) *jobManager {
+		srv, err := NewServer(WithWorkers(1), WithStore(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { shutdownServer(t, srv) })
+		srv.mgr.runHook = func() { sims.Add(1) }
+		return srv.mgr
+	}
+	wait := func(j *job, _ *JobEnvelope, err error) *JobEnvelope {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("job %s did not finish", j.id)
+		}
+		env := j.envelope()
+		if env.State != JobDone {
+			t.Fatalf("job %s finished %s (error %q)", j.id, env.State, env.Error)
+		}
+		return env
+	}
+	jsonOf := func(rep *Report) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Warmed sharded cells, so every simulation moves the checkpoint
+	// counters.
+	run := RunRequest{Benchmark: "164.gzip", Engine: "streams", Layout: "base", Width: 4,
+		Seed: 61, Insts: 30_000, Shards: 2, Warmup: 2_000}
+	sweep := SweepRequest{Benchmarks: []string{"164.gzip"}, Layouts: []string{"base"},
+		Engines: []string{"streams", "ev8"}, Widths: []int{4},
+		Seed: 61, Insts: 30_000, Shards: 2, Warmup: 2_000}
+
+	st := store.NewMem()
+	m := server(st)
+	first := wait(m.submitRun(run))
+	if n := sims.Load(); n != 1 {
+		t.Fatalf("run simulated %d times, want 1", n)
+	}
+	env := wait(m.submitSweep(sweep))
+	if n := sims.Load(); n != 2 {
+		t.Fatalf("run + overlapping sweep simulated %d times, want 2", n)
+	}
+	if len(env.Cells) != 2 || env.Cells[0].Engine != "streams" || env.Cells[1].Engine != "ev8" {
+		t.Fatalf("sweep cells %+v, want streams then ev8", env.Cells)
+	}
+	cached, fresh := env.Cells[0].Report, env.Cells[1].Report
+	if got, want := jsonOf(cached), renderReport(t, first.Report); !bytes.Equal(got, want) {
+		t.Errorf("cached cell differs from the run that stored it\ncell:\n%s\nrun:\n%s", got, want)
+	}
+	again := run
+	again.Engine = "ev8"
+	hit := wait(m.submitRun(again))
+	if !hit.Cached || sims.Load() != 2 {
+		t.Fatalf("run of the sweep's new cell: cached=%v, simulations %d, want a cache hit", hit.Cached, sims.Load())
+	}
+	if got, want := jsonOf(hit.Report), jsonOf(fresh); !bytes.Equal(got, want) {
+		t.Errorf("cached run differs from the sweep cell that stored it\nrun:\n%s\ncell:\n%s", got, want)
+	}
+
+	// A fresh server over a store holding the run's report with inflated
+	// counters and timings: a cached cell that fed them on would move the
+	// model, the counters and the sweep's timings visibly.
+	blob, ok, err := st.GetBlob(run.contentKey())
+	if err != nil || !ok {
+		t.Fatalf("run report not stored under its key: ok=%v err=%v", ok, err)
+	}
+	stored := decodeReport(blob)
+	stored.CheckpointHits += 1000
+	stored.Timings.MeasureSeconds *= 100
+	st2 := store.NewMem()
+	m = server(st2)
+	m.putResult(run.contentKey(), stored)
+	sims.Store(0)
+	env = wait(m.submitSweep(sweep))
+	if n := sims.Load(); n != 1 {
+		t.Fatalf("sweep over one stored cell simulated %d times, want 1", n)
+	}
+	cached, fresh = env.Cells[0].Report, env.Cells[1].Report
+	if cached.CheckpointHits != stored.CheckpointHits || cached.Timings != nil {
+		t.Errorf("cell not served from the store as stored, without timings: hits %d (want %d), timings %+v",
+			cached.CheckpointHits, stored.CheckpointHits, cached.Timings)
+	}
+	if got := m.slo.Rate(run.sloKey()); got != slo.NewModel().Rate(run.sloKey()) {
+		t.Errorf("cached cell taught the cost model: rate %v", got)
+	}
+	if m.ckptHits.Load() != int64(fresh.CheckpointHits) || m.ckptMisses.Load() != int64(fresh.CheckpointMisses) {
+		t.Errorf("checkpoint counters %d/%d, want the simulated cell's alone (%d/%d)",
+			m.ckptHits.Load(), m.ckptMisses.Load(), fresh.CheckpointHits, fresh.CheckpointMisses)
+	}
+	if got, want := env.Timings.MeasureSeconds, fresh.Timings.MeasureSeconds; got != want {
+		t.Errorf("sweep measure time %v, want the simulated cell's alone (%v)", got, want)
 	}
 }
