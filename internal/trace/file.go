@@ -673,10 +673,9 @@ func (s *FileSource) fail(err error) (cfg.BlockID, bool) {
 // Name returns the benchmark name from the header.
 func (s *FileSource) Name() string { return s.name }
 
-// TotalInsts returns the trace's instruction count: exact up front for the
-// old header-bearing format, and exact once the footer has been read for
-// the current one (0 before that — the on-disk trace carries no running
-// count).
+// TotalInsts returns the trace's instruction count: exact up front for an
+// indexed file opened from disk, and otherwise exact once the footer has
+// been read (0 before that — the on-disk trace carries no running count).
 func (s *FileSource) TotalInsts() (uint64, bool) { return s.insts, s.exact }
 
 // Err returns the first decode error encountered (nil on a clean stream).
