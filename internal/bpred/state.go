@@ -110,7 +110,9 @@ func (s *RAS) LoadState(r *wire.Reader) error {
 	}
 	scratch := make([]isa.Addr, n)
 	for i := range scratch {
-		scratch[i] = isa.Addr(r.U64())
+		if scratch[i] = isa.Addr(r.U64()); !scratch[i].Valid() {
+			return wire.ErrMalformed
+		}
 	}
 	top := r.U64()
 	if err := r.Err(); err != nil {
@@ -195,6 +197,11 @@ func (b *BTB) LoadState(r *wire.Reader) error {
 		scratch[i].e.Target = isa.Addr(r.U64())
 		scratch[i].e.Type = isa.BranchType(r.Byte())
 		scratch[i].e.Ctr = TwoBit(r.Byte())
+		// Training never stores a target that is not an instruction
+		// address.
+		if scratch[i].valid && !scratch[i].e.Target.Valid() {
+			return wire.ErrMalformed
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -251,6 +258,12 @@ func (f *FTB) LoadState(r *wire.Reader) error {
 		scratch[i].e.Len = int(r.U64())
 		scratch[i].e.Type = isa.BranchType(r.Byte())
 		scratch[i].e.Target = isa.Addr(r.U64())
+		// A valid block of no instructions would hold fetch in place
+		// forever; Update never stores one, nor one longer than MaxLen,
+		// nor a target that is not an instruction address.
+		if e := scratch[i].e; scratch[i].valid && (e.Len < 1 || e.Len > f.MaxLen || !e.Target.Valid()) {
+			return wire.ErrMalformed
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err

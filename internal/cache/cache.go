@@ -72,16 +72,20 @@ func (s Stats) Delta(since Stats) Stats {
 	}
 }
 
+// way is one cache line's tag and LRU stamp. A zero stamp marks the way
+// invalid: the clock advances before every access, so valid stamps are
+// always positive.
 type way struct {
 	tag   uint64
-	valid bool
 	stamp uint64
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement. Its sets
+// are one flat array, set s holding ways[s*nways : (s+1)*nways].
 type Cache struct {
 	cfg       Config
-	sets      [][]way
+	ways      []way
+	nways     int
 	setMask   uint64
 	lineShift uint
 	clock     uint64
@@ -97,11 +101,9 @@ func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]way, nsets),
+		ways:    make([]way, nsets*cfg.Ways),
+		nways:   cfg.Ways,
 		setMask: uint64(nsets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
 	}
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		c.lineShift++
@@ -115,47 +117,42 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
-func (c *Cache) index(a isa.Addr) (set, tag uint64) {
+// set returns the ways of the set a maps to, and a's tag.
+func (c *Cache) set(a isa.Addr) (s []way, tag uint64) {
 	line := uint64(a) >> c.lineShift
-	return line & c.setMask, line
+	base := int(line&c.setMask) * c.nways
+	return c.ways[base : base+c.nways], line
 }
 
 // Access looks address a up, filling the line on a miss (LRU victim).
 // It returns true on a hit. The hit lookup and the LRU victim scan share
-// one pass over the set: victim tracking mirrors the classic two-pass
-// selection exactly (first invalid way at index >= 1 wins outright; an
-// invalid way 0 is picked through its zero stamp, since valid stamps are
-// always positive), so replacement decisions are unchanged.
+// one pass over the set: the victim is the first way with the smallest
+// stamp, which is the first invalid way when there is one (invalid stamps
+// are zero, valid ones positive), else the least recently used.
 func (c *Cache) Access(a isa.Addr) bool {
 	c.clock++
 	c.stats.Accesses++
-	set, tag := c.index(a)
-	s := c.sets[set]
-	v, victimFixed := 0, false
+	s, tag := c.set(a)
+	v := 0
 	for i := range s {
-		if s[i].valid && s[i].tag == tag {
+		if s[i].tag == tag && s[i].stamp != 0 {
 			s[i].stamp = c.clock
 			return true
 		}
-		if victimFixed || i == 0 {
-			continue
-		}
-		if !s[i].valid {
-			v, victimFixed = i, true
-		} else if s[i].stamp < s[v].stamp {
+		if s[i].stamp < s[v].stamp {
 			v = i
 		}
 	}
 	c.stats.Misses++
-	s[v] = way{tag: tag, valid: true, stamp: c.clock}
+	s[v] = way{tag: tag, stamp: c.clock}
 	return false
 }
 
 // Probe reports whether a is resident without updating LRU state or stats.
 func (c *Cache) Probe(a isa.Addr) bool {
-	set, tag := c.index(a)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
+	s, tag := c.set(a)
+	for _, w := range s {
+		if w.tag == tag && w.stamp != 0 {
 			return true
 		}
 	}
@@ -167,11 +164,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{}
-		}
-	}
+	clear(c.ways)
 	c.clock = 0
 	c.stats = Stats{}
 }

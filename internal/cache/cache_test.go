@@ -3,9 +3,19 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamfetch/internal/isa"
 )
+
+// TestWaySize guards a cache way's footprint: a tag and an LRU stamp, with
+// validity encoded as a nonzero stamp, so a set scan touches 16 bytes per
+// way.
+func TestWaySize(t *testing.T) {
+	if got := unsafe.Sizeof(way{}); got != 16 {
+		t.Fatalf("cache way is %d bytes, want 16", got)
+	}
+}
 
 func TestConfigValidate(t *testing.T) {
 	good := Config{SizeBytes: 1024, LineBytes: 64, Ways: 2}

@@ -3,33 +3,30 @@ package cache
 import "streamfetch/internal/ckpt/wire"
 
 // Warm-state serialization for checkpoints. Only behavioral state is
-// captured: tags, valid bits, LRU stamps and the LRU clock. Statistics
-// counters are deliberately excluded — a restored run starts with zeroed
-// stats and the warm-region snapshot/delta in the simulator cancels the
-// baseline exactly as it does for a functionally warmed run.
+// captured: tags, valid bits (a way is valid when its stamp is nonzero),
+// LRU stamps and the LRU clock. Statistics counters are deliberately
+// excluded — a restored run starts with zeroed stats and the warm-region
+// snapshot/delta in the simulator cancels the baseline exactly as it does
+// for a functionally warmed run.
 
 // AppendState appends the cache's behavioral state to dst.
 func (c *Cache) AppendState(dst []byte) []byte {
 	dst = wire.AppendU64(dst, c.clock)
-	dst = wire.AppendU64(dst, uint64(len(c.sets)))
-	if len(c.sets) > 0 {
-		dst = wire.AppendU64(dst, uint64(len(c.sets[0])))
-	} else {
-		dst = wire.AppendU64(dst, 0)
-	}
-	for _, set := range c.sets {
-		for _, w := range set {
-			dst = wire.AppendU64(dst, w.tag)
-			dst = wire.AppendBool(dst, w.valid)
-			dst = wire.AppendU64(dst, w.stamp)
-		}
+	dst = wire.AppendU64(dst, uint64(len(c.ways)/c.nways))
+	dst = wire.AppendU64(dst, uint64(c.nways))
+	for _, w := range c.ways {
+		dst = wire.AppendU64(dst, w.tag)
+		dst = wire.AppendBool(dst, w.stamp != 0)
+		dst = wire.AppendU64(dst, w.stamp)
 	}
 	return dst
 }
 
 // LoadState restores state appended by AppendState into a cache of
-// identical geometry. On a geometry mismatch or decode error the cache is
-// left unmodified and an error is returned; statistics are never touched.
+// identical geometry. On a geometry mismatch, a decode error or an
+// inconsistent way — a valid bit that disagrees with its stamp, or a stamp
+// the restored clock has not reached — the cache is left unmodified and an
+// error is returned; statistics are never touched.
 func (c *Cache) LoadState(r *wire.Reader) error {
 	clock := r.U64()
 	nsets := r.U64()
@@ -37,28 +34,25 @@ func (c *Cache) LoadState(r *wire.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	wantWays := 0
-	if len(c.sets) > 0 {
-		wantWays = len(c.sets[0])
-	}
-	if nsets != uint64(len(c.sets)) || nways != uint64(wantWays) {
+	if nsets != uint64(len(c.ways)/c.nways) || nways != uint64(c.nways) {
 		return wire.ErrMalformed
 	}
-	// Decode into scratch first so a truncated payload cannot leave the
-	// cache half-restored.
-	scratch := make([]way, nsets*nways)
+	// Decode into scratch first so a truncated or inconsistent payload
+	// cannot leave the cache half-restored.
+	scratch := make([]way, len(c.ways))
 	for i := range scratch {
 		scratch[i].tag = r.U64()
-		scratch[i].valid = r.Bool()
+		valid := r.Bool()
 		scratch[i].stamp = r.U64()
+		if valid != (scratch[i].stamp != 0) || scratch[i].stamp > clock {
+			return wire.ErrMalformed
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
 	c.clock = clock
-	for si := range c.sets {
-		copy(c.sets[si], scratch[si*int(nways):(si+1)*int(nways)])
-	}
+	copy(c.ways, scratch)
 	return nil
 }
 

@@ -1,0 +1,74 @@
+package cache
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"testing"
+
+	"streamfetch/internal/ckpt/wire"
+	"streamfetch/internal/isa"
+)
+
+// Encoded cache state: clock, set count and way count, then per way its
+// tag, valid byte and stamp.
+const (
+	stateHeader = 3 * 8
+	wayBytes    = 8 + 1 + 8
+)
+
+// TestLoadStateRoundTrip: a restored cache encodes to the same bytes and
+// makes the same hit/miss and replacement decisions as the original.
+func TestLoadStateRoundTrip(t *testing.T) {
+	cfg := Config{SizeBytes: 1024, LineBytes: 64, Ways: 4}
+	a := New(cfg)
+	for i := 0; i < 40; i++ {
+		a.Access(isa.Addr(i * 64 * (1 + i%3)))
+	}
+	b := New(cfg)
+	if err := b.LoadState(wire.NewReader(a.AppendState(nil))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
+		t.Fatal("restored cache encodes differently")
+	}
+	for i := 0; i < 200; i++ {
+		addr := isa.Addr(i * 64 * (1 + i%5))
+		if ha, hb := a.Access(addr), b.Access(addr); ha != hb {
+			t.Fatalf("access %d at %#x: original hit %v, restored %v", i, addr, ha, hb)
+		}
+	}
+}
+
+// TestLoadStateRejectsInconsistentWays: a way whose valid byte disagrees
+// with its stamp, or whose stamp is ahead of the clock, is malformed, and
+// the cache keeps its previous state.
+func TestLoadStateRejectsInconsistentWays(t *testing.T) {
+	cfg := Config{SizeBytes: 512, LineBytes: 64, Ways: 2}
+	src := New(cfg)
+	src.Access(0x40) // set 1, way 0; every other way stays invalid
+	good := src.AppendState(nil)
+	valid := stateHeader + 2*wayBytes // set 1, way 0
+	invalid := stateHeader            // set 0, way 0
+	cases := map[string]func(b []byte){
+		"valid way marked invalid": func(b []byte) { b[valid+8] = 0 },
+		"invalid way marked valid": func(b []byte) { b[invalid+8] = 1 },
+		"stamp on an invalid way":  func(b []byte) { binary.LittleEndian.PutUint64(b[invalid+9:], 1) },
+		"stamp ahead of the clock": func(b []byte) { binary.LittleEndian.PutUint64(b[valid+9:], 2) },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			mutate(bad)
+			dst := New(cfg)
+			dst.Access(0x1000)
+			before := dst.AppendState(nil)
+			if err := dst.LoadState(wire.NewReader(bad)); !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("LoadState = %v, want %v", err, wire.ErrMalformed)
+			}
+			if !bytes.Equal(dst.AppendState(nil), before) {
+				t.Fatal("rejected state was partially restored")
+			}
+		})
+	}
+}

@@ -74,8 +74,12 @@ var fuzzEngines = map[string]any{
 // FuzzSnapshot feeds mutated snapshot payloads, re-framed with a valid
 // checksum, to Decode, Snapshot.Apply and every engine's LoadWarmState.
 // A malformed snapshot must come back as an error: no input may panic or
-// hang any of them. The seeds are real snapshots, one per engine, taken
-// by the functional-warming walk partway into a small benchmark.
+// hang any of them. A snapshot an engine accepts must be one it can run
+// from: a fresh processor restored from it simulates a few hundred
+// instructions, so accepted but inconsistent state (an LRU stamp or a
+// return-stack top out of range) panics here instead of in a shard. The
+// seeds are real snapshots, one per engine, taken by the
+// functional-warming walk partway into a small benchmark.
 func FuzzSnapshot(f *testing.F) {
 	params, err := workload.ByName("197.parser")
 	if err != nil {
@@ -88,18 +92,21 @@ func FuzzSnapshot(f *testing.F) {
 	prog := workload.Generate(params)
 	lay := layout.Baseline(prog)
 	gc := trace.GenConfig{Seed: 1, MaxInsts: 50_000}
+	engines := []string{"ev8", "ftb", "streams", "tcache"}
+	const boundary = 20_000
+	config := func(name string) sim.Config {
+		return sim.Config{Width: 4, Engine: name, EngineOptions: fuzzEngines[name], Hier: fuzzHier()}
+	}
 
 	var procs []*sim.Processor
-	for _, name := range []string{"ev8", "ftb", "streams", "tcache"} {
-		p, err := sim.New(lay, trace.NewGenSource(prog, gc), sim.Config{
-			Width: 4, Engine: name, EngineOptions: fuzzEngines[name], Hier: fuzzHier(),
-		})
+	for _, name := range engines {
+		p, err := sim.New(lay, trace.NewGenSource(prog, gc), config(name))
 		if err != nil {
 			f.Fatal(err)
 		}
-		err = p.WarmPrefix(context.Background(), []uint64{20_000}, func(int, uint64) error {
+		err = p.WarmPrefix(context.Background(), []uint64{boundary}, func(int, uint64) error {
 			eng := p.Engine()
-			blob := ckpt.Encode(nil, 20_000, p.Hier(), p.Gen(), eng.Name(), eng.AppendWarmState(nil))
+			blob := ckpt.Encode(nil, boundary, p.Hier(), p.Gen(), eng.Name(), eng.AppendWarmState(nil))
 			// A seed must restore cleanly, or mutations of it would
 			// never get past the first section.
 			snap, err := ckpt.Decode(frame(blob[len(snapshotMagic)+8:]))
@@ -129,9 +136,38 @@ func FuzzSnapshot(f *testing.F) {
 		// Each processor's components have the seeds' geometry; a
 		// failed restore leaves them partially written, which the next
 		// input may meet, as a caller discarding them would not.
-		for _, p := range procs {
-			_ = snap.Apply(p.Hier(), p.Gen())
-			_ = p.Engine().LoadWarmState(snap.Engine)
+		for i, p := range procs {
+			if snap.Apply(p.Hier(), p.Gen()) != nil || p.Engine().LoadWarmState(snap.Engine) != nil ||
+				snap.EngineName != engines[i] {
+				continue
+			}
+			// Accepted, as a shard would accept it: simulate from the
+			// boundary on a fresh processor (the walked one's source is
+			// spent).
+			src, err := trace.NewInterval(trace.NewGenSource(prog, gc), prog, trace.IntervalConfig{
+				Start: boundary, End: boundary + 300,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A few hundred instructions take a few thousand cycles; a
+			// run that has retired so few by cycle 2^17 is stalled for
+			// good.
+			c := config(engines[i])
+			c.OnProgress = func(_, cycles uint64) bool { return cycles < 1<<17 }
+			q, err := sim.New(lay, src, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.Apply(q.Hier(), q.Gen()); err != nil {
+				t.Fatalf("%s: snapshot applied once, then failed: %v", engines[i], err)
+			}
+			if err := q.Engine().LoadWarmState(snap.Engine); err != nil {
+				t.Fatalf("%s: warm state loaded once, then failed: %v", engines[i], err)
+			}
+			if res := q.Run(); res.Aborted {
+				t.Fatalf("%s: restored state stalls fetch: %d instructions retired in %d cycles", engines[i], res.Retired, res.Cycles)
+			}
 		}
 	})
 }

@@ -55,6 +55,12 @@ func (t *streamTable) loadState(r *wire.Reader) error {
 		scratch[i].next = isa.Addr(r.U64())
 		scratch[i].ctr = bpred.TwoBit(r.Byte())
 		scratch[i].stamp = r.U64()
+		// A stream of no instructions would hold fetch in place
+		// forever; Update never stores one, nor a next address that is
+		// not an instruction address.
+		if e := &scratch[i]; e.valid && (e.len < 1 || e.len > MaxStreamLen || !e.next.Valid()) {
+			return wire.ErrMalformed
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -111,6 +117,12 @@ func (b *Builder) LoadState(r *wire.Reader) error {
 	nb.hasPartial = r.Bool()
 	if err := r.Err(); err != nil {
 		return err
+	}
+	// Commit never leaves a negative length, a partial stream longer
+	// than its enclosing one, or a misaligned start.
+	if nb.len < 0 || nb.partialLen < 0 || nb.partialLen > nb.len ||
+		!nb.start.Valid() || !nb.partialStart.Valid() {
+		return wire.ErrMalformed
 	}
 	*b = nb
 	return nil

@@ -1,10 +1,12 @@
 package frontend
 
 import (
+	"errors"
 	"testing"
 
 	"streamfetch/internal/cache"
 	"streamfetch/internal/cfg"
+	"streamfetch/internal/ckpt/wire"
 	"streamfetch/internal/isa"
 	"streamfetch/internal/layout"
 	"streamfetch/internal/trace"
@@ -235,4 +237,20 @@ func nextBlock(tr *trace.Trace, i int) cfg.BlockID {
 		return tr.Blocks[i+1]
 	}
 	return cfg.NoBlock
+}
+
+// TestFTBWarmStateRejectsMisalignedBlockStart: commit-side block tracking
+// restored between instructions would train blocks of nonsense lengths.
+func TestFTBWarmStateRejectsMisalignedBlockStart(t *testing.T) {
+	lay, hier := testImage(t)
+	entry := lay.Start(lay.Prog.Entry)
+	e := NewFTBEngine(DefaultFTBConfig(), hier, lay, 8, entry)
+	e.commitBlockStart = entry + 2
+	fresh := NewFTBEngine(DefaultFTBConfig(), cache.NewHierarchy(cache.DefaultHierarchy(8)), lay, 8, entry)
+	if err := fresh.LoadWarmState(e.AppendWarmState(nil)); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("LoadWarmState = %v, want %v", err, wire.ErrMalformed)
+	}
+	if fresh.commitBlockStart != entry {
+		t.Fatalf("rejected state moved the block start to %v", fresh.commitBlockStart)
+	}
 }

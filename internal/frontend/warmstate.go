@@ -81,11 +81,14 @@ func (e *FTBEngine) LoadWarmState(data []byte) error {
 	if err := e.retRAS.LoadState(r); err != nil {
 		return err
 	}
-	cbs := r.U64()
+	cbs := isa.Addr(r.U64())
 	if err := r.Done(); err != nil {
 		return err
 	}
-	e.commitBlockStart = isa.Addr(cbs)
+	if !cbs.Valid() {
+		return wire.ErrMalformed
+	}
+	e.commitBlockStart = cbs
 	return nil
 }
 

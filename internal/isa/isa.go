@@ -17,6 +17,15 @@ type Addr uint64
 // Next returns the address of the sequential successor instruction.
 func (a Addr) Next() Addr { return a + InstBytes }
 
+// AddrBits is the width of the virtual address space.
+const AddrBits = 48
+
+// Valid reports whether a can be an instruction address: a multiple of
+// InstBytes inside the AddrBits-bit address space. Restored predictor
+// state is checked with it, since a fetch engine sent between
+// instructions, or to where line arithmetic wraps, would stall for good.
+func (a Addr) Valid() bool { return a%InstBytes == 0 && a < 1<<AddrBits }
+
 // Plus returns the address n instructions after a.
 func (a Addr) Plus(n int) Addr { return a + Addr(n*InstBytes) }
 

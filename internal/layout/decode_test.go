@@ -67,7 +67,9 @@ func TestDecodeTablesMatchOracle(t *testing.T) {
 			t.Fatalf("%s: walk ended at %v, code limit %v", name, a, l.CodeLimit())
 		}
 		for i := 1; i <= 16; i++ {
-			for _, a := range []isa.Addr{CodeBase.Plus(-i), l.CodeLimit().Plus(i - 1)} {
+			// The last is far enough above the segment that its slot
+			// would overflow int.
+			for _, a := range []isa.Addr{CodeBase.Plus(-i), l.CodeLimit().Plus(i - 1), (CodeBase + 1<<63).Plus(i)} {
 				if id, slot, ok := l.BlockAt(a); ok {
 					t.Fatalf("%s: BlockAt(%v) = (%d,%d) outside code", name, a, id, slot)
 				}

@@ -70,11 +70,13 @@ func (l *Layout) slotOf(a isa.Addr) (int, bool) {
 	if a < CodeBase {
 		return 0, false
 	}
-	s := int(a-CodeBase) / isa.InstBytes
-	if s >= l.totalSlots {
+	// Unsigned, so that an address far above the segment (a wild
+	// wrong-path target) cannot wrap to a negative slot.
+	s := uint64(a-CodeBase) / isa.InstBytes
+	if s >= uint64(l.totalSlots) {
 		return 0, false
 	}
-	return s, true
+	return int(s), true
 }
 
 // instOf unpacks the instruction at address a from its decode word.

@@ -47,22 +47,20 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Entry is one in-flight instruction. It is kept to 48 bytes — five words,
-// then the byte-sized fields — so copies stay inline moves.
+// Entry is one in-flight correct-path instruction. It is kept to 48 bytes —
+// five words, then the byte-sized fields — so copies stay inline moves.
 type Entry struct {
 	Seq  uint64
 	Addr isa.Addr
-	// Target is the architectural taken target (correct-path entries).
+	// Target is the architectural taken target.
 	Target       isa.Addr
 	DoneCycle    uint64
 	ResolveCycle uint64
 
 	Class  isa.Class
 	Branch isa.BranchType
-	// Taken is the architectural direction (correct-path entries).
+	// Taken is the architectural direction.
 	Taken bool
-	// WrongPath marks instructions fetched past a misprediction.
-	WrongPath bool
 	// Mispredicted marks the branch whose prediction diverged.
 	Mispredicted bool
 }
@@ -75,17 +73,26 @@ type Entry struct {
 // the parts, and nothing is reallocated, so the simulation hot loop is
 // allocation-free.
 //
+// Wrong-path instructions — those fetched past a misprediction — occupy
+// window capacity but carry no state anyone reads: they never retire and
+// are flushed by the squash that resolves the misprediction. They are
+// always a suffix of the window (every fetch after a divergence is
+// wrong-path until the squash drops them all), so the window counts them
+// instead of storing them, and the ring holds correct-path entries only.
+//
 // Entries must be pushed with consecutive sequence numbers (Push enforces
-// this); since the parts are adjacent in the ring, sequence numbers are
-// contiguous across the whole window, which makes SquashAfter and Find
-// pure seq-offset arithmetic over both parts at once. The driver keeps the
+// this); since the parts are adjacent, sequence numbers are contiguous
+// across the whole window, which makes SquashAfter and Find pure
+// seq-offset arithmetic over both parts at once. The driver keeps the
 // invariant by rewinding its sequence counter to the squash point on every
 // wrong-path flush.
 type Window struct {
 	buf      []Entry
-	head     int // ring index of the oldest entry
-	n        int // occupancy, both parts
-	rob      int // entries in the ROB part (the oldest rob of n)
+	head     int    // ring index of the oldest correct-path entry
+	headSeq  uint64 // sequence number of the oldest entry, when n+wp > 0
+	n        int    // correct-path entries
+	wp       int    // wrong-path entries, behind the correct-path ones
+	rob      int    // entries in the ROB part (the oldest rob of n+wp)
 	robCap   int
 	fetchCap int
 }
@@ -106,7 +113,7 @@ func (w *Window) ROBLen() int { return w.rob }
 func (w *Window) ROBFull() bool { return w.rob == w.robCap }
 
 // FetchLen returns the fetch buffer's occupancy.
-func (w *Window) FetchLen() int { return w.n - w.rob }
+func (w *Window) FetchLen() int { return w.n + w.wp - w.rob }
 
 // FetchCap returns the fetch buffer's capacity.
 func (w *Window) FetchCap() int { return w.fetchCap }
@@ -120,38 +127,67 @@ func (w *Window) idx(i int) int {
 	return i
 }
 
-// Push appends an entry to the fetch buffer and returns its slot; callers
-// must check the buffer's capacity. Sequence numbers must be consecutive
-// with the current tail — the contiguity that turns Find and SquashAfter
-// into O(1) arithmetic. A slot is only rewritten once the ring wraps.
-func (w *Window) Push(e Entry) *Entry {
-	if w.n-w.rob == w.fetchCap {
-		panic("pipeline: push to full fetch buffer")
+// Push appends a correct-path entry with sequence number seq to the fetch
+// buffer and returns its zeroed slot (Seq set) for the caller to fill;
+// callers must check the buffer's capacity. Sequence numbers must be
+// consecutive with the tail — the contiguity that turns Find and
+// SquashAfter into O(1) arithmetic — and a correct-path entry cannot
+// follow wrong-path ones: the squash that ends a wrong path drops them
+// first. A slot is only rewritten once the ring wraps.
+func (w *Window) Push(seq uint64) *Entry {
+	if w.wp > 0 {
+		panic("pipeline: correct-path push behind wrong-path entries")
 	}
-	if w.n > 0 {
-		if tail := w.buf[w.idx(w.n-1)].Seq; e.Seq != tail+1 {
-			panic("pipeline: non-consecutive seq pushed to window")
-		}
-	}
+	w.admit(seq, w.n)
 	s := &w.buf[w.idx(w.n)]
-	*s = e
+	*s = Entry{Seq: seq}
 	w.n++
 	return s
 }
 
-// Issue moves the oldest fetch-buffer entry into the ROB and returns it for
-// in-place update; callers must check FetchLen and ROBFull.
-func (w *Window) Issue() *Entry {
-	e := &w.buf[w.idx(w.rob)]
-	w.rob++
-	return e
+// PushWrongPath appends a wrong-path instruction with sequence number seq
+// to the fetch buffer, under Push's capacity and contiguity rules.
+func (w *Window) PushWrongPath(seq uint64) {
+	w.admit(seq, w.n+w.wp)
+	w.wp++
 }
 
-// Head returns the oldest ROB entry for inspection; callers must check
-// ROBLen.
-func (w *Window) Head() *Entry { return &w.buf[w.head] }
+// admit checks that the fetch buffer has room for one more entry and that
+// seq follows the window's total entries, and starts the sequence of an
+// empty window.
+func (w *Window) admit(seq uint64, total int) {
+	if total-w.rob == w.fetchCap {
+		panic("pipeline: push to full fetch buffer")
+	}
+	if total == 0 {
+		w.headSeq = seq
+	} else if seq != w.headSeq+uint64(total) {
+		panic("pipeline: non-consecutive seq pushed to window")
+	}
+}
 
-// PopHead retires the oldest ROB entry; callers must check ROBLen. The
+// Issue moves the oldest fetch-buffer entry into the ROB and returns it for
+// in-place update, or nil when it is a wrong-path instruction; callers
+// must check FetchLen and ROBFull.
+func (w *Window) Issue() *Entry {
+	i := w.rob
+	w.rob++
+	if i >= w.n {
+		return nil
+	}
+	return &w.buf[w.idx(i)]
+}
+
+// Head returns the oldest ROB entry for inspection, or nil when it is a
+// wrong-path instruction (which never retires); callers must check ROBLen.
+func (w *Window) Head() *Entry {
+	if w.n == 0 {
+		return nil
+	}
+	return &w.buf[w.head]
+}
+
+// PopHead retires the oldest ROB entry, which Head must have returned; the
 // returned entry stays valid until the next Push.
 func (w *Window) PopHead() *Entry {
 	e := &w.buf[w.head]
@@ -159,6 +195,7 @@ func (w *Window) PopHead() *Entry {
 	if w.head == len(w.buf) {
 		w.head = 0
 	}
+	w.headSeq++
 	w.n--
 	w.rob--
 	return e
@@ -167,31 +204,25 @@ func (w *Window) PopHead() *Entry {
 // SquashAfter drops every entry with Seq > seq from both parts (wrong-path
 // flush) and returns how many were dropped.
 func (w *Window) SquashAfter(seq uint64) int {
-	if w.n == 0 {
-		return 0
-	}
+	total := w.n + w.wp
 	keep := 0
-	if headSeq := w.buf[w.head].Seq; seq >= headSeq {
-		keep = int(min(seq-headSeq+1, uint64(w.n)))
+	if total > 0 && seq >= w.headSeq {
+		keep = int(min(seq-w.headSeq+1, uint64(total)))
 	}
-	dropped := w.n - keep
-	w.n = keep
+	w.n = min(w.n, keep)
+	w.wp = keep - w.n
 	w.rob = min(w.rob, keep)
-	return dropped
+	return total - keep
 }
 
-// Find returns the in-flight entry, in either part, with the given
-// sequence number, if present (used to attach misprediction state at
+// Find returns the in-flight correct-path entry, in either part, with the
+// given sequence number, if present (used to attach misprediction state at
 // divergence detection).
 func (w *Window) Find(seq uint64) *Entry {
-	if w.n == 0 {
+	if w.n == 0 || seq < w.headSeq || seq-w.headSeq >= uint64(w.n) {
 		return nil
 	}
-	headSeq := w.buf[w.head].Seq
-	if seq < headSeq || seq-headSeq >= uint64(w.n) {
-		return nil
-	}
-	return &w.buf[w.idx(int(seq-headSeq))]
+	return &w.buf[w.idx(int(seq-w.headSeq))]
 }
 
 // LoadAddrGen synthesizes deterministic data addresses for loads and
@@ -271,7 +302,8 @@ func (g *LoadAddrGen) Next(pc isa.Addr) uint64 {
 }
 
 // Latency returns the execution latency of one instruction, charging the
-// data cache hierarchy for correct-path memory operations.
+// data cache hierarchy for its memory operations. Only correct-path
+// instructions reach it: the window hands out no wrong-path slot.
 type Latency struct {
 	Hier *cache.Hierarchy
 	Gen  *LoadAddrGen
@@ -282,14 +314,9 @@ type Latency struct {
 func (l *Latency) For(e *Entry) int {
 	switch e.Class {
 	case isa.ClassLoad:
-		if e.WrongPath {
-			return 1
-		}
 		return l.Hier.LoadLatency(isa.Addr(l.Gen.Next(e.Addr)))
 	case isa.ClassStore:
-		if !e.WrongPath {
-			l.Hier.Store(isa.Addr(l.Gen.Next(e.Addr)))
-		}
+		l.Hier.Store(isa.Addr(l.Gen.Next(e.Addr)))
 		return 1
 	case isa.ClassMul:
 		return l.Mul

@@ -12,7 +12,7 @@ import (
 func TestROBOrderAndSquash(t *testing.T) {
 	w := NewWindow(8, 8)
 	for i := 1; i <= 5; i++ {
-		w.Push(Entry{Seq: uint64(i)})
+		w.Push(uint64(i))
 	}
 	for i := 0; i < 4; i++ {
 		w.Issue()
@@ -34,8 +34,8 @@ func TestROBOrderAndSquash(t *testing.T) {
 
 func TestROBFind(t *testing.T) {
 	w := NewWindow(4, 4)
-	w.Push(Entry{Seq: 10})
-	w.Push(Entry{Seq: 11})
+	w.Push(10)
+	w.Push(11)
 	w.Issue()
 	if e := w.Find(10); e == nil || e.Seq != 10 {
 		t.Fatal("Find missed a ROB entry")
@@ -51,7 +51,7 @@ func TestROBFind(t *testing.T) {
 func TestROBFull(t *testing.T) {
 	w := NewWindow(2, 4)
 	for i := 1; i <= 3; i++ {
-		w.Push(Entry{Seq: uint64(i)})
+		w.Push(uint64(i))
 	}
 	w.Issue()
 	if w.ROBFull() {
@@ -112,9 +112,6 @@ func TestLatencyClasses(t *testing.T) {
 	}
 	if got := lat.For(&Entry{Class: isa.ClassMul}); got != 3 {
 		t.Fatalf("Mul latency %d", got)
-	}
-	if got := lat.For(&Entry{Class: isa.ClassLoad, WrongPath: true}); got != 1 {
-		t.Fatalf("wrong-path load latency %d", got)
 	}
 	if got := lat.For(&Entry{Class: isa.ClassLoad, Addr: 0x100}); got <= 1 {
 		t.Fatalf("cold load latency %d, want a miss", got)

@@ -190,13 +190,15 @@ type dynSupply struct {
 	crossed bool
 }
 
-func (d *dynSupply) peek() (layout.DynInst, bool) {
+// peek returns the next dyn inst in place, valid until advance, or nil
+// when the trace is exhausted.
+func (d *dynSupply) peek() *layout.DynInst {
 	for d.pos >= len(d.buf) {
 		if !d.fill() {
-			return layout.DynInst{}, false
+			return nil
 		}
 	}
-	return d.buf[d.pos], true
+	return &d.buf[d.pos]
 }
 
 // initBatch readies the block window and a dyn-inst window sized for the
@@ -429,6 +431,15 @@ func (p *Processor) replay(run []cfg.BlockID, next cfg.BlockID, lastLine isa.Add
 	return lastLine
 }
 
+// fetched is the decode check's copy of the last fetched instruction.
+type fetched struct {
+	addr      isa.Addr
+	seq       uint64
+	branch    isa.BranchType
+	taken     bool
+	wrongPath bool
+}
+
 // outstanding tracks the single unresolved misprediction. It is held by
 // value in Run (no per-misprediction heap allocation).
 type outstanding struct {
@@ -460,10 +471,10 @@ func (p *Processor) Run() Result {
 		wrongPath   bool
 		pending     outstanding
 		havePending bool
-		// prev is the last fetched instruction, in its window slot (nil
-		// after a redirect). A slot is rewritten only once the ring wraps,
-		// and prev moves to every newly pushed entry first.
-		prev            *pipeline.Entry
+		// prev is the last fetched instruction; havePrev is cleared by a
+		// redirect.
+		prev            fetched
+		havePrev        bool
 		lastCorrectSeq  uint64
 		fetchHold       uint64
 		supplyDone      bool
@@ -493,8 +504,7 @@ func (p *Processor) Run() Result {
 	// program entry the engine was built to fetch from: point fetch at it
 	// before the first cycle. Whole-trace runs start at the entry already,
 	// so they see no redirect (and stay byte-identical).
-	first, haveFirst := p.supply.peek()
-	if haveFirst && first.Addr != p.lay.Start(p.lay.Prog.Entry) {
+	if first := p.supply.peek(); first != nil && first.Addr != p.lay.Start(p.lay.Prog.Entry) {
 		p.engine.Redirect(first.Addr, false)
 	}
 
@@ -516,7 +526,7 @@ func (p *Processor) Run() Result {
 				break
 			}
 			h := win.Head()
-			if h.WrongPath || h.DoneCycle > cycle {
+			if h == nil || h.DoneCycle > cycle {
 				break
 			}
 			if h.Branch != isa.BranchNone && h.ResolveCycle > cycle {
@@ -526,7 +536,7 @@ func (p *Processor) Run() Result {
 			// has been checked (divergence detection needs the next
 			// fetch).
 			if !supplyDone && h.Seq == lastCorrectSeq && h.Branch != isa.BranchNone && !wrongPath {
-				if _, more := p.supply.peek(); more {
+				if p.supply.peek() != nil {
 					break
 				}
 			}
@@ -573,7 +583,7 @@ func (p *Processor) Run() Result {
 			seq = pending.seq
 			p.engine.Redirect(pending.recovery, true)
 			wrongPath = false
-			prev = nil
+			havePrev = false
 			havePending = false
 		}
 		if wantRetired > 0 && res.Retired >= wantRetired {
@@ -596,10 +606,12 @@ func (p *Processor) Run() Result {
 			break
 		}
 
-		// 3. Issue fetch buffer into the ROB.
+		// 3. Issue fetch buffer into the ROB. A wrong-path instruction
+		// has no slot: it never retires, so its latency is never read.
 		for k := 0; k < width && win.FetchLen() > 0 && !win.ROBFull(); k++ {
-			e := win.Issue()
-			e.DoneCycle = cycle + uint64(lat.For(e))
+			if e := win.Issue(); e != nil {
+				e.DoneCycle = cycle + uint64(lat.For(e))
+			}
 		}
 
 		// 4. Fetch.
@@ -610,66 +622,63 @@ func (p *Processor) Run() Result {
 			continue
 		}
 		out = p.engine.Cycle(out[:0])
-		for _, fi := range out {
+		for i := range out {
+			fi := &out[i]
 			// Decode-stage consistency check against the previous
 			// fetched instruction.
-			if prev != nil {
-				if fix, bad := p.staticCheck(prev.Addr, prev.Branch, fi.Addr); bad {
+			if havePrev {
+				if fix, bad := p.staticCheck(prev.addr, prev.branch, fi.Addr); bad {
 					p.engine.Redirect(fix, false)
 					fetchHold = cycle + decodePenalty
 					res.Misfetches++
 					if cfg.OnMisfetch != nil {
-						cfg.OnMisfetch(prev.Addr, prev.Branch, fi.Addr, fix, wrongPath, prev.WrongPath, prev.Taken, prev.Seq)
+						cfg.OnMisfetch(prev.addr, prev.branch, fi.Addr, fix, wrongPath, prev.wrongPath, prev.taken, prev.seq)
 					}
-					prev = nil
+					havePrev = false
 					break
 				}
 			}
 			seq++
-			e := pipeline.Entry{
-				Seq:          seq,
-				Addr:         fi.Addr,
-				Class:        fi.Inst.Class,
-				Branch:       fi.Inst.Branch,
-				ResolveCycle: cycle + resolveDepth,
-			}
+			prev = fetched{addr: fi.Addr, seq: seq, branch: fi.Inst.Branch, wrongPath: true}
+			havePrev = true
 			if !wrongPath {
-				c, more := p.supply.peek()
-				if !more {
+				c := p.supply.peek()
+				if c == nil {
 					supplyDone = true
 					break
 				}
 				if fi.Addr == c.Addr {
+					e := win.Push(seq)
+					e.Addr = c.Addr
 					e.Class = c.Class
 					e.Branch = c.Branch
 					e.Taken = c.Taken
 					if c.Taken {
 						e.Target = c.NextAddr
 					}
+					e.ResolveCycle = cycle + resolveDepth
+					prev.branch, prev.taken, prev.wrongPath = c.Branch, c.Taken, false
 					p.supply.advance()
 					lastCorrectSeq = seq
 					correctInFlight++
-				} else {
-					// Divergence: the previous correct-path
-					// instruction was mispredicted.
-					me := win.Find(lastCorrectSeq)
-					if me == nil {
-						panic("sim: diverging entry already retired")
-					}
-					me.Mispredicted = true
-					pending = outstanding{
-						seq:      me.Seq,
-						resolve:  me.ResolveCycle,
-						recovery: c.Addr,
-					}
-					havePending = true
-					wrongPath = true
-					e.WrongPath = true
+					continue
 				}
-			} else {
-				e.WrongPath = true
+				// Divergence: the previous correct-path instruction
+				// was mispredicted.
+				me := win.Find(lastCorrectSeq)
+				if me == nil {
+					panic("sim: diverging entry already retired")
+				}
+				me.Mispredicted = true
+				pending = outstanding{
+					seq:      me.Seq,
+					resolve:  me.ResolveCycle,
+					recovery: c.Addr,
+				}
+				havePending = true
+				wrongPath = true
 			}
-			prev = win.Push(e)
+			win.PushWrongPath(seq)
 		}
 	}
 

@@ -27,8 +27,8 @@ func TestSupplyBatchedMatchesPerBlock(t *testing.T) {
 	d := dynSupply{lay: b.lay, src: src}
 	d.initBatch()
 	for i := 0; ; i++ {
-		di, ok := d.peek()
-		if !ok {
+		di := d.peek()
+		if di == nil {
 			if i != len(want) {
 				t.Fatalf("supply ended at inst %d, want %d", i, len(want))
 			}
@@ -37,12 +37,12 @@ func TestSupplyBatchedMatchesPerBlock(t *testing.T) {
 		if i >= len(want) {
 			t.Fatalf("supply outlived the %d-inst expansion", len(want))
 		}
-		if di != want[i] {
-			t.Fatalf("inst %d = %+v, want %+v", i, di, want[i])
+		if *di != want[i] {
+			t.Fatalf("inst %d = %+v, want %+v", i, *di, want[i])
 		}
 		d.advance()
 	}
-	if _, ok := d.peek(); ok {
+	if d.peek() != nil {
 		t.Fatal("exhausted supply revived")
 	}
 }
@@ -59,12 +59,12 @@ func TestSupplyBatchedAllocFree(t *testing.T) {
 
 	// One batch of warmup, then measure whole refills: each run drains
 	// past several fill() boundaries.
-	if _, ok := d.peek(); !ok {
+	if d.peek() == nil {
 		t.Fatal("empty supply")
 	}
 	step := func() {
 		for i := 0; i < 10_000; i++ {
-			if _, ok := d.peek(); !ok {
+			if d.peek() == nil {
 				t.Fatal("trace exhausted during measurement; enlarge the workload")
 			}
 			d.advance()
@@ -94,12 +94,12 @@ func TestSupplyWarmBatchedAllocFree(t *testing.T) {
 	d := dynSupply{lay: b.lay, src: iv, warm: iv}
 	d.initBatch()
 	// Measurement starts inside the warmup lead-in and runs well past it.
-	if _, ok := d.peek(); !ok {
+	if d.peek() == nil {
 		t.Fatal("empty supply")
 	}
 	step := func() {
 		for i := 0; i < 10_000; i++ {
-			if _, ok := d.peek(); !ok {
+			if d.peek() == nil {
 				t.Fatal("trace exhausted during measurement; enlarge the workload")
 			}
 			d.advance()
@@ -129,8 +129,7 @@ func TestSupplyWarmPathUnchanged(t *testing.T) {
 	d.initBatch()
 	n := 0
 	for {
-		_, ok := d.peek()
-		if !ok {
+		if d.peek() == nil {
 			break
 		}
 		d.advance()

@@ -38,6 +38,21 @@ func loadTraceInsts(r *wire.Reader, max int) ([]TraceInst, error) {
 	return insts, r.Err()
 }
 
+// consistentTrace reports whether a restored trace is one the fill unit
+// could have built: its instructions start at its start address, and
+// every address is instruction-aligned and agrees with its instruction.
+func consistentTrace(tr *Trace, insts []TraceInst) bool {
+	if !tr.ID.Start.Valid() || !tr.Next.Valid() || (len(insts) > 0 && insts[0].Addr != tr.ID.Start) {
+		return false
+	}
+	for _, ti := range insts {
+		if !ti.Addr.Valid() || ti.Inst.Addr != ti.Addr {
+			return false
+		}
+	}
+	return true
+}
+
 func appendTraceMeta(dst []byte, tr *Trace) []byte {
 	dst = wire.AppendU64(dst, uint64(tr.ID.Start))
 	dst = wire.AppendByte(dst, tr.ID.Dirs)
@@ -105,6 +120,9 @@ func (s *Storage) LoadState(r *wire.Reader) error {
 		if err != nil {
 			return err
 		}
+		if len(insts) == 0 || !consistentTrace(&scratch[i].tr, insts) {
+			return wire.ErrMalformed
+		}
 		scratch[i].insts = insts
 	}
 	if err := r.Err(); err != nil {
@@ -150,7 +168,9 @@ func (t *predTable) appendState(dst []byte) []byte {
 	return dst
 }
 
-func (t *predTable) loadState(r *wire.Reader) error {
+// loadState restores the table; maxLen bounds a valid entry's trace
+// length.
+func (t *predTable) loadState(r *wire.Reader, maxLen int) error {
 	clock := r.U64()
 	n := r.U64()
 	if err := r.Err(); err != nil {
@@ -170,6 +190,11 @@ func (t *predTable) loadState(r *wire.Reader) error {
 		scratch[i].term = isa.BranchType(r.Byte())
 		scratch[i].next = isa.Addr(r.U64())
 		scratch[i].ctr = bpred.TwoBit(r.Byte())
+		// A predicted trace of no instructions would hold fetch in
+		// place forever; update never stores one.
+		if e := &scratch[i]; e.valid && (e.len < 1 || int(e.len) > maxLen || !e.next.Valid()) {
+			return wire.ErrMalformed
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -189,10 +214,10 @@ func (p *Predictor) AppendState(dst []byte) []byte {
 
 // LoadState restores a predictor of identical geometry; stats untouched.
 func (p *Predictor) LoadState(r *wire.Reader) error {
-	if err := p.t1.loadState(r); err != nil {
+	if err := p.t1.loadState(r, p.cfg.MaxLen); err != nil {
 		return err
 	}
-	if err := p.t2.loadState(r); err != nil {
+	if err := p.t2.loadState(r, p.cfg.MaxLen); err != nil {
 		return err
 	}
 	if err := p.SpecPath.LoadState(r); err != nil {
@@ -220,6 +245,9 @@ func (f *FillUnit) LoadState(r *wire.Reader) error {
 	misp := r.Bool()
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if !consistentTrace(&tr, insts) {
+		return wire.ErrMalformed
 	}
 	f.buf = f.buf[:0]
 	f.buf = append(f.buf, insts...)
