@@ -76,8 +76,9 @@ var fuzzEngines = map[string]any{
 // A malformed snapshot must come back as an error: no input may panic or
 // hang any of them. A snapshot an engine accepts must be one it can run
 // from: a fresh processor restored from it simulates a few hundred
-// instructions, so accepted but inconsistent state (an LRU stamp or a
-// return-stack top out of range) panics here instead of in a shard. The
+// instructions, so accepted but inconsistent state (a predicted block of
+// no instructions, a target between instructions) panics or stalls here
+// instead of in a shard. The
 // seeds are real snapshots, one per engine, taken by the
 // functional-warming walk partway into a small benchmark.
 func FuzzSnapshot(f *testing.F) {
