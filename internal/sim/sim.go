@@ -431,10 +431,11 @@ func (p *Processor) replay(run []cfg.BlockID, next cfg.BlockID, lastLine isa.Add
 	return lastLine
 }
 
-// fetched is the decode check's copy of the last fetched instruction.
+// fetched is the decode check's copy of the last fetched instruction,
+// whose sequence number is always the driver's current one. Four fields
+// keep it in registers.
 type fetched struct {
 	addr      isa.Addr
-	seq       uint64
 	branch    isa.BranchType
 	taken     bool
 	wrongPath bool
@@ -632,14 +633,14 @@ func (p *Processor) Run() Result {
 					fetchHold = cycle + decodePenalty
 					res.Misfetches++
 					if cfg.OnMisfetch != nil {
-						cfg.OnMisfetch(prev.addr, prev.branch, fi.Addr, fix, wrongPath, prev.wrongPath, prev.taken, prev.seq)
+						cfg.OnMisfetch(prev.addr, prev.branch, fi.Addr, fix, wrongPath, prev.wrongPath, prev.taken, seq)
 					}
 					havePrev = false
 					break
 				}
 			}
 			seq++
-			prev = fetched{addr: fi.Addr, seq: seq, branch: fi.Inst.Branch, wrongPath: true}
+			prev = fetched{addr: fi.Addr, branch: fi.Inst.Branch, wrongPath: true}
 			havePrev = true
 			if !wrongPath {
 				c := p.supply.peek()
