@@ -135,10 +135,10 @@ func (w *Window) idx(i int) int {
 // follow wrong-path ones: the squash that ends a wrong path drops them
 // first. A slot is only rewritten once the ring wraps.
 func (w *Window) Push(seq uint64) *Entry {
-	if w.wp > 0 {
-		panic("pipeline: correct-path push behind wrong-path entries")
+	if w.wp > 0 || w.n-w.rob == w.fetchCap || (w.n > 0 && seq != w.headSeq+uint64(w.n)) {
+		panic("pipeline: push to a full fetch buffer, out of sequence or behind wrong-path entries")
 	}
-	w.admit(seq, w.n)
+	w.headSeq = seq - uint64(w.n) // unchanged unless the window was empty
 	s := &w.buf[w.idx(w.n)]
 	*s = Entry{Seq: seq}
 	w.n++
@@ -148,22 +148,12 @@ func (w *Window) Push(seq uint64) *Entry {
 // PushWrongPath appends a wrong-path instruction with sequence number seq
 // to the fetch buffer, under Push's capacity and contiguity rules.
 func (w *Window) PushWrongPath(seq uint64) {
-	w.admit(seq, w.n+w.wp)
+	total := w.n + w.wp
+	if total-w.rob == w.fetchCap || (total > 0 && seq != w.headSeq+uint64(total)) {
+		panic("pipeline: push to a full fetch buffer or out of sequence")
+	}
+	w.headSeq = seq - uint64(total) // unchanged unless the window was empty
 	w.wp++
-}
-
-// admit checks that the fetch buffer has room for one more entry and that
-// seq follows the window's total entries, and starts the sequence of an
-// empty window.
-func (w *Window) admit(seq uint64, total int) {
-	if total-w.rob == w.fetchCap {
-		panic("pipeline: push to full fetch buffer")
-	}
-	if total == 0 {
-		w.headSeq = seq
-	} else if seq != w.headSeq+uint64(total) {
-		panic("pipeline: non-consecutive seq pushed to window")
-	}
 }
 
 // Issue moves the oldest fetch-buffer entry into the ROB and returns it for
@@ -310,17 +300,25 @@ type Latency struct {
 	Mul  int
 }
 
-// For computes the latency of entry e in cycles.
+// For computes the latency of entry e in cycles. It is small enough to
+// inline: only memory operations pay a call.
 func (l *Latency) For(e *Entry) int {
 	switch e.Class {
-	case isa.ClassLoad:
-		return l.Hier.LoadLatency(isa.Addr(l.Gen.Next(e.Addr)))
-	case isa.ClassStore:
-		l.Hier.Store(isa.Addr(l.Gen.Next(e.Addr)))
-		return 1
+	case isa.ClassLoad, isa.ClassStore:
+		return l.memory(e)
 	case isa.ClassMul:
 		return l.Mul
-	default:
+	}
+	return 1
+}
+
+// memory charges the data cache hierarchy for a load or store and returns
+// its latency.
+func (l *Latency) memory(e *Entry) int {
+	a := isa.Addr(l.Gen.Next(e.Addr))
+	if e.Class == isa.ClassStore {
+		l.Hier.Store(a)
 		return 1
 	}
+	return l.Hier.LoadLatency(a)
 }

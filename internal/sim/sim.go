@@ -626,8 +626,10 @@ func (p *Processor) Run() Result {
 		for i := range out {
 			fi := &out[i]
 			// Decode-stage consistency check against the previous
-			// fetched instruction.
-			if havePrev {
+			// fetched instruction. Sequential flow after anything but a
+			// direct jump or call always passes it, so only the other
+			// transitions pay the call.
+			if havePrev && (fi.Addr != prev.addr.Next() || prev.branch == isa.BranchUncond || prev.branch == isa.BranchCall) {
 				if fix, bad := p.staticCheck(prev.addr, prev.branch, fi.Addr); bad {
 					p.engine.Redirect(fix, false)
 					fetchHold = cycle + decodePenalty
