@@ -133,7 +133,9 @@ func (w *Window) idx(i int) int {
 // consecutive with the tail — the contiguity that turns Find and
 // SquashAfter into O(1) arithmetic — and a correct-path entry cannot
 // follow wrong-path ones: the squash that ends a wrong path drops them
-// first. A slot is only rewritten once the ring wraps.
+// first. A slot is only rewritten once the ring wraps. Push runs once per
+// fetched instruction and is kept within the compiler's inlining budget:
+// check with go build -gcflags=-m after changing it.
 func (w *Window) Push(seq uint64) *Entry {
 	if w.wp > 0 || w.n-w.rob == w.fetchCap || (w.n > 0 && seq != w.headSeq+uint64(w.n)) {
 		panic("pipeline: push to a full fetch buffer, out of sequence or behind wrong-path entries")
