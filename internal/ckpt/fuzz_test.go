@@ -137,9 +137,12 @@ func FuzzSnapshot(f *testing.F) {
 		// Each processor's components have the seeds' geometry; a
 		// failed restore leaves them partially written, which the next
 		// input may meet, as a caller discarding them would not.
+		// Both restores run on every input, so a rejected hierarchy
+		// section does not keep the engine section from its decoder.
 		for i, p := range procs {
-			if snap.Apply(p.Hier(), p.Gen()) != nil || p.Engine().LoadWarmState(snap.Engine) != nil ||
-				snap.EngineName != engines[i] {
+			aerr := snap.Apply(p.Hier(), p.Gen())
+			eerr := p.Engine().LoadWarmState(snap.Engine)
+			if aerr != nil || eerr != nil || snap.EngineName != engines[i] {
 				continue
 			}
 			// Accepted, as a shard would accept it: simulate from the

@@ -626,10 +626,9 @@ func (p *Processor) Run() Result {
 		for i := range out {
 			fi := &out[i]
 			// Decode-stage consistency check against the previous
-			// fetched instruction. Sequential flow after anything but a
-			// direct jump or call always passes it, so only the other
-			// transitions pay the call.
-			if havePrev && (fi.Addr != prev.addr.Next() || prev.branch == isa.BranchUncond || prev.branch == isa.BranchCall) {
+			// fetched instruction; only transitions that can fail it pay
+			// the call.
+			if havePrev && !alwaysDecodes(prev.addr, prev.branch, fi.Addr) {
 				if fix, bad := p.staticCheck(prev.addr, prev.branch, fi.Addr); bad {
 					p.engine.Redirect(fix, false)
 					fetchHold = cycle + decodePenalty
@@ -702,20 +701,29 @@ func (p *Processor) Run() Result {
 	return res
 }
 
+// alwaysDecodes reports whether the transition from the instruction at
+// prevAddr (of branch type prevBranch) to cur is sequential flow after
+// anything but a direct jump or call: the transition staticCheck always
+// passes. It is small enough to inline, so the driver loop pays no call
+// for the common case.
+func alwaysDecodes(prevAddr isa.Addr, prevBranch isa.BranchType, cur isa.Addr) bool {
+	return cur == prevAddr.Next() && prevBranch != isa.BranchUncond && prevBranch != isa.BranchCall
+}
+
 // staticCheck verifies that the transition from the instruction at
 // prevAddr (of branch type prevBranch) to cur is consistent with the
 // static code, as the decode stage would. It returns the redirect target
 // when the transition is impossible.
 func (p *Processor) staticCheck(prevAddr isa.Addr, prevBranch isa.BranchType, cur isa.Addr) (fix isa.Addr, bad bool) {
+	if alwaysDecodes(prevAddr, prevBranch, cur) {
+		return 0, false
+	}
 	seqNext := prevAddr.Next()
 	if cur == seqNext {
-		// Sequential flow: impossible after a direct unconditional
-		// transfer (decode computes the target and redirects).
-		switch prevBranch {
-		case isa.BranchUncond, isa.BranchCall:
-			if t, ok := p.lay.StaticTarget(prevAddr); ok {
-				return t, true
-			}
+		// Sequential flow after a direct jump or call: decode computes
+		// the target and redirects.
+		if t, ok := p.lay.StaticTarget(prevAddr); ok {
+			return t, true
 		}
 		return 0, false
 	}
