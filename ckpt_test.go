@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"streamfetch"
@@ -325,6 +326,50 @@ func TestSampledWithCheckpoints(t *testing.T) {
 	if second.CheckpointHits != 4 || second.CheckpointMisses != 0 {
 		t.Fatalf("second sampled run hits=%d misses=%d, want 4/0",
 			second.CheckpointHits, second.CheckpointMisses)
+	}
+	sameReport(t, "restored sampled run vs first", stripCkpt(second), stripCkpt(first))
+}
+
+// countStore counts the blob reads it serves.
+type countStore struct {
+	store.Store
+	gets atomic.Int64
+}
+
+func (c *countStore) GetBlob(key string) ([]byte, bool, error) {
+	c.gets.Add(1)
+	return c.Store.GetBlob(key)
+}
+
+// TestCheckpointReadOnce: a run whose boundaries are all stored reads each
+// snapshot from the store once, while planning, and restores the decoded
+// snapshot it kept, with a report identical to the run that stored them.
+func TestCheckpointReadOnce(t *testing.T) {
+	ctx := context.Background()
+	st := &countStore{Store: store.NewMem()}
+	s := streamfetch.New("164.gzip", streamfetch.WithInstructions(400_000))
+	opts := []streamfetch.Option{
+		streamfetch.WithSampling(8, 10_000),
+		streamfetch.WithWarmup(10_000),
+		streamfetch.WithCheckpoints(st),
+	}
+	first, err := s.RunWith(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CheckpointMisses != 8 {
+		t.Fatalf("first run missed %d boundaries, want 8", first.CheckpointMisses)
+	}
+	st.gets.Store(0)
+	second, err := s.RunWith(ctx, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CheckpointHits != 8 || second.CheckpointMisses != 0 {
+		t.Fatalf("second run hits=%d misses=%d, want 8/0", second.CheckpointHits, second.CheckpointMisses)
+	}
+	if n := st.gets.Load(); n != 8 {
+		t.Fatalf("restoring 8 stored boundaries read the store %d times, want 8", n)
 	}
 	sameReport(t, "restored sampled run vs first", stripCkpt(second), stripCkpt(first))
 }

@@ -3,9 +3,9 @@ package cache
 import "streamfetch/internal/ckpt/wire"
 
 // Warm-state serialization for checkpoints. Only behavioral state is
-// captured: tags, valid bits (a way is valid when its stamp is nonzero),
-// LRU stamps and the LRU clock. Statistics counters are deliberately
-// excluded — a restored run starts with zeroed stats and the warm-region
+// captured: tags, LRU stamps (a way is valid when its stamp is nonzero)
+// and the LRU clock. Statistics counters are deliberately excluded — a
+// restored run starts with zeroed stats and the warm-region
 // snapshot/delta in the simulator cancels the baseline exactly as it does
 // for a functionally warmed run.
 
@@ -16,16 +16,14 @@ func (c *Cache) AppendState(dst []byte) []byte {
 	dst = wire.AppendU64(dst, uint64(c.nways))
 	for _, w := range c.ways {
 		dst = wire.AppendU64(dst, w.tag)
-		dst = wire.AppendBool(dst, w.stamp != 0)
 		dst = wire.AppendU64(dst, w.stamp)
 	}
 	return dst
 }
 
 // LoadState restores state appended by AppendState into a cache of
-// identical geometry. On a geometry mismatch, a decode error or an
-// inconsistent way — a valid bit that disagrees with its stamp, or a stamp
-// the restored clock has not reached — the cache is left unmodified and an
+// identical geometry. On a geometry mismatch, a decode error or a stamp
+// the restored clock has not reached, the cache is left unmodified and an
 // error is returned; statistics are never touched.
 func (c *Cache) LoadState(r *wire.Reader) error {
 	clock := r.U64()
@@ -42,9 +40,8 @@ func (c *Cache) LoadState(r *wire.Reader) error {
 	scratch := make([]way, len(c.ways))
 	for i := range scratch {
 		scratch[i].tag = r.U64()
-		valid := r.Bool()
 		scratch[i].stamp = r.U64()
-		if valid != (scratch[i].stamp != 0) || scratch[i].stamp > clock {
+		if scratch[i].stamp > clock {
 			return wire.ErrMalformed
 		}
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // Encoded cache state: clock, set count and way count, then per way its
-// tag, valid byte and stamp.
+// tag and stamp.
 const (
 	stateHeader = 3 * 8
-	wayBytes    = 8 + 1 + 8
+	wayBytes    = 8 + 8
 )
 
 // TestLoadStateRoundTrip: a restored cache encodes to the same bytes and
@@ -40,21 +40,16 @@ func TestLoadStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadStateRejectsInconsistentWays: a way whose valid byte disagrees
-// with its stamp, or whose stamp is ahead of the clock, is malformed, and
-// the cache keeps its previous state.
+// TestLoadStateRejectsInconsistentWays: a way whose stamp is ahead of the
+// clock is malformed, and the cache keeps its previous state.
 func TestLoadStateRejectsInconsistentWays(t *testing.T) {
 	cfg := Config{SizeBytes: 512, LineBytes: 64, Ways: 2}
 	src := New(cfg)
 	src.Access(0x40) // set 1, way 0; every other way stays invalid
 	good := src.AppendState(nil)
 	valid := stateHeader + 2*wayBytes // set 1, way 0
-	invalid := stateHeader            // set 0, way 0
 	cases := map[string]func(b []byte){
-		"valid way marked invalid": func(b []byte) { b[valid+8] = 0 },
-		"invalid way marked valid": func(b []byte) { b[invalid+8] = 1 },
-		"stamp on an invalid way":  func(b []byte) { binary.LittleEndian.PutUint64(b[invalid+9:], 1) },
-		"stamp ahead of the clock": func(b []byte) { binary.LittleEndian.PutUint64(b[valid+9:], 2) },
+		"stamp ahead of the clock": func(b []byte) { binary.LittleEndian.PutUint64(b[valid+8:], 2) },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {

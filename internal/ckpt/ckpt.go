@@ -12,6 +12,22 @@
 // cache entries: any decode failure — truncation, corruption, a version
 // or geometry mismatch — is a clean miss that sends the caller back to
 // the warming walk, never an error surfaced to users.
+//
+// Layout: the magic "SFCK", a CRC32-C of everything after it, then the
+// version, the boundary, the engine name and three length-prefixed
+// sections, all fixed-width little-endian (package wire):
+//
+//   - hierarchy: per cache its LRU clock and geometry, then a tag and an
+//     LRU stamp per way (a zero stamp is an invalid way), 16 bytes a way;
+//   - generator: the load address generator's per-slot counters, sparse —
+//     only the memory instructions the walk executed, 16 bytes each (see
+//     pipeline.LoadAddrGen.AppendState);
+//   - engine: the fetch engine's tables, opaque here.
+//
+// A 176.gcc snapshot at a 4M-instruction boundary (optimized layout,
+// width 8, streams) is 501 KB: hierarchy 287 KB (fixed by the geometry),
+// engine 201 KB, generator 13 KB for the 812 memory instructions executed
+// (of 281,640 code slots).
 package ckpt
 
 import (
@@ -26,8 +42,11 @@ import (
 )
 
 // Version is the snapshot format version. Bump it on any change to the
-// layout of the encoded state; old blobs then decode as misses.
-const Version = 1
+// layout of the encoded state; old blobs then decode as misses, and since
+// checkpoint store keys hash the version, they are never looked up.
+// Version 2 encodes the generator's counters sparsely and drops the
+// per-way valid byte of version 1's cache sections.
+const Version = 2
 
 // magic guards against feeding arbitrary store blobs into the decoder.
 const magic = "SFCK"

@@ -86,8 +86,9 @@ func FuzzSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// The load address generator keeps a counter per code slot, so the
-	// program is cut down to a few procedures too.
+	// The load address generator's section holds a pair per executed
+	// memory instruction, so the program is cut down to a few procedures
+	// too.
 	params.NumProcs = 6
 	params.RegionsPerProc = [2]int{2, 4}
 	prog := workload.Generate(params)

@@ -118,12 +118,16 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 // remaining, since every element of the loop it gates consumes at least
 // one — for use as a slice length before a decode loop. Invalid values
 // poison the reader, which bounds memory and iteration on corrupt input.
-func (r *Reader) Len(max int) int {
+func (r *Reader) Len(max int) int { return r.Count(max, 1) }
+
+// Count is Len for a loop whose elements each consume size bytes: the
+// decoded length must also fit the remaining bytes at size apiece.
+func (r *Reader) Count(max, size int) int {
 	n := r.U64()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(max) || n > uint64(len(r.b)-r.pos) {
+	if n > uint64(max) || n > uint64((len(r.b)-r.pos)/size) {
 		r.err = ErrMalformed
 		return 0
 	}

@@ -93,9 +93,9 @@ func TestStickyError(t *testing.T) {
 	}
 }
 
-// TestLenGuard: Len rejects lengths above the caller's bound and lengths
-// exceeding the remaining input, so corrupt headers cannot drive huge
-// allocations.
+// TestLenGuard: Len and Count reject lengths above the caller's bound and
+// lengths exceeding the remaining input, so corrupt headers cannot drive
+// huge allocations.
 func TestLenGuard(t *testing.T) {
 	b := AppendU64(nil, 1_000_000)
 	r := NewReader(b)
@@ -105,6 +105,16 @@ func TestLenGuard(t *testing.T) {
 	r = NewReader(AppendU64(nil, 16))
 	if n := r.Len(1 << 20); n != 0 || r.Err() == nil {
 		t.Fatalf("Len beyond remaining input = %d, err %v", n, r.Err())
+	}
+	// Count holds the length to the elements the input can carry: two
+	// 16-byte elements fit 47 bytes, three do not.
+	tail := make([]byte, 47)
+	if n := NewReader(append(AppendU64(nil, 2), tail...)).Count(64, 16); n != 2 {
+		t.Fatalf("Count of 2 elements in 47 bytes = %d", n)
+	}
+	r = NewReader(append(AppendU64(nil, 3), tail...))
+	if n := r.Count(64, 16); n != 0 || r.Err() != ErrMalformed {
+		t.Fatalf("Count of 3 elements in 47 bytes = %d, err %v", n, r.Err())
 	}
 }
 

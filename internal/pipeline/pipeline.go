@@ -226,7 +226,8 @@ func (w *Window) Find(seq uint64) *Entry {
 // Per-instruction counts live in a dense slot-indexed array over the code
 // segment (one uint64 per static instruction slot), so the hot path is an
 // array load instead of a map access; PCs outside the declared segment fall
-// back to a lazily-built overflow map.
+// back to a lazily-built overflow map. A run executes few of the slots, so
+// the warm-state encoding (AppendState) keeps only the non-zero counters.
 type LoadAddrGen struct {
 	workingSet uint64
 	codeBase   isa.Addr

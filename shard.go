@@ -251,6 +251,9 @@ type intervalOpening struct {
 	// checkpointed), and hit whether the store held a usable snapshot.
 	key string
 	hit bool
+	// stored is that snapshot, read from the store once while planning
+	// and held until the interval takes it.
+	stored *ckpt.Snapshot
 	// walked delivers the warming walk's snapshot when the store did not.
 	walked chan []byte
 }
@@ -288,7 +291,8 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cf
 		if s.ckptStore != nil && s.traceData == nil {
 			if key, ok := s.ckptKey(lay, o.boundary); ok {
 				o.key = key
-				o.hit = s.storedCkpt(key, o.boundary) != nil
+				o.stored = s.storedCkpt(key, o.boundary)
+				o.hit = o.stored != nil
 			}
 		}
 		if !o.hit {
@@ -327,27 +331,26 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cf
 	outs = make([]*shardOut, len(specs))
 	err = par.Do(ctx, len(specs), true, func(i int) error {
 		o := &opens[i]
-		var snap []byte
-		switch {
-		case o.hit:
-			snap = s.storedCkpt(o.key, o.boundary)
-		case o.walked != nil:
+		snap := o.stored
+		o.stored = nil
+		if o.walked != nil {
 			select {
-			case snap = <-o.walked:
+			case blob := <-o.walked:
+				snap = s.publishCkpt(o.key, blob)
 			case <-walkDone:
 				return walkErr
 			}
-			s.publishCkpt(o.key, snap)
 		}
 		// snap is not read after runInterval, so it is garbage while the
 		// interval simulates.
 		out, err := s.runInterval(ctx, lay, prog, specs[i], o.boundary, snap, partTotal, group)
 		if err == errNoRestore && o.hit {
-			// The stored snapshot vanished or stopped fitting since it
-			// was checked: warm this boundary on its own instead.
+			// The stored snapshot decodes but does not fit this
+			// processor: warm this boundary on its own instead.
 			o.hit = false
-			if snap, err = s.warmBoundary(ctx, lay, prog, o.boundary); err == nil {
-				s.publishCkpt(o.key, snap)
+			var blob []byte
+			if blob, err = s.warmBoundary(ctx, lay, prog, o.boundary); err == nil {
+				snap = s.publishCkpt(o.key, blob)
 				out, err = s.runInterval(ctx, lay, prog, specs[i], o.boundary, snap, partTotal, group)
 			}
 		}
@@ -403,41 +406,42 @@ func (s *Session) warmBoundary(ctx context.Context, lay *layout.Layout, prog *cf
 	return snap, err
 }
 
-// storedCkpt returns the store's snapshot for boundary under key, or nil
-// when it is absent, undecodable or for another boundary: a clean miss.
-func (s *Session) storedCkpt(key string, boundary uint64) []byte {
+// storedCkpt returns the store's snapshot for boundary under key, decoded,
+// or nil when it is absent, undecodable or for another boundary: a clean
+// miss.
+func (s *Session) storedCkpt(key string, boundary uint64) *ckpt.Snapshot {
 	blob, ok, err := s.ckptStore.GetBlob(key)
 	if err != nil || !ok {
 		return nil
 	}
-	if snap, err := ckpt.Decode(blob); err != nil || snap.Boundary != boundary {
+	snap, err := ckpt.Decode(blob)
+	if err != nil || snap.Boundary != boundary {
 		return nil
 	}
-	return blob
+	return snap
 }
 
 // publishCkpt stores a freshly warmed snapshot for the next run of its
-// boundary. Publishing is best-effort: a full or failing store must not
-// fail a run.
-func (s *Session) publishCkpt(key string, snap []byte) {
+// boundary and returns it decoded for the interval's own restore (nil
+// when it does not decode, which runInterval reports). Publishing is
+// best-effort: a full or failing store must not fail a run.
+func (s *Session) publishCkpt(key string, blob []byte) *ckpt.Snapshot {
 	if key != "" {
-		_ = s.ckptStore.PutBlob(key, snap)
+		_ = s.ckptStore.PutBlob(key, blob)
 	}
+	snap, _ := ckpt.Decode(blob)
+	return snap
 }
 
 // runInterval simulates one trace interval. An interval with a warm
-// boundary restores snap, an encoded snapshot of the state there, onto
-// its fresh processor before the first timed cycle: the interval skips
-// straight to the boundary and simulates only its timed lead-in and
-// measure window. It fails with errNoRestore, before running, when snap
-// is missing, undecodable or for another configuration.
-func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg.Program, spec intervalSpec, boundary uint64, snap []byte, partTotal uint64, group int) (*shardOut, error) {
-	var cs *ckpt.Snapshot
-	if boundary > 0 {
-		var err error
-		if cs, err = ckpt.Decode(snap); err != nil || cs.Boundary != boundary {
-			return nil, errNoRestore
-		}
+// boundary restores snap, the state there, onto its fresh processor
+// before the first timed cycle: the interval skips straight to the
+// boundary and simulates only its timed lead-in and measure window. It
+// fails with errNoRestore, before running, when snap is missing, for
+// another boundary or for another configuration.
+func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg.Program, spec intervalSpec, boundary uint64, snap *ckpt.Snapshot, partTotal uint64, group int) (*shardOut, error) {
+	if boundary > 0 && (snap == nil || snap.Boundary != boundary) {
+		return nil, errNoRestore
 	}
 	src, err := s.newSource(prog)
 	if err != nil {
@@ -457,10 +461,10 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg
 		iv.Close()
 		return nil, err
 	}
-	if cs != nil {
+	if boundary > 0 {
 		eng := proc.Engine()
-		if eng.Name() != cs.EngineName || cs.Apply(proc.Hier(), proc.Gen()) != nil ||
-			eng.LoadWarmState(cs.Engine) != nil {
+		if eng.Name() != snap.EngineName || snap.Apply(proc.Hier(), proc.Gen()) != nil ||
+			eng.LoadWarmState(snap.Engine) != nil {
 			// The processor may be half-restored: discard it unrun.
 			iv.Close()
 			return nil, errNoRestore
