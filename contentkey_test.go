@@ -228,6 +228,70 @@ func TestContentKeyProperties(t *testing.T) {
 	}
 }
 
+// TestContentKeyModeFields: over random requests in each mode, the shard,
+// warmup, cold-shard and sampling fields change the content key exactly
+// when that mode uses them. A single-shot run ignores warmup, cold_shards
+// and sample_insts; a sharded run is shaped by shards, warmup and
+// cold_shards but not sample_insts; a sampled run is shaped by samples,
+// sample_insts, warmup and cold_shards but not shards.
+func TestContentKeyModeFields(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	key := func(r RunRequest) string {
+		if err := r.validate(); err != nil {
+			t.Fatalf("%+v: %v", r, err)
+		}
+		return r.contentKey()
+	}
+	// Each mutation keeps the request in its mode.
+	mutate := map[string]func(*RunRequest){
+		"shards": func(r *RunRequest) {
+			if r.Samples > 0 {
+				r.Shards = (r.Shards + 1 + rng.IntN(4)) % 6
+			} else {
+				r.Shards = r.Shards%4 + 2 // 2..5, never r.Shards
+			}
+		},
+		"warmup":       func(r *RunRequest) { r.Warmup += 1 + rng.Uint64N(1000) },
+		"cold_shards":  func(r *RunRequest) { r.ColdShards = !r.ColdShards },
+		"samples":      func(r *RunRequest) { r.Samples += 1 + rng.IntN(3) },
+		"sample_insts": func(r *RunRequest) { r.SampleInsts += 1 + rng.Uint64N(1000) },
+	}
+	modes := []struct {
+		name  string
+		shape func(*RunRequest)
+		// changes maps each field tried in this mode to whether it must
+		// change the key.
+		changes map[string]bool
+	}{
+		{"single-shot", func(r *RunRequest) {
+			r.Samples, r.Shards = 0, rng.IntN(2)
+		}, map[string]bool{"warmup": false, "cold_shards": false, "sample_insts": false}},
+		{"sharded", func(r *RunRequest) {
+			r.Samples, r.Shards = 0, 2+rng.IntN(4)
+		}, map[string]bool{"shards": true, "warmup": true, "cold_shards": true, "sample_insts": false}},
+		{"sampled", func(r *RunRequest) {
+			r.Samples, r.SampleInsts, r.Shards = 1+rng.IntN(3), 1+rng.Uint64N(10_000), rng.IntN(6)
+		}, map[string]bool{"samples": true, "sample_insts": true, "warmup": true, "cold_shards": true, "shards": false}},
+	}
+	for _, mode := range modes {
+		for i := 0; i < 300; i++ {
+			r := randomRunRequest(rng)
+			r.Warmup = rng.Uint64N(3) * 1_000
+			r.SampleInsts = rng.Uint64N(2) * 4_000
+			mode.shape(&r)
+			k := key(r)
+			for field, changes := range mode.changes {
+				m := r
+				mutate[field](&m)
+				if got := key(m) != k; got != changes {
+					t.Fatalf("%s run: changing %s changed the key = %v, want %v:\n%+v\n%+v",
+						mode.name, field, got, changes, r, m)
+				}
+			}
+		}
+	}
+}
+
 // TestContentKeyEqualReports: requests that normalize equal get
 // byte-identical reports, each computed by its own server.
 func TestContentKeyEqualReports(t *testing.T) {

@@ -3,6 +3,14 @@
 // description of a program; package layout assigns addresses, and package
 // trace executes the CFG to produce dynamic instruction streams.
 //
+// A Program is a pointer-free image: its blocks are fixed-size records in
+// one slice, indexed by BlockID, and their variable-length parts — the
+// instruction classes and the successor edges — live in two per-program
+// arrays the records address by offset. Read them through
+// Program.Classes and Program.Succs. A daemon keeps one program per
+// benchmark resident: the packing keeps each small, and leaves the garbage
+// collector no pointers in it to scan.
+//
 // Block successor semantics depend on the terminating branch type:
 //
 //	BranchNone         one successor, pure fall-through
@@ -16,11 +24,14 @@ package cfg
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"streamfetch/internal/isa"
 )
 
-// BlockID identifies a basic block within a Program.
+// BlockID identifies a basic block within a Program: its index in
+// Program.Blocks.
 type BlockID int32
 
 // NoBlock is the null block ID.
@@ -40,19 +51,30 @@ const (
 	CondPattern
 )
 
+// MaxPeriod is the longest CondPattern period a CondModel holds.
+const MaxPeriod = 8
+
 // CondModel describes the dynamic behaviour of a conditional branch.
 type CondModel struct {
-	Kind CondKind
+	// P is the probability of choosing Succs[1] (CondBias only).
+	P float64
 	// Trip is the mean loop trip count (CondLoop only). The actual trip
 	// count of each loop entry is drawn near Trip.
 	Trip int32
 	// TripJitter is the +/- range around Trip for per-entry trip counts.
 	TripJitter int32
-	// P is the probability of choosing Succs[1] (CondBias only).
-	P float64
-	// Pattern is the repeating choice sequence (CondPattern only).
-	Pattern []bool
+	Kind       CondKind
+	// Period is the length of the repeating choice sequence, 1 to
+	// MaxPeriod (CondPattern only).
+	Period uint8
+	// Pattern holds the choice sequence as bits: bit i is choice i, set
+	// for the branch side (CondPattern only). Read it with PatternAt.
+	Pattern uint8
 }
+
+// PatternAt returns choice i of a CondPattern's sequence, true for the
+// branch side; i is below Period.
+func (m CondModel) PatternAt(i int) bool { return m.Pattern>>uint(i)&1 != 0 }
 
 // Edge is a profile-weighted CFG edge.
 type Edge struct {
@@ -63,21 +85,24 @@ type Edge struct {
 }
 
 // Block is one basic block. NInsts counts all instructions including the
-// terminating branch (if any). Classes lists the functional class of each
-// instruction; when Branch != BranchNone the final class is ClassBranch.
+// terminating branch (if any). Its class list (Program.Classes, NInsts
+// entries; the final one is ClassBranch when Branch != BranchNone) and its
+// successor edges (Program.Succs) live in the program's shared arrays.
 //
-// The fields are narrowed and ordered to leave no padding: a Block is 128
-// bytes, and a large program holds tens of thousands.
+// A Block holds no pointers, and its fields are narrowed and ordered to
+// leave little padding: it is 56 bytes, and a large program holds tens of
+// thousands.
 type Block struct {
-	ID     BlockID
 	Proc   int32
 	NInsts int32
-	Branch isa.BranchType
-	// Classes has length NInsts; materialized once at synthesis time.
-	Classes []isa.Class
-	Succs   []Edge
 	// Cont is the block where execution continues after a call returns.
 	Cont BlockID
+	// classOff and succOff index the block's first class and first edge
+	// in the program's arrays; nSuccs counts its edges.
+	classOff uint32
+	succOff  uint32
+	nSuccs   uint16
+	Branch   isa.BranchType
 	// Cond is the behaviour model for conditional branches.
 	Cond CondModel
 	// IndMarkov is, for indirect branches, the probability that the next
@@ -96,17 +121,96 @@ type Proc struct {
 	Blocks []BlockID
 }
 
-// Program is a whole-program CFG.
+// Program is a whole-program CFG. Blocks[id] is block id. Build one with
+// AddBlock and AddSuccs, which append to the class and edge arrays, and
+// call Compact once it is complete.
 type Program struct {
 	Name   string
-	Blocks []*Block
+	Blocks []Block
 	Procs  []Proc
 	Entry  BlockID
+
+	classes []isa.Class
+	edges   []Edge
 }
 
-// Block returns the block with the given ID.
-func (p *Program) Block(id BlockID) *Block {
-	return p.Blocks[id]
+// Classes returns the instruction classes of block id, NInsts of them. The
+// slice aliases the program's class array: writes go to the program, and it
+// is stale once AddBlock grows that array.
+func (p *Program) Classes(id BlockID) []isa.Class {
+	b := &p.Blocks[id]
+	end := b.classOff + uint32(b.NInsts)
+	return p.classes[b.classOff:end:end]
+}
+
+// Succs returns the successor edges of block id. The slice aliases the
+// program's edge array: writes go to the program, and it is stale once
+// AddSuccs grows that array.
+func (p *Program) Succs(id BlockID) []Edge {
+	b := &p.Blocks[id]
+	end := b.succOff + uint32(b.nSuccs)
+	return p.edges[b.succOff:end:end]
+}
+
+// AddBlock appends b to the program and returns its ID. It reserves
+// b.NInsts zero classes (ClassALU) for the block, to be filled through
+// Classes; the block has no successors until AddSuccs gives it some.
+func (p *Program) AddBlock(b Block) BlockID {
+	if uint64(len(p.classes))+uint64(max(b.NInsts, 0)) > math.MaxUint32 {
+		panic("cfg: program exceeds 2^32 instructions")
+	}
+	b.classOff = uint32(len(p.classes))
+	b.succOff, b.nSuccs = 0, 0
+	n := int(max(b.NInsts, 0))
+	p.classes = grow(p.classes, n)
+	p.classes = p.classes[:len(p.classes)+n]
+	p.Blocks = append(grow(p.Blocks, 1), b)
+	return BlockID(len(p.Blocks) - 1)
+}
+
+// AddSuccs gives block id n new successor edges, all to NoBlock, and
+// returns them for the caller to fill. Edges the block had before stay in
+// the edge array unused, so a builder calls it once per block.
+func (p *Program) AddSuccs(id BlockID, n int) []Edge {
+	if n < 0 || n > math.MaxUint16 || uint64(len(p.edges))+uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("cfg: block %d cannot hold %d successors", id, n))
+	}
+	b := &p.Blocks[id]
+	b.succOff, b.nSuccs = uint32(len(p.edges)), uint16(n)
+	p.edges = grow(p.edges, n)
+	for range n {
+		p.edges = append(p.edges, Edge{To: NoBlock})
+	}
+	return p.Succs(id)
+}
+
+// Compact reallocates the block, class and edge arrays to their exact
+// lengths, releasing the capacity that growing them by append left spare.
+// Call it once a program is built; a resident program is then no larger
+// than its contents.
+func (p *Program) Compact() {
+	p.Blocks = clip(p.Blocks)
+	p.classes = clip(p.classes)
+	p.edges = clip(p.edges)
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must reallocate: building a large program then
+// allocates about twice its final size, where append's gentler growth of
+// large slices allocates five times it.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
+}
+
+// clip returns s in an allocation of exactly len(s) elements.
+func clip[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // NumBlocks returns the number of basic blocks in the program.
@@ -116,8 +220,8 @@ func (p *Program) NumBlocks() int { return len(p.Blocks) }
 // as materialized jumps not included).
 func (p *Program) StaticInsts() int {
 	n := 0
-	for _, b := range p.Blocks {
-		n += int(b.NInsts)
+	for i := range p.Blocks {
+		n += int(p.Blocks[i].NInsts)
 	}
 	return n
 }
@@ -128,42 +232,47 @@ func (p *Program) Validate() error {
 	if p.Entry < 0 || int(p.Entry) >= len(p.Blocks) {
 		return fmt.Errorf("cfg: entry block %d out of range", p.Entry)
 	}
-	for i, b := range p.Blocks {
-		if b == nil {
-			return fmt.Errorf("cfg: nil block %d", i)
-		}
-		if b.ID != BlockID(i) {
-			return fmt.Errorf("cfg: block %d has ID %d", i, b.ID)
-		}
+	for i := range p.Blocks {
+		b := &p.Blocks[i]
+		id := BlockID(i)
 		if b.NInsts <= 0 {
 			return fmt.Errorf("cfg: block %d has %d instructions", i, b.NInsts)
 		}
-		if len(b.Classes) != int(b.NInsts) {
-			return fmt.Errorf("cfg: block %d has %d classes for %d instructions",
-				i, len(b.Classes), b.NInsts)
+		if uint64(b.classOff)+uint64(b.NInsts) > uint64(len(p.classes)) {
+			return fmt.Errorf("cfg: block %d classes [%d,+%d) outside the %d-entry class array",
+				i, b.classOff, b.NInsts, len(p.classes))
 		}
-		if b.Branch != isa.BranchNone && b.Classes[b.NInsts-1] != isa.ClassBranch {
+		if uint64(b.succOff)+uint64(b.nSuccs) > uint64(len(p.edges)) {
+			return fmt.Errorf("cfg: block %d edges [%d,+%d) outside the %d-entry edge array",
+				i, b.succOff, b.nSuccs, len(p.edges))
+		}
+		if cs := p.Classes(id); b.Branch != isa.BranchNone && cs[b.NInsts-1] != isa.ClassBranch {
 			return fmt.Errorf("cfg: block %d final class %v, want branch",
-				i, b.Classes[b.NInsts-1])
+				i, cs[b.NInsts-1])
 		}
-		for _, e := range b.Succs {
+		succs := p.Succs(id)
+		for _, e := range succs {
 			if e.To < 0 || int(e.To) >= len(p.Blocks) {
 				return fmt.Errorf("cfg: block %d successor %d out of range", i, e.To)
 			}
 		}
 		switch b.Branch {
 		case isa.BranchNone, isa.BranchUncond:
-			if len(b.Succs) != 1 {
+			if len(succs) != 1 {
 				return fmt.Errorf("cfg: block %d (%v) has %d successors, want 1",
-					i, b.Branch, len(b.Succs))
+					i, b.Branch, len(succs))
 			}
 		case isa.BranchCond:
-			if len(b.Succs) != 2 {
+			if len(succs) != 2 {
 				return fmt.Errorf("cfg: block %d (cond) has %d successors, want 2",
-					i, len(b.Succs))
+					i, len(succs))
+			}
+			if b.Cond.Kind == CondPattern && (b.Cond.Period < 1 || b.Cond.Period > MaxPeriod) {
+				return fmt.Errorf("cfg: block %d pattern period %d outside [1,%d]",
+					i, b.Cond.Period, MaxPeriod)
 			}
 		case isa.BranchCall, isa.BranchIndirectCall:
-			if len(b.Succs) == 0 {
+			if len(succs) == 0 {
 				return fmt.Errorf("cfg: block %d (call) has no callees", i)
 			}
 			if b.Cont == NoBlock {
@@ -173,12 +282,12 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("cfg: block %d continuation %d out of range", i, b.Cont)
 			}
 		case isa.BranchReturn:
-			if len(b.Succs) != 0 {
+			if len(succs) != 0 {
 				return fmt.Errorf("cfg: block %d (return) has %d successors, want 0",
-					i, len(b.Succs))
+					i, len(succs))
 			}
 		case isa.BranchIndirect:
-			if len(b.Succs) == 0 {
+			if len(succs) == 0 {
 				return fmt.Errorf("cfg: block %d (indirect) has no targets", i)
 			}
 		default:

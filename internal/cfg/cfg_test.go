@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -10,25 +12,15 @@ import (
 // tiny builds a minimal valid two-block program: a conditional loop header
 // and a return.
 func tiny() *Program {
-	a := &Block{
-		ID: 0, NInsts: 2,
-		Classes: []isa.Class{isa.ClassALU, isa.ClassBranch},
-		Branch:  isa.BranchCond,
-		Succs:   []Edge{{To: 1, Prob: 0.5}, {To: 0, Prob: 0.5}},
-		Cont:    NoBlock,
-	}
-	b := &Block{
-		ID: 1, NInsts: 1,
-		Classes: []isa.Class{isa.ClassBranch},
-		Branch:  isa.BranchReturn,
-		Cont:    NoBlock,
-	}
-	return &Program{
-		Name:   "tiny",
-		Blocks: []*Block{a, b},
-		Procs:  []Proc{{Name: "main", Entry: 0, Blocks: []BlockID{0, 1}}},
-		Entry:  0,
-	}
+	p := &Program{Name: "tiny"}
+	a := p.AddBlock(Block{NInsts: 2, Branch: isa.BranchCond, Cont: NoBlock})
+	p.Classes(a)[1] = isa.ClassBranch
+	copy(p.AddSuccs(a, 2), []Edge{{To: 1, Prob: 0.5}, {To: 0, Prob: 0.5}})
+	b := p.AddBlock(Block{NInsts: 1, Branch: isa.BranchReturn, Cont: NoBlock})
+	p.Classes(b)[0] = isa.ClassBranch
+	p.Procs = []Proc{{Name: "main", Entry: 0, Blocks: []BlockID{0, 1}}}
+	p.Compact()
+	return p
 }
 
 func TestValidateAccepts(t *testing.T) {
@@ -43,14 +35,17 @@ func TestValidateRejects(t *testing.T) {
 		mut  func(*Program)
 	}{
 		{"bad entry", func(p *Program) { p.Entry = 99 }},
-		{"wrong id", func(p *Program) { p.Blocks[0].ID = 5 }},
 		{"zero insts", func(p *Program) { p.Blocks[0].NInsts = 0 }},
-		{"classes mismatch", func(p *Program) { p.Blocks[0].Classes = p.Blocks[0].Classes[:1] }},
-		{"non-branch final class", func(p *Program) { p.Blocks[0].Classes[1] = isa.ClassALU }},
-		{"succ out of range", func(p *Program) { p.Blocks[0].Succs[0].To = 42 }},
-		{"cond needs two succs", func(p *Program) { p.Blocks[0].Succs = p.Blocks[0].Succs[:1] }},
+		{"classes mismatch", func(p *Program) { p.Blocks[1].NInsts = 2 }},
+		{"non-branch final class", func(p *Program) { p.Classes(0)[1] = isa.ClassALU }},
+		{"succ out of range", func(p *Program) { p.Succs(0)[0].To = 42 }},
+		{"edges out of range", func(p *Program) { p.Blocks[0].succOff = 1 }},
+		{"cond needs two succs", func(p *Program) { p.Blocks[0].nSuccs = 1 }},
+		{"pattern period", func(p *Program) {
+			p.Blocks[0].Cond = CondModel{Kind: CondPattern, Period: MaxPeriod + 1}
+		}},
 		{"return with succs", func(p *Program) {
-			p.Blocks[1].Succs = []Edge{{To: 0, Prob: 1}}
+			p.AddSuccs(1, 1)[0] = Edge{To: 0, Prob: 1}
 		}},
 		{"proc entry range", func(p *Program) { p.Procs[0].Entry = 77 }},
 	}
@@ -68,7 +63,7 @@ func TestValidateRejects(t *testing.T) {
 func TestValidateCallNeedsContinuation(t *testing.T) {
 	p := tiny()
 	p.Blocks[0].Branch = isa.BranchCall
-	p.Blocks[0].Succs = []Edge{{To: 1, Prob: 1}}
+	p.AddSuccs(0, 1)[0] = Edge{To: 1, Prob: 1}
 	if err := p.Validate(); err == nil {
 		t.Fatal("call without continuation accepted")
 	}
@@ -102,10 +97,52 @@ func TestProfileAccumulation(t *testing.T) {
 	}
 }
 
-// TestBlockSize pins a Block to 128 bytes; a field added or reordered
-// carelessly grows every program.
+// TestBlockSize keeps a Block at most 64 bytes and a Block and an Edge
+// free of pointers: a field added or reordered carelessly grows every
+// resident program, and a pointer makes the collector scan every block.
 func TestBlockSize(t *testing.T) {
-	if n := unsafe.Sizeof(Block{}); n != 128 {
-		t.Fatalf("cfg.Block is %d bytes, want 128", n)
+	n := unsafe.Sizeof(Block{})
+	t.Logf("cfg.Block is %d bytes", n)
+	if n > 64 {
+		t.Fatalf("cfg.Block is %d bytes, want at most 64", n)
+	}
+	if _, ok := pointerField(reflect.TypeFor[Proc]()); !ok {
+		t.Fatal("pointerField misses the pointers of a Proc")
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[Block](), reflect.TypeFor[Edge]()} {
+		if f, ok := pointerField(typ); ok {
+			t.Errorf("%v holds a pointer in field %s", typ, f)
+		}
+	}
+}
+
+// pointerField returns the path of the first field of typ that is or holds
+// a pointer (a pointer, slice, map, channel, function, interface or
+// string), walking into nested structs and arrays.
+func pointerField(typ reflect.Type) (string, bool) {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if path, ok := pointerField(f.Type); ok {
+				return strings.TrimSuffix(f.Name+"."+path, "."), true
+			}
+		}
+		return "", false
+	case reflect.Array:
+		return pointerField(typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return "", true
+	}
+	return "", false
+}
+
+func TestPatternAt(t *testing.T) {
+	m := CondModel{Kind: CondPattern, Period: 3, Pattern: 0b101}
+	for i, want := range []bool{true, false, true} {
+		if got := m.PatternAt(i); got != want {
+			t.Errorf("PatternAt(%d) = %v, want %v", i, got, want)
+		}
 	}
 }

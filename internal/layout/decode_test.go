@@ -122,14 +122,13 @@ func TestDecodeWordBounds(t *testing.T) {
 	// ret returns a one-block program whose block is a return of n
 	// instructions (no successors, so it lays out as is).
 	ret := func(n int) *cfg.Program {
-		cs := make([]isa.Class, n)
-		cs[n-1] = isa.ClassBranch
-		return &cfg.Program{Blocks: []*cfg.Block{{
-			NInsts: int32(n), Classes: cs, Branch: isa.BranchReturn, Cont: cfg.NoBlock,
-		}}}
+		p := &cfg.Program{}
+		id := p.AddBlock(cfg.Block{NInsts: int32(n), Branch: isa.BranchReturn, Cont: cfg.NoBlock})
+		p.Classes(id)[n-1] = isa.ClassBranch
+		return p
 	}
 	p := ret(2)
-	p.Blocks[0].Classes[0] = 16
+	p.Classes(0)[0] = 16
 	mustRefuse(t, "class 16", func() { Baseline(p) })
 
 	p = ret(2)
@@ -137,7 +136,7 @@ func TestDecodeWordBounds(t *testing.T) {
 	mustRefuse(t, "branch 16", func() { Baseline(p) })
 
 	p = ret(2)
-	p.Blocks[0].Classes[0] = 15
+	p.Classes(0)[0] = 15
 	if got, _ := Baseline(p).InstAt(CodeBase); got.Class != 15 {
 		t.Fatalf("class 15 decoded as %d", got.Class)
 	}
@@ -146,7 +145,7 @@ func TestDecodeWordBounds(t *testing.T) {
 	// refused size needs no class table.
 	for _, n := range []int{1<<24 - 1, 1 << 24} {
 		mustRefuse(t, "code segment of 2^24-1 slots or more", func() {
-			Baseline(&cfg.Program{Blocks: []*cfg.Block{{
+			Baseline(&cfg.Program{Blocks: []cfg.Block{{
 				NInsts: int32(n), Branch: isa.BranchReturn, Cont: cfg.NoBlock,
 			}}})
 		})
@@ -158,9 +157,6 @@ func TestDecodeWordBounds(t *testing.T) {
 	}
 }
 
-// raceDetector is set by race_test.go in -race builds.
-var raceDetector bool
-
 // retainedHeap returns the live heap after two collections.
 func retainedHeap() uint64 {
 	var ms runtime.MemStats
@@ -171,12 +167,9 @@ func retainedHeap() uint64 {
 }
 
 // TestImageSize guards the size of the prepared static image: 176.gcc, the
-// largest benchmark, must be held in at most 10 MB of program and 3 MB per
+// largest benchmark, must be held in at most 6 MB of program and 3 MB per
 // layout.
 func TestImageSize(t *testing.T) {
-	if raceDetector {
-		t.Skip("the race runtime has no tiny allocator, so small class lists take more heap than in a normal build")
-	}
 	params, err := workload.ByName("176.gcc")
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +194,7 @@ func TestImageSize(t *testing.T) {
 		got   float64
 		limit float64
 	}{
-		{"program", size(h0, h1), 10},
+		{"program", size(h0, h1), 6},
 		{"base layout", size(h2, h3), 3},
 		{"optimized layout", size(h3, h4), 3},
 	} {

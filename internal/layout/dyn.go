@@ -34,7 +34,7 @@ func (d DynInst) IsBranch() bool { return d.Branch != isa.BranchNone }
 // block's arrangement: an appended jump executes only on the fall-through
 // side of a conditional, and an elided jump disappears entirely.
 func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
-	b := l.Prog.Blocks[id]
+	b := &l.Prog.Blocks[id]
 	start := l.start[id]
 	n := int(l.slots[id])
 	arr := l.arr[id]
@@ -70,11 +70,12 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 	}
 
 	a := start
+	classes := l.Prog.Classes(id)
 	for s := 0; s < bodyEnd; s++ {
 		buf = append(buf, DynInst{
 			Addr:     a,
 			NextAddr: a.Next(),
-			Class:    b.Classes[s],
+			Class:    classes[s],
 		})
 		a = a.Next()
 	}
@@ -102,7 +103,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		}
 		// Conditional with both successors remote: the encoded branch
 		// aims at Succs[1]; the jump at Succs[0].
-		takenSide := next == b.Succs[1].To
+		takenSide := next == l.Prog.Succs(id)[1].To
 		if takenSide {
 			buf = append(buf, DynInst{
 				Addr:     a,
@@ -147,7 +148,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		switch b.Branch {
 		case isa.BranchCond:
 			// Taken iff control went to the encoded target side.
-			d.Taken = next == b.Succs[l.condTarget[id]].To
+			d.Taken = next == l.Prog.Succs(id)[l.condTarget[id]].To
 			if !d.Taken {
 				d.NextAddr = a.Next()
 			}
@@ -183,9 +184,8 @@ func (l *Layout) AppendDynRun(buf []DynInst, ids []cfg.BlockID, next cfg.BlockID
 // DynLen returns the number of dynamic instructions one execution of block
 // id contributes when followed by next.
 func (l *Layout) DynLen(id, next cfg.BlockID) int {
-	b := l.Prog.Blocks[id]
 	n := int(l.slots[id])
-	if l.arr[id] == ArrAppendJump && b.Branch == isa.BranchCond && next == b.Succs[1].To {
+	if l.arr[id] == ArrAppendJump && l.Prog.Blocks[id].Branch == isa.BranchCond && next == l.Prog.Succs(id)[1].To {
 		return n - 1 // taken side skips the materialized jump
 	}
 	return n

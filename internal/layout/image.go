@@ -146,7 +146,8 @@ func (l *Layout) CodeLimit() isa.Addr {
 // instAtSlot materializes the instruction at a given slot of a block; it is
 // the source of truth the decode words are built from.
 func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
-	b := l.Prog.Blocks[id]
+	b := &l.Prog.Blocks[id]
+	classes := l.Prog.Classes(id)
 	n := int(l.slots[id])
 	switch l.arr[id] {
 	case ArrElide:
@@ -156,38 +157,39 @@ func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
 		if b.NInsts == 1 {
 			return isa.Inst{Addr: a, Class: isa.ClassBranch, Branch: b.Branch}
 		}
-		return isa.Inst{Addr: a, Class: b.Classes[slot]}
+		return isa.Inst{Addr: a, Class: classes[slot]}
 	case ArrAppendJump:
 		if slot == n-1 {
 			return isa.Inst{Addr: a, Class: isa.ClassBranch, Branch: isa.BranchUncond}
 		}
-		return isa.Inst{Addr: a, Class: b.Classes[slot], Branch: branchAtCFG(b, slot)}
+		return isa.Inst{Addr: a, Class: classes[slot], Branch: branchAtCFG(b, slot)}
 	default: // ArrAsIs
-		return isa.Inst{Addr: a, Class: b.Classes[slot], Branch: branchAtCFG(b, slot)}
+		return isa.Inst{Addr: a, Class: classes[slot], Branch: branchAtCFG(b, slot)}
 	}
 }
 
 // staticTargetAt computes the statically-encoded taken-path target of the
 // instruction at a given slot of a block (the decode-word source of truth).
 func (l *Layout) staticTargetAt(id cfg.BlockID, slot int) (isa.Addr, bool) {
-	b := l.Prog.Blocks[id]
+	b := &l.Prog.Blocks[id]
+	succs := l.Prog.Succs(id)
 	n := int(l.slots[id])
 	if l.arr[id] == ArrAppendJump && slot == n-1 {
 		// The materialized jump always goes to Succs[0] (the side the
 		// encoded conditional does not take), or the sole successor of
 		// a fall-through block.
-		return l.start[b.Succs[0].To], true
+		return l.start[succs[0].To], true
 	}
 	if branchAtCFG(b, slot) == isa.BranchNone && !(l.arr[id] == ArrElide && b.NInsts == 1) {
 		return 0, false
 	}
 	switch b.Branch {
 	case isa.BranchCond:
-		return l.start[b.Succs[l.condTarget[id]].To], true
+		return l.start[succs[l.condTarget[id]].To], true
 	case isa.BranchUncond:
-		return l.start[b.Succs[0].To], true
+		return l.start[succs[0].To], true
 	case isa.BranchCall:
-		return l.start[b.Succs[0].To], true
+		return l.start[succs[0].To], true
 	default:
 		return 0, false // indirect/return: target not in the encoding
 	}

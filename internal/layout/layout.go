@@ -75,9 +75,9 @@ func contCalls(p *cfg.Program) []cfg.BlockID {
 	for i := range m {
 		m[i] = cfg.NoBlock
 	}
-	for _, b := range p.Blocks {
+	for i, b := range p.Blocks {
 		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			m[b.Cont] = b.ID
+			m[b.Cont] = cfg.BlockID(i)
 		}
 	}
 	return m
@@ -109,26 +109,27 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 	}
 	// Decide arrangements.
 	for _, id := range order {
-		b := p.Blocks[id]
+		b := &p.Blocks[id]
+		succs := p.Succs(id)
 		next := l.fall[id]
 		arrange := ArrAsIs
 		slots := int32(b.NInsts)
 		switch b.Branch {
 		case isa.BranchNone:
-			if b.Succs[0].To != next {
+			if succs[0].To != next {
 				arrange = ArrAppendJump
 				slots++
 			}
 		case isa.BranchUncond:
-			if b.Succs[0].To == next {
+			if succs[0].To == next {
 				arrange = ArrElide
 				slots--
 			}
 		case isa.BranchCond:
 			switch {
-			case b.Succs[0].To == next:
+			case succs[0].To == next:
 				l.condTarget[id] = 1
-			case b.Succs[1].To == next:
+			case succs[1].To == next:
 				l.condTarget[id] = 0
 			default:
 				arrange = ArrAppendJump
@@ -214,11 +215,11 @@ func Optimized(p *cfg.Program, prof *cfg.Profile) *Layout {
 	}
 
 	// 1. Mandatory merges: a call's continuation must follow it.
-	for _, b := range p.Blocks {
+	for i, b := range p.Blocks {
 		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			if !merge(b.ID, b.Cont) {
+			if !merge(cfg.BlockID(i), b.Cont) {
 				panic(fmt.Sprintf("layout: cannot keep continuation %d after call %d",
-					b.Cont, b.ID))
+					b.Cont, i))
 			}
 		}
 	}
@@ -230,13 +231,13 @@ func Optimized(p *cfg.Program, prof *cfg.Profile) *Layout {
 		w        uint64
 	}
 	var edges []wedge
-	for _, b := range p.Blocks {
-		switch b.Branch {
+	for i := range p.Blocks {
+		switch id := cfg.BlockID(i); p.Blocks[i].Branch {
 		case isa.BranchNone, isa.BranchUncond, isa.BranchCond:
-			for _, e := range b.Succs {
-				w := prof.EdgeCount[cfg.EdgeKey{From: b.ID, To: e.To}]
+			for _, e := range p.Succs(id) {
+				w := prof.EdgeCount[cfg.EdgeKey{From: id, To: e.To}]
 				if w > 0 {
-					edges = append(edges, wedge{b.ID, e.To, w})
+					edges = append(edges, wedge{id, e.To, w})
 				}
 			}
 		}
@@ -257,12 +258,10 @@ func Optimized(p *cfg.Program, prof *cfg.Profile) *Layout {
 	// in program order, so code the training run never reached still lays
 	// out in structured order instead of degenerating into singleton
 	// chains of materialized jumps.
-	for _, b := range p.Blocks {
-		switch b.Branch {
-		case isa.BranchNone, isa.BranchUncond:
-			merge(b.ID, b.Succs[0].To)
-		case isa.BranchCond:
-			merge(b.ID, b.Succs[0].To)
+	for i := range p.Blocks {
+		switch id := cfg.BlockID(i); p.Blocks[i].Branch {
+		case isa.BranchNone, isa.BranchUncond, isa.BranchCond:
+			merge(id, p.Succs(id)[0].To)
 		}
 	}
 
@@ -319,8 +318,7 @@ func repairCallAdjacency(p *cfg.Program, order []cfg.BlockID, contOf []cfg.Block
 		}
 		emitted[id] = true
 		out = append(out, id)
-		b := p.Blocks[id]
-		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
+		if b := &p.Blocks[id]; b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
 			emit(b.Cont)
 		}
 	}
@@ -389,8 +387,7 @@ func (l *Layout) Validate() error {
 				l.Name, id, l.start[id], addr)
 		}
 		addr = addr.Plus(int(l.slots[id]))
-		b := l.Prog.Blocks[id]
-		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
+		if b := &l.Prog.Blocks[id]; b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
 			if l.fall[id] != b.Cont {
 				return fmt.Errorf("layout %s: call block %d not followed by continuation %d",
 					l.Name, id, b.Cont)

@@ -51,16 +51,18 @@ type GenConfig struct {
 	Profile *cfg.Profile
 }
 
-// branchState holds per-static-branch runtime state.
+// branchState holds per-static-branch runtime state. A generator holds
+// one per static block, so its fields are narrowed to 8 bytes.
 type branchState struct {
 	// remaining is the number of loop-body iterations left (CondLoop).
-	remaining int
-	active    bool
-	// pos is the position within the repeating pattern (CondPattern).
-	pos int
+	remaining int32
 	// prevArm is the previously chosen arm of an indirect branch
-	// (first-order Markov dispatch).
-	prevArm int
+	// (first-order Markov dispatch); a block has at most 2^16-1 arms.
+	prevArm uint16
+	// pos is the position within the repeating pattern (CondPattern),
+	// below cfg.MaxPeriod.
+	pos    uint8
+	active bool
 }
 
 // Generator walks a CFG emitting the dynamic block sequence. It can be used
@@ -93,12 +95,12 @@ func (g *Generator) Next() (id cfg.BlockID, ok bool) {
 		return cfg.NoBlock, false
 	}
 	id = g.cur
-	b := g.prog.Blocks[id]
+	b := &g.prog.Blocks[id]
 	g.insts += uint64(b.NInsts)
 	if g.prof != nil {
 		g.prof.AddBlock(id)
 	}
-	next := g.step(b)
+	next := g.step(id, b)
 	if g.prof != nil && next != cfg.NoBlock {
 		switch b.Branch {
 		case isa.BranchNone, isa.BranchUncond, isa.BranchCond:
@@ -121,24 +123,26 @@ func (g *Generator) PeekInsts() (int, bool) {
 	return int(g.prog.Blocks[g.cur].NInsts), true
 }
 
-// step evaluates the terminating branch of b and returns the next block.
-func (g *Generator) step(b *cfg.Block) cfg.BlockID {
+// step evaluates the terminating branch of block id, b, and returns the
+// next block.
+func (g *Generator) step(id cfg.BlockID, b *cfg.Block) cfg.BlockID {
+	succs := g.prog.Succs(id)
 	switch b.Branch {
 	case isa.BranchNone, isa.BranchUncond:
-		return b.Succs[0].To
+		return succs[0].To
 	case isa.BranchCond:
-		if g.condTakesBranchSide(b) {
-			return b.Succs[1].To
+		if g.condTakesBranchSide(&g.state[id], b) {
+			return succs[1].To
 		}
-		return b.Succs[0].To
+		return succs[0].To
 	case isa.BranchCall:
 		g.stack = append(g.stack, b.Cont)
-		return b.Succs[0].To
+		return succs[0].To
 	case isa.BranchIndirectCall:
 		g.stack = append(g.stack, b.Cont)
-		return b.Succs[g.pickArm(b)].To
+		return succs[g.pickArm(&g.state[id], b, succs)].To
 	case isa.BranchIndirect:
-		return b.Succs[g.pickArm(b)].To
+		return succs[g.pickArm(&g.state[id], b, succs)].To
 	case isa.BranchReturn:
 		if len(g.stack) == 0 {
 			return cfg.NoBlock
@@ -151,10 +155,9 @@ func (g *Generator) step(b *cfg.Block) cfg.BlockID {
 	}
 }
 
-// condTakesBranchSide evaluates a conditional model, returning true when the
-// branch side (Succs[1]) is followed.
-func (g *Generator) condTakesBranchSide(b *cfg.Block) bool {
-	st := &g.state[b.ID]
+// condTakesBranchSide evaluates the conditional model of b, whose state is
+// st, returning true when the branch side (Succs[1]) is followed.
+func (g *Generator) condTakesBranchSide(st *branchState, b *cfg.Block) bool {
 	switch b.Cond.Kind {
 	case cfg.CondLoop:
 		if !st.active {
@@ -166,7 +169,7 @@ func (g *Generator) condTakesBranchSide(b *cfg.Block) bool {
 				trip = 1
 			}
 			st.active = true
-			st.remaining = trip
+			st.remaining = int32(trip)
 		}
 		if st.remaining > 0 {
 			st.remaining--
@@ -175,9 +178,9 @@ func (g *Generator) condTakesBranchSide(b *cfg.Block) bool {
 		st.active = false
 		return false // exit
 	case cfg.CondPattern:
-		t := b.Cond.Pattern[st.pos]
+		t := b.Cond.PatternAt(int(st.pos))
 		st.pos++
-		if st.pos == len(b.Cond.Pattern) {
+		if st.pos >= b.Cond.Period {
 			st.pos = 0
 		}
 		return t
@@ -190,29 +193,28 @@ func (g *Generator) condTakesBranchSide(b *cfg.Block) bool {
 // dispatch follows a deterministic cycle over the arms (correlated,
 // path-predictable, as interpreter loops are); otherwise it picks by edge
 // probability.
-func (g *Generator) pickArm(b *cfg.Block) int {
-	st := &g.state[b.ID]
-	if len(b.Succs) > 1 && g.rng.Bool(b.IndMarkov) {
-		st.prevArm = (st.prevArm + 1) % len(b.Succs)
+func (g *Generator) pickArm(st *branchState, b *cfg.Block, succs []cfg.Edge) int {
+	if len(succs) > 1 && g.rng.Bool(b.IndMarkov) {
+		st.prevArm = uint16((int(st.prevArm) + 1) % len(succs))
 	} else {
-		st.prevArm = g.pickEdge(b)
+		st.prevArm = uint16(g.pickEdge(succs))
 	}
-	return st.prevArm
+	return int(st.prevArm)
 }
 
 // pickEdge selects a successor index by edge probability.
-func (g *Generator) pickEdge(b *cfg.Block) int {
-	if len(b.Succs) == 1 {
+func (g *Generator) pickEdge(succs []cfg.Edge) int {
+	if len(succs) == 1 {
 		return 0
 	}
 	x := g.rng.Float64()
-	for i, e := range b.Succs {
+	for i, e := range succs {
 		x -= e.Prob
 		if x < 0 {
 			return i
 		}
 	}
-	return len(b.Succs) - 1
+	return len(succs) - 1
 }
 
 // Generate runs the program from its entry and materializes the trace in
@@ -266,8 +268,7 @@ func (t *Trace) Summarize(p *cfg.Program) Stats {
 	s.Blocks = len(t.Blocks)
 	s.Insts = t.Insts
 	for _, id := range t.Blocks {
-		b := p.Blocks[id]
-		switch b.Branch {
+		switch p.Blocks[id].Branch {
 		case isa.BranchCond:
 			s.CondBranches++
 		case isa.BranchNone:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamfetch/internal/cfg"
 	"streamfetch/internal/workload"
@@ -67,13 +68,14 @@ func TestTraceFollowsCFGEdges(t *testing.T) {
 	tr := Generate(prog, GenConfig{Seed: 2, MaxInsts: 100_000})
 	var stack []cfg.BlockID
 	for i := 0; i+1 < len(tr.Blocks); i++ {
-		b := prog.Blocks[tr.Blocks[i]]
+		id := tr.Blocks[i]
+		b := prog.Blocks[id]
 		next := tr.Blocks[i+1]
 		switch {
 		case b.Branch.IsCall():
 			stack = append(stack, b.Cont)
-			if !hasSucc(b, next) {
-				t.Fatalf("call block %d jumped to non-callee %d", b.ID, next)
+			if !hasSucc(prog, id, next) {
+				t.Fatalf("call block %d jumped to non-callee %d", id, next)
 			}
 		case b.Branch.IsReturn():
 			if len(stack) == 0 {
@@ -85,16 +87,16 @@ func TestTraceFollowsCFGEdges(t *testing.T) {
 				t.Fatalf("return went to %d, want continuation %d", next, want)
 			}
 		default:
-			if !hasSucc(b, next) {
-				t.Fatalf("block %d followed by non-successor %d", b.ID, next)
+			if !hasSucc(prog, id, next) {
+				t.Fatalf("block %d followed by non-successor %d", id, next)
 			}
 		}
 	}
 }
 
-func hasSucc(b *cfg.Block, id cfg.BlockID) bool {
-	for _, e := range b.Succs {
-		if e.To == id {
+func hasSucc(p *cfg.Program, from, to cfg.BlockID) bool {
+	for _, e := range p.Succs(from) {
+		if e.To == to {
 			return true
 		}
 	}
@@ -228,5 +230,14 @@ func TestMarkovIndirectCorrelation(t *testing.T) {
 	_ = last
 	if len(trans) == 0 {
 		t.Skip("no indirect transitions observed")
+	}
+}
+
+// TestBranchStateSize guards the generator's per-static-block state: a
+// generator holds one branchState per block of its program, so 176.gcc's
+// 55k blocks cost 12 bytes each at most.
+func TestBranchStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(branchState{}); n > 12 {
+		t.Fatalf("branchState is %d bytes, want at most 12", n)
 	}
 }

@@ -61,17 +61,21 @@ func programHash(p *cfg.Program) string {
 	e := &pinEncoder{h: sha256.New()}
 	e.str(p.Name)
 	e.i64(int64(len(p.Blocks)))
-	for _, b := range p.Blocks {
+	for i := range p.Blocks {
+		id := cfg.BlockID(i)
+		b := &p.Blocks[i]
 		e.i64(int64(b.NInsts))
 		e.i64(int64(b.Proc))
 		e.u64(uint64(b.Branch))
 		e.block(b.Cont)
-		e.i64(int64(len(b.Classes)))
-		for _, c := range b.Classes {
+		cs := p.Classes(id)
+		e.i64(int64(len(cs)))
+		for _, c := range cs {
 			e.u64(uint64(c))
 		}
-		e.i64(int64(len(b.Succs)))
-		for _, s := range b.Succs {
+		succs := p.Succs(id)
+		e.i64(int64(len(succs)))
+		for _, s := range succs {
 			e.block(s.To)
 			e.f64(s.Prob)
 		}
@@ -79,9 +83,9 @@ func programHash(p *cfg.Program) string {
 		e.i64(int64(b.Cond.Trip))
 		e.i64(int64(b.Cond.TripJitter))
 		e.f64(b.Cond.P)
-		e.i64(int64(len(b.Cond.Pattern)))
-		for _, t := range b.Cond.Pattern {
-			e.bool(t)
+		e.i64(int64(b.Cond.Period))
+		for j := 0; j < int(b.Cond.Period); j++ {
+			e.bool(b.Cond.PatternAt(j))
 		}
 		e.f64(b.IndMarkov)
 	}

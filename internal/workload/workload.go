@@ -200,17 +200,21 @@ func ByName(name string) (Params, error) {
 	return Params{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
-// builder synthesizes one program.
+// builder synthesizes one program. It builds the program's arrays in place
+// and addresses blocks by ID: a *cfg.Block or a Classes/Succs slice is
+// stale once the next block or edge is appended, so none is held across
+// one.
 type builder struct {
-	p      Params
-	rng    *xrand.RNG
-	prog   *cfg.Program
-	proc   int // current procedure index
-	blocks []cfg.BlockID
+	p    Params
+	rng  *xrand.RNG
+	prog *cfg.Program
+	proc int // current procedure index
 	// callSites collects (block, calleeCount) to wire after all
 	// procedures exist. Callees of proc i are always procs > i, so the
 	// static call graph is a DAG and the call stack is bounded.
 	callSites []callSite
+	// callees is wireCalls' scratch list of an indirect call's edges.
+	callees []cfg.Edge
 }
 
 type callSite struct {
@@ -230,33 +234,40 @@ func Generate(p Params) *cfg.Program {
 	}
 	b.wireCalls()
 	b.genDriver()
+	b.prog.Compact()
 	if err := b.prog.Validate(); err != nil {
 		panic("workload: generated invalid program: " + err.Error())
 	}
 	return b.prog
 }
 
-// newBlock appends a fresh block to the current procedure.
-func (b *builder) newBlock(n int, br isa.BranchType) *cfg.Block {
+// newBlock appends a fresh block to the current procedure and draws its
+// classes. A block with a fixed successor count gets its edges now, to
+// NoBlock until link or its region fills them; indirect branches and calls
+// get theirs once their targets are drawn.
+func (b *builder) newBlock(n int, br isa.BranchType) cfg.BlockID {
 	if n < 1 {
 		n = 1
 	}
-	blk := &cfg.Block{
-		ID:     cfg.BlockID(len(b.prog.Blocks)),
+	id := b.prog.AddBlock(cfg.Block{
 		Proc:   int32(b.proc),
 		NInsts: int32(n),
 		Branch: br,
 		Cont:   cfg.NoBlock,
+	})
+	b.classes(b.prog.Classes(id), br)
+	switch br {
+	case isa.BranchNone, isa.BranchUncond:
+		b.prog.AddSuccs(id, 1)
+	case isa.BranchCond:
+		b.prog.AddSuccs(id, 2)
 	}
-	blk.Classes = b.classes(n, br)
-	b.prog.Blocks = append(b.prog.Blocks, blk)
-	b.blocks = append(b.blocks, blk.ID)
-	return blk
+	return id
 }
 
-// classes draws the instruction class mix for a block.
-func (b *builder) classes(n int, br isa.BranchType) []isa.Class {
-	cs := make([]isa.Class, n)
+// classes draws the instruction class mix of a block into cs.
+func (b *builder) classes(cs []isa.Class, br isa.BranchType) {
+	n := len(cs)
 	body := n
 	if br != isa.BranchNone {
 		body = n - 1
@@ -275,7 +286,6 @@ func (b *builder) classes(n int, br isa.BranchType) []isa.Class {
 			cs[i] = isa.ClassALU
 		}
 	}
-	return cs
 }
 
 // blockLen draws a basic-block body length.
@@ -291,12 +301,14 @@ func (b *builder) blockLen() int {
 func (b *builder) condModel() cfg.CondModel {
 	if b.rng.Bool(b.p.FracPattern) {
 		// A short repeating pattern; period 2..8.
-		period := b.rng.IntRange(2, 8)
-		pat := make([]bool, period)
-		for i := range pat {
-			pat[i] = b.rng.Bool(0.5)
+		period := b.rng.IntRange(2, cfg.MaxPeriod)
+		var pat uint8
+		for i := 0; i < period; i++ {
+			if b.rng.Bool(0.5) {
+				pat |= 1 << i
+			}
 		}
-		return cfg.CondModel{Kind: cfg.CondPattern, Pattern: pat}
+		return cfg.CondModel{Kind: cfg.CondPattern, Period: uint8(period), Pattern: pat}
 	}
 	var p float64
 	if b.rng.Bool(b.p.StrongBias) {
@@ -315,22 +327,21 @@ func (b *builder) condModel() cfg.CondModel {
 func (b *builder) genProc(idx int) {
 	b.proc = idx
 	start := len(b.prog.Blocks)
-	b.blocks = nil
 
 	nRegions := b.rng.IntRange(b.p.RegionsPerProc[0], b.p.RegionsPerProc[1])
 	entry := b.newBlock(b.blockLen(), isa.BranchNone)
 	tail := entry // block whose control flow must be wired to the next region
 	for i := 0; i < nRegions; i++ {
 		head, out := b.genRegion(0)
-		b.link(tail, head.ID)
+		b.link(tail, head)
 		tail = out
 	}
 	ret := b.newBlock(b.rng.IntRange(1, 3), isa.BranchReturn)
-	b.link(tail, ret.ID)
+	b.link(tail, ret)
 
 	b.prog.Procs = append(b.prog.Procs, cfg.Proc{
 		Name:   fmt.Sprintf("proc_%03d", idx),
-		Entry:  entry.ID,
+		Entry:  entry,
 		Blocks: b.blockIDsFrom(start),
 	})
 }
@@ -346,22 +357,24 @@ func (b *builder) blockIDsFrom(start int) []cfg.BlockID {
 // link wires block t's fall-through/continuation edge to head. For blocks
 // that already transfer control (cond/loop exits are wired by genRegion),
 // link only fills the missing successor.
-func (b *builder) link(t *cfg.Block, head cfg.BlockID) {
-	switch t.Branch {
+func (b *builder) link(t, head cfg.BlockID) {
+	blk := &b.prog.Blocks[t]
+	switch blk.Branch {
 	case isa.BranchNone, isa.BranchUncond:
-		if len(t.Succs) == 0 {
-			t.Succs = []cfg.Edge{{To: head, Prob: 1}}
+		if s := b.prog.Succs(t); s[0].To == cfg.NoBlock {
+			s[0] = cfg.Edge{To: head, Prob: 1}
 		}
 	case isa.BranchCall, isa.BranchIndirectCall:
-		if t.Cont == cfg.NoBlock {
-			t.Cont = head
+		if blk.Cont == cfg.NoBlock {
+			blk.Cont = head
 		}
 	case isa.BranchCond:
 		// Loop headers and hammock conds wire both edges in genRegion;
 		// only the exit edge (Succs[0]) may be pending.
-		for i := range t.Succs {
-			if t.Succs[i].To == cfg.NoBlock {
-				t.Succs[i].To = head
+		s := b.prog.Succs(t)
+		for i := range s {
+			if s[i].To == cfg.NoBlock {
+				s[i].To = head
 			}
 		}
 	}
@@ -370,7 +383,7 @@ func (b *builder) link(t *cfg.Block, head cfg.BlockID) {
 // genRegion emits one structured region and returns its entry block and the
 // block whose outgoing fall-through edge leads out of the region. depth
 // limits nesting.
-func (b *builder) genRegion(depth int) (head, out *cfg.Block) {
+func (b *builder) genRegion(depth int) (head, out cfg.BlockID) {
 	x := b.rng.Float64()
 	p := b.p
 	if depth >= p.MaxDepth {
@@ -395,7 +408,7 @@ func (b *builder) genRegion(depth int) (head, out *cfg.Block) {
 // header's fall-through edge exits the loop. The back edge is the branch
 // side of the header condition, modelled as CondLoop so trip counts are
 // coherent per loop entry.
-func (b *builder) genLoop(depth int) (head, out *cfg.Block) {
+func (b *builder) genLoop(depth int) (head, out cfg.BlockID) {
 	header := b.newBlock(b.blockLen(), isa.BranchCond)
 	trip := b.p.MeanTrip + b.rng.IntRange(-b.p.TripJitter, b.p.TripJitter)
 	if trip < 2 {
@@ -408,7 +421,7 @@ func (b *builder) genLoop(depth int) (head, out *cfg.Block) {
 			jitter = 1
 		}
 	}
-	header.Cond = cfg.CondModel{
+	b.prog.Blocks[header].Cond = cfg.CondModel{
 		Kind:       cfg.CondLoop,
 		Trip:       int32(trip),
 		TripJitter: int32(jitter),
@@ -419,17 +432,16 @@ func (b *builder) genLoop(depth int) (head, out *cfg.Block) {
 	bodyHead, bodyOut := b.genRegion(depth + 1)
 	for i := b.rng.IntRange(0, 2); i > 0; i-- {
 		h, o := b.genRegion(depth + 1)
-		b.link(bodyOut, h.ID)
+		b.link(bodyOut, h)
 		bodyOut = o
 	}
 	latch := b.newBlock(b.rng.IntRange(1, 3), isa.BranchUncond)
-	latch.Succs = []cfg.Edge{{To: header.ID, Prob: 1}}
-	b.link(bodyOut, latch.ID)
+	b.prog.Succs(latch)[0] = cfg.Edge{To: header, Prob: 1}
+	b.link(bodyOut, latch)
 	// Succs[0] = exit (fall-through side, pending), Succs[1] = body.
-	header.Succs = []cfg.Edge{
-		{To: cfg.NoBlock, Prob: 1.0 / float64(trip)},
-		{To: bodyHead.ID, Prob: 1 - 1.0/float64(trip)},
-	}
+	s := b.prog.Succs(header)
+	s[0] = cfg.Edge{To: cfg.NoBlock, Prob: 1.0 / float64(trip)}
+	s[1] = cfg.Edge{To: bodyHead, Prob: 1 - 1.0/float64(trip)}
 	return header, header
 }
 
@@ -438,10 +450,11 @@ func (b *builder) genLoop(depth int) (head, out *cfg.Block) {
 // join), which is hotness-agnostic: whether the frequent arm ends up
 // adjacent to the condition in the baseline layout is a coin flip, exactly
 // the situation profile-guided layout optimization exploits.
-func (b *builder) genIf(depth int) (head, out *cfg.Block) {
+func (b *builder) genIf(depth int) (head, out cfg.BlockID) {
 	cond := b.newBlock(b.blockLen(), isa.BranchCond)
-	cond.Cond = b.condModel()
-	pTaken := condProb(cond.Cond) // long-run probability of Succs[1]
+	m := b.condModel()
+	b.prog.Blocks[cond].Cond = m
+	pTaken := condProb(m) // long-run probability of Succs[1]
 
 	if b.rng.Bool(0.45) {
 		// if-then-else: then-arm laid first (base fall-through),
@@ -449,22 +462,20 @@ func (b *builder) genIf(depth int) (head, out *cfg.Block) {
 		thenHead, thenOut := b.genRegion(depth + 1)
 		elseHead, elseOut := b.genRegion(depth + 1)
 		join := b.newBlock(b.blockLen(), isa.BranchNone)
-		b.link(thenOut, join.ID)
-		b.link(elseOut, join.ID)
-		cond.Succs = []cfg.Edge{
-			{To: thenHead.ID, Prob: 1 - pTaken},
-			{To: elseHead.ID, Prob: pTaken},
-		}
+		b.link(thenOut, join)
+		b.link(elseOut, join)
+		s := b.prog.Succs(cond)
+		s[0] = cfg.Edge{To: thenHead, Prob: 1 - pTaken}
+		s[1] = cfg.Edge{To: elseHead, Prob: pTaken}
 		return cond, join
 	}
 	// if-then: the branch skips the arm to the join.
 	thenHead, thenOut := b.genRegion(depth + 1)
 	join := b.newBlock(b.blockLen(), isa.BranchNone)
-	b.link(thenOut, join.ID)
-	cond.Succs = []cfg.Edge{
-		{To: thenHead.ID, Prob: 1 - pTaken},
-		{To: join.ID, Prob: pTaken},
-	}
+	b.link(thenOut, join)
+	s := b.prog.Succs(cond)
+	s[0] = cfg.Edge{To: thenHead, Prob: 1 - pTaken}
+	s[1] = cfg.Edge{To: join, Prob: pTaken}
 	return cond, join
 }
 
@@ -475,12 +486,12 @@ func condProb(m cfg.CondModel) float64 {
 		return m.P
 	case cfg.CondPattern:
 		n := 0
-		for _, t := range m.Pattern {
-			if t {
+		for i := 0; i < int(m.Period); i++ {
+			if m.PatternAt(i) {
 				n++
 			}
 		}
-		return float64(n) / float64(len(m.Pattern))
+		return float64(n) / float64(m.Period)
 	case cfg.CondLoop:
 		return 1 - 1/float64(m.Trip)
 	}
@@ -490,9 +501,9 @@ func condProb(m cfg.CondModel) float64 {
 // genSwitch emits an indirect multi-way branch with per-arm regions joining
 // into a join block. Arm weights follow a skewed distribution so a couple of
 // arms dominate, as real interpreters do.
-func (b *builder) genSwitch(depth int) (head, out *cfg.Block) {
+func (b *builder) genSwitch(depth int) (head, out cfg.BlockID) {
 	sw := b.newBlock(b.blockLen(), isa.BranchIndirect)
-	sw.IndMarkov = b.p.IndMarkov
+	b.prog.Blocks[sw].IndMarkov = b.p.IndMarkov
 	join := b.newBlock(b.blockLen(), isa.BranchNone)
 	arms := b.rng.IntRange(b.p.SwitchFanout[0], b.p.SwitchFanout[1])
 	weights := make([]float64, arms)
@@ -505,29 +516,30 @@ func (b *builder) genSwitch(depth int) (head, out *cfg.Block) {
 	for _, x := range weights {
 		total += x
 	}
+	b.prog.AddSuccs(sw, arms)
 	for i := 0; i < arms; i++ {
 		armHead, armOut := b.genRegion(depth + 1)
-		b.link(armOut, join.ID)
-		sw.Succs = append(sw.Succs, cfg.Edge{To: armHead.ID, Prob: weights[i] / total})
+		b.link(armOut, join)
+		b.prog.Succs(sw)[i] = cfg.Edge{To: armHead, Prob: weights[i] / total}
 	}
 	return sw, join
 }
 
 // genCall emits a call block; the callee is wired in wireCalls once all
 // procedures exist.
-func (b *builder) genCall() (head, out *cfg.Block) {
+func (b *builder) genCall() (head, out cfg.BlockID) {
 	indirect := b.rng.Bool(b.p.IndirectCallFrac)
 	bt := isa.BranchCall
 	if indirect {
 		bt = isa.BranchIndirectCall
 	}
 	blk := b.newBlock(b.blockLen(), bt)
-	b.callSites = append(b.callSites, callSite{block: blk.ID, indirect: indirect})
+	b.callSites = append(b.callSites, callSite{block: blk, indirect: indirect})
 	// Every call gets a private epilogue block as its continuation, so
 	// that continuations are unique per call site and can always be laid
 	// out immediately after the call (the return-address invariant).
 	epi := b.newBlock(b.rng.IntRange(1, 3), isa.BranchNone)
-	blk.Cont = epi.ID
+	b.prog.Blocks[blk].Cont = epi
 	return blk, epi
 }
 
@@ -537,14 +549,15 @@ func (b *builder) genCall() (head, out *cfg.Block) {
 func (b *builder) wireCalls() {
 	n := len(b.prog.Procs)
 	for _, cs := range b.callSites {
-		blk := b.prog.Blocks[cs.block]
+		// wireCalls adds edges but no blocks, so blk stays valid.
+		blk := &b.prog.Blocks[cs.block]
 		caller := int(blk.Proc)
 		if caller >= n-1 {
 			// Last procedure cannot call anyone: demote to a plain
 			// fall-through block into its continuation.
 			blk.Branch = isa.BranchNone
-			blk.Classes[blk.NInsts-1] = isa.ClassALU
-			blk.Succs = []cfg.Edge{{To: blk.Cont, Prob: 1}}
+			b.prog.Classes(cs.block)[blk.NInsts-1] = isa.ClassALU
+			b.prog.AddSuccs(cs.block, 1)[0] = cfg.Edge{To: blk.Cont, Prob: 1}
 			blk.Cont = cfg.NoBlock
 			continue
 		}
@@ -559,21 +572,21 @@ func (b *builder) wireCalls() {
 				total += w
 				w *= 0.5
 			}
-			seen := map[int]bool{}
+			b.callees = b.callees[:0]
+		draw:
 			for i := 0; i < k; i++ {
-				callee := b.rng.IntRange(caller+1, n-1)
-				if seen[callee] {
-					continue
+				entry := b.prog.Procs[b.rng.IntRange(caller+1, n-1)].Entry
+				for _, e := range b.callees {
+					if e.To == entry {
+						continue draw
+					}
 				}
-				seen[callee] = true
-				blk.Succs = append(blk.Succs, cfg.Edge{
-					To:   b.prog.Procs[callee].Entry,
-					Prob: weights[i] / total,
-				})
+				b.callees = append(b.callees, cfg.Edge{To: entry, Prob: weights[i] / total})
 			}
+			copy(b.prog.AddSuccs(cs.block, len(b.callees)), b.callees)
 		} else {
 			callee := b.rng.IntRange(caller+1, n-1)
-			blk.Succs = []cfg.Edge{{To: b.prog.Procs[callee].Entry, Prob: 1}}
+			b.prog.AddSuccs(cs.block, 1)[0] = cfg.Edge{To: b.prog.Procs[callee].Entry, Prob: 1}
 		}
 	}
 }
@@ -584,10 +597,9 @@ func (b *builder) wireCalls() {
 func (b *builder) genDriver() {
 	entry := b.prog.Procs[0].Entry
 	for _, id := range b.prog.Procs[0].Blocks {
-		blk := b.prog.Blocks[id]
-		if blk.Branch == isa.BranchReturn {
+		if blk := &b.prog.Blocks[id]; blk.Branch == isa.BranchReturn {
 			blk.Branch = isa.BranchUncond
-			blk.Succs = []cfg.Edge{{To: entry, Prob: 1}}
+			b.prog.AddSuccs(id, 1)[0] = cfg.Edge{To: entry, Prob: 1}
 		}
 	}
 	b.prog.Entry = entry

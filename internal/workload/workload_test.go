@@ -64,7 +64,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	for i := range a.Blocks {
 		ba, bb := a.Blocks[i], b.Blocks[i]
-		if ba.NInsts != bb.NInsts || ba.Branch != bb.Branch || len(ba.Succs) != len(bb.Succs) {
+		id := cfg.BlockID(i)
+		if ba.NInsts != bb.NInsts || ba.Branch != bb.Branch || len(a.Succs(id)) != len(b.Succs(id)) {
 			t.Fatalf("block %d differs between runs", i)
 		}
 	}
@@ -74,12 +75,12 @@ func TestCallContinuationsUnique(t *testing.T) {
 	p, _ := ByName("252.eon") // call heavy
 	prog := Generate(p)
 	seen := map[cfg.BlockID]cfg.BlockID{}
-	for _, b := range prog.Blocks {
+	for i, b := range prog.Blocks {
 		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
 			if prev, dup := seen[b.Cont]; dup {
-				t.Fatalf("continuation %d shared by calls %d and %d", b.Cont, prev, b.ID)
+				t.Fatalf("continuation %d shared by calls %d and %d", b.Cont, prev, i)
 			}
-			seen[b.Cont] = b.ID
+			seen[b.Cont] = cfg.BlockID(i)
 		}
 	}
 	if len(seen) == 0 {
@@ -90,11 +91,11 @@ func TestCallContinuationsUnique(t *testing.T) {
 func TestCallGraphIsDAG(t *testing.T) {
 	p, _ := ByName("176.gcc")
 	prog := Generate(p)
-	for _, b := range prog.Blocks {
+	for i, b := range prog.Blocks {
 		if b.Branch != isa.BranchCall && b.Branch != isa.BranchIndirectCall {
 			continue
 		}
-		for _, e := range b.Succs {
+		for _, e := range prog.Succs(cfg.BlockID(i)) {
 			callee := prog.Blocks[e.To].Proc
 			if callee <= b.Proc {
 				t.Fatalf("call from proc %d to proc %d breaks the DAG invariant",

@@ -348,7 +348,9 @@ func (s *Session) Prepare(ctx context.Context) error {
 }
 
 // Program returns the synthesized benchmark program, preparing it if
-// needed (and no layout).
+// needed (and no layout). The program is shared by every session of the
+// benchmark, so callers must not modify it; read a block's classes and
+// edges through its Classes and Succs methods.
 func (s *Session) Program() (*cfg.Program, error) {
 	return s.prog.program(context.Background())
 }
