@@ -105,3 +105,51 @@ func TestWarmGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestCappedRunPinned pins the full report of a WithMaxInstructions run
+// over each trace source: a generated trace, an indexed trace file and an
+// in-memory trace. An unsharded run caps retired instructions and reports
+// the source's own instruction total, which differs by source (the
+// generator's read-ahead, the file's indexed total); the goldens hold
+// those figures as they were before single-shot runs became one interval
+// of the interval executor.
+func TestCappedRunPinned(t *testing.T) {
+	ctx := context.Background()
+	newSession := func(opts ...streamfetch.Option) *streamfetch.Session {
+		return streamfetch.New("164.gzip", append([]streamfetch.Option{
+			streamfetch.WithInstructions(200_000),
+			streamfetch.WithMaxInstructions(50_000),
+		}, opts...)...)
+	}
+	path := filepath.Join(t.TempDir(), "gzip.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newSession().WriteTrace(ctx, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := newSession().Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []streamfetch.Option
+	}{
+		{"gen", nil},
+		{"file", []streamfetch.Option{streamfetch.WithTraceFile(path)}},
+		{"mem", []streamfetch.Option{streamfetch.WithTrace(tr)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := newSession(tc.opts...).Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertReportGolden(t, rep, "golden_capped_"+tc.name+".json")
+		})
+	}
+}

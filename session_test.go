@@ -173,6 +173,9 @@ func TestProgressAndCancellation(t *testing.T) {
 			if p.Benchmark != "164.gzip" || p.Engine != "streams" || p.Total == 0 {
 				t.Errorf("bad progress snapshot: %+v", p)
 			}
+			if p.Shard != 0 || p.Shards != 0 {
+				t.Errorf("unsharded run reported shard %d of %d", p.Shard, p.Shards)
+			}
 			if p.Retired >= 20_000 {
 				cancel()
 			}
