@@ -5,8 +5,11 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"streamfetch"
 )
 
 // TestRunJSONGolden pins the -json output byte-for-byte against the
@@ -81,5 +84,34 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if stderr.Len() == 0 {
 		t.Error("unknown benchmark produced no error output")
+	}
+}
+
+// TestRunForeignTrace: replaying another benchmark's trace is an input
+// error — exit 1 naming the foreign block on stderr — whether the run is
+// single-shot or sharded, never a crash.
+func TestRunForeignTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gcc.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcc := streamfetch.New("176.gcc", streamfetch.WithInstructions(200_000))
+	if _, err := gcc.WriteTrace(context.Background(), f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	foreign := regexp.MustCompile(`block \d+ outside the (bound )?program`)
+	for _, extra := range [][]string{nil, {"-shards", "2"}} {
+		args := append([]string{"-bench", "164.gzip", "-trace", path}, extra...)
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1 (stderr %q)", args, code, stderr.String())
+		}
+		if !foreign.MatchString(stderr.String()) {
+			t.Errorf("%v: stderr %q does not name the foreign block", args, stderr.String())
+		}
 	}
 }

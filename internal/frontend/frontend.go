@@ -236,43 +236,6 @@ func (f *ICacheFetcher) Busy() bool { return f.busy > 0 }
 // Reset drops any in-flight miss stall (redirect).
 func (f *ICacheFetcher) Reset() { f.busy = 0 }
 
-// Cycle services the front request for one cycle, appending delivered
-// instructions to out. done reports that the request has been fully
-// satisfied (or abandoned because it left the code segment).
-func (f *ICacheFetcher) Cycle(req *Request, out []FetchedInst) (res []FetchedInst, done bool) {
-	if f.busy > 0 {
-		f.busy--
-		if f.busy > 0 {
-			return out, false
-		}
-		// Miss serviced; the line is resident, deliver this cycle.
-	} else {
-		lat := f.Hier.FetchLatency(req.Start)
-		if lat > 1 {
-			f.busy = lat - 1
-			return out, false
-		}
-	}
-	lineEnd := f.fetchLimit(req.Start)
-	n := req.Len
-	if n > f.Width {
-		n = f.Width
-	}
-	if room := int(lineEnd-req.Start) / isa.InstBytes; n > room {
-		n = room
-	}
-	for i := 0; i < n; i++ {
-		// FetchAt is total: wrong-path addresses outside the code
-		// segment yield synthetic instructions, so the misprediction
-		// that led here still resolves normally.
-		inst := f.Image.FetchAt(req.Start)
-		out = append(out, FetchedInst{Addr: req.Start, Inst: inst})
-		req.Start = req.Start.Next()
-		req.Len--
-	}
-	return out, req.Len <= 0
-}
-
 // CycleFTQ services the queue for one cycle. The line read for the front
 // request also satisfies following requests that continue exactly where the
 // previous one ended within the same line — the rotate-and-select network
@@ -311,6 +274,9 @@ func (f *ICacheFetcher) CycleFTQ(q *FTQ, out []FetchedInst) []FetchedInst {
 			n = room
 		}
 		for i := 0; i < n; i++ {
+			// FetchAt is total: wrong-path addresses outside the code
+			// segment yield synthetic instructions, so the misprediction
+			// that led here still resolves normally.
 			inst := f.Image.FetchAt(req.Start)
 			out = append(out, FetchedInst{Addr: req.Start, Inst: inst})
 			req.Start = req.Start.Next()

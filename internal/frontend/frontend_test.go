@@ -62,17 +62,17 @@ func TestICacheFetcherWidthAndLineLimits(t *testing.T) {
 	lay, hier := testImage(t)
 	f := &ICacheFetcher{Hier: hier, Image: lay, Width: 8}
 	start := layout.CodeBase
-	req := Request{Start: start, Len: 64}
+	q := NewFTQ(1)
+	q.Push(Request{Start: start, Len: 64})
 	var out []FetchedInst
-	var done bool
 	// First access misses in the cold cache: stalls, no delivery.
-	out, done = f.Cycle(&req, out)
-	if len(out) != 0 || done {
-		t.Fatalf("cold access delivered %d insts done=%v", len(out), done)
+	out = f.CycleFTQ(q, out)
+	if len(out) != 0 || q.Empty() {
+		t.Fatalf("cold access delivered %d insts done=%v", len(out), q.Empty())
 	}
 	// Drain the miss stall.
 	for i := 0; i < 200 && len(out) == 0; i++ {
-		out, done = f.Cycle(&req, out)
+		out = f.CycleFTQ(q, out)
 	}
 	if len(out) == 0 {
 		t.Fatal("fetcher never delivered after miss")
@@ -80,9 +80,13 @@ func TestICacheFetcherWidthAndLineLimits(t *testing.T) {
 	if len(out) > 8 {
 		t.Fatalf("delivered %d > width", len(out))
 	}
+	line := isa.Addr(hier.ICache.LineBytes())
 	for i, fi := range out {
 		if fi.Addr != start.Plus(i) {
 			t.Fatalf("inst %d at %v, want sequential", i, fi.Addr)
+		}
+		if fi.Addr/line != start/line {
+			t.Fatalf("inst %d at %v crossed the line of %v", i, fi.Addr, start)
 		}
 	}
 }
@@ -91,12 +95,13 @@ func TestICacheFetcherRequestUpdate(t *testing.T) {
 	lay, hier := testImage(t)
 	f := &ICacheFetcher{Hier: hier, Image: lay, Width: 4}
 	hier.ICache.Access(layout.CodeBase) // pre-warm
-	req := Request{Start: layout.CodeBase, Len: 10}
-	var out []FetchedInst
-	out, done := f.Cycle(&req, out)
-	if done {
+	q := NewFTQ(1)
+	q.Push(Request{Start: layout.CodeBase, Len: 10})
+	out := f.CycleFTQ(q, nil)
+	if q.Empty() {
 		t.Fatal("10-instruction request done after one 4-wide cycle")
 	}
+	req := q.Front()
 	if req.Len != 10-len(out) {
 		t.Fatalf("request not updated: len=%d delivered=%d", req.Len, len(out))
 	}

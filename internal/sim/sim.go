@@ -267,6 +267,8 @@ type Processor struct {
 	engine frontend.Engine
 	lat    *pipeline.Latency
 	supply dynSupply
+	// err is set when Run stops on a trace the program cannot execute.
+	err error
 }
 
 // New builds a processor simulating the block sequence supplied by src
@@ -331,6 +333,10 @@ func (p *Processor) Hier() *cache.Hierarchy { return p.hier }
 // Gen exposes the load address generator (for checkpoint
 // capture/restore).
 func (p *Processor) Gen() *pipeline.LoadAddrGen { return p.lat.Gen }
+
+// Err reports why Run stopped early on a trace that is no walk of the
+// program (nil otherwise); the result then covers the prefix before it.
+func (p *Processor) Err() error { return p.err }
 
 // WarmPrefix functionally warms the processor from the head of its
 // source: every instruction is replayed without timing through the
@@ -510,6 +516,7 @@ func (p *Processor) Run() Result {
 	}
 
 	maxCycles := uint64(1) << 40
+cycles:
 	for cycle < maxCycles {
 		cycle++
 
@@ -669,7 +676,11 @@ func (p *Processor) Run() Result {
 				// was mispredicted.
 				me := win.Find(lastCorrectSeq)
 				if me == nil {
-					panic("sim: diverging entry already retired")
+					// The last correct-path instruction has retired, so
+					// it was no branch, and no walk of the program
+					// leaves it for anything but its successor.
+					p.err = fmt.Errorf("sim: trace leaves the program's control flow at %v", c.Addr)
+					break cycles
 				}
 				me.Mispredicted = true
 				pending = outstanding{

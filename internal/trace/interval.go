@@ -42,10 +42,12 @@ type IntervalConfig struct {
 
 // IntervalSource is a Source delivering one instruction interval of an
 // underlying trace, with lead-in regions flagged per block (LastRegion).
-// It is built by NewInterval and consumed like any other source.
+// It is built by NewInterval and consumed like any other source. Every
+// block it delivers is checked against the program: a block outside it
+// ends the interval with an error that Close reports.
 type IntervalSource struct {
-	src  Source
-	prog *cfg.Program
+	src    Source
+	blocks []cfg.Block
 
 	pos uint64 // absolute CFG-inst position of the next block
 
@@ -56,8 +58,11 @@ type IntervalSource struct {
 	warm     uint64 // insts delivered as timing-warmup lead-in
 	measured uint64 // insts delivered inside the measure window
 
-	pending    cfg.BlockID
-	pendingOK  bool
+	// held[hi:] are blocks pulled from src but not yet delivered: a block
+	// staged by a peek, or the tail of a batch cut at the measure boundary.
+	held []cfg.BlockID
+	hi   int
+
 	lastRegion Region
 	done       bool
 	err        error
@@ -65,22 +70,26 @@ type IntervalSource struct {
 
 // NewInterval positions src at the head of the interval c describes. src
 // must be fresh (positioned at the trace's head); it is bound to p for
-// block lengths, and the interval owns it: closing the interval closes it.
+// block lengths when the interval starts past the head, and the interval
+// owns it: closing the interval closes it.
 func NewInterval(src Source, p *cfg.Program, c IntervalConfig) (*IntervalSource, error) {
-	if b, ok := src.(interface{ Bind(*cfg.Program) }); ok {
-		b.Bind(p)
-	}
 	warmFrom := uint64(0)
 	if c.Start > c.Warmup {
 		warmFrom = c.Start - c.Warmup
 	}
-	skipped, err := src.Skip(warmFrom)
-	if err != nil {
-		return nil, fmt.Errorf("trace: skipping to interval at %d: %w", warmFrom, err)
+	var skipped uint64
+	if warmFrom > 0 {
+		if b, ok := src.(interface{ Bind(*cfg.Program) }); ok {
+			b.Bind(p)
+		}
+		var err error
+		if skipped, err = src.Skip(warmFrom); err != nil {
+			return nil, fmt.Errorf("trace: skipping to interval at %d: %w", warmFrom, err)
+		}
 	}
 	return &IntervalSource{
 		src:       src,
-		prog:      p,
+		blocks:    p.Blocks,
 		pos:       skipped,
 		skipped:   skipped,
 		measureAt: c.Start,
@@ -88,26 +97,31 @@ func NewInterval(src Source, p *cfg.Program, c IntervalConfig) (*IntervalSource,
 	}, nil
 }
 
+// blockLen returns id's instruction count, ending the interval with an
+// error when id is outside the program.
+func (s *IntervalSource) blockLen(id cfg.BlockID) (uint64, bool) {
+	if uint(id) >= uint(len(s.blocks)) {
+		s.done = true
+		s.err = fmt.Errorf("trace: block %d outside the bound program (%d blocks)", id, len(s.blocks))
+		return 0, false
+	}
+	return uint64(s.blocks[id].NInsts), true
+}
+
 // peekLen stages the next block and returns its instruction count.
 func (s *IntervalSource) peekLen() (uint64, bool) {
 	if s.done {
 		return 0, false
 	}
-	if !s.pendingOK {
+	if s.hi == len(s.held) {
 		id, ok := s.src.Next()
 		if !ok {
 			s.done = true
 			return 0, false
 		}
-		if int(id) < 0 || int(id) >= len(s.prog.Blocks) {
-			s.done = true
-			s.err = fmt.Errorf("trace: block %d outside the bound program (%d blocks)",
-				id, len(s.prog.Blocks))
-			return 0, false
-		}
-		s.pending, s.pendingOK = id, true
+		s.held, s.hi = append(s.held[:0], id), 0
 	}
-	return uint64(s.prog.Blocks[s.pending].NInsts), true
+	return s.blockLen(s.held[s.hi])
 }
 
 // region classifies the block of length ni at the current position.
@@ -127,8 +141,8 @@ func (s *IntervalSource) consume(ni uint64) cfg.BlockID {
 	} else {
 		s.measured += ni
 	}
-	s.pendingOK = false
-	return s.pending
+	s.hi++
+	return s.held[s.hi-1]
 }
 
 // Next returns the next block of the interval: the lead-in regions first,
@@ -146,30 +160,68 @@ func (s *IntervalSource) Next() (cfg.BlockID, bool) {
 	return s.consume(ni), true
 }
 
-// NextBatch fills dst with the next blocks of the interval. A batch never
-// spans a region boundary — every delivered block shares the region
-// LastRegion reports — so consumers that flag whole batches stay exact;
-// inside a region (the common, all-measured case) it is the bulk form of
-// Next.
+// NextBatch fills dst with the next blocks of the interval, pulling them
+// from the underlying source in one NextBatch and classifying them in one
+// loop. A batch never spans a region boundary — every delivered block
+// shares the region LastRegion reports — so consumers that flag whole
+// batches stay exact; the blocks past a region boundary are held for the
+// next call. Inside a region (the common, all-measured case) it passes
+// the underlying batches through.
 func (s *IntervalSource) NextBatch(dst []cfg.BlockID) int {
-	n := 0
-	var reg Region
-	for n < len(dst) {
-		ni, ok := s.peekLen()
-		if !ok {
-			break
-		}
-		if s.end > 0 && s.pos+ni > s.end {
+	if s.done || len(dst) == 0 {
+		return 0
+	}
+	n := copy(dst, s.held[s.hi:])
+	s.hi += n
+	pulled := n < len(dst)
+	if pulled {
+		n += s.src.NextBatch(dst[n:])
+		if n == 0 {
 			s.done = true
+			return 0
+		}
+	}
+	pos := s.pos
+	reg := RegionMeasure
+	for i, id := range dst[:n] {
+		ni, ok := s.blockLen(id)
+		if !ok {
+			n = i
 			break
 		}
-		if r := s.region(ni); n == 0 {
+		next := pos + ni
+		if s.end > 0 && next > s.end {
+			s.done = true
+			n = i
+			break
+		}
+		r := RegionMeasure
+		if next <= s.measureAt {
+			r = RegionWarm
+		}
+		if i == 0 {
 			reg = r
 		} else if r != reg {
+			// Hold the rest for the next batch. Without a pull it is
+			// still in held, just behind the cursor.
+			if pulled {
+				s.held, s.hi = append(s.held[:0], dst[i:n]...), 0
+			} else {
+				s.hi -= n - i
+			}
+			n = i
 			break
 		}
-		dst[n] = s.consume(ni)
-		n++
+		pos = next
+	}
+	if n > 0 {
+		s.lastRegion = reg
+		if reg == RegionWarm {
+			s.warm += pos - s.pos
+		} else {
+			s.measured += pos - s.pos
+		}
+		s.pos = pos
 	}
 	return n
 }

@@ -15,6 +15,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"streamfetch/internal/cfg"
@@ -224,7 +225,7 @@ func (s *SliceSource) Skip(n uint64) (uint64, error) {
 		for i, id := range s.blocks {
 			if int(id) < 0 || int(id) >= len(s.prog.Blocks) {
 				s.prefix = nil
-				return 0, errors.New("trace: block ID outside the bound program")
+				return 0, fmt.Errorf("trace: block %d outside the bound program (%d blocks)", id, len(s.prog.Blocks))
 			}
 			s.prefix[i+1] = s.prefix[i] + uint64(s.prog.Blocks[id].NInsts)
 		}

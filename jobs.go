@@ -93,7 +93,9 @@ type GridCell struct {
 // RunRequest is the body of POST /v1/runs: one simulation configuration.
 // Zero-valued fields keep the session defaults (streams engine, base
 // layout, width 8, seed 99, 2M instructions), exactly as the corresponding
-// session option would.
+// session option would. MaxInsts caps the run as WithMaxInstructions does:
+// retired instructions for an unsharded run, trace position (CFG
+// instructions) for a sharded or sampled one.
 type RunRequest struct {
 	Benchmark       string `json:"benchmark"`
 	Engine          string `json:"engine,omitempty"`

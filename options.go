@@ -65,8 +65,13 @@ func WithTrainInstructions(n uint64) Option {
 	return func(s *Session) { s.trainInsts = n }
 }
 
-// WithMaxInstructions stops the simulation after retiring this many
-// correct-path instructions (0 = the whole trace).
+// WithMaxInstructions caps the run (0 = the whole trace). The cap has two
+// meanings. An unsharded run stops after retiring this many correct-path
+// instructions, and its report's TraceInsts is still its source's
+// instruction total. A sharded or sampled run partitions only the first
+// n CFG instructions of the trace (a trace position), and its TraceInsts
+// is what its intervals measured; the two differ by the layout's
+// materialized jumps and the block crossing the cap.
 func WithMaxInstructions(n uint64) Option {
 	return func(s *Session) { s.maxInsts = n }
 }

@@ -30,6 +30,13 @@
 // Determinism is preserved: the same seed yields the same source sequence,
 // run after run.
 //
+// Every run is a plan of trace intervals executed by one interval executor
+// (shard.go) and merged into one Report: the whole trace as one interval,
+// WithShards intervals simulated in parallel, or WithSampling measure
+// windows. Each interval checks the blocks it delivers against the
+// program, so a trace recorded from another benchmark fails the run with
+// an error naming the foreign block.
+//
 // New fetch engines plug in through the registry in internal/frontend:
 // Register a factory under a name and every sweep, table and cmd picks it
 // up by that name.
@@ -42,7 +49,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"streamfetch/internal/cache"
 	"streamfetch/internal/cfg"
@@ -421,9 +427,11 @@ func (s *Session) Run(ctx context.Context) (*Report, error) {
 // count, trace file or in-memory trace reuses them. Only an override that
 // changes the training input (WithTrainSeed, WithTrainInstructions, or
 // WithInstructions when the training length defaults to a quarter of it)
-// profiles its own optimized layout, for that run only. With
-// WithShards(n > 1) in effect the run executes as n parallel trace
-// intervals merged into one report (see RunSharded).
+// profiles its own optimized layout, for that run only. Every run is a
+// plan of trace intervals (see shard.go): the whole trace as one interval,
+// WithShards(n > 1) parallel intervals, or WithSampling windows, merged
+// into one report. The context cancels long runs: on cancellation the
+// partial report is returned together with ctx.Err().
 func (s *Session) RunWith(ctx context.Context, opts ...Option) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -431,71 +439,12 @@ func (s *Session) RunWith(ctx context.Context, opts ...Option) (*Report, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	run := s.withOverrides(opts)
-	if run.samples > 0 {
-		return run.runSampled(ctx)
-	}
-	if run.shards > 1 {
-		return run.runSharded(ctx)
-	}
-	if err := run.validate(); err != nil {
-		return nil, err
-	}
-	prepStart := time.Now()
-	lay, err := run.ensure(ctx, run.layoutName)
-	if err != nil {
-		return nil, err
-	}
-	src, err := run.newSource(lay.Prog)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-
-	// The run target: exact when the source knows its length up front,
-	// the generation budget for seeded runs, 0 (unknown until EOF) for
-	// streamed replays.
-	total := uint64(0)
-	if n, exact := src.TotalInsts(); exact {
-		total = n
-	} else if run.traceFile == "" {
-		total = run.insts
-	}
-	if run.maxInsts > 0 && (total == 0 || run.maxInsts < total) {
-		total = run.maxInsts
-	}
-	cfg := run.simConfig(ctx, lay, run.maxInsts, total, 0, 0)
-
-	proc, err := sim.New(lay, src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	measureStart := time.Now()
-	res := proc.Run()
-	measureSecs := time.Since(measureStart).Seconds()
-	if err := src.Close(); err != nil {
-		// A decode error mid-stream looks like a short trace to the sim;
-		// surface it instead of reporting a silently truncated run.
-		return nil, fmt.Errorf("streamfetch: reading trace %s: %w", run.traceFile, err)
-	}
-	traceInsts, _ := src.TotalInsts()
-	rep := newReport(run.benchmark, lay, traceInsts, run.reportSeed(), res)
-	if run.stageTimings {
-		rep.Timings = &Timings{
-			PrepareSeconds: measureStart.Sub(prepStart).Seconds(),
-			MeasureSeconds: measureSecs,
-		}
-	}
-	if res.Aborted {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	return s.withOverrides(opts).run(ctx)
 }
 
-// simConfig assembles the simulator configuration for one run (shard and
-// shards are 0) or one shard of a sharded run.
+// simConfig assembles the simulator configuration for one interval of a
+// run: shard is its index and shards the run's interval count, both 0
+// for an unsharded run.
 func (s *Session) simConfig(ctx context.Context, lay *layout.Layout, maxInsts, total uint64, shard, shards int) sim.Config {
 	cfg := sim.Config{
 		Width:            s.width,

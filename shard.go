@@ -1,12 +1,16 @@
-// Sharded session runs: one logical simulation executed as N independent
-// trace intervals simulated in parallel and merged. Sharding is what makes
-// paper-scale sweeps (hundreds of benchmark × engine × width × layout
-// cells over 100M+-instruction traces) wall-clock-bounded by hardware
-// rather than by one sequential instruction stream: each interval skips to
-// its start (seeking through the trace-file chunk index, or fast-forwarding
-// the seeded CFG walk), restores the warm state at its boundary, runs a
-// counters-frozen timed lead-in, measures exactly its window, and the
-// mergeable counter blocks combine into one Report.
+// Session runs: every run is a plan of trace intervals executed by one
+// interval executor and merged into one Report. An unsharded run is one
+// interval, the whole trace; a sharded run (WithShards) is N contiguous
+// intervals simulated in parallel; a sampled run (WithSampling) is K short
+// measure windows spread over the trace. The plans differ only in how they
+// tile the trace and how the merged report is shaped. Sharding is what
+// makes paper-scale sweeps (hundreds of benchmark × engine × width ×
+// layout cells over 100M+-instruction traces) wall-clock-bounded by
+// hardware rather than by one sequential instruction stream: each interval
+// skips to its start (seeking through the trace-file chunk index, or
+// fast-forwarding the seeded CFG walk), restores the warm state at its
+// boundary, runs a counters-frozen timed lead-in, measures exactly its
+// window, and the mergeable counter blocks combine into one Report.
 //
 // Warm state comes from one functional-warming pass per run
 // (sim.Processor.WarmPrefix): a single walk from the trace head, at decode
@@ -15,15 +19,16 @@
 // not O(intervals × prefix), and the walk overlaps the intervals it has
 // already served. With WithCheckpoints the snapshots are also stored
 // content-addressed, and a later run of the same boundary restores from
-// the store without walking at all. Sampled runs (WithSampling) stack K
-// short measure windows on the same executor and report a confidence
+// the store without walking at all. Sampled runs report a confidence
 // interval instead of simulating the whole trace.
 //
 // Accuracy: interval boundaries snap to whole blocks and tile the trace
 // exactly, so instruction/branch counts merge losslessly; cycle-derived
 // figures (IPC, miss rates) carry the cold pipeline of each interval head,
-// which warmup shrinks. shards=1 with no warmup is byte-identical to a
-// plain Run.
+// which warmup shrinks. WithShards(1) is the unsharded run.
+//
+// WithMaxInstructions caps an unsharded run's retired instructions; a
+// sharded or sampled plan caps the trace position it partitions instead.
 package streamfetch
 
 import (
@@ -44,30 +49,22 @@ import (
 	"streamfetch/internal/trace"
 )
 
-// RunSharded executes the session as WithShards configures it — even for
-// shards=1, where it runs the single interval through the sharding path
-// and produces a report byte-identical to Run. Overrides share the
-// session's prepared artifacts exactly as RunWith's do. RunWith with a
-// WithShards override dispatches here, so most callers never call it
-// directly. The
-// context cancels in-flight shards; on cancellation the merged partial
-// report (completed shards only, Aborted set) is returned with ctx.Err().
-func (s *Session) RunSharded(ctx context.Context, opts ...Option) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.withOverrides(opts).runSharded(ctx)
-}
-
 // intervalSpec positions one simulated interval in the trace: the
 // measure window [start, end) in CFG instructions, end == 0 meaning "to
-// the trace's end". index labels the interval in reports and progress.
-type intervalSpec struct {
-	index      int
-	start, end uint64
+// the trace's end".
+type intervalSpec struct{ start, end uint64 }
+
+// runPlan is one run's intervals, ascending by start. total is the run's
+// instruction target for progress callbacks (0 when unknown until EOF),
+// refined by each interval's source; group is the interval count they
+// report, 0 for an unsharded run. maxRetired caps retired instructions
+// (WithMaxInstructions) in an unsharded run; sharded and sampled plans
+// cap by trace position in their specs instead.
+type runPlan struct {
+	specs      []intervalSpec
+	total      uint64
+	group      int
+	maxRetired uint64
 }
 
 // shardOut is one interval's outcome.
@@ -76,6 +73,9 @@ type shardOut struct {
 	start    uint64 // nominal measure-window start (CFG insts)
 	measured uint64
 	warm     uint64
+	// srcInsts is the interval's source total after the run (exact or
+	// running, see trace.Source.TotalInsts): an unsharded run reports it.
+	srcInsts uint64
 	// Checkpoint outcome for this interval: restored from the store
 	// (hit), or warmed functionally with checkpointing active (miss).
 	// Both false when checkpointing was off or inapplicable.
@@ -85,21 +85,70 @@ type shardOut struct {
 	measureSecs float64
 }
 
-func (s *Session) runSharded(ctx context.Context) (*Report, error) {
+// run executes the session's plan through the interval executor and
+// merges its intervals into one report. The context cancels in-flight
+// intervals; on cancellation the merged partial report (completed
+// intervals only, Aborted set) is returned with ctx.Err().
+func (s *Session) run(ctx context.Context) (*Report, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	nshards := s.shards
-	if nshards < 1 {
-		nshards = 1
+	if s.samples > 0 && s.sampleInsts == 0 {
+		return nil, fmt.Errorf("streamfetch: sampled runs need a positive window length (WithSampling)")
 	}
 	prepStart := time.Now()
 	lay, err := s.ensure(ctx, s.layoutName)
 	if err != nil {
 		return nil, err
 	}
-	prog := lay.Prog
+	p, err := s.plan(lay.Prog)
+	if err != nil {
+		return nil, err
+	}
+	prepSecs := time.Since(prepStart).Seconds()
+	outs, warmSecs, runErr := s.runIntervals(ctx, lay, p)
+	mergeStart := time.Now()
+	rep := s.mergeOuts(lay, p, outs)
+	if rep != nil && s.stageTimings {
+		// Prepare, warmup (the warming walk) and merge are elapsed wall
+		// clock; measure is summed across the (parallel) intervals:
+		// per-stage work-seconds, which is what the SLO cost model
+		// predicts. An unsharded run has no merge stage.
+		rep.Timings = &Timings{PrepareSeconds: prepSecs, WarmupSeconds: warmSecs}
+		if p.group > 0 {
+			rep.Timings.MergeSeconds = time.Since(mergeStart).Seconds()
+		}
+		for _, o := range outs {
+			if o != nil {
+				rep.Timings.MeasureSeconds += o.measureSecs
+			}
+		}
+	}
+	if runErr != nil {
+		if rep == nil || ctx.Err() == nil {
+			return nil, runErr
+		}
+		rep.Aborted = true
+	} else if rep.Aborted {
+		runErr = ctx.Err()
+	}
+	return rep, runErr
+}
 
+// plan tiles the session's trace: one interval for an unsharded run,
+// without sizing the trace first, or the sharded or sampled partition of
+// the trace's (capped) length.
+func (s *Session) plan(prog *cfg.Program) (*runPlan, error) {
+	if s.samples == 0 && s.shards <= 1 {
+		// The whole trace. Its progress target is the least of the cap,
+		// a seeded run's generation budget and the source's exact total,
+		// which runInterval applies when the source opens.
+		p := &runPlan{specs: []intervalSpec{{}}, total: s.maxInsts, maxRetired: s.maxInsts}
+		if s.traceFile == "" && s.traceData == nil && (p.total == 0 || s.insts < p.total) {
+			p.total = s.insts
+		}
+		return p, nil
+	}
 	total, err := s.traceTotal(prog)
 	if err != nil {
 		return nil, err
@@ -112,6 +161,15 @@ func (s *Session) runSharded(ctx context.Context) (*Report, error) {
 	if s.maxInsts > 0 && s.maxInsts < partTotal {
 		partTotal = s.maxInsts
 	}
+	if s.samples > 0 {
+		return s.samplePlan(total, partTotal), nil
+	}
+	return s.shardPlan(total, partTotal), nil
+}
+
+// shardPlan splits [0, partTotal) into WithShards even intervals.
+func (s *Session) shardPlan(total, partTotal uint64) *runPlan {
+	nshards := s.shards
 	if uint64(nshards) > partTotal {
 		// Never more shards than instructions; in particular a trace
 		// whose declared total is 0 (but which may still deliver blocks)
@@ -121,8 +179,7 @@ func (s *Session) runSharded(ctx context.Context) (*Report, error) {
 			nshards = 1
 		}
 	}
-
-	// Even instruction split: bounds[i] is shard i's measure-window start.
+	// Even instruction split: bound(i) is shard i's measure-window start.
 	q, r := partTotal/uint64(nshards), partTotal%uint64(nshards)
 	bound := func(i int) uint64 {
 		b := uint64(i) * q
@@ -140,60 +197,16 @@ func (s *Session) runSharded(ctx context.Context) (*Report, error) {
 			// and file totals are then covered exactly.
 			end = 0
 		}
-		specs[i] = intervalSpec{index: i, start: bound(i), end: end}
+		specs[i] = intervalSpec{start: bound(i), end: end}
 	}
-
-	prepSecs := time.Since(prepStart).Seconds()
-	outs, warmSecs, runErr := s.runIntervals(ctx, lay, prog, specs, partTotal, nshards)
-	mergeStart := time.Now()
-	rep := s.mergeShards(lay, nshards, outs)
-	s.attachTimings(rep, outs, prepSecs, warmSecs, time.Since(mergeStart).Seconds())
-	if runErr != nil {
-		if rep == nil || ctx.Err() == nil {
-			return nil, runErr
-		}
-		rep.Aborted = true
-		return rep, runErr
-	}
-	if rep.Aborted {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	return &runPlan{specs: specs, total: partTotal, group: nshards}
 }
 
-// runSampled executes the session in sampled mode (WithSampling): K
-// measure windows of sampleInsts instructions spread evenly across the
-// trace, each opened through the shared interval executor — so warm
-// state at its boundary, checkpoint restore and the timed lead-in all
-// apply per window — and
-// merged into one report carrying an IPC confidence interval. The
-// windows tile a small fraction of the trace; everything between them
-// is never simulated, which is where the speedup comes from.
-func (s *Session) runSampled(ctx context.Context) (*Report, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if s.sampleInsts == 0 {
-		return nil, fmt.Errorf("streamfetch: sampled runs need a positive window length (WithSampling)")
-	}
-	prepStart := time.Now()
-	lay, err := s.ensure(ctx, s.layoutName)
-	if err != nil {
-		return nil, err
-	}
-	prog := lay.Prog
-
-	total, err := s.traceTotal(prog)
-	if err != nil {
-		return nil, err
-	}
-	partTotal := total
-	if s.maxInsts > 0 && s.maxInsts < partTotal {
-		partTotal = s.maxInsts
-	}
-
+// samplePlan spreads K measure windows of sampleInsts instructions evenly
+// across [0, partTotal). The windows tile a small fraction of the trace;
+// everything between them is never simulated, which is where the speedup
+// comes from.
+func (s *Session) samplePlan(total, partTotal uint64) *runPlan {
 	var specs []intervalSpec
 	if partTotal == 0 || s.sampleInsts >= partTotal {
 		// The window covers the whole (or an unknown-length) trace:
@@ -202,7 +215,7 @@ func (s *Session) runSampled(ctx context.Context) (*Report, error) {
 		if partTotal < total {
 			end = partTotal
 		}
-		specs = []intervalSpec{{index: 0, start: 0, end: end}}
+		specs = []intervalSpec{{start: 0, end: end}}
 	} else {
 		k := s.samples
 		if uint64(k) > partTotal/s.sampleInsts {
@@ -217,28 +230,10 @@ func (s *Session) runSampled(ctx context.Context) (*Report, error) {
 		specs = make([]intervalSpec, k)
 		for i := range specs {
 			start := uint64(i)*stride + offset
-			specs[i] = intervalSpec{index: i, start: start, end: start + s.sampleInsts}
+			specs[i] = intervalSpec{start: start, end: start + s.sampleInsts}
 		}
 	}
-
-	prepSecs := time.Since(prepStart).Seconds()
-	outs, warmSecs, runErr := s.runIntervals(ctx, lay, prog, specs, partTotal, len(specs))
-	mergeStart := time.Now()
-	rep := s.mergeSamples(lay, len(specs), outs)
-	s.attachTimings(rep, outs, prepSecs, warmSecs, time.Since(mergeStart).Seconds())
-	if runErr != nil {
-		if rep == nil || ctx.Err() == nil {
-			return nil, runErr
-		}
-		rep.Aborted = true
-		return rep, runErr
-	}
-	if rep.Aborted {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
+	return &runPlan{specs: specs, total: partTotal, group: len(specs)}
 }
 
 // intervalOpening says how one interval obtains its warm state.
@@ -262,10 +257,9 @@ type intervalOpening struct {
 // processor it was restored onto.
 var errNoRestore = errors.New("streamfetch: warm state does not restore")
 
-// runIntervals simulates the given intervals in parallel (up to the
-// process-wide worker budget). group is the interval count reported to
-// progress callbacks. outs[i] stays nil for intervals that did not
-// complete (cancellation). specs ascend by start.
+// runIntervals simulates the plan's intervals in parallel (up to the
+// process-wide worker budget). outs[i] stays nil for intervals that did
+// not complete (cancellation).
 //
 // Every interval with a warm boundary opens by restoring a snapshot: from
 // the checkpoint store when it holds one, or else from a single
@@ -276,7 +270,8 @@ var errNoRestore = errors.New("streamfetch: warm state does not restore")
 // is alive at a time. The walk runs on its own goroutine outside the par
 // budget: holding a token while it waits for a worker would keep that
 // worker from starting. warmSecs is the walk's wall time.
-func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cfg.Program, specs []intervalSpec, partTotal uint64, group int) (outs []*shardOut, warmSecs float64, err error) {
+func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPlan) (outs []*shardOut, warmSecs float64, err error) {
+	specs := p.specs
 	opens := make([]intervalOpening, len(specs))
 	var bounds []uint64
 	var walked []chan []byte
@@ -316,7 +311,7 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cf
 				}
 			}()
 			start := time.Now()
-			walkErr = s.warmBoundaries(walkCtx, lay, prog, bounds, func(k int, snap []byte) error {
+			walkErr = s.warmBoundaries(walkCtx, lay, bounds, func(k int, snap []byte) error {
 				select {
 				case walked[k] <- snap:
 					return nil
@@ -343,15 +338,15 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cf
 		}
 		// snap is not read after runInterval, so it is garbage while the
 		// interval simulates.
-		out, err := s.runInterval(ctx, lay, prog, specs[i], o.boundary, snap, partTotal, group)
+		out, err := s.runInterval(ctx, lay, p, i, o.boundary, snap)
 		if err == errNoRestore && o.hit {
 			// The stored snapshot decodes but does not fit this
 			// processor: warm this boundary on its own instead.
 			o.hit = false
 			var blob []byte
-			if blob, err = s.warmBoundary(ctx, lay, prog, o.boundary); err == nil {
+			if blob, err = s.warmBoundary(ctx, lay, o.boundary); err == nil {
 				snap = s.publishCkpt(o.key, blob)
-				out, err = s.runInterval(ctx, lay, prog, specs[i], o.boundary, snap, partTotal, group)
+				out, err = s.runInterval(ctx, lay, p, i, o.boundary, snap)
 			}
 		}
 		if err != nil {
@@ -375,8 +370,8 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, prog *cf
 // warmBoundaries walks the trace once from its head with a functional-
 // warming processor and hands take the encoded warm state at each of the
 // ascending bounds, in order.
-func (s *Session) warmBoundaries(ctx context.Context, lay *layout.Layout, prog *cfg.Program, bounds []uint64, take func(k int, snap []byte) error) error {
-	src, err := s.newSource(prog)
+func (s *Session) warmBoundaries(ctx context.Context, lay *layout.Layout, bounds []uint64, take func(k int, snap []byte) error) error {
+	src, err := s.newSource(lay.Prog)
 	if err != nil {
 		return err
 	}
@@ -398,8 +393,8 @@ func (s *Session) warmBoundaries(ctx context.Context, lay *layout.Layout, prog *
 
 // warmBoundary takes the warm state at one boundary with a walk of its
 // own.
-func (s *Session) warmBoundary(ctx context.Context, lay *layout.Layout, prog *cfg.Program, boundary uint64) (snap []byte, err error) {
-	err = s.warmBoundaries(ctx, lay, prog, []uint64{boundary}, func(_ int, b []byte) error {
+func (s *Session) warmBoundary(ctx context.Context, lay *layout.Layout, boundary uint64) (snap []byte, err error) {
+	err = s.warmBoundaries(ctx, lay, []uint64{boundary}, func(_ int, b []byte) error {
 		snap = b
 		return nil
 	})
@@ -433,21 +428,22 @@ func (s *Session) publishCkpt(key string, blob []byte) *ckpt.Snapshot {
 	return snap
 }
 
-// runInterval simulates one trace interval. An interval with a warm
+// runInterval simulates interval i of plan p. An interval with a warm
 // boundary restores snap, the state there, onto its fresh processor
 // before the first timed cycle: the interval skips straight to the
 // boundary and simulates only its timed lead-in and measure window. It
 // fails with errNoRestore, before running, when snap is missing, for
 // another boundary or for another configuration.
-func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg.Program, spec intervalSpec, boundary uint64, snap *ckpt.Snapshot, partTotal uint64, group int) (*shardOut, error) {
+func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPlan, i int, boundary uint64, snap *ckpt.Snapshot) (*shardOut, error) {
 	if boundary > 0 && (snap == nil || snap.Boundary != boundary) {
 		return nil, errNoRestore
 	}
-	src, err := s.newSource(prog)
+	src, err := s.newSource(lay.Prog)
 	if err != nil {
 		return nil, err
 	}
-	iv, err := trace.NewInterval(src, prog, trace.IntervalConfig{
+	spec := p.specs[i]
+	iv, err := trace.NewInterval(src, lay.Prog, trace.IntervalConfig{
 		Start:  spec.start,
 		End:    spec.end,
 		Warmup: s.warmup,
@@ -456,7 +452,11 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg
 		src.Close()
 		return nil, err
 	}
-	proc, err := sim.New(lay, iv, s.simConfig(ctx, lay, 0, partTotal, spec.index, group))
+	total := p.total
+	if n, exact := iv.TotalInsts(); exact && (total == 0 || n < total) {
+		total = n
+	}
+	proc, err := sim.New(lay, iv, s.simConfig(ctx, lay, p.maxRetired, total, i, p.group))
 	if err != nil {
 		iv.Close()
 		return nil, err
@@ -474,13 +474,20 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, prog *cfg
 	res := proc.Run()
 	runSecs := time.Since(runStart).Seconds()
 	if err := iv.Close(); err != nil {
-		return nil, fmt.Errorf("streamfetch: shard %d reading trace: %w", spec.index, err)
+		// A decode error mid-stream looks like a short trace to the sim;
+		// surface it instead of reporting a silently truncated run.
+		return nil, fmt.Errorf("streamfetch: interval %d reading trace: %w", i, err)
 	}
+	if err := proc.Err(); err != nil {
+		return nil, fmt.Errorf("streamfetch: interval %d: %w", i, err)
+	}
+	srcInsts, _ := iv.TotalInsts()
 	return &shardOut{
 		res:         res,
 		start:       spec.start,
 		measured:    iv.MeasuredInsts(),
 		warm:        iv.WarmupInsts(),
+		srcInsts:    srcInsts,
 		measureSecs: runSecs,
 	}, nil
 }
@@ -542,21 +549,26 @@ func (s *Session) ckptKey(lay *layout.Layout, boundary uint64) (string, bool) {
 	}), true
 }
 
-// mergeOuts combines completed intervals into one report (nil when none
-// completed) plus the per-interval rows. Event counters merge
-// losslessly; aggregate IPC is the merged retired count over the merged
-// cycle count.
-func (s *Session) mergeOuts(lay *layout.Layout, outs []*shardOut) (*Report, []IntervalReport) {
+// mergeOuts combines completed intervals into the plan's report (nil when
+// none completed). Event counters merge losslessly; aggregate IPC is the
+// merged retired count over the merged cycle count. An unsharded run
+// reports its source's instruction total as TraceInsts, as a trace run to
+// the end (or cut by the retired cap) knows it. A sharded run of more
+// than one interval lists its intervals. A sampled run's merged counters
+// are the estimate: ipc_ci95 carries the 95% confidence half-width on IPC
+// from the per-window spread, and TraceInsts is the sampled coverage, not
+// the full trace length.
+func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *Report {
 	var agg sim.Counters
 	var traceInsts, hits, misses uint64
+	var ipcs []float64
 	aborted := false
 	intervals := make([]IntervalReport, 0, len(outs))
-	done := 0
 	for i, o := range outs {
 		if o == nil {
+			aborted = true
 			continue
 		}
-		done++
 		agg.Merge(o.res.Counters)
 		traceInsts += o.measured
 		if o.res.Aborted {
@@ -567,6 +579,9 @@ func (s *Session) mergeOuts(lay *layout.Layout, outs []*shardOut) (*Report, []In
 		}
 		if o.ckptMiss {
 			misses++
+		}
+		if o.res.Cycles > 0 {
+			ipcs = append(ipcs, o.res.IPC)
 		}
 		intervals = append(intervals, IntervalReport{
 			Index:          i,
@@ -581,85 +596,37 @@ func (s *Session) mergeOuts(lay *layout.Layout, outs []*shardOut) (*Report, []In
 			ICacheMissRate: o.res.ICache.MissRate(),
 		})
 	}
-	if done == 0 {
-		return nil, nil
+	if len(intervals) == 0 {
+		return nil
 	}
 	res := sim.Result{
 		Engine:   s.engine,
 		Width:    s.width,
-		Aborted:  aborted || done < len(outs),
+		Aborted:  aborted,
 		Counters: agg,
 	}
 	res.IPC = agg.IPC()
 	res.MispredRate = agg.MispredRate()
 	res.FetchIPC = agg.Fetch.FetchIPC()
+	if p.group == 0 {
+		traceInsts = outs[0].srcInsts
+	}
 	rep := newReport(s.benchmark, lay, traceInsts, s.reportSeed(), res)
 	rep.CheckpointHits = hits
 	rep.CheckpointMisses = misses
-	return rep, intervals
-}
-
-// mergeShards lifts merged intervals into a sharded-run report. For a
-// single unwarmed interval the merged report is exactly the plain run's
-// report: no shard fields, byte-identical JSON.
-func (s *Session) mergeShards(lay *layout.Layout, nshards int, outs []*shardOut) *Report {
-	rep, intervals := s.mergeOuts(lay, outs)
-	if rep == nil || nshards <= 1 {
-		return rep
+	switch {
+	case s.samples > 0:
+		rep.Samples = p.group
+		rep.SampleInsts = s.sampleInsts
+		rep.WarmupInsts = s.warmup
+		rep.Intervals = intervals
+		rep.IPCCI95 = stats.CI95(ipcs)
+	case p.group > 1:
+		rep.Shards = p.group
+		rep.WarmupInsts = s.warmup
+		rep.Intervals = intervals
 	}
-	rep.Shards = nshards
-	rep.WarmupInsts = s.warmup
-	rep.Intervals = intervals
 	return rep
-}
-
-// mergeSamples lifts merged sample windows into a sampled-run report:
-// the merged counters are the estimate, and ipc_ci95 carries the 95%
-// confidence half-width on IPC from the per-window spread. TraceInsts
-// is the sampled coverage, not the full trace length — sampled reports
-// are estimates and say so through these fields.
-func (s *Session) mergeSamples(lay *layout.Layout, k int, outs []*shardOut) *Report {
-	rep, intervals := s.mergeOuts(lay, outs)
-	if rep == nil {
-		return nil
-	}
-	rep.Samples = k
-	rep.SampleInsts = s.sampleInsts
-	rep.WarmupInsts = s.warmup
-	rep.Intervals = intervals
-	rep.IPCCI95 = ipcCI95(outs)
-	return rep
-}
-
-// ipcCI95 is the 95% confidence half-width on IPC from the spread of the
-// completed windows' IPC observations.
-func ipcCI95(outs []*shardOut) float64 {
-	var ipcs []float64
-	for _, o := range outs {
-		if o == nil || o.res.Cycles == 0 {
-			continue
-		}
-		ipcs = append(ipcs, o.res.IPC)
-	}
-	return stats.CI95(ipcs)
-}
-
-// attachTimings fills rep.Timings for a sharded or sampled run under
-// WithStageTimings: prepare, warmup (the warming walk) and merge are
-// elapsed wall clock, measure is summed across the (parallel) intervals —
-// per-stage work-seconds, which is what the SLO cost model predicts.
-func (s *Session) attachTimings(rep *Report, outs []*shardOut, prepSecs, warmSecs, mergeSecs float64) {
-	if rep == nil || !s.stageTimings {
-		return
-	}
-	tm := &Timings{PrepareSeconds: prepSecs, WarmupSeconds: warmSecs, MergeSeconds: mergeSecs}
-	for _, o := range outs {
-		if o == nil {
-			continue
-		}
-		tm.MeasureSeconds += o.measureSecs
-	}
-	rep.Timings = tm
 }
 
 // traceTotal returns the partition basis: the logical run's length in CFG

@@ -6,24 +6,27 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"streamfetch"
 )
 
-// TestRunShardedSingleIdentical: RunSharded with shards=1 and no warmup
-// goes through the full sharding path (interval source, merge) yet
-// produces a report byte-identical to Run — pinned against the same golden
-// files (and case table) as the plain runner.
+// TestRunShardedSingleIdentical: WithShards(1) is the unsharded run, one
+// interval of the interval executor: its report is byte-identical to Run,
+// pinned against the same golden files (and case table) as the plain
+// runner.
 func TestRunShardedSingleIdentical(t *testing.T) {
 	for _, tc := range goldenCases {
 		tc := tc
 		t.Run(tc.engine+"/"+tc.layout, func(t *testing.T) {
 			t.Parallel()
 			rep, err := goldenSession(tc.engine, tc.layout).
-				RunSharded(context.Background(), streamfetch.WithShards(1))
+				RunWith(context.Background(), streamfetch.WithShards(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +211,7 @@ func TestRunShardedCold(t *testing.T) {
 func TestRunShardedCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := streamfetch.New("164.gzip").RunSharded(ctx, streamfetch.WithShards(2))
+	_, err := streamfetch.New("164.gzip").RunWith(ctx, streamfetch.WithShards(2))
 	if err == nil {
 		t.Fatal("cancelled sharded run returned no error")
 	}
@@ -242,5 +245,66 @@ func TestRunShardedCancel(t *testing.T) {
 			t.Fatalf("%d goroutines after the cancelled run, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunRejectsForeignTrace: a trace recorded from another benchmark
+// names blocks the bound program does not have. Every run shape, over a
+// trace file and an in-memory trace alike, must fail with an error naming
+// such a block, never panic.
+func TestRunRejectsForeignTrace(t *testing.T) {
+	ctx := context.Background()
+	gcc := streamfetch.New("176.gcc", streamfetch.WithInstructions(200_000))
+	path := filepath.Join(t.TempDir(), "gcc.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gcc.WriteTrace(ctx, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gcc.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gzip := streamfetch.New("164.gzip")
+	prog, err := gzip.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile(`block (\d+) outside the (bound )?program \((\d+) blocks\)`)
+	for _, src := range []struct {
+		name string
+		opt  streamfetch.Option
+	}{
+		{"file", streamfetch.WithTraceFile(path)},
+		{"mem", streamfetch.WithTrace(tr)},
+	} {
+		for _, shape := range []struct {
+			name string
+			opts []streamfetch.Option
+		}{
+			{"single", nil},
+			{"sharded", []streamfetch.Option{streamfetch.WithShards(2)}},
+			{"sampled", []streamfetch.Option{streamfetch.WithSampling(4, 10_000)}},
+		} {
+			t.Run(src.name+"/"+shape.name, func(t *testing.T) {
+				rep, err := gzip.RunWith(ctx, append([]streamfetch.Option{src.opt}, shape.opts...)...)
+				if err == nil {
+					t.Fatalf("foreign trace ran: %v", rep)
+				}
+				m := named.FindStringSubmatch(err.Error())
+				if m == nil || strings.Contains(err.Error(), "panic") {
+					t.Fatalf("error does not name a foreign block: %v", err)
+				}
+				id, _ := strconv.Atoi(m[1])
+				if n, _ := strconv.Atoi(m[3]); n != len(prog.Blocks) || id < n {
+					t.Fatalf("error names block %d of %d, program has %d: %v", id, n, len(prog.Blocks), err)
+				}
+			})
+		}
 	}
 }
