@@ -3,7 +3,10 @@ package streamfetch
 import (
 	"bytes"
 	"cmp"
+	"encoding/json"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 )
@@ -441,4 +444,56 @@ func TestSweepKeyProperties(t *testing.T) {
 			t.Fatalf("sweep %+v has %d cells, want %d", r, len(cells), c)
 		}
 	}
+}
+
+// FuzzRunRequestKey drives arbitrary bytes through what POST /v1/runs
+// does to its body: the strict decode (unknown fields rejected), validate
+// and contentKey. A request is either rejected or yields a key that
+// survives a JSON round trip: marshalled, decoded and validated again it
+// is the same request with the same key.
+func FuzzRunRequestKey(f *testing.F) {
+	for _, body := range []string{
+		`{"benchmark":"164.gzip"}`,
+		`{"benchmark":"176.gcc","engine":"ev8","layout":"optimized","width":4,"insts":100000,"max_insts":50000}`,
+		`{"benchmark":"164.gzip","shards":4,"warmup":20000,"cold_shards":true,"icache_line_bytes":64}`,
+		`{"benchmark":"300.twolf","samples":8,"sample_insts":50000,"warmup":1000,"seed":3,"train_seed":4,"train_insts":9}`,
+		`{"benchmark":"164.gzip","timeout_ms":5,"priority":-1,"deadline_ms":100}`,
+		`{"benchmark":"164.gzip","unknown":1}`,
+		`{"benchmark":"nope"}`,
+		`{"benchmark":"164.gzip","samples":2}`,
+		`{"benchmark":"164.gzip","width":-1}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	decode := func(body []byte) (RunRequest, bool) {
+		var req RunRequest
+		r := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body))
+		return req, decodeBody(httptest.NewRecorder(), r, &req)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, ok := decode(body)
+		if !ok || req.validate() != nil {
+			return
+		}
+		key := req.contentKey()
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("marshalling %+v: %v", req, err)
+		}
+		back, ok := decode(again)
+		if !ok {
+			t.Fatalf("the decode rejects its own request %s", again)
+		}
+		if err := back.validate(); err != nil {
+			t.Fatalf("round-tripped request %s fails validation: %v", again, err)
+		}
+		if back != req {
+			t.Fatalf("round trip changed the request: %+v, then %+v", req, back)
+		}
+		if k := back.contentKey(); k != key {
+			t.Fatalf("round trip changed the key of %s: %s, then %s", again, key, k)
+		}
+	})
 }

@@ -149,7 +149,7 @@ func FuzzSnapshot(f *testing.F) {
 			// Accepted, as a shard would accept it: simulate from the
 			// boundary on a fresh processor (the walked one's source is
 			// spent).
-			src, err := trace.NewInterval(trace.NewGenSource(prog, gc), prog, trace.IntervalConfig{
+			src, err := trace.NewInterval(trace.NewGenSource(prog, gc), 0, prog, trace.IntervalConfig{
 				Start: boundary, End: boundary + 300,
 			})
 			if err != nil {

@@ -223,17 +223,35 @@ func (w *Window) Find(seq uint64) *Entry {
 // locality mix of integer codes. Address sequences depend only on the
 // committed instruction stream, so every fetch architecture sees identical
 // data-cache behaviour.
-// Per-instruction counts live in a dense slot-indexed array over the code
-// segment (one uint64 per static instruction slot), so the hot path is an
-// array load instead of a map access; PCs outside the declared segment fall
-// back to a lazily-built overflow map. A run executes few of the slots, so
-// the warm-state encoding (AppendState) keeps only the non-zero counters.
+//
+// Per-instruction counts are slot-indexed over the code segment, so the
+// hot path is two array loads instead of a map access, but they are paged:
+// a page holds the counters of 512 consecutive slots and exists only once
+// one of them executes. A run reaches a small part of a large program's
+// code (a 176.gcc run of 20k to 8M instructions writes 13-17 of its 551
+// pages), so a generator holds about 64 KB where one counter per slot
+// would take 2.25 MB. The first pages are carved from a slab allocated
+// with the generator, which covers a typical run without allocating as
+// it goes. PCs outside the declared segment fall back to a lazily-built
+// overflow map.
 type LoadAddrGen struct {
 	workingSet uint64
 	codeBase   isa.Addr
-	counts     []uint64
+	slots      uint64     // code slots covered by pages
+	pages      []*genPage // nil until a slot of the page executes
+	slab       []genPage  // pages allocated with the generator, not yet used
 	overflow   map[isa.Addr]uint64
 }
+
+const (
+	// genPageSlots is the slot count of one counter page (4 KB).
+	genPageSlots = 512
+	// genSlabPages sizes the slab: 16 pages, 64 KB.
+	genSlabPages = 16
+)
+
+// genPage holds the counters of genPageSlots consecutive code slots.
+type genPage [genPageSlots]uint64
 
 // DataBase is the base virtual address of the synthetic data segment.
 const DataBase = uint64(0x1000_0000)
@@ -249,11 +267,36 @@ func NewLoadAddrGen(workingSet int, codeBase isa.Addr, codeSlots int) *LoadAddrG
 	if codeSlots < 0 {
 		codeSlots = 0
 	}
+	npages := (codeSlots + genPageSlots - 1) / genPageSlots
 	return &LoadAddrGen{
 		workingSet: ws,
 		codeBase:   codeBase,
-		counts:     make([]uint64, codeSlots),
+		slots:      uint64(codeSlots),
+		pages:      make([]*genPage, npages),
+		slab:       make([]genPage, min(npages, genSlabPages)),
 	}
+}
+
+// counter returns slot s's counter, giving its page one on first use.
+func (g *LoadAddrGen) counter(s uint64) *uint64 {
+	p := g.pages[s/genPageSlots]
+	if p == nil {
+		p = g.newPage(s / genPageSlots)
+	}
+	return &p[s%genPageSlots]
+}
+
+// newPage installs page i: the next slab page, or a fresh one once the
+// slab is used up.
+func (g *LoadAddrGen) newPage(i uint64) *genPage {
+	var p *genPage
+	if len(g.slab) > 0 {
+		p, g.slab = &g.slab[0], g.slab[1:]
+	} else {
+		p = new(genPage)
+	}
+	g.pages[i] = p
+	return p
 }
 
 func mix64(x uint64) uint64 {
@@ -272,9 +315,10 @@ func mix64(x uint64) uint64 {
 // accesses across the working set (pointer chasing).
 func (g *LoadAddrGen) Next(pc isa.Addr) uint64 {
 	var n uint64
-	if s := uint64(pc-g.codeBase) / isa.InstBytes; pc >= g.codeBase && s < uint64(len(g.counts)) {
-		n = g.counts[s]
-		g.counts[s] = n + 1
+	if s := uint64(pc-g.codeBase) / isa.InstBytes; pc >= g.codeBase && s < g.slots {
+		c := g.counter(s)
+		n = *c
+		*c = n + 1
 	} else {
 		if g.overflow == nil {
 			g.overflow = make(map[isa.Addr]uint64)

@@ -23,18 +23,27 @@ import (
 // AppendState appends the generator's state to dst. Equal states encode
 // to equal bytes.
 func (g *LoadAddrGen) AppendState(dst []byte) []byte {
-	dst = wire.AppendU64(dst, uint64(len(g.counts)))
+	dst = wire.AppendU64(dst, g.slots)
 	nz := 0
-	for _, c := range g.counts {
-		if c != 0 {
-			nz++
+	for _, p := range g.pages {
+		if p != nil {
+			for _, c := range p {
+				if c != 0 {
+					nz++
+				}
+			}
 		}
 	}
 	dst = wire.AppendU64(dst, uint64(nz))
-	for s, c := range g.counts {
-		if c != 0 {
-			dst = wire.AppendU64(dst, uint64(s))
-			dst = wire.AppendU64(dst, c)
+	for i, p := range g.pages {
+		if p == nil {
+			continue
+		}
+		for j, c := range p {
+			if c != 0 {
+				dst = wire.AppendU64(dst, uint64(i*genPageSlots+j))
+				dst = wire.AppendU64(dst, c)
+			}
 		}
 	}
 	keys := make([]isa.Addr, 0, len(g.overflow))
@@ -79,11 +88,11 @@ func (g *LoadAddrGen) LoadState(r *wire.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n != uint64(len(g.counts)) {
+	if n != g.slots {
 		return wire.ErrMalformed
 	}
 	// With no slots, no pair is allowed and maxKey is never consulted.
-	counts, err := readPairs(r, len(g.counts), n-1)
+	counts, err := readPairs(r, int(g.slots), n-1)
 	if err != nil {
 		return err
 	}
@@ -91,9 +100,13 @@ func (g *LoadAddrGen) LoadState(r *wire.Reader) error {
 	if err != nil {
 		return err
 	}
-	clear(g.counts)
+	for _, p := range g.pages {
+		if p != nil {
+			clear(p[:])
+		}
+	}
 	for _, p := range counts {
-		g.counts[p.key] = p.count
+		*g.counter(p.key) = p.count
 	}
 	g.overflow = nil
 	if len(ov) > 0 {

@@ -59,7 +59,7 @@ func warmRun(t *testing.T, start, end, warmup uint64) Result {
 	prog := workload.Generate(params)
 	lay := layout.Baseline(prog)
 	gc := trace.GenConfig{Seed: 3, MaxInsts: 200_000}
-	iv, err := trace.NewInterval(trace.NewGenSource(prog, gc), prog,
+	iv, err := trace.NewInterval(trace.NewGenSource(prog, gc), 0, prog,
 		trace.IntervalConfig{Start: start, End: end, Warmup: warmup})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestWarmupZeroMatchesPlain(t *testing.T) {
 	gc := trace.GenConfig{Seed: 3, MaxInsts: 100_000}
 
 	plain := Run(lay, trace.NewGenSource(prog, gc), Config{Width: 8, Engine: "streams"})
-	iv, err := trace.NewInterval(trace.NewGenSource(prog, gc), prog, trace.IntervalConfig{})
+	iv, err := trace.NewInterval(trace.NewGenSource(prog, gc), 0, prog, trace.IntervalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestSupplyBatchedAllocFree(t *testing.T) {
 func TestSupplyWarmBatchedAllocFree(t *testing.T) {
 	b := loadBench(t, "164.gzip", 4_000_000)
 	src := b.tr.Source()
-	iv, err := trace.NewInterval(src, b.lay.Prog, trace.IntervalConfig{
+	iv, err := trace.NewInterval(src, 0, b.lay.Prog, trace.IntervalConfig{
 		Start: 1_000_000, Warmup: 200_000,
 	})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestSupplyWarmBatchedAllocFree(t *testing.T) {
 func TestSupplyWarmPathUnchanged(t *testing.T) {
 	b := loadBench(t, "164.gzip", 120_000)
 	src := b.tr.Source()
-	iv, err := trace.NewInterval(src, b.lay.Prog, trace.IntervalConfig{Start: 40_000, Warmup: 10_000})
+	iv, err := trace.NewInterval(src, 0, b.lay.Prog, trace.IntervalConfig{Start: 40_000, Warmup: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

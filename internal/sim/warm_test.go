@@ -71,7 +71,7 @@ func TestWarmPrefixChainedMatchesSingle(t *testing.T) {
 			t.Parallel()
 			chained, warmed := walkBench(t, b, engine, bounds)
 			for i, bound := range bounds {
-				iv, err := trace.NewInterval(b.tr.Source(), prog, trace.IntervalConfig{Start: bound})
+				iv, err := trace.NewInterval(b.tr.Source(), 0, prog, trace.IntervalConfig{Start: bound})
 				if err != nil {
 					t.Fatal(err)
 				}

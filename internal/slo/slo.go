@@ -12,11 +12,11 @@
 //
 // Rates are bucketed by (engine, width, execution mode): engines differ
 // by 2-3x in sim-insts/s, and sharded/sampled runs carry warming overhead
-// a plain run does not. Buckets are seeded from built-in defaults (the
-// BENCH_streamfetch.json trajectory of this repository's own hardware)
-// and updated online by an exponentially weighted moving average over
-// every finished job's measured rate, so a daemon converges to its actual
-// host within a handful of jobs whatever the defaults said.
+// a plain run does not. Buckets are seeded from built-in defaults, fixed
+// seed rates that are no measurement of any current host, and updated
+// online by an exponentially weighted moving average over every finished
+// job's measured rate, which replaces the seed: a daemon converges to its
+// actual host within a handful of jobs whatever the defaults said.
 package slo
 
 import (
@@ -44,9 +44,10 @@ type Key struct {
 	Mode   Mode
 }
 
-// defaultRates seeds each engine's plain-mode sim-insts/s from the
-// recorded benchmark trajectory (width 8; width dependence is second
-// order and the EWMA absorbs it). Unknown engines start at fallbackRate,
+// defaultRates seeds each engine's plain-mode sim-insts/s (width 8;
+// width dependence is second order). They are fixed seeds, not a
+// measurement of the host: the EWMA replaces them as jobs finish.
+// Unknown engines start at fallbackRate,
 // deliberately conservative so a new engine over-predicts (sheds too
 // eagerly) rather than accepting deadlines it cannot meet.
 var defaultRates = map[string]float64{

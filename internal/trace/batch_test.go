@@ -140,7 +140,7 @@ func TestIntervalNextBatchRegions(t *testing.T) {
 
 	mk := func() *IntervalSource {
 		src := tr.Source()
-		iv, err := NewInterval(src, prog, IntervalConfig{
+		iv, err := NewInterval(src, 0, prog, IntervalConfig{
 			Start: 60_000, End: 90_000, Warmup: 10_000,
 		})
 		if err != nil {

@@ -290,6 +290,7 @@ type FileSource struct {
 	br   *bufio.Reader
 	raw  io.Reader // what br wraps (needed to reset after a seek)
 	file io.Closer // underlying file when opened via Open
+	path string    // the file's path when opened via Open: Fork reopens it
 
 	name string
 	prev int64
@@ -357,6 +358,7 @@ func Open(path string) (*FileSource, error) {
 		return nil, err
 	}
 	s.file = f
+	s.path = path
 	s.seeker = f
 	if idx != nil {
 		s.index = idx
@@ -487,7 +489,9 @@ func (s *FileSource) Skip(n uint64) (uint64, error) {
 	}
 	start := s.instsRead
 	target := satAdd(start, n)
-	if s.index != nil && s.seeker != nil && !s.havePending {
+	if s.index != nil && s.seeker != nil {
+		// A chunk past the read position also lies past a pending block,
+		// which the seek then skips with the rest.
 		if e := s.index.find(target); e != nil && e.blocks > s.read {
 			if _, err := s.seeker.Seek(int64(e.off), io.SeekStart); err != nil {
 				s.done = true
@@ -499,6 +503,7 @@ func (s *FileSource) Skip(n uint64) (uint64, error) {
 			s.read = e.blocks
 			s.instsRead = e.insts
 			s.remaining = 0
+			s.havePending = false
 		}
 	}
 	for {
@@ -517,6 +522,25 @@ func (s *FileSource) Skip(n uint64) (uint64, error) {
 		s.instsRead += ni
 	}
 	return s.instsRead - start, s.err
+}
+
+// Fork reopens the file and skips the new source to where s stands:
+// seeking through the chunk index, or decoding the prefix again in an
+// index-less file. Only a bound source opened by path (Open) forks.
+func (s *FileSource) Fork() (Source, error) {
+	if s.path == "" || s.prog == nil {
+		return nil, errors.New("trace: only a bound trace file opened by path forks")
+	}
+	f, err := Open(s.path)
+	if err != nil {
+		return nil, err
+	}
+	f.Bind(s.prog)
+	if _, err := f.Skip(s.instsRead); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // peek decodes the next block without consuming it.

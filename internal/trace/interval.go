@@ -3,9 +3,10 @@
 // contiguous instruction range of the trace, preceded by an optional
 // timing warmup (Warmup): blocks simulated normally but with counters
 // frozen, training predictors and pipeline state. Everything before the
-// warmup is skipped outright (Skip seeks through indexed trace files, or
-// fast-forwards the CFG walk); a consumer that wants warm state at the
-// skip point restores it (see sim.Processor.WarmPrefix).
+// warmup is never delivered: the source arrives positioned at the lead-in
+// start (LeadIn), forked there by the run's Cursor, which walks the trace
+// once for all of a run's intervals; a consumer that wants warm state at
+// that point restores it (see sim.Processor.WarmPrefix).
 //
 // Interval boundaries snap to whole blocks with the same maximal-prefix
 // rule Skip uses, so the measured windows of consecutive intervals tile the
@@ -68,24 +69,31 @@ type IntervalSource struct {
 	err        error
 }
 
-// NewInterval positions src at the head of the interval c describes. src
-// must be fresh (positioned at the trace's head); it is bound to p for
-// block lengths when the interval starts past the head, and the interval
-// owns it: closing the interval closes it.
-func NewInterval(src Source, p *cfg.Program, c IntervalConfig) (*IntervalSource, error) {
-	warmFrom := uint64(0)
+// LeadIn returns where the interval's delivery starts: Warmup
+// instructions before Start, or the trace's head.
+func (c IntervalConfig) LeadIn() uint64 {
 	if c.Start > c.Warmup {
-		warmFrom = c.Start - c.Warmup
+		return c.Start - c.Warmup
 	}
-	var skipped uint64
-	if warmFrom > 0 {
+	return 0
+}
+
+// NewInterval returns the interval c describes over src, which stands at
+// instruction at: a Cursor fork at c.LeadIn(), or a fresh source at 0. A
+// source standing short of the lead-in start is skipped the rest of the
+// way, bound to p for block lengths. The interval owns src: closing the
+// interval closes it.
+func NewInterval(src Source, at uint64, p *cfg.Program, c IntervalConfig) (*IntervalSource, error) {
+	skipped := at
+	if warmFrom := c.LeadIn(); warmFrom > at {
 		if b, ok := src.(interface{ Bind(*cfg.Program) }); ok {
 			b.Bind(p)
 		}
-		var err error
-		if skipped, err = src.Skip(warmFrom); err != nil {
+		n, err := src.Skip(warmFrom - at)
+		if err != nil {
 			return nil, fmt.Errorf("trace: skipping to interval at %d: %w", warmFrom, err)
 		}
+		skipped += n
 	}
 	return &IntervalSource{
 		src:       src,

@@ -71,6 +71,19 @@ func sources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]Source {
 // openIndexed writes tr with the chunk index to a temp file and opens it.
 func openIndexed(t *testing.T, prog *cfg.Program, tr *Trace) *FileSource {
 	t.Helper()
+	src, err := Open(writeIndexed(t, prog, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Bind(prog)
+	t.Cleanup(func() { src.Close() })
+	return src
+}
+
+// writeIndexed writes tr with the chunk index to a temp file and returns
+// its path.
+func writeIndexed(t *testing.T, prog *cfg.Program, tr *Trace) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "t.trc")
 	f, err := os.Create(path)
 	if err != nil {
@@ -92,13 +105,7 @@ func openIndexed(t *testing.T, prog *cfg.Program, tr *Trace) *FileSource {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	src, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Bind(prog)
-	t.Cleanup(func() { src.Close() })
-	return src
+	return path
 }
 
 // TestSkipDifferential: on every backing, skip-then-Next is equivalent to
@@ -270,7 +277,7 @@ func TestIntervalTiling(t *testing.T) {
 					end = 0
 				}
 				src := tr.Source()
-				iv, err := NewInterval(src, prog, IntervalConfig{
+				iv, err := NewInterval(src, 0, prog, IntervalConfig{
 					Start: start, End: end, Warmup: warmup,
 				})
 				if err != nil {
@@ -336,7 +343,7 @@ func TestIntervalOverGenSource(t *testing.T) {
 		if i == shards-1 {
 			end = 0 // the crossing block may overshoot the budget
 		}
-		iv, err := NewInterval(NewGenSource(prog, gc), prog,
+		iv, err := NewInterval(NewGenSource(prog, gc), 0, prog,
 			IntervalConfig{Start: start, End: end, Warmup: 5_000})
 		if err != nil {
 			t.Fatal(err)

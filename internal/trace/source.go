@@ -11,12 +11,15 @@
 //     NewReader in file.go), so saved traces far larger than RAM replay.
 //   - SliceSource wraps an existing []cfg.BlockID (NewSliceSource, or
 //     Trace.Source) for tests and profiles that already hold a trace.
+//
+// All three fork (Forker): a fork is an independent source standing where
+// its parent stands, which is how a Cursor positions every interval of a
+// run with one walk of the trace (cursor.go).
 package trace
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"streamfetch/internal/cfg"
 )
@@ -46,7 +49,10 @@ type Source interface {
 	// the source and returns the instructions that remained. File- and
 	// slice-backed sources need a program bound (Bind) for the per-block
 	// instruction counts; an indexed trace file seeks, everything else
-	// fast-forwards linearly without layout expansion or simulation.
+	// fast-forwards linearly without layout expansion or simulation, so a
+	// skip costs O(n). Positioning many intervals of one trace is a
+	// Cursor's job: one walk forward, forked at each interval, instead of
+	// one skip from the head per interval.
 	Skip(n uint64) (skipped uint64, err error)
 	// Name returns the benchmark name the trace records.
 	Name() string
@@ -61,6 +67,15 @@ type Source interface {
 	// decode error encountered while streaming. Close on generator- and
 	// slice-backed sources is a no-op.
 	Close() error
+}
+
+// A Forker is a Source that forks: Fork returns an independent source
+// positioned where the Forker stands, which delivers exactly the blocks
+// the Forker would deliver next. Advancing either one leaves the other
+// where it was.
+type Forker interface {
+	Source
+	Fork() (Source, error)
 }
 
 // satAdd returns a+b, saturating at the maximum uint64 instead of wrapping
@@ -130,8 +145,9 @@ func (s *GenSource) NextBatch(dst []cfg.BlockID) int {
 
 // Skip fast-forwards the seeded CFG walk without layout expansion: blocks
 // are stepped, not simulated, so skipping is an order of magnitude cheaper
-// than simulating the same prefix. The generation budget (MaxInsts) applies
-// to skipped instructions exactly as it does to emitted ones.
+// than simulating the same prefix, but it still costs O(n): a walk has no
+// shortcut to a position. The generation budget (MaxInsts) applies to
+// skipped instructions exactly as it does to emitted ones.
 func (s *GenSource) Skip(n uint64) (uint64, error) {
 	start := s.g.Insts()
 	target := satAdd(start, n)
@@ -153,6 +169,13 @@ func (s *GenSource) Skip(n uint64) (uint64, error) {
 	return s.g.Insts() - start, nil
 }
 
+// Fork returns a source continuing from a clone of the walk.
+func (s *GenSource) Fork() (Source, error) {
+	f := *s
+	f.g = s.g.Clone()
+	return &f, nil
+}
+
 // Name returns the program name.
 func (s *GenSource) Name() string { return s.name }
 
@@ -169,9 +192,7 @@ type SliceSource struct {
 	blocks []cfg.BlockID
 	insts  uint64
 	i      int
-
 	prog   *cfg.Program
-	prefix []uint64 // prefix[i] = CFG insts before block i; built on first Skip
 }
 
 // NewSliceSource wraps an existing block slice as a source. The slice is
@@ -204,15 +225,10 @@ func (s *SliceSource) NextBatch(dst []cfg.BlockID) int {
 
 // Bind associates the program the trace was recorded against, giving the
 // source the per-block instruction counts Skip needs.
-func (s *SliceSource) Bind(p *cfg.Program) {
-	if p != s.prog {
-		s.prog, s.prefix = p, nil
-	}
-}
+func (s *SliceSource) Bind(p *cfg.Program) { s.prog = p }
 
-// Skip jumps the iterator forward by prefix-summed block lengths: the
-// prefix-sum table is built once on first use, then every skip is a binary
-// search plus an index assignment.
+// Skip steps the index forward over whole blocks, summing their lengths
+// from the bound program.
 func (s *SliceSource) Skip(n uint64) (uint64, error) {
 	if s.i >= len(s.blocks) || n == 0 {
 		return 0, nil
@@ -220,23 +236,25 @@ func (s *SliceSource) Skip(n uint64) (uint64, error) {
 	if s.prog == nil {
 		return 0, errors.New("trace: SliceSource.Skip needs a program (Bind)")
 	}
-	if s.prefix == nil {
-		s.prefix = make([]uint64, len(s.blocks)+1)
-		for i, id := range s.blocks {
-			if int(id) < 0 || int(id) >= len(s.prog.Blocks) {
-				s.prefix = nil
-				return 0, fmt.Errorf("trace: block %d outside the bound program (%d blocks)", id, len(s.prog.Blocks))
-			}
-			s.prefix[i+1] = s.prefix[i] + uint64(s.prog.Blocks[id].NInsts)
+	var skipped uint64
+	for ; s.i < len(s.blocks); s.i++ {
+		id := s.blocks[s.i]
+		if uint(id) >= uint(len(s.prog.Blocks)) {
+			return skipped, fmt.Errorf("trace: block %d outside the bound program (%d blocks)", id, len(s.prog.Blocks))
 		}
+		ni := uint64(s.prog.Blocks[id].NInsts)
+		if ni > n-skipped {
+			break
+		}
+		skipped += ni
 	}
-	target := satAdd(s.prefix[s.i], n)
-	// The largest boundary j with prefix[j] <= target; j >= s.i because
-	// prefix[s.i] <= target.
-	j := sort.Search(len(s.prefix), func(k int) bool { return s.prefix[k] > target }) - 1
-	skipped := s.prefix[j] - s.prefix[s.i]
-	s.i = j
 	return skipped, nil
+}
+
+// Fork returns a source over the same slice at the same index.
+func (s *SliceSource) Fork() (Source, error) {
+	f := *s
+	return &f, nil
 }
 
 // Name returns the benchmark name.

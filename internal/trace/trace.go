@@ -52,7 +52,8 @@ type GenConfig struct {
 }
 
 // branchState holds per-static-branch runtime state. A generator holds
-// one per static block, so its fields are narrowed to 8 bytes.
+// one per block its walk has reached, so its fields are narrowed to 8
+// bytes.
 type branchState struct {
 	// remaining is the number of loop-body iterations left (CondLoop).
 	remaining int32
@@ -65,12 +66,23 @@ type branchState struct {
 	active bool
 }
 
+// statePageBits sizes a branch-state page: 512 blocks, 4 KB.
+const statePageBits = 9
+
+// statePage is the branch state of 512 consecutive block IDs.
+type statePage [1 << statePageBits]branchState
+
 // Generator walks a CFG emitting the dynamic block sequence. It can be used
 // incrementally (Next) or in one shot (Generate).
+//
+// Branch state lives in pages of 512 blocks, allocated when the walk first
+// evaluates a stateful branch in one of them: a walk reaches a small part
+// of a large program's code, so a generator (and each Clone of it) holds
+// state for that part only.
 type Generator struct {
 	prog  *cfg.Program
-	rng   *xrand.RNG
-	state []branchState
+	rng   xrand.RNG
+	pages []*statePage  // nil until a block of the page needs state
 	stack []cfg.BlockID // continuation blocks of active calls
 	cur   cfg.BlockID
 	insts uint64
@@ -81,11 +93,39 @@ type Generator struct {
 func NewGenerator(p *cfg.Program, seed uint64, prof *cfg.Profile) *Generator {
 	return &Generator{
 		prog:  p,
-		rng:   xrand.New(seed),
-		state: make([]branchState, len(p.Blocks)),
+		rng:   *xrand.New(seed),
+		pages: make([]*statePage, (len(p.Blocks)+1<<statePageBits-1)>>statePageBits),
 		cur:   p.Entry,
 		prof:  prof,
 	}
+}
+
+// Clone returns an independent generator at g's position: it emits
+// exactly the blocks g would emit next, and advancing either leaves the
+// other where it was. The clone records no profile.
+func (g *Generator) Clone() *Generator {
+	c := *g
+	c.pages = make([]*statePage, len(g.pages))
+	for i, p := range g.pages {
+		if p != nil {
+			cp := *p
+			c.pages[i] = &cp
+		}
+	}
+	c.stack = append([]cfg.BlockID(nil), g.stack...)
+	c.prof = nil
+	return &c
+}
+
+// state returns the branch state of block id, allocating its page on
+// first use.
+func (g *Generator) state(id cfg.BlockID) *branchState {
+	p := g.pages[id>>statePageBits]
+	if p == nil {
+		p = new(statePage)
+		g.pages[id>>statePageBits] = p
+	}
+	return &p[id&(1<<statePageBits-1)]
 }
 
 // Next returns the next executed block. ok is false once the program has
@@ -131,7 +171,7 @@ func (g *Generator) step(id cfg.BlockID, b *cfg.Block) cfg.BlockID {
 	case isa.BranchNone, isa.BranchUncond:
 		return succs[0].To
 	case isa.BranchCond:
-		if g.condTakesBranchSide(&g.state[id], b) {
+		if g.condTakesBranchSide(id, b) {
 			return succs[1].To
 		}
 		return succs[0].To
@@ -140,9 +180,9 @@ func (g *Generator) step(id cfg.BlockID, b *cfg.Block) cfg.BlockID {
 		return succs[0].To
 	case isa.BranchIndirectCall:
 		g.stack = append(g.stack, b.Cont)
-		return succs[g.pickArm(&g.state[id], b, succs)].To
+		return succs[g.pickArm(g.state(id), b, succs)].To
 	case isa.BranchIndirect:
-		return succs[g.pickArm(&g.state[id], b, succs)].To
+		return succs[g.pickArm(g.state(id), b, succs)].To
 	case isa.BranchReturn:
 		if len(g.stack) == 0 {
 			return cfg.NoBlock
@@ -155,11 +195,13 @@ func (g *Generator) step(id cfg.BlockID, b *cfg.Block) cfg.BlockID {
 	}
 }
 
-// condTakesBranchSide evaluates the conditional model of b, whose state is
-// st, returning true when the branch side (Succs[1]) is followed.
-func (g *Generator) condTakesBranchSide(st *branchState, b *cfg.Block) bool {
+// condTakesBranchSide evaluates the conditional model of block id, b,
+// returning true when the branch side (Succs[1]) is followed. Biased
+// branches keep no state.
+func (g *Generator) condTakesBranchSide(id cfg.BlockID, b *cfg.Block) bool {
 	switch b.Cond.Kind {
 	case cfg.CondLoop:
+		st := g.state(id)
 		if !st.active {
 			trip := int(b.Cond.Trip)
 			if j := int(b.Cond.TripJitter); j > 0 {
@@ -178,6 +220,7 @@ func (g *Generator) condTakesBranchSide(st *branchState, b *cfg.Block) bool {
 		st.active = false
 		return false // exit
 	case cfg.CondPattern:
+		st := g.state(id)
 		t := b.Cond.PatternAt(int(st.pos))
 		st.pos++
 		if st.pos >= b.Cond.Period {

@@ -234,8 +234,9 @@ func TestMarkovIndirectCorrelation(t *testing.T) {
 }
 
 // TestBranchStateSize guards the generator's per-static-block state: a
-// generator holds one branchState per block of its program, so 176.gcc's
-// 55k blocks cost 12 bytes each at most.
+// generator holds one branchState per block in each 512-block page its
+// walk reaches (all 55k of 176.gcc's in the worst case), 12 bytes each at
+// most.
 func TestBranchStateSize(t *testing.T) {
 	if n := unsafe.Sizeof(branchState{}); n > 12 {
 		t.Fatalf("branchState is %d bytes, want at most 12", n)

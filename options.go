@@ -136,7 +136,10 @@ func WithColdShards() Option {
 // functional-warming walk visits only the missed boundaries (and is
 // skipped when every boundary hits), and publishes the checkpoint it
 // takes at each for the next run — including a restarted daemon or
-// another daemon sharing the store. A hit and a miss restore the same
+// another daemon sharing the store. A run restoring every boundary still
+// positions its intervals with one pass over the trace (a CFG walk
+// without simulation, or a seek per interval in an indexed trace file),
+// then simulates each interval's lead-in and window. A hit and a miss restore the same
 // bytes, so reports differ only in their checkpoint counters.
 // Checkpoints key on the preparation inputs (benchmark, seeds, engine,
 // width, layout, trace file path) plus the boundary position; any

@@ -7,10 +7,18 @@
 // makes paper-scale sweeps (hundreds of benchmark × engine × width ×
 // layout cells over 100M+-instruction traces) wall-clock-bounded by
 // hardware rather than by one sequential instruction stream: each interval
-// skips to its start (seeking through the trace-file chunk index, or
-// fast-forwarding the seeded CFG walk), restores the warm state at its
-// boundary, runs a counters-frozen timed lead-in, measures exactly its
-// window, and the mergeable counter blocks combine into one Report.
+// takes a source positioned at its lead-in start, restores the warm state
+// at its boundary, runs a counters-frozen timed lead-in, measures exactly
+// its window, and the mergeable counter blocks combine into one Report.
+//
+// Positioning costs one pass over the trace per run, not one per
+// interval: a trace.Cursor walks the run's source forward once
+// (fast-forwarding the seeded CFG walk, stepping an in-memory trace, or
+// seeking through a trace file's chunk index) and forks it at each
+// interval's lead-in start, so a K-interval plan pays O(trace) where K
+// skips from the head paid O(K·trace). A fork holds only the state its
+// walk has touched (the CFG walk's branch state is paged by code), and a
+// trace file forks by reopening its path.
 //
 // Warm state comes from one functional-warming pass per run
 // (sim.Processor.WarmPrefix): a single walk from the trace head, at decode
@@ -297,6 +305,23 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 		}
 	}
 
+	// One cursor positions every interval: it walks the run's source once
+	// and forks it at each lead-in start.
+	leadIns := make([]uint64, len(specs))
+	for i, spec := range specs {
+		leadIns[i] = s.intervalConfig(spec).LeadIn()
+	}
+	src, err := s.newSource(lay.Prog)
+	if err != nil {
+		return nil, 0, err
+	}
+	cur, err := trace.NewCursor(src, lay.Prog, leadIns)
+	if err != nil {
+		src.Close()
+		return nil, 0, err
+	}
+	defer cur.Close()
+
 	walkCtx, stopWalk := context.WithCancel(ctx)
 	walkDone := make(chan struct{})
 	var walkErr error
@@ -325,6 +350,10 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 
 	outs = make([]*shardOut, len(specs))
 	err = par.Do(ctx, len(specs), true, func(i int) error {
+		src, at, err := cur.Fork(i)
+		if err != nil {
+			return err
+		}
 		o := &opens[i]
 		snap := o.stored
 		o.stored = nil
@@ -333,20 +362,24 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 			case blob := <-o.walked:
 				snap = s.publishCkpt(o.key, blob)
 			case <-walkDone:
+				src.Close()
 				return walkErr
 			}
 		}
 		// snap is not read after runInterval, so it is garbage while the
 		// interval simulates.
-		out, err := s.runInterval(ctx, lay, p, i, o.boundary, snap)
+		out, err := s.runInterval(ctx, lay, p, i, src, at, o.boundary, snap)
 		if err == errNoRestore && o.hit {
 			// The stored snapshot decodes but does not fit this
-			// processor: warm this boundary on its own instead.
+			// processor: warm this boundary on its own instead, and
+			// skip a fresh source to the interval the same way.
 			o.hit = false
 			var blob []byte
 			if blob, err = s.warmBoundary(ctx, lay, o.boundary); err == nil {
 				snap = s.publishCkpt(o.key, blob)
-				out, err = s.runInterval(ctx, lay, p, i, o.boundary, snap)
+				if src, err = s.newSource(lay.Prog); err == nil {
+					out, err = s.runInterval(ctx, lay, p, i, src, 0, o.boundary, snap)
+				}
 			}
 		}
 		if err != nil {
@@ -428,26 +461,26 @@ func (s *Session) publishCkpt(key string, blob []byte) *ckpt.Snapshot {
 	return snap
 }
 
-// runInterval simulates interval i of plan p. An interval with a warm
-// boundary restores snap, the state there, onto its fresh processor
-// before the first timed cycle: the interval skips straight to the
-// boundary and simulates only its timed lead-in and measure window. It
-// fails with errNoRestore, before running, when snap is missing, for
-// another boundary or for another configuration.
-func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPlan, i int, boundary uint64, snap *ckpt.Snapshot) (*shardOut, error) {
+// intervalConfig places spec's measure window and the session's timed
+// lead-in in the trace.
+func (s *Session) intervalConfig(spec intervalSpec) trace.IntervalConfig {
+	return trace.IntervalConfig{Start: spec.start, End: spec.end, Warmup: s.warmup}
+}
+
+// runInterval simulates interval i of plan p over src, which stands at
+// instruction at (see trace.NewInterval) and which runInterval closes. An
+// interval with a warm boundary restores snap, the state there, onto its
+// fresh processor before the first timed cycle, and simulates only its
+// timed lead-in and measure window. It fails with errNoRestore, before
+// running, when snap is missing, for another boundary or for another
+// configuration.
+func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPlan, i int, src trace.Source, at, boundary uint64, snap *ckpt.Snapshot) (*shardOut, error) {
 	if boundary > 0 && (snap == nil || snap.Boundary != boundary) {
+		src.Close()
 		return nil, errNoRestore
 	}
-	src, err := s.newSource(lay.Prog)
-	if err != nil {
-		return nil, err
-	}
 	spec := p.specs[i]
-	iv, err := trace.NewInterval(src, lay.Prog, trace.IntervalConfig{
-		Start:  spec.start,
-		End:    spec.end,
-		Warmup: s.warmup,
-	})
+	iv, err := trace.NewInterval(src, at, lay.Prog, s.intervalConfig(spec))
 	if err != nil {
 		src.Close()
 		return nil, err

@@ -308,3 +308,39 @@ func TestRunRejectsForeignTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestSampledInMemoryFootprint guards what positioning a sampled run's
+// windows costs: 16 windows over an in-memory 8M-instruction 176.gcc
+// trace allocate at most 128 MB (about 90 MB, most of it the 16 warm
+// snapshots). One cursor walks the slice once and forks it at each
+// window; a prefix-sum table per window (8 bytes a block, 13 MB here)
+// took about 400 MB.
+func TestSampledInMemoryFootprint(t *testing.T) {
+	const limit = 128 << 20
+	ctx := context.Background()
+	s := streamfetch.New("176.gcc", streamfetch.WithInstructions(8_000_000))
+	tr, err := s.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prepare(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := s.RunWith(ctx, streamfetch.WithTrace(tr),
+		streamfetch.WithSampling(16, 20_000), streamfetch.WithWarmup(20_000))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Samples != 16 {
+		t.Fatalf("ran %d windows, want 16", rep.Samples)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("16 windows over %d in-memory instructions: %d bytes allocated", tr.Insts, alloc)
+	if alloc > limit {
+		t.Errorf("sampled in-memory run allocates %d bytes, limit %d", alloc, limit)
+	}
+}
