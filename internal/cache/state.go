@@ -9,6 +9,10 @@ import "streamfetch/internal/ckpt/wire"
 // snapshot/delta in the simulator cancels the baseline exactly as it does
 // for a functionally warmed run.
 
+// StateLen returns the length of the state AppendState would append:
+// fixed by the geometry.
+func (c *Cache) StateLen() int { return 24 + 16*len(c.ways) }
+
 // AppendState appends the cache's behavioral state to dst.
 func (c *Cache) AppendState(dst []byte) []byte {
 	dst = wire.AppendU64(dst, c.clock)
@@ -51,6 +55,11 @@ func (c *Cache) LoadState(r *wire.Reader) error {
 	c.clock = clock
 	copy(c.ways, scratch)
 	return nil
+}
+
+// StateLen returns the length of the state AppendState would append.
+func (h *Hierarchy) StateLen() int {
+	return h.ICache.StateLen() + h.DCache.StateLen() + h.L2.StateLen()
 }
 
 // AppendState appends all three caches of the hierarchy.

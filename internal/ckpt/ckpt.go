@@ -82,8 +82,17 @@ type Snapshot struct {
 
 // Encode serializes a checkpoint: the hierarchy and generator state are
 // captured via their AppendState methods, the engine section is taken
-// as already-encoded bytes.
+// as already-encoded bytes. dst grows once, to the snapshot's length,
+// and the sections are appended into it in place.
 func Encode(dst []byte, boundary uint64, hier *cache.Hierarchy, gen *pipeline.LoadAddrGen, engineName string, engine []byte) []byte {
+	// Magic, checksum, version, boundary, then three u64 length prefixes
+	// and the name's.
+	n := len(magic) + 7*8 + len(engineName) + hier.StateLen() + gen.StateLen() + len(engine)
+	// One make, not slices.Grow: under the race detector that appends a
+	// zeroed slice of n bytes, allocating the snapshot twice.
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, magic...)
 	// Checksum placeholder, filled over everything that follows it.
 	sumAt := len(dst)
@@ -91,11 +100,20 @@ func Encode(dst []byte, boundary uint64, hier *cache.Hierarchy, gen *pipeline.Lo
 	dst = wire.AppendU64(dst, Version)
 	dst = wire.AppendU64(dst, boundary)
 	dst = wire.AppendString(dst, engineName)
-	dst = wire.AppendBytes(dst, hier.AppendState(nil))
-	dst = wire.AppendBytes(dst, gen.AppendState(nil))
+	dst = appendSection(dst, hier.AppendState)
+	dst = appendSection(dst, gen.AppendState)
 	dst = wire.AppendBytes(dst, engine)
 	sum := crc32.Checksum(dst[sumAt+8:], castagnoli)
 	binary.LittleEndian.PutUint64(dst[sumAt:], uint64(sum))
+	return dst
+}
+
+// appendSection appends a section as wire.AppendBytes would, but
+// appends its state in place behind a length prefix patched afterwards.
+func appendSection(dst []byte, appendState func([]byte) []byte) []byte {
+	at := len(dst)
+	dst = appendState(wire.AppendU64(dst, 0))
+	binary.LittleEndian.PutUint64(dst[at:], uint64(len(dst)-at-8))
 	return dst
 }
 

@@ -20,10 +20,9 @@ import (
 // pair list prefixed by its length. A section is 24 bytes plus 16 per
 // non-zero counter or overflow entry.
 
-// AppendState appends the generator's state to dst. Equal states encode
-// to equal bytes.
-func (g *LoadAddrGen) AppendState(dst []byte) []byte {
-	dst = wire.AppendU64(dst, g.slots)
+// nonZero counts the generator's non-zero counters. Counters live in
+// pages, and a page that never executed holds none.
+func (g *LoadAddrGen) nonZero() int {
 	nz := 0
 	for _, p := range g.pages {
 		if p != nil {
@@ -34,7 +33,19 @@ func (g *LoadAddrGen) AppendState(dst []byte) []byte {
 			}
 		}
 	}
-	dst = wire.AppendU64(dst, uint64(nz))
+	return nz
+}
+
+// StateLen returns the length of the state AppendState would append.
+func (g *LoadAddrGen) StateLen() int {
+	return 24 + 16*(g.nonZero()+len(g.overflow))
+}
+
+// AppendState appends the generator's state to dst. Equal states encode
+// to equal bytes.
+func (g *LoadAddrGen) AppendState(dst []byte) []byte {
+	dst = wire.AppendU64(dst, g.slots)
+	dst = wire.AppendU64(dst, uint64(g.nonZero()))
 	for i, p := range g.pages {
 		if p == nil {
 			continue

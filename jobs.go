@@ -502,18 +502,18 @@ const maxCachedSessions = 64
 // sessionCache shares prepared sessions across jobs, keyed by preparation
 // identity (prepSpec) and least-recently-used beyond its bound. Requests
 // that differ only in reference seed or length share one session, since
-// those reach each run as options. Every session of one benchmark shares
-// one program and baseline layout (progs), so the bound limits optimized
-// layouts while programs are bounded by the benchmark registry. Sessions
-// are safe for concurrent RunWith, so two jobs over the same preparation
-// run simultaneously; an evicted session keeps serving jobs already
-// holding it and is garbage-collected when they finish.
+// those reach each run as options. Like every session in the process, the
+// cached sessions of one benchmark share one program and baseline layout
+// (programOf), so the bound limits optimized layouts, and a benchmark
+// whose sessions have all been evicted frees its program. Sessions are
+// safe for concurrent RunWith, so two jobs over the same preparation run
+// simultaneously; an evicted session keeps serving jobs already holding
+// it and is garbage-collected when they finish.
 type sessionCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[prepSpec]*Session
-	use   []prepSpec // LRU order, least recently used first
-	progs map[string]*program
+	mu  sync.Mutex
+	cap int
+	m   map[prepSpec]*Session
+	use []prepSpec // LRU order, least recently used first
 }
 
 // get returns the session for spec's preparation identity. Every run of
@@ -536,18 +536,12 @@ func (c *sessionCache) get(spec contentSpec) *Session {
 	}
 	if c.m == nil {
 		c.m = map[prepSpec]*Session{}
-		c.progs = map[string]*program{}
 	}
 	// The training length is spelled out, so no run's length changes it;
 	// spec.insts derives the same length where that is 0 (traces under 4
 	// instructions), which WithTrainInstructions cannot spell.
 	s := New(spec.benchmark, WithTrainSeed(key.train.seed),
 		WithTrainInstructions(key.train.insts), WithInstructions(spec.insts))
-	if p, ok := c.progs[spec.benchmark]; ok {
-		s.prog = p
-	} else {
-		c.progs[spec.benchmark] = s.prog
-	}
 	c.m[key] = s
 	c.use = append(c.use, key)
 	for len(c.use) > c.cap {

@@ -241,11 +241,13 @@ func WithJobRetention(n int) ServerOption {
 
 // WithSessionCacheSize bounds the prepared-session LRU shared across jobs
 // (default 64). A session is one benchmark at one training input (train
-// seed and training length); reference seeds and lengths share it, and
-// every session of a benchmark shares one program and baseline layout.
-// The bound keeps a long-lived daemon's optimized layouts bounded against
-// clients that sweep the training key space. n must be positive;
-// NewServer rejects the configuration otherwise.
+// seed and training length); reference seeds and lengths share it. Like
+// every live session in the process, the sessions of a benchmark share
+// one program and baseline layout, freed once the last of them is
+// evicted and its jobs finish. The bound keeps a long-lived daemon's
+// optimized layouts bounded against clients that sweep the training key
+// space. n must be positive; NewServer rejects the configuration
+// otherwise.
 func WithSessionCacheSize(n int) ServerOption {
 	return func(c *serverConfig) {
 		if n <= 0 {

@@ -5,9 +5,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"streamfetch/internal/cfg"
 )
 
 // TestPrepOverridesShareArtifacts: for every engine and both layouts, a
@@ -86,6 +89,9 @@ func TestPrepOverridesShareArtifacts(t *testing.T) {
 func TestPrepOptimizedOnlySkipsBaseline(t *testing.T) {
 	ctx := context.Background()
 	s := New("164.gzip", WithOptimizedLayout(), WithInstructions(40_000))
+	// A private program: the shared one may hold a baseline another live
+	// session built.
+	s.prog = &program{benchmark: "164.gzip"}
 	runs := [][]Option{
 		nil,
 		{WithShards(2), WithWarmup(2_000)},
@@ -176,9 +182,7 @@ func TestPrepDaemonOneProgramPerBenchmark(t *testing.T) {
 	if n := c.size(); n != 1 {
 		t.Fatalf("seeds A, B, A left %d cached sessions, want 1", n)
 	}
-	if n := len(c.progs); n != 1 {
-		t.Fatalf("%d prepared programs, want 1", n)
-	}
+	sharedProgram(t, c, "164.gzip")
 
 	// A shorter trace whose spelled-out training length matches the
 	// derived one (40k/4) shares the session, and still reports as its
@@ -195,12 +199,19 @@ func TestPrepDaemonOneProgramPerBenchmark(t *testing.T) {
 	if n := c.size(); n != 2 {
 		t.Fatalf("a fresh train seed left %d cached sessions, want 2", n)
 	}
-	if n := len(c.progs); n != 1 {
-		t.Fatalf("%d prepared programs after a fresh train seed, want 1", n)
-	}
-	for _, s := range c.m {
-		if s.prog != c.progs["164.gzip"] {
-			t.Error("a cached session does not share the benchmark's program")
+	sharedProgram(t, c, "164.gzip")
+}
+
+// sharedProgram fails t unless every session in c holds the benchmark's
+// one process-wide program.
+func sharedProgram(t *testing.T, c *sessionCache, benchmark string) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := programOf(benchmark)
+	for key, s := range c.m {
+		if s.prog != want {
+			t.Errorf("cached session %+v does not share the benchmark's program", key)
 		}
 	}
 }
@@ -251,7 +262,170 @@ func TestPrepConcurrentShared(t *testing.T) {
 			t.Errorf("%+v: concurrent shared run differs from a fresh session's", x)
 		}
 	}
-	if n := c.size(); n != 2 || len(c.progs) != 1 {
-		t.Fatalf("%d sessions over %d programs, want 2 over 1", n, len(c.progs))
+	if n := c.size(); n != 2 {
+		t.Fatalf("%d sessions, want 2", n)
+	}
+	sharedProgram(t, &c, "164.gzip")
+}
+
+// TestPrepProgramSharedAcrossSources: sessions of one benchmark share its
+// program and baseline layout whether they generate their trace, replay
+// a trace file or replay an in-memory trace; a session of another
+// benchmark shares neither.
+func TestPrepProgramSharedAcrossSources(t *testing.T) {
+	ctx := context.Background()
+	const bench = "176.gcc"
+	rec := New(bench, WithInstructions(10_000))
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gcc.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.WriteTrace(ctx, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sessions := map[string]*Session{
+		"generated":  New(bench),
+		"trace file": New(bench, WithTraceFile(path)),
+		"in-memory":  New(bench, WithTrace(tr)),
+	}
+	prog, err := rec.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := rec.Layout("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range sessions {
+		if p, err := s.Program(); err != nil || p != prog {
+			t.Errorf("%s session: program not shared (err %v)", name, err)
+		}
+		if l, err := s.Layout("base"); err != nil || l != base {
+			t.Errorf("%s session: baseline layout not shared (err %v)", name, err)
+		}
+	}
+
+	other := New("164.gzip")
+	if p, err := other.Program(); err != nil || p == prog {
+		t.Errorf("a 164.gzip session shares 176.gcc's program (err %v)", err)
+	}
+	if l, err := other.Layout("base"); err != nil || l == base {
+		t.Errorf("a 164.gzip session shares 176.gcc's baseline layout (err %v)", err)
+	}
+}
+
+// TestPrepProgramFreedWithSessions: once no session holds a benchmark's
+// program, it is collected and its registry entry lapses, and the next
+// session builds a fresh one.
+func TestPrepProgramFreedWithSessions(t *testing.T) {
+	const bench = "197.parser"
+	// The session is dropped at once; only its program stays referenced.
+	old, err := New(bench).Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := func() bool {
+		programs.mu.Lock()
+		defer programs.mu.Unlock()
+		_, ok := programs.m[bench]
+		return ok
+	}
+	// Cleanups run asynchronously after the collection that frees the
+	// program.
+	for deadline := time.Now().Add(10 * time.Second); registered(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the registry kept the program of a benchmark no session holds")
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	fresh, err := New(bench).Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == old {
+		t.Fatal("a new session reused a program no session held")
+	}
+}
+
+// TestPrepConcurrentNew: sessions of one benchmark built and prepared
+// concurrently all share one program, generated once.
+func TestPrepConcurrentNew(t *testing.T) {
+	const n = 16
+	progs := make([]*cfg.Program, n)
+	held := make([]*program, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := New("164.gzip", WithInstructions(10_000))
+			if err := s.Prepare(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+			held[i] = s.prog
+			progs[i], _ = s.Program()
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if held[i] != held[0] || progs[i] != progs[0] {
+			t.Fatalf("session %d prepared its own program", i)
+		}
+	}
+}
+
+// TestPrepReplayHeap guards the memory the benchmark's replay shape holds:
+// a generating session and a trace-file session each for 176.gcc and
+// 253.perlbmk, prepared on the baseline layout, retain one program and
+// layout per benchmark (about 13 MB). A program per session would retain
+// about 26.5 MB.
+func TestPrepReplayHeap(t *testing.T) {
+	const limit = 18 << 20
+	ctx := context.Background()
+	benches := []string{"176.gcc", "253.perlbmk"}
+	paths := make([]string, len(benches))
+	for i, b := range benches {
+		paths[i] = filepath.Join(t.TempDir(), b+".trc")
+		f, err := os.Create(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(b, WithInstructions(10_000)).WriteTrace(ctx, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var sessions []*Session
+	for i, b := range benches {
+		sessions = append(sessions, New(b, WithWidth(4)), New(b, WithWidth(4), WithTraceFile(paths[i])))
+	}
+	for _, s := range sessions {
+		if err := s.Prepare(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sessions)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("4 prepared replay-shape sessions hold %.2f MB", float64(held)/(1<<20))
+	if held > limit {
+		t.Errorf("4 prepared replay-shape sessions hold %d bytes, limit %d", held, limit)
 	}
 }

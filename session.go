@@ -13,9 +13,10 @@
 //		streamfetch.WithSeed(99),
 //	).Run(ctx)
 //
-// Prepared artifacts (program, layouts) are cached in the session, each
-// built on first use, so RunWith can sweep engines, widths, layouts and
-// reference seeds cheaply:
+// Prepared artifacts are built on first use and kept: the program and its
+// baseline layout are shared by every live session of the benchmark in
+// the process, the optimized layout by the session, so RunWith can sweep
+// engines, widths, layouts and reference seeds cheaply:
 //
 //	s := streamfetch.New("176.gcc", streamfetch.WithOptimizedLayout())
 //	for _, e := range streamfetch.Engines() {
@@ -47,8 +48,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"weak"
 
 	"streamfetch/internal/cache"
 	"streamfetch/internal/cfg"
@@ -113,14 +116,44 @@ type Progress struct {
 
 // program holds the artifacts that depend on the benchmark alone: the
 // synthesized program and its baseline layout, each built on first use.
-// A session shares its program with every RunWith override, and the
-// daemon shares one per benchmark across all of its sessions.
+// One program per benchmark is shared process-wide (programOf) by every
+// session that holds it and every RunWith override of those sessions.
 type program struct {
 	benchmark string
 	mu        sync.Mutex
 	prog      *cfg.Program
 	baseMu    sync.Mutex
 	base      *layout.Layout
+}
+
+// programs maps each benchmark to its live program. It holds weak
+// pointers, so the sessions alone keep a program alive: once none holds
+// it, it is collected and its entry dropped.
+var programs = struct {
+	mu sync.Mutex
+	m  map[string]weak.Pointer[program]
+}{m: map[string]weak.Pointer[program]{}}
+
+// programOf returns the benchmark's live program, registering a fresh,
+// unbuilt one when no session holds it.
+func programOf(benchmark string) *program {
+	programs.mu.Lock()
+	defer programs.mu.Unlock()
+	if p := programs.m[benchmark].Value(); p != nil {
+		return p
+	}
+	p := &program{benchmark: benchmark}
+	wp := weak.Make(p)
+	programs.m[benchmark] = wp
+	runtime.AddCleanup(p, func(wp weak.Pointer[program]) {
+		programs.mu.Lock()
+		defer programs.mu.Unlock()
+		// A later program of the benchmark may already own the entry.
+		if programs.m[benchmark] == wp {
+			delete(programs.m, benchmark)
+		}
+	}, wp)
+	return p
 }
 
 func (p *program) program(ctx context.Context) (*cfg.Program, error) {
@@ -288,7 +321,7 @@ func New(benchmark string, opts ...Option) *Session {
 		seed:       defaultSeed,
 		trainSeed:  defaultTrainSeed,
 		insts:      defaultInsts,
-		prog:       &program{benchmark: benchmark},
+		prog:       programOf(benchmark),
 		ref:        &refTrace{},
 	}
 	for _, o := range opts {
@@ -354,9 +387,10 @@ func (s *Session) Prepare(ctx context.Context) error {
 }
 
 // Program returns the synthesized benchmark program, preparing it if
-// needed (and no layout). The program is shared by every session of the
-// benchmark, so callers must not modify it; read a block's classes and
-// edges through its Classes and Succs methods.
+// needed (and no layout). The program is shared process-wide by every
+// live session of the benchmark, and freed once none holds it, so
+// callers must not modify it; read a block's classes and edges through
+// its Classes and Succs methods.
 func (s *Session) Program() (*cfg.Program, error) {
 	return s.prog.program(context.Background())
 }

@@ -414,9 +414,12 @@ func (s *Session) warmBoundaries(ctx context.Context, lay *layout.Layout, bounds
 		return err
 	}
 	eng := proc.Engine()
+	// Encode copies the engine section, so one scratch buffer serves
+	// every boundary.
+	var engState []byte
 	err = proc.WarmPrefix(ctx, bounds, func(k int, _ uint64) error {
-		return take(k, ckpt.Encode(nil, bounds[k], proc.Hier(), proc.Gen(),
-			eng.Name(), eng.AppendWarmState(nil)))
+		engState = eng.AppendWarmState(engState[:0])
+		return take(k, ckpt.Encode(nil, bounds[k], proc.Hier(), proc.Gen(), eng.Name(), engState))
 	})
 	if cerr := src.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("streamfetch: warming reading trace: %w", cerr)

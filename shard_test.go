@@ -311,8 +311,9 @@ func TestRunRejectsForeignTrace(t *testing.T) {
 
 // TestSampledInMemoryFootprint guards what positioning a sampled run's
 // windows costs: 16 windows over an in-memory 8M-instruction 176.gcc
-// trace allocate at most 128 MB (about 90 MB, most of it the 16 warm
-// snapshots). One cursor walks the slice once and forks it at each
+// trace allocate at most 128 MB (about 38 MB; 89 MB while each warm
+// snapshot's sections were built apart and copied into a doubling
+// buffer). One cursor walks the slice once and forks it at each
 // window; a prefix-sum table per window (8 bytes a block, 13 MB here)
 // took about 400 MB.
 func TestSampledInMemoryFootprint(t *testing.T) {
