@@ -1,50 +1,82 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
-	"streamfetch/internal/cache"
-	"streamfetch/internal/frontend"
 	"streamfetch/internal/layout"
 	"streamfetch/internal/trace"
 	"streamfetch/internal/workload"
 )
 
-// TestCountersMergeDelta: Merge and Delta are inverse accumulations over
-// every field, and Reset zeroes the block.
-func TestCountersMergeDelta(t *testing.T) {
-	a := Counters{
-		Cycles: 100, Retired: 80, Branches: 20, Mispredicted: 3,
-		Misfetches: 2,
-		Fetch:      frontend.FetchStats{Delivered: 90, Cycles: 100, DeliveryCycles: 70, Units: 10, UnitInsts: 85, PredictorLookups: 12, PredictorHits: 9},
-		ICache:     cache.Stats{Accesses: 50, Misses: 4},
-		DCache:     cache.Stats{Accesses: 30, Misses: 2},
-		L2:         cache.Stats{Accesses: 6, Misses: 1},
+// counterLeaves calls visit with the path and value of every uint64 leaf
+// of the counter block v, in field order, descending into nested structs
+// and arrays. Any other leaf kind fails the test: a counter must be a
+// uint64 for Merge and Delta to cover it.
+func counterLeaves(t *testing.T, v reflect.Value, path string, visit func(path string, leaf reflect.Value)) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Uint64:
+		visit(path, v)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			counterLeaves(t, v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			counterLeaves(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	default:
+		t.Fatalf("counter leaf %s is a %s, not a uint64", path, v.Type())
 	}
-	a.MispredByType[2] = 3
-	b := a
-	b.Cycles, b.Retired = 40, 33
-	b.MispredByType[5] = 7
+}
+
+// TestCountersMergeDelta: Merge adds and Delta subtracts every counter
+// leaf. Both operands are filled by reflection with distinct values, so
+// a counter added to Counters (or to FetchStats or cache.Stats) that the
+// walk misses fails here instead of silently merging as zero.
+func TestCountersMergeDelta(t *testing.T) {
+	var a, b Counters
+	n := uint64(0)
+	counterLeaves(t, reflect.ValueOf(&a).Elem(), "Counters", func(_ string, leaf reflect.Value) {
+		n++
+		leaf.SetUint(n)
+	})
+	counterLeaves(t, reflect.ValueOf(&b).Elem(), "Counters", func(_ string, leaf reflect.Value) {
+		leaf.SetUint(1000 * n)
+		n--
+	})
 
 	sum := a
 	sum.Merge(b)
-	if sum.Cycles != 140 || sum.Retired != 113 || sum.Branches != 40 ||
-		sum.MispredByType[2] != 6 || sum.MispredByType[5] != 7 ||
-		sum.Fetch.Delivered != 180 || sum.ICache.Misses != 8 || sum.L2.Accesses != 12 {
-		t.Fatalf("Merge: %+v", sum)
-	}
+	want := map[string]uint64{}
+	counterLeaves(t, reflect.ValueOf(a), "Counters", func(path string, leaf reflect.Value) {
+		want[path] = leaf.Uint()
+	})
+	counterLeaves(t, reflect.ValueOf(b), "Counters", func(path string, leaf reflect.Value) {
+		want[path] += leaf.Uint()
+	})
+	counterLeaves(t, reflect.ValueOf(sum), "Counters", func(path string, leaf reflect.Value) {
+		if leaf.Uint() != want[path] {
+			t.Errorf("Merge: %s = %d, want %d", path, leaf.Uint(), want[path])
+		}
+	})
+
 	back := sum.Delta(b)
-	if back != a {
-		t.Fatalf("Delta(Merge(a,b), b) = %+v, want %+v", back, a)
-	}
-	sum.Reset()
-	if sum != (Counters{}) {
-		t.Fatalf("Reset left %+v", sum)
-	}
-	if got := a.IPC(); got != 0.8 {
+	counterLeaves(t, reflect.ValueOf(a), "Counters", func(path string, leaf reflect.Value) {
+		want[path] = leaf.Uint()
+	})
+	counterLeaves(t, reflect.ValueOf(back), "Counters", func(path string, leaf reflect.Value) {
+		if leaf.Uint() != want[path] {
+			t.Errorf("Delta(Merge(a, b), b): %s = %d, want %d", path, leaf.Uint(), want[path])
+		}
+	})
+	r := Counters{Cycles: 100, Retired: 80, Branches: 20, Mispredicted: 3}
+	if got := r.IPC(); got != 0.8 {
 		t.Fatalf("IPC = %v", got)
 	}
-	if got := a.MispredRate(); got != 0.15 {
+	if got := r.MispredRate(); got != 0.15 {
 		t.Fatalf("MispredRate = %v", got)
 	}
 }
