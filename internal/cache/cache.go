@@ -39,12 +39,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts cache events. Stats are mergeable: independently collected
-// counter blocks (parallel trace intervals, multiple caches) combine with
-// Merge, and a warmup prefix is excluded with Delta.
+// Stats counts cache events. The hierarchy's three blocks are part of
+// sim.Counters, which merges parallel trace intervals and excludes a
+// warmup prefix by delta; the public cache report embeds Stats as-is
+// (hence the JSON tags).
 type Stats struct {
-	Accesses uint64
-	Misses   uint64
+	Accesses uint64 `json:"accesses"`
+	Misses   uint64 `json:"misses"`
 }
 
 // MissRate returns misses per access (0 when idle).
@@ -53,23 +54,6 @@ func (s Stats) MissRate() float64 {
 		return 0
 	}
 	return float64(s.Misses) / float64(s.Accesses)
-}
-
-// Reset zeroes the counters.
-func (s *Stats) Reset() { *s = Stats{} }
-
-// Merge accumulates another counter block into s.
-func (s *Stats) Merge(o Stats) {
-	s.Accesses += o.Accesses
-	s.Misses += o.Misses
-}
-
-// Delta returns the events counted since the earlier snapshot.
-func (s Stats) Delta(since Stats) Stats {
-	return Stats{
-		Accesses: s.Accesses - since.Accesses,
-		Misses:   s.Misses - since.Misses,
-	}
 }
 
 // way is one cache line's tag and LRU stamp. A zero stamp marks the way

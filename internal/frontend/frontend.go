@@ -66,52 +66,25 @@ type Engine interface {
 	LoadWarmState(data []byte) error
 }
 
-// FetchStats aggregates front-end delivery statistics. The counters are
-// mergeable: independently collected blocks (parallel trace intervals)
-// combine with Merge, and a warmup prefix is excluded with Delta.
+// FetchStats aggregates front-end delivery statistics. It is part of the
+// sim.Counters block, which merges and deltas it, and is embedded as-is
+// in the public fetch report (hence the JSON tags).
 type FetchStats struct {
 	// Delivered counts instructions handed to the pipeline (correct and
 	// wrong path).
-	Delivered uint64
+	Delivered uint64 `json:"delivered"`
 	// Cycles counts front-end cycles in which delivery was attempted.
-	Cycles uint64
+	Cycles uint64 `json:"cycles"`
 	// DeliveryCycles counts cycles with at least one delivered
 	// instruction.
-	DeliveryCycles uint64
+	DeliveryCycles uint64 `json:"delivery_cycles"`
 	// Units counts fetch units issued (streams/blocks/traces predicted).
-	Units uint64
+	Units uint64 `json:"units"`
 	// UnitInsts accumulates predicted unit lengths.
-	UnitInsts uint64
+	UnitInsts uint64 `json:"unit_insts"`
 	// PredictorLookups/PredictorHits count unit-predictor activity.
-	PredictorLookups uint64
-	PredictorHits    uint64
-}
-
-// Reset zeroes the counters.
-func (s *FetchStats) Reset() { *s = FetchStats{} }
-
-// Merge accumulates another counter block into s.
-func (s *FetchStats) Merge(o FetchStats) {
-	s.Delivered += o.Delivered
-	s.Cycles += o.Cycles
-	s.DeliveryCycles += o.DeliveryCycles
-	s.Units += o.Units
-	s.UnitInsts += o.UnitInsts
-	s.PredictorLookups += o.PredictorLookups
-	s.PredictorHits += o.PredictorHits
-}
-
-// Delta returns the events counted since the earlier snapshot.
-func (s FetchStats) Delta(since FetchStats) FetchStats {
-	return FetchStats{
-		Delivered:        s.Delivered - since.Delivered,
-		Cycles:           s.Cycles - since.Cycles,
-		DeliveryCycles:   s.DeliveryCycles - since.DeliveryCycles,
-		Units:            s.Units - since.Units,
-		UnitInsts:        s.UnitInsts - since.UnitInsts,
-		PredictorLookups: s.PredictorLookups - since.PredictorLookups,
-		PredictorHits:    s.PredictorHits - since.PredictorHits,
-	}
+	PredictorLookups uint64 `json:"predictor_lookups"`
+	PredictorHits    uint64 `json:"predictor_hits"`
 }
 
 // MeanUnitLen returns the mean predicted fetch-unit length.

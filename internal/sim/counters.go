@@ -7,13 +7,17 @@
 package sim
 
 import (
+	"reflect"
+
 	"streamfetch/internal/cache"
 	"streamfetch/internal/frontend"
 )
 
 // Counters is the counter block of one simulation phase: everything in a
-// Result that accumulates per event, none of the identity or derived-rate
-// fields. The zero value is an empty block.
+// Result that accumulates per event, none of the identity fields. It is
+// the one list of model counters: Merge and Delta walk its uint64 leaves
+// (nested FetchStats and cache.Stats included), and rates are methods
+// derived from it. The zero value is an empty block.
 type Counters struct {
 	Cycles  uint64
 	Retired uint64
@@ -34,46 +38,40 @@ type Counters struct {
 	L2     cache.Stats
 }
 
-// Reset zeroes every counter.
-func (c *Counters) Reset() { *c = Counters{} }
-
 // Merge accumulates another counter block into c. Merging the per-interval
 // blocks of a sharded run yields the logical run's totals; note that
 // summed Cycles from intervals simulated in parallel measure simulated
 // work, not wall-clock.
 func (c *Counters) Merge(o Counters) {
-	c.Cycles += o.Cycles
-	c.Retired += o.Retired
-	c.Branches += o.Branches
-	c.Mispredicted += o.Mispredicted
-	for i := range c.MispredByType {
-		c.MispredByType[i] += o.MispredByType[i]
-	}
-	c.Misfetches += o.Misfetches
-	c.Fetch.Merge(o.Fetch)
-	c.ICache.Merge(o.ICache)
-	c.DCache.Merge(o.DCache)
-	c.L2.Merge(o.L2)
+	combine(reflect.ValueOf(c).Elem(), reflect.ValueOf(o), func(a, b uint64) uint64 { return a + b })
 }
 
 // Delta returns the events counted since the earlier snapshot — how a
 // warmup prefix is excluded from a run's measured counters.
 func (c Counters) Delta(since Counters) Counters {
-	d := Counters{
-		Cycles:       c.Cycles - since.Cycles,
-		Retired:      c.Retired - since.Retired,
-		Branches:     c.Branches - since.Branches,
-		Mispredicted: c.Mispredicted - since.Mispredicted,
-		Misfetches:   c.Misfetches - since.Misfetches,
-		Fetch:        c.Fetch.Delta(since.Fetch),
-		ICache:       c.ICache.Delta(since.ICache),
-		DCache:       c.DCache.Delta(since.DCache),
-		L2:           c.L2.Delta(since.L2),
+	combine(reflect.ValueOf(&c).Elem(), reflect.ValueOf(since), func(a, b uint64) uint64 { return a - b })
+	return c
+}
+
+// combine sets every leaf of dst to op(leaf, the same leaf of src),
+// walking nested structs and arrays, so Merge and Delta cover whatever
+// counters the block declares. A leaf that is not a uint64 is a
+// programming error and panics. It runs once per interval, not per cycle.
+func combine(dst, src reflect.Value, op func(a, b uint64) uint64) {
+	switch dst.Kind() {
+	case reflect.Uint64:
+		dst.SetUint(op(dst.Uint(), src.Uint()))
+	case reflect.Struct:
+		for i := range dst.NumField() {
+			combine(dst.Field(i), src.Field(i), op)
+		}
+	case reflect.Array:
+		for i := range dst.Len() {
+			combine(dst.Index(i), src.Index(i), op)
+		}
+	default:
+		panic("sim: counter leaf of type " + dst.Type().String() + " is not a uint64")
 	}
-	for i := range d.MispredByType {
-		d.MispredByType[i] = c.MispredByType[i] - since.MispredByType[i]
-	}
-	return d
 }
 
 // IPC returns retired correct-path instructions per cycle (0 when idle).

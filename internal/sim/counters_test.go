@@ -63,15 +63,10 @@ func TestCountersMergeDelta(t *testing.T) {
 		}
 	})
 
-	back := sum.Delta(b)
-	counterLeaves(t, reflect.ValueOf(a), "Counters", func(path string, leaf reflect.Value) {
-		want[path] = leaf.Uint()
-	})
-	counterLeaves(t, reflect.ValueOf(back), "Counters", func(path string, leaf reflect.Value) {
-		if leaf.Uint() != want[path] {
-			t.Errorf("Delta(Merge(a, b), b): %s = %d, want %d", path, leaf.Uint(), want[path])
-		}
-	})
+	if back := sum.Delta(b); back != a {
+		t.Errorf("Delta(Merge(a, b), b) = %+v, want %+v", back, a)
+	}
+
 	r := Counters{Cycles: 100, Retired: 80, Branches: 20, Mispredicted: 3}
 	if got := r.IPC(); got != 0.8 {
 		t.Fatalf("IPC = %v", got)
@@ -129,8 +124,8 @@ func TestWarmupSplit(t *testing.T) {
 	if warm.ICache.Misses >= cold.ICache.Misses {
 		t.Logf("note: warm icache misses %d >= cold %d", warm.ICache.Misses, cold.ICache.Misses)
 	}
-	if warm.IPC <= 0 || warm.IPC != warm.Counters.IPC() {
-		t.Fatalf("derived IPC inconsistent: %v vs %v", warm.IPC, warm.Counters.IPC())
+	if warm.IPC() <= 0 {
+		t.Fatalf("warm interval IPC %v, want positive", warm.IPC())
 	}
 }
 
@@ -155,4 +150,19 @@ func TestWarmupZeroMatchesPlain(t *testing.T) {
 		t.Fatalf("interval wrapper changed the run:\nplain   %+v\nwrapped %+v",
 			plain.Counters, wrapped.Counters)
 	}
+}
+
+// TestCombineRejectsNonCounterLeaf: a leaf that is not a uint64 cannot
+// be merged or subtracted, so the walk panics instead of skipping it.
+func TestCombineRejectsNonCounterLeaf(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("combine accepted a float64 leaf")
+		}
+	}()
+	var v struct {
+		N uint64
+		F float64
+	}
+	combine(reflect.ValueOf(&v).Elem(), reflect.ValueOf(v), func(a, b uint64) uint64 { return a + b })
 }

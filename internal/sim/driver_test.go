@@ -86,7 +86,7 @@ func TestNarrowPipesCloseTogether(t *testing.T) {
 	var ipcs []float64
 	for _, kind := range paperEngines() {
 		r := Run(b.opt, b.tr.Source(), Config{Width: 2, Engine: kind})
-		ipcs = append(ipcs, r.IPC)
+		ipcs = append(ipcs, r.IPC())
 	}
 	lo, hi := ipcs[0], ipcs[0]
 	for _, v := range ipcs {
@@ -115,9 +115,9 @@ func TestStreamEngineBeatsNoPredictor(t *testing.T) {
 	sc.Predictor.SecondEntries = 8
 	sc.Predictor.SecondWays = 2
 	small := Run(b.opt, b.tr.Source(), Config{Width: 8, Engine: "streams", EngineOptions: sc})
-	t.Logf("full tables IPC=%.3f, 8-entry tables IPC=%.3f", full.IPC, small.IPC)
-	if full.IPC <= small.IPC {
-		t.Errorf("full predictor (%.3f) not better than crippled (%.3f)", full.IPC, small.IPC)
+	t.Logf("full tables IPC=%.3f, 8-entry tables IPC=%.3f", full.IPC(), small.IPC())
+	if full.IPC() <= small.IPC() {
+		t.Errorf("full predictor (%.3f) not better than crippled (%.3f)", full.IPC(), small.IPC())
 	}
 }
 
@@ -152,9 +152,9 @@ func TestDualBankOption(t *testing.T) {
 	}
 	single := mk(1)
 	dual := mk(2)
-	t.Logf("1x line single=%.2f fetch IPC, dual-bank=%.2f", single.FetchIPC, dual.FetchIPC)
-	if dual.FetchIPC <= single.FetchIPC {
+	t.Logf("1x line single=%.2f fetch IPC, dual-bank=%.2f", single.Fetch.FetchIPC(), dual.Fetch.FetchIPC())
+	if dual.Fetch.FetchIPC() <= single.Fetch.FetchIPC() {
 		t.Errorf("dual bank fetch IPC %.2f not above single %.2f",
-			dual.FetchIPC, single.FetchIPC)
+			dual.Fetch.FetchIPC(), single.Fetch.FetchIPC())
 	}
 }

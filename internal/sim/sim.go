@@ -97,9 +97,10 @@ func (c Config) WithDefaults() Config {
 // keeps a wedged simulation observable and cancellable.
 const progressCycles = 1 << 16
 
-// Result aggregates one simulation's outcome: the run's identity, its
+// Result aggregates one simulation's outcome: the run's identity and its
 // mergeable counter block (the measured phase, when the source carried a
-// warmup lead-in), and rates derived from those counters.
+// warmup lead-in). Rates are the block's methods (IPC, MispredRate,
+// Fetch.FetchIPC), promoted through the embedding.
 type Result struct {
 	Engine string
 	Width  int
@@ -115,26 +116,12 @@ type Result struct {
 	// Warmup is the counter block of the warmup phase (zero when the run
 	// had none): caches and predictors trained, nothing measured.
 	Warmup Counters
-
-	// IPC is retired correct-path instructions per cycle.
-	IPC float64
-	// MispredRate is mispredicted branches per committed branch.
-	MispredRate float64
-	// FetchIPC is delivered instructions per front-end cycle.
-	FetchIPC float64
-}
-
-// finalize fills the derived rates from the counter block.
-func (r *Result) finalize() {
-	r.IPC = r.Counters.IPC()
-	r.MispredRate = r.Counters.MispredRate()
-	r.FetchIPC = r.Fetch.FetchIPC()
 }
 
 // String renders a one-line summary.
 func (r Result) String() string {
 	return fmt.Sprintf("%-8s w=%d IPC=%.3f fetchIPC=%.2f mispred=%.2f%% misfetch=%d icacheMiss=%.3f%%",
-		r.Engine, r.Width, r.IPC, r.FetchIPC, 100*r.MispredRate, r.Misfetches,
+		r.Engine, r.Width, r.IPC(), r.Fetch.FetchIPC(), 100*r.MispredRate(), r.Misfetches,
 		100*r.ICache.MissRate())
 }
 
@@ -708,7 +695,6 @@ cycles:
 		res.Warmup = warmSnap
 		res.Counters = res.Counters.Delta(warmSnap)
 	}
-	res.finalize()
 	return res
 }
 

@@ -44,14 +44,14 @@ func TestRunAllEnginesComplete(t *testing.T) {
 			if r.Retired == 0 {
 				t.Fatal("retired no instructions")
 			}
-			if r.IPC <= 0.2 || r.IPC > 8 {
-				t.Errorf("implausible IPC %.3f", r.IPC)
+			if r.IPC() <= 0.2 || r.IPC() > 8 {
+				t.Errorf("implausible IPC %.3f", r.IPC())
 			}
 			if r.Branches == 0 {
 				t.Error("no branches committed")
 			}
-			if r.MispredRate > 0.25 {
-				t.Errorf("implausible misprediction rate %.3f", r.MispredRate)
+			if r.MispredRate() > 0.25 {
+				t.Errorf("implausible misprediction rate %.3f", r.MispredRate())
 			}
 			if r.Cycles == 0 || r.Cycles > 100*r.Retired {
 				t.Errorf("implausible cycle count %d for %d instructions", r.Cycles, r.Retired)
@@ -73,9 +73,9 @@ func TestWiderPipeFasterOrEqual(t *testing.T) {
 	b := loadBench(t, "164.gzip", 150_000)
 	r2 := Run(b.opt, b.tr.Source(), Config{Width: 2, Engine: "streams"})
 	r8 := Run(b.opt, b.tr.Source(), Config{Width: 8, Engine: "streams"})
-	t.Logf("2-wide IPC %.3f, 8-wide IPC %.3f", r2.IPC, r8.IPC)
-	if r8.IPC < r2.IPC {
-		t.Errorf("8-wide IPC %.3f below 2-wide %.3f", r8.IPC, r2.IPC)
+	t.Logf("2-wide IPC %.3f, 8-wide IPC %.3f", r2.IPC(), r8.IPC())
+	if r8.IPC() < r2.IPC() {
+		t.Errorf("8-wide IPC %.3f below 2-wide %.3f", r8.IPC(), r2.IPC())
 	}
 }
 

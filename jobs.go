@@ -1227,6 +1227,15 @@ func (m *jobManager) queueEstimateLocked() (backlog, delay float64) {
 	return backlog, backlog / float64(max(m.workers, 1))
 }
 
+// queueDepth is the admission queue's occupancy: queued jobs plus
+// submissions holding a slot they reserved while being admitted — the
+// figure admission holds against queueCap.
+func (m *jobManager) queueDepth() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.queue.len() + m.admitting
+}
+
 // queueEstimate is queueEstimateLocked for callers not holding m.mu.
 func (m *jobManager) queueEstimate() (backlog, delay float64) {
 	m.mu.Lock()

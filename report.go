@@ -7,29 +7,26 @@ import (
 	"strings"
 	"time"
 
+	"streamfetch/internal/cache"
+	"streamfetch/internal/frontend"
 	"streamfetch/internal/isa"
 	"streamfetch/internal/layout"
 	"streamfetch/internal/sim"
 )
 
-// CacheReport summarizes one cache's activity.
+// CacheReport summarizes one cache's activity: its event counters and
+// their miss rate.
 type CacheReport struct {
-	Accesses uint64  `json:"accesses"`
-	Misses   uint64  `json:"misses"`
+	cache.Stats
 	MissRate float64 `json:"miss_rate"`
 }
 
-// FetchReport summarizes front-end delivery statistics.
+// FetchReport summarizes front-end delivery statistics: the engine's
+// counters and the rates derived from them.
 type FetchReport struct {
-	Delivered        uint64  `json:"delivered"`
-	Cycles           uint64  `json:"cycles"`
-	DeliveryCycles   uint64  `json:"delivery_cycles"`
-	Units            uint64  `json:"units"`
-	UnitInsts        uint64  `json:"unit_insts"`
-	PredictorLookups uint64  `json:"predictor_lookups"`
-	PredictorHits    uint64  `json:"predictor_hits"`
-	MeanUnitLen      float64 `json:"mean_unit_len"`
-	FetchIPC         float64 `json:"fetch_ipc"`
+	frontend.FetchStats
+	MeanUnitLen float64 `json:"mean_unit_len"`
+	FetchIPC    float64 `json:"fetch_ipc"`
 }
 
 // Report is the structured outcome of one simulation run: the sim.Result
@@ -178,28 +175,18 @@ func newReport(benchmark string, lay *layout.Layout, traceInsts uint64, seed uin
 
 		Cycles:  res.Cycles,
 		Retired: res.Retired,
-		IPC:     res.IPC,
+		IPC:     res.IPC(),
 
 		Branches:     res.Branches,
 		Mispredicted: res.Mispredicted,
-		MispredRate:  res.MispredRate,
+		MispredRate:  res.MispredRate(),
 		Misfetches:   res.Misfetches,
 
-		FetchIPC: res.FetchIPC,
-		Fetch: FetchReport{
-			Delivered:        res.Fetch.Delivered,
-			Cycles:           res.Fetch.Cycles,
-			DeliveryCycles:   res.Fetch.DeliveryCycles,
-			Units:            res.Fetch.Units,
-			UnitInsts:        res.Fetch.UnitInsts,
-			PredictorLookups: res.Fetch.PredictorLookups,
-			PredictorHits:    res.Fetch.PredictorHits,
-			MeanUnitLen:      res.Fetch.MeanUnitLen(),
-			FetchIPC:         res.Fetch.FetchIPC(),
-		},
-		ICache: CacheReport{res.ICache.Accesses, res.ICache.Misses, res.ICache.MissRate()},
-		DCache: CacheReport{res.DCache.Accesses, res.DCache.Misses, res.DCache.MissRate()},
-		L2:     CacheReport{res.L2.Accesses, res.L2.Misses, res.L2.MissRate()},
+		FetchIPC: res.Fetch.FetchIPC(),
+		Fetch:    FetchReport{res.Fetch, res.Fetch.MeanUnitLen(), res.Fetch.FetchIPC()},
+		ICache:   CacheReport{res.ICache, res.ICache.MissRate()},
+		DCache:   CacheReport{res.DCache, res.DCache.MissRate()},
+		L2:       CacheReport{res.L2, res.L2.MissRate()},
 	}
 	for i, n := range res.MispredByType {
 		if n == 0 {

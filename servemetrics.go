@@ -61,8 +61,8 @@ func (m *jobManager) initMetrics() {
 			return 0
 		})
 	r.GaugeFunc("streamfetch_queue_depth",
-		"Jobs waiting in the admission queue.",
-		func() float64 { return float64(m.queue.len()) })
+		"Admission queue occupancy: queued jobs plus submissions being admitted.",
+		func() float64 { return float64(m.queueDepth()) })
 	r.GaugeFunc("streamfetch_queue_capacity",
 		"Admission queue capacity.",
 		func() float64 { return float64(m.queueCap) })

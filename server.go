@@ -148,10 +148,13 @@ func (s *Server) Shutdown(ctx context.Context) error { return s.mgr.shutdown(ctx
 // Health is the GET /healthz body: liveness plus the saturation metrics
 // that matter for capacity (queue fill and par-pool usage).
 type Health struct {
-	Status     string `json:"status"` // "ok" or "draining"
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_cap"`
-	Workers    int    `json:"workers"`
+	Status string `json:"status"` // "ok" or "draining"
+	// QueueDepth is the admission queue's occupancy: queued jobs plus
+	// submissions holding a slot while being admitted. At QueueCap new
+	// submissions are refused and the probe answers 503.
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
+	Workers    int `json:"workers"`
 
 	// The SLO surface: PredictedBacklogSeconds sums the cost model's
 	// predicted execution work-seconds over queued and running jobs;
@@ -186,8 +189,10 @@ type Health struct {
 	// StoreBlobs/StoreBytes the cached results and the store's total
 	// footprint on disk (or in memory for the "mem" backend).
 	// StoreErrors counts store writes that failed after exhausting the
-	// retry policy, StoreRetries the individual retry attempts behind
-	// them; serving continues, durability is degraded.
+	// retry policy (or whose record could not be encoded), StoreRetries
+	// the individual retry attempts behind them; serving continues,
+	// durability is degraded. A failing store.Stats read is not a write
+	// error: it zeroes StoreJournalDepth, StoreBlobs and StoreBytes.
 	Store             string `json:"store"`
 	StoreHits         int64  `json:"store_hits"`
 	StoreMisses       int64  `json:"store_misses"`
@@ -226,18 +231,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if m.draining {
 		status = "draining"
 	}
-	depth := m.queue.len() + m.admitting
-	capQ := m.queueCap
-	backlog, delay := m.queueEstimateLocked()
 	m.mu.Unlock()
+	// Every figure /metrics also serves is read through the accessor its
+	// gauge or counter uses, so the two surfaces cannot drift apart.
+	depth, capQ := m.queueDepth(), m.queueCap
+	backlog, delay := m.queueEstimate()
 	queued, running, finished := m.counts()
 	// A stats failure (e.g. the store dir vanished) degrades the store
-	// fields to zero rather than failing the liveness probe.
-	stats, statsErr := m.store.Stats()
-	errs := m.storeErrs.Load()
-	if statsErr != nil {
-		errs++
-	}
+	// footprint fields to zero rather than failing the liveness probe.
+	stats, _ := m.store.Stats()
 	degraded, lastErr, lastErrAt := m.storeHealth()
 	// Only saturation fails the probe: a full queue means new work has
 	// nowhere to go, so load balancers should back off. A degraded store
@@ -268,7 +270,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		StoreJournalDepth:       stats.JournalDepth,
 		StoreBlobs:              stats.Blobs,
 		StoreBytes:              stats.Bytes,
-		StoreErrors:             errs,
+		StoreErrors:             m.storeErrs.Load(),
 		StoreRetries:            m.retries.Load(),
 		CheckpointHits:          m.ckptHits.Load(),
 		CheckpointMisses:        m.ckptMisses.Load(),

@@ -206,6 +206,136 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsMatchHealthz: every figure /metrics and /healthz share reads
+// the same value, also once the store has crash-stopped (where a failing
+// store.Stats read used to add a phantom store error to /healthz only).
+func TestMetricsMatchHealthz(t *testing.T) {
+	fst := faultstore.Wrap(store.NewMem())
+	srv := newTestServer(t,
+		streamfetch.WithWorkers(1),
+		streamfetch.WithStore(fst),
+		// No probe writes between the two scrapes.
+		streamfetch.WithStoreProbeInterval(time.Hour))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	sc := newServiceClient(t, srv)
+
+	req := streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 20_000, Seed: 71}
+	env := sc.submit("/v1/runs", req)
+	if got := sc.await(env.ID, time.Minute); got.State != streamfetch.JobDone {
+		t.Fatalf("job finished %s (error %q), want done", got.State, got.Error)
+	}
+	var hit streamfetch.JobEnvelope
+	if code := sc.do("POST", "/v1/runs", req, &hit); code != http.StatusOK || !hit.Cached {
+		t.Fatalf("resubmission: status %d, cached %v; want 200 from the cache", code, hit.Cached)
+	}
+
+	// Crash-stop the store: the next submission's journal write fails,
+	// degrading the server; the one after is accepted memory-only.
+	fst.CrashAt(faultstore.OpWrite, 1)
+	if code := sc.do("POST", "/v1/runs", streamfetch.RunRequest{
+		Benchmark: "164.gzip", Insts: 20_000, Seed: 72}, nil); code != http.StatusInternalServerError {
+		t.Fatalf("submission against crashed store: status %d, want 500", code)
+	}
+	env = sc.submit("/v1/runs", streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 20_000, Seed: 73})
+	if got := sc.await(env.ID, time.Minute); got.State != streamfetch.JobDone {
+		t.Fatalf("degraded job finished %s (error %q), want done", got.State, got.Error)
+	}
+
+	// A finished job's last store writes may still be retrying when its
+	// envelope reads done, so scrape /metrics between two equal /healthz
+	// reads: nothing moved in between.
+	health := func() (h streamfetch.Health) {
+		if code := sc.do("GET", "/healthz", nil, &h); code != http.StatusOK {
+			t.Fatalf("GET /healthz: status %d", code)
+		}
+		return h
+	}
+	var h streamfetch.Health
+	var samples map[string]float64
+	for attempt := 0; ; attempt++ {
+		h = health()
+		samples = scrapeMetrics(t, sc)
+		if h == health() {
+			break
+		}
+		if attempt == 100 {
+			t.Fatal("/healthz never settled")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	b2f := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for name, want := range map[string]float64{
+		"streamfetch_cache_hits_total":          float64(h.StoreHits),
+		"streamfetch_cache_misses_total":        float64(h.StoreMisses),
+		"streamfetch_coalesced_total":           float64(h.StoreCoalesced),
+		"streamfetch_shed_total":                float64(h.JobsShed),
+		"streamfetch_store_errors_total":        float64(h.StoreErrors),
+		"streamfetch_store_retries_total":       float64(h.StoreRetries),
+		"streamfetch_checkpoint_hits_total":     float64(h.CheckpointHits),
+		"streamfetch_checkpoint_misses_total":   float64(h.CheckpointMisses),
+		"streamfetch_store_degraded":            b2f(h.StoreDegraded),
+		"streamfetch_queue_depth":               float64(h.QueueDepth),
+		"streamfetch_queue_capacity":            float64(h.QueueCap),
+		"streamfetch_workers":                   float64(h.Workers),
+		"streamfetch_queue_delay_seconds":       h.QueueDelaySeconds,
+		"streamfetch_predicted_backlog_seconds": h.PredictedBacklogSeconds,
+		"streamfetch_sessions_cached":           float64(h.Sessions),
+		`streamfetch_jobs{state="queued"}`:      float64(h.JobsQueued),
+		`streamfetch_jobs{state="running"}`:     float64(h.JobsRunning),
+		`streamfetch_jobs{state="terminal"}`:    float64(h.JobsFinished),
+	} {
+		got, ok := samples[name]
+		switch {
+		case !ok:
+			t.Errorf("/metrics has no %s", name)
+		case got != want:
+			t.Errorf("/metrics %s = %v, /healthz says %v", name, got, want)
+		}
+	}
+	if h.StoreErrors == 0 || !h.StoreDegraded || h.StoreHits != 1 {
+		t.Errorf("health after the crash: errors %d, degraded %v, hits %d; want errors > 0, degraded, 1 hit",
+			h.StoreErrors, h.StoreDegraded, h.StoreHits)
+	}
+}
+
+// scrapeMetrics reads /metrics into a map from sample name (labels
+// included) to value.
+func scrapeMetrics(t *testing.T, sc *serviceClient) map[string]float64 {
+	t.Helper()
+	resp, err := sc.c.Get(sc.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		samples[name] = v
+	}
+	return samples
+}
+
 // slowJournalStore delays Journal calls by the configured amount,
 // widening the window a submission spends inside store I/O so the test
 // below can probe what else blocks behind it.

@@ -617,7 +617,7 @@ func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *R
 			misses++
 		}
 		if o.res.Cycles > 0 {
-			ipcs = append(ipcs, o.res.IPC)
+			ipcs = append(ipcs, o.res.IPC())
 		}
 		intervals = append(intervals, IntervalReport{
 			Index:          i,
@@ -626,9 +626,9 @@ func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *R
 			WarmupInsts:    o.warm,
 			Cycles:         o.res.Cycles,
 			Retired:        o.res.Retired,
-			IPC:            o.res.IPC,
-			MispredRate:    o.res.MispredRate,
-			FetchIPC:       o.res.FetchIPC,
+			IPC:            o.res.IPC(),
+			MispredRate:    o.res.MispredRate(),
+			FetchIPC:       o.res.Fetch.FetchIPC(),
 			ICacheMissRate: o.res.ICache.MissRate(),
 		})
 	}
@@ -641,9 +641,6 @@ func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *R
 		Aborted:  aborted,
 		Counters: agg,
 	}
-	res.IPC = agg.IPC()
-	res.MispredRate = agg.MispredRate()
-	res.FetchIPC = agg.Fetch.FetchIPC()
 	if p.group == 0 {
 		traceInsts = outs[0].srcInsts
 	}
