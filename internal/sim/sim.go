@@ -132,7 +132,7 @@ func (r Result) String() string {
 type warmSource interface {
 	// WarmupPending reports whether any lead-in remains.
 	WarmupPending() bool
-	// LastRegion classifies the block most recently returned by Next.
+	// LastRegion classifies the blocks of the most recent NextBatch.
 	LastRegion() trace.Region
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // TestNextBatchDifferential: on every backing, draining through NextBatch
-// yields exactly the sequence Next yields — for batch sizes of one, a
-// prime, exactly one file chunk, one past a chunk boundary, and far more
-// than the trace holds.
+// yields exactly the reference sequence — for batch sizes of one, a prime,
+// exactly one file chunk, one past a chunk boundary, and far more than the
+// trace holds.
 func TestNextBatchDifferential(t *testing.T) {
 	prog, tr := skipTrace(t)
 	for _, size := range []int{1, 7, 64, chunkBlocks, chunkBlocks + 1, len(tr.Blocks) + 1000} {
@@ -40,47 +40,15 @@ func TestNextBatchDifferential(t *testing.T) {
 				t.Fatalf("%s: NextBatch(len %d) delivered %d blocks, want %d",
 					name, size, got, len(tr.Blocks))
 			}
-			// Exhaustion is sticky: further batches and singles stay empty.
-			if n := src.NextBatch(dst); n != 0 {
-				t.Fatalf("%s: NextBatch after EOF = %d", name, n)
-			}
-			if _, ok := src.Next(); ok {
-				t.Fatalf("%s: Next after EOF succeeded", name)
+			// Exhaustion is sticky: further batches stay empty.
+			for range 2 {
+				if n := src.NextBatch(dst); n != 0 {
+					t.Fatalf("%s: NextBatch after EOF = %d", name, n)
+				}
 			}
 			if err := src.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", name, err)
 			}
-		}
-	}
-}
-
-// TestNextBatchInterleaved: singles and batches compose — alternating Next
-// and NextBatch calls walk the same sequence without loss or repetition.
-func TestNextBatchInterleaved(t *testing.T) {
-	prog, tr := skipTrace(t)
-	dst := make([]cfg.BlockID, 33)
-	for name, src := range sources(t, prog, tr) {
-		idx := 0
-		for idx < len(tr.Blocks) {
-			id, ok := src.Next()
-			if !ok || id != tr.Blocks[idx] {
-				t.Fatalf("%s: Next at %d = (%v,%v), want %d", name, idx, id, ok, tr.Blocks[idx])
-			}
-			idx++
-			n := src.NextBatch(dst)
-			for i := 0; i < n; i++ {
-				if dst[i] != tr.Blocks[idx+i] {
-					t.Fatalf("%s: batch block %d = %d, want %d",
-						name, idx+i, dst[i], tr.Blocks[idx+i])
-				}
-			}
-			idx += n
-			if n == 0 && idx < len(tr.Blocks) {
-				t.Fatalf("%s: NextBatch empty at %d of %d", name, idx, len(tr.Blocks))
-			}
-		}
-		if err := src.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", name, err)
 		}
 	}
 }
@@ -93,7 +61,8 @@ func TestNextBatchEmptyDst(t *testing.T) {
 		if n := src.NextBatch(nil); n != 0 {
 			t.Fatalf("%s: NextBatch(nil) = %d", name, n)
 		}
-		if id, ok := src.Next(); !ok || id != tr.Blocks[0] {
+		var head [1]cfg.BlockID
+		if n := src.NextBatch(head[:]); n != 1 || head[0] != tr.Blocks[0] {
 			t.Fatalf("%s: NextBatch(nil) consumed the head block", name)
 		}
 		if err := src.Close(); err != nil {
@@ -104,7 +73,7 @@ func TestNextBatchEmptyDst(t *testing.T) {
 
 // TestIntervalNextBatchRegions: interval batches never span a region
 // boundary — every block of a batch shares the region LastRegion reports —
-// and batched delivery matches the per-block walk exactly.
+// and batched delivery matches the one-block-per-batch walk exactly.
 func TestIntervalNextBatchRegions(t *testing.T) {
 	prog, tr := skipTrace(t)
 
@@ -114,16 +83,6 @@ func TestIntervalNextBatchRegions(t *testing.T) {
 	}
 	walk := func(iv *IntervalSource, batch int) []step {
 		var got []step
-		if batch == 0 {
-			for {
-				id, ok := iv.Next()
-				if !ok {
-					break
-				}
-				got = append(got, step{id, iv.LastRegion()})
-			}
-			return got
-		}
 		dst := make([]cfg.BlockID, batch)
 		for {
 			n := iv.NextBatch(dst)
@@ -149,8 +108,8 @@ func TestIntervalNextBatchRegions(t *testing.T) {
 		return iv
 	}
 
-	ref := walk(mk(), 0)
-	for _, batch := range []int{1, 13, 4096, len(tr.Blocks)} {
+	ref := walk(mk(), 1)
+	for _, batch := range []int{13, 4096, len(tr.Blocks)} {
 		got := walk(mk(), batch)
 		if len(got) != len(ref) {
 			t.Fatalf("batch %d: %d blocks, want %d", batch, len(got), len(ref))

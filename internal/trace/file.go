@@ -285,7 +285,7 @@ func (t *Trace) Write(w io.Writer) error {
 
 // FileSource incrementally decodes a binary trace stream (either format).
 // It implements Source; decode errors (including truncation) surface from
-// Err and Close once Next returns false.
+// Err and Close once NextBatch returns 0.
 type FileSource struct {
 	br   *bufio.Reader
 	raw  io.Reader // what br wraps (needed to reset after a seek)
@@ -308,7 +308,7 @@ type FileSource struct {
 	// boundary block without consuming it).
 	prog        *cfg.Program
 	instsRead   uint64 // CFG insts consumed, maintained once prog is bound
-	pending     cfg.BlockID
+	pending     [1]cfg.BlockID
 	havePending bool
 	index       *chunkIndex
 	seeker      io.Seeker
@@ -447,7 +447,7 @@ func parseIndex(buf []byte, fileSize uint64) *chunkIndex {
 
 // Bind associates the program the trace was recorded against, giving the
 // source the per-block instruction counts Skip needs. Bind before the
-// first Next or Skip.
+// first NextBatch or Skip.
 func (s *FileSource) Bind(p *cfg.Program) { s.prog = p }
 
 // Seekable reports whether Skip can seek (an indexed file opened from
@@ -546,37 +546,12 @@ func (s *FileSource) Fork() (Source, error) {
 // peek decodes the next block without consuming it.
 func (s *FileSource) peek() (cfg.BlockID, bool) {
 	if !s.havePending {
-		id, ok := s.decode()
-		if !ok {
+		if s.decode(s.pending[:]) == 0 {
 			return cfg.NoBlock, false
 		}
-		s.pending, s.havePending = id, true
+		s.havePending = true
 	}
-	return s.pending, true
-}
-
-// Next returns the next block of the trace.
-func (s *FileSource) Next() (cfg.BlockID, bool) {
-	if s.havePending {
-		s.havePending = false
-		if s.prog != nil {
-			if ni, ok := s.blockInsts(s.pending); ok {
-				s.instsRead += ni
-			} else {
-				return cfg.NoBlock, false
-			}
-		}
-		return s.pending, true
-	}
-	id, ok := s.decode()
-	if ok && s.prog != nil {
-		var ni uint64
-		if ni, ok = s.blockInsts(id); !ok {
-			return cfg.NoBlock, false
-		}
-		s.instsRead += ni
-	}
-	return id, ok
+	return s.pending[0], true
 }
 
 // startChunk ensures at least one undecoded block record remains in the
@@ -616,82 +591,60 @@ func (s *FileSource) startChunk() bool {
 	return true
 }
 
-// decode reads and returns the next block record from the stream.
-func (s *FileSource) decode() (cfg.BlockID, bool) {
-	if !s.startChunk() {
-		return cfg.NoBlock, false
-	}
-	delta, err := binary.ReadVarint(s.br)
-	if err != nil {
-		return s.fail(fmt.Errorf("trace: reading block %d: %w", s.read, err))
-	}
-	s.prev += delta
-	// BlockID is int32: anything outside its range is corrupt, and letting
-	// it through would wrap negative in the conversion below.
-	if s.prev < 0 || s.prev > math.MaxInt32 {
-		return s.fail(fmt.Errorf("trace: block ID %d out of range at record %d", s.prev, s.read))
-	}
-	s.remaining--
-	s.read++
-	return cfg.BlockID(s.prev), true
-}
-
-// NextBatch fills dst with the next blocks of the trace, decoding whole
-// chunk remainders into the caller's buffer in one pass: the bulk form of
-// Next, same cursor, same accounting, same error semantics (a decode or
-// bound-program failure ends the batch early; the error surfaces from Err
-// and Close).
-func (s *FileSource) NextBatch(dst []cfg.BlockID) int {
+// decode fills dst with the next block records of the stream, decoding
+// whole chunk remainders in one pass, and returns how many it decoded:
+// fewer than len(dst) only at the end of the stream or on a decode error.
+func (s *FileSource) decode(dst []cfg.BlockID) int {
 	n := 0
-	if s.havePending && n < len(dst) {
-		s.havePending = false
-		if s.prog != nil {
-			ni, ok := s.blockInsts(s.pending)
-			if !ok {
-				return n
-			}
-			s.instsRead += ni
-		}
-		dst[n] = s.pending
-		n++
-	}
 	for n < len(dst) && s.startChunk() {
-		k := len(dst) - n
-		if uint64(k) > s.remaining {
-			k = int(s.remaining)
-		}
-		for i := 0; i < k; i++ {
+		k := min(uint64(len(dst)-n), s.remaining)
+		for range k {
 			delta, err := binary.ReadVarint(s.br)
 			if err != nil {
 				s.fail(fmt.Errorf("trace: reading block %d: %w", s.read, err))
 				return n
 			}
 			s.prev += delta
+			// BlockID is int32: anything outside its range is corrupt, and
+			// letting it through would wrap negative in the conversion.
 			if s.prev < 0 || s.prev > math.MaxInt32 {
 				s.fail(fmt.Errorf("trace: block ID %d out of range at record %d", s.prev, s.read))
 				return n
 			}
 			s.remaining--
 			s.read++
-			id := cfg.BlockID(s.prev)
-			if s.prog != nil {
-				ni, ok := s.blockInsts(id)
-				if !ok {
-					return n
-				}
-				s.instsRead += ni
-			}
-			dst[n] = id
+			dst[n] = cfg.BlockID(s.prev)
 			n++
 		}
 	}
 	return n
 }
 
-func (s *FileSource) fail(err error) (cfg.BlockID, bool) {
+// NextBatch fills dst with the next blocks of the trace: the block a Skip
+// peeked at, then freshly decoded ones. A decode or bound-program failure
+// ends the batch early; the error surfaces from Err and Close.
+func (s *FileSource) NextBatch(dst []cfg.BlockID) int {
+	n := 0
+	if s.havePending && len(dst) > 0 {
+		dst[0], s.havePending = s.pending[0], false
+		n = 1
+	}
+	n += s.decode(dst[n:])
+	if s.prog != nil {
+		for i, id := range dst[:n] {
+			ni, ok := s.blockInsts(id)
+			if !ok {
+				return i
+			}
+			s.instsRead += ni
+		}
+	}
+	return n
+}
+
+func (s *FileSource) fail(err error) {
 	s.done = true
 	s.err = err
-	return cfg.NoBlock, false
 }
 
 // Name returns the benchmark name from the header.

@@ -70,19 +70,29 @@ func encodeTrace(t testing.TB, prog *cfg.Program, blocks []cfg.BlockID, insts ui
 	return buf.Bytes()
 }
 
-// drainSource reads a source to exhaustion.
-func drainSource(t *testing.T, src Source) []cfg.BlockID {
+// drainSource reads a source to exhaustion, batch blocks per NextBatch.
+func drainSource(t *testing.T, src Source, batch int) []cfg.BlockID {
 	t.Helper()
 	var out []cfg.BlockID
+	dst := make([]cfg.BlockID, batch)
 	for {
-		id, ok := src.Next()
-		if !ok {
+		n := src.NextBatch(dst)
+		if n == 0 {
 			break
 		}
-		out = append(out, id)
+		if n < 0 || n > batch {
+			t.Fatalf("NextBatch(len %d) = %d", batch, n)
+		}
+		out = append(out, dst[:n]...)
 	}
 	return out
 }
+
+// fuzzBatch derives a NextBatch size of 1 to 64 blocks from a fuzz input,
+// so the fuzzer drives short batches across Skip's peeked block and chunk
+// boundaries without a new input field (which would orphan the committed
+// corpus).
+func fuzzBatch(v uint64) int { return int(v%64) + 1 }
 
 func writeTempTrace(t *testing.T, data []byte) string {
 	t.Helper()
@@ -128,6 +138,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		f.Add(encodePayload(tr.Blocks), uint32(12345))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, cut uint32) {
+		batch := fuzzBatch(uint64(cut))
 		blocks, insts := payloadBlocks(payload, prog)
 		plain := encodeTrace(t, prog, blocks, insts, false)
 		indexed := encodeTrace(t, prog, blocks, insts, true)
@@ -140,7 +151,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSequence(t, src, blocks, insts, "v2 plain")
+		assertSequence(t, src, batch, blocks, insts, "v2 plain")
 
 		// Round trip through the indexed file, with a seek: Skip on the
 		// indexed FileSource must agree with the SliceSource oracle.
@@ -167,8 +178,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if got != want {
 			t.Fatalf("Skip(%d): file skipped %d, slice oracle %d", skip, got, want)
 		}
-		rest := drainSource(t, fsrc)
-		wantRest := drainSource(t, oracle)
+		rest := drainSource(t, fsrc, batch)
+		wantRest := drainSource(t, oracle, batch)
 		if err := fsrc.Err(); err != nil {
 			t.Fatalf("indexed drain after skip: %v", err)
 		}
@@ -190,7 +201,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("index-only truncation at %d/%d failed Open: %v", cutAt, len(indexed), err)
 			}
-			trunc := drainSource(t, tsrc)
+			trunc := drainSource(t, tsrc, batch)
 			if err := tsrc.Close(); err != nil {
 				t.Fatalf("index-only truncation at %d/%d failed decode: %v", cutAt, len(indexed), err)
 			}
@@ -207,7 +218,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			// mandatory — a truncated trace must never read as a shorter
 			// valid trace.
 			if err == nil {
-				drainSource(t, tsrc)
+				drainSource(t, tsrc, batch)
 				if tsrc.Err() == nil {
 					t.Fatalf("truncation inside the stream at %d/%d decoded without error", cutAt, len(plain))
 				}
@@ -217,11 +228,11 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	})
 }
 
-// assertSequence drains src and requires the exact block sequence, a clean
-// stream and exact totals.
-func assertSequence(t *testing.T, src Source, blocks []cfg.BlockID, insts uint64, label string) {
+// assertSequence drains src, batch blocks at a time, and requires the
+// exact block sequence, a clean stream and exact totals.
+func assertSequence(t *testing.T, src Source, batch int, blocks []cfg.BlockID, insts uint64, label string) {
 	t.Helper()
-	got := drainSource(t, src)
+	got := drainSource(t, src, batch)
 	if err := src.Close(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -273,11 +284,16 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		limit := 4*len(data) + 1024 // every decoded block consumes stream bytes
-		for n := 0; ; n++ {
-			if _, ok := src.Next(); !ok {
+		dst := make([]cfg.BlockID, fuzzBatch(skip))
+		for n := 0; ; {
+			k := src.NextBatch(dst)
+			if k == 0 {
 				break
 			}
-			if n > limit {
+			if k < 0 || k > len(dst) {
+				t.Fatalf("NextBatch(len %d) = %d", len(dst), k)
+			}
+			if n += k; n > limit {
 				t.Fatalf("decoder emitted %d blocks from %d input bytes", n, len(data))
 			}
 		}

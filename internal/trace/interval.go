@@ -122,12 +122,12 @@ func (s *IntervalSource) peekLen() (uint64, bool) {
 		return 0, false
 	}
 	if s.hi == len(s.held) {
-		id, ok := s.src.Next()
-		if !ok {
+		s.held, s.hi = append(s.held[:0], cfg.NoBlock), 0
+		if s.src.NextBatch(s.held) == 0 {
+			s.held = s.held[:0]
 			s.done = true
 			return 0, false
 		}
-		s.held, s.hi = append(s.held[:0], id), 0
 	}
 	return s.blockLen(s.held[s.hi])
 }
@@ -140,8 +140,8 @@ func (s *IntervalSource) region(ni uint64) Region {
 	return RegionMeasure
 }
 
-// consume delivers the staged block of length ni.
-func (s *IntervalSource) consume(ni uint64) cfg.BlockID {
+// consume steps over the staged block of length ni.
+func (s *IntervalSource) consume(ni uint64) {
 	s.lastRegion = s.region(ni)
 	s.pos += ni
 	if s.lastRegion == RegionWarm {
@@ -150,31 +150,17 @@ func (s *IntervalSource) consume(ni uint64) cfg.BlockID {
 		s.measured += ni
 	}
 	s.hi++
-	return s.held[s.hi-1]
-}
-
-// Next returns the next block of the interval: the lead-in regions first,
-// then the measured window. It ends before the first block that would
-// cross the interval's end boundary.
-func (s *IntervalSource) Next() (cfg.BlockID, bool) {
-	ni, ok := s.peekLen()
-	if !ok {
-		return cfg.NoBlock, false
-	}
-	if s.end > 0 && s.pos+ni > s.end {
-		s.done = true
-		return cfg.NoBlock, false
-	}
-	return s.consume(ni), true
 }
 
 // NextBatch fills dst with the next blocks of the interval, pulling them
 // from the underlying source in one NextBatch and classifying them in one
-// loop. A batch never spans a region boundary — every delivered block
-// shares the region LastRegion reports — so consumers that flag whole
-// batches stay exact; the blocks past a region boundary are held for the
-// next call. Inside a region (the common, all-measured case) it passes
-// the underlying batches through.
+// loop: the lead-in regions first, then the measured window, ending before
+// the first block that would cross the interval's end boundary. A batch
+// never spans a region boundary — every delivered block shares the region
+// LastRegion reports — so consumers that flag whole batches stay exact;
+// the blocks past a region boundary are held for the next call. Inside a
+// region (the common, all-measured case) it passes the underlying batches
+// through.
 func (s *IntervalSource) NextBatch(dst []cfg.BlockID) int {
 	if s.done || len(dst) == 0 {
 		return 0
@@ -245,7 +231,7 @@ func (s *IntervalSource) Skip(n uint64) (uint64, error) {
 			break
 		}
 		if s.end > 0 && s.pos+ni > s.end {
-			break // boundary block: leave it for Next to refuse
+			break // boundary block: leave it for NextBatch to refuse
 		}
 		if satAdd(s.pos, ni) > target {
 			break
@@ -255,13 +241,9 @@ func (s *IntervalSource) Skip(n uint64) (uint64, error) {
 	return s.pos - start, s.err
 }
 
-// LastRegion reports which region the block most recently returned by
-// Next belongs to.
+// LastRegion reports which region the blocks of the most recent NextBatch
+// belong to.
 func (s *IntervalSource) LastRegion() Region { return s.lastRegion }
-
-// LastWarm reports whether the block most recently returned by Next lies
-// in the timing-warmup lead-in.
-func (s *IntervalSource) LastWarm() bool { return s.lastRegion == RegionWarm }
 
 // WarmupPending reports whether any timing-warmup lead-in remains
 // ahead of the current position; once it returns false every further block

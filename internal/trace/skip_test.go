@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"streamfetch/internal/cfg"
@@ -108,8 +109,8 @@ func writeIndexed(t *testing.T, prog *cfg.Program, tr *Trace) string {
 	return path
 }
 
-// TestSkipDifferential: on every backing, skip-then-Next is equivalent to
-// Next-and-discard — for skips of zero, within a block run, across chunk
+// TestSkipDifferential: on every backing, skipping then reading delivers
+// the suffix reading-and-discarding would — for skips of zero, within a block run, across chunk
 // boundaries, to the exact end, and past EOF.
 func TestSkipDifferential(t *testing.T) {
 	prog, tr := skipTrace(t)
@@ -130,18 +131,9 @@ func TestSkipDifferential(t *testing.T) {
 				t.Fatalf("%s: Skip(%d) = %d, want %d", name, n, skipped, wantSkipped)
 			}
 			// The remainder must be the oracle's suffix, block for block.
-			for i := wantIdx; i < len(tr.Blocks); i++ {
-				id, ok := src.Next()
-				if !ok {
-					t.Fatalf("%s: Skip(%d): source ended at block %d, want %d more",
-						name, n, i, len(tr.Blocks)-i)
-				}
-				if id != tr.Blocks[i] {
-					t.Fatalf("%s: Skip(%d): block %d = %d, want %d", name, n, i, id, tr.Blocks[i])
-				}
-			}
-			if _, ok := src.Next(); ok {
-				t.Fatalf("%s: Skip(%d): source outlived the trace", name, n)
+			if rest := slices.Collect(Blocks(src)); !slices.Equal(rest, tr.Blocks[wantIdx:]) {
+				t.Fatalf("%s: Skip(%d): the %d remaining blocks are not the oracle's %d-block suffix",
+					name, n, len(rest), len(tr.Blocks)-wantIdx)
 			}
 			if err := src.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", name, err)
@@ -169,10 +161,10 @@ func TestSkipRepeated(t *testing.T) {
 			idx, pos = wantIdx, pos+skipped
 			// Interleave a read so skips compose with delivery.
 			if idx < len(tr.Blocks) {
-				id, ok := src.Next()
-				if !ok || id != tr.Blocks[idx] {
-					t.Fatalf("%s: Next after Skip at block %d = (%v,%v), want %d",
-						name, idx, id, ok, tr.Blocks[idx])
+				var one [1]cfg.BlockID
+				if n := src.NextBatch(one[:]); n != 1 || one[0] != tr.Blocks[idx] {
+					t.Fatalf("%s: read after Skip at block %d = (%d,%d), want %d",
+						name, idx, one[0], n, tr.Blocks[idx])
 				}
 				idx++
 			}
@@ -287,11 +279,9 @@ func TestIntervalTiling(t *testing.T) {
 					t.Fatalf("shards=%d: interval 0 claims pending warmup without any", shards)
 				}
 				warmSeen := uint64(0)
-				for {
-					id, ok := iv.Next()
-					if !ok {
-						break
-					}
+				// A batch never spans a region, so LastRegion classifies
+				// every block Blocks yields from it.
+				for id := range Blocks(iv) {
 					switch iv.LastRegion() {
 					case RegionWarm:
 						warmSeen += uint64(prog.Blocks[id].NInsts)
@@ -348,12 +338,8 @@ func TestIntervalOverGenSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			id, ok := iv.Next()
-			if !ok {
-				break
-			}
-			if !iv.LastWarm() {
+		for id := range Blocks(iv) {
+			if iv.LastRegion() != RegionWarm {
 				merged = append(merged, id)
 			}
 		}

@@ -1,9 +1,10 @@
 // Pull-based trace supply. A Source delivers the dynamic basic-block
-// sequence one block at a time, so consumers (the simulator, codecs,
-// analyses) run in memory independent of trace length: a 100M-instruction
-// run needs no materialized block slice anywhere on the trace path.
+// sequence a batch at a time (NextBatch), so consumers (the simulator,
+// codecs, analyses) run in memory independent of trace length: a
+// 100M-instruction run needs no materialized block slice anywhere on the
+// trace path. Consumers that want one block at a time range over Blocks.
 //
-// Three implementations cover the delivery modes:
+// Four implementations cover the delivery modes:
 //
 //   - GenSource produces blocks on the fly from the seeded CFG walk
 //     (NewGenSource); nothing is ever materialized.
@@ -11,15 +12,19 @@
 //     NewReader in file.go), so saved traces far larger than RAM replay.
 //   - SliceSource wraps an existing []cfg.BlockID (NewSliceSource, or
 //     Trace.Source) for tests and profiles that already hold a trace.
+//   - IntervalSource restricts another source to one instruction window
+//     of the trace (NewInterval in interval.go).
 //
-// All three fork (Forker): a fork is an independent source standing where
-// its parent stands, which is how a Cursor positions every interval of a
-// run with one walk of the trace (cursor.go).
+// The first three fork (Forker): a fork is an independent source standing
+// where its parent stands, which is how a Cursor positions every interval
+// of a run with one walk of the trace (cursor.go).
 package trace
 
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 
 	"streamfetch/internal/cfg"
 )
@@ -29,30 +34,26 @@ import (
 // fresh source is needed to walk the trace again. Sources are not safe for
 // concurrent use.
 type Source interface {
-	// Next returns the next executed block; ok is false once the trace is
-	// exhausted.
-	Next() (id cfg.BlockID, ok bool)
 	// NextBatch fills dst with the next executed blocks and returns how
-	// many were delivered — the bulk form of Next, letting consumers pay
-	// one interface call per batch instead of one per block. It returns 0
-	// (for a non-empty dst) only once the trace is exhausted; short
-	// non-zero batches are allowed (a file source may stop at a chunk
-	// boundary, an interval source at a region boundary). Interleaving
-	// NextBatch and Next is valid: both consume the same cursor.
+	// many were delivered, so consumers pay one interface call per batch
+	// instead of one per block. It returns 0 (for a non-empty dst) only
+	// once the trace is exhausted; short non-zero batches are allowed (a
+	// file source may stop at a chunk boundary, an interval source at a
+	// region boundary).
 	NextBatch(dst []cfg.BlockID) int
 	// Skip fast-forwards the source past the maximal prefix of its
 	// remaining whole blocks whose cumulative CFG-level instruction count
 	// does not exceed n, returning the count actually skipped (less than
 	// n when the boundary block would cross it, or when the trace ends
-	// first). Blocks are never split: after Skip, Next delivers the block
-	// containing instruction offset skipped. Skipping past EOF exhausts
-	// the source and returns the instructions that remained. File- and
-	// slice-backed sources need a program bound (Bind) for the per-block
-	// instruction counts; an indexed trace file seeks, everything else
-	// fast-forwards linearly without layout expansion or simulation, so a
-	// skip costs O(n). Positioning many intervals of one trace is a
-	// Cursor's job: one walk forward, forked at each interval, instead of
-	// one skip from the head per interval.
+	// first). Blocks are never split: after Skip, the first block
+	// delivered is the one containing instruction offset skipped. Skipping
+	// past EOF exhausts the source and returns the instructions that
+	// remained. File- and slice-backed sources need a program bound (Bind)
+	// for the per-block instruction counts; an indexed trace file seeks,
+	// everything else fast-forwards linearly without layout expansion or
+	// simulation, so a skip costs O(n). Positioning many intervals of one
+	// trace is a Cursor's job: one walk forward, forked at each interval,
+	// instead of one skip from the head per interval.
 	Skip(n uint64) (skipped uint64, err error)
 	// Name returns the benchmark name the trace records.
 	Name() string
@@ -109,22 +110,8 @@ func NewGenSource(p *cfg.Program, gc GenConfig) *GenSource {
 	}
 }
 
-// Next returns the next executed block.
-func (s *GenSource) Next() (cfg.BlockID, bool) {
-	if s.done || s.g.Insts() >= s.max {
-		s.done = true
-		return cfg.NoBlock, false
-	}
-	id, ok := s.g.Next()
-	if !ok {
-		s.done = true
-	}
-	return id, ok
-}
-
 // NextBatch fills dst from the CFG walk, stopping at the generation budget
-// or program termination — exactly the blocks len(dst) Next calls would
-// deliver, through one call.
+// or program termination.
 func (s *GenSource) NextBatch(dst []cfg.BlockID) int {
 	n := 0
 	for n < len(dst) {
@@ -206,16 +193,6 @@ func (t *Trace) Source() *SliceSource {
 	return NewSliceSource(t.Name, t.Blocks, t.Insts)
 }
 
-// Next returns the next block of the slice.
-func (s *SliceSource) Next() (cfg.BlockID, bool) {
-	if s.i >= len(s.blocks) {
-		return cfg.NoBlock, false
-	}
-	id := s.blocks[s.i]
-	s.i++
-	return id, true
-}
-
 // NextBatch copies the next blocks of the slice into dst.
 func (s *SliceSource) NextBatch(dst []cfg.BlockID) int {
 	n := copy(dst, s.blocks[s.i:])
@@ -266,20 +243,45 @@ func (s *SliceSource) TotalInsts() (uint64, bool) { return s.insts, true }
 // Close is a no-op.
 func (s *SliceSource) Close() error { return nil }
 
+// blocksBatch is how many blocks Blocks pulls per NextBatch call.
+const blocksBatch = 512
+
+// Blocks returns an iterator over the blocks src delivers, pulled through
+// NextBatch blocksBatch at a time. It consumes the source but does not
+// close it; a loop that breaks early discards the rest of the batch it
+// stopped in.
+func Blocks(src Source) iter.Seq[cfg.BlockID] {
+	return func(yield func(cfg.BlockID) bool) {
+		buf := make([]cfg.BlockID, blocksBatch)
+		for {
+			n := src.NextBatch(buf)
+			if n == 0 {
+				return
+			}
+			for _, id := range buf[:n] {
+				if !yield(id) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // ForEachPair streams src, invoking f for every block together with the
 // dynamically following block (cfg.NoBlock for the last) — the lookahead
 // that layout expansion needs. It consumes the source but does not close
 // it.
 func ForEachPair(src Source, f func(cur, next cfg.BlockID)) {
-	cur, ok := src.Next()
-	for ok {
-		next, nextOK := src.Next()
-		nb := cfg.NoBlock
-		if nextOK {
-			nb = next
+	var cur cfg.BlockID
+	started := false
+	for next := range Blocks(src) {
+		if started {
+			f(cur, next)
 		}
-		f(cur, nb)
-		cur, ok = next, nextOK
+		cur, started = next, true
+	}
+	if started {
+		f(cur, cfg.NoBlock)
 	}
 }
 
@@ -287,14 +289,7 @@ func ForEachPair(src Source, f func(cur, next cfg.BlockID)) {
 // the bridge back from the streaming world for analyses that genuinely
 // need random access; memory is proportional to the trace length.
 func Drain(src Source) (*Trace, error) {
-	t := &Trace{Name: src.Name()}
-	for {
-		id, ok := src.Next()
-		if !ok {
-			break
-		}
-		t.Blocks = append(t.Blocks, id)
-	}
+	t := &Trace{Name: src.Name(), Blocks: slices.Collect(Blocks(src))}
 	if err := src.Close(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,17 +16,8 @@ func TestGenSourceMatchesGenerate(t *testing.T) {
 	gc := GenConfig{Seed: 5, MaxInsts: 50_000}
 	tr := Generate(prog, gc)
 	src := NewGenSource(prog, gc)
-	for i, want := range tr.Blocks {
-		id, ok := src.Next()
-		if !ok {
-			t.Fatalf("source ended at block %d, trace has %d", i, len(tr.Blocks))
-		}
-		if id != want {
-			t.Fatalf("block %d: source %d, trace %d", i, id, want)
-		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("source emitted more blocks than the materialized trace")
+	if got := slices.Collect(Blocks(src)); !slices.Equal(got, tr.Blocks) {
+		t.Fatalf("source emitted %d blocks, not the %d Generate materialized", len(got), len(tr.Blocks))
 	}
 	n, exact := src.TotalInsts()
 	if !exact || n != tr.Insts {
@@ -38,7 +30,7 @@ func TestGenSourceMatchesGenerate(t *testing.T) {
 func TestGenSourceRunningCount(t *testing.T) {
 	prog := genProg(t, "164.gzip")
 	src := NewGenSource(prog, GenConfig{Seed: 1, MaxInsts: 10_000})
-	if _, ok := src.Next(); !ok {
+	if src.NextBatch(make([]cfg.BlockID, 1)) != 1 {
 		t.Fatal("empty source")
 	}
 	if n, exact := src.TotalInsts(); exact || n == 0 {
@@ -61,14 +53,8 @@ func TestSliceSource(t *testing.T) {
 		if n, exact := src.TotalInsts(); n != 42 || !exact {
 			t.Fatalf("TotalInsts = (%d,%v), want (42,true)", n, exact)
 		}
-		for i, want := range tr.Blocks {
-			id, ok := src.Next()
-			if !ok || id != want {
-				t.Fatalf("round %d block %d: (%v,%v), want %d", round, i, id, ok, want)
-			}
-		}
-		if _, ok := src.Next(); ok {
-			t.Fatal("source did not end")
+		if got := slices.Collect(Blocks(src)); !slices.Equal(got, tr.Blocks) {
+			t.Fatalf("round %d: blocks %v, want %v", round, got, tr.Blocks)
 		}
 	}
 }
@@ -92,14 +78,8 @@ func TestFileSourceStreams(t *testing.T) {
 	if _, exact := src.TotalInsts(); exact {
 		t.Fatal("v2 stream claims an exact total before EOF")
 	}
-	for i, want := range tr.Blocks {
-		id, ok := src.Next()
-		if !ok || id != want {
-			t.Fatalf("block %d: (%v,%v), want %d", i, id, ok, want)
-		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("decoder emitted extra blocks")
+	if got := slices.Collect(Blocks(src)); !slices.Equal(got, tr.Blocks) {
+		t.Fatalf("decoded %d blocks, not the %d written", len(got), len(tr.Blocks))
 	}
 	n, exact := src.TotalInsts()
 	if !exact || n != tr.Insts {
@@ -127,10 +107,7 @@ func TestFileSourceTruncation(t *testing.T) {
 		if err != nil {
 			continue // header itself truncated: also acceptable
 		}
-		for {
-			if _, ok := src.Next(); !ok {
-				break
-			}
+		for range Blocks(src) {
 		}
 		if src.Err() == nil {
 			t.Errorf("cut at %d/%d: no decode error surfaced", cut, len(whole))
@@ -159,7 +136,7 @@ func TestDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != want.Name || got.Insts != want.Insts || len(got.Blocks) != len(want.Blocks) {
+	if got.Name != want.Name || got.Insts != want.Insts || !slices.Equal(got.Blocks, want.Blocks) {
 		t.Fatalf("drain mismatch: %v/%d/%d vs %v/%d/%d",
 			got.Name, got.Insts, len(got.Blocks), want.Name, want.Insts, len(want.Blocks))
 	}

@@ -13,9 +13,9 @@
 // generated on the fly, streamed from disk, or wrapped around an in-memory
 // slice. Consumers that iterate a Source run in memory independent of trace
 // length, which is what makes paper-scale (100M+ instruction) runs
-// practical. Hot consumers pull blocks in bulk through Source.NextBatch —
-// one interface call per batch instead of one per block — with Batched
-// adapting legacy one-at-a-time sources.
+// practical. Sources deliver blocks in bulk through Source.NextBatch — one
+// interface call per batch instead of one per block — and Blocks ranges
+// over a source one block at a time.
 package trace
 
 import (
@@ -265,20 +265,16 @@ func (g *Generator) pickEdge(succs []cfg.Edge) int {
 // config; callers that only iterate should prefer the source, whose memory
 // use is independent of MaxInsts.
 func Generate(p *cfg.Program, gc GenConfig) *Trace {
-	src := NewGenSource(p, gc)
-	est := int(gc.MaxInsts / 5)
-	if est < 16 {
-		est = 16
-	}
-	t := &Trace{Name: p.Name, Blocks: make([]cfg.BlockID, 0, est)}
-	for {
-		id, ok := src.Next()
+	g := NewGenerator(p, gc.Seed, gc.Profile)
+	t := &Trace{Name: p.Name, Blocks: make([]cfg.BlockID, 0, max(gc.MaxInsts/5, 16))}
+	for g.insts < gc.MaxInsts {
+		id, ok := g.Next()
 		if !ok {
 			break
 		}
 		t.Blocks = append(t.Blocks, id)
 	}
-	t.Insts, _ = src.TotalInsts()
+	t.Insts = g.insts
 	return t
 }
 

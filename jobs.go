@@ -1639,12 +1639,25 @@ func (m *jobManager) trimDoneLocked() {
 // a restart keeps serving it. The one exception is a job cancelled by
 // shutdown rather than by a client: it stays journaled as accepted, which
 // is exactly what makes a restarted daemon re-enqueue and finish it.
-// Also releases the job's coalescing slot.
+//
+// Also releases the job's coalescing slot, after the result blob is
+// written: until then an identical submission finds neither the slot nor
+// the cache entry, and would simulate again. A submission that coalesces
+// onto the finished job in that window gets its done envelope.
 func (m *jobManager) persist(j *job) {
 	j.mu.Lock()
 	state, userCancel := j.state, j.userCancel
 	rep, cells := j.report, j.cells
 	j.mu.Unlock()
+
+	if state == JobDone && j.key != "" {
+		switch {
+		case j.kind == "run" && rep != nil && !rep.Aborted:
+			m.putResult(j.key, rep)
+		case j.kind == "sweep" && len(cells) > 0:
+			m.putResult(j.key, cells)
+		}
+	}
 
 	if j.key != "" {
 		m.mu.Lock()
@@ -1656,15 +1669,6 @@ func (m *jobManager) persist(j *job) {
 
 	if state == JobCancelled && !userCancel && m.baseCtx.Err() != nil {
 		return // interrupted by shutdown: the journal still owes it a run
-	}
-
-	if state == JobDone && j.key != "" {
-		switch {
-		case j.kind == "run" && rep != nil && !rep.Aborted:
-			m.putResult(j.key, rep)
-		case j.kind == "sweep" && len(cells) > 0:
-			m.putResult(j.key, cells)
-		}
 	}
 	m.journal(j, state)
 }

@@ -270,3 +270,71 @@ func TestSweepCellsShareRunCache(t *testing.T) {
 		t.Errorf("sweep measure time %v, want the simulated cell's alone (%v)", got, want)
 	}
 }
+
+// gatedPutStore blocks every PutBlob until release is closed, announcing
+// each one on entered first.
+type gatedPutStore struct {
+	store.Store
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedPutStore) PutBlob(key string, data []byte) error {
+	s.entered <- struct{}{}
+	<-s.release
+	return s.Store.PutBlob(key, data)
+}
+
+// TestCoalesceUntilCached: a finished job keeps its coalescing slot until
+// its result blob is cached. An identical submission made while that write
+// is still in flight finds no cache entry; it must coalesce onto the
+// finished job rather than simulate again.
+func TestCoalesceUntilCached(t *testing.T) {
+	st := &gatedPutStore{
+		Store: store.NewMem(),
+		// One slot per result write the test can cause: the leader's and,
+		// when coalescing fails, the twin's.
+		entered: make(chan struct{}, 2),
+		release: make(chan struct{}),
+	}
+	srv, err := NewServer(WithWorkers(1), WithQueueDepth(4), WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdownServer(t, srv) })
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(st.release) }) })
+
+	req := RunRequest{Benchmark: "164.gzip", Engine: "streams", Layout: "base", Insts: 20_000, Seed: 7}
+	leader, err := srv.mgr.newRunJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-st.entered:
+	case <-time.After(time.Minute):
+		t.Fatal("the leader never wrote its result")
+	}
+	if env := leader.envelope(); env.State != JobDone {
+		t.Fatalf("leader is %s (error %q) while writing its result, want done", env.State, env.Error)
+	}
+
+	misses, coalesced := srv.mgr.misses.Load(), srv.mgr.coalesced.Load()
+	twin, err := srv.mgr.newRunJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twin.id != leader.id {
+		t.Errorf("submission during the result write got job %s, want the leader %s", twin.id, leader.id)
+	}
+	if got := srv.mgr.coalesced.Load(); got != coalesced+1 {
+		t.Errorf("coalesced counter = %d, want %d", got, coalesced+1)
+	}
+	if got := srv.mgr.misses.Load(); got != misses {
+		t.Errorf("misses counter = %d, want %d: the submission simulated again", got, misses)
+	}
+	if env := twin.envelope(); env.State != JobDone || env.Report == nil {
+		t.Errorf("coalesced envelope: state %s, report %v; want the leader's done report", env.State, env.Report != nil)
+	}
+	releaseOnce.Do(func() { close(st.release) })
+}

@@ -5,7 +5,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"streamfetch/internal/trace"
 )
 
 // TestStreamingSourceEquivalence: the same benchmark and seed must produce
@@ -93,15 +96,9 @@ func TestSourceDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	for i := 0; ; i++ {
-		ida, oka := a.Next()
-		idb, okb := b.Next()
-		if oka != okb || ida != idb {
-			t.Fatalf("sources diverge at block %d: (%v,%v) vs (%v,%v)", i, ida, oka, idb, okb)
-		}
-		if !oka {
-			break
-		}
+	ba, bb := slices.Collect(trace.Blocks(a)), slices.Collect(trace.Blocks(b))
+	if len(ba) == 0 || !slices.Equal(ba, bb) {
+		t.Fatalf("sources diverge: %d blocks vs %d", len(ba), len(bb))
 	}
 	na, ea := a.TotalInsts()
 	nb, eb := b.TotalInsts()

@@ -65,18 +65,17 @@ func (s *Session) WriteTrace(ctx context.Context, w io.Writer) (TraceInfo, error
 			tw.BindProgram(prog)
 		}
 	}
-	for {
+	if err := ctx.Err(); err != nil {
+		return TraceInfo{}, err
+	}
+	for id := range trace.Blocks(src) {
+		if err := tw.Append(id); err != nil {
+			return TraceInfo{}, err
+		}
 		if tw.Blocks()%writeTraceCheck == 0 {
 			if err := ctx.Err(); err != nil {
 				return TraceInfo{}, err
 			}
-		}
-		id, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := tw.Append(id); err != nil {
-			return TraceInfo{}, err
 		}
 	}
 	if err := src.Close(); err != nil {
@@ -101,18 +100,7 @@ func InspectTrace(r io.Reader) (TraceInfo, error) {
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	var blocks uint64
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		blocks++
-	}
-	if err := src.Err(); err != nil {
-		return TraceInfo{}, err
-	}
-	insts, _ := src.TotalInsts()
-	return TraceInfo{Name: src.Name(), Blocks: blocks, Insts: insts}, nil
+	return inspect(src)
 }
 
 // InspectTraceFile summarizes a trace file by path, reporting whether it is
@@ -129,11 +117,13 @@ func InspectTraceFile(path string) (TraceInfo, error) {
 		blocks, _ := src.TotalBlocks()
 		return TraceInfo{Name: src.Name(), Blocks: blocks, Insts: insts, Seekable: true}, nil
 	}
+	return inspect(src)
+}
+
+// inspect decodes src to its end, counting blocks.
+func inspect(src *trace.FileSource) (TraceInfo, error) {
 	var blocks uint64
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
+	for range trace.Blocks(src) {
 		blocks++
 	}
 	if err := src.Err(); err != nil {
