@@ -13,9 +13,10 @@ import (
 
 // contentKeyShapes are request shapes whose content keys are pinned in
 // TestContentKeyPinned. The want hashes were computed by the code before
-// preparation identity was split from content identity; a changed hash
-// means cached results would stop being found (or, worse, a different
-// request would collide with them).
+// preparation identity was split from content identity, except the two
+// capped unsharded shapes, which carry cap_v since the cap became a trace
+// position; a changed hash means cached results would stop being found
+// (or, worse, a different request would collide with them).
 var contentKeyShapes = []struct {
 	name  string
 	run   *RunRequest
@@ -50,7 +51,7 @@ var contentKeyShapes = []struct {
 		want: "03169831761403391780a1a4e9324228ab2807a55c57a673c30157a7c9202334"},
 	{name: "run cap, line size and width", run: &RunRequest{Benchmark: "300.twolf", Engine: "tcache", Width: 4,
 		MaxInsts: 100_000, ICacheLineBytes: 64},
-		want: "eafc54584662b16de764ac0d357543c7416d4a503d4616f050f02a5d1c770875"},
+		want: "0d0a501ad5102283742e00d8fc9d129f5f67c45e3faced75ed982f625f44e6bc"},
 	{name: "sweep defaults", sweep: &SweepRequest{},
 		want: "a3b13c9ca5aa20d65cfd238833b1aac186362d0222eacc015bb248e67c4a69cd"},
 	{name: "sweep axes and seed", sweep: &SweepRequest{Benchmarks: []string{"176.gcc"},
@@ -62,6 +63,9 @@ var contentKeyShapes = []struct {
 	{name: "sweep sharded warm with train fields", sweep: &SweepRequest{Benchmarks: []string{"164.gzip"},
 		Shards: 2, Warmup: 10_000, TrainSeed: 3, TrainInsts: 100_000},
 		want: "9d5e29b8f8bad45d0a72c72b8b011b9b5f1b2eb7c0338eadafa20408bc9c83f3"},
+	{name: "sweep capped unsharded", sweep: &SweepRequest{Benchmarks: []string{"300.twolf"},
+		Engines: []string{"tcache"}, Widths: []int{4}, MaxInsts: 100_000},
+		want: "c3eea9bdb4a9b16a1d7a9f2f2d6caaed67545202d03f3c2b3799597eb0c7f9cf"},
 }
 
 func shapeKey(t *testing.T, run *RunRequest, sweep *SweepRequest) string {

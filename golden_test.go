@@ -108,11 +108,13 @@ func TestWarmGolden(t *testing.T) {
 
 // TestCappedRunPinned pins the full report of a WithMaxInstructions run
 // over each trace source: a generated trace, an indexed trace file and an
-// in-memory trace. An unsharded run caps retired instructions and reports
-// the source's own instruction total, which differs by source (the
-// generator's read-ahead, the file's indexed total); the goldens hold
-// those figures as they were before single-shot runs became one interval
-// of the interval executor.
+// in-memory trace. The cap is a trace position in every plan, so the
+// three sources report the same figures, and TraceInsts is what the one
+// interval measured: the blocks wholly inside the first 50,000 CFG
+// instructions. The same run sharded, warm or cold, tiles that same
+// window, so its instruction and branch counts must equal the unsharded
+// report's. Its mispredictions match on this input too; in general they
+// depend on the predictor state each interval opens with.
 func TestCappedRunPinned(t *testing.T) {
 	ctx := context.Background()
 	newSession := func(opts ...streamfetch.Option) *streamfetch.Session {
@@ -136,6 +138,15 @@ func TestCappedRunPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans := []struct {
+		name string
+		opts []streamfetch.Option
+	}{
+		{"2 shards", []streamfetch.Option{streamfetch.WithShards(2)}},
+		{"3 warm shards", []streamfetch.Option{streamfetch.WithShards(3), streamfetch.WithWarmup(2_000)}},
+		{"3 cold shards", []streamfetch.Option{streamfetch.WithShards(3), streamfetch.WithWarmup(2_000),
+			streamfetch.WithColdShards()}},
+	}
 	for _, tc := range []struct {
 		name string
 		opts []streamfetch.Option
@@ -150,6 +161,19 @@ func TestCappedRunPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertReportGolden(t, rep, "golden_capped_"+tc.name+".json")
+			for _, p := range plans {
+				got, err := newSession(append(p.opts, tc.opts...)...).Run(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", p.name, err)
+				}
+				if got.TraceInsts != rep.TraceInsts || got.Retired != rep.Retired ||
+					got.Branches != rep.Branches || got.Mispredicted != rep.Mispredicted {
+					t.Errorf("%s: trace_insts %d, retired %d, branches %d, mispredicted %d; "+
+						"unsharded %d, %d, %d, %d", p.name,
+						got.TraceInsts, got.Retired, got.Branches, got.Mispredicted,
+						rep.TraceInsts, rep.Retired, rep.Branches, rep.Mispredicted)
+				}
+			}
 		})
 	}
 }

@@ -44,9 +44,6 @@ type Config struct {
 	// Hier describes the memory system; zero value uses Table-2 defaults
 	// for the width.
 	Hier cache.HierarchyConfig
-	// MaxInsts stops the simulation after retiring this many
-	// correct-path instructions (0 = the whole trace).
-	MaxInsts uint64
 
 	// OnCommit, when set, observes every retired instruction (diagnostics).
 	OnCommit func(c frontend.Committed)
@@ -447,10 +444,12 @@ type outstanding struct {
 // warmup phase — caches and predictors train, counters are frozen out of
 // the result by snapshot — and a measured phase covering exactly the
 // source's measure window; Result.Counters then holds the measured phase
-// and Result.Warmup the lead-in. MaxInsts counts all retired instructions,
-// warmup included. A run whose trace ends inside the warmup lead-in (an
-// empty measure window) reports zero measured counters with everything in
-// Warmup, so degenerate intervals merge losslessly.
+// and Result.Warmup the lead-in. The run retires every instruction its
+// source supplies: an instruction cap is a trace position, applied by the
+// source (an interval's End), not by the simulator. A run whose trace
+// ends inside the warmup lead-in (an empty measure window) reports zero
+// measured counters with everything in Warmup, so degenerate intervals
+// merge losslessly.
 func (p *Processor) Run() Result {
 	cfg := p.cfg
 	width := cfg.Width
@@ -475,7 +474,6 @@ func (p *Processor) Run() Result {
 		nextProgress    = cfg.ProgressInterval
 		nextProgCycle   = uint64(progressCycles)
 		res             Result
-		wantRetired     = cfg.MaxInsts
 		decodePenalty   = uint64(cfg.Pipeline.DecodePenalty)
 		resolveDepth    = uint64(cfg.Pipeline.Depth)
 		correctInFlight = 0 // validated but not yet retired
@@ -580,9 +578,6 @@ cycles:
 			wrongPath = false
 			havePrev = false
 			havePending = false
-		}
-		if wantRetired > 0 && res.Retired >= wantRetired {
-			break
 		}
 		// Progress fires on retired instructions — and, as a backstop, on a
 		// cycle cadence: an engine that stops retiring (wedged, livelocked)

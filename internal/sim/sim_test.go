@@ -79,14 +79,6 @@ func TestWiderPipeFasterOrEqual(t *testing.T) {
 	}
 }
 
-func TestMaxInstsLimits(t *testing.T) {
-	b := loadBench(t, "164.gzip", 150_000)
-	r := Run(b.opt, b.tr.Source(), Config{Width: 8, Engine: "ev8", MaxInsts: 20_000})
-	if r.Retired < 20_000 || r.Retired > 20_000+64 {
-		t.Errorf("retired %d, want about 20000", r.Retired)
-	}
-}
-
 // TestNewUnknownEngine: the driver surfaces registry resolution failures as
 // errors instead of engine-kind panics.
 func TestNewUnknownEngine(t *testing.T) {

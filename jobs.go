@@ -94,8 +94,7 @@ type GridCell struct {
 // Zero-valued fields keep the session defaults (streams engine, base
 // layout, width 8, seed 99, 2M instructions), exactly as the corresponding
 // session option would. MaxInsts caps the run as WithMaxInstructions does:
-// retired instructions for an unsharded run, trace position (CFG
-// instructions) for a sharded or sampled one.
+// at a trace position (CFG instructions), whatever the run's shape.
 type RunRequest struct {
 	Benchmark       string `json:"benchmark"`
 	Engine          string `json:"engine,omitempty"`
@@ -380,6 +379,11 @@ type runKeySpec struct {
 	// the address generator. 3 (warmup 0 only): an interval opened from
 	// warm state counts its first cycle, as a restored one always did.
 	FwarmV int `json:"fwarm_v,omitempty"`
+	// CapV versions the instruction cap's meaning for capped unsharded
+	// runs, the only reports it changed; omitempty keeps every other key
+	// intact. 1: the cap is a trace position, as in sharded and sampled
+	// runs, not a count of retired instructions.
+	CapV int `json:"cap_v,omitempty"`
 }
 
 // contentKey hashes the request's normalized semantic fields. Call only
@@ -430,6 +434,9 @@ func (r *RunRequest) keySpec() runKeySpec {
 	if !k.ColdShards && (k.Shards > 1 || k.Samples > 0) {
 		k.FwarmV = fwarmVersion(k.Warmup)
 	}
+	if k.MaxInsts > 0 && k.Shards <= 1 && k.Samples == 0 {
+		k.CapV = 1
+	}
 	return k
 }
 
@@ -451,8 +458,10 @@ type sweepKeySpec struct {
 	Shards     int      `json:"shards"`
 	Warmup     uint64   `json:"warmup"`
 	ColdShards bool     `json:"cold_shards"`
-	// FwarmV mirrors runKeySpec.FwarmV for sharded sweep cells.
+	// FwarmV mirrors runKeySpec.FwarmV for sharded sweep cells, and CapV
+	// runKeySpec.CapV for capped unsharded ones.
 	FwarmV int `json:"fwarm_v,omitempty"`
+	CapV   int `json:"cap_v,omitempty"`
 }
 
 // contentKey hashes the sweep's normalized identity. Call only after
@@ -479,6 +488,7 @@ func (r *SweepRequest) contentKey() string {
 		Warmup:     c.Warmup,
 		ColdShards: c.ColdShards,
 		FwarmV:     c.FwarmV,
+		CapV:       c.CapV,
 	})
 }
 

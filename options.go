@@ -65,13 +65,12 @@ func WithTrainInstructions(n uint64) Option {
 	return func(s *Session) { s.trainInsts = n }
 }
 
-// WithMaxInstructions caps the run (0 = the whole trace). The cap has two
-// meanings. An unsharded run stops after retiring this many correct-path
-// instructions, and its report's TraceInsts is still its source's
-// instruction total. A sharded or sampled run partitions only the first
-// n CFG instructions of the trace (a trace position), and its TraceInsts
-// is what its intervals measured; the two differ by the layout's
-// materialized jumps and the block crossing the cap.
+// WithMaxInstructions caps the run at trace position n (0 = the whole
+// trace): every run, unsharded, sharded or sampled, covers only the
+// blocks wholly inside the trace's first n CFG instructions, and its
+// report's TraceInsts is what its intervals measured. So a capped run and
+// its sharded runs measure the same instructions. Retired can exceed
+// TraceInsts by the layout's materialized jumps.
 func WithMaxInstructions(n uint64) Option {
 	return func(s *Session) { s.maxInsts = n }
 }

@@ -479,12 +479,11 @@ func (s *Session) RunWith(ctx context.Context, opts ...Option) (*Report, error) 
 // simConfig assembles the simulator configuration for one interval of a
 // run: shard is its index and shards the run's interval count, both 0
 // for an unsharded run.
-func (s *Session) simConfig(ctx context.Context, lay *layout.Layout, maxInsts, total uint64, shard, shards int) sim.Config {
+func (s *Session) simConfig(ctx context.Context, lay *layout.Layout, total uint64, shard, shards int) sim.Config {
 	cfg := sim.Config{
 		Width:            s.width,
 		Engine:           s.engine,
 		EngineOptions:    s.engineOpts,
-		MaxInsts:         maxInsts,
 		ProgressInterval: s.progressEvery,
 	}
 	if s.lineBytes > 0 {

@@ -1,8 +1,8 @@
 // Session runs: every run is a plan of trace intervals executed by one
 // interval executor and merged into one Report. An unsharded run is one
-// interval, the whole trace; a sharded run (WithShards) is N contiguous
-// intervals simulated in parallel; a sampled run (WithSampling) is K short
-// measure windows spread over the trace. The plans differ only in how they
+// interval, the whole (capped) trace; a sharded run (WithShards) is N
+// contiguous intervals simulated in parallel; a sampled run
+// (WithSampling) is K short measure windows spread over the trace. The plans differ only in how they
 // tile the trace and how the merged report is shaped. Sharding is what
 // makes paper-scale sweeps (hundreds of benchmark × engine × width ×
 // layout cells over 100M+-instruction traces) wall-clock-bounded by
@@ -35,8 +35,9 @@
 // figures (IPC, miss rates) carry the cold pipeline of each interval head,
 // which warmup shrinks. WithShards(1) is the unsharded run.
 //
-// WithMaxInstructions caps an unsharded run's retired instructions; a
-// sharded or sampled plan caps the trace position it partitions instead.
+// WithMaxInstructions caps every plan the same way: at a trace position.
+// The plan tiles only the trace's first n CFG instructions, and the
+// report's TraceInsts is what its intervals measured.
 package streamfetch
 
 import (
@@ -62,17 +63,15 @@ import (
 // the trace's end".
 type intervalSpec struct{ start, end uint64 }
 
-// runPlan is one run's intervals, ascending by start. total is the run's
-// instruction target for progress callbacks (0 when unknown until EOF),
-// refined by each interval's source; group is the interval count they
-// report, 0 for an unsharded run. maxRetired caps retired instructions
-// (WithMaxInstructions) in an unsharded run; sharded and sampled plans
-// cap by trace position in their specs instead.
+// runPlan is one run's intervals, ascending by start, tiling at most the
+// capped trace. total is the run's instruction target for progress
+// callbacks (0 when unknown until EOF), refined by each interval's
+// source; group is the interval count they report, 0 for an unsharded
+// run.
 type runPlan struct {
-	specs      []intervalSpec
-	total      uint64
-	group      int
-	maxRetired uint64
+	specs []intervalSpec
+	total uint64
+	group int
 }
 
 // shardOut is one interval's outcome.
@@ -81,9 +80,6 @@ type shardOut struct {
 	start    uint64 // nominal measure-window start (CFG insts)
 	measured uint64
 	warm     uint64
-	// srcInsts is the interval's source total after the run (exact or
-	// running, see trace.Source.TotalInsts): an unsharded run reports it.
-	srcInsts uint64
 	// Checkpoint outcome for this interval: restored from the store
 	// (hit), or warmed functionally with checkpointing active (miss).
 	// Both false when checkpointing was off or inapplicable.
@@ -143,40 +139,42 @@ func (s *Session) run(ctx context.Context) (*Report, error) {
 	return rep, runErr
 }
 
-// plan tiles the session's trace: one interval for an unsharded run,
-// without sizing the trace first, or the sharded or sampled partition of
-// the trace's (capped) length.
+// plan tiles the session's trace, capped by WithMaxInstructions at a
+// trace position: one interval for an unsharded run, without sizing a
+// trace file first, or the sharded or sampled partition of the capped
+// trace.
 func (s *Session) plan(prog *cfg.Program) (*runPlan, error) {
-	if s.samples == 0 && s.shards <= 1 {
-		// The whole trace. Its progress target is the least of the cap,
-		// a seeded run's generation budget and the source's exact total,
-		// which runInterval applies when the source opens.
-		p := &runPlan{specs: []intervalSpec{{}}, total: s.maxInsts, maxRetired: s.maxInsts}
-		if s.traceFile == "" && s.traceData == nil && (p.total == 0 || s.insts < p.total) {
-			p.total = s.insts
+	whole := s.samples == 0 && s.shards <= 1
+	// An unsharded run leaves a trace file's length unknown (0) until the
+	// file opens, where runInterval reads its exact total.
+	unsized := whole && s.traceFile != ""
+	var total uint64
+	if !unsized {
+		var err error
+		if total, err = s.traceTotal(prog); err != nil {
+			return nil, err
 		}
-		return p, nil
 	}
-	total, err := s.traceTotal(prog)
-	if err != nil {
-		return nil, err
+	// partTotal is the length the plan tiles, and last the end of its last
+	// interval: 0, the trace's end, unless the cap cuts the trace. A
+	// seeded generator may overshoot its budget by the crossing block,
+	// and file totals are then covered exactly.
+	partTotal, last := total, uint64(0)
+	if s.maxInsts > 0 && (unsized || s.maxInsts < total) {
+		partTotal, last = s.maxInsts, s.maxInsts
 	}
-	// WithMaxInstructions truncates the logical run: partition only its
-	// prefix. The cap is in CFG instructions here (trace position), which
-	// tracks the unsharded retired-instruction cap to within the layout's
-	// materialized jumps.
-	partTotal := total
-	if s.maxInsts > 0 && s.maxInsts < partTotal {
-		partTotal = s.maxInsts
+	switch {
+	case s.samples > 0:
+		return s.samplePlan(partTotal, last), nil
+	case !whole:
+		return s.shardPlan(partTotal, last), nil
 	}
-	if s.samples > 0 {
-		return s.samplePlan(total, partTotal), nil
-	}
-	return s.shardPlan(total, partTotal), nil
+	return &runPlan{specs: []intervalSpec{{end: last}}, total: partTotal}, nil
 }
 
-// shardPlan splits [0, partTotal) into WithShards even intervals.
-func (s *Session) shardPlan(total, partTotal uint64) *runPlan {
+// shardPlan splits [0, partTotal) into WithShards even intervals, the
+// last ending at last.
+func (s *Session) shardPlan(partTotal, last uint64) *runPlan {
 	nshards := s.shards
 	if uint64(nshards) > partTotal {
 		// Never more shards than instructions; in particular a trace
@@ -199,11 +197,8 @@ func (s *Session) shardPlan(total, partTotal uint64) *runPlan {
 	specs := make([]intervalSpec, nshards)
 	for i := range specs {
 		end := bound(i + 1)
-		if i == nshards-1 && partTotal == total {
-			// The last interval runs to the trace's end: a seeded
-			// generator may overshoot its budget by the crossing block,
-			// and file totals are then covered exactly.
-			end = 0
+		if i == nshards-1 {
+			end = last
 		}
 		specs[i] = intervalSpec{start: bound(i), end: end}
 	}
@@ -214,16 +209,13 @@ func (s *Session) shardPlan(total, partTotal uint64) *runPlan {
 // across [0, partTotal). The windows tile a small fraction of the trace;
 // everything between them is never simulated, which is where the speedup
 // comes from.
-func (s *Session) samplePlan(total, partTotal uint64) *runPlan {
+func (s *Session) samplePlan(partTotal, last uint64) *runPlan {
 	var specs []intervalSpec
 	if partTotal == 0 || s.sampleInsts >= partTotal {
 		// The window covers the whole (or an unknown-length) trace:
-		// degenerate to one full interval; the CI is then zero.
-		end := uint64(0)
-		if partTotal < total {
-			end = partTotal
-		}
-		specs = []intervalSpec{{start: 0, end: end}}
+		// degenerate to one full interval, ending at last; the CI is
+		// then zero.
+		specs = []intervalSpec{{start: 0, end: last}}
 	} else {
 		k := s.samples
 		if uint64(k) > partTotal/s.sampleInsts {
@@ -408,7 +400,7 @@ func (s *Session) warmBoundaries(ctx context.Context, lay *layout.Layout, bounds
 	if err != nil {
 		return err
 	}
-	proc, err := sim.New(lay, src, s.simConfig(ctx, lay, 0, 0, 0, 0))
+	proc, err := sim.New(lay, src, s.simConfig(ctx, lay, 0, 0, 0))
 	if err != nil {
 		src.Close()
 		return err
@@ -492,7 +484,7 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPla
 	if n, exact := iv.TotalInsts(); exact && (total == 0 || n < total) {
 		total = n
 	}
-	proc, err := sim.New(lay, iv, s.simConfig(ctx, lay, p.maxRetired, total, i, p.group))
+	proc, err := sim.New(lay, iv, s.simConfig(ctx, lay, total, i, p.group))
 	if err != nil {
 		iv.Close()
 		return nil, err
@@ -517,13 +509,11 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPla
 	if err := proc.Err(); err != nil {
 		return nil, fmt.Errorf("streamfetch: interval %d: %w", i, err)
 	}
-	srcInsts, _ := iv.TotalInsts()
 	return &shardOut{
 		res:         res,
 		start:       spec.start,
 		measured:    iv.MeasuredInsts(),
 		warm:        iv.WarmupInsts(),
-		srcInsts:    srcInsts,
 		measureSecs: runSecs,
 	}, nil
 }
@@ -587,13 +577,13 @@ func (s *Session) ckptKey(lay *layout.Layout, boundary uint64) (string, bool) {
 
 // mergeOuts combines completed intervals into the plan's report (nil when
 // none completed). Event counters merge losslessly; aggregate IPC is the
-// merged retired count over the merged cycle count. An unsharded run
-// reports its source's instruction total as TraceInsts, as a trace run to
-// the end (or cut by the retired cap) knows it. A sharded run of more
-// than one interval lists its intervals. A sampled run's merged counters
-// are the estimate: ipc_ci95 carries the 95% confidence half-width on IPC
-// from the per-window spread, and TraceInsts is the sampled coverage, not
-// the full trace length.
+// merged retired count over the merged cycle count. TraceInsts is what
+// the intervals measured: the whole (capped) trace for an unsharded or
+// sharded run. A sharded run of more than one interval lists its
+// intervals. A sampled run's merged counters are the estimate: ipc_ci95
+// carries the 95% confidence half-width on IPC from the per-window
+// spread, and TraceInsts is the sampled coverage, not the full trace
+// length.
 func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *Report {
 	var agg sim.Counters
 	var traceInsts, hits, misses uint64
@@ -640,9 +630,6 @@ func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *R
 		Width:    s.width,
 		Aborted:  aborted,
 		Counters: agg,
-	}
-	if p.group == 0 {
-		traceInsts = outs[0].srcInsts
 	}
 	rep := newReport(s.benchmark, lay, traceInsts, s.reportSeed(), res)
 	rep.CheckpointHits = hits
