@@ -330,15 +330,20 @@ func TestSampledWithCheckpoints(t *testing.T) {
 	sameReport(t, "restored sampled run vs first", stripCkpt(second), stripCkpt(first))
 }
 
-// countStore counts the blob reads it serves.
+// countStore counts the blob reads and journal appends it serves.
 type countStore struct {
 	store.Store
-	gets atomic.Int64
+	gets, journals atomic.Int64
 }
 
 func (c *countStore) GetBlob(key string) ([]byte, bool, error) {
 	c.gets.Add(1)
 	return c.Store.GetBlob(key)
+}
+
+func (c *countStore) Journal(rec store.JournalRecord) error {
+	c.journals.Add(1)
+	return c.Store.Journal(rec)
 }
 
 // TestCheckpointReadOnce: a run whose boundaries are all stored reads each

@@ -18,7 +18,14 @@ func appendTwoBits(dst []byte, t []TwoBit) []byte {
 	return dst
 }
 
+// loadTwoBits restores a counter table of identical size; t is unmodified
+// on error.
 func loadTwoBits(r *wire.Reader, t []TwoBit) error {
+	return r.TwoPass(func(r *wire.Reader, apply bool) error { return decodeTwoBits(r, t, apply) })
+}
+
+// decodeTwoBits reads a counter table, storing it only when apply is set.
+func decodeTwoBits(r *wire.Reader, t []TwoBit, apply bool) error {
 	n := r.U64()
 	if r.Err() != nil {
 		return r.Err()
@@ -26,15 +33,13 @@ func loadTwoBits(r *wire.Reader, t []TwoBit) error {
 	if n != uint64(len(t)) {
 		return wire.ErrMalformed
 	}
-	scratch := make([]TwoBit, n)
-	for i := range scratch {
-		scratch[i] = TwoBit(r.Byte())
+	for i := range t {
+		v := TwoBit(r.Byte())
+		if apply {
+			t[i] = v
+		}
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	copy(t, scratch)
-	return nil
+	return r.Err()
 }
 
 // AppendState appends the HistPair to dst.
@@ -62,8 +67,12 @@ func (p *PathHist) AppendState(dst []byte) []byte {
 	return wire.AppendU64(dst, uint64(p.pos))
 }
 
-// LoadState restores a path history of identical depth.
-func (p *PathHist) LoadState(r *wire.Reader) error {
+// LoadState restores a path history of identical depth; p is unmodified
+// on error.
+func (p *PathHist) LoadState(r *wire.Reader) error { return r.TwoPass(p.decodeState) }
+
+// decodeState reads a path history, storing it only when apply is set.
+func (p *PathHist) decodeState(r *wire.Reader, apply bool) error {
 	n := r.U64()
 	if r.Err() != nil {
 		return r.Err()
@@ -71,9 +80,11 @@ func (p *PathHist) LoadState(r *wire.Reader) error {
 	if n != uint64(len(p.ring)) {
 		return wire.ErrMalformed
 	}
-	scratch := make([]uint64, n)
-	for i := range scratch {
-		scratch[i] = r.U64()
+	for i := range p.ring {
+		v := r.U64()
+		if apply {
+			p.ring[i], p.mix[i] = v, dolcMix(v>>2)
+		}
 	}
 	pos := r.U64()
 	if err := r.Err(); err != nil {
@@ -82,11 +93,9 @@ func (p *PathHist) LoadState(r *wire.Reader) error {
 	if pos >= n && n > 0 {
 		return wire.ErrMalformed
 	}
-	copy(p.ring, scratch)
-	for i, v := range scratch {
-		p.mix[i] = dolcMix(v >> 2)
+	if apply {
+		p.pos = int(pos)
 	}
-	p.pos = int(pos)
 	return nil
 }
 

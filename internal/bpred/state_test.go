@@ -3,6 +3,7 @@ package bpred
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"streamfetch/internal/ckpt/wire"
@@ -68,4 +69,54 @@ func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { rejectsState(t, c.bad, c.fresh) })
 	}
+}
+
+// TestLoadStateFailsWhole: a counter table or path history whose payload
+// is cut short, or whose position lies past its depth, fails and keeps
+// every element it held, also those ahead of the failure.
+func TestLoadStateFailsWhole(t *testing.T) {
+	hist := func(vs ...uint64) *PathHist {
+		p := NewPathHist(4)
+		for _, v := range vs {
+			p.Push(v)
+		}
+		return p
+	}
+	pastDepth := hist(0x100, 0x200)
+	pastDepth.pos = len(pastDepth.ring)
+	good := hist(0x100, 0x200, 0x300).AppendState(nil)
+	cases := []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"path position past its depth", pastDepth.AppendState(nil), wire.ErrMalformed},
+		{"path cut in its position", good[:len(good)-1], wire.ErrTruncated},
+		{"path cut in its ring", good[:len(good)/2], wire.ErrTruncated},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dst := hist(0x1000, 0x2000)
+			before := dst.AppendState(nil)
+			if err := dst.LoadState(wire.NewReader(c.payload)); !errors.Is(err, c.want) {
+				t.Fatalf("LoadState = %v, want %v", err, c.want)
+			}
+			if !bytes.Equal(dst.AppendState(nil), before) {
+				t.Fatal("rejected state was partially restored")
+			}
+		})
+	}
+
+	t.Run("counters cut in the last counter", func(t *testing.T) {
+		src := []TwoBit{3, 3, 3, 3}
+		payload := appendTwoBits(nil, src)
+		dst := []TwoBit{0, 1, 2, 1}
+		before := append([]TwoBit(nil), dst...)
+		if err := loadTwoBits(wire.NewReader(payload[:len(payload)-1]), dst); !errors.Is(err, wire.ErrTruncated) {
+			t.Fatalf("loadTwoBits = %v, want %v", err, wire.ErrTruncated)
+		}
+		if !slices.Equal(dst, before) {
+			t.Fatalf("rejected counters were partially restored: %v, want %v", dst, before)
+		}
+	})
 }

@@ -29,7 +29,10 @@ func (c *Cache) AppendState(dst []byte) []byte {
 // identical geometry. On a geometry mismatch, a decode error or a stamp
 // the restored clock has not reached, the cache is left unmodified and an
 // error is returned; statistics are never touched.
-func (c *Cache) LoadState(r *wire.Reader) error {
+func (c *Cache) LoadState(r *wire.Reader) error { return r.TwoPass(c.decodeState) }
+
+// decodeState reads a cache's state, storing it only when apply is set.
+func (c *Cache) decodeState(r *wire.Reader, apply bool) error {
 	clock := r.U64()
 	nsets := r.U64()
 	nways := r.U64()
@@ -39,21 +42,21 @@ func (c *Cache) LoadState(r *wire.Reader) error {
 	if nsets != uint64(len(c.ways)/c.nways) || nways != uint64(c.nways) {
 		return wire.ErrMalformed
 	}
-	// Decode into scratch first so a truncated or inconsistent payload
-	// cannot leave the cache half-restored.
-	scratch := make([]way, len(c.ways))
-	for i := range scratch {
-		scratch[i].tag = r.U64()
-		scratch[i].stamp = r.U64()
-		if scratch[i].stamp > clock {
+	for i := range c.ways {
+		w := way{tag: r.U64(), stamp: r.U64()}
+		if w.stamp > clock {
 			return wire.ErrMalformed
+		}
+		if apply {
+			c.ways[i] = w
 		}
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
-	c.clock = clock
-	copy(c.ways, scratch)
+	if apply {
+		c.clock = clock
+	}
 	return nil
 }
 

@@ -41,25 +41,32 @@ func TestLoadStateRoundTrip(t *testing.T) {
 }
 
 // TestLoadStateRejectsInconsistentWays: a way whose stamp is ahead of the
-// clock is malformed, and the cache keeps its previous state.
+// clock is malformed, a payload cut short is truncated, and either way the
+// cache keeps its previous state, also in the ways ahead of the failure.
 func TestLoadStateRejectsInconsistentWays(t *testing.T) {
 	cfg := Config{SizeBytes: 512, LineBytes: 64, Ways: 2}
 	src := New(cfg)
 	src.Access(0x40) // set 1, way 0; every other way stays invalid
 	good := src.AppendState(nil)
 	valid := stateHeader + 2*wayBytes // set 1, way 0
-	cases := map[string]func(b []byte){
-		"stamp ahead of the clock": func(b []byte) { binary.LittleEndian.PutUint64(b[valid+8:], 2) },
+	cases := map[string]struct {
+		payload func(b []byte) []byte
+		want    error
+	}{
+		"stamp ahead of the clock": {func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[valid+8:], 2)
+			return b
+		}, wire.ErrMalformed},
+		"truncated in the last way": {func(b []byte) []byte { return b[:len(b)-1] }, wire.ErrTruncated},
 	}
-	for name, mutate := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			bad := append([]byte(nil), good...)
-			mutate(bad)
+			bad := c.payload(append([]byte(nil), good...))
 			dst := New(cfg)
-			dst.Access(0x1000)
+			dst.Access(0x1000) // set 0, ahead of every failure
 			before := dst.AppendState(nil)
-			if err := dst.LoadState(wire.NewReader(bad)); !errors.Is(err, wire.ErrMalformed) {
-				t.Fatalf("LoadState = %v, want %v", err, wire.ErrMalformed)
+			if err := dst.LoadState(wire.NewReader(bad)); !errors.Is(err, c.want) {
+				t.Fatalf("LoadState = %v, want %v", err, c.want)
 			}
 			if !bytes.Equal(dst.AppendState(nil), before) {
 				t.Fatal("rejected state was partially restored")

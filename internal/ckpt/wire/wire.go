@@ -134,6 +134,20 @@ func (r *Reader) Count(max, size int) int {
 	return int(n)
 }
 
+// TwoPass restores a payload in place with the all-or-nothing contract of
+// a decode into scratch, without the scratch copy: decode runs first over
+// a copy of r with apply false, only validating, and then, if that
+// succeeded, over r with apply true, storing straight into its target. A
+// failed first pass leaves the target untouched and r holding the error.
+func (r *Reader) TwoPass(decode func(r *Reader, apply bool) error) error {
+	check := *r
+	if err := decode(&check, false); err != nil {
+		*r = check
+		return err
+	}
+	return decode(r, true)
+}
+
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
 

@@ -128,3 +128,39 @@ func TestBytesLengthGuard(t *testing.T) {
 		t.Fatalf("oversized Bytes = %v, err %v", got, r.Err())
 	}
 }
+
+// TestTwoPass: a decode that fails in its validating pass never runs its
+// storing pass, and leaves the reader holding the error; one that passes
+// runs both, over the same bytes.
+func TestTwoPass(t *testing.T) {
+	payload := AppendU64(AppendU64(nil, 1), 2)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    []uint64
+		err     error
+	}{
+		{"whole", payload, []uint64{1, 2}, nil},
+		{"cut short", payload[:12], []uint64{7, 7}, ErrTruncated},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dst := []uint64{7, 7}
+			r := NewReader(c.payload)
+			err := r.TwoPass(func(r *Reader, apply bool) error {
+				for i := range dst {
+					v := r.U64()
+					if apply {
+						dst[i] = v
+					}
+				}
+				return r.Err()
+			})
+			if err != c.err || r.Err() != c.err {
+				t.Fatalf("TwoPass = %v (reader %v), want %v", err, r.Err(), c.err)
+			}
+			if dst[0] != c.want[0] || dst[1] != c.want[1] {
+				t.Fatalf("target %v, want %v", dst, c.want)
+			}
+		})
+	}
+}

@@ -32,7 +32,12 @@ func (t *streamTable) appendState(dst []byte) []byte {
 	return dst
 }
 
-func (t *streamTable) loadState(r *wire.Reader) error {
+// loadState restores a table of identical geometry; it is unmodified on
+// error.
+func (t *streamTable) loadState(r *wire.Reader) error { return r.TwoPass(t.decodeState) }
+
+// decodeState reads a table's state, storing it only when apply is set.
+func (t *streamTable) decodeState(r *wire.Reader, apply bool) error {
 	clock := r.U64()
 	nsets := r.U64()
 	nways := r.U64()
@@ -46,28 +51,33 @@ func (t *streamTable) loadState(r *wire.Reader) error {
 	if nsets != uint64(len(t.sets)) || nways != uint64(wantWays) {
 		return wire.ErrMalformed
 	}
-	scratch := make([]streamEntry, nsets*nways)
-	for i := range scratch {
-		scratch[i].valid = r.Bool()
-		scratch[i].tag = r.U64()
-		scratch[i].len = r.Byte()
-		scratch[i].typ = isa.BranchType(r.Byte())
-		scratch[i].next = isa.Addr(r.U64())
-		scratch[i].ctr = bpred.TwoBit(r.Byte())
-		scratch[i].stamp = r.U64()
-		// A stream of no instructions would hold fetch in place
-		// forever; Update never stores one, nor a next address that is
-		// not an instruction address.
-		if e := &scratch[i]; e.valid && (e.len < 1 || e.len > MaxStreamLen || !e.next.Valid()) {
-			return wire.ErrMalformed
+	for _, set := range t.sets {
+		for i := range set {
+			e := streamEntry{
+				valid: r.Bool(),
+				tag:   r.U64(),
+				len:   r.Byte(),
+				typ:   isa.BranchType(r.Byte()),
+				next:  isa.Addr(r.U64()),
+				ctr:   bpred.TwoBit(r.Byte()),
+				stamp: r.U64(),
+			}
+			// A stream of no instructions would hold fetch in place
+			// forever; Update never stores one, nor a next address that
+			// is not an instruction address.
+			if e.valid && (e.len < 1 || e.len > MaxStreamLen || !e.next.Valid()) {
+				return wire.ErrMalformed
+			}
+			if apply {
+				set[i] = e
+			}
 		}
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
-	t.clock = clock
-	for si := range t.sets {
-		copy(t.sets[si], scratch[si*int(nways):(si+1)*int(nways)])
+	if apply {
+		t.clock = clock
 	}
 	return nil
 }

@@ -197,7 +197,7 @@ type Predictor struct {
 	RetPath  *bpred.PathHist
 
 	// stats
-	lookups, hits, t2Hits uint64
+	lookups, hits uint64
 }
 
 // NewPredictor builds the predictor.
@@ -255,9 +255,6 @@ func (p *Predictor) Predict(start isa.Addr) (Stream, bool) {
 		return Stream{}, false
 	}
 	p.hits++
-	if e == e2 {
-		p.t2Hits++
-	}
 	return Stream{Start: start, Len: int(e.len), Type: e.typ, Next: e.next}, true
 }
 
@@ -312,29 +309,12 @@ func (p *Predictor) Recover() {
 	p.SpecPath.CopyFrom(p.RetPath)
 }
 
-// DebugProbe reports the address table's entry for start (diagnostics).
-func (p *Predictor) DebugProbe(start isa.Addr) (Stream, bool) {
-	i1, tag1 := p.t1Index(start)
-	if e := p.t1.lookup(i1, tag1); e != nil {
-		return Stream{Start: start, Len: int(e.len), Type: e.typ, Next: e.next}, true
-	}
-	return Stream{}, false
-}
-
 // HitRate returns the fraction of lookups that hit either table.
 func (p *Predictor) HitRate() float64 {
 	if p.lookups == 0 {
 		return 0
 	}
 	return float64(p.hits) / float64(p.lookups)
-}
-
-// PathHitFraction returns the fraction of hits served by the path table.
-func (p *Predictor) PathHitFraction() float64 {
-	if p.hits == 0 {
-		return 0
-	}
-	return float64(p.t2Hits) / float64(p.hits)
 }
 
 // StorageBits estimates the predictor storage budget in bits (tag ~20,

@@ -44,21 +44,6 @@ type StreamEngine struct {
 	retRAS  *bpred.RAS
 
 	fetchAddr isa.Addr
-	lineInsts int
-	// CommittedStreams / MispredictedStreams count commit-side stream
-	// reconstruction events (diagnostics).
-	CommittedStreams, MispredictedStreams uint64
-	// MissByAddr, when non-nil, counts predictor misses per lookup
-	// address (diagnostics). It is nil by default and must stay gated
-	// behind a nil check at every touch point: enabling it costs a map
-	// write on every predictor miss, which measurably slows the fetch
-	// hot loop on low-hit-rate workloads.
-	MissByAddr map[isa.Addr]int
-	// DebugValidate, when non-nil, is called with every stream the
-	// builder closes (diagnostics).
-	DebugValidate func(s core.Stream)
-	// DebugPushes, when non-nil, records every FTQ push (diagnostics).
-	DebugPushes func(r Request, hit bool)
 	// seqMode is true while the predictor misses and fetch proceeds
 	// sequentially; the episode start is pushed into the speculative
 	// path history once, keeping it aligned with the commit-side stream
@@ -79,7 +64,6 @@ func NewStreamEngine(cfg StreamConfig, hier *cache.Hierarchy, image *layout.Layo
 		retRAS:  bpred.NewRAS(cfg.RASDepth),
 
 		fetchAddr: entry,
-		lineInsts: hier.ICache.LineBytes() / isa.InstBytes,
 	}
 }
 
@@ -108,17 +92,11 @@ func (e *StreamEngine) Cycle(out []FetchedInst) []FetchedInst {
 			case s.Type.IsCall():
 				e.specRAS.Push(s.End())
 			}
-			if e.DebugPushes != nil {
-				e.DebugPushes(Request{Start: e.fetchAddr, Len: s.Len}, true)
-			}
 			e.ftq.Push(Request{Start: e.fetchAddr, Len: s.Len})
 			e.pred.OnPredict(e.fetchAddr)
 			e.seqMode = false
 			e.fetchAddr = next
 		} else {
-			if e.MissByAddr != nil {
-				e.MissByAddr[e.fetchAddr]++
-			}
 			// Sequential fetching until the predictor hits again or
 			// a misprediction is detected (§3.2). Request up to the
 			// end of the current cache line. The episode start is a
@@ -131,9 +109,6 @@ func (e *StreamEngine) Cycle(out []FetchedInst) []FetchedInst {
 			lineBytes := isa.Addr(e.fetcher.Hier.ICache.LineBytes())
 			lineEnd := (e.fetchAddr/lineBytes + 1) * lineBytes
 			n := int(lineEnd-e.fetchAddr) / isa.InstBytes
-			if e.DebugPushes != nil {
-				e.DebugPushes(Request{Start: e.fetchAddr, Len: n}, false)
-			}
 			e.ftq.Push(Request{Start: e.fetchAddr, Len: n})
 			e.fetchAddr = e.fetchAddr.Plus(n)
 		}
@@ -171,13 +146,6 @@ func (e *StreamEngine) Commit(c Committed) {
 		e.retRAS.Pop()
 	}
 	if cl := e.builder.Commit(c.Addr, c.Branch, c.Taken, c.Target, c.Mispredicted); cl != nil {
-		if e.DebugValidate != nil {
-			e.DebugValidate(cl.Stream)
-		}
-		e.CommittedStreams++
-		if cl.Mispredicted {
-			e.MispredictedStreams++
-		}
 		e.pred.Update(cl.Stream, cl.Mispredicted)
 		if cl.HasPartial {
 			// Teach the predictor the partial stream too, so the

@@ -48,15 +48,6 @@ type Config struct {
 	// OnCommit, when set, observes every retired instruction (diagnostics).
 	OnCommit func(c frontend.Committed)
 
-	// OnMisfetch, when set, is invoked for every decode-stage redirect
-	// with the offending transition (debugging/analysis hook).
-	OnMisfetch func(prevAddr isa.Addr, prevBranch isa.BranchType, cur, fix isa.Addr, wrongPath, prevWrong, prevTaken bool, prevSeq uint64)
-
-	// OnMispredict, when set, is invoked for every committed mispredicted
-	// branch with the current retired-instruction count
-	// (debugging/analysis hook).
-	OnMispredict func(addr isa.Addr, branch isa.BranchType, taken bool, retired uint64)
-
 	// OnProgress, when set, is invoked roughly every ProgressInterval
 	// retired instructions with the retired and cycle counts; returning
 	// false stops the simulation early (Result.Aborted is set). Long
@@ -422,13 +413,10 @@ func (p *Processor) replay(run []cfg.BlockID, next cfg.BlockID, lastLine isa.Add
 }
 
 // fetched is the decode check's copy of the last fetched instruction,
-// whose sequence number is always the driver's current one. Four fields
-// keep it in registers.
+// whose sequence number is always the driver's current one.
 type fetched struct {
-	addr      isa.Addr
-	branch    isa.BranchType
-	taken     bool
-	wrongPath bool
+	addr   isa.Addr
+	branch isa.BranchType
 }
 
 // outstanding tracks the single unresolved misprediction. It is held by
@@ -541,9 +529,6 @@ cycles:
 				if e.Mispredicted {
 					res.Mispredicted++
 					res.MispredByType[e.Branch]++
-					if cfg.OnMispredict != nil {
-						cfg.OnMispredict(e.Addr, e.Branch, e.Taken, res.Retired)
-					}
 				}
 			}
 			cm := frontend.Committed{
@@ -622,15 +607,12 @@ cycles:
 					p.engine.Redirect(fix, false)
 					fetchHold = cycle + decodePenalty
 					res.Misfetches++
-					if cfg.OnMisfetch != nil {
-						cfg.OnMisfetch(prev.addr, prev.branch, fi.Addr, fix, wrongPath, prev.wrongPath, prev.taken, seq)
-					}
 					havePrev = false
 					break
 				}
 			}
 			seq++
-			prev = fetched{addr: fi.Addr, branch: fi.Inst.Branch, wrongPath: true}
+			prev = fetched{addr: fi.Addr, branch: fi.Inst.Branch}
 			havePrev = true
 			if !wrongPath {
 				c := p.supply.peek()
@@ -648,7 +630,7 @@ cycles:
 						e.Target = c.NextAddr
 					}
 					e.ResolveCycle = cycle + resolveDepth
-					prev.branch, prev.taken, prev.wrongPath = c.Branch, c.Taken, false
+					prev.branch = c.Branch
 					p.supply.advance()
 					lastCorrectSeq = seq
 					correctInFlight++

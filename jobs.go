@@ -628,7 +628,8 @@ type job struct {
 	// a sweep, queue wait included); set just before finish.
 	timings *Timings
 	// cached marks a job answered from the result cache (terminal at
-	// submission, never enqueued); userCancel distinguishes an explicit
+	// birth, never enqueued; a submission's hit is also never journaled
+	// or registered, see hitID); userCancel distinguishes an explicit
 	// DELETE from a shutdown interruption — only the former journals a
 	// terminal record, so interrupted jobs re-run after a restart.
 	cached     bool
@@ -1052,7 +1053,8 @@ func closedChan() chan struct{} {
 }
 
 // cachedJob builds a terminal job from a cached result blob, or nil when
-// the blob does not decode as the kind's payload.
+// the blob does not decode as the kind's payload (a checkpoint, or the
+// other kind's result).
 func (m *jobManager) cachedJob(id, kind, key string, blob []byte) *job {
 	j := &job{
 		id:     id,
@@ -1253,11 +1255,12 @@ func (m *jobManager) queueEstimate() (backlog, delay float64) {
 	return m.queueEstimateLocked()
 }
 
-// submit accepts one job: answered from the result cache (terminal
-// immediately, never enqueued), coalesced onto an identical in-flight
-// job (same job returned), or journaled and enqueued as a fresh job —
-// rejecting when draining, deadline-infeasible or full. build receives
-// the job so run closures can reference it for progress reporting.
+// submit accepts one job: coalesced onto an identical in-flight job (same
+// job returned), answered from the result cache (terminal immediately,
+// never enqueued, registered or journaled; see hitID), or journaled and
+// enqueued as a fresh job — rejecting when draining, deadline-infeasible
+// or full. build receives the job so run closures can reference it for
+// progress reporting.
 //
 // The returned envelope is the submission's answer. A fresh job's is
 // taken before the job is queued, so it says queued however fast a
@@ -1303,21 +1306,19 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		<-twin
 		m.mu.Lock()
 	}
-	m.nextID++
-	seq := m.nextID
-	id := fmt.Sprintf("%s-%06d", kind, seq)
-
 	if cachedBlob != nil {
-		if j := m.cachedJob(id, kind, key, cachedBlob); j != nil {
+		// A hit is a read: it takes no sequence number, enters no
+		// registry and writes no journal record. Its id names its content
+		// key, which get resolves against the store.
+		if j := m.cachedJob(hitID(kind, key), kind, key, cachedBlob); j != nil {
 			m.hits.Add(1)
-			m.jobs[id] = j
-			m.done = append(m.done, id)
-			m.trimDoneLocked()
 			m.mu.Unlock()
-			m.journal(j, JobDone) // restarts keep serving it
 			return j, j.envelope(), nil
 		}
 	}
+	m.nextID++
+	seq := m.nextID
+	id := fmt.Sprintf("%s-%06d", kind, seq)
 
 	// Admission control: a deadline the daemon already knows it cannot
 	// meet is shed now — before any durability promise — with the
@@ -1584,11 +1585,43 @@ func (m *jobManager) submitSweep(req SweepRequest) (*job, *JobEnvelope, error) {
 		m.policy(cells, req.Priority, req.DeadlineMS, time.Now()), m.body(cells, req.TimeoutMS))
 }
 
-// get returns a job by id (nil when unknown).
+// get returns a job by id (nil when unknown). A cache hit's id is in no
+// registry: it resolves, outside the registry lock, from the blob its
+// content key names, for as long as that blob exists.
 func (m *jobManager) get(id string) *job {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.jobs[id]
+	j := m.jobs[id]
+	m.mu.Unlock()
+	if j != nil {
+		return j
+	}
+	kind, key, ok := parseHitID(id)
+	if !ok {
+		return nil
+	}
+	blob, ok, err := m.store.GetBlob(key)
+	if err != nil || !ok {
+		return nil
+	}
+	return m.cachedJob(id, kind, key, blob)
+}
+
+// hitID is the id of a submission answered from the result cache:
+// "<kind>-hit-<content key>". It is derived, not minted, so a hit costs
+// no journal record and no registry entry, and its id keeps resolving
+// across restarts and past job retention.
+func hitID(kind, key string) string { return kind + "-hit-" + key }
+
+// parseHitID splits a hit id into its kind and content key, refusing any
+// key that is not a 64-digit lowercase hex hash (store.Key's form), so a
+// malformed id never reaches the store.
+func parseHitID(id string) (kind, key string, ok bool) {
+	for _, kind := range []string{"run", "sweep"} {
+		if key, found := strings.CutPrefix(id, kind+"-hit-"); found {
+			return kind, key, len(key) == 64 && strings.Trim(key, "0123456789abcdef") == ""
+		}
+	}
+	return "", "", false
 }
 
 // cancelJob cancels one job on a client's explicit request: a queued job

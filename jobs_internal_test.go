@@ -149,3 +149,22 @@ func (m *jobManager) newRunJob(req RunRequest) (*job, error) {
 	j, _, err := m.submitRun(req)
 	return j, err
 }
+
+// TestParseHitID: a hit id splits back into its kind and content key, and
+// an id whose key does not have a content key's form is refused.
+func TestParseHitID(t *testing.T) {
+	key := (&RunRequest{Benchmark: "164.gzip"}).contentKey()
+	for _, kind := range []string{"run", "sweep"} {
+		if k, got, ok := parseHitID(hitID(kind, key)); !ok || k != kind || got != key {
+			t.Errorf("parseHitID(hitID(%q, key)) = %q, %q, %v", kind, k, got, ok)
+		}
+	}
+	for _, id := range []string{
+		"run-hit-" + key[:63], "run-hit-" + key + "0", "run-hit-" + strings.ToUpper(key),
+		"run-hit-../../" + key[:58], "job-hit-" + key, "run-000001", "run-hit-",
+	} {
+		if _, _, ok := parseHitID(id); ok {
+			t.Errorf("parseHitID(%q) accepted a malformed id", id)
+		}
+	}
+}
