@@ -1,15 +1,20 @@
 // Package cfg models whole-program control flow graphs: basic blocks,
-// profile-weighted edges, and procedures. The CFG is the layout-independent
-// description of a program; package layout assigns addresses, and package
-// trace executes the CFG to produce dynamic instruction streams.
+// their successors and branch models, and procedures. The CFG is the
+// layout-independent description of a program; package layout assigns
+// addresses, and package trace executes the CFG to produce dynamic
+// instruction streams.
 //
-// A Program is a pointer-free image: its blocks are fixed-size records in
-// one slice, indexed by BlockID, and their variable-length parts — the
-// instruction classes and the successor edges — live in two per-program
-// arrays the records address by offset. Read them through
-// Program.Classes and Program.Succs. A daemon keeps one program per
-// benchmark resident: the packing keeps each small, and leaves the garbage
-// collector no pointers in it to scan.
+// A Program is a pointer-free image that stores only what a simulation
+// reads. Its blocks are fixed-size records in one slice, indexed by
+// BlockID; their variable-length parts live in per-program arrays the
+// records address by offset: the instruction classes (Program.Classes),
+// the successor IDs (Program.Succs, 4 bytes each), the models of the
+// conditional branches (Program.Cond, one entry per cond block only), and
+// for each indirect branch or indirect call a run of float64s holding its
+// Markov probability and its arm probabilities (Program.IndMarkov,
+// Program.ArmProbs). A daemon keeps one program per benchmark resident:
+// the packing keeps each small, and leaves the garbage collector no
+// pointers in it to scan.
 //
 // Block successor semantics depend on the terminating branch type:
 //
@@ -17,9 +22,9 @@
 //	BranchCond         Succs[0] = fall-through side, Succs[1] = branch side
 //	BranchUncond       one successor
 //	BranchCall         Succs[0] = callee entry; Cont = continuation block
-//	BranchIndirectCall Succs[*] = possible callee entries; Cont = continuation
+//	BranchIndirectCall Succs[*] = possible callee entries, with ArmProbs; Cont = continuation
 //	BranchReturn       no successors (target is dynamic, from the call stack)
-//	BranchIndirect     Succs[*] = possible targets, with probabilities
+//	BranchIndirect     Succs[*] = possible targets, with ArmProbs
 package cfg
 
 import (
@@ -76,40 +81,31 @@ type CondModel struct {
 // branch side; i is below Period.
 func (m CondModel) PatternAt(i int) bool { return m.Pattern>>uint(i)&1 != 0 }
 
-// Edge is a profile-weighted CFG edge.
-type Edge struct {
-	To BlockID
-	// Prob is the static probability of following this edge, used by the
-	// trace generator for indirect branches and by workload synthesis.
-	Prob float64
-}
-
 // Block is one basic block. NInsts counts all instructions including the
 // terminating branch (if any). Its class list (Program.Classes, NInsts
-// entries; the final one is ClassBranch when Branch != BranchNone) and its
-// successor edges (Program.Succs) live in the program's shared arrays.
+// entries; the final one is ClassBranch when Branch != BranchNone), its
+// successors (Program.Succs) and its branch model (Program.Cond, or
+// Program.IndMarkov and Program.ArmProbs) live in the program's shared
+// arrays.
 //
-// A Block holds no pointers, and its fields are narrowed and ordered to
-// leave little padding: it is 56 bytes, and a large program holds tens of
-// thousands.
+// A Block holds no pointers and no floats, and its fields are narrowed
+// and ordered to leave little padding: it is 28 bytes, and a large
+// program holds tens of thousands.
 type Block struct {
 	Proc   int32
 	NInsts int32
 	// Cont is the block where execution continues after a call returns.
 	Cont BlockID
-	// classOff and succOff index the block's first class and first edge
-	// in the program's arrays; nSuccs counts its edges.
+	// classOff and succOff index the block's first class and first
+	// successor in the program's arrays; nSuccs counts its successors.
 	classOff uint32
 	succOff  uint32
-	nSuccs   uint16
-	Branch   isa.BranchType
-	// Cond is the behaviour model for conditional branches.
-	Cond CondModel
-	// IndMarkov is, for indirect branches, the probability that the next
-	// target follows a deterministic first-order cycle over the arms
-	// (interpreter-style correlated dispatch); the rest of the instances
-	// pick an arm by edge probability.
-	IndMarkov float64
+	// model indexes the block's branch model: its entry in the program's
+	// cond model array for a cond block, the start of its probability run
+	// for an indirect branch or call; it is unused for other blocks.
+	model  uint32
+	nSuccs uint16
+	Branch isa.BranchType
 }
 
 // Proc is a procedure: a named entry block plus the set of blocks that
@@ -122,8 +118,9 @@ type Proc struct {
 }
 
 // Program is a whole-program CFG. Blocks[id] is block id. Build one with
-// AddBlock and AddSuccs, which append to the class and edge arrays, and
-// call Compact once it is complete.
+// AddBlock and AddSuccs, which append to the program's arrays, set the
+// branch models with SetCond, SetIndMarkov and ArmProbs, and call Compact
+// once it is complete.
 type Program struct {
 	Name   string
 	Blocks []Block
@@ -131,7 +128,11 @@ type Program struct {
 	Entry  BlockID
 
 	classes []isa.Class
-	edges   []Edge
+	succs   []BlockID
+	conds   []CondModel
+	// probs holds one run per indirect branch or call: its Markov
+	// probability, then one probability per arm.
+	probs []float64
 }
 
 // Classes returns the instruction classes of block id, NInsts of them. The
@@ -143,55 +144,97 @@ func (p *Program) Classes(id BlockID) []isa.Class {
 	return p.classes[b.classOff:end:end]
 }
 
-// Succs returns the successor edges of block id. The slice aliases the
-// program's edge array: writes go to the program, and it is stale once
-// AddSuccs grows that array.
-func (p *Program) Succs(id BlockID) []Edge {
+// Succs returns the successors of block id. The slice aliases the
+// program's successor array: writes go to the program, and it is stale
+// once AddSuccs grows that array.
+func (p *Program) Succs(id BlockID) []BlockID {
 	b := &p.Blocks[id]
 	end := b.succOff + uint32(b.nSuccs)
-	return p.edges[b.succOff:end:end]
+	return p.succs[b.succOff:end:end]
+}
+
+// Cond returns the branch model of cond block id.
+func (p *Program) Cond(id BlockID) CondModel { return p.conds[p.Blocks[id].model] }
+
+// SetCond sets the branch model of cond block id.
+func (p *Program) SetCond(id BlockID, m CondModel) { p.conds[p.Blocks[id].model] = m }
+
+// IndMarkov returns, for indirect branch or call id, the probability that
+// the next target follows a deterministic first-order cycle over the arms
+// (interpreter-style correlated dispatch); the rest of the instances pick
+// an arm by ArmProbs.
+func (p *Program) IndMarkov(id BlockID) float64 { return p.probs[p.Blocks[id].model] }
+
+// SetIndMarkov sets the Markov probability of indirect branch or call id.
+func (p *Program) SetIndMarkov(id BlockID, x float64) { p.probs[p.Blocks[id].model] = x }
+
+// ArmProbs returns the static probability of each successor of indirect
+// branch or call id, in Succs order. The slice aliases the program's
+// probability array: writes go to the program, and it is stale once
+// AddSuccs grows that array.
+func (p *Program) ArmProbs(id BlockID) []float64 {
+	b := &p.Blocks[id]
+	off := b.model + 1
+	end := off + uint32(b.nSuccs)
+	return p.probs[off:end:end]
 }
 
 // AddBlock appends b to the program and returns its ID. It reserves
 // b.NInsts zero classes (ClassALU) for the block, to be filled through
-// Classes; the block has no successors until AddSuccs gives it some.
+// Classes, and for a cond block a zero model, to be set with SetCond; the
+// block has no successors until AddSuccs gives it some.
 func (p *Program) AddBlock(b Block) BlockID {
 	if uint64(len(p.classes))+uint64(max(b.NInsts, 0)) > math.MaxUint32 {
 		panic("cfg: program exceeds 2^32 instructions")
 	}
 	b.classOff = uint32(len(p.classes))
-	b.succOff, b.nSuccs = 0, 0
+	b.succOff, b.nSuccs, b.model = 0, 0, 0
 	n := int(max(b.NInsts, 0))
 	p.classes = grow(p.classes, n)
 	p.classes = p.classes[:len(p.classes)+n]
+	if b.Branch == isa.BranchCond {
+		b.model = uint32(len(p.conds))
+		p.conds = append(grow(p.conds, 1), CondModel{})
+	}
 	p.Blocks = append(grow(p.Blocks, 1), b)
 	return BlockID(len(p.Blocks) - 1)
 }
 
-// AddSuccs gives block id n new successor edges, all to NoBlock, and
-// returns them for the caller to fill. Edges the block had before stay in
-// the edge array unused, so a builder calls it once per block.
-func (p *Program) AddSuccs(id BlockID, n int) []Edge {
-	if n < 0 || n > math.MaxUint16 || uint64(len(p.edges))+uint64(n) > math.MaxUint32 {
+// AddSuccs gives block id n new successors, all NoBlock, and returns them
+// for the caller to fill. For an indirect branch or call it also reserves
+// a zero Markov probability and n zero arm probabilities, to be set with
+// SetIndMarkov and through ArmProbs. Successors and probabilities the
+// block had before stay in their arrays unused, so a builder calls it once
+// per block.
+func (p *Program) AddSuccs(id BlockID, n int) []BlockID {
+	if n < 0 || n > math.MaxUint16 || uint64(len(p.succs))+uint64(n) > math.MaxUint32 ||
+		uint64(len(p.probs))+uint64(n)+1 > math.MaxUint32 {
 		panic(fmt.Sprintf("cfg: block %d cannot hold %d successors", id, n))
 	}
 	b := &p.Blocks[id]
-	b.succOff, b.nSuccs = uint32(len(p.edges)), uint16(n)
-	p.edges = grow(p.edges, n)
+	b.succOff, b.nSuccs = uint32(len(p.succs)), uint16(n)
+	p.succs = grow(p.succs, n)
 	for range n {
-		p.edges = append(p.edges, Edge{To: NoBlock})
+		p.succs = append(p.succs, NoBlock)
+	}
+	if b.Branch == isa.BranchIndirect || b.Branch == isa.BranchIndirectCall {
+		b.model = uint32(len(p.probs))
+		p.probs = grow(p.probs, n+1)
+		p.probs = p.probs[:len(p.probs)+n+1]
 	}
 	return p.Succs(id)
 }
 
-// Compact reallocates the block, class and edge arrays to their exact
-// lengths, releasing the capacity that growing them by append left spare.
-// Call it once a program is built; a resident program is then no larger
-// than its contents.
+// Compact reallocates the program's arrays to their exact lengths,
+// releasing the capacity that growing them by append left spare. Call it
+// once a program is built; a resident program is then no larger than its
+// contents.
 func (p *Program) Compact() {
 	p.Blocks = clip(p.Blocks)
 	p.classes = clip(p.classes)
-	p.edges = clip(p.edges)
+	p.succs = clip(p.succs)
+	p.conds = clip(p.conds)
+	p.probs = clip(p.probs)
 }
 
 // grow returns s with room for n more elements, at least doubling its
@@ -242,18 +285,24 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("cfg: block %d classes [%d,+%d) outside the %d-entry class array",
 				i, b.classOff, b.NInsts, len(p.classes))
 		}
-		if uint64(b.succOff)+uint64(b.nSuccs) > uint64(len(p.edges)) {
-			return fmt.Errorf("cfg: block %d edges [%d,+%d) outside the %d-entry edge array",
-				i, b.succOff, b.nSuccs, len(p.edges))
+		if uint64(b.succOff)+uint64(b.nSuccs) > uint64(len(p.succs)) {
+			return fmt.Errorf("cfg: block %d successors [%d,+%d) outside the %d-entry successor array",
+				i, b.succOff, b.nSuccs, len(p.succs))
 		}
 		if cs := p.Classes(id); b.Branch != isa.BranchNone && cs[b.NInsts-1] != isa.ClassBranch {
 			return fmt.Errorf("cfg: block %d final class %v, want branch",
 				i, cs[b.NInsts-1])
 		}
 		succs := p.Succs(id)
-		for _, e := range succs {
-			if e.To < 0 || int(e.To) >= len(p.Blocks) {
-				return fmt.Errorf("cfg: block %d successor %d out of range", i, e.To)
+		for _, to := range succs {
+			if to < 0 || int(to) >= len(p.Blocks) {
+				return fmt.Errorf("cfg: block %d successor %d out of range", i, to)
+			}
+		}
+		if b.Branch == isa.BranchIndirect || b.Branch == isa.BranchIndirectCall {
+			if uint64(b.model)+1+uint64(b.nSuccs) > uint64(len(p.probs)) {
+				return fmt.Errorf("cfg: block %d probabilities [%d,+%d) outside the %d-entry probability array",
+					i, b.model, 1+int(b.nSuccs), len(p.probs))
 			}
 		}
 		switch b.Branch {
@@ -267,9 +316,13 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("cfg: block %d (cond) has %d successors, want 2",
 					i, len(succs))
 			}
-			if b.Cond.Kind == CondPattern && (b.Cond.Period < 1 || b.Cond.Period > MaxPeriod) {
+			if int(b.model) >= len(p.conds) {
+				return fmt.Errorf("cfg: block %d cond model %d outside the %d-entry model array",
+					i, b.model, len(p.conds))
+			}
+			if m := p.conds[b.model]; m.Kind == CondPattern && (m.Period < 1 || m.Period > MaxPeriod) {
 				return fmt.Errorf("cfg: block %d pattern period %d outside [1,%d]",
-					i, b.Cond.Period, MaxPeriod)
+					i, m.Period, MaxPeriod)
 			}
 		case isa.BranchCall, isa.BranchIndirectCall:
 			if len(succs) == 0 {

@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -15,7 +16,7 @@ func tiny() *Program {
 	p := &Program{Name: "tiny"}
 	a := p.AddBlock(Block{NInsts: 2, Branch: isa.BranchCond, Cont: NoBlock})
 	p.Classes(a)[1] = isa.ClassBranch
-	copy(p.AddSuccs(a, 2), []Edge{{To: 1, Prob: 0.5}, {To: 0, Prob: 0.5}})
+	copy(p.AddSuccs(a, 2), []BlockID{1, 0})
 	b := p.AddBlock(Block{NInsts: 1, Branch: isa.BranchReturn, Cont: NoBlock})
 	p.Classes(b)[0] = isa.ClassBranch
 	p.Procs = []Proc{{Name: "main", Entry: 0, Blocks: []BlockID{0, 1}}}
@@ -38,14 +39,22 @@ func TestValidateRejects(t *testing.T) {
 		{"zero insts", func(p *Program) { p.Blocks[0].NInsts = 0 }},
 		{"classes mismatch", func(p *Program) { p.Blocks[1].NInsts = 2 }},
 		{"non-branch final class", func(p *Program) { p.Classes(0)[1] = isa.ClassALU }},
-		{"succ out of range", func(p *Program) { p.Succs(0)[0].To = 42 }},
+		{"succ out of range", func(p *Program) { p.Succs(0)[0] = 42 }},
 		{"edges out of range", func(p *Program) { p.Blocks[0].succOff = 1 }},
 		{"cond needs two succs", func(p *Program) { p.Blocks[0].nSuccs = 1 }},
 		{"pattern period", func(p *Program) {
-			p.Blocks[0].Cond = CondModel{Kind: CondPattern, Period: MaxPeriod + 1}
+			p.SetCond(0, CondModel{Kind: CondPattern, Period: MaxPeriod + 1})
+		}},
+		{"cond model out of range", func(p *Program) { p.Blocks[0].model = 1 }},
+		{"indirect probabilities out of range", func(p *Program) {
+			indirect(p)
+			p.Blocks[0].model = 1
+		}},
+		{"indirect without probabilities", func(p *Program) {
+			p.Blocks[0].Branch = isa.BranchIndirect
 		}},
 		{"return with succs", func(p *Program) {
-			p.AddSuccs(1, 1)[0] = Edge{To: 0, Prob: 1}
+			p.AddSuccs(1, 1)[0] = 0
 		}},
 		{"proc entry range", func(p *Program) { p.Procs[0].Entry = 77 }},
 	}
@@ -63,13 +72,38 @@ func TestValidateRejects(t *testing.T) {
 func TestValidateCallNeedsContinuation(t *testing.T) {
 	p := tiny()
 	p.Blocks[0].Branch = isa.BranchCall
-	p.AddSuccs(0, 1)[0] = Edge{To: 1, Prob: 1}
+	p.AddSuccs(0, 1)[0] = 1
 	if err := p.Validate(); err == nil {
 		t.Fatal("call without continuation accepted")
 	}
 	p.Blocks[0].Cont = 1
 	if err := p.Validate(); err != nil {
 		t.Fatalf("call with continuation rejected: %v", err)
+	}
+}
+
+// indirect turns tiny's first block into a two-arm indirect branch.
+func indirect(p *Program) {
+	p.Blocks[0].Branch = isa.BranchIndirect
+	copy(p.AddSuccs(0, 2), []BlockID{1, 0})
+	p.SetIndMarkov(0, 0.25)
+	copy(p.ArmProbs(0), []float64{0.75, 0.25})
+}
+
+func TestIndirectModel(t *testing.T) {
+	p := tiny()
+	indirect(p)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("indirect branch rejected: %v", err)
+	}
+	if got := p.IndMarkov(0); got != 0.25 {
+		t.Errorf("IndMarkov = %v, want 0.25", got)
+	}
+	if got := p.ArmProbs(0); !slices.Equal(got, []float64{0.75, 0.25}) {
+		t.Errorf("ArmProbs = %v, want [0.75 0.25]", got)
+	}
+	if got := p.Succs(0); !slices.Equal(got, []BlockID{1, 0}) {
+		t.Errorf("Succs = %v, want [1 0]", got)
 	}
 }
 
@@ -97,21 +131,37 @@ func TestProfileAccumulation(t *testing.T) {
 	}
 }
 
-// TestBlockSize keeps a Block at most 64 bytes and a Block and an Edge
-// free of pointers: a field added or reordered carelessly grows every
-// resident program, and a pointer makes the collector scan every block.
+// TestBlockSize keeps a Block at most 32 bytes and a successor at 4, and
+// a Block and the elements of the program's side arrays free of pointers:
+// a field added or reordered carelessly grows every resident program, and
+// a pointer makes the collector scan every block. A Block holds no float
+// either: branch probabilities live beside it, for the blocks that have
+// them.
 func TestBlockSize(t *testing.T) {
 	n := unsafe.Sizeof(Block{})
 	t.Logf("cfg.Block is %d bytes", n)
-	if n > 64 {
-		t.Fatalf("cfg.Block is %d bytes, want at most 64", n)
+	if n > 32 {
+		t.Fatalf("cfg.Block is %d bytes, want at most 32", n)
+	}
+	if n := unsafe.Sizeof(BlockID(0)); n != 4 {
+		t.Fatalf("a successor is %d bytes, want 4", n)
 	}
 	if _, ok := pointerField(reflect.TypeFor[Proc]()); !ok {
 		t.Fatal("pointerField misses the pointers of a Proc")
 	}
-	for _, typ := range []reflect.Type{reflect.TypeFor[Block](), reflect.TypeFor[Edge]()} {
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[Block](), reflect.TypeFor[BlockID](),
+		reflect.TypeFor[CondModel](), reflect.TypeFor[isa.Class](),
+	} {
 		if f, ok := pointerField(typ); ok {
 			t.Errorf("%v holds a pointer in field %s", typ, f)
+		}
+	}
+	blk := reflect.TypeFor[Block]()
+	for i := range blk.NumField() {
+		switch f := blk.Field(i); f.Type.Kind() {
+		case reflect.Float32, reflect.Float64:
+			t.Errorf("cfg.Block holds a float in field %s", f.Name)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		}
 		// Conditional with both successors remote: the encoded branch
 		// aims at Succs[1]; the jump at Succs[0].
-		takenSide := next == l.Prog.Succs(id)[1].To
+		takenSide := next == l.Prog.Succs(id)[1]
 		if takenSide {
 			buf = append(buf, DynInst{
 				Addr:     a,
@@ -148,7 +148,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		switch b.Branch {
 		case isa.BranchCond:
 			// Taken iff control went to the encoded target side.
-			d.Taken = next == l.Prog.Succs(id)[l.condTarget[id]].To
+			d.Taken = next == l.Prog.Succs(id)[l.condTarget[id]]
 			if !d.Taken {
 				d.NextAddr = a.Next()
 			}
@@ -185,7 +185,7 @@ func (l *Layout) AppendDynRun(buf []DynInst, ids []cfg.BlockID, next cfg.BlockID
 // id contributes when followed by next.
 func (l *Layout) DynLen(id, next cfg.BlockID) int {
 	n := int(l.slots[id])
-	if l.arr[id] == ArrAppendJump && l.Prog.Blocks[id].Branch == isa.BranchCond && next == l.Prog.Succs(id)[1].To {
+	if l.arr[id] == ArrAppendJump && l.Prog.Blocks[id].Branch == isa.BranchCond && next == l.Prog.Succs(id)[1] {
 		return n - 1 // taken side skips the materialized jump
 	}
 	return n

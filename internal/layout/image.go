@@ -178,18 +178,18 @@ func (l *Layout) staticTargetAt(id cfg.BlockID, slot int) (isa.Addr, bool) {
 		// The materialized jump always goes to Succs[0] (the side the
 		// encoded conditional does not take), or the sole successor of
 		// a fall-through block.
-		return l.start[succs[0].To], true
+		return l.start[succs[0]], true
 	}
 	if branchAtCFG(b, slot) == isa.BranchNone && !(l.arr[id] == ArrElide && b.NInsts == 1) {
 		return 0, false
 	}
 	switch b.Branch {
 	case isa.BranchCond:
-		return l.start[succs[l.condTarget[id]].To], true
+		return l.start[succs[l.condTarget[id]]], true
 	case isa.BranchUncond:
-		return l.start[succs[0].To], true
+		return l.start[succs[0]], true
 	case isa.BranchCall:
-		return l.start[succs[0].To], true
+		return l.start[succs[0]], true
 	default:
 		return 0, false // indirect/return: target not in the encoding
 	}

@@ -116,20 +116,20 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 		slots := int32(b.NInsts)
 		switch b.Branch {
 		case isa.BranchNone:
-			if succs[0].To != next {
+			if succs[0] != next {
 				arrange = ArrAppendJump
 				slots++
 			}
 		case isa.BranchUncond:
-			if succs[0].To == next {
+			if succs[0] == next {
 				arrange = ArrElide
 				slots--
 			}
 		case isa.BranchCond:
 			switch {
-			case succs[0].To == next:
+			case succs[0] == next:
 				l.condTarget[id] = 1
-			case succs[1].To == next:
+			case succs[1] == next:
 				l.condTarget[id] = 0
 			default:
 				arrange = ArrAppendJump
@@ -234,10 +234,10 @@ func Optimized(p *cfg.Program, prof *cfg.Profile) *Layout {
 	for i := range p.Blocks {
 		switch id := cfg.BlockID(i); p.Blocks[i].Branch {
 		case isa.BranchNone, isa.BranchUncond, isa.BranchCond:
-			for _, e := range p.Succs(id) {
-				w := prof.EdgeCount[cfg.EdgeKey{From: id, To: e.To}]
+			for _, to := range p.Succs(id) {
+				w := prof.EdgeCount[cfg.EdgeKey{From: id, To: to}]
 				if w > 0 {
-					edges = append(edges, wedge{id, e.To, w})
+					edges = append(edges, wedge{id, to, w})
 				}
 			}
 		}
@@ -261,7 +261,7 @@ func Optimized(p *cfg.Program, prof *cfg.Profile) *Layout {
 	for i := range p.Blocks {
 		switch id := cfg.BlockID(i); p.Blocks[i].Branch {
 		case isa.BranchNone, isa.BranchUncond, isa.BranchCond:
-			merge(id, p.Succs(id)[0].To)
+			merge(id, p.Succs(id)[0])
 		}
 	}
 

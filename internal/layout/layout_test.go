@@ -109,7 +109,7 @@ func TestStaticTargetsResolve(t *testing.T) {
 		if !ok {
 			t.Fatalf("StaticTarget of cond block %d failed", id)
 		}
-		want := l.Start(prog.Succs(id)[l.CondTargetSide(id)].To)
+		want := l.Start(prog.Succs(id)[l.CondTargetSide(id)])
 		if tgt != want {
 			t.Fatalf("block %d target %v, want %v", id, tgt, want)
 		}

@@ -132,14 +132,3 @@ func replay(recs []JournalRecord) []JournalRecord {
 	}
 	return out
 }
-
-// pendingCount tallies journaled jobs with no terminal record.
-func pendingCount(recs []JournalRecord) int {
-	n := 0
-	for _, rec := range replay(recs) {
-		if !Terminal(rec.State) {
-			n++
-		}
-	}
-	return n
-}

@@ -2,6 +2,9 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -128,6 +131,67 @@ func TestTerminal(t *testing.T) {
 	} {
 		if got := Terminal(state); got != want {
 			t.Errorf("Terminal(%q) = %v, want %v", state, got, want)
+		}
+	}
+}
+
+// pendingCount tallies journaled jobs with no terminal record: the
+// journal depth a store must report for recs.
+func pendingCount(recs []JournalRecord) int {
+	n := 0
+	for _, rec := range replay(recs) {
+		if !Terminal(rec.State) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMemJournalDifferential checks Mem, which keeps only the latest
+// record per job, against replay and pendingCount over the full record
+// list: after every record of random journal sequences, Recover and Stats
+// must match. Stats must not allocate.
+func TestMemJournalDifferential(t *testing.T) {
+	states := []string{"queued", "running", "done", "failed", "cancelled"}
+	rng := rand.New(rand.NewPCG(27, 1))
+	for seq := range 50 {
+		s := NewMem()
+		var all []JournalRecord
+		jobs := 1 + rng.IntN(12)
+		for i := range 1 + rng.IntN(80) {
+			r := JournalRecord{
+				ID:    fmt.Sprintf("run-%06d", rng.IntN(jobs)),
+				Kind:  "run",
+				State: states[rng.IntN(len(states))],
+				Time:  time.Unix(1700000000+int64(i), 0).UTC(),
+			}
+			if Terminal(r.State) {
+				r.Envelope = json.RawMessage(fmt.Sprintf(`{"seq":%d}`, i))
+			} else {
+				r.Request = json.RawMessage(fmt.Sprintf(`{"insts":%d}`, i))
+			}
+			if err := s.Journal(r); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, r)
+			got, err := s.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := replay(all); !reflect.DeepEqual(got, want) {
+				t.Fatalf("sequence %d, record %d: Recover = %+v, want %+v", seq, i, got, want)
+			}
+			st, err := s.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.JournalRecords != len(all) || st.JournalDepth != pendingCount(all) {
+				t.Fatalf("sequence %d, record %d: stats %+v, want %d records, depth %d",
+					seq, i, st, len(all), pendingCount(all))
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { s.Stats() }); n != 0 {
+			t.Fatalf("Mem.Stats allocates %v times a call, want 0", n)
 		}
 	}
 }

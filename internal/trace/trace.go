@@ -169,20 +169,20 @@ func (g *Generator) step(id cfg.BlockID, b *cfg.Block) cfg.BlockID {
 	succs := g.prog.Succs(id)
 	switch b.Branch {
 	case isa.BranchNone, isa.BranchUncond:
-		return succs[0].To
+		return succs[0]
 	case isa.BranchCond:
-		if g.condTakesBranchSide(id, b) {
-			return succs[1].To
+		if g.condTakesBranchSide(id) {
+			return succs[1]
 		}
-		return succs[0].To
+		return succs[0]
 	case isa.BranchCall:
 		g.stack = append(g.stack, b.Cont)
-		return succs[0].To
+		return succs[0]
 	case isa.BranchIndirectCall:
 		g.stack = append(g.stack, b.Cont)
-		return succs[g.pickArm(g.state(id), b, succs)].To
+		return succs[g.pickArm(id, len(succs))]
 	case isa.BranchIndirect:
-		return succs[g.pickArm(g.state(id), b, succs)].To
+		return succs[g.pickArm(id, len(succs))]
 	case isa.BranchReturn:
 		if len(g.stack) == 0 {
 			return cfg.NoBlock
@@ -195,16 +195,17 @@ func (g *Generator) step(id cfg.BlockID, b *cfg.Block) cfg.BlockID {
 	}
 }
 
-// condTakesBranchSide evaluates the conditional model of block id, b,
+// condTakesBranchSide evaluates the conditional model of block id,
 // returning true when the branch side (Succs[1]) is followed. Biased
 // branches keep no state.
-func (g *Generator) condTakesBranchSide(id cfg.BlockID, b *cfg.Block) bool {
-	switch b.Cond.Kind {
+func (g *Generator) condTakesBranchSide(id cfg.BlockID) bool {
+	m := g.prog.Cond(id)
+	switch m.Kind {
 	case cfg.CondLoop:
 		st := g.state(id)
 		if !st.active {
-			trip := int(b.Cond.Trip)
-			if j := int(b.Cond.TripJitter); j > 0 {
+			trip := int(m.Trip)
+			if j := int(m.TripJitter); j > 0 {
 				trip += g.rng.IntRange(-j, j)
 			}
 			if trip < 1 {
@@ -221,43 +222,44 @@ func (g *Generator) condTakesBranchSide(id cfg.BlockID, b *cfg.Block) bool {
 		return false // exit
 	case cfg.CondPattern:
 		st := g.state(id)
-		t := b.Cond.PatternAt(int(st.pos))
+		t := m.PatternAt(int(st.pos))
 		st.pos++
-		if st.pos >= b.Cond.Period {
+		if st.pos >= m.Period {
 			st.pos = 0
 		}
 		return t
 	default: // CondBias
-		return g.rng.Bool(b.Cond.P)
+		return g.rng.Bool(m.P)
 	}
 }
 
-// pickArm selects an indirect-branch arm: with probability IndMarkov the
-// dispatch follows a deterministic cycle over the arms (correlated,
-// path-predictable, as interpreter loops are); otherwise it picks by edge
-// probability.
-func (g *Generator) pickArm(st *branchState, b *cfg.Block, succs []cfg.Edge) int {
-	if len(succs) > 1 && g.rng.Bool(b.IndMarkov) {
-		st.prevArm = uint16((int(st.prevArm) + 1) % len(succs))
+// pickArm selects one of the n arms of indirect branch or call id: with
+// probability IndMarkov the dispatch follows a deterministic cycle over
+// the arms (correlated, path-predictable, as interpreter loops are);
+// otherwise it picks by arm probability.
+func (g *Generator) pickArm(id cfg.BlockID, n int) int {
+	st := g.state(id)
+	if n > 1 && g.rng.Bool(g.prog.IndMarkov(id)) {
+		st.prevArm = uint16((int(st.prevArm) + 1) % n)
 	} else {
-		st.prevArm = uint16(g.pickEdge(succs))
+		st.prevArm = uint16(g.pickEdge(g.prog.ArmProbs(id)))
 	}
 	return int(st.prevArm)
 }
 
-// pickEdge selects a successor index by edge probability.
-func (g *Generator) pickEdge(succs []cfg.Edge) int {
-	if len(succs) == 1 {
+// pickEdge selects an arm index by its probability.
+func (g *Generator) pickEdge(probs []float64) int {
+	if len(probs) == 1 {
 		return 0
 	}
 	x := g.rng.Float64()
-	for i, e := range succs {
-		x -= e.Prob
+	for i, p := range probs {
+		x -= p
 		if x < 0 {
 			return i
 		}
 	}
-	return len(succs) - 1
+	return len(probs) - 1
 }
 
 // Generate runs the program from its entry and materializes the trace in

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -95,12 +96,7 @@ func TestTraceFollowsCFGEdges(t *testing.T) {
 }
 
 func hasSucc(p *cfg.Program, from, to cfg.BlockID) bool {
-	for _, e := range p.Succs(from) {
-		if e.To == to {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(p.Succs(from), to)
 }
 
 func TestProfileCountsMatchTrace(t *testing.T) {

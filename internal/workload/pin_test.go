@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streamfetch/internal/cfg"
+	"streamfetch/internal/isa"
 )
 
 // programHashes pins every benchmark's synthesized program. A change to
@@ -53,9 +54,52 @@ func (e *pinEncoder) bool(b bool) {
 
 func (e *pinEncoder) block(b cfg.BlockID) { e.i64(int64(b)) }
 
+// succProbs returns the static probability of each successor of block id,
+// as the hash encodes it: an indirect branch or call stores its arm
+// probabilities; a cond block's follow from its model, as synthesis drew
+// them; every other successor is certain.
+func succProbs(p *cfg.Program, id cfg.BlockID) []float64 {
+	switch p.Blocks[id].Branch {
+	case isa.BranchIndirect, isa.BranchIndirectCall:
+		return p.ArmProbs(id)
+	case isa.BranchCond:
+		m := p.Cond(id)
+		if m.Kind == cfg.CondLoop {
+			return []float64{1.0 / float64(m.Trip), 1 - 1.0/float64(m.Trip)}
+		}
+		taken := condProb(m)
+		return []float64{1 - taken, taken}
+	}
+	probs := make([]float64, len(p.Succs(id)))
+	for i := range probs {
+		probs[i] = 1
+	}
+	return probs
+}
+
+// condProb returns the long-run probability of the branch side of a cond.
+func condProb(m cfg.CondModel) float64 {
+	switch m.Kind {
+	case cfg.CondBias:
+		return m.P
+	case cfg.CondPattern:
+		n := 0
+		for i := 0; i < int(m.Period); i++ {
+			if m.PatternAt(i) {
+				n++
+			}
+		}
+		return float64(n) / float64(m.Period)
+	case cfg.CondLoop:
+		return 1 - 1/float64(m.Trip)
+	}
+	return 0.5
+}
+
 // programHash returns the SHA-256 of a canonical encoding of p: per block
 // its instruction count, procedure, branch type, continuation, class list,
-// edges, condition model and indirect Markov probability, then the
+// successors with their probabilities, condition model (zero for a block
+// without one) and indirect Markov probability (zero likewise), then the
 // procedure table and the entry block.
 func programHash(p *cfg.Program) string {
 	e := &pinEncoder{h: sha256.New()}
@@ -74,20 +118,29 @@ func programHash(p *cfg.Program) string {
 			e.u64(uint64(c))
 		}
 		succs := p.Succs(id)
+		probs := succProbs(p, id)
 		e.i64(int64(len(succs)))
-		for _, s := range succs {
-			e.block(s.To)
-			e.f64(s.Prob)
+		for j, s := range succs {
+			e.block(s)
+			e.f64(probs[j])
 		}
-		e.u64(uint64(b.Cond.Kind))
-		e.i64(int64(b.Cond.Trip))
-		e.i64(int64(b.Cond.TripJitter))
-		e.f64(b.Cond.P)
-		e.i64(int64(b.Cond.Period))
-		for j := 0; j < int(b.Cond.Period); j++ {
-			e.bool(b.Cond.PatternAt(j))
+		var m cfg.CondModel
+		if b.Branch == isa.BranchCond {
+			m = p.Cond(id)
 		}
-		e.f64(b.IndMarkov)
+		e.u64(uint64(m.Kind))
+		e.i64(int64(m.Trip))
+		e.i64(int64(m.TripJitter))
+		e.f64(m.P)
+		e.i64(int64(m.Period))
+		for j := 0; j < int(m.Period); j++ {
+			e.bool(m.PatternAt(j))
+		}
+		var markov float64
+		if b.Branch == isa.BranchIndirect || b.Branch == isa.BranchIndirectCall {
+			markov = p.IndMarkov(id)
+		}
+		e.f64(markov)
 	}
 	e.i64(int64(len(p.Procs)))
 	for _, pr := range p.Procs {

@@ -13,6 +13,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"streamfetch/internal/cfg"
 	"streamfetch/internal/isa"
@@ -201,9 +202,9 @@ func ByName(name string) (Params, error) {
 }
 
 // builder synthesizes one program. It builds the program's arrays in place
-// and addresses blocks by ID: a *cfg.Block or a Classes/Succs slice is
-// stale once the next block or edge is appended, so none is held across
-// one.
+// and addresses blocks by ID: a *cfg.Block or a Classes/Succs/ArmProbs
+// slice is stale once the next block or successor is appended, so none is
+// held across one.
 type builder struct {
 	p    Params
 	rng  *xrand.RNG
@@ -213,8 +214,10 @@ type builder struct {
 	// procedures exist. Callees of proc i are always procs > i, so the
 	// static call graph is a DAG and the call stack is bounded.
 	callSites []callSite
-	// callees is wireCalls' scratch list of an indirect call's edges.
-	callees []cfg.Edge
+	// callees and calleeProbs are wireCalls' scratch lists of an indirect
+	// call's targets and their probabilities.
+	callees     []cfg.BlockID
+	calleeProbs []float64
 }
 
 type callSite struct {
@@ -242,7 +245,7 @@ func Generate(p Params) *cfg.Program {
 }
 
 // newBlock appends a fresh block to the current procedure and draws its
-// classes. A block with a fixed successor count gets its edges now, to
+// classes. A block with a fixed successor count gets its successors now,
 // NoBlock until link or its region fills them; indirect branches and calls
 // get theirs once their targets are drawn.
 func (b *builder) newBlock(n int, br isa.BranchType) cfg.BlockID {
@@ -361,8 +364,8 @@ func (b *builder) link(t, head cfg.BlockID) {
 	blk := &b.prog.Blocks[t]
 	switch blk.Branch {
 	case isa.BranchNone, isa.BranchUncond:
-		if s := b.prog.Succs(t); s[0].To == cfg.NoBlock {
-			s[0] = cfg.Edge{To: head, Prob: 1}
+		if s := b.prog.Succs(t); s[0] == cfg.NoBlock {
+			s[0] = head
 		}
 	case isa.BranchCall, isa.BranchIndirectCall:
 		if blk.Cont == cfg.NoBlock {
@@ -373,8 +376,8 @@ func (b *builder) link(t, head cfg.BlockID) {
 		// only the exit edge (Succs[0]) may be pending.
 		s := b.prog.Succs(t)
 		for i := range s {
-			if s[i].To == cfg.NoBlock {
-				s[i].To = head
+			if s[i] == cfg.NoBlock {
+				s[i] = head
 			}
 		}
 	}
@@ -421,11 +424,11 @@ func (b *builder) genLoop(depth int) (head, out cfg.BlockID) {
 			jitter = 1
 		}
 	}
-	b.prog.Blocks[header].Cond = cfg.CondModel{
+	b.prog.SetCond(header, cfg.CondModel{
 		Kind:       cfg.CondLoop,
 		Trip:       int32(trip),
 		TripJitter: int32(jitter),
-	}
+	})
 	// Loop bodies span several structured regions, like real inner loops;
 	// this sets the stream length achievable inside loops (one taken
 	// back-edge per iteration).
@@ -436,12 +439,10 @@ func (b *builder) genLoop(depth int) (head, out cfg.BlockID) {
 		bodyOut = o
 	}
 	latch := b.newBlock(b.rng.IntRange(1, 3), isa.BranchUncond)
-	b.prog.Succs(latch)[0] = cfg.Edge{To: header, Prob: 1}
+	b.prog.Succs(latch)[0] = header
 	b.link(bodyOut, latch)
 	// Succs[0] = exit (fall-through side, pending), Succs[1] = body.
-	s := b.prog.Succs(header)
-	s[0] = cfg.Edge{To: cfg.NoBlock, Prob: 1.0 / float64(trip)}
-	s[1] = cfg.Edge{To: bodyHead, Prob: 1 - 1.0/float64(trip)}
+	b.prog.Succs(header)[1] = bodyHead
 	return header, header
 }
 
@@ -452,9 +453,7 @@ func (b *builder) genLoop(depth int) (head, out cfg.BlockID) {
 // the situation profile-guided layout optimization exploits.
 func (b *builder) genIf(depth int) (head, out cfg.BlockID) {
 	cond := b.newBlock(b.blockLen(), isa.BranchCond)
-	m := b.condModel()
-	b.prog.Blocks[cond].Cond = m
-	pTaken := condProb(m) // long-run probability of Succs[1]
+	b.prog.SetCond(cond, b.condModel())
 
 	if b.rng.Bool(0.45) {
 		// if-then-else: then-arm laid first (base fall-through),
@@ -465,8 +464,7 @@ func (b *builder) genIf(depth int) (head, out cfg.BlockID) {
 		b.link(thenOut, join)
 		b.link(elseOut, join)
 		s := b.prog.Succs(cond)
-		s[0] = cfg.Edge{To: thenHead, Prob: 1 - pTaken}
-		s[1] = cfg.Edge{To: elseHead, Prob: pTaken}
+		s[0], s[1] = thenHead, elseHead
 		return cond, join
 	}
 	// if-then: the branch skips the arm to the join.
@@ -474,28 +472,8 @@ func (b *builder) genIf(depth int) (head, out cfg.BlockID) {
 	join := b.newBlock(b.blockLen(), isa.BranchNone)
 	b.link(thenOut, join)
 	s := b.prog.Succs(cond)
-	s[0] = cfg.Edge{To: thenHead, Prob: 1 - pTaken}
-	s[1] = cfg.Edge{To: join, Prob: pTaken}
+	s[0], s[1] = thenHead, join
 	return cond, join
-}
-
-// condProb returns the long-run probability of the branch side of a cond.
-func condProb(m cfg.CondModel) float64 {
-	switch m.Kind {
-	case cfg.CondBias:
-		return m.P
-	case cfg.CondPattern:
-		n := 0
-		for i := 0; i < int(m.Period); i++ {
-			if m.PatternAt(i) {
-				n++
-			}
-		}
-		return float64(n) / float64(m.Period)
-	case cfg.CondLoop:
-		return 1 - 1/float64(m.Trip)
-	}
-	return 0.5
 }
 
 // genSwitch emits an indirect multi-way branch with per-arm regions joining
@@ -503,7 +481,6 @@ func condProb(m cfg.CondModel) float64 {
 // arms dominate, as real interpreters do.
 func (b *builder) genSwitch(depth int) (head, out cfg.BlockID) {
 	sw := b.newBlock(b.blockLen(), isa.BranchIndirect)
-	b.prog.Blocks[sw].IndMarkov = b.p.IndMarkov
 	join := b.newBlock(b.blockLen(), isa.BranchNone)
 	arms := b.rng.IntRange(b.p.SwitchFanout[0], b.p.SwitchFanout[1])
 	weights := make([]float64, arms)
@@ -517,10 +494,15 @@ func (b *builder) genSwitch(depth int) (head, out cfg.BlockID) {
 		total += x
 	}
 	b.prog.AddSuccs(sw, arms)
+	b.prog.SetIndMarkov(sw, b.p.IndMarkov)
+	probs := b.prog.ArmProbs(sw)
+	for i := range probs {
+		probs[i] = weights[i] / total
+	}
 	for i := 0; i < arms; i++ {
 		armHead, armOut := b.genRegion(depth + 1)
 		b.link(armOut, join)
-		b.prog.Succs(sw)[i] = cfg.Edge{To: armHead, Prob: weights[i] / total}
+		b.prog.Succs(sw)[i] = armHead
 	}
 	return sw, join
 }
@@ -549,7 +531,7 @@ func (b *builder) genCall() (head, out cfg.BlockID) {
 func (b *builder) wireCalls() {
 	n := len(b.prog.Procs)
 	for _, cs := range b.callSites {
-		// wireCalls adds edges but no blocks, so blk stays valid.
+		// wireCalls adds successors but no blocks, so blk stays valid.
 		blk := &b.prog.Blocks[cs.block]
 		caller := int(blk.Proc)
 		if caller >= n-1 {
@@ -557,12 +539,11 @@ func (b *builder) wireCalls() {
 			// fall-through block into its continuation.
 			blk.Branch = isa.BranchNone
 			b.prog.Classes(cs.block)[blk.NInsts-1] = isa.ClassALU
-			b.prog.AddSuccs(cs.block, 1)[0] = cfg.Edge{To: blk.Cont, Prob: 1}
+			b.prog.AddSuccs(cs.block, 1)[0] = blk.Cont
 			blk.Cont = cfg.NoBlock
 			continue
 		}
 		if cs.indirect {
-			blk.IndMarkov = b.p.IndMarkov
 			k := b.rng.IntRange(2, 4)
 			weights := make([]float64, k)
 			w := 1.0
@@ -572,21 +553,20 @@ func (b *builder) wireCalls() {
 				total += w
 				w *= 0.5
 			}
-			b.callees = b.callees[:0]
-		draw:
+			b.callees, b.calleeProbs = b.callees[:0], b.calleeProbs[:0]
 			for i := 0; i < k; i++ {
 				entry := b.prog.Procs[b.rng.IntRange(caller+1, n-1)].Entry
-				for _, e := range b.callees {
-					if e.To == entry {
-						continue draw
-					}
+				if !slices.Contains(b.callees, entry) {
+					b.callees = append(b.callees, entry)
+					b.calleeProbs = append(b.calleeProbs, weights[i]/total)
 				}
-				b.callees = append(b.callees, cfg.Edge{To: entry, Prob: weights[i] / total})
 			}
 			copy(b.prog.AddSuccs(cs.block, len(b.callees)), b.callees)
+			b.prog.SetIndMarkov(cs.block, b.p.IndMarkov)
+			copy(b.prog.ArmProbs(cs.block), b.calleeProbs)
 		} else {
 			callee := b.rng.IntRange(caller+1, n-1)
-			b.prog.AddSuccs(cs.block, 1)[0] = cfg.Edge{To: b.prog.Procs[callee].Entry, Prob: 1}
+			b.prog.AddSuccs(cs.block, 1)[0] = b.prog.Procs[callee].Entry
 		}
 	}
 }
@@ -599,7 +579,7 @@ func (b *builder) genDriver() {
 	for _, id := range b.prog.Procs[0].Blocks {
 		if blk := &b.prog.Blocks[id]; blk.Branch == isa.BranchReturn {
 			blk.Branch = isa.BranchUncond
-			b.prog.AddSuccs(id, 1)[0] = cfg.Edge{To: entry, Prob: 1}
+			b.prog.AddSuccs(id, 1)[0] = entry
 		}
 	}
 	b.prog.Entry = entry

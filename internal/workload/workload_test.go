@@ -95,8 +95,8 @@ func TestCallGraphIsDAG(t *testing.T) {
 		if b.Branch != isa.BranchCall && b.Branch != isa.BranchIndirectCall {
 			continue
 		}
-		for _, e := range prog.Succs(cfg.BlockID(i)) {
-			callee := prog.Blocks[e.To].Proc
+		for _, to := range prog.Succs(cfg.BlockID(i)) {
+			callee := prog.Blocks[to].Proc
 			if callee <= b.Proc {
 				t.Fatalf("call from proc %d to proc %d breaks the DAG invariant",
 					b.Proc, callee)
