@@ -3,20 +3,26 @@ package streamfetch
 import (
 	"bytes"
 	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
+
+	"streamfetch/internal/layout"
 )
 
 // contentKeyShapes are request shapes whose content keys are pinned in
-// TestContentKeyPinned. The want hashes were computed by the code before
-// preparation identity was split from content identity, except the two
-// capped unsharded shapes, which carry cap_v since the cap became a trace
-// position; a changed hash means cached results would stop being found
-// (or, worse, a different request would collide with them).
+// TestContentKeyPinned, recorded at modelVersion 2. A changed hash means
+// cached results would stop being found (or, worse, a different request
+// would collide with them); only a modelVersion bump moves them on
+// purpose, and it moves every one of them.
 var contentKeyShapes = []struct {
 	name  string
 	run   *RunRequest
@@ -24,48 +30,48 @@ var contentKeyShapes = []struct {
 	want  string
 }{
 	{name: "run defaults omitted", run: &RunRequest{Benchmark: "164.gzip"},
-		want: "2d8a2a2944ae2fe6766f92db847b3ed25abbb48d2ad5bc11405d19a44a7e7144"},
+		want: "bcef73ee666bd8709e086ae90d961b906a691e77a4b352c048bb041ea311f994"},
 	{name: "run defaults spelled out", run: &RunRequest{Benchmark: "164.gzip", Engine: "streams", Layout: "base",
 		Width: 8, Seed: 99, TrainSeed: 7, Insts: 2_000_000},
-		want: "2d8a2a2944ae2fe6766f92db847b3ed25abbb48d2ad5bc11405d19a44a7e7144"},
+		want: "bcef73ee666bd8709e086ae90d961b906a691e77a4b352c048bb041ea311f994"},
 	{name: "run fresh seed", run: &RunRequest{Benchmark: "164.gzip", Seed: 12345},
-		want: "b7228d98bb90308da1199511c3a2af0387c1b44835572d8df28088247b7f9c94"},
+		want: "2be4b57ecc5f7b16a9447b6ca813f5c7420e90249f82399ff27f7e1c6c239e90"},
 	{name: "run train fields", run: &RunRequest{Benchmark: "176.gcc", Layout: "optimized", TrainSeed: 11,
 		TrainInsts: 300_000},
-		want: "2dce269fe2caf362fbc46a9003f3c34c63ea0467e37f4bc5214f0e24da4686dc"},
+		want: "c1dc9c5e6cf8f95520ad4791b2e7ef73e1aaaf7359dc1df05a1b8b0c2f3822d6"},
 	{name: "run train insts spelled as the derived default", run: &RunRequest{Benchmark: "164.gzip",
 		Insts: 1_000_000, TrainInsts: 250_000},
-		want: "1df9d36e2611ff109f295c1f485ec185cb410f0c65e0d062d357df77f8b31ae0"},
+		want: "94f233a871fc622d80a5fcb9068de79494e3807e7d6f4cff9d9640dcb9d62142"},
 	{name: "run sharded warm", run: &RunRequest{Benchmark: "176.gcc", Engine: "ev8", Insts: 8_000_000,
 		Shards: 4, Warmup: 20_000},
-		want: "7353a83917f46c3ab203e79d69c093489b624160c11eca2fb2fe73b61bba6701"},
+		want: "d013fd610e4b2eb080ddf3e08aa68b33a57c18eb8e7e87025b8dc42bed4122e2"},
 	{name: "run sharded cold", run: &RunRequest{Benchmark: "176.gcc", Shards: 4, Warmup: 5_000, ColdShards: true},
-		want: "afba6a593a5c9abbae51fe7f785760af2482a0629a804d7e295dde87e5539e2f"},
+		want: "c751bb2c219aa9d0be5c474340e5cfbd7d42d4672d1e7c501b6aa11156ccc6c9"},
 	{name: "run sharded warmup 0", run: &RunRequest{Benchmark: "164.gzip", Insts: 300_000, Shards: 3},
-		want: "3c461836982a1d0e69bfe6dc7875c28a7cddc8d7fd8f79d049c5347792b1871a"},
+		want: "9a3ad7db0f38288a0dc6ce6f61b118b19254bd3fce0114146af5cb19be336632"},
 	{name: "run sampled", run: &RunRequest{Benchmark: "164.gzip", Insts: 1_000_000, Samples: 8,
 		SampleInsts: 25_000, Warmup: 5_000},
-		want: "c8534ba3c8af35605991685580febc1052a472712311bbf50aaf28a628ceafc2"},
+		want: "8bba7bf2ea9e7b475ccdf2c07ec4255638f9b344568f31a5933a8962e82d831f"},
 	{name: "run sampled warmup 0 ignores shards", run: &RunRequest{Benchmark: "164.gzip", Shards: 7,
 		Samples: 4, SampleInsts: 10_000},
-		want: "03169831761403391780a1a4e9324228ab2807a55c57a673c30157a7c9202334"},
+		want: "535ad0d0fa883b993b08eb272a9898d7fe6f8b5775769a98be2e7ef26634cf0d"},
 	{name: "run cap, line size and width", run: &RunRequest{Benchmark: "300.twolf", Engine: "tcache", Width: 4,
 		MaxInsts: 100_000, ICacheLineBytes: 64},
-		want: "0d0a501ad5102283742e00d8fc9d129f5f67c45e3faced75ed982f625f44e6bc"},
+		want: "927c4b3fe43945e5c75b8d003bc73e8816bb27cfa393a183ad166317160d58e4"},
 	{name: "sweep defaults", sweep: &SweepRequest{},
-		want: "a3b13c9ca5aa20d65cfd238833b1aac186362d0222eacc015bb248e67c4a69cd"},
+		want: "3f4a74b832f498d59b0a8ccadc25f0b01d339978705042f9ae5f5919512462d0"},
 	{name: "sweep axes and seed", sweep: &SweepRequest{Benchmarks: []string{"176.gcc"},
 		Layouts: []string{"optimized"}, Engines: []string{"ev8", "streams"}, Widths: []int{4, 8},
 		Seed: 5, Insts: 1_000_000},
-		want: "b986c442b0054c577558dafcbd02568824548112fb7b72866b67c105be6d996a"},
+		want: "e7f2d8b5ce5ad279dd3f6f9a6e18ad94ce09e8aabf8f0bbb9e05c78cd885d5dd"},
 	{name: "sweep sharded warmup 0", sweep: &SweepRequest{Benchmarks: []string{"164.gzip"}, Shards: 2},
-		want: "84fac8311c2ab4bfb2dd611d0f369d937e07bff235305be05798e267bf8f4d6a"},
+		want: "92015830c7a25c95466a112b92903b424d946912470d80fe6e9de1dd2747187d"},
 	{name: "sweep sharded warm with train fields", sweep: &SweepRequest{Benchmarks: []string{"164.gzip"},
 		Shards: 2, Warmup: 10_000, TrainSeed: 3, TrainInsts: 100_000},
-		want: "9d5e29b8f8bad45d0a72c72b8b011b9b5f1b2eb7c0338eadafa20408bc9c83f3"},
+		want: "63d931ef4037f8e0434bc5eb9316d6bef4845c6dac85f1f993fe2bd6e83b5b87"},
 	{name: "sweep capped unsharded", sweep: &SweepRequest{Benchmarks: []string{"300.twolf"},
 		Engines: []string{"tcache"}, Widths: []int{4}, MaxInsts: 100_000},
-		want: "c3eea9bdb4a9b16a1d7a9f2f2d6caaed67545202d03f3c2b3799597eb0c7f9cf"},
+		want: "0333f6a687c1005d293650c15d311739ce11e9170ded6bcd47aecda421df6355"},
 }
 
 func shapeKey(t *testing.T, run *RunRequest, sweep *SweepRequest) string {
@@ -84,12 +90,96 @@ func shapeKey(t *testing.T, run *RunRequest, sweep *SweepRequest) string {
 	return r.contentKey()
 }
 
-// TestContentKeyPinned: every pinned request shape hashes to the content
-// key recorded before the split.
+// TestContentKeyPinned: every pinned request shape hashes to its
+// recorded content key.
 func TestContentKeyPinned(t *testing.T) {
 	for _, c := range contentKeyShapes {
 		if got := shapeKey(t, c.run, c.sweep); got != c.want {
 			t.Errorf("%s: content key %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// goldensPin is the sha256 of the report goldens (goldensHash), recorded
+// at modelVersion goldensPinVersion. A report byte changes only with a
+// modelVersion bump, so re-recording a golden without one, or bumping
+// without re-pinning, fails TestModelVersionPinsGoldens.
+const (
+	goldensPinVersion = 2
+	goldensPin        = "ee04a29b7207fa0c6018a42dcd6810b561f45f8f23862e00cde4666ee8f13706"
+)
+
+// goldensHash hashes the names and bytes of testdata/golden_*.json in
+// name order.
+func goldensHash(t *testing.T) string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join("testdata", "golden_*.json"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no goldens found (%v)", err)
+	}
+	slices.Sort(names)
+	h := sha256.New()
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", filepath.Base(name), len(b))
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestModelVersionPinsGoldens: the report goldens are the ones pinned at
+// the current modelVersion. Cached reports and checkpoints are keyed by
+// modelVersion, so goldens that move under an unchanged version mean
+// stale stored bytes would keep being served.
+func TestModelVersionPinsGoldens(t *testing.T) {
+	if got := goldensHash(t); got != goldensPin || modelVersion != goldensPinVersion {
+		t.Fatalf("testdata/golden_*.json hash to %s at modelVersion %d; pinned %s at %d: "+
+			"goldens that change report bytes must bump modelVersion, then re-pin goldensPin and goldensPinVersion",
+			got, modelVersion, goldensPin, goldensPinVersion)
+	}
+}
+
+// TestKeysCarryModelVersion: the run, sweep and checkpoint keys each hash
+// modelVersion, so one bump retires every stored result and checkpoint.
+func TestKeysCarryModelVersion(t *testing.T) {
+	run := RunRequest{Benchmark: "164.gzip", Shards: 2, Warmup: 1_000}
+	if err := run.validate(); err != nil {
+		t.Fatal(err)
+	}
+	sweep := SweepRequest{Benchmarks: []string{"164.gzip"}}
+	if err := sweep.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	ck, ok := New("164.gzip").ckptKeySpec(&layout.Layout{Name: "base"}, 10_000)
+	if !ok {
+		t.Fatal("a default session has no checkpoint identity")
+	}
+	for _, c := range []struct {
+		name string
+		spec any
+		path []string
+	}{
+		{"run", run.keySpec(), []string{"v"}},
+		{"sweep", sweep.keySpec(), []string{"cell", "v"}},
+		{"checkpoint", ck, []string{"model"}},
+	} {
+		b, err := json.Marshal(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v any
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.path {
+			m, _ := v.(map[string]any)
+			v = m[f]
+		}
+		if v != float64(modelVersion) {
+			t.Errorf("%s key %s: %v = %v, want modelVersion %d", c.name, b, c.path, v, modelVersion)
 		}
 	}
 }

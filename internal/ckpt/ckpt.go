@@ -43,7 +43,10 @@ import (
 
 // Version is the snapshot format version. Bump it on any change to the
 // layout of the encoded state; old blobs then decode as misses, and since
-// checkpoint store keys hash the version, they are never looked up.
+// checkpoint store keys hash the version, they are never looked up. It
+// versions the encoding only: a change to what warming computes, with
+// the format unchanged, bumps the model version that the same keys carry
+// (streamfetch's modelVersion) instead.
 // Version 2 encodes the generator's counters sparsely and drops the
 // per-way valid byte of version 1's cache sections.
 const Version = 2

@@ -345,45 +345,39 @@ func (r *RunRequest) contentSpec() contentSpec {
 	return contentSpec{r.Benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
 }
 
+// modelVersion is the version of the model's semantics, carried by every
+// run, sweep and checkpoint key. Bump it whenever any report or warm-state
+// byte changes for the same request (and re-pin the goldens' hash in
+// TestModelVersionPinsGoldens): every stored result and checkpoint then
+// misses once and is recomputed, instead of serving a byte the current
+// code would not compute. Version 2 is the model that the goldens pinned
+// beside it record.
+const modelVersion = 2
+
 // runKeySpec is the canonical identity of a run's output: every semantic
 // field of a RunRequest with defaults resolved, so "default by omission"
 // and "default spelled out" hash to one content key. Runs are
 // deterministic for a fixed spec — same spec, byte-identical Report —
 // which is what makes the key sound as a cache address and a coalescing
-// handle. V versions the schema: bump it when report-affecting semantics
-// change so stale blobs miss instead of serving wrong-shaped results.
+// handle. V is modelVersion.
 type runKeySpec struct {
-	V          int    `json:"v"`
-	Kind       string `json:"kind"`
-	Benchmark  string `json:"benchmark"`
-	Engine     string `json:"engine"`
-	Layout     string `json:"layout"`
-	Width      int    `json:"width"`
-	Seed       uint64 `json:"seed"`
-	TrainSeed  uint64 `json:"train_seed"`
-	Insts      uint64 `json:"insts"`
-	TrainInsts uint64 `json:"train_insts"`
-	MaxInsts   uint64 `json:"max_insts"`
-	Shards     int    `json:"shards"`
-	Warmup     uint64 `json:"warmup"`
-	ColdShards bool   `json:"cold_shards"`
-	LineBytes  int    `json:"line_bytes"`
-	// Sampled mode. omitempty keeps non-sampled requests hashing exactly
-	// as they did before these fields existed, preserving cached results.
-	Samples     int    `json:"samples,omitempty"`
-	SampleInsts uint64 `json:"sample_insts,omitempty"`
-	// FwarmV versions the functional-warming semantics for runs that
-	// warm mid-trace boundaries; omitempty keeps every other key — and its
-	// cached result — intact across semantics changes. 2: the prefix
-	// replay trains the engine's commit-side state, not just caches and
-	// the address generator. 3 (warmup 0 only): an interval opened from
-	// warm state counts its first cycle, as a restored one always did.
-	FwarmV int `json:"fwarm_v,omitempty"`
-	// CapV versions the instruction cap's meaning for capped unsharded
-	// runs, the only reports it changed; omitempty keeps every other key
-	// intact. 1: the cap is a trace position, as in sharded and sampled
-	// runs, not a count of retired instructions.
-	CapV int `json:"cap_v,omitempty"`
+	V           int    `json:"v"`
+	Kind        string `json:"kind"`
+	Benchmark   string `json:"benchmark"`
+	Engine      string `json:"engine"`
+	Layout      string `json:"layout"`
+	Width       int    `json:"width"`
+	Seed        uint64 `json:"seed"`
+	TrainSeed   uint64 `json:"train_seed"`
+	Insts       uint64 `json:"insts"`
+	TrainInsts  uint64 `json:"train_insts"`
+	MaxInsts    uint64 `json:"max_insts"`
+	Shards      int    `json:"shards"`
+	Warmup      uint64 `json:"warmup"`
+	ColdShards  bool   `json:"cold_shards"`
+	LineBytes   int    `json:"line_bytes"`
+	Samples     int    `json:"samples"`
+	SampleInsts uint64 `json:"sample_insts"`
 }
 
 // contentKey hashes the request's normalized semantic fields. Call only
@@ -397,7 +391,7 @@ func (r *RunRequest) contentKey() string {
 func (r *RunRequest) keySpec() runKeySpec {
 	p := r.contentSpec()
 	k := runKeySpec{
-		V:    1,
+		V:    modelVersion,
 		Kind: "run",
 
 		Benchmark:  p.benchmark,
@@ -431,74 +425,41 @@ func (r *RunRequest) keySpec() runKeySpec {
 			k.ColdShards = false
 		}
 	}
-	if !k.ColdShards && (k.Shards > 1 || k.Samples > 0) {
-		k.FwarmV = fwarmVersion(k.Warmup)
-	}
-	if k.MaxInsts > 0 && k.Shards <= 1 && k.Samples == 0 {
-		k.CapV = 1
-	}
 	return k
 }
 
-// sweepKeySpec is the canonical identity of a sweep's cells. Axis order
-// is semantic (cells return in enumeration order), so the slices hash
-// as given — after normalize has resolved empty axes to the full lists.
+// sweepKeySpec is the canonical identity of a sweep's cells: its axes and
+// the run key of its first cell, whose scalar fields every cell shares.
+// The run key's rules for defaults, for fields an unsharded run ignores
+// and for the model version are thereby the sweep's too. Axis order is
+// semantic (cells return in enumeration order), so the slices hash as
+// given — after normalize has resolved empty axes to the full lists.
 type sweepKeySpec struct {
-	V          int      `json:"v"`
-	Kind       string   `json:"kind"`
-	Benchmarks []string `json:"benchmarks"`
-	Layouts    []string `json:"layouts"`
-	Engines    []string `json:"engines"`
-	Widths     []int    `json:"widths"`
-	Seed       uint64   `json:"seed"`
-	TrainSeed  uint64   `json:"train_seed"`
-	Insts      uint64   `json:"insts"`
-	TrainInsts uint64   `json:"train_insts"`
-	MaxInsts   uint64   `json:"max_insts"`
-	Shards     int      `json:"shards"`
-	Warmup     uint64   `json:"warmup"`
-	ColdShards bool     `json:"cold_shards"`
-	// FwarmV mirrors runKeySpec.FwarmV for sharded sweep cells, and CapV
-	// runKeySpec.CapV for capped unsharded ones.
-	FwarmV int `json:"fwarm_v,omitempty"`
-	CapV   int `json:"cap_v,omitempty"`
+	Kind       string     `json:"kind"`
+	Benchmarks []string   `json:"benchmarks"`
+	Layouts    []string   `json:"layouts"`
+	Engines    []string   `json:"engines"`
+	Widths     []int      `json:"widths"`
+	Cell       runKeySpec `json:"cell"`
 }
 
 // contentKey hashes the sweep's normalized identity. Call only after
-// normalize (which fills defaulted axes). The scalar fields are a cell's
-// (every cell shares them), so the run key's rules for defaults and for
-// fields an unsharded run ignores are the sweep's too.
+// normalize (which fills defaulted axes).
 func (r *SweepRequest) contentKey() string {
-	c := r.cells()[0].keySpec()
-	return store.Key(sweepKeySpec{
-		V:    1,
-		Kind: "sweep",
+	return store.Key(r.keySpec())
+}
 
+// keySpec resolves the sweep into its sweepKeySpec. Call only after
+// normalize.
+func (r *SweepRequest) keySpec() sweepKeySpec {
+	return sweepKeySpec{
+		Kind:       "sweep",
 		Benchmarks: r.Benchmarks,
 		Layouts:    r.Layouts,
 		Engines:    r.Engines,
 		Widths:     r.Widths,
-
-		Seed:       c.Seed,
-		TrainSeed:  c.TrainSeed,
-		Insts:      c.Insts,
-		TrainInsts: c.TrainInsts,
-		MaxInsts:   c.MaxInsts,
-		Shards:     c.Shards,
-		Warmup:     c.Warmup,
-		ColdShards: c.ColdShards,
-		FwarmV:     c.FwarmV,
-		CapV:       c.CapV,
-	})
-}
-
-// fwarmVersion is the content keys' FwarmV for a warmed sharded or
-// sampled run with the given timed warmup.
-func fwarmVersion(warmup uint64) int {
-	if warmup == 0 {
-		return 3
+		Cell:       r.cells()[0].keySpec(),
 	}
-	return 2
 }
 
 // maxCachedSessions is the default session-cache bound
@@ -964,13 +925,39 @@ func (m *jobManager) restore(rec store.JournalRecord) {
 		return
 	}
 
-	// An accepted job with no terminal record is owed a run. If its
-	// result landed in the cache meanwhile (a twin completed, or the
-	// process died between the blob write and the terminal journal
+	// An accepted job with no terminal record is owed a run. Its content
+	// key comes from its journaled request, as a submission's does, not
+	// from the record: a key journaled under another model version, or
+	// naming another request, would serve a report this request does not
+	// have and keep identical submissions from coalescing onto it.
+	var key string
+	var build func(*job) jobFunc
+	var pol jobPolicy
+	switch rec.Kind {
+	case "run":
+		var req RunRequest
+		if json.Unmarshal(rec.Request, &req) == nil && req.validate() == nil {
+			cells := []RunRequest{req}
+			key = req.contentKey()
+			build = m.body(cells, req.TimeoutMS)
+			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
+		}
+	case "sweep":
+		var req SweepRequest
+		if json.Unmarshal(rec.Request, &req) == nil && req.normalize() == nil {
+			cells := req.cells()
+			key = req.contentKey()
+			build = m.body(cells, req.TimeoutMS)
+			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
+		}
+	}
+
+	// If its result landed in the cache meanwhile (a twin completed, or
+	// the process died between the blob write and the terminal journal
 	// record), answer from the cache instead of re-simulating.
-	if rec.Key != "" {
-		if blob, ok, err := m.store.GetBlob(rec.Key); err == nil && ok {
-			if j := m.cachedJob(rec.ID, rec.Kind, rec.Key, blob); j != nil {
+	if build != nil {
+		if blob, ok, err := m.store.GetBlob(key); err == nil && ok {
+			if j := m.cachedJob(rec.ID, rec.Kind, key, blob); j != nil {
 				m.hits.Add(1)
 				m.jobs[rec.ID] = j
 				m.done = append(m.done, rec.ID)
@@ -980,29 +967,11 @@ func (m *jobManager) restore(rec store.JournalRecord) {
 		}
 	}
 
-	var build func(*job) jobFunc
-	var pol jobPolicy
-	switch rec.Kind {
-	case "run":
-		var req RunRequest
-		if json.Unmarshal(rec.Request, &req) == nil && req.validate() == nil {
-			cells := []RunRequest{req}
-			build = m.body(cells, req.TimeoutMS)
-			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
-		}
-	case "sweep":
-		var req SweepRequest
-		if json.Unmarshal(rec.Request, &req) == nil && req.normalize() == nil {
-			cells := req.cells()
-			build = m.body(cells, req.TimeoutMS)
-			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
-		}
-	}
 	ctx, abort := context.WithCancelCause(m.baseCtx)
 	j := &job{
 		id:       rec.ID,
 		kind:     rec.Kind,
-		key:      rec.Key,
+		key:      key,
 		reqJSON:  rec.Request,
 		state:    JobQueued,
 		enqueued: rec.Time,
@@ -1038,9 +1007,7 @@ func (m *jobManager) restore(rec store.JournalRecord) {
 	}
 	j.run = build(j)
 	m.jobs[rec.ID] = j
-	if rec.Key != "" {
-		m.inflight[rec.Key] = j
-	}
+	m.inflight[key] = j
 	m.queue.push(j)
 }
 
@@ -1276,10 +1243,8 @@ func (m *jobManager) queueEstimate() (backlog, delay float64) {
 func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, build func(*job) jobFunc) (*job, *JobEnvelope, error) {
 	// Cache lookup outside the registry lock: blob reads may touch disk.
 	var cachedBlob []byte
-	if key != "" {
-		if blob, ok, err := m.store.GetBlob(key); err == nil && ok {
-			cachedBlob = blob
-		}
+	if blob, ok, err := m.store.GetBlob(key); err == nil && ok {
+		cachedBlob = blob
 	}
 
 	m.mu.Lock()
@@ -1288,7 +1253,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 			m.mu.Unlock()
 			return nil, nil, ErrDraining
 		}
-		if leader := m.inflight[key]; leader != nil && key != "" {
+		if leader := m.inflight[key]; leader != nil {
 			// An identical job is queued or running: one simulation,
 			// fan-out of the result. The submitter shares the leader's id
 			// (and its cancellation — DELETE cancels for every submitter).
@@ -1349,9 +1314,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 	}
 	m.admitting++
 	settled := make(chan struct{})
-	if key != "" {
-		m.admittingKeys[key] = settled
-	}
+	m.admittingKeys[key] = settled
 	degraded := m.degraded.Load()
 	m.mu.Unlock()
 
@@ -1424,9 +1387,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		return nil, nil, ErrDraining
 	}
 	m.jobs[id] = j
-	if key != "" {
-		m.inflight[key] = j
-	}
+	m.inflight[key] = j
 	m.misses.Add(1)
 	m.mu.Unlock()
 	env := j.envelope()
@@ -1693,7 +1654,7 @@ func (m *jobManager) persist(j *job) {
 	rep, cells := j.report, j.cells
 	j.mu.Unlock()
 
-	if state == JobDone && j.key != "" {
+	if state == JobDone {
 		switch {
 		case j.kind == "run" && rep != nil && !rep.Aborted:
 			m.putResult(j.key, rep)
@@ -1702,13 +1663,11 @@ func (m *jobManager) persist(j *job) {
 		}
 	}
 
-	if j.key != "" {
-		m.mu.Lock()
-		if m.inflight[j.key] == j {
-			delete(m.inflight, j.key)
-		}
-		m.mu.Unlock()
+	m.mu.Lock()
+	if m.inflight[j.key] == j {
+		delete(m.inflight, j.key)
 	}
+	m.mu.Unlock()
 
 	if state == JobCancelled && !userCancel && m.baseCtx.Err() != nil {
 		return // interrupted by shutdown: the journal still owes it a run

@@ -284,9 +284,9 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 		// In-memory traces have no stable identity across runs: they
 		// never checkpoint.
 		if s.ckptStore != nil && s.traceData == nil {
-			if key, ok := s.ckptKey(lay, o.boundary); ok {
-				o.key = key
-				o.stored = s.storedCkpt(key, o.boundary)
+			if k, ok := s.ckptKeySpec(lay, o.boundary); ok {
+				o.key = store.Key(k)
+				o.stored = s.storedCkpt(o.key, o.boundary)
 				o.hit = o.stored != nil
 			}
 		}
@@ -522,10 +522,14 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPla
 // store key. It covers every session input that shapes the warm state
 // at a boundary: the trace identity (benchmark, seeds, lengths, or the
 // trace file path), the code layout, the hierarchy geometry, the engine
-// and its options, and the boundary position itself. The format version
-// is included so a layout change retires old blobs wholesale.
+// and its options, and the boundary position itself. Two versions retire
+// old blobs wholesale: Model (modelVersion) when what warming computes
+// changes, Version (ckpt.Version) when the snapshot format does. A blob
+// under a reused key is never replaced, so a format change must move the
+// key too, or the stale blob would miss forever.
 type ckptKeySpec struct {
 	Kind       string `json:"kind"`
+	Model      int    `json:"model"`
 	Version    int    `json:"version"`
 	Benchmark  string `json:"benchmark"`
 	TraceFile  string `json:"trace_file,omitempty"`
@@ -541,24 +545,26 @@ type ckptKeySpec struct {
 	Boundary   uint64 `json:"boundary"`
 }
 
-// ckptKey derives the store key for this session's checkpoint at the
-// given boundary. The second return is false when the configuration has
-// no stable identity (unserializable engine options) and checkpointing
-// must stay off for the run.
-func (s *Session) ckptKey(lay *layout.Layout, boundary uint64) (string, bool) {
+// ckptKeySpec resolves this session's checkpoint identity at the given
+// boundary; store.Key of it is the checkpoint's store key. The second
+// return is false when the configuration has no stable identity
+// (unserializable engine options) and checkpointing must stay off for
+// the run.
+func (s *Session) ckptKeySpec(lay *layout.Layout, boundary uint64) (ckptKeySpec, bool) {
 	opts := ""
 	if s.engineOpts != nil {
 		b, err := json.Marshal(s.engineOpts)
 		if err != nil {
-			return "", false
+			return ckptKeySpec{}, false
 		}
 		opts = string(b)
 	}
 	// The effective training length, so "default by omission" and
 	// "default spelled out" share checkpoints.
 	train := s.training().insts
-	return store.Key(ckptKeySpec{
+	return ckptKeySpec{
 		Kind:       "ckpt",
+		Model:      modelVersion,
 		Version:    ckpt.Version,
 		Benchmark:  s.benchmark,
 		TraceFile:  s.traceFile,
@@ -572,7 +578,7 @@ func (s *Session) ckptKey(lay *layout.Layout, boundary uint64) (string, bool) {
 		Engine:     s.engine,
 		EngineOpts: opts,
 		Boundary:   boundary,
-	}), true
+	}, true
 }
 
 // mergeOuts combines completed intervals into the plan's report (nil when

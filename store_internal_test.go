@@ -3,6 +3,7 @@ package streamfetch
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,4 +338,78 @@ func TestCoalesceUntilCached(t *testing.T) {
 		t.Errorf("coalesced envelope: state %s, report %v; want the leader's done report", env.State, env.Report != nil)
 	}
 	releaseOnce.Do(func() { close(st.release) })
+}
+
+// TestRecoveredJobKeyedByRequest: a recovered job is keyed by its
+// journaled request, not by the key journaled beside it. The record here
+// names another request's cached report; the recovered job must still
+// simulate and report its own request, and an identical submission made
+// while it is in flight must coalesce onto it.
+func TestRecoveredJobKeyedByRequest(t *testing.T) {
+	mine := RunRequest{Benchmark: "164.gzip", Engine: "streams", Layout: "base", Width: 4, Insts: 20_000, Seed: 71}
+	other := mine
+	other.Seed = 72
+	for _, r := range []*RunRequest{&mine, &other} {
+		if err := r.validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := New(other.Benchmark, WithInstructions(other.Insts), WithSeed(other.Seed)).RunWith(
+		context.Background(), WithEngine(other.Engine), WithLayout(other.Layout), WithWidth(other.Width))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqJSON, err := json.Marshal(mine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := store.NewMem()
+	if err := mem.PutBlob(other.contentKey(), blob); err != nil {
+		t.Fatal(err)
+	}
+	const id = "run-000050"
+	if err := mem.Journal(store.JournalRecord{ID: id, Kind: "run", Key: other.contentKey(),
+		State: string(JobQueued), Time: time.Now(), Request: reqJSON}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the recovered job's result write, so it stays in flight.
+	st := &gatedPutStore{Store: mem, entered: make(chan struct{}, 2), release: make(chan struct{})}
+	srv, err := NewServer(WithWorkers(1), WithQueueDepth(4), WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdownServer(t, srv) })
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(st.release) }) }
+	t.Cleanup(release)
+	if env := srv.mgr.get(id).envelope(); env.Cached {
+		t.Fatal("the recovered job was answered from the cache blob its journaled key names")
+	}
+	select {
+	case <-st.entered:
+	case <-time.After(time.Minute):
+		t.Fatal("the recovered job never wrote a result: it did not simulate")
+	}
+	twin, err := srv.mgr.newRunJob(mine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if twin.id != id {
+		t.Errorf("identical submission got job %s, want the recovered %s", twin.id, id)
+	}
+	recovered := srv.mgr.get(id)
+	<-recovered.done
+	env := recovered.envelope()
+	if env.State != JobDone {
+		t.Fatalf("recovered job is %s (error %q), want done", env.State, env.Error)
+	}
+	if got, want := renderReport(t, env.Report), directOracle(t, mine); !bytes.Equal(got, want) {
+		t.Errorf("recovered job reported another request:\n%s\nwant:\n%s", got, want)
+	}
 }
