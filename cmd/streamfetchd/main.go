@@ -27,8 +27,8 @@
 //	GET    /v1/runs/{id}  poll status/progress; carries the Report when done
 //	DELETE /v1/runs/{id}  cancel
 //	GET    /v1/engines    list engines, benchmarks and layouts
-//	GET    /healthz       queue depth, worker, pool, store and SLO metrics
-//	GET    /metrics       Prometheus text exposition (stage latencies, counters)
+//	GET    /healthz       queue, worker, pool, store and SLO figures
+//	GET    /metrics       the same figures as Prometheus text, plus stage latencies and uptime
 //
 // SLO scheduling: requests may carry priority (higher runs first) and
 // deadline_ms. The daemon keeps an online cost model of simulation

@@ -1,14 +1,14 @@
 // Package metrics is a dependency-free Prometheus text-exposition
-// registry: counters, gauges, histograms and scrape-time callback
-// variants, rendered in exposition format 0.0.4 by WriteText.
+// writer (format 0.0.4) plus a concurrent histogram.
 //
 // It exists so streamfetchd can serve GET /metrics without pulling a
-// client library into a simulator repo. Only the features the daemon
-// needs are implemented — no summaries, no timestamps, no exemplars —
-// but what is emitted is strictly valid: families are grouped under one
-// HELP/TYPE pair, label values are escaped, histogram buckets are
-// cumulative and end with +Inf, and _sum/_count agree with the
-// observations.
+// client library into a simulator repo. The daemon keeps its own
+// figures; this package only renders them. Only what the daemon needs is
+// implemented — no summaries, no timestamps, no exemplars — but what is
+// emitted is strictly valid: each family is declared by one HELP/TYPE
+// pair with its samples adjacent, label values are escaped, histogram
+// buckets are cumulative and end with +Inf, and _sum/_count agree with
+// the observations.
 package metrics
 
 import (
@@ -18,11 +18,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Label is one name="value" pair on a series.
+// ContentType is the value to serve the exposition under.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// Label is one name="value" pair on a sample.
 type Label struct {
 	Name  string
 	Value string
@@ -31,53 +33,9 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
-type metricType string
-
-const (
-	typeCounter   metricType = "counter"
-	typeGauge     metricType = "gauge"
-	typeHistogram metricType = "histogram"
-)
-
-// Registry holds metric families and renders them. The zero value is not
-// usable; build with NewRegistry. Safe for concurrent use.
-type Registry struct {
-	mu       sync.Mutex
-	families []*family
-	byName   map[string]*family
-}
-
-type family struct {
-	name   string
-	help   string
-	typ    metricType
-	mu     sync.Mutex
-	series []*series
-	byKey  map[string]*series
-}
-
-// series is one labeled instance within a family. Exactly one of the
-// value fields is active, per the family type.
-type series struct {
-	labels []Label
-	bits   atomic.Uint64 // float64 bits for counter/gauge
-	fn     func() float64
-	hist   *histogram
-}
-
-type histogram struct {
-	bounds []float64       // ascending upper bounds, +Inf excluded
-	counts []atomic.Uint64 // one per bound, plus one trailing for +Inf
-	sum    atomic.Uint64   // float64 bits, CAS-accumulated
-	count  atomic.Uint64
-}
-
-// NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]*family{}}
-}
-
-func validName(s string) bool {
+// ValidName reports whether s is a legal metric name (label names are
+// the same minus ':', which no caller here uses).
+func ValidName(s string) bool {
 	if s == "" {
 		return false
 	}
@@ -90,209 +48,119 @@ func validName(s string) bool {
 	return true
 }
 
-func (r *Registry) family(name, help string, typ metricType) *family {
-	if !validName(name) {
+// Writer renders samples family by family. A family's HELP/TYPE pair is
+// written before its first sample; its samples must be adjacent, so a
+// family declared twice panics, as do invalid metric or label names.
+// The zero value is ready to use.
+type Writer struct {
+	b        strings.Builder
+	last     string          // family of the previous sample
+	declared map[string]bool // every family declared so far
+}
+
+// declare starts family name unless it is the one being written.
+func (w *Writer) declare(name, typ, help string, labels []Label) {
+	if !ValidName(name) {
 		panic("metrics: invalid metric name " + strconv.Quote(name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.byName[name]; ok {
-		if f.typ != typ {
-			panic("metrics: " + name + " re-registered as a different type")
-		}
-		return f
-	}
-	f := &family{name: name, help: help, typ: typ, byKey: map[string]*series{}}
-	r.byName[name] = f
-	r.families = append(r.families, f)
-	return f
-}
-
-func labelKey(labels []Label) string {
-	var b strings.Builder
 	for _, l := range labels {
-		b.WriteString(l.Name)
-		b.WriteByte(1)
-		b.WriteString(l.Value)
-		b.WriteByte(2)
-	}
-	return b.String()
-}
-
-func (f *family) seriesFor(labels []Label, mk func() *series) *series {
-	for _, l := range labels {
-		if !validName(l.Name) {
+		if !ValidName(l.Name) {
 			panic("metrics: invalid label name " + strconv.Quote(l.Name))
 		}
 	}
-	key := labelKey(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.byKey[key]; ok {
-		return s
-	}
-	s := mk()
-	s.labels = append([]Label(nil), labels...)
-	f.byKey[key] = s
-	f.series = append(f.series, s)
-	return s
-}
-
-// Counter is a monotonically increasing value.
-type Counter struct{ s *series }
-
-// Counter registers (or retrieves) a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	f := r.family(name, help, typeCounter)
-	return &Counter{f.seriesFor(labels, func() *series { return &series{} })}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds v; negative deltas are ignored (counters are monotone).
-func (c *Counter) Add(v float64) {
-	if v < 0 {
+	if name == w.last {
 		return
 	}
-	addFloat(&c.s.bits, v)
-}
-
-// CounterFunc registers a counter whose value is read at scrape time.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	f := r.family(name, help, typeCounter)
-	f.seriesFor(labels, func() *series { return &series{fn: fn} })
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ s *series }
-
-// Gauge registers (or retrieves) a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.family(name, help, typeGauge)
-	return &Gauge{f.seriesFor(labels, func() *series { return &series{} })}
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts by v.
-func (g *Gauge) Add(v float64) { addFloat(&g.s.bits, v) }
-
-// GaugeFunc registers a gauge whose value is read at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	f := r.family(name, help, typeGauge)
-	f.seriesFor(labels, func() *series { return &series{fn: fn} })
-}
-
-// Histogram accumulates observations into cumulative buckets.
-type Histogram struct{ h *histogram }
-
-// Histogram registers (or retrieves) a histogram series with the given
-// ascending upper bounds (+Inf is implicit and must not be passed).
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	if !sort.Float64sAreSorted(bounds) {
-		panic("metrics: histogram bounds for " + name + " are not sorted")
+	if w.declared[name] {
+		panic("metrics: samples of " + name + " are not adjacent")
 	}
-	f := r.family(name, help, typeHistogram)
-	s := f.seriesFor(labels, func() *series {
-		return &series{hist: &histogram{
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]atomic.Uint64, len(bounds)+1),
-		}}
-	})
-	return &Histogram{s.hist}
+	if w.declared == nil {
+		w.declared = map[string]bool{}
+	}
+	w.declared[name] = true
+	w.last = name
+	if help != "" {
+		fmt.Fprintf(&w.b, "# HELP %s %s\n", name, escapeHelp(help))
+	}
+	fmt.Fprintf(&w.b, "# TYPE %s %s\n", name, typ)
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.h.bounds, v) // first bound >= v
-	h.h.counts[i].Add(1)
-	h.h.count.Add(1)
-	addFloat(&h.h.sum, v)
+// Sample writes one counter or gauge sample (typ "counter" or "gauge").
+func (w *Writer) Sample(name, typ, help string, v float64, labels ...Label) {
+	w.declare(name, typ, help, labels)
+	w.b.WriteString(name)
+	writeLabels(&w.b, labels, "")
+	w.b.WriteByte(' ')
+	w.b.WriteString(formatValue(v))
+	w.b.WriteByte('\n')
 }
 
-func addFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// WriteText renders every family in Prometheus exposition format 0.0.4.
-// ContentType is the value to serve it under.
-const ContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// WriteText writes the full exposition to w.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
-	r.mu.Unlock()
-	var b strings.Builder
-	for _, f := range fams {
-		f.render(&b)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func (f *family) render(b *strings.Builder) {
-	f.mu.Lock()
-	series := append([]*series(nil), f.series...)
-	f.mu.Unlock()
-	if len(series) == 0 {
-		return
-	}
-	if f.help != "" {
-		fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	}
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
-	for _, s := range series {
-		switch f.typ {
-		case typeHistogram:
-			s.renderHistogram(b, f.name)
-		default:
-			v := math.Float64frombits(s.bits.Load())
-			if s.fn != nil {
-				v = s.fn()
-			}
-			b.WriteString(f.name)
-			writeLabels(b, s.labels, "")
-			b.WriteByte(' ')
-			b.WriteString(formatValue(v))
-			b.WriteByte('\n')
-		}
-	}
-}
-
-func (s *series) renderHistogram(b *strings.Builder, name string) {
-	h := s.hist
+// Histogram writes h's cumulative buckets, sum and count.
+func (w *Writer) Histogram(name, help string, h *Histogram, labels ...Label) {
+	w.declare(name, "histogram", help, labels)
+	b := &w.b
 	var cum uint64
-	for i, bound := range h.bounds {
+	for i := range h.counts {
 		cum += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = formatValue(h.bounds[i])
+		}
 		b.WriteString(name)
 		b.WriteString("_bucket")
-		writeLabels(b, s.labels, formatValue(bound))
+		writeLabels(b, labels, le)
 		fmt.Fprintf(b, " %d\n", cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	b.WriteString(name)
-	b.WriteString("_bucket")
-	writeLabels(b, s.labels, "+Inf")
-	fmt.Fprintf(b, " %d\n", cum)
 	b.WriteString(name)
 	b.WriteString("_sum")
-	writeLabels(b, s.labels, "")
+	writeLabels(b, labels, "")
 	b.WriteByte(' ')
 	b.WriteString(formatValue(math.Float64frombits(h.sum.Load())))
 	b.WriteByte('\n')
 	b.WriteString(name)
 	b.WriteString("_count")
-	writeLabels(b, s.labels, "")
+	writeLabels(b, labels, "")
 	fmt.Fprintf(b, " %d\n", h.count.Load())
+}
+
+// WriteTo writes the exposition rendered so far to dst.
+func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
+	n, err := io.WriteString(dst, w.b.String())
+	return int64(n), err
+}
+
+// Histogram accumulates observations into cumulative buckets. Safe for
+// concurrent Observe.
+type Histogram struct {
+	bounds []float64       // ascending upper bounds, +Inf excluded
+	counts []atomic.Uint64 // one per bound, plus one trailing for +Inf
+	sum    atomic.Uint64   // float64 bits, CAS-accumulated
+	count  atomic.Uint64
+}
+
+// NewHistogram builds a histogram with the given ascending upper bounds
+// (+Inf is implicit and must not be passed).
+func NewHistogram(bounds []float64) *Histogram {
+	if !sort.Float64sAreSorted(bounds) {
+		panic("metrics: histogram bounds are not sorted")
+	}
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]atomic.Uint64, len(bounds)+1),
+	}
+}
+
+// Observe records one value.
+func (h *Histogram) Observe(v float64) {
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1) // first bound >= v
+	h.count.Add(1)
+	for {
+		old := h.sum.Load()
+		next := math.Float64bits(math.Float64frombits(old) + v)
+		if h.sum.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // writeLabels renders {a="b",...}; le, when non-empty, is appended as the

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -482,7 +481,7 @@ const maxCachedSessions = 64
 // it and is garbage-collected when they finish.
 type sessionCache struct {
 	mu  sync.Mutex
-	cap int
+	cap int // fixed before first use
 	m   map[prepSpec]*Session
 	use []prepSpec // LRU order, least recently used first
 }
@@ -493,9 +492,6 @@ func (c *sessionCache) get(spec contentSpec) *Session {
 	key := spec.prep()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		c.cap = maxCachedSessions
-	}
 	if s, ok := c.m[key]; ok {
 		for i, k := range c.use {
 			if k == key {
@@ -526,15 +522,6 @@ func (c *sessionCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-func (c *sessionCache) capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return maxCachedSessions
-	}
-	return c.cap
 }
 
 // jobFunc executes one job under its context, returning a report (run
@@ -810,11 +797,10 @@ type jobManager struct {
 	// predErr < 0 means "no finished predicted job yet".
 	predErr float64
 
-	// met is the /metrics registry: scrape-time views over the counters
-	// above plus the stage-latency histograms fed by finished jobs.
-	met          *metrics.Registry
-	stageSeconds map[string]*metrics.Histogram
-	predErrGauge *metrics.Gauge
+	// stageSeconds holds the /metrics stage-latency histograms fed by
+	// finished jobs, one per entry of stages.
+	stageSeconds [len(stages)]*metrics.Histogram
+	startedAt    time.Time
 
 	// runHook, when set, observes each simulation a job runs (test seam
 	// for coalescing/caching assertions: coalesced and cached submissions,
@@ -829,16 +815,6 @@ type jobManager struct {
 // is sized to hold the full recovery debt even when it exceeds
 // queueDepth, so a restart never drops journaled work.
 func newJobManager(cfg serverConfig, st store.Store, ownStore bool) (*jobManager, error) {
-	queueDepth, workers, retain := cfg.queueDepth, cfg.workers, cfg.retainJobs
-	if queueDepth <= 0 {
-		queueDepth = 64
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if retain <= 0 {
-		retain = 1024
-	}
 	recs, err := st.Recover()
 	if err != nil {
 		return nil, err
@@ -849,20 +825,16 @@ func newJobManager(cfg serverConfig, st store.Store, ownStore bool) (*jobManager
 			pending++
 		}
 	}
-	probeEvery := cfg.probeEvery
-	if probeEvery <= 0 {
-		probeEvery = 2 * time.Second
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &jobManager{
-		workers: workers,
-		retain:  retain,
+		workers: cfg.workers,
+		retain:  cfg.retainJobs,
 		baseCtx: ctx,
 		stopAll: cancel,
 		queue:   newJobQueue(),
 		// Sized to hold the full recovery debt even when it exceeds
 		// queueDepth, so a restart never drops journaled work.
-		queueCap:      max(queueDepth, pending),
+		queueCap:      max(cfg.queueDepth, pending),
 		slotFree:      make(chan struct{}, 1),
 		jobs:          map[string]*job{},
 		inflight:      map[string]*job{},
@@ -871,13 +843,16 @@ func newJobManager(cfg serverConfig, st store.Store, ownStore bool) (*jobManager
 		ownStore:      ownStore,
 		maxJobTime:    cfg.maxJobTime,
 		watchdog:      cfg.watchdog,
-		probeEvery:    probeEvery,
+		probeEvery:    cfg.probeEvery,
 		retryPolicy:   retry.Default(),
 		slo:           slo.NewModel(),
 		predErr:       -1,
+		startedAt:     time.Now(),
 	}
-	m.initMetrics()
 	m.sessions.cap = cfg.sessionCap
+	for i := range m.stageSeconds {
+		m.stageSeconds[i] = metrics.NewHistogram(stageBuckets)
+	}
 	for _, rec := range recs {
 		m.restore(rec)
 	}
@@ -1204,22 +1179,6 @@ func (m *jobManager) queueEstimateLocked() (backlog, delay float64) {
 		j.mu.Unlock()
 	}
 	return backlog, backlog / float64(max(m.workers, 1))
-}
-
-// queueDepth is the admission queue's occupancy: queued jobs plus
-// submissions holding a slot they reserved while being admitted — the
-// figure admission holds against queueCap.
-func (m *jobManager) queueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queue.len() + m.admitting
-}
-
-// queueEstimate is queueEstimateLocked for callers not holding m.mu.
-func (m *jobManager) queueEstimate() (backlog, delay float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queueEstimateLocked()
 }
 
 // submit accepts one job: coalesced onto an identical in-flight job (same
@@ -1675,26 +1634,6 @@ func (m *jobManager) persist(j *job) {
 	m.journal(j, state)
 }
 
-// counts tallies job states for the health surface.
-func (m *jobManager) counts() (queued, running, terminal int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		s := j.state
-		j.mu.Unlock()
-		switch s {
-		case JobQueued:
-			queued++
-		case JobRunning:
-			running++
-		default:
-			terminal++
-		}
-	}
-	return
-}
-
 // dispatch drains the queue in priority order, placing each job on a
 // worker.
 func (m *jobManager) dispatch() {
@@ -1831,9 +1770,12 @@ func (j *job) setTimings(tm *Timings) {
 	j.mu.Unlock()
 }
 
-// observeFinished feeds a terminal job into the /metrics surface: stage
-// latencies into the histograms, and — for completed predicted jobs —
-// the relative prediction error into its EWMA gauge.
+// observeFinished feeds a terminal job into the /metrics surface: the
+// latency of each stage it ran into that stage's histogram, and — for
+// completed predicted jobs — the relative prediction error into its
+// EWMA. A stage at 0 s did not run (no merge for an unsharded run, no
+// warming walk when every boundary restored) and is not observed, so it
+// cannot drag that stage's quantiles toward 0.
 func (m *jobManager) observeFinished(j *job) {
 	j.mu.Lock()
 	tm := j.timings
@@ -1843,15 +1785,11 @@ func (m *jobManager) observeFinished(j *job) {
 	if tm == nil {
 		return
 	}
-	for stage, v := range map[string]float64{
-		"queue":   tm.QueueSeconds,
-		"prepare": tm.PrepareSeconds,
-		"warmup":  tm.WarmupSeconds,
-		"measure": tm.MeasureSeconds,
-		"merge":   tm.MergeSeconds,
+	for i, v := range [len(stages)]float64{
+		tm.QueueSeconds, tm.PrepareSeconds, tm.WarmupSeconds, tm.MeasureSeconds, tm.MergeSeconds,
 	} {
-		if h := m.stageSeconds[stage]; h != nil {
-			h.Observe(v)
+		if v > 0 {
+			m.stageSeconds[i].Observe(v)
 		}
 	}
 	if state != JobDone || predicted <= 0 {
@@ -1868,11 +1806,7 @@ func (m *jobManager) observeFinished(j *job) {
 	} else {
 		m.predErr = 0.3*ratio + 0.7*m.predErr
 	}
-	v := m.predErr
 	m.pmu.Unlock()
-	if m.predErrGauge != nil {
-		m.predErrGauge.Set(v)
-	}
 }
 
 // watchdogLoop cancels running jobs that report no measurable progress —

@@ -211,31 +211,47 @@ type serverConfig struct {
 	err        error // first invalid option, surfaced by NewServer
 }
 
-// WithQueueDepth bounds the pending-job queue (default 64). A submission
-// that would exceed it is rejected with ErrQueueFull (HTTP 429) instead of
-// queueing unboundedly.
+// WithQueueDepth bounds the pending-job queue (default 64; 0 keeps the
+// default, a negative n fails NewServer). A submission that would exceed
+// it is rejected with ErrQueueFull (HTTP 429) instead of queueing
+// unboundedly.
 func WithQueueDepth(n int) ServerOption {
-	return func(c *serverConfig) { c.queueDepth = n }
+	return sizeOption("queue depth", n, func(c *serverConfig) *int { return &c.queueDepth })
 }
 
-// WithWorkers caps concurrently executing jobs (default GOMAXPROCS). Each
-// concurrent job holds one internal/par token, so jobs and the shard
-// workers inside them never oversubscribe the process-wide budget; when
-// the pool has fewer free tokens than the cap, the free-token count is the
-// effective cap — except that one job always runs, token-free on the
-// dispatcher, when nothing else is in flight, so a zero-token box (one
-// core) still makes progress.
+// WithWorkers caps concurrently executing jobs (default GOMAXPROCS; 0
+// keeps the default, a negative n fails NewServer). Each concurrent job
+// holds one internal/par token, so jobs and the shard workers inside them
+// never oversubscribe the process-wide budget; when the pool has fewer
+// free tokens than the cap, the free-token count is the effective cap —
+// except that one job always runs, token-free on the dispatcher, when
+// nothing else is in flight, so a zero-token box (one core) still makes
+// progress.
 func WithWorkers(n int) ServerOption {
-	return func(c *serverConfig) { c.workers = n }
+	return sizeOption("worker count", n, func(c *serverConfig) *int { return &c.workers })
 }
 
 // WithJobRetention bounds how many finished jobs (their envelopes, reports
-// and sweep cells) stay pollable in memory (default 1024). Older terminal
-// jobs are evicted oldest-first and answer 404 — unless a durable store
-// holds them (WithStoreDir), in which case they are served from disk after
-// a restart rather than from the in-memory registry.
+// and sweep cells) stay pollable in memory (default 1024; 0 keeps the
+// default, a negative n fails NewServer). Older terminal jobs are evicted
+// oldest-first and answer 404 — unless a durable store holds them
+// (WithStoreDir), in which case they are served from disk after a restart
+// rather than from the in-memory registry.
 func WithJobRetention(n int) ServerOption {
-	return func(c *serverConfig) { c.retainJobs = n }
+	return sizeOption("job retention", n, func(c *serverConfig) *int { return &c.retainJobs })
+}
+
+// sizeOption sets the size that field points at to n. 0 keeps
+// NewServer's default; a negative n is rejected.
+func sizeOption(what string, n int, field func(*serverConfig) *int) ServerOption {
+	return func(c *serverConfig) {
+		switch {
+		case n < 0:
+			c.err = fmt.Errorf("streamfetch: %s must be non-negative, got %d", what, n)
+		case n > 0:
+			*field(c) = n
+		}
+	}
 }
 
 // WithSessionCacheSize bounds the prepared-session LRU shared across jobs

@@ -222,7 +222,7 @@ func sharedProgram(t *testing.T, c *sessionCache, benchmark string) {
 // every report equals a fresh session's.
 func TestPrepConcurrentShared(t *testing.T) {
 	ctx := context.Background()
-	var c sessionCache
+	c := sessionCache{cap: maxCachedSessions}
 	const insts = 20_000
 	type cell struct {
 		trainSeed, seed uint64

@@ -92,12 +92,11 @@ type Report struct {
 	Timings *Timings `json:"timings,omitempty"`
 }
 
-// Timings is the per-stage wall-clock breakdown of one run or job,
-// designed to land in CSVs and JSON dashboards as-is. Queue is filled by
-// the daemon (time between acceptance and start); the session fills the
-// rest. Warmup is the wall time of a sharded or sampled run's
-// functional-warming walk (zero when every boundary restored from the
-// checkpoint store). Measure is summed across the run's parallel
+// Timings is the per-stage wall-clock breakdown of one run or job. Queue
+// is filled by the daemon (time between acceptance and start); the
+// session fills the rest. Warmup is the wall time of a sharded or
+// sampled run's functional-warming walk (zero when every boundary
+// restored from the checkpoint store). Measure is summed across the run's parallel
 // intervals — per-stage work-seconds, not elapsed wall time — so the
 // attribution stays meaningful whatever the parallelism; an interval's
 // timed lead-in counts as Measure.
@@ -126,17 +125,6 @@ func (t *Timings) Add(o *Timings) {
 // session cache) and queueing.
 func (t *Timings) workSeconds() float64 {
 	return t.WarmupSeconds + t.MeasureSeconds
-}
-
-// TimingsCSVHeader is the column header matching Timings.CSVRow.
-func TimingsCSVHeader() string {
-	return "prepare_seconds,queue_seconds,warmup_seconds,measure_seconds,merge_seconds"
-}
-
-// CSVRow renders the stages as one CSV row in header order.
-func (t *Timings) CSVRow() string {
-	return fmt.Sprintf("%.6f,%.6f,%.6f,%.6f,%.6f",
-		t.PrepareSeconds, t.QueueSeconds, t.WarmupSeconds, t.MeasureSeconds, t.MergeSeconds)
 }
 
 // IntervalReport is one trace interval of a sharded run.

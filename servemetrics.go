@@ -1,101 +1,147 @@
-// The /metrics surface: a dependency-free Prometheus-text view over the
-// job manager. Everything here is either a scrape-time callback reading
-// the counters the manager already keeps (so the hot path pays nothing
-// for being observable) or a histogram fed once per finished job.
+// The health and /metrics surface: one snapshot of the job manager's
+// figures (Health), served as JSON on /healthz and, walked through its
+// metric tags, as Prometheus text on /metrics — followed by the stage
+// histograms fed once per finished job and the uptime. The figures are
+// counters and accessors the manager already keeps, read at scrape time,
+// so the hot path pays nothing for being observable.
 package streamfetch
 
 import (
-	"sync/atomic"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
 	"time"
 
 	"streamfetch/internal/metrics"
+	"streamfetch/internal/par"
 )
+
+// stages names the pipeline stages of a job's Timings, in the order of
+// jobManager.stageSeconds.
+var stages = [...]string{"queue", "prepare", "warmup", "measure", "merge"}
 
 // stageBuckets spans the latencies jobs actually see, from sub-ms queue
 // waits on an idle daemon to multi-minute sweeps.
 var stageBuckets = []float64{0.001, 0.005, 0.02, 0.1, 0.5, 2.5, 10, 60, 300}
 
-// initMetrics builds the /metrics registry. Called once from
-// newJobManager, before any job can finish.
-func (m *jobManager) initMetrics() {
-	r := metrics.NewRegistry()
-	m.met = r
+// figure is one Health field's sample, parsed from its tags.
+type figure struct {
+	field           int
+	name, typ, help string
+	labels          []metrics.Label
+}
 
-	m.stageSeconds = map[string]*metrics.Histogram{}
-	for _, stage := range []string{"queue", "prepare", "warmup", "measure", "merge"} {
-		m.stageSeconds[stage] = r.Histogram(
-			"streamfetch_stage_seconds",
-			"Per-stage latency of finished jobs, labelled by pipeline stage.",
-			stageBuckets, metrics.L("stage", stage))
-	}
-	m.predErrGauge = r.Gauge(
-		"streamfetch_slo_prediction_error_ratio",
-		"EWMA of |actual-predicted|/predicted execution time over finished predicted jobs.")
+// figures is the /metrics table: Health's tagged fields in field order.
+var figures = healthFigures()
 
-	counter := func(name, help string, v *atomic.Int64) {
-		r.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("streamfetch_cache_hits_total",
-		"Submissions answered from the content-addressed result cache.", &m.hits)
-	counter("streamfetch_cache_misses_total",
-		"Submissions that enqueued a simulation.", &m.misses)
-	counter("streamfetch_coalesced_total",
-		"Submissions folded onto an identical in-flight job.", &m.coalesced)
-	counter("streamfetch_shed_total",
-		"Submissions shed at admission as deadline-infeasible.", &m.shed)
-	counter("streamfetch_store_errors_total",
-		"Store writes that failed after exhausting retries.", &m.storeErrs)
-	counter("streamfetch_store_retries_total",
-		"Individual store-write retry attempts.", &m.retries)
-	counter("streamfetch_checkpoint_hits_total",
-		"Warm-state checkpoint restores across executed jobs.", &m.ckptHits)
-	counter("streamfetch_checkpoint_misses_total",
-		"Intervals that warmed functionally and published a checkpoint.", &m.ckptMisses)
-
-	r.GaugeFunc("streamfetch_store_degraded",
-		"1 while the store is degraded (journal writes failing), else 0.",
-		func() float64 {
-			if m.degraded.Load() {
-				return 1
+// healthFigures parses the metric and help tags of Health. A malformed
+// tag is a programming error and panics at package init.
+func healthFigures() []figure {
+	var fs []figure
+	t := reflect.TypeFor[Health]()
+	for i := range t.NumField() {
+		f := t.Field(i)
+		tag, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		parts := strings.Split(tag, ",")
+		if len(parts) < 2 {
+			panic(fmt.Sprintf("streamfetch: Health.%s: metric tag %q lacks a type", f.Name, tag))
+		}
+		fig := figure{field: i, name: parts[0], typ: parts[1], help: f.Tag.Get("help")}
+		for _, kv := range parts[2:] {
+			k, v, ok := strings.Cut(kv, "=")
+			if !ok {
+				panic(fmt.Sprintf("streamfetch: Health.%s: label %q is not name=value", f.Name, kv))
 			}
-			return 0
-		})
-	r.GaugeFunc("streamfetch_queue_depth",
-		"Admission queue occupancy: queued jobs plus submissions being admitted.",
-		func() float64 { return float64(m.queueDepth()) })
-	r.GaugeFunc("streamfetch_queue_capacity",
-		"Admission queue capacity.",
-		func() float64 { return float64(m.queueCap) })
-	r.GaugeFunc("streamfetch_workers",
-		"Concurrent job execution cap.",
-		func() float64 { return float64(m.workers) })
-	r.GaugeFunc("streamfetch_queue_delay_seconds",
-		"Predicted wait a new submission sees: backlog work spread over the workers.",
-		func() float64 { _, d := m.queueEstimate(); return d })
-	r.GaugeFunc("streamfetch_predicted_backlog_seconds",
-		"Sum of predicted execution work-seconds over queued and running jobs.",
-		func() float64 { b, _ := m.queueEstimate(); return b })
-	r.GaugeFunc("streamfetch_sessions_cached",
-		"Prepared sessions held by the LRU cache, one per benchmark and training input.",
-		func() float64 { return float64(m.sessions.size()) })
-
-	for _, st := range []struct {
-		state string
-		pick  func(q, r, t int) int
-	}{
-		{"queued", func(q, _, _ int) int { return q }},
-		{"running", func(_, r, _ int) int { return r }},
-		{"terminal", func(_, _, t int) int { return t }},
-	} {
-		pick := st.pick
-		r.GaugeFunc("streamfetch_jobs",
-			"Jobs in the registry by state.",
-			func() float64 { return float64(pick(m.counts())) },
-			metrics.L("state", st.state))
+			fig.labels = append(fig.labels, metrics.L(k, v))
+		}
+		fs = append(fs, fig)
 	}
+	return fs
+}
 
-	startedAt := time.Now()
-	r.GaugeFunc("streamfetch_uptime_seconds",
-		"Seconds since the job manager started.",
-		func() float64 { return time.Since(startedAt).Seconds() })
+// health takes one snapshot of every figure /healthz and /metrics serve.
+func (m *jobManager) health() Health {
+	h := Health{
+		Status:           "ok",
+		QueueCap:         m.queueCap,
+		Workers:          m.workers,
+		JobsShed:         m.shed.Load(),
+		Sessions:         m.sessions.size(),
+		SessionCap:       m.sessions.cap,
+		ParInUse:         par.InUse(),
+		ParBudget:        par.Budget(),
+		Store:            m.store.Name(),
+		StoreHits:        m.hits.Load(),
+		StoreMisses:      m.misses.Load(),
+		StoreCoalesced:   m.coalesced.Load(),
+		StoreErrors:      m.storeErrs.Load(),
+		StoreRetries:     m.retries.Load(),
+		CheckpointHits:   m.ckptHits.Load(),
+		CheckpointMisses: m.ckptMisses.Load(),
+	}
+	m.mu.Lock()
+	if m.draining {
+		h.Status = "draining"
+	}
+	h.QueueDepth = m.queue.len() + m.admitting
+	h.PredictedBacklogSeconds, h.QueueDelaySeconds = m.queueEstimateLocked()
+	for _, j := range m.jobs {
+		j.mu.Lock()
+		s := j.state
+		j.mu.Unlock()
+		switch s {
+		case JobQueued:
+			h.JobsQueued++
+		case JobRunning:
+			h.JobsRunning++
+		default:
+			h.JobsFinished++
+		}
+	}
+	m.mu.Unlock()
+	m.pmu.Lock()
+	h.SLOPredictionErrorRatio = max(m.predErr, 0) // < 0: no finished predicted job yet
+	m.pmu.Unlock()
+	// A stats failure (e.g. the store dir vanished) zeroes the store
+	// footprint rather than failing the probe.
+	if stats, err := m.store.Stats(); err == nil {
+		h.StoreJournalDepth, h.StoreBlobs, h.StoreBytes = stats.JournalDepth, stats.Blobs, stats.Bytes
+	}
+	h.StoreDegraded, h.StoreLastError, h.StoreLastErrorTime = m.storeHealth()
+	return h
+}
+
+// writeMetrics renders h's figures, the stage histograms and the uptime
+// as Prometheus text.
+func (m *jobManager) writeMetrics(w io.Writer, h Health) (int64, error) {
+	var mw metrics.Writer
+	v := reflect.ValueOf(h)
+	for _, f := range figures {
+		var x float64
+		switch fv := v.Field(f.field); fv.Kind() {
+		case reflect.Int, reflect.Int64:
+			x = float64(fv.Int())
+		case reflect.Float64:
+			x = fv.Float()
+		case reflect.Bool:
+			if fv.Bool() {
+				x = 1
+			}
+		default:
+			panic("streamfetch: Health." + v.Type().Field(f.field).Name + " is not numeric")
+		}
+		mw.Sample(f.name, f.typ, f.help, x, f.labels...)
+	}
+	for i, stage := range stages {
+		mw.Histogram("streamfetch_stage_seconds",
+			"Per-stage latency of finished jobs, labelled by pipeline stage.",
+			m.stageSeconds[i], metrics.L("stage", stage))
+	}
+	mw.Sample("streamfetch_uptime_seconds", "gauge", "Seconds since the job manager started.",
+		time.Since(m.startedAt).Seconds())
+	return mw.WriteTo(w)
 }

@@ -8,8 +8,8 @@
 //	GET    /v1/runs/{id}   poll any job                 → 200 JobEnvelope
 //	DELETE /v1/runs/{id}   cancel a job                 → 200 JobEnvelope
 //	GET    /v1/engines     axes: engines, benchmarks, layouts
-//	GET    /healthz        queue, worker, pool and store metrics
-//	GET    /metrics        Prometheus text exposition
+//	GET    /healthz        queue, worker, pool, store and SLO figures (Health)
+//	GET    /metrics        the same figures, stage latencies and uptime as Prometheus text
 //
 // (/v1/sweeps/{id} is an alias for /v1/runs/{id}: every job lives in one
 // registry.) Submissions during shutdown get 503, a full queue 429, a
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"streamfetch/internal/metrics"
-	"streamfetch/internal/par"
 	"streamfetch/internal/store"
 )
 
@@ -61,11 +60,13 @@ type Server struct {
 // (a testing knob that exercises the durable backend without sharing
 // state between servers), or an in-memory store.
 func NewServer(opts ...ServerOption) (*Server, error) {
+	// The one place the defaults live; an option given 0 keeps them.
 	cfg := serverConfig{
 		queueDepth: 64,
 		workers:    runtime.GOMAXPROCS(0),
 		retainJobs: 1024,
 		sessionCap: maxCachedSessions,
+		probeEvery: 2 * time.Second,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -145,39 +146,47 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // results while the service drains.
 func (s *Server) Shutdown(ctx context.Context) error { return s.mgr.shutdown(ctx) }
 
-// Health is the GET /healthz body: liveness plus the saturation metrics
-// that matter for capacity (queue fill and par-pool usage).
+// Health is the GET /healthz body: liveness plus the saturation figures
+// that matter for capacity (queue fill and par-pool usage). It is also
+// the /metrics table: every numeric field is a Prometheus sample, named
+// with its type and labels by its metric tag and described by its help
+// tag, and each scrape of either endpoint renders one snapshot. A new
+// figure is one tagged field; the stage histograms and the uptime are
+// the only samples kept elsewhere.
 type Health struct {
 	Status string `json:"status"` // "ok" or "draining"
 	// QueueDepth is the admission queue's occupancy: queued jobs plus
 	// submissions holding a slot while being admitted. At QueueCap new
 	// submissions are refused and the probe answers 503.
-	QueueDepth int `json:"queue_depth"`
-	QueueCap   int `json:"queue_cap"`
-	Workers    int `json:"workers"`
+	QueueDepth int `json:"queue_depth" metric:"streamfetch_queue_depth,gauge" help:"Admission queue occupancy: queued jobs plus submissions being admitted."`
+	QueueCap   int `json:"queue_cap" metric:"streamfetch_queue_capacity,gauge" help:"Admission queue capacity."`
+	Workers    int `json:"workers" metric:"streamfetch_workers,gauge" help:"Concurrent job execution cap."`
 
 	// The SLO surface: PredictedBacklogSeconds sums the cost model's
 	// predicted execution work-seconds over queued and running jobs;
 	// QueueDelaySeconds spreads that over the workers — the wait a new
 	// submission should expect, and the figure admission control holds
 	// against deadline_ms. JobsShed counts submissions rejected up front
-	// as deadline-infeasible.
-	PredictedBacklogSeconds float64 `json:"predicted_backlog_seconds"`
-	QueueDelaySeconds       float64 `json:"queue_delay_seconds"`
-	JobsShed                int64   `json:"jobs_shed,omitempty"`
+	// as deadline-infeasible. SLOPredictionErrorRatio is the EWMA of the
+	// model's relative error over finished predicted jobs (0 until the
+	// first): how much to trust predicted_seconds.
+	PredictedBacklogSeconds float64 `json:"predicted_backlog_seconds" metric:"streamfetch_predicted_backlog_seconds,gauge" help:"Sum of predicted execution work-seconds over queued and running jobs."`
+	QueueDelaySeconds       float64 `json:"queue_delay_seconds" metric:"streamfetch_queue_delay_seconds,gauge" help:"Predicted wait a new submission sees: backlog work spread over the workers."`
+	JobsShed                int64   `json:"jobs_shed,omitempty" metric:"streamfetch_shed_total,counter" help:"Submissions shed at admission as deadline-infeasible."`
+	SLOPredictionErrorRatio float64 `json:"slo_prediction_error_ratio" metric:"streamfetch_slo_prediction_error_ratio,gauge" help:"EWMA of |actual-predicted|/predicted execution time over finished predicted jobs."`
 
-	JobsQueued   int `json:"jobs_queued"`
-	JobsRunning  int `json:"jobs_running"`
-	JobsFinished int `json:"jobs_finished"`
+	JobsQueued   int `json:"jobs_queued" metric:"streamfetch_jobs,gauge,state=queued" help:"Jobs in the registry by state."`
+	JobsRunning  int `json:"jobs_running" metric:"streamfetch_jobs,gauge,state=running" help:"Jobs in the registry by state."`
+	JobsFinished int `json:"jobs_finished" metric:"streamfetch_jobs,gauge,state=terminal" help:"Jobs in the registry by state."`
 
-	Sessions   int `json:"sessions"`
-	SessionCap int `json:"session_cap"`
+	Sessions   int `json:"sessions" metric:"streamfetch_sessions_cached,gauge" help:"Prepared sessions held by the LRU cache, one per benchmark and training input."`
+	SessionCap int `json:"session_cap" metric:"streamfetch_sessions_capacity,gauge" help:"Prepared-session LRU capacity."`
 
 	// ParInUse is the claimed extra-worker tokens of the process-wide
 	// simulation pool; ParBudget its capacity (GOMAXPROCS-1 by default).
 	// Total simulation concurrency is at most ParInUse+1.
-	ParInUse  int `json:"par_in_use"`
-	ParBudget int `json:"par_budget"`
+	ParInUse  int `json:"par_in_use" metric:"streamfetch_par_tokens_in_use,gauge" help:"Claimed extra-worker tokens of the process-wide simulation pool."`
+	ParBudget int `json:"par_budget" metric:"streamfetch_par_tokens_budget,gauge" help:"Extra-worker token capacity of the process-wide simulation pool."`
 
 	// The durability/cache surface. Store names the backend ("mem",
 	// "fs"); StoreHits counts submissions answered from the
@@ -194,14 +203,14 @@ type Health struct {
 	// durability is degraded. A failing store.Stats read is not a write
 	// error: it zeroes StoreJournalDepth, StoreBlobs and StoreBytes.
 	Store             string `json:"store"`
-	StoreHits         int64  `json:"store_hits"`
-	StoreMisses       int64  `json:"store_misses"`
-	StoreCoalesced    int64  `json:"store_coalesced"`
-	StoreJournalDepth int    `json:"store_journal_depth"`
-	StoreBlobs        int    `json:"store_blobs"`
-	StoreBytes        int64  `json:"store_bytes"`
-	StoreErrors       int64  `json:"store_errors,omitempty"`
-	StoreRetries      int64  `json:"store_retries,omitempty"`
+	StoreHits         int64  `json:"store_hits" metric:"streamfetch_cache_hits_total,counter" help:"Submissions answered from the content-addressed result cache."`
+	StoreMisses       int64  `json:"store_misses" metric:"streamfetch_cache_misses_total,counter" help:"Submissions that enqueued a simulation."`
+	StoreCoalesced    int64  `json:"store_coalesced" metric:"streamfetch_coalesced_total,counter" help:"Submissions folded onto an identical in-flight job."`
+	StoreJournalDepth int    `json:"store_journal_depth" metric:"streamfetch_store_journal_depth,gauge" help:"Journaled jobs not yet terminal: what a restart would re-enqueue."`
+	StoreBlobs        int    `json:"store_blobs" metric:"streamfetch_store_blobs,gauge" help:"Results held by the content-addressed store."`
+	StoreBytes        int64  `json:"store_bytes" metric:"streamfetch_store_bytes,gauge" help:"Store footprint in bytes, on disk or in memory."`
+	StoreErrors       int64  `json:"store_errors,omitempty" metric:"streamfetch_store_errors_total,counter" help:"Store writes that failed after exhausting retries."`
+	StoreRetries      int64  `json:"store_retries,omitempty" metric:"streamfetch_store_retries_total,counter" help:"Individual store-write retry attempts."`
 
 	// Warm-state checkpointing (summed over executed jobs that ran with
 	// checkpoints): CheckpointHits counts trace intervals that restored
@@ -209,8 +218,8 @@ type Health struct {
 	// intervals that functionally replayed their prefix and published a
 	// checkpoint for the next run. A warming hit rate near 1 means the
 	// O(shards × prefix) term is gone for the current workload mix.
-	CheckpointHits   int64 `json:"checkpoint_hits,omitempty"`
-	CheckpointMisses int64 `json:"checkpoint_misses,omitempty"`
+	CheckpointHits   int64 `json:"checkpoint_hits,omitempty" metric:"streamfetch_checkpoint_hits_total,counter" help:"Warm-state checkpoint restores across executed jobs."`
+	CheckpointMisses int64 `json:"checkpoint_misses,omitempty" metric:"streamfetch_checkpoint_misses_total,counter" help:"Intervals that warmed functionally and published a checkpoint."`
 
 	// Degraded mode: StoreDegraded reports that store writes are
 	// persistently failing and the server has fallen back to memory-only
@@ -219,74 +228,30 @@ type Health struct {
 	// StoreLastError/StoreLastErrorTime describe the most recent failure
 	// (kept after recovery as forensics; StoreDegraded says whether it is
 	// still happening).
-	StoreDegraded      bool      `json:"store_degraded,omitempty"`
+	StoreDegraded      bool      `json:"store_degraded,omitempty" metric:"streamfetch_store_degraded,gauge" help:"1 while the store is degraded (journal writes failing), else 0."`
 	StoreLastError     string    `json:"store_last_error,omitempty"`
 	StoreLastErrorTime time.Time `json:"store_last_error_time,omitzero"`
 }
 
+// handleHealthz serves the health snapshot. Only saturation fails the
+// probe: a full queue means new work has nowhere to go, so load
+// balancers should back off. A degraded store is reported but keeps the
+// 200 — the server is still serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	m := s.mgr
-	m.mu.Lock()
-	status := "ok"
-	if m.draining {
-		status = "draining"
-	}
-	m.mu.Unlock()
-	// Every figure /metrics also serves is read through the accessor its
-	// gauge or counter uses, so the two surfaces cannot drift apart.
-	depth, capQ := m.queueDepth(), m.queueCap
-	backlog, delay := m.queueEstimate()
-	queued, running, finished := m.counts()
-	// A stats failure (e.g. the store dir vanished) degrades the store
-	// footprint fields to zero rather than failing the liveness probe.
-	stats, _ := m.store.Stats()
-	degraded, lastErr, lastErrAt := m.storeHealth()
-	// Only saturation fails the probe: a full queue means new work has
-	// nowhere to go, so load balancers should back off. A degraded store
-	// is reported but keeps the 200 — the server is still serving.
+	h := s.mgr.health()
 	code := http.StatusOK
-	if depth >= capQ {
+	if h.QueueDepth >= h.QueueCap {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, Health{
-		Status:                  status,
-		QueueDepth:              depth,
-		QueueCap:                capQ,
-		Workers:                 m.workers,
-		PredictedBacklogSeconds: backlog,
-		QueueDelaySeconds:       delay,
-		JobsShed:                m.shed.Load(),
-		JobsQueued:              queued,
-		JobsRunning:             running,
-		JobsFinished:            finished,
-		Sessions:                m.sessions.size(),
-		SessionCap:              m.sessions.capacity(),
-		ParInUse:                par.InUse(),
-		ParBudget:               par.Budget(),
-		Store:                   m.store.Name(),
-		StoreHits:               m.hits.Load(),
-		StoreMisses:             m.misses.Load(),
-		StoreCoalesced:          m.coalesced.Load(),
-		StoreJournalDepth:       stats.JournalDepth,
-		StoreBlobs:              stats.Blobs,
-		StoreBytes:              stats.Bytes,
-		StoreErrors:             m.storeErrs.Load(),
-		StoreRetries:            m.retries.Load(),
-		CheckpointHits:          m.ckptHits.Load(),
-		CheckpointMisses:        m.ckptMisses.Load(),
-		StoreDegraded:           degraded,
-		StoreLastError:          lastErr,
-		StoreLastErrorTime:      lastErrAt,
-	})
+	writeJSON(w, code, h)
 }
 
-// handleMetrics serves the Prometheus text exposition: the health
-// counters as scrape-time views plus the per-stage latency histograms
-// and the prediction-error gauge fed by finished jobs.
+// handleMetrics serves the Prometheus text exposition of the health
+// snapshot plus the per-stage latency histograms and the uptime.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.ContentType)
 	// A failed write means the scraper went away; there is no one to tell.
-	_ = s.mgr.met.WriteText(w)
+	_, _ = s.mgr.writeMetrics(w, s.mgr.health())
 }
 
 func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {

@@ -3,8 +3,10 @@ package streamfetch_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"streamfetch"
+	"streamfetch/internal/metrics"
 	"streamfetch/internal/store"
 	"streamfetch/internal/store/faultstore"
 )
@@ -108,7 +111,8 @@ func TestServicePriorityOrdering(t *testing.T) {
 }
 
 // checkPrometheusText validates Prometheus text exposition format 0.0.4:
-// well-formed HELP/TYPE comments, every sample line shaped
+// well-formed HELP/TYPE comments, each family declared by at most one
+// HELP and exactly one TYPE line, every sample line shaped
 // name{labels} value with a parseable value, and every sample's family
 // declared by a TYPE line (histograms via their _bucket/_sum/_count
 // suffixes).
@@ -117,6 +121,7 @@ func checkPrometheusText(t *testing.T, body string) {
 	metaRe := regexp.MustCompile(`^# (HELP|TYPE) ([a-zA-Z_:][a-zA-Z0-9_:]*)( .*)?$`)
 	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{([a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (\S+)$`)
 	typed := map[string]string{}
+	helped := map[string]bool{}
 	for i, line := range strings.Split(body, "\n") {
 		if line == "" {
 			continue
@@ -126,7 +131,16 @@ func checkPrometheusText(t *testing.T, body string) {
 			if mm == nil {
 				t.Fatalf("line %d: malformed comment %q", i+1, line)
 			}
+			if mm[1] == "HELP" {
+				if helped[mm[2]] {
+					t.Fatalf("line %d: second HELP for %s", i+1, mm[2])
+				}
+				helped[mm[2]] = true
+			}
 			if mm[1] == "TYPE" {
+				if typed[mm[2]] != "" {
+					t.Fatalf("line %d: second TYPE for %s", i+1, mm[2])
+				}
 				typ := strings.TrimSpace(mm[3])
 				if typ != "counter" && typ != "gauge" && typ != "histogram" {
 					t.Fatalf("line %d: unknown TYPE %q", i+1, typ)
@@ -308,9 +322,132 @@ func TestMetricsMatchHealthz(t *testing.T) {
 	}
 }
 
-// scrapeMetrics reads /metrics into a map from sample name (labels
-// included) to value.
-func scrapeMetrics(t *testing.T, sc *serviceClient) map[string]float64 {
+// TestHealthIsTheMetricsTable: Health is the /metrics table. Every
+// numeric field carries a metric tag naming a valid sample with a
+// counter or gauge type and help text; counters end in _total; a
+// family's fields are adjacent; no sample repeats. A fresh server's
+// scrape declares each family once and serves exactly those samples,
+// the stage histograms and the uptime.
+func TestHealthIsTheMetricsTable(t *testing.T) {
+	want := map[string]bool{}       // sample name{labels}, as scraped
+	families := map[string]string{} // family name → TYPE
+	last := ""
+	ht := reflect.TypeFor[streamfetch.Health]()
+	for i := range ht.NumField() {
+		f := ht.Field(i)
+		tag, tagged := f.Tag.Lookup("metric")
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Float64, reflect.Bool:
+		default:
+			if tagged {
+				t.Errorf("Health.%s: non-numeric field carries metric tag %q", f.Name, tag)
+			}
+			continue
+		}
+		parts := strings.Split(tag, ",")
+		if len(parts) < 2 {
+			t.Errorf("Health.%s: metric tag %q, want name,type[,label=value...]", f.Name, tag)
+			continue
+		}
+		name, typ := parts[0], parts[1]
+		if !metrics.ValidName(name) {
+			t.Errorf("Health.%s: invalid metric name %q", f.Name, name)
+		}
+		switch {
+		case typ == "counter" && !strings.HasSuffix(name, "_total"):
+			t.Errorf("Health.%s: counter %s does not end in _total", f.Name, name)
+		case typ != "counter" && typ != "gauge":
+			t.Errorf("Health.%s: type %q, want counter or gauge", f.Name, typ)
+		}
+		if f.Tag.Get("help") == "" {
+			t.Errorf("Health.%s: no help text", f.Name)
+		}
+		if prev, seen := families[name]; seen && (name != last || prev != typ) {
+			t.Errorf("Health.%s: family %s split or retyped", f.Name, name)
+		}
+		families[name], last = typ, name
+		key := name
+		if len(parts) > 2 {
+			var labels []string
+			for _, kv := range parts[2:] {
+				k, v, ok := strings.Cut(kv, "=")
+				if !ok || !metrics.ValidName(k) {
+					t.Errorf("Health.%s: label %q is not name=value", f.Name, kv)
+				}
+				labels = append(labels, fmt.Sprintf("%s=%q", k, v))
+			}
+			key += "{" + strings.Join(labels, ",") + "}"
+		}
+		if want[key] {
+			t.Errorf("Health.%s: sample %s repeats", f.Name, key)
+		}
+		want[key] = true
+	}
+	families["streamfetch_stage_seconds"] = "histogram"
+	for _, stage := range []string{"queue", "prepare", "warmup", "measure", "merge"} {
+		want[fmt.Sprintf("streamfetch_stage_seconds_sum{stage=%q}", stage)] = true
+		want[fmt.Sprintf("streamfetch_stage_seconds_count{stage=%q}", stage)] = true
+	}
+	families["streamfetch_uptime_seconds"] = "gauge"
+	want["streamfetch_uptime_seconds"] = true
+
+	srv := newTestServer(t)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	body := getMetrics(t, newServiceClient(t, srv))
+	checkPrometheusText(t, body)
+	for name, typ := range families {
+		if n := strings.Count(body, "# TYPE "+name+" "+typ+"\n"); n != 1 {
+			t.Errorf("TYPE %s %s declared %d times, want once", name, typ, n)
+		}
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		name, _, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.HasPrefix(name, "streamfetch_stage_seconds_bucket{stage=") {
+			continue
+		}
+		got[name] = true
+		if !want[name] {
+			t.Errorf("/metrics serves %s, which no Health field, stage histogram or uptime names", name)
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+}
+
+// TestStageHistogramsSkipUnrunStages: a stage a job never ran is not
+// observed — an unsharded run without checkpoints has no merge and no
+// warming walk — so it cannot pull that stage's quantiles toward 0.
+func TestStageHistogramsSkipUnrunStages(t *testing.T) {
+	srv := newTestServer(t, streamfetch.WithWorkers(1))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	sc := newServiceClient(t, srv)
+	env := sc.submit("/v1/runs", streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 20_000, Seed: 81})
+	if got := sc.await(env.ID, time.Minute); got.State != streamfetch.JobDone {
+		t.Fatalf("job finished %s (error %q), want done", got.State, got.Error)
+	}
+	samples := scrapeMetrics(t, sc)
+	for stage, want := range map[string]float64{"warmup": 0, "merge": 0, "measure": 1} {
+		name := fmt.Sprintf("streamfetch_stage_seconds_count{stage=%q}", stage)
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
+// getMetrics returns the /metrics body.
+func getMetrics(t *testing.T, sc *serviceClient) string {
 	t.Helper()
 	resp, err := sc.c.Get(sc.ts.URL + "/metrics")
 	if err != nil {
@@ -321,8 +458,15 @@ func scrapeMetrics(t *testing.T, sc *serviceClient) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return string(raw)
+}
+
+// scrapeMetrics reads /metrics into a map from sample name (labels
+// included) to value.
+func scrapeMetrics(t *testing.T, sc *serviceClient) map[string]float64 {
+	t.Helper()
 	samples := map[string]float64{}
-	for _, line := range strings.Split(string(raw), "\n") {
+	for _, line := range strings.Split(getMetrics(t, sc), "\n") {
 		name, value, ok := strings.Cut(line, " ")
 		if !ok || strings.HasPrefix(line, "#") {
 			continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,7 +141,7 @@ func TestWithSessionCacheSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.mgr.sessions.capacity(); got != 3 {
+	if got := srv.mgr.health().SessionCap; got != 3 {
 		t.Errorf("session cache capacity = %d, want 3", got)
 	}
 	shutdownServer(t, srv)
@@ -149,7 +150,7 @@ func TestWithSessionCacheSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.mgr.sessions.capacity(); got != maxCachedSessions {
+	if got := srv.mgr.health().SessionCap; got != maxCachedSessions {
 		t.Errorf("default session cache capacity = %d, want %d", got, maxCachedSessions)
 	}
 	shutdownServer(t, srv)
@@ -158,6 +159,57 @@ func TestWithSessionCacheSize(t *testing.T) {
 		if _, err := NewServer(WithSessionCacheSize(n)); err == nil {
 			t.Errorf("WithSessionCacheSize(%d) accepted, want error", n)
 		}
+	}
+}
+
+// TestNewServerSizes: NewServer resolves each default once; a size
+// option given 0 keeps it (streamfetchd -workers 0 relies on that), a
+// positive one replaces it, and a negative one fails construction.
+func TestNewServerSizes(t *testing.T) {
+	type sizes struct{ queueCap, workers, retain, sessionCap int }
+	defaults := sizes{64, runtime.GOMAXPROCS(0), 1024, maxCachedSessions}
+	for _, tc := range []struct {
+		name    string
+		opt     ServerOption
+		want    sizes
+		wantErr bool
+	}{
+		{"none", func(*serverConfig) {}, defaults, false},
+		{"queue 0", WithQueueDepth(0), defaults, false},
+		{"workers 0", WithWorkers(0), defaults, false},
+		{"retention 0", WithJobRetention(0), defaults, false},
+		{"queue 5", WithQueueDepth(5), sizes{5, defaults.workers, 1024, maxCachedSessions}, false},
+		{"workers 3", WithWorkers(3), sizes{64, 3, 1024, maxCachedSessions}, false},
+		{"retention 7", WithJobRetention(7), sizes{64, defaults.workers, 7, maxCachedSessions}, false},
+		{"sessions 2", WithSessionCacheSize(2), sizes{64, defaults.workers, 1024, 2}, false},
+		{"queue -1", WithQueueDepth(-1), sizes{}, true},
+		{"workers -1", WithWorkers(-1), sizes{}, true},
+		{"retention -1", WithJobRetention(-1), sizes{}, true},
+		{"sessions 0", WithSessionCacheSize(0), sizes{}, true},
+		{"max job time -1s", WithMaxJobTime(-time.Second), sizes{}, true},
+		{"watchdog -1s", WithWatchdog(-time.Second), sizes{}, true},
+		{"probe 0", WithStoreProbeInterval(0), sizes{}, true},
+	} {
+		srv, err := NewServer(tc.opt)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s: accepted, want error", tc.name)
+				shutdownServer(t, srv)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		m := srv.mgr
+		if got := (sizes{m.queueCap, m.workers, m.retain, m.sessions.cap}); got != tc.want {
+			t.Errorf("%s: resolved %+v, want %+v", tc.name, got, tc.want)
+		}
+		if m.probeEvery != 2*time.Second {
+			t.Errorf("%s: probe interval %s, want the 2s default", tc.name, m.probeEvery)
+		}
+		shutdownServer(t, srv)
 	}
 }
 
