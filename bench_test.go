@@ -95,9 +95,11 @@ func BenchmarkFig8IPC(b *testing.B) {
 func BenchmarkFig9PerBenchmark(b *testing.B) {
 	benches, cfg := prepared(b)
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Fig9(io.Discard, benches, cfg); err != nil {
+		e, err := experiments.Fig9Data(context.Background(), benches, cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		e.WriteText(io.Discard)
 	}
 }
 

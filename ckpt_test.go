@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"streamfetch"
+	"streamfetch/internal/ckpt"
 	"streamfetch/internal/store"
 )
 
@@ -409,4 +411,76 @@ func TestSampledValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("sampling with zero window length accepted")
 	}
+}
+
+// putRecorder records every blob written through it, by key.
+type putRecorder struct {
+	store.Store
+	mu   sync.Mutex
+	puts map[string][]byte
+}
+
+func (r *putRecorder) PutBlob(key string, data []byte) error {
+	r.mu.Lock()
+	if r.puts == nil {
+		r.puts = map[string][]byte{}
+	}
+	r.puts[key] = append([]byte(nil), data...)
+	r.mu.Unlock()
+	return r.Store.PutBlob(key, data)
+}
+
+// TestCheckpointForeignSnapshotFallback: a stored snapshot that decodes
+// and names the right boundary but does not fit the processor — here
+// another engine's warm state, served under this run's keys — is not
+// restored. The interval warms its boundary on its own instead, counts
+// as a miss, and the run reports the plain run's bytes.
+func TestCheckpointForeignSnapshotFallback(t *testing.T) {
+	ctx := context.Background()
+	plain, err := ckptSession("streams").Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := &putRecorder{Store: store.NewMem()}
+	if _, err := ckptSession("streams").RunWith(ctx, streamfetch.WithCheckpoints(own)); err != nil {
+		t.Fatal(err)
+	}
+	foreign := &putRecorder{Store: store.NewMem()}
+	if _, err := ckptSession("ev8").RunWith(ctx, streamfetch.WithCheckpoints(foreign)); err != nil {
+		t.Fatal(err)
+	}
+	ev8At := map[uint64][]byte{}
+	for _, blob := range foreign.puts {
+		snap, err := ckpt.Decode(blob)
+		if err != nil || snap.EngineName != "ev8" {
+			t.Fatalf("ev8 snapshot: engine %q, error %v", snap.EngineName, err)
+		}
+		ev8At[snap.Boundary] = blob
+	}
+	swapped := store.NewMem()
+	for key, blob := range own.puts {
+		snap, err := ckpt.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alien, ok := ev8At[snap.Boundary]
+		if !ok {
+			t.Fatalf("no ev8 snapshot at boundary %d", snap.Boundary)
+		}
+		if err := swapped.PutBlob(key, alien); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(own.puts) != 2 {
+		t.Fatalf("streams run published %d checkpoints, want 2", len(own.puts))
+	}
+
+	rep, err := ckptSession("streams").RunWith(ctx, streamfetch.WithCheckpoints(swapped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CheckpointHits != 0 || rep.CheckpointMisses != 2 {
+		t.Fatalf("over ev8 snapshots: hits=%d misses=%d, want 0/2", rep.CheckpointHits, rep.CheckpointMisses)
+	}
+	sameReport(t, "run over another engine's snapshots vs plain", stripCkpt(rep), plain)
 }

@@ -4,8 +4,8 @@
 // IPC (Figure 9), and misprediction rate / fetch IPC (Table 3).
 //
 // Every experiment is computed as a structured streamfetch.Experiment (the
-// XxxData builders) and rendered either as aligned text (the Xxx writer
-// functions) or as JSON (cmd/experiments -json). Simulations run through
+// XxxData builders) and rendered either as aligned text
+// (Experiment.WriteText) or as JSON (cmd/experiments -json). Simulations run through
 // streamfetch sessions, so any engine registered in the frontend registry
 // shows up in the sweeps by name.
 //
@@ -18,7 +18,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -218,19 +217,6 @@ func Fig8Data(ctx context.Context, benches []Bench, c Config) ([]*streamfetch.Ex
 	return exps, nil
 }
 
-// Fig8 renders Figure 8's three sub-figures as text.
-func Fig8(w io.Writer, benches []Bench, c Config) error {
-	exps, err := Fig8Data(context.Background(), benches, c)
-	if err != nil {
-		return err
-	}
-	for _, e := range exps {
-		e.WriteText(w)
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
 // Fig9Data computes Figure 9: per-benchmark IPC for the 8-wide processor
 // with optimized layouts, with a harmonic-mean summary row.
 func Fig9Data(ctx context.Context, benches []Bench, c Config) (*streamfetch.Experiment, error) {
@@ -274,16 +260,6 @@ func Fig9Data(ctx context.Context, benches []Bench, c Config) (*streamfetch.Expe
 	return e, nil
 }
 
-// Fig9 renders Figure 9 as text.
-func Fig9(w io.Writer, benches []Bench, c Config) error {
-	e, err := Fig9Data(context.Background(), benches, c)
-	if err != nil {
-		return err
-	}
-	e.WriteText(w)
-	return nil
-}
-
 // Table3Data computes Table 3: branch misprediction rate and fetch IPC for
 // the 8-wide processor, base and optimized layouts. Misprediction rates are
 // stored in percent.
@@ -313,16 +289,6 @@ func Table3Data(ctx context.Context, benches []Bench, c Config) (*streamfetch.Ex
 			100*row["base"][0], row["base"][1], 100*row["optimized"][0], row["optimized"][1])
 	}
 	return e, nil
-}
-
-// Table3 renders Table 3 as text.
-func Table3(w io.Writer, benches []Bench, c Config) error {
-	e, err := Table3Data(context.Background(), benches, c)
-	if err != nil {
-		return err
-	}
-	e.WriteText(w)
-	return nil
 }
 
 // Table1Data measures the fetch-unit size comparison of Table 1: mean
@@ -357,16 +323,6 @@ func Table1Data(benches []Bench) (*streamfetch.Experiment, error) {
 		streamfetch.ExperimentRow{Label: "stream", Values: []float64{stats.Mean(st)}, Text: []string{"20+"}},
 	)
 	return e, nil
-}
-
-// Table1 renders Table 1 as text.
-func Table1(w io.Writer, benches []Bench) error {
-	e, err := Table1Data(benches)
-	if err != nil {
-		return err
-	}
-	e.WriteText(w)
-	return nil
 }
 
 // Units reports the mean dynamic fetch-unit sizes of one benchmark.
@@ -470,16 +426,6 @@ func DistributionData(benches []Bench) (*streamfetch.Experiment, error) {
 	return e, nil
 }
 
-// Distribution renders the stream length distributions as text.
-func Distribution(w io.Writer, benches []Bench) error {
-	e, err := DistributionData(benches)
-	if err != nil {
-		return err
-	}
-	e.WriteText(w)
-	return nil
-}
-
 // table2Setup is the simulated processor setup, one line per parameter.
 const table2Setup = `FTB architecture + perceptron
   perceptrons             512, 40-bit global + 4096x14-bit local history
@@ -512,11 +458,6 @@ func Table2Data() *streamfetch.Experiment {
 		Rows:  []streamfetch.ExperimentRow{},
 		Notes: strings.Split(table2Setup, "\n"),
 	}
-}
-
-// Table2 prints the simulated processor setup.
-func Table2(w io.Writer) {
-	Table2Data().WriteText(w)
 }
 
 // AblationData compares next-stream-predictor design choices on the 8-wide
@@ -568,16 +509,6 @@ func AblationData(ctx context.Context, benches []Bench, c Config) (*streamfetch.
 		e.AddRow(variant.name, stats.HarmonicMean(ipc), 100*stats.Mean(mp))
 	}
 	return e, nil
-}
-
-// Ablation renders the predictor ablation as text.
-func Ablation(w io.Writer, benches []Bench, c Config) error {
-	e, err := AblationData(context.Background(), benches, c)
-	if err != nil {
-		return err
-	}
-	e.WriteText(w)
-	return nil
 }
 
 func engineLabel(e string) string {

@@ -153,7 +153,7 @@ func TestUnitSizesShape(t *testing.T) {
 
 func TestTable2Renders(t *testing.T) {
 	var buf bytes.Buffer
-	Table2(&buf)
+	Table2Data().WriteText(&buf)
 	out := buf.String()
 	for _, want := range []string{"2bcgskew", "DOLC 12-2-4-10", "64KB", "16 stages"} {
 		if !strings.Contains(out, want) {
@@ -164,10 +164,12 @@ func TestTable2Renders(t *testing.T) {
 
 func TestTable1Renders(t *testing.T) {
 	benches := mustPrepare(t, smallConfig())
-	var buf bytes.Buffer
-	if err := Table1(&buf, benches); err != nil {
+	e, err := Table1Data(benches)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	e.WriteText(&buf)
 	if !strings.Contains(buf.String(), "stream") {
 		t.Fatalf("Table 1 output: %q", buf.String())
 	}

@@ -1,14 +1,13 @@
 // Package stats provides the small statistical helpers the evaluation
 // harness needs: means, harmonic means (the paper aggregates IPC with
 // harmonic means over the SPECint2000 suite), Student-t confidence
-// intervals, rates and histograms.
+// intervals and histograms.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -36,21 +35,6 @@ func HarmonicMean(xs []float64) float64 {
 		s += 1 / x
 	}
 	return float64(len(xs)) / s
-}
-
-// GeoMean returns the geometric mean; zero or negative elements yield 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // CI95 returns the 95% confidence half-width on the mean of xs (Student's
@@ -88,14 +72,6 @@ func TCrit95(df int) float64 {
 	default:
 		return 1.96
 	}
-}
-
-// Speedup returns (a/b - 1), the relative improvement of a over b.
-func Speedup(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a/b - 1
 }
 
 // Histogram accumulates integer samples for distribution reports (e.g.
@@ -155,53 +131,4 @@ func (h *Histogram) Percentile(p float64) int {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p90=%d p99=%d",
 		h.total, h.Mean(), h.Percentile(0.5), h.Percentile(0.9), h.Percentile(0.99))
-}
-
-// Table renders fixed-width rows for terminal reports.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable builds a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header}
-}
-
-// AddRow appends one row; short rows are padded.
-func (t *Table) AddRow(cells ...string) {
-	for len(cells) < len(t.header) {
-		cells = append(cells, "")
-	}
-	t.rows = append(t.rows, cells)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-	return b.String()
 }

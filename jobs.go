@@ -6,6 +6,11 @@
 // cell runs through the run path and is cached under its run content
 // key, so runs and sweeps answer each other's cells.
 //
+// One job path: submission and journal recovery parse a request alike
+// (jobRequest), newJob builds every executable job from one, and finish
+// is a job's one terminal transition. Only cached results and recovered
+// terminal envelopes make jobs that are terminal from birth.
+//
 // Concurrency model: every concurrent job holds one par token while it
 // runs, and sweep cells and sharded runs inside a job draw their extra
 // workers from the same pool; only when the pool is empty and nothing is
@@ -461,6 +466,66 @@ func (r *SweepRequest) keySpec() sweepKeySpec {
 	}
 }
 
+// jobRequest is a validated request parsed into everything a job is built
+// from: kind, content key, the bytes journaled for it, the runs it
+// simulates (a run's one request, or a sweep's cells) and its execution
+// policy. A journaled request parses as its submission did.
+type jobRequest struct {
+	kind    string // "run" or "sweep"
+	key     string
+	reqJSON json.RawMessage
+	cells   []RunRequest
+
+	timeoutMS, deadlineMS int64
+	priority              int
+}
+
+// runJobRequest validates a run request and parses it for submission.
+func runJobRequest(req RunRequest) (*jobRequest, error) {
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	return newJobRequest("run", req, req.contentKey(), []RunRequest{req}, req.TimeoutMS, req.DeadlineMS, req.Priority)
+}
+
+// sweepJobRequest normalizes a sweep request and parses it for
+// submission; the normalized form is what is journaled.
+func sweepJobRequest(req SweepRequest) (*jobRequest, error) {
+	if err := req.normalize(); err != nil {
+		return nil, err
+	}
+	return newJobRequest("sweep", req, req.contentKey(), req.cells(), req.TimeoutMS, req.DeadlineMS, req.Priority)
+}
+
+// newJobRequest completes a parsed request with the bytes journaled for it.
+func newJobRequest(kind string, req any, key string, cells []RunRequest, timeoutMS, deadlineMS int64, priority int) (*jobRequest, error) {
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	return &jobRequest{kind, key, reqJSON, cells, timeoutMS, deadlineMS, priority}, nil
+}
+
+// journaledRequest parses the request journaled for an accepted job of the
+// given kind.
+func journaledRequest(kind string, reqJSON json.RawMessage) (*jobRequest, error) {
+	switch kind {
+	case "run":
+		var req RunRequest
+		if err := json.Unmarshal(reqJSON, &req); err != nil {
+			return nil, err
+		}
+		return runJobRequest(req)
+	case "sweep":
+		var req SweepRequest
+		if err := json.Unmarshal(reqJSON, &req); err != nil {
+			return nil, err
+		}
+		return sweepJobRequest(req)
+	}
+	return nil, fmt.Errorf("unknown job kind %q", kind)
+}
+
 // maxCachedSessions is the default session-cache bound
 // (WithSessionCacheSize overrides it): enough for a broad working set
 // (the full 11-benchmark suite at several training inputs) while keeping
@@ -524,10 +589,6 @@ func (c *sessionCache) size() int {
 	return len(c.m)
 }
 
-// jobFunc executes one job under its context, returning a report (run
-// jobs) or cells (sweep jobs).
-type jobFunc func(ctx context.Context) (*Report, []GridCell, error)
-
 // job is one queued or executing unit of service work.
 type job struct {
 	id   string
@@ -543,8 +604,10 @@ type job struct {
 	// abort cancels ctx with an explanatory cause (deadline, watchdog
 	// stall), so runJob can tell policy cut-downs from client cancels.
 	abort context.CancelCauseFunc
-	run   jobFunc
-	done  chan struct{} // closed on reaching a terminal state
+	// run executes the job under its context, returning a report (run
+	// jobs) or cells (sweep jobs).
+	run  func(ctx context.Context) (*Report, []GridCell, error)
+	done chan struct{} // closed on reaching a terminal state
 	// timeout is the job's effective execution budget (request timeout_ms
 	// clamped by the server cap; 0 = unbounded), applied from start, not
 	// enqueue. lastAdvance is the unix-nano time of the last measurable
@@ -572,8 +635,8 @@ type job struct {
 	report   *Report
 	cells    []GridCell
 	err      error
-	// timings is the finished job's per-stage breakdown (cells summed for
-	// a sweep, queue wait included); set just before finish.
+	// timings is the per-stage breakdown of a job that ran (cells summed
+	// for a sweep, queue wait included); set by finish.
 	timings *Timings
 	// cached marks a job answered from the result cache (terminal at
 	// birth, never enqueued; a submission's hit is also never journaled
@@ -640,20 +703,29 @@ func (j *job) tryStart() bool {
 	return true
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *job) finish(state JobState, rep *Report, cells []GridCell, err error) {
+// finish is the job's one terminal transition: from state from to the
+// terminal state to, carrying the job's result. It reports false, and
+// changes nothing, when the job is not in state from, so a queued job
+// either starts (tryStart) or is finished while queued, never both.
+func (j *job) finish(from, to JobState, rep *Report, cells []GridCell, err error) bool {
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.state != from {
 		j.mu.Unlock()
-		return
+		return false
 	}
-	j.state = state
+	j.state = to
 	j.finished = time.Now()
 	j.report = rep
 	j.cells = cells
 	j.err = err
+	if from == JobRunning {
+		// The terminal envelope — and the journal record persist writes
+		// from it — carries where the job's time went.
+		j.timings = stageTimings(rep, cells, j.started.Sub(j.enqueued))
+	}
 	j.mu.Unlock()
 	close(j.done)
+	return true
 }
 
 // envelope snapshots the job as its public resource representation.
@@ -729,8 +801,11 @@ type jobManager struct {
 	// admitting counts submissions that have reserved a queue slot but
 	// are still journaling outside the lock; the fullness check counts
 	// them so the capacity promise holds without holding m.mu across
-	// store I/O. Guarded by m.mu.
-	admitting int
+	// store I/O. A reservation lasts until its submission is queued or
+	// refused, retraction included. Guarded by m.mu; admissionsIdle (on
+	// m.mu) is broadcast when it falls to 0, which shutdown waits for.
+	admitting      int
+	admissionsIdle *sync.Cond
 	// admittingKeys holds, per content key, a channel closed when the
 	// submission journaling that key settles; identical submissions wait
 	// on it instead of starting a twin job. Guarded by m.mu.
@@ -849,6 +924,7 @@ func newJobManager(cfg serverConfig, st store.Store, ownStore bool) (*jobManager
 		predErr:       -1,
 		startedAt:     time.Now(),
 	}
+	m.admissionsIdle = sync.NewCond(&m.mu)
 	m.sessions.cap = cfg.sessionCap
 	for i := range m.stageSeconds {
 		m.stageSeconds[i] = metrics.NewHistogram(stageBuckets)
@@ -856,7 +932,6 @@ func newJobManager(cfg serverConfig, st store.Store, ownStore bool) (*jobManager
 	for _, rec := range recs {
 		m.restore(rec)
 	}
-	m.trimDoneLocked() // recovered terminal jobs count against retention
 	m.wg.Add(1)
 	go m.dispatch()
 	m.auxWG.Add(1)
@@ -879,8 +954,9 @@ func jobSeq(id string) (int, bool) {
 }
 
 // restore registers one recovered journal record: the terminal envelope
-// of a finished job, or a re-enqueued job rebuilt from its journaled
-// request. Runs before the dispatcher starts, so no locking.
+// of a finished job, or the job an accepted record is owed, built from its
+// journaled request as its submission built it. Recovered terminal jobs
+// count against retention. Runs before the dispatcher starts.
 func (m *jobManager) restore(rec store.JournalRecord) {
 	if _, dup := m.jobs[rec.ID]; dup {
 		return
@@ -893,10 +969,7 @@ func (m *jobManager) restore(rec store.JournalRecord) {
 		if json.Unmarshal(rec.Envelope, &env) != nil || env.ID == "" {
 			return // pre-seal noise; nothing servable
 		}
-		j := &job{id: rec.ID, kind: rec.Kind, key: rec.Key,
-			state: JobState(rec.State), restored: &env, done: closedChan()}
-		m.jobs[rec.ID] = j
-		m.done = append(m.done, rec.ID)
+		m.restoreTerminal(rec.ID, JobState(rec.State), &env)
 		return
 	}
 
@@ -905,85 +978,51 @@ func (m *jobManager) restore(rec store.JournalRecord) {
 	// from the record: a key journaled under another model version, or
 	// naming another request, would serve a report this request does not
 	// have and keep identical submissions from coalescing onto it.
-	var key string
-	var build func(*job) jobFunc
-	var pol jobPolicy
-	switch rec.Kind {
-	case "run":
-		var req RunRequest
-		if json.Unmarshal(rec.Request, &req) == nil && req.validate() == nil {
-			cells := []RunRequest{req}
-			key = req.contentKey()
-			build = m.body(cells, req.TimeoutMS)
-			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
-		}
-	case "sweep":
-		var req SweepRequest
-		if json.Unmarshal(rec.Request, &req) == nil && req.normalize() == nil {
-			cells := req.cells()
-			key = req.contentKey()
-			build = m.body(cells, req.TimeoutMS)
-			pol = m.policy(cells, req.Priority, req.DeadlineMS, rec.Time)
-		}
+	r, err := journaledRequest(rec.Kind, rec.Request)
+	if err != nil {
+		// The journaled request no longer parses or validates (schema
+		// drift, disk corruption inside an intact line): surface a failed
+		// terminal job rather than dropping the id, journaled so it keeps
+		// serving after the next restart.
+		j := m.restoreTerminal(rec.ID, JobFailed, &JobEnvelope{
+			ID: rec.ID, Kind: rec.Kind, State: JobFailed, EnqueuedAt: rec.Time, FinishedAt: time.Now(),
+			Error: "streamfetch: journaled request is not recoverable",
+		})
+		m.journal(j, JobFailed)
+		return
 	}
 
 	// If its result landed in the cache meanwhile (a twin completed, or
 	// the process died between the blob write and the terminal journal
 	// record), answer from the cache instead of re-simulating.
-	if build != nil {
-		if blob, ok, err := m.store.GetBlob(key); err == nil && ok {
-			if j := m.cachedJob(rec.ID, rec.Kind, key, blob); j != nil {
-				m.hits.Add(1)
-				m.jobs[rec.ID] = j
-				m.done = append(m.done, rec.ID)
-				m.journal(j, JobDone)
-				return
-			}
+	if blob, ok, err := m.store.GetBlob(r.key); err == nil && ok {
+		if j := m.cachedJob(rec.ID, r.kind, r.key, blob); j != nil {
+			m.hits.Add(1)
+			m.jobs[rec.ID] = j
+			m.retire(j)
+			m.journal(j, JobDone)
+			return
 		}
 	}
 
-	ctx, abort := context.WithCancelCause(m.baseCtx)
-	j := &job{
-		id:       rec.ID,
-		kind:     rec.Kind,
-		key:      key,
-		reqJSON:  rec.Request,
-		state:    JobQueued,
-		enqueued: rec.Time,
-		ctx:      ctx,
-		cancel:   func() { abort(context.Canceled) },
-		abort:    abort,
-		done:     make(chan struct{}),
-		// Recovered jobs keep their journaled policy: the original
-		// priority, the deadline anchored at the original submission
-		// time (an already-blown deadline just sorts first and runs —
-		// the job was accepted; recovery must not shed it), and the
-		// original arrival order via the id sequence.
-		priority:      pol.priority,
-		deadline:      pol.deadline,
-		predictedSecs: pol.predicted,
-	}
-	if n, ok := jobSeq(rec.ID); ok {
-		j.seq = n
-	}
-	if build == nil {
-		// The journaled request no longer parses or validates (schema
-		// drift, disk corruption inside an intact line): surface a failed
-		// terminal job rather than dropping the id.
-		j.cancel()
-		j.state = JobFailed
-		j.finished = time.Now()
-		j.err = errors.New("streamfetch: journaled request is not recoverable")
-		close(j.done)
-		m.jobs[rec.ID] = j
-		m.done = append(m.done, rec.ID)
-		m.journal(j, JobFailed)
-		return
-	}
-	j.run = build(j)
+	// Recovered jobs keep their journaled policy: the original priority,
+	// the deadline anchored at the original submission time (an
+	// already-blown deadline just sorts first and runs — the job was
+	// accepted; recovery must not shed it), and the arrival order of
+	// their ids.
+	j := m.newJob(rec.ID, r, m.policy(r, rec.Time), rec.Time)
 	m.jobs[rec.ID] = j
-	m.inflight[key] = j
+	m.inflight[r.key] = j
 	m.queue.push(j)
+}
+
+// restoreTerminal registers a job that is terminal at recovery and serves
+// env as-is.
+func (m *jobManager) restoreTerminal(id string, state JobState, env *JobEnvelope) *job {
+	j := &job{id: id, kind: env.Kind, key: env.Key, state: state, restored: env, done: closedChan()}
+	m.jobs[id] = j
+	m.retire(j)
+	return j
 }
 
 // closedChan returns an already-closed done channel for jobs that are
@@ -1077,11 +1116,11 @@ func (m *jobManager) storeHealth() (degraded bool, lastErr string, lastAt time.T
 	return m.degraded.Load(), lastErr, m.lastStoreErrAt
 }
 
-// journal appends one record for the job's current state, counting (not
-// failing on) write errors: past acceptance, a degraded store must not
-// take down serving. Terminal records carry the envelope, non-terminal
-// ones the request.
-func (m *jobManager) journal(j *job, state JobState) {
+// journal appends one record for the job in state, counting write
+// errors (see storeWrite). Past acceptance a caller ignores the error: a
+// degraded store must not take down serving. Terminal records carry the
+// envelope, the queued record the request and the time of acceptance.
+func (m *jobManager) journal(j *job, state JobState) error {
 	rec := store.JournalRecord{
 		ID:    j.id,
 		Kind:  j.kind,
@@ -1093,20 +1132,19 @@ func (m *jobManager) journal(j *job, state JobState) {
 		env, err := json.Marshal(j.envelope())
 		if err != nil {
 			m.storeErrs.Add(1)
-			return
+			return err
 		}
 		rec.Envelope = env
 	} else {
-		rec.Request = j.reqJSON
+		rec.Time, rec.Request = j.enqueued, j.reqJSON
 	}
-	m.storeWrite(func() error { return m.store.Journal(rec) })
+	return m.storeWrite(func() error { return m.store.Journal(rec) })
 }
 
-// jobPolicy is a submission's execution policy resolved at admission:
-// scheduling class, absolute SLO deadline (zero = none) and the cost
-// model's predicted execution work-seconds.
+// jobPolicy is a request's admission policy resolved at submission: its
+// absolute SLO deadline (zero = none) and the cost model's predicted
+// execution work-seconds.
 type jobPolicy struct {
-	priority  int
 	deadline  time.Time
 	predicted float64
 }
@@ -1144,18 +1182,18 @@ func (r *RunRequest) workInsts() uint64 {
 	return n
 }
 
-// policy resolves a submission's admission policy at time at. The
+// policy resolves a request's admission policy, submitted at time at. The
 // predicted cost sums over the runs the job simulates: a run's one
 // request, or every cell of a sweep (serial work-seconds, a conservative
 // bound; the queue-delay estimate is what accounts for worker
 // parallelism).
-func (m *jobManager) policy(cells []RunRequest, priority int, deadlineMS int64, at time.Time) jobPolicy {
-	pol := jobPolicy{priority: priority}
-	for _, c := range cells {
+func (m *jobManager) policy(r *jobRequest, at time.Time) jobPolicy {
+	var pol jobPolicy
+	for _, c := range r.cells {
 		pol.predicted += m.slo.Predict(c.sloKey(), c.workInsts())
 	}
-	if deadlineMS > 0 {
-		pol.deadline = at.Add(msToDuration(deadlineMS))
+	if r.deadlineMS > 0 {
+		pol.deadline = at.Add(msToDuration(r.deadlineMS))
 	}
 	return pol
 }
@@ -1181,12 +1219,12 @@ func (m *jobManager) queueEstimateLocked() (backlog, delay float64) {
 	return backlog, backlog / float64(max(m.workers, 1))
 }
 
-// submit accepts one job: coalesced onto an identical in-flight job (same
-// job returned), answered from the result cache (terminal immediately,
-// never enqueued, registered or journaled; see hitID), or journaled and
-// enqueued as a fresh job — rejecting when draining, deadline-infeasible
-// or full. build receives the job so run closures can reference it for
-// progress reporting.
+// submit accepts one parsed request: coalesced onto an identical
+// in-flight job (same job returned), answered from the result cache
+// (terminal immediately, never enqueued, registered or journaled; see
+// hitID), or built by newJob, journaled and enqueued as a fresh job —
+// rejecting when draining, deadline-infeasible or full. It takes the
+// parser's results as they come: a parse error is the submission's.
 //
 // The returned envelope is the submission's answer. A fresh job's is
 // taken before the job is queued, so it says queued however fast a
@@ -1199,10 +1237,14 @@ func (m *jobManager) queueEstimateLocked() (backlog, delay float64) {
 // reservation, and coalescing through admittingKeys: an identical twin
 // submitted mid-journal waits for that journal to settle, then coalesces
 // onto the admitted job (or, if it was refused, tries on its own).
-func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, build func(*job) jobFunc) (*job, *JobEnvelope, error) {
+func (m *jobManager) submit(r *jobRequest, parseErr error) (*job, *JobEnvelope, error) {
+	if parseErr != nil {
+		return nil, nil, parseErr
+	}
+	pol := m.policy(r, time.Now())
 	// Cache lookup outside the registry lock: blob reads may touch disk.
 	var cachedBlob []byte
-	if blob, ok, err := m.store.GetBlob(key); err == nil && ok {
+	if blob, ok, err := m.store.GetBlob(r.key); err == nil && ok {
 		cachedBlob = blob
 	}
 
@@ -1212,7 +1254,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 			m.mu.Unlock()
 			return nil, nil, ErrDraining
 		}
-		if leader := m.inflight[key]; leader != nil {
+		if leader := m.inflight[r.key]; leader != nil {
 			// An identical job is queued or running: one simulation,
 			// fan-out of the result. The submitter shares the leader's id
 			// (and its cancellation — DELETE cancels for every submitter).
@@ -1222,7 +1264,7 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		}
 		// An identical submission journaling outside the lock: wait for
 		// it to settle, then look again.
-		twin := m.admittingKeys[key]
+		twin := m.admittingKeys[r.key]
 		if twin == nil {
 			break
 		}
@@ -1234,15 +1276,14 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 		// A hit is a read: it takes no sequence number, enters no
 		// registry and writes no journal record. Its id names its content
 		// key, which get resolves against the store.
-		if j := m.cachedJob(hitID(kind, key), kind, key, cachedBlob); j != nil {
+		if j := m.cachedJob(hitID(r.kind, r.key), r.kind, r.key, cachedBlob); j != nil {
 			m.hits.Add(1)
 			m.mu.Unlock()
 			return j, j.envelope(), nil
 		}
 	}
 	m.nextID++
-	seq := m.nextID
-	id := fmt.Sprintf("%s-%06d", kind, seq)
+	id := fmt.Sprintf("%s-%06d", r.kind, m.nextID)
 
 	// Admission control: a deadline the daemon already knows it cannot
 	// meet is shed now — before any durability promise — with the
@@ -1273,85 +1314,69 @@ func (m *jobManager) submit(kind, key string, reqJSON []byte, pol jobPolicy, bui
 	}
 	m.admitting++
 	settled := make(chan struct{})
-	m.admittingKeys[key] = settled
+	m.admittingKeys[r.key] = settled
 	degraded := m.degraded.Load()
 	m.mu.Unlock()
 
-	ctx, abort := context.WithCancelCause(m.baseCtx)
-	j := &job{
-		id:            id,
-		kind:          kind,
-		key:           key,
-		reqJSON:       reqJSON,
-		state:         JobQueued,
-		enqueued:      time.Now(),
-		ctx:           ctx,
-		cancel:        func() { abort(context.Canceled) },
-		abort:         abort,
-		done:          make(chan struct{}),
-		priority:      pol.priority,
-		deadline:      pol.deadline,
-		seq:           seq,
-		predictedSecs: pol.predicted,
-		queueDelay:    delay,
-	}
-	j.run = build(j)
-
+	j := m.newJob(id, r, pol, time.Now())
+	j.queueDelay = delay
 	var storeErr error
-	if degraded {
-		// Degraded mode, already declared on /healthz: accept from memory
-		// without the journal write that would fail anyway. Availability
-		// over durability — the job will not survive a restart. The probe
-		// (and every later store write) keeps testing for recovery.
-	} else {
-		storeErr = m.storeWrite(func() error {
-			return m.store.Journal(store.JournalRecord{
-				ID: id, Kind: kind, Key: key, State: string(JobQueued),
-				Time: j.enqueued, Request: reqJSON,
-			})
-		})
+	if !degraded {
+		// In degraded mode, already declared on /healthz, the job is
+		// accepted from memory without the journal write that would fail
+		// anyway. Availability over durability — the job will not survive
+		// a restart. The probe (and every later store write) keeps testing
+		// for recovery.
+		storeErr = m.journal(j, JobQueued)
 	}
 
 	m.mu.Lock()
-	m.admitting--
 	// Waiters re-check under m.mu, after this section has registered the
 	// job in inflight or refused it.
-	delete(m.admittingKeys, key)
+	delete(m.admittingKeys, r.key)
 	close(settled)
+	if storeErr == nil && !m.draining {
+		// Queued under the lock a drain starts under: no shutdown has
+		// begun to wait on the reservation, and the drain will run the job.
+		m.admitting--
+		m.jobs[id] = j
+		m.inflight[r.key] = j
+		m.misses.Add(1)
+		env := j.envelope()
+		m.queue.push(j)
+		m.mu.Unlock()
+		return j, env, nil
+	}
+	m.mu.Unlock()
+	// A refusal holds its reservation until settled, retraction included:
+	// shutdown waits for it before it closes the store.
+	defer m.endAdmission()
+	j.cancel()
 	if storeErr != nil {
 		// The 202 is a durability promise; without the journal record the
 		// job would silently vanish in a crash. Refuse this one — the
 		// failure flipped the server degraded, so the next submission is
 		// accepted memory-only under the declared policy.
-		m.mu.Unlock()
-		j.cancel()
 		return nil, nil, fmt.Errorf("%w: %v", ErrStore, storeErr)
 	}
-	if m.draining {
-		// Drain flipped during the journaling window: this process will
-		// never run the job. Refuse the submission and retract the queued
-		// journal record with a terminal cancelled one, so a restart does
-		// not resurrect a job whose submitter was told no.
-		m.mu.Unlock()
-		j.cancel()
-		j.mu.Lock()
-		j.state = JobCancelled
-		j.finished = time.Now()
-		j.err = ErrDraining
-		j.mu.Unlock()
-		close(j.done)
-		if !degraded {
-			m.journal(j, JobCancelled)
-		}
-		return nil, nil, ErrDraining
+	// Drain flipped during the journaling window: this process will never
+	// run the job. Refuse the submission and retract the queued journal
+	// record with a terminal cancelled one, so a restart does not
+	// resurrect a job whose submitter was told no.
+	j.finish(JobQueued, JobCancelled, nil, nil, ErrDraining)
+	if !degraded {
+		m.journal(j, JobCancelled)
 	}
-	m.jobs[id] = j
-	m.inflight[key] = j
-	m.misses.Add(1)
+	return nil, nil, ErrDraining
+}
+
+// endAdmission ends a refused submission's queue reservation.
+func (m *jobManager) endAdmission() {
+	m.mu.Lock()
+	if m.admitting--; m.admitting == 0 {
+		m.admissionsIdle.Broadcast()
+	}
 	m.mu.Unlock()
-	env := j.envelope()
-	m.queue.push(j)
-	return j, env, nil
 }
 
 // msToDuration converts validated (non-negative) milliseconds to a
@@ -1376,24 +1401,43 @@ func (m *jobManager) effTimeout(ms int64) time.Duration {
 	return d
 }
 
-// body builds a job's executable body over the runs it simulates: a run
-// job's one request, simulated with progress reporting, or a sweep's
-// cells, each answered by cell.
-func (m *jobManager) body(cells []RunRequest, timeoutMS int64) func(*job) jobFunc {
-	return func(j *job) jobFunc {
-		j.timeout = m.effTimeout(timeoutMS)
-		if j.kind == "run" {
-			return func(ctx context.Context) (*Report, []GridCell, error) {
-				rep, err := m.simulate(ctx, cells[0], WithProgress(0, j.noteProgress))
-				return rep, nil, err
-			}
+// newJob builds the queued job for r under id, accepted at `at` with
+// policy pol: cancellable (by shutdown too), bounded by r's timeout under
+// the server cap, and running r's cells — a run's one request with
+// progress reporting, or a sweep's grid cell by cell.
+func (m *jobManager) newJob(id string, r *jobRequest, pol jobPolicy, at time.Time) *job {
+	ctx, abort := context.WithCancelCause(m.baseCtx)
+	j := &job{
+		id:            id,
+		kind:          r.kind,
+		key:           r.key,
+		reqJSON:       r.reqJSON,
+		state:         JobQueued,
+		enqueued:      at,
+		ctx:           ctx,
+		cancel:        func() { abort(context.Canceled) },
+		abort:         abort,
+		done:          make(chan struct{}),
+		timeout:       m.effTimeout(r.timeoutMS),
+		priority:      r.priority,
+		deadline:      pol.deadline,
+		predictedSecs: pol.predicted,
+	}
+	j.seq, _ = jobSeq(id)
+	cells := r.cells
+	if r.kind == "run" {
+		j.run = func(ctx context.Context) (*Report, []GridCell, error) {
+			rep, err := m.simulate(ctx, cells[0], WithProgress(0, j.noteProgress))
+			return rep, nil, err
 		}
+	} else {
 		j.cellsTotal = len(cells)
-		return func(ctx context.Context) (*Report, []GridCell, error) {
+		j.run = func(ctx context.Context) (*Report, []GridCell, error) {
 			out, err := m.sweep(ctx, cells, j.noteCell)
 			return nil, out, err
 		}
 	}
+	return j
 }
 
 // simulate runs one request on its cached session, with stage timings and
@@ -1479,30 +1523,12 @@ func (m *jobManager) cell(ctx context.Context, req RunRequest) (*Report, error) 
 
 // submitRun validates and submits a single-configuration run.
 func (m *jobManager) submitRun(req RunRequest) (*job, *JobEnvelope, error) {
-	if err := req.validate(); err != nil {
-		return nil, nil, err
-	}
-	reqJSON, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	cells := []RunRequest{req}
-	return m.submit("run", req.contentKey(), reqJSON,
-		m.policy(cells, req.Priority, req.DeadlineMS, time.Now()), m.body(cells, req.TimeoutMS))
+	return m.submit(runJobRequest(req))
 }
 
 // submitSweep validates and submits a grid sweep as one job.
 func (m *jobManager) submitSweep(req SweepRequest) (*job, *JobEnvelope, error) {
-	if err := req.normalize(); err != nil {
-		return nil, nil, err
-	}
-	reqJSON, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	cells := req.cells()
-	return m.submit("sweep", req.contentKey(), reqJSON,
-		m.policy(cells, req.Priority, req.DeadlineMS, time.Now()), m.body(cells, req.TimeoutMS))
+	return m.submit(sweepJobRequest(req))
 }
 
 // get returns a job by id (nil when unknown). A cache hit's id is in no
@@ -1557,21 +1583,14 @@ func (m *jobManager) cancelJob(j *job) {
 		return
 	}
 	j.userCancel = true
-	if j.state == JobQueued {
-		j.state = JobCancelled
-		j.finished = time.Now()
-		j.err = context.Canceled
-		j.mu.Unlock()
-		if j.cancel != nil {
-			j.cancel()
-		}
-		close(j.done)
+	j.mu.Unlock()
+	queued := j.finish(JobQueued, JobCancelled, nil, nil, context.Canceled)
+	j.cancel()
+	if queued {
+		// It never started, and never will: the dispatcher skips it.
 		m.persist(j)
 		m.retire(j)
-		return
 	}
-	j.mu.Unlock()
-	j.cancel()
 }
 
 // retire records a terminal job for bounded retention: the registry keeps
@@ -1584,12 +1603,6 @@ func (m *jobManager) retire(j *job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.done = append(m.done, j.id)
-	m.trimDoneLocked()
-}
-
-// trimDoneLocked evicts terminal jobs beyond the retention bound,
-// oldest first. Callers hold m.mu (or run before the dispatcher starts).
-func (m *jobManager) trimDoneLocked() {
 	for len(m.done) > m.retain {
 		delete(m.jobs, m.done[0])
 		m.done = m.done[1:]
@@ -1715,38 +1728,34 @@ func (m *jobManager) runJob(j *job) {
 		defer stop()
 	}
 	rep, cells, err := j.run(runCtx)
-	// Timings go on the job before finish so the terminal envelope — and
-	// the journal record persist writes from it — carries them.
-	j.setTimings(buildTimings(j, rep, cells))
+	state := JobFailed
 	switch {
 	case err == nil:
-		j.finish(JobDone, rep, cells, nil)
+		state = JobDone
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The context ended the run; its cause says who pulled the plug.
 		// Policy cut-downs — the execution deadline, the no-progress
 		// watchdog — are failures carrying the partial aborted report; a
 		// plain cancellation is the client's (or shutdown's) own doing.
-		cause := context.Cause(runCtx)
-		switch {
+		switch cause := context.Cause(runCtx); {
 		case errors.Is(cause, errJobDeadline):
-			j.finish(JobFailed, rep, cells, fmt.Errorf("%w (%s)", errJobDeadline, j.timeout))
+			err = fmt.Errorf("%w (%s)", errJobDeadline, j.timeout)
 		case errors.Is(cause, errJobStalled):
-			j.finish(JobFailed, rep, cells, cause)
+			err = cause
 		default:
-			j.finish(JobCancelled, rep, cells, err)
+			state = JobCancelled
 		}
-	default:
-		j.finish(JobFailed, rep, cells, err)
 	}
+	j.finish(JobRunning, state, rep, cells, err)
 	m.observeFinished(j)
 	m.persist(j)
 	m.retire(j)
 }
 
-// buildTimings assembles a finished job's per-stage breakdown: the run
+// stageTimings assembles a finished job's per-stage breakdown: the run
 // report's stage timings (or the sum over sweep cells) plus the queue
 // wait the daemon itself measured.
-func buildTimings(j *job, rep *Report, cells []GridCell) *Timings {
+func stageTimings(rep *Report, cells []GridCell, wait time.Duration) *Timings {
 	tm := &Timings{}
 	if rep != nil {
 		tm.Add(rep.Timings)
@@ -1756,18 +1765,8 @@ func buildTimings(j *job, rep *Report, cells []GridCell) *Timings {
 			tm.Add(c.Report.Timings)
 		}
 	}
-	j.mu.Lock()
-	if !j.started.IsZero() {
-		tm.QueueSeconds = j.started.Sub(j.enqueued).Seconds()
-	}
-	j.mu.Unlock()
+	tm.QueueSeconds = wait.Seconds()
 	return tm
-}
-
-func (j *job) setTimings(tm *Timings) {
-	j.mu.Lock()
-	j.timings = tm
-	j.mu.Unlock()
 }
 
 // observeFinished feeds a terminal job into the /metrics surface: the
@@ -1869,9 +1868,11 @@ func (m *jobManager) probeLoop() {
 }
 
 // shutdown drains: no new submissions, queued and running jobs complete,
-// workers exit. When ctx expires first, every remaining job is cancelled
-// and shutdown still waits for the workers to unwind (no goroutine
-// leaks), returning ctx's error.
+// workers exit. Submissions still journaling settle first: each finds the
+// drain and retracts its queued record, which needs the store open. When
+// ctx expires first, every remaining job is cancelled and shutdown still
+// waits for the admissions and workers to unwind (no goroutine leaks),
+// returning ctx's error.
 func (m *jobManager) shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.draining {
@@ -1881,6 +1882,11 @@ func (m *jobManager) shutdown(ctx context.Context) error {
 	m.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
+		m.mu.Lock()
+		for m.admitting > 0 {
+			m.admissionsIdle.Wait()
+		}
+		m.mu.Unlock()
 		m.wg.Wait()
 		close(done)
 	}()

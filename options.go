@@ -211,6 +211,13 @@ type serverConfig struct {
 	err        error // first invalid option, surfaced by NewServer
 }
 
+// fail records an invalid option unless an earlier one already failed.
+func (c *serverConfig) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
 // WithQueueDepth bounds the pending-job queue (default 64; 0 keeps the
 // default, a negative n fails NewServer). A submission that would exceed
 // it is rejected with ErrQueueFull (HTTP 429) instead of queueing
@@ -247,7 +254,7 @@ func sizeOption(what string, n int, field func(*serverConfig) *int) ServerOption
 	return func(c *serverConfig) {
 		switch {
 		case n < 0:
-			c.err = fmt.Errorf("streamfetch: %s must be non-negative, got %d", what, n)
+			c.fail(fmt.Errorf("streamfetch: %s must be non-negative, got %d", what, n))
 		case n > 0:
 			*field(c) = n
 		}
@@ -266,7 +273,7 @@ func sizeOption(what string, n int, field func(*serverConfig) *int) ServerOption
 func WithSessionCacheSize(n int) ServerOption {
 	return func(c *serverConfig) {
 		if n <= 0 {
-			c.err = fmt.Errorf("streamfetch: session cache size must be positive, got %d", n)
+			c.fail(fmt.Errorf("streamfetch: session cache size must be positive, got %d", n))
 			return
 		}
 		c.sessionCap = n
@@ -289,7 +296,7 @@ func WithStore(st store.Store) ServerOption {
 func WithMaxJobTime(d time.Duration) ServerOption {
 	return func(c *serverConfig) {
 		if d < 0 {
-			c.err = fmt.Errorf("streamfetch: max job time must be non-negative, got %s", d)
+			c.fail(fmt.Errorf("streamfetch: max job time must be non-negative, got %s", d))
 			return
 		}
 		c.maxJobTime = d
@@ -307,7 +314,7 @@ func WithMaxJobTime(d time.Duration) ServerOption {
 func WithWatchdog(d time.Duration) ServerOption {
 	return func(c *serverConfig) {
 		if d < 0 {
-			c.err = fmt.Errorf("streamfetch: watchdog window must be non-negative, got %s", d)
+			c.fail(fmt.Errorf("streamfetch: watchdog window must be non-negative, got %s", d))
 			return
 		}
 		c.watchdog = d
@@ -321,7 +328,7 @@ func WithWatchdog(d time.Duration) ServerOption {
 func WithStoreProbeInterval(d time.Duration) ServerOption {
 	return func(c *serverConfig) {
 		if d <= 0 {
-			c.err = fmt.Errorf("streamfetch: store probe interval must be positive, got %s", d)
+			c.fail(fmt.Errorf("streamfetch: store probe interval must be positive, got %s", d))
 			return
 		}
 		c.probeEvery = d

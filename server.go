@@ -87,8 +87,8 @@ func NewServer(opts ...ServerOption) (*Server, error) {
 	}
 	s := &Server{mgr: mgr}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
+	s.mux.HandleFunc("POST /v1/runs", handleSubmit(mgr.submitRun))
+	s.mux.HandleFunc("POST /v1/sweeps", handleSubmit(mgr.submitSweep))
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleGet)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGet)
 	s.mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
@@ -262,43 +262,28 @@ func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
 	}{Engines(), Benchmarks(), Layouts()})
 }
 
-func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, &req) {
-		return
+// handleSubmit serves one submission route: the body decodes strictly as
+// the route's request type R, and submit accepts or refuses it. The
+// status is 202 for a job that still has work ahead of it (fresh or
+// coalesced onto an in-flight twin), 200 for a store-cache hit whose
+// envelope already carries the terminal result.
+func handleSubmit[R any](submit func(R) (*job, *JobEnvelope, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		_, env, err := submit(req)
+		if err != nil {
+			writeSubmitError(w, err)
+			return
+		}
+		code := http.StatusAccepted
+		if env.Cached {
+			code = http.StatusOK
+		}
+		writeJSON(w, code, env)
 	}
-	j, env, err := s.mgr.submitRun(req)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	writeJSON(w, acceptStatus(j), env)
-}
-
-func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	j, env, err := s.mgr.submitSweep(req)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	writeJSON(w, acceptStatus(j), env)
-}
-
-// acceptStatus picks the submission status: 202 for a job that still has
-// work ahead of it (fresh or coalesced onto an in-flight twin), 200 for a
-// store-cache hit whose envelope already carries the terminal result.
-func acceptStatus(j *job) int {
-	j.mu.Lock()
-	cached := j.cached
-	j.mu.Unlock()
-	if cached {
-		return http.StatusOK
-	}
-	return http.StatusAccepted
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -426,8 +426,16 @@ func TestServiceWorkersRunConcurrently(t *testing.T) {
 // the retention bound, so a long-lived daemon's registry cannot grow
 // without limit; evicted ids answer 404 while retained ones keep serving
 // their reports.
+//
+// A job reads done before it is retired: runJob finishes it, then writes
+// its result and journal record, then retires it, evicting the oldest.
+// With one worker the next job starts only after that, so eviction follows
+// submission order; the test waits (bounded) until /healthz counts only
+// the retained terminal jobs, so the 404 below does not race the last
+// job's retirement.
 func TestServiceJobRetention(t *testing.T) {
-	srv := newTestServer(t, streamfetch.WithJobRetention(2), streamfetch.WithWorkers(1))
+	const retain = 2
+	srv := newTestServer(t, streamfetch.WithJobRetention(retain), streamfetch.WithWorkers(1))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -447,6 +455,16 @@ func TestServiceJobRetention(t *testing.T) {
 			t.Fatalf("job %s finished %s", env.ID, got.State)
 		}
 		ids = append(ids, env.ID)
+	}
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		var h streamfetch.Health
+		sc.do("GET", "/healthz", nil, &h)
+		if h.JobsFinished == retain {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d terminal jobs in the registry a minute after the last finished, want %d", h.JobsFinished, retain)
+		}
 	}
 	if code := sc.do("GET", "/v1/runs/"+ids[0], nil, nil); code != http.StatusNotFound {
 		t.Errorf("oldest job past retention: status %d, want 404", code)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,37 +165,46 @@ func TestWithSessionCacheSize(t *testing.T) {
 
 // TestNewServerSizes: NewServer resolves each default once; a size
 // option given 0 keeps it (streamfetchd -workers 0 relies on that), a
-// positive one replaces it, and a negative one fails construction.
+// positive one replaces it, and a negative one fails construction with an
+// error naming it. Of several invalid options, the first is reported.
 func TestNewServerSizes(t *testing.T) {
 	type sizes struct{ queueCap, workers, retain, sessionCap int }
 	defaults := sizes{64, runtime.GOMAXPROCS(0), 1024, maxCachedSessions}
 	for _, tc := range []struct {
-		name    string
-		opt     ServerOption
-		want    sizes
-		wantErr bool
+		name string
+		opt  ServerOption
+		want sizes
+		// wantErr, when set, is a fragment of the error NewServer must
+		// return.
+		wantErr string
 	}{
-		{"none", func(*serverConfig) {}, defaults, false},
-		{"queue 0", WithQueueDepth(0), defaults, false},
-		{"workers 0", WithWorkers(0), defaults, false},
-		{"retention 0", WithJobRetention(0), defaults, false},
-		{"queue 5", WithQueueDepth(5), sizes{5, defaults.workers, 1024, maxCachedSessions}, false},
-		{"workers 3", WithWorkers(3), sizes{64, 3, 1024, maxCachedSessions}, false},
-		{"retention 7", WithJobRetention(7), sizes{64, defaults.workers, 7, maxCachedSessions}, false},
-		{"sessions 2", WithSessionCacheSize(2), sizes{64, defaults.workers, 1024, 2}, false},
-		{"queue -1", WithQueueDepth(-1), sizes{}, true},
-		{"workers -1", WithWorkers(-1), sizes{}, true},
-		{"retention -1", WithJobRetention(-1), sizes{}, true},
-		{"sessions 0", WithSessionCacheSize(0), sizes{}, true},
-		{"max job time -1s", WithMaxJobTime(-time.Second), sizes{}, true},
-		{"watchdog -1s", WithWatchdog(-time.Second), sizes{}, true},
-		{"probe 0", WithStoreProbeInterval(0), sizes{}, true},
+		{"none", func(*serverConfig) {}, defaults, ""},
+		{"queue 0", WithQueueDepth(0), defaults, ""},
+		{"workers 0", WithWorkers(0), defaults, ""},
+		{"retention 0", WithJobRetention(0), defaults, ""},
+		{"queue 5", WithQueueDepth(5), sizes{5, defaults.workers, 1024, maxCachedSessions}, ""},
+		{"workers 3", WithWorkers(3), sizes{64, 3, 1024, maxCachedSessions}, ""},
+		{"retention 7", WithJobRetention(7), sizes{64, defaults.workers, 7, maxCachedSessions}, ""},
+		{"sessions 2", WithSessionCacheSize(2), sizes{64, defaults.workers, 1024, 2}, ""},
+		{"queue -1", WithQueueDepth(-1), sizes{}, "queue depth"},
+		{"workers -1", WithWorkers(-1), sizes{}, "worker count"},
+		{"retention -1", WithJobRetention(-1), sizes{}, "job retention"},
+		{"sessions 0", WithSessionCacheSize(0), sizes{}, "session cache size"},
+		{"max job time -1s", WithMaxJobTime(-time.Second), sizes{}, "max job time"},
+		{"watchdog -1s", WithWatchdog(-time.Second), sizes{}, "watchdog window"},
+		{"probe 0", WithStoreProbeInterval(0), sizes{}, "store probe interval"},
+		{"sessions 0 then max job time -1ns", func(c *serverConfig) {
+			WithSessionCacheSize(0)(c)
+			WithMaxJobTime(-1)(c)
+		}, sizes{}, "session cache size"},
 	} {
 		srv, err := NewServer(tc.opt)
-		if tc.wantErr {
+		if tc.wantErr != "" {
 			if err == nil {
 				t.Errorf("%s: accepted, want error", tc.name)
 				shutdownServer(t, srv)
+			} else if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %q, want the first invalid option's (%q)", tc.name, err, tc.wantErr)
 			}
 			continue
 		}
