@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +218,84 @@ func TestCheckpointKeyInvalidation(t *testing.T) {
 	if rep.CheckpointHits != 2 {
 		t.Fatalf("identical configuration hit %d of 2 checkpoints", rep.CheckpointHits)
 	}
+}
+
+// TestCheckpointTraceFileOverwritten: trace-file checkpoints key on the
+// file's content, not its path. Two 164.gzip traces of the same length
+// (seeds 16 and 18), written in turn to one path, share no checkpoint:
+// the run over the second restores none of the first's and reports the
+// bytes of a run without checkpoints. A copy of the second at another
+// path restores every boundary.
+func TestCheckpointTraceFileOverwritten(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "gzip.trc")
+	write := func(path string, seed uint64) streamfetch.TraceInfo {
+		t.Helper()
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := streamfetch.New("164.gzip", streamfetch.WithInstructions(300_000), streamfetch.WithSeed(seed))
+		if _, err := gen.WriteTrace(ctx, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		info, err := streamfetch.InspectTraceFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	st := store.NewMem()
+	s := streamfetch.New("164.gzip",
+		streamfetch.WithTraceFile(path),
+		streamfetch.WithShards(3),
+		streamfetch.WithWarmup(5_000),
+	)
+	first := write(path, 16)
+	rep, err := s.RunWith(ctx, streamfetch.WithCheckpoints(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CheckpointHits != 0 || rep.CheckpointMisses != 2 {
+		t.Fatalf("first trace: %d hits, %d misses; want 0 and 2", rep.CheckpointHits, rep.CheckpointMisses)
+	}
+
+	if second := write(path, 18); second.Insts != first.Insts {
+		t.Fatalf("traces of %d and %d instructions; the overwrite needs equal lengths", first.Insts, second.Insts)
+	}
+	rep, err = s.RunWith(ctx, streamfetch.WithCheckpoints(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CheckpointHits != 0 {
+		t.Fatalf("overwritten trace restored %d checkpoints of the trace it replaced", rep.CheckpointHits)
+	}
+	plain, err := s.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReport(t, "run over the overwritten trace vs plain", stripCkpt(rep), plain)
+
+	copyPath := filepath.Join(dir, "copy.trc")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(copyPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = s.RunWith(ctx, streamfetch.WithTraceFile(copyPath), streamfetch.WithCheckpoints(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CheckpointHits != 2 {
+		t.Fatalf("the same trace at another path hit %d of 2 checkpoints", rep.CheckpointHits)
+	}
+	sameReport(t, "restored run over the copy vs plain", stripCkpt(rep), plain)
 }
 
 // TestCheckpointInapplicable: configurations with no stable trace

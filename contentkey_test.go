@@ -153,7 +153,7 @@ func TestKeysCarryModelVersion(t *testing.T) {
 	if err := sweep.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	ck, ok := New("164.gzip").ckptKeySpec(&layout.Layout{Name: "base"}, 10_000)
+	ck, ok := New("164.gzip").ckptKeySpec(&layout.Layout{Name: "base"}, 10_000, "")
 	if !ok {
 		t.Fatal("a default session has no checkpoint identity")
 	}

@@ -150,11 +150,11 @@ func (p *Perceptron) UpdateAtCommit(pc uint64, taken bool) {
 // Recover restores the speculative global history after a misprediction.
 func (p *Perceptron) Recover() { p.Hist.Recover() }
 
-func clampWeight(w int16) int16 {
-	// 8-bit weights as in the paper's hardware budget.
-	const lim = 127
-	return max(-lim, min(lim, w))
-}
+// maxWeight bounds a weight's magnitude: 8-bit weights as in the paper's
+// hardware budget.
+const maxWeight = 127
+
+func clampWeight(w int16) int16 { return max(-maxWeight, min(maxWeight, w)) }
 
 // StorageBits returns the predictor's storage budget in bits.
 func (p *Perceptron) StorageBits() int {

@@ -1,6 +1,8 @@
 package bpred
 
 import (
+	"math"
+
 	"streamfetch/internal/ckpt/wire"
 	"streamfetch/internal/isa"
 )
@@ -10,10 +12,21 @@ import (
 // statistics stay out of the snapshot so restored runs start with clean
 // counters.
 
+// appendTwoBits appends a counter table as its length and then four
+// counters a byte, the first in the low bits, so a restored counter is
+// always in range. The last byte's unused bits are zero.
 func appendTwoBits(dst []byte, t []TwoBit) []byte {
 	dst = wire.AppendU64(dst, uint64(len(t)))
-	for _, v := range t {
-		dst = wire.AppendByte(dst, byte(v))
+	for len(t) >= 4 {
+		dst = append(dst, byte(t[0]&3|t[1]&3<<2|t[2]&3<<4|t[3]&3<<6))
+		t = t[4:]
+	}
+	if len(t) > 0 {
+		var b byte
+		for j, v := range t {
+			b |= byte(v&3) << (2 * j)
+		}
+		dst = append(dst, b)
 	}
 	return dst
 }
@@ -25,6 +38,7 @@ func loadTwoBits(r *wire.Reader, t []TwoBit) error {
 }
 
 // decodeTwoBits reads a counter table, storing it only when apply is set.
+// Set bits past the table's last counter are malformed.
 func decodeTwoBits(r *wire.Reader, t []TwoBit, apply bool) error {
 	n := r.U64()
 	if r.Err() != nil {
@@ -33,10 +47,16 @@ func decodeTwoBits(r *wire.Reader, t []TwoBit, apply bool) error {
 	if n != uint64(len(t)) {
 		return wire.ErrMalformed
 	}
-	for i := range t {
-		v := TwoBit(r.Byte())
+	for i := 0; i < len(t); i += 4 {
+		b := r.Byte()
+		k := min(4, len(t)-i)
+		if b>>(2*k) != 0 {
+			return wire.ErrMalformed
+		}
 		if apply {
-			t[i] = v
+			for j := range k {
+				t[i+j] = TwoBit(b >> (2 * j) & 3)
+			}
 		}
 	}
 	return r.Err()
@@ -206,9 +226,12 @@ func (b *BTB) LoadState(r *wire.Reader) error {
 		scratch[i].e.Target = isa.Addr(r.U64())
 		scratch[i].e.Type = isa.BranchType(r.Byte())
 		scratch[i].e.Ctr = TwoBit(r.Byte())
+		if err := r.Err(); err != nil {
+			return err
+		}
 		// Training never stores a target that is not an instruction
-		// address.
-		if scratch[i].valid && !scratch[i].e.Target.Valid() {
+		// address, nor a counter out of its two bits.
+		if scratch[i].e.Ctr > 3 || scratch[i].valid && !scratch[i].e.Target.Valid() {
 			return wire.ErrMalformed
 		}
 	}
@@ -267,6 +290,9 @@ func (f *FTB) LoadState(r *wire.Reader) error {
 		scratch[i].e.Len = int(r.U64())
 		scratch[i].e.Type = isa.BranchType(r.Byte())
 		scratch[i].e.Target = isa.Addr(r.U64())
+		if err := r.Err(); err != nil {
+			return err
+		}
 		// A valid block of no instructions would hold fetch in place
 		// forever; Update never stores one, nor one longer than MaxLen,
 		// nor a target that is not an instruction address.
@@ -321,7 +347,13 @@ func (p *Perceptron) LoadState(r *wire.Reader) error {
 	}
 	scratch := make([]int16, rows*cols)
 	for i := range scratch {
-		scratch[i] = int16(uint16(r.U64()))
+		// Training clamps every weight to 8 bits.
+		v := r.U64()
+		w := int16(uint16(v))
+		if v > math.MaxUint16 || w < -maxWeight || w > maxWeight {
+			return wire.ErrMalformed
+		}
+		scratch[i] = w
 	}
 	nl := r.U64()
 	if r.Err() != nil {

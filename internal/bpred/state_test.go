@@ -32,7 +32,9 @@ func rejectsState(t *testing.T, bad, fresh warmState) {
 // TestLoadStateRejectsUnrunnableState: restored entries that training
 // never builds, and that would stall fetch for good (a block of no
 // instructions, a target between instructions or past the address space),
-// are malformed.
+// or that would mispredict long after training (a counter out of its two
+// bits, a perceptron weight past the 8 bits training clamps it to), are
+// malformed.
 func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 	ftb := func(e FTBEntry) warmState {
 		f := NewFTB(32, 4, 16)
@@ -41,12 +43,15 @@ func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 		}
 		return f
 	}
-	btb := func(target isa.Addr) warmState {
+	btb := func(valid bool, e BTBEntry) warmState {
 		b := NewBTB(32, 4)
-		if target != 0 {
-			b.sets[1][2] = btbWay{tag: 7, valid: true, stamp: 1, e: BTBEntry{Target: target, Type: isa.BranchUncond}}
-		}
+		b.sets[1][2] = btbWay{tag: 7, valid: valid, stamp: 1, e: e}
 		return b
+	}
+	perc := func(w int16) warmState {
+		p := NewPerceptron(DefaultPerceptronConfig())
+		p.weights[3][1] = w
+		return p
 	}
 	ras := func(top isa.Addr) warmState {
 		r := NewRAS(4)
@@ -63,8 +68,12 @@ func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 		{"ftb block over MaxLen", ftb(FTBEntry{Len: 17, Type: isa.BranchCond, Target: 0x1000}), ftb(FTBEntry{})},
 		{"ftb misaligned target", ftb(FTBEntry{Len: 4, Type: isa.BranchCond, Target: 0x1002}), ftb(FTBEntry{})},
 		{"ftb target past the address space", ftb(FTBEntry{Len: 4, Type: isa.BranchCond, Target: 1 << isa.AddrBits}), ftb(FTBEntry{})},
-		{"btb misaligned target", btb(0x1001), btb(0)},
+		{"btb misaligned target", btb(true, BTBEntry{Target: 0x1001, Type: isa.BranchUncond}), btb(false, BTBEntry{})},
+		{"btb counter out of range", btb(true, BTBEntry{Target: 0x1000, Type: isa.BranchCond, Ctr: 200}), btb(false, BTBEntry{})},
+		{"invalid btb way's counter out of range", btb(false, BTBEntry{Ctr: 4}), btb(false, BTBEntry{})},
 		{"ras misaligned return address", ras(0x1003), ras(0)},
+		{"perceptron weight past 8 bits", perc(maxWeight + 1), perc(5)},
+		{"negative perceptron weight past 8 bits", perc(-maxWeight - 1), perc(5)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { rejectsState(t, c.bad, c.fresh) })
@@ -119,4 +128,36 @@ func TestLoadStateFailsWhole(t *testing.T) {
 			t.Fatalf("rejected counters were partially restored: %v, want %v", dst, before)
 		}
 	})
+}
+
+// TestTwoBitsPacked: a counter table packs four counters a byte, so
+// every byte decodes to counters in range and re-encodes to itself (a
+// byte a counter could restore a counter of 200, which predicts taken for
+// 197 not-taken updates); bits set past the table's last counter are
+// malformed and leave the table unmodified.
+func TestTwoBitsPacked(t *testing.T) {
+	src := []TwoBit{1, 3, 2, 0, 3, 1, 2}
+	if enc, want := appendTwoBits(nil, src), []byte{7, 1 | 3<<2 | 2<<4 | 0<<6, 3 | 1<<2 | 2<<4}; !bytes.Equal(enc, want) {
+		t.Fatalf("table encodes to %x, want %x", enc, want)
+	}
+	for b := range 256 {
+		enc := []byte{4, byte(b)}
+		dst := make([]TwoBit, 4)
+		r := wire.NewReader(enc)
+		if err := loadTwoBits(r, dst); err != nil || r.Done() != nil {
+			t.Fatalf("byte %#x: %v, %v", b, err, r.Done())
+		}
+		if slices.Max(dst) > 3 || !bytes.Equal(appendTwoBits(nil, dst), enc) {
+			t.Fatalf("byte %#x restores %v", b, dst)
+		}
+	}
+	for _, last := range []byte{1 << 6, 3 << 6} {
+		dst := []TwoBit{0, 1, 2}
+		if err := loadTwoBits(wire.NewReader([]byte{3, 2<<4 | last}), dst); !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("padding bits %#x: %v, want %v", last, err, wire.ErrMalformed)
+		}
+		if !slices.Equal(dst, []TwoBit{0, 1, 2}) {
+			t.Fatalf("rejected counters were partially restored: %v", dst)
+		}
+	}
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "streamfetch/internal/ckpt/wire"
+import (
+	"math/bits"
+
+	"streamfetch/internal/ckpt/wire"
+)
 
 // Warm-state serialization for checkpoints. Only behavioral state is
 // captured: tags, LRU stamps (a way is valid when its stamp is nonzero)
@@ -8,10 +12,29 @@ import "streamfetch/internal/ckpt/wire"
 // restored run starts with zeroed stats and the warm-region
 // snapshot/delta in the simulator cancels the baseline exactly as it does
 // for a functionally warmed run.
+//
+// The encoding is the clock and the geometry, then per way two varints:
+// its tag above the set-index bits, which the way's position implies, and
+// its LRU distance clock − stamp, small for the recently used lines. An
+// invalid way (stamp 0, tag 0) is the tag 0 at distance clock.
 
-// StateLen returns the length of the state AppendState would append:
-// fixed by the geometry.
-func (c *Cache) StateLen() int { return 24 + 16*len(c.ways) }
+// setBits is the number of set-index bits a tag carries.
+func (c *Cache) setBits() uint { return uint(bits.Len64(c.setMask)) }
+
+// wayFields returns the two encoded fields of way w.
+func (c *Cache) wayFields(w way) (tag, dist uint64) {
+	return w.tag >> c.setBits(), c.clock - w.stamp
+}
+
+// StateLen returns the length of the state AppendState would append.
+func (c *Cache) StateLen() int {
+	n := wire.SizeU64(c.clock) + wire.SizeU64(uint64(len(c.ways)/c.nways)) + wire.SizeU64(uint64(c.nways))
+	for _, w := range c.ways {
+		tag, dist := c.wayFields(w)
+		n += wire.SizeU64(tag) + wire.SizeU64(dist)
+	}
+	return n
+}
 
 // AppendState appends the cache's behavioral state to dst.
 func (c *Cache) AppendState(dst []byte) []byte {
@@ -19,16 +42,18 @@ func (c *Cache) AppendState(dst []byte) []byte {
 	dst = wire.AppendU64(dst, uint64(len(c.ways)/c.nways))
 	dst = wire.AppendU64(dst, uint64(c.nways))
 	for _, w := range c.ways {
-		dst = wire.AppendU64(dst, w.tag)
-		dst = wire.AppendU64(dst, w.stamp)
+		tag, dist := c.wayFields(w)
+		dst = wire.AppendU64(dst, tag)
+		dst = wire.AppendU64(dst, dist)
 	}
 	return dst
 }
 
 // LoadState restores state appended by AppendState into a cache of
-// identical geometry. On a geometry mismatch, a decode error or a stamp
-// the restored clock has not reached, the cache is left unmodified and an
-// error is returned; statistics are never touched.
+// identical geometry. On a geometry mismatch, a decode error, a distance
+// past the restored clock (a stamp it has not reached), a tag on an
+// invalid way or a tag too wide for its set bits, the cache is left
+// unmodified and an error is returned; statistics are never touched.
 func (c *Cache) LoadState(r *wire.Reader) error { return r.TwoPass(c.decodeState) }
 
 // decodeState reads a cache's state, storing it only when apply is set.
@@ -42,10 +67,19 @@ func (c *Cache) decodeState(r *wire.Reader, apply bool) error {
 	if nsets != uint64(len(c.ways)/c.nways) || nways != uint64(c.nways) {
 		return wire.ErrMalformed
 	}
+	setBits := c.setBits()
 	for i := range c.ways {
-		w := way{tag: r.U64(), stamp: r.U64()}
-		if w.stamp > clock {
+		tag, dist := r.U64(), r.U64()
+		if dist > clock || tag>>(64-setBits) != 0 {
 			return wire.ErrMalformed
+		}
+		w := way{stamp: clock - dist}
+		if w.stamp == 0 {
+			if tag != 0 {
+				return wire.ErrMalformed
+			}
+		} else {
+			w.tag = tag<<setBits | uint64(i/c.nways)
 		}
 		if apply {
 			c.ways[i] = w

@@ -13,21 +13,24 @@
 // or geometry mismatch — is a clean miss that sends the caller back to
 // the warming walk, never an error surfaced to users.
 //
-// Layout: the magic "SFCK", a CRC32-C of everything after it, then the
-// version, the boundary, the engine name and three length-prefixed
-// sections, all fixed-width little-endian (package wire):
+// Layout: the magic "SFCK", a CRC32-C of everything after it in a fixed
+// 8-byte little-endian slot, then the version, the boundary, the engine
+// name and three length-prefixed sections, every integer a varint
+// (package wire):
 //
-//   - hierarchy: per cache its LRU clock and geometry, then a tag and an
-//     LRU stamp per way (a zero stamp is an invalid way), 16 bytes a way;
+//   - hierarchy: per cache its LRU clock and geometry, then per way its
+//     tag above the set-index bits and its LRU distance from the clock
+//     (an invalid way is tag 0 at distance clock);
 //   - generator: the load address generator's per-slot counters, sparse —
-//     only the memory instructions the walk executed, 16 bytes each (see
-//     pipeline.LoadAddrGen.AppendState);
+//     only the memory instructions the walk executed, as (slot, count)
+//     pairs (see pipeline.LoadAddrGen.AppendState);
 //   - engine: the fetch engine's tables, opaque here.
 //
 // A 176.gcc snapshot at a 4M-instruction boundary (optimized layout,
-// width 8, streams) is 501 KB: hierarchy 287 KB (fixed by the geometry),
-// engine 201 KB, generator 13 KB for the 812 memory instructions executed
-// (of 281,640 code slots).
+// width 8) is 137 KB with streams: hierarchy 80 KB (its size set by the
+// geometry and what the caches hold), engine 53 KB, generator 2.9 KB for
+// the 812 memory instructions executed (of 281,640 code slots). The
+// engine section is 47 KB for ev8, 51 KB for ftb and 123 KB for tcache.
 package ckpt
 
 import (
@@ -48,8 +51,11 @@ import (
 // the format unchanged, bumps the model version that the same keys carry
 // (streamfetch's modelVersion) instead.
 // Version 2 encodes the generator's counters sparsely and drops the
-// per-way valid byte of version 1's cache sections.
-const Version = 2
+// per-way valid byte of version 1's cache sections. Version 3 writes
+// every integer as a varint, a cache way as its tag above the set-index
+// bits and its LRU distance from the clock, and a 2-bit counter table
+// four counters a byte.
+const Version = 3
 
 // magic guards against feeding arbitrary store blobs into the decoder.
 const magic = "SFCK"
@@ -88,9 +94,9 @@ type Snapshot struct {
 // as already-encoded bytes. dst grows once, to the snapshot's length,
 // and the sections are appended into it in place.
 func Encode(dst []byte, boundary uint64, hier *cache.Hierarchy, gen *pipeline.LoadAddrGen, engineName string, engine []byte) []byte {
-	// Magic, checksum, version, boundary, then three u64 length prefixes
-	// and the name's.
-	n := len(magic) + 7*8 + len(engineName) + hier.StateLen() + gen.StateLen() + len(engine)
+	hierLen, genLen := hier.StateLen(), gen.StateLen()
+	n := len(magic) + 8 + wire.SizeU64(Version) + wire.SizeU64(boundary) + wire.SizeBytes(len(engineName)) +
+		wire.SizeBytes(hierLen) + wire.SizeBytes(genLen) + wire.SizeBytes(len(engine))
 	// One make, not slices.Grow: under the race detector that appends a
 	// zeroed slice of n bytes, allocating the snapshot twice.
 	if cap(dst)-len(dst) < n {
@@ -99,24 +105,28 @@ func Encode(dst []byte, boundary uint64, hier *cache.Hierarchy, gen *pipeline.Lo
 	dst = append(dst, magic...)
 	// Checksum placeholder, filled over everything that follows it.
 	sumAt := len(dst)
-	dst = wire.AppendU64(dst, 0)
+	dst = binary.LittleEndian.AppendUint64(dst, 0)
 	dst = wire.AppendU64(dst, Version)
 	dst = wire.AppendU64(dst, boundary)
 	dst = wire.AppendString(dst, engineName)
-	dst = appendSection(dst, hier.AppendState)
-	dst = appendSection(dst, gen.AppendState)
+	dst = appendSection(dst, hierLen, hier.AppendState)
+	dst = appendSection(dst, genLen, gen.AppendState)
 	dst = wire.AppendBytes(dst, engine)
 	sum := crc32.Checksum(dst[sumAt+8:], castagnoli)
 	binary.LittleEndian.PutUint64(dst[sumAt:], uint64(sum))
 	return dst
 }
 
-// appendSection appends a section as wire.AppendBytes would, but
-// appends its state in place behind a length prefix patched afterwards.
-func appendSection(dst []byte, appendState func([]byte) []byte) []byte {
+// appendSection appends a section of n bytes as wire.AppendBytes would,
+// but appends its state in place behind the length prefix. n is the
+// component's StateLen; a state of another length would frame a snapshot
+// that never decodes, so it panics instead.
+func appendSection(dst []byte, n int, appendState func([]byte) []byte) []byte {
+	dst = wire.AppendU64(dst, uint64(n))
 	at := len(dst)
-	dst = appendState(wire.AppendU64(dst, 0))
-	binary.LittleEndian.PutUint64(dst[at:], uint64(len(dst)-at-8))
+	if dst = appendState(dst); len(dst)-at != n {
+		panic(fmt.Sprintf("ckpt: section of %d bytes, StateLen %d", len(dst)-at, n))
+	}
 	return dst
 }
 
@@ -126,11 +136,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+8 || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("ckpt: bad magic")
 	}
-	r := wire.NewReader(data[len(magic):])
-	sum := r.U64()
+	sum := binary.LittleEndian.Uint64(data[len(magic):])
 	if crc32.Checksum(data[len(magic)+8:], castagnoli) != uint32(sum) || sum>>32 != 0 {
 		return nil, ErrChecksum
 	}
+	r := wire.NewReader(data[len(magic)+8:])
 	if v := r.U64(); r.Err() == nil && v != Version {
 		return nil, ErrVersion
 	}

@@ -3,29 +3,39 @@
 // It is deliberately a leaf package with no imports from the simulator so
 // that every stateful component (caches, predictor tables, trace-cache
 // storage, the load address generator) can expose Append/Load methods
-// without creating import cycles. The encoding is fixed-width
-// little-endian: simple, allocation-conscious on the append side, and —
-// critically for the checkpoint-as-cache contract — impossible to make
-// panic on hostile input. A torn or corrupt snapshot must decode into a
-// clean error, never a crash.
+// without creating import cycles. Integers are unsigned LEB128 varints,
+// so the small values that dominate warm state (tags, LRU distances,
+// lengths, table entries) mostly take one to three bytes, not eight; the
+// encoding is allocation-conscious on the append side and — critically
+// for the checkpoint-as-cache contract — impossible to make panic on
+// hostile input. A torn or corrupt snapshot must decode into a clean
+// error, never a crash, and only the shortest encoding of a value
+// decodes, so equal states have one encoding.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // ErrTruncated is reported when a reader runs past the end of its buffer.
 var ErrTruncated = errors.New("wire: truncated input")
 
 // ErrMalformed is reported for structurally invalid input, e.g. a length
-// prefix that exceeds the bytes remaining.
+// prefix that exceeds the bytes remaining, or a varint that is overlong
+// or overflows 64 bits.
 var ErrMalformed = errors.New("wire: malformed input")
 
-// AppendU64 appends v in little-endian order.
-func AppendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
-}
+// AppendU64 appends v as an unsigned LEB128 varint: seven bits a byte,
+// low bits first, one byte below 128 and at most ten.
+func AppendU64(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
+// SizeU64 returns the length AppendU64 appends for v.
+func SizeU64(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// SizeBytes returns the length AppendBytes appends for n bytes.
+func SizeBytes(n int) int { return SizeU64(uint64(n)) + n }
 
 // AppendBool appends b as a single byte.
 func AppendBool(dst []byte, b bool) []byte {
@@ -38,13 +48,13 @@ func AppendBool(dst []byte, b bool) []byte {
 // AppendByte appends a single raw byte.
 func AppendByte(dst []byte, b byte) []byte { return append(dst, b) }
 
-// AppendBytes appends a u64 length prefix followed by the raw bytes.
+// AppendBytes appends a varint length prefix followed by the raw bytes.
 func AppendBytes(dst []byte, b []byte) []byte {
 	dst = AppendU64(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
-// AppendString appends s with a u64 length prefix.
+// AppendString appends s with a varint length prefix.
 func AppendString(dst []byte, s string) []byte {
 	dst = AppendU64(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -64,17 +74,23 @@ type Reader struct {
 // mutate it mid-decode.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
-// U64 decodes a little-endian uint64.
+// U64 decodes a varint. Input that ends inside it is ErrTruncated; one
+// longer than ten bytes, over 64 bits, or not the shortest encoding of
+// its value (a last byte of zero) is ErrMalformed.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if r.pos+8 > len(r.b) {
+	v, n := binary.Uvarint(r.b[r.pos:])
+	switch {
+	case n == 0:
 		r.err = ErrTruncated
 		return 0
+	case n < 0 || (n > 1 && r.b[r.pos+n-1] == 0):
+		r.err = ErrMalformed
+		return 0
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
+	r.pos += n
 	return v
 }
 
@@ -120,7 +136,8 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 // poison the reader, which bounds memory and iteration on corrupt input.
 func (r *Reader) Len(max int) int { return r.Count(max, 1) }
 
-// Count is Len for a loop whose elements each consume size bytes: the
+// Count is Len for a loop whose elements each consume at least size
+// bytes, the smallest encoding of one element (a varint takes one): the
 // decoded length must also fit the remaining bytes at size apiece.
 func (r *Reader) Count(max, size int) int {
 	n := r.U64()

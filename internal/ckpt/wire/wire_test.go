@@ -77,7 +77,7 @@ func TestTrailingBytes(t *testing.T) {
 // TestStickyError: after a failed read every further read returns zero
 // values and the first error is preserved.
 func TestStickyError(t *testing.T) {
-	r := NewReader([]byte{1, 2})
+	r := NewReader([]byte{0x81, 0x82}) // a varint whose last byte is missing
 	if got := r.U64(); got != 0 {
 		t.Fatalf("truncated u64 = %d, want 0", got)
 	}
@@ -116,6 +116,15 @@ func TestLenGuard(t *testing.T) {
 	if n := r.Count(64, 16); n != 0 || r.Err() != ErrMalformed {
 		t.Fatalf("Count of 3 elements in 47 bytes = %d, err %v", n, r.Err())
 	}
+	// size is the smallest encoding of one element: pairs of varints
+	// take two bytes at least, so 23 fit 47 bytes and 24 do not.
+	if n := NewReader(append(AppendU64(nil, 23), tail...)).Count(64, 2); n != 23 {
+		t.Fatalf("Count of 23 two-byte elements in 47 bytes = %d", n)
+	}
+	r = NewReader(append(AppendU64(nil, 24), tail...))
+	if n := r.Count(64, 2); n != 0 || r.Err() != ErrMalformed {
+		t.Fatalf("Count of 24 two-byte elements in 47 bytes = %d, err %v", n, r.Err())
+	}
 }
 
 // TestBytesLengthGuard: a length prefix larger than the remaining input
@@ -133,15 +142,15 @@ func TestBytesLengthGuard(t *testing.T) {
 // storing pass, and leaves the reader holding the error; one that passes
 // runs both, over the same bytes.
 func TestTwoPass(t *testing.T) {
-	payload := AppendU64(AppendU64(nil, 1), 2)
+	payload := AppendU64(AppendU64(nil, 1), 300)
 	for _, c := range []struct {
 		name    string
 		payload []byte
 		want    []uint64
 		err     error
 	}{
-		{"whole", payload, []uint64{1, 2}, nil},
-		{"cut short", payload[:12], []uint64{7, 7}, ErrTruncated},
+		{"whole", payload, []uint64{1, 300}, nil},
+		{"cut short", payload[:len(payload)-1], []uint64{7, 7}, ErrTruncated},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dst := []uint64{7, 7}
@@ -160,6 +169,79 @@ func TestTwoPass(t *testing.T) {
 			}
 			if dst[0] != c.want[0] || dst[1] != c.want[1] {
 				t.Fatalf("target %v, want %v", dst, c.want)
+			}
+		})
+	}
+}
+
+// TestVarint: AppendU64 writes the shortest LEB128 encoding, SizeU64
+// predicts its length, and U64 reads it back, at every length from one
+// byte to ten.
+func TestVarint(t *testing.T) {
+	for _, c := range []struct {
+		v   uint64
+		enc []byte
+	}{
+		{0, []byte{0}},
+		{1, []byte{1}},
+		{127, []byte{0x7f}},
+		{128, []byte{0x80, 1}},
+		{300, []byte{0xac, 2}},
+		{1<<63 - 1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}},
+		{^uint64(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}},
+	} {
+		enc := AppendU64(nil, c.v)
+		if !bytes.Equal(enc, c.enc) || SizeU64(c.v) != len(enc) {
+			t.Fatalf("%d encodes to %x (SizeU64 %d), want %x", c.v, enc, SizeU64(c.v), c.enc)
+		}
+		r := NewReader(enc)
+		if got := r.U64(); got != c.v || r.Done() != nil {
+			t.Fatalf("%x decodes to %d (%v), want %d", enc, got, r.Done(), c.v)
+		}
+	}
+	for shift := range 64 {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if n := len(AppendU64(nil, v)); SizeU64(v) != n {
+				t.Fatalf("SizeU64(%d) = %d, encoding is %d bytes", v, SizeU64(v), n)
+			}
+		}
+	}
+	if n := SizeBytes(200); n != 202 || len(AppendBytes(nil, make([]byte, 200))) != n {
+		t.Fatalf("SizeBytes(200) = %d, AppendBytes wrote %d", n, len(AppendBytes(nil, make([]byte, 200))))
+	}
+}
+
+// TestHostileVarint: a varint cut mid-value is truncated; one of eleven
+// bytes or more, one whose tenth byte carries bits past 64, and one that
+// is not the shortest encoding of its value are malformed. Each poisons
+// the reader for good, and none panics.
+func TestHostileVarint(t *testing.T) {
+	cont := func(n int) []byte { return bytes.Repeat([]byte{0x80}, n) }
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"empty", nil, ErrTruncated},
+		{"cut after one byte", []byte{0x80}, ErrTruncated},
+		{"cut mid-value", AppendU64(nil, 1<<40)[:3], ErrTruncated},
+		{"cut after nine continuation bytes", cont(9), ErrTruncated},
+		{"eleven continuation bytes", append(cont(11), 1), ErrMalformed},
+		{"tenth byte of 2", append(cont(9), 2), ErrMalformed},
+		{"tenth byte of 0x7f", append(cont(9), 0x7f), ErrMalformed},
+		{"overlong zero", []byte{0x80, 0}, ErrMalformed},
+		{"overlong one", []byte{0x81, 0x80, 0}, ErrMalformed},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewReader(append(c.in, 1, 2, 3))
+			if c.want == ErrTruncated {
+				r = NewReader(c.in)
+			}
+			if got := r.U64(); got != 0 || r.Err() != c.want {
+				t.Fatalf("U64 = %d, err %v; want 0, %v", got, r.Err(), c.want)
+			}
+			if r.Byte() != 0 || r.U64() != 0 || r.Err() != c.want {
+				t.Fatalf("reads after the error: err %v, want %v", r.Err(), c.want)
 			}
 		})
 	}

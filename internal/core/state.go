@@ -62,10 +62,14 @@ func (t *streamTable) decodeState(r *wire.Reader, apply bool) error {
 				ctr:   bpred.TwoBit(r.Byte()),
 				stamp: r.U64(),
 			}
+			if err := r.Err(); err != nil {
+				return err
+			}
 			// A stream of no instructions would hold fetch in place
 			// forever; Update never stores one, nor a next address that
-			// is not an instruction address.
-			if e.valid && (e.len < 1 || e.len > MaxStreamLen || !e.next.Valid()) {
+			// is not an instruction address, nor a counter out of its
+			// two bits.
+			if e.ctr > 3 || e.valid && (e.len < 1 || e.len > MaxStreamLen || !e.next.Valid()) {
 				return wire.ErrMalformed
 			}
 			if apply {

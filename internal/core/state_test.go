@@ -11,7 +11,8 @@ import (
 // TestLoadStateRejectsUnrunnableState: restored streams and builder state
 // that training never produces, and that would stall or derail fetch (a
 // stream of no instructions, a next address between instructions, a
-// negative stream length), are malformed and leave the target unmodified.
+// negative stream length, a counter out of its two bits), are malformed
+// and leave the target unmodified.
 // The targets hold state of their own, which a restore that stored
 // entries ahead of the bad one would overwrite.
 func TestLoadStateRejectsUnrunnableState(t *testing.T) {
@@ -32,6 +33,8 @@ func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 		{"stream of no instructions", pred(streamEntry{valid: true, tag: 7, len: 0, next: 0x1000, stamp: 1}), filledPredictor()},
 		{"stream over MaxStreamLen", pred(streamEntry{valid: true, tag: 7, len: MaxStreamLen + 1, next: 0x1000, stamp: 1}), filledPredictor()},
 		{"stream with a misaligned next", pred(streamEntry{valid: true, tag: 7, len: 4, next: 0x1002, stamp: 1}), filledPredictor()},
+		{"stream counter out of range", pred(streamEntry{valid: true, tag: 7, len: 4, next: 0x1000, ctr: 200, stamp: 1}), filledPredictor()},
+		{"invalid stream counter out of range", pred(streamEntry{ctr: 4}), filledPredictor()},
 		{"builder with a negative length", builder(Builder{start: 0x1000, len: -3, started: true}), builder(Builder{start: 0x2000, len: 5, started: true})},
 		{"builder partial longer than its stream", builder(Builder{start: 0x1000, len: 2, partialStart: 0x1004, partialLen: 3, hasPartial: true}), builder(Builder{start: 0x2000, len: 5, started: true})},
 		{"builder at a misaligned start", builder(Builder{start: 0x1001, len: 1, started: true}), builder(Builder{start: 0x2000, len: 5, started: true})},

@@ -71,6 +71,17 @@ func (g *denseGen) appendState(dst []byte) []byte {
 	return dst
 }
 
+// entries counts the pairs appendState writes.
+func (g *denseGen) entries() int {
+	n := len(g.overflow)
+	for _, c := range g.counts {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // randomPC draws a PC for a segment of slots slots at base: mostly a hot
 // set of slots (so counters repeat and pages fill unevenly), sometimes any
 // slot, and sometimes a PC before or past the segment.
@@ -91,7 +102,7 @@ func randomPC(rng *rand.Rand, base isa.Addr, slots int, hot []int) isa.Addr {
 // TestLoadAddrGenPagedMatchesDense: over random PC streams, for segments
 // of no slots, part of a page, page edges, and more pages than the slab
 // holds, the paged generator returns the dense reference's addresses and
-// encodes to its bytes; its state restores into a fresh generator that
+// encodes to its bytes, StateLen of them; its state restores into a fresh generator that
 // then continues identically; and a corrupted or truncated encoding
 // either restores or leaves the generator as it was.
 func TestLoadAddrGenPagedMatchesDense(t *testing.T) {
@@ -115,8 +126,9 @@ func TestLoadAddrGenPagedMatchesDense(t *testing.T) {
 			if !bytes.Equal(enc, ref.appendState(nil)) {
 				t.Fatalf("%d slots, step %d: state differs from the dense encoding", slots, step)
 			}
-			if g.StateEntries() != (len(enc)-24)/16 {
-				t.Fatalf("%d slots: StateEntries %d for a %d-byte state", slots, g.StateEntries(), len(enc))
+			if g.StateLen() != len(enc) || g.StateEntries() != ref.entries() {
+				t.Fatalf("%d slots: StateLen %d, StateEntries %d for a %d-byte state of %d pairs",
+					slots, g.StateLen(), g.StateEntries(), len(enc), ref.entries())
 			}
 			restored := NewLoadAddrGen(ws, base, slots)
 			if err := restored.LoadState(wire.NewReader(enc)); err != nil {

@@ -17,35 +17,42 @@ import (
 // 281,640 slots): the slot count, then the
 // non-zero counters as (slot, count) pairs in ascending slot order, then
 // the overflow entries as (pc, count) pairs in ascending pc order, each
-// pair list prefixed by its length. A section is 24 bytes plus 16 per
-// non-zero counter or overflow entry.
+// pair list prefixed by its length, every number a varint. A pair takes
+// two bytes at least; 176.gcc's 812 executed slots take 2.9 KB.
 
-// nonZero counts the generator's non-zero counters. Counters live in
-// pages, and a page that never executed holds none.
-func (g *LoadAddrGen) nonZero() int {
-	nz := 0
-	for _, p := range g.pages {
+// nonZero counts the generator's non-zero counters and the bytes their
+// pairs encode to. Counters live in pages, and a page that never
+// executed holds none.
+func (g *LoadAddrGen) nonZero() (nz, size int) {
+	for i, p := range g.pages {
 		if p != nil {
-			for _, c := range p {
+			for j, c := range p {
 				if c != 0 {
 					nz++
+					size += wire.SizeU64(uint64(i*genPageSlots+j)) + wire.SizeU64(c)
 				}
 			}
 		}
 	}
-	return nz
+	return nz, size
 }
 
 // StateLen returns the length of the state AppendState would append.
 func (g *LoadAddrGen) StateLen() int {
-	return 24 + 16*(g.nonZero()+len(g.overflow))
+	nz, n := g.nonZero()
+	n += wire.SizeU64(g.slots) + wire.SizeU64(uint64(nz)) + wire.SizeU64(uint64(len(g.overflow)))
+	for pc, c := range g.overflow {
+		n += wire.SizeU64(uint64(pc)) + wire.SizeU64(c)
+	}
+	return n
 }
 
 // AppendState appends the generator's state to dst. Equal states encode
 // to equal bytes.
 func (g *LoadAddrGen) AppendState(dst []byte) []byte {
+	nz, _ := g.nonZero()
 	dst = wire.AppendU64(dst, g.slots)
-	dst = wire.AppendU64(dst, uint64(g.nonZero()))
+	dst = wire.AppendU64(dst, uint64(nz))
 	for i, p := range g.pages {
 		if p == nil {
 			continue
@@ -77,7 +84,7 @@ type countPair struct{ key, count uint64 }
 // keys ascend strictly up to maxKey and whose counts are non-zero: the
 // only lists AppendState writes. Anything else is wire.ErrMalformed.
 func readPairs(r *wire.Reader, max int, maxKey uint64) ([]countPair, error) {
-	n := r.Count(max, 16)
+	n := r.Count(max, 2)
 	pairs := make([]countPair, n)
 	for i := range pairs {
 		p := countPair{r.U64(), r.U64()}

@@ -2,8 +2,8 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"streamfetch/internal/ckpt/wire"
@@ -26,22 +26,42 @@ func stateGen() *LoadAddrGen {
 	return g
 }
 
-// Offsets into stateGen's encoding: slot count, then the counter pairs
-// (16 bytes each) after their length, then the overflow pairs after
-// theirs.
-const (
-	genCounters = 16               // first counter pair
-	genOverflow = genCounters + 88 // first overflow pair: five pairs, then the overflow length
+// fields encodes vs as consecutive varints.
+func fields(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = wire.AppendU64(b, v)
+	}
+	return b
+}
+
+// encodeState writes a generator state: the slot count, then each pair
+// list as its length and its pairs.
+func encodeState(slots uint64, counters, overflow []uint64) []byte {
+	b := fields(slots, uint64(len(counters)/2))
+	b = append(b, fields(counters...)...)
+	b = append(b, fields(uint64(len(overflow)/2))...)
+	return append(b, fields(overflow...)...)
+}
+
+// stateGen's pairs: slots 7, 1, 63, 30 and 2 executed 1, 10, 19, 28 and
+// 37 times, and PCs 0x40 and 0x9000 once and twice.
+var (
+	genCounters = []uint64{1, 10, 2, 37, 7, 1, 30, 28, 63, 19}
+	genOverflow = []uint64{0x40, 1, 0x9000, 2}
 )
 
-// TestLoadAddrGenStateRoundTrip: the encoding holds 24 bytes plus 16 per
-// executed slot or overflow PC, and a restored generator encodes to the
-// same bytes and continues with the same addresses as the original.
+// TestLoadAddrGenStateRoundTrip: the encoding is exactly StateLen bytes,
+// and a restored generator encodes to the same bytes and continues with
+// the same addresses as the original.
 func TestLoadAddrGenStateRoundTrip(t *testing.T) {
 	a := stateGen()
 	enc := a.AppendState(nil)
-	if want := 24 + 16*(5+2); len(enc) != want {
-		t.Fatalf("state is %d bytes, want %d", len(enc), want)
+	if want := encodeState(64, genCounters, genOverflow); !bytes.Equal(enc, want) {
+		t.Fatalf("state %x, want %x", enc, want)
+	}
+	if n := a.StateLen(); len(enc) != n {
+		t.Fatalf("state is %d bytes, StateLen %d", len(enc), n)
 	}
 	b := NewLoadAddrGen(1<<16, 0x1000, 64)
 	b.Next(0x1000 + 5*isa.InstBytes) // state the restore must replace
@@ -66,30 +86,33 @@ func TestLoadAddrGenStateRoundTrip(t *testing.T) {
 // TestLoadAddrGenStateRejectsMalformed: every pair list AppendState cannot
 // have written is wire.ErrMalformed, and the generator keeps its state.
 func TestLoadAddrGenStateRejectsMalformed(t *testing.T) {
-	put := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
-	cases := map[string]func(b []byte) []byte{
-		"slot count of another layout": func(b []byte) []byte { put(b, 0, 65); return b },
-		"slot out of range":            func(b []byte) []byte { put(b, genCounters+4*16, 64); return b },
-		"slots out of order":           func(b []byte) []byte { put(b, genCounters+16, 0); return b },
-		"repeated slot":                func(b []byte) []byte { put(b, genCounters+16, 1); return b },
-		"zero count":                   func(b []byte) []byte { put(b, genCounters+2*16+8, 0); return b },
-		"pair count above slot count": func(b []byte) []byte {
-			put(b, 8, 65)
-			return append(b, make([]byte, 65*16)...) // bytes enough for 65 pairs
-		},
-		// Seven pairs and a length remain after the count: 120 bytes,
-		// room for seven pairs but not eight.
-		"pair count above bytes left": func(b []byte) []byte { put(b, 8, 8); return b },
-		"overflow PCs out of order":   func(b []byte) []byte { put(b, genOverflow+16, 0x20); return b },
-		"zero overflow count":         func(b []byte) []byte { put(b, genOverflow+8, 0); return b },
-		"overflow count above bytes left": func(b []byte) []byte {
-			return b[:len(b)-1]
-		},
+	with := func(list []uint64, i int, v uint64) []uint64 {
+		list = slices.Clone(list)
+		list[i] = v
+		return list
 	}
-	good := stateGen().AppendState(nil)
-	for name, mutate := range cases {
+	good := encodeState(64, genCounters, genOverflow)
+	cases := map[string][]byte{
+		"slot count of another layout": encodeState(65, genCounters, genOverflow),
+		"slot out of range":            encodeState(64, with(genCounters, 8, 64), genOverflow),
+		"slots out of order":           encodeState(64, with(genCounters, 2, 0), genOverflow),
+		"repeated slot":                encodeState(64, with(genCounters, 2, 1), genOverflow),
+		"zero count":                   encodeState(64, with(genCounters, 5, 0), genOverflow),
+		"pair count above slot count":  append(fields(64, 65), make([]byte, 2*65)...), // bytes enough for 65 pairs
+		// 17 bytes follow the count: room for eight pairs of two bytes,
+		// not nine.
+		"pair count above bytes left": append(fields(64, 9), good[2:]...),
+		"overflow PCs out of order":   encodeState(64, genCounters, with(genOverflow, 2, 0x20)),
+		"zero overflow count":         encodeState(64, genCounters, with(genOverflow, 1, 0)),
+		// 6 bytes follow the overflow count: room for three pairs, not
+		// four.
+		"overflow count above bytes left": append(fields(append([]uint64{64, 5}, genCounters...)...), fields(append([]uint64{4}, genOverflow...)...)...),
+	}
+	if n := len(good) - 2; n != 17 {
+		t.Fatalf("%d bytes follow the counter list's length, want 17", n)
+	}
+	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
-			bad := mutate(append([]byte(nil), good...))
 			g := NewLoadAddrGen(1<<16, 0x1000, 64)
 			g.Next(0x1000 + 5*isa.InstBytes)
 			g.Next(0x20)

@@ -155,3 +155,34 @@ func TestWarmPrefixStops(t *testing.T) {
 		t.Fatalf("cancelled walk returned %v", err)
 	}
 }
+
+// TestRestoreReencodes: for every engine, a fresh processor restored from
+// a snapshot the walk took encodes back to that snapshot's bytes, so a
+// restore keeps every tag, stamp, counter and table entry it was given.
+func TestRestoreReencodes(t *testing.T) {
+	b := loadBench(t, "164.gzip", 300_000)
+	const boundary = 150_000
+	for _, engine := range paperEngines() {
+		t.Run(engine, func(t *testing.T) {
+			t.Parallel()
+			snaps, _ := walkBench(t, b, engine, []uint64{boundary})
+			snap, err := ckpt.Decode(snaps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := New(b.opt, b.tr.Source(), Config{Width: 8, Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.Apply(q.Hier(), q.Gen()); err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Engine().LoadWarmState(snap.Engine); err != nil {
+				t.Fatal(err)
+			}
+			if got := warmSnapshot(q, boundary); !bytes.Equal(got, snaps[0]) {
+				t.Fatalf("restored processor encodes to %d bytes, differing from the %d-byte snapshot", len(got), len(snaps[0]))
+			}
+		})
+	}
+}

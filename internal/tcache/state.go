@@ -190,9 +190,13 @@ func (t *predTable) loadState(r *wire.Reader, maxLen int) error {
 		scratch[i].term = isa.BranchType(r.Byte())
 		scratch[i].next = isa.Addr(r.U64())
 		scratch[i].ctr = bpred.TwoBit(r.Byte())
+		if err := r.Err(); err != nil {
+			return err
+		}
 		// A predicted trace of no instructions would hold fetch in
-		// place forever; update never stores one.
-		if e := &scratch[i]; e.valid && (e.len < 1 || int(e.len) > maxLen || !e.next.Valid()) {
+		// place forever; update never stores one, nor a counter out of
+		// its two bits.
+		if e := &scratch[i]; e.ctr > 3 || e.valid && (e.len < 1 || int(e.len) > maxLen || !e.next.Valid()) {
 			return wire.ErrMalformed
 		}
 	}

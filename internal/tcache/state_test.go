@@ -12,8 +12,8 @@ import (
 // TestLoadStateRejectsUnrunnableState: restored predictions and traces
 // the fill unit never builds, and that would stall or derail fetch (a
 // predicted trace of no instructions, a trace whose first instruction is
-// not at its start, a misaligned address), are malformed and leave the
-// target unmodified.
+// not at its start, a misaligned address, a counter out of its two bits),
+// are malformed and leave the target unmodified.
 func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 	type warmState interface {
 		AppendState(dst []byte) []byte
@@ -49,6 +49,8 @@ func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 		{"predicted trace of no instructions", pred(predEntry{valid: true, stamp: 1, tag: 7, len: 0, next: 0x1000}), pred(predEntry{})},
 		{"predicted trace over MaxLen", pred(predEntry{valid: true, stamp: 1, tag: 7, len: uint8(cfg.MaxLen + 1), next: 0x1000}), pred(predEntry{})},
 		{"predicted misaligned next", pred(predEntry{valid: true, stamp: 1, tag: 7, len: 2, next: 0x1001}), pred(predEntry{})},
+		{"predicted counter out of range", pred(predEntry{valid: true, stamp: 1, tag: 7, len: 2, next: 0x1000, ctr: 200}), pred(predEntry{})},
+		{"invalid prediction's counter out of range", pred(predEntry{ctr: 4}), pred(predEntry{})},
 		{"stored trace not at its start", store(&Trace{ID: ID{Start: 0x1000}, Inst: []TraceInst{inst(0x1004)}, Next: 0x1008}), store(nil)},
 		{"stored trace at a misaligned address", store(&Trace{ID: ID{Start: 0x1000}, Inst: []TraceInst{inst(0x1000), inst(0x1006)}, Next: 0x1008}), store(nil)},
 		{"pending trace not at its start", fill(&Trace{ID: ID{Start: 0x2000}, Inst: []TraceInst{inst(0x1000)}}), fill(nil)},

@@ -141,7 +141,10 @@ func WithColdShards() Option {
 // then simulates each interval's lead-in and window. A hit and a miss restore the same
 // bytes, so reports differ only in their checkpoint counters.
 // Checkpoints key on the preparation inputs (benchmark, seeds, engine,
-// width, layout, trace file path) plus the boundary position; any
+// width, layout) plus the boundary position, and a WithTraceFile run on
+// the file's content: its sha256, read once per run that looks a
+// checkpoint up, so a file overwritten in place, even by a trace of the
+// same length, misses; the same trace at another path hits. Any
 // mismatch, torn blob or stale format decodes as a clean miss.
 // In-memory traces (WithTrace) have no stable identity and never use
 // checkpoints, nor do cold shards (WithColdShards), whose skipped

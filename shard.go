@@ -42,9 +42,13 @@ package streamfetch
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"runtime/debug"
 	"time"
 
@@ -275,6 +279,9 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 	opens := make([]intervalOpening, len(specs))
 	var bounds []uint64
 	var walked []chan []byte
+	// traceSum is a trace file's digest, hashed for the first boundary
+	// that looks up a checkpoint.
+	var traceSum string
 	for i, spec := range specs {
 		o := &opens[i]
 		if s.coldShards || spec.start <= s.warmup {
@@ -284,7 +291,12 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 		// In-memory traces have no stable identity across runs: they
 		// never checkpoint.
 		if s.ckptStore != nil && s.traceData == nil {
-			if k, ok := s.ckptKeySpec(lay, o.boundary); ok {
+			if s.traceFile != "" && traceSum == "" {
+				if traceSum, err = traceDigest(s.traceFile); err != nil {
+					return nil, 0, err
+				}
+			}
+			if k, ok := s.ckptKeySpec(lay, o.boundary, traceSum); ok {
 				o.key = store.Key(k)
 				o.stored = s.storedCkpt(o.key, o.boundary)
 				o.hit = o.stored != nil
@@ -520,8 +532,9 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPla
 
 // ckptKeySpec is a checkpoint's canonical identity, hashed into its
 // store key. It covers every session input that shapes the warm state
-// at a boundary: the trace identity (benchmark, seeds, lengths, or the
-// trace file path), the code layout, the hierarchy geometry, the engine
+// at a boundary: the trace identity (benchmark, seeds, lengths, and a
+// trace file's sha256, so a file overwritten in place keys anew), the
+// code layout, the hierarchy geometry, the engine
 // and its options, and the boundary position itself. Two versions retire
 // old blobs wholesale: Model (modelVersion) when what warming computes
 // changes, Version (ckpt.Version) when the snapshot format does. A blob
@@ -532,7 +545,7 @@ type ckptKeySpec struct {
 	Model      int    `json:"model"`
 	Version    int    `json:"version"`
 	Benchmark  string `json:"benchmark"`
-	TraceFile  string `json:"trace_file,omitempty"`
+	TraceSum   string `json:"trace_sha256,omitempty"`
 	Seed       uint64 `json:"seed"`
 	TrainSeed  uint64 `json:"train_seed"`
 	Insts      uint64 `json:"insts"`
@@ -546,11 +559,12 @@ type ckptKeySpec struct {
 }
 
 // ckptKeySpec resolves this session's checkpoint identity at the given
-// boundary; store.Key of it is the checkpoint's store key. The second
-// return is false when the configuration has no stable identity
+// boundary, for a trace file of digest traceSum (traceDigest; "" for a
+// generated trace); store.Key of it is the checkpoint's store key. The
+// second return is false when the configuration has no stable identity
 // (unserializable engine options) and checkpointing must stay off for
 // the run.
-func (s *Session) ckptKeySpec(lay *layout.Layout, boundary uint64) (ckptKeySpec, bool) {
+func (s *Session) ckptKeySpec(lay *layout.Layout, boundary uint64, traceSum string) (ckptKeySpec, bool) {
 	opts := ""
 	if s.engineOpts != nil {
 		b, err := json.Marshal(s.engineOpts)
@@ -567,7 +581,7 @@ func (s *Session) ckptKeySpec(lay *layout.Layout, boundary uint64) (ckptKeySpec,
 		Model:      modelVersion,
 		Version:    ckpt.Version,
 		Benchmark:  s.benchmark,
-		TraceFile:  s.traceFile,
+		TraceSum:   traceSum,
 		Seed:       s.seed,
 		TrainSeed:  s.trainSeed,
 		Insts:      s.insts,
@@ -579,6 +593,21 @@ func (s *Session) ckptKeySpec(lay *layout.Layout, boundary uint64) (ckptKeySpec,
 		EngineOpts: opts,
 		Boundary:   boundary,
 	}, true
+}
+
+// traceDigest returns the hex sha256 of the trace file at path: the
+// identity its checkpoints key on.
+func traceDigest(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", fmt.Errorf("streamfetch: hashing trace %s: %w", path, err)
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("streamfetch: hashing trace %s: %w", path, err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // mergeOuts combines completed intervals into the plan's report (nil when
