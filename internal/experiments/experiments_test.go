@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -173,4 +175,57 @@ func TestTable1Renders(t *testing.T) {
 	if !strings.Contains(buf.String(), "stream") {
 		t.Fatalf("Table 1 output: %q", buf.String())
 	}
+}
+
+// figuresConfig is the small scale TestFiguresPinned renders at: two
+// benchmarks and all four engines.
+func figuresConfig() Config {
+	c := DefaultConfig()
+	c.TraceInsts = 60_000
+	c.TrainInsts = 20_000
+	c.Benchmarks = []string{"164.gzip", "176.gcc"}
+	c.Engines = []string{"ev8", "ftb", "streams", "tcache"}
+	return c
+}
+
+// TestFiguresPinned renders Figure 8, Figure 9 and Table 3 as text and
+// compares them byte for byte with testdata/figures.golden, so a change
+// to how the grids are computed cannot move a printed figure.
+func TestFiguresPinned(t *testing.T) {
+	got := renderFigures(t, figuresConfig())
+	want, err := os.ReadFile(filepath.Join("testdata", "figures.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("figures diverged from testdata/figures.golden\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// renderFigures computes Figure 8, Figure 9 and Table 3 for c and renders
+// them as cmd/experiments prints them.
+func renderFigures(t *testing.T, c Config) string {
+	t.Helper()
+	ctx := context.Background()
+	benches := mustPrepare(t, c)
+	exps, err := Fig8Data(ctx, benches, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig9, err := Fig9Data(ctx, benches, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table3, err := Table3Data(ctx, benches, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for i, e := range append(exps, fig9, table3) {
+		if i > 0 {
+			buf.WriteByte('\n')
+		}
+		e.WriteText(&buf)
+	}
+	return buf.String()
 }
