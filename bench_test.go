@@ -1,12 +1,13 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus ablations of the stream fetch design choices
-// (next-stream predictor, I-cache banks, FTQ depth). Run with:
+// Benchmark harness for configurations no table of cmd/experiments
+// computes: the line-width sweep of Figure 7, ablations of the stream
+// fetch design choices (next-stream predictor, I-cache banks, FTQ depth)
+// and raw simulator throughput. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark reports the figures it regenerates through b.ReportMetric
-// (IPC, misprediction rates, fetch IPC, unit sizes) so `benchstat` can track
-// them across changes; the full formatted tables come from cmd/experiments.
+// Each benchmark reports its figures through b.ReportMetric (IPC,
+// misprediction rates, fetch IPC) so `benchstat` can track them across
+// changes; the paper's tables and figures come from cmd/experiments.
 //
 // This is an external test package (streamfetch_test): it exercises the
 // public session API together with internal/experiments, which itself
@@ -16,7 +17,6 @@ package streamfetch_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -35,7 +35,6 @@ const benchInsts = 300_000
 var (
 	prepOnce    sync.Once
 	prepBenches []experiments.Bench
-	prepCfg     experiments.Config
 	prepErr     error
 )
 
@@ -53,102 +52,19 @@ func benchEngines() []string {
 }
 
 // prepared builds a three-benchmark subset once, shared by every benchmark.
-func prepared(b *testing.B) ([]experiments.Bench, experiments.Config) {
+func prepared(b *testing.B) []experiments.Bench {
 	b.Helper()
 	prepOnce.Do(func() {
-		prepCfg = experiments.DefaultConfig()
-		prepCfg.TraceInsts = benchInsts
-		prepCfg.TrainInsts = benchInsts / 4
-		prepCfg.Benchmarks = []string{"164.gzip", "176.gcc", "300.twolf"}
-		prepBenches, prepErr = experiments.Prepare(context.Background(), prepCfg)
+		c := experiments.DefaultConfig()
+		c.TraceInsts = benchInsts
+		c.TrainInsts = benchInsts / 4
+		c.Benchmarks = []string{"164.gzip", "176.gcc", "300.twolf"}
+		prepBenches, prepErr = experiments.Prepare(context.Background(), c)
 	})
 	if prepErr != nil {
 		b.Fatal(prepErr)
 	}
-	return prepBenches, prepCfg
-}
-
-// BenchmarkFig8IPC regenerates Figure 8: harmonic-mean IPC per engine and
-// layout, for 2-, 4- and 8-wide pipelines.
-func BenchmarkFig8IPC(b *testing.B) {
-	benches, cfg := prepared(b)
-	for _, width := range []int{2, 4, 8} {
-		width := width
-		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cells, err := experiments.Sweep(context.Background(), benches, width,
-					[]string{"base", "optimized"}, benchEngines(), cfg.Parallel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				h := experiments.HarmonicIPC(cells)
-				for _, e := range benchEngines() {
-					b.ReportMetric(h[[2]string{"optimized", e}], e+"-opt-IPC")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig9PerBenchmark regenerates Figure 9: per-benchmark IPC on the
-// 8-wide optimized configuration.
-func BenchmarkFig9PerBenchmark(b *testing.B) {
-	benches, cfg := prepared(b)
-	for i := 0; i < b.N; i++ {
-		e, err := experiments.Fig9Data(context.Background(), benches, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.WriteText(io.Discard)
-	}
-}
-
-// BenchmarkTable1UnitSizes regenerates Table 1: mean dynamic fetch-unit
-// sizes (basic block, trace, stream).
-func BenchmarkTable1UnitSizes(b *testing.B) {
-	benches, _ := prepared(b)
-	for i := 0; i < b.N; i++ {
-		var bb, st, tr []float64
-		for _, bench := range benches {
-			src, err := bench.Session.Source()
-			if err != nil {
-				b.Fatal(err)
-			}
-			u := experiments.UnitSizes(bench.Opt, src)
-			src.Close()
-			bb = append(bb, u.BasicBlock)
-			st = append(st, u.Stream)
-			tr = append(tr, u.Trace)
-		}
-		b.ReportMetric(stats.Mean(bb), "basicblock-insts")
-		b.ReportMetric(stats.Mean(tr), "trace-insts")
-		b.ReportMetric(stats.Mean(st), "stream-insts")
-	}
-}
-
-// BenchmarkTable3FetchMetrics regenerates Table 3: misprediction rate and
-// fetch IPC per engine on the 8-wide processor with optimized layouts.
-func BenchmarkTable3FetchMetrics(b *testing.B) {
-	benches, cfg := prepared(b)
-	for _, e := range benchEngines() {
-		e := e
-		b.Run(e, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cells, err := experiments.Sweep(context.Background(), benches, 8,
-					[]string{"optimized"}, []string{e}, cfg.Parallel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var mp, fi []float64
-				for _, c := range cells {
-					mp = append(mp, c.Result.MispredRate)
-					fi = append(fi, c.Result.FetchIPC)
-				}
-				b.ReportMetric(100*stats.Mean(mp), "mispred-%")
-				b.ReportMetric(stats.HarmonicMean(fi), "fetch-IPC")
-			}
-		})
-	}
+	return prepBenches
 }
 
 // runStreams runs one bench's session with the streams engine on the 8-wide
@@ -171,7 +87,7 @@ func runStreams(b *testing.B, bench experiments.Bench, opts ...streamfetch.Optio
 // 4x the pipe width) for the stream engine, the misalignment effect of
 // Figure 7: longer lines reduce the chance a stream crosses a line boundary.
 func BenchmarkFig7Misalignment(b *testing.B) {
-	benches, _ := prepared(b)
+	benches := prepared(b)
 	for _, mult := range []int{1, 2, 4} {
 		mult := mult
 		b.Run(fmt.Sprintf("line%dx", mult), func(b *testing.B) {
@@ -191,7 +107,7 @@ func BenchmarkFig7Misalignment(b *testing.B) {
 // choices of §3.2: the full cascade, no mispredict upgrades, a single
 // address-indexed table, and strict path priority on double hits.
 func BenchmarkAblationStreamPredictor(b *testing.B) {
-	benches, _ := prepared(b)
+	benches := prepared(b)
 	variants := []struct {
 		name string
 		mut  func(*core.PredictorConfig)
@@ -228,7 +144,7 @@ func BenchmarkAblationStreamPredictor(b *testing.B) {
 // per cycle. The wide line wins on misalignment without the interchange
 // network.
 func BenchmarkAblationICacheBanks(b *testing.B) {
-	benches, _ := prepared(b)
+	benches := prepared(b)
 	variants := []struct {
 		name     string
 		lineMult int
@@ -260,7 +176,7 @@ func BenchmarkAblationICacheBanks(b *testing.B) {
 // BenchmarkAblationFTQDepth sweeps the fetch target queue depth (the
 // decoupling buffer of §3.3).
 func BenchmarkAblationFTQDepth(b *testing.B) {
-	benches, _ := prepared(b)
+	benches := prepared(b)
 	for _, depth := range []int{1, 2, 4, 8} {
 		depth := depth
 		b.Run(fmt.Sprintf("ftq%d", depth), func(b *testing.B) {
@@ -281,7 +197,7 @@ func BenchmarkAblationFTQDepth(b *testing.B) {
 // BenchmarkSimThroughput measures raw simulator speed (simulated
 // instructions per second) for each engine.
 func BenchmarkSimThroughput(b *testing.B) {
-	benches, _ := prepared(b)
+	benches := prepared(b)
 	bench := benches[0]
 	for _, e := range benchEngines() {
 		e := e

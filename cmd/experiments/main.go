@@ -1,10 +1,11 @@
 // Command experiments regenerates the paper's tables and figures, as
-// formatted text or as structured JSON.
+// formatted text or as structured JSON. GOMAXPROCS=1 runs one simulation
+// at a time.
 //
 // Usage:
 //
 //	experiments -exp all|fig8|fig9|table1|table2|table3|ablation|dist \
-//	            [-insts 2000000] [-bench 164.gzip,176.gcc] [-serial] [-json]
+//	            [-insts 2000000] [-bench 164.gzip,176.gcc] [-json]
 package main
 
 import (
@@ -20,20 +21,19 @@ import (
 
 	"streamfetch"
 	"streamfetch/internal/experiments"
+	"streamfetch/internal/store"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, table1, table2, table3, ablation, dist")
 	insts := flag.Uint64("insts", 2_000_000, "dynamic trace length per benchmark")
 	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all 11)")
-	serial := flag.Bool("serial", false, "disable parallel simulation")
 	asJSON := flag.Bool("json", false, "emit the experiments as a JSON array instead of text")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
 	cfg.TraceInsts = *insts
 	cfg.TrainInsts = *insts
-	cfg.Parallel = !*serial
 	if *benchList != "" {
 		cfg.Benchmarks = strings.Split(*benchList, ",")
 	}
@@ -74,9 +74,10 @@ func main() {
 	}
 	table2 := one(func() (*streamfetch.Experiment, error) { return experiments.Table2Data(), nil })
 	table1 := one(func() (*streamfetch.Experiment, error) { return experiments.Table1Data(benches) })
-	fig8 := func() ([]*streamfetch.Experiment, error) { return experiments.Fig8Data(ctx, benches, cfg) }
-	fig9 := one(func() (*streamfetch.Experiment, error) { return experiments.Fig9Data(ctx, benches, cfg) })
-	table3 := one(func() (*streamfetch.Experiment, error) { return experiments.Table3Data(ctx, benches, cfg) })
+	cells := store.NewMem() // one result cache: every fig9 and table3 cell is a fig8 cell
+	fig8 := func() ([]*streamfetch.Experiment, error) { return experiments.Fig8Data(ctx, cfg, cells) }
+	fig9 := one(func() (*streamfetch.Experiment, error) { return experiments.Fig9Data(ctx, cfg, cells) })
+	table3 := one(func() (*streamfetch.Experiment, error) { return experiments.Table3Data(ctx, cfg, cells) })
 	ablation := one(func() (*streamfetch.Experiment, error) { return experiments.AblationData(ctx, benches, cfg) })
 	dist := one(func() (*streamfetch.Experiment, error) { return experiments.DistributionData(benches) })
 
@@ -101,31 +102,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *asJSON {
-		var exps []*streamfetch.Experiment
-		for _, p := range producers {
-			batch, err := p()
-			if err != nil {
-				fail(err)
-			}
-			exps = append(exps, batch...)
+	var exps []*streamfetch.Experiment
+	for _, p := range producers {
+		batch, err := p()
+		if err != nil {
+			fail(err)
 		}
-		emitJSON(exps)
-	} else {
-		first := true
-		for _, p := range producers {
-			batch, err := p()
-			if err != nil {
-				fail(err)
-			}
-			for _, e := range batch {
-				if !first {
+		for _, e := range batch {
+			if !*asJSON {
+				if len(exps) > 0 {
 					fmt.Println()
 				}
-				first = false
 				e.WriteText(os.Stdout)
 			}
+			exps = append(exps, e)
 		}
+	}
+	if *asJSON {
+		emitJSON(exps)
 	}
 	fmt.Fprintf(os.Stderr, "\ntotal %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -54,8 +54,9 @@ import (
 // per-way valid byte of version 1's cache sections. Version 3 writes
 // every integer as a varint, a cache way as its tag above the set-index
 // bits and its LRU distance from the clock, and a 2-bit counter table
-// four counters a byte.
-const Version = 3
+// four counters a byte. Version 4 writes a stored trace instruction's
+// address once, where version 3 wrote it twice.
+const Version = 4
 
 // magic guards against feeding arbitrary store blobs into the decoder.
 const magic = "SFCK"

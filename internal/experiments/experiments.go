@@ -5,20 +5,23 @@
 //
 // Every experiment is computed as a structured streamfetch.Experiment (the
 // XxxData builders) and rendered either as aligned text
-// (Experiment.WriteText) or as JSON (cmd/experiments -json). Simulations run through
-// streamfetch sessions, so any engine registered in the frontend registry
-// shows up in the sweeps by name.
+// (Experiment.WriteText) or as JSON (cmd/experiments -json). The grid
+// figures (Figure 8, Figure 9, Table 3) run through streamfetch.RunSweep,
+// the daemon's sweep loop, and share cells through the store they are
+// given; the analyses and the ablation run on Prepare's sessions. Any
+// engine registered in the frontend registry shows up by name.
 //
 // Absolute numbers differ from the paper (synthetic workloads, simplified
 // back-end); the harness exists to reproduce the *shape*: which engine wins,
 // by roughly what factor, and how code layout optimization shifts the
-// comparison. EXPERIMENTS.md records paper-vs-measured values.
+// comparison.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"streamfetch"
@@ -29,6 +32,7 @@ import (
 	"streamfetch/internal/layout"
 	"streamfetch/internal/par"
 	"streamfetch/internal/stats"
+	"streamfetch/internal/store"
 	"streamfetch/internal/trace"
 )
 
@@ -46,8 +50,6 @@ type Config struct {
 	// Engines restricts the fetch engines (nil = every registered
 	// engine, the paper's four in a stock build).
 	Engines []string
-	// Parallel runs benchmarks concurrently.
-	Parallel bool
 }
 
 // DefaultConfig returns a configuration that completes in minutes.
@@ -57,8 +59,15 @@ func DefaultConfig() Config {
 		TrainInsts: 2_000_000,
 		RefSeed:    99,
 		TrainSeed:  7,
-		Parallel:   true,
 	}
+}
+
+// benchmarks resolves the benchmark set: the explicit list, or the suite.
+func (c Config) benchmarks() []string {
+	if c.Benchmarks != nil {
+		return c.Benchmarks
+	}
+	return streamfetch.Benchmarks()
 }
 
 // engines resolves the engine set: the explicit list, or every registered
@@ -87,12 +96,9 @@ type Bench struct {
 // Preparation runs on a bounded worker pool; the context cancels it, and
 // failures (e.g. an unknown benchmark name) are returned, not panicked.
 func Prepare(ctx context.Context, c Config) ([]Bench, error) {
-	names := c.Benchmarks
-	if names == nil {
-		names = streamfetch.Benchmarks()
-	}
+	names := c.benchmarks()
 	out := make([]Bench, len(names))
-	err := forEach(ctx, len(names), c.Parallel, func(i int) error {
+	err := par.Do(ctx, len(names), func(i int) error {
 		s := streamfetch.New(names[i],
 			streamfetch.WithInstructions(c.TraceInsts),
 			streamfetch.WithTrainInstructions(c.TrainInsts),
@@ -120,69 +126,29 @@ func Prepare(ctx context.Context, c Config) ([]Bench, error) {
 	return out, nil
 }
 
-// forEach runs f(0..n-1) on the process-wide worker budget (par.Do): the
-// calling goroutine plus whatever extra workers the shared pool can spare,
-// one goroutine total when parallel is false. Sharded session runs inside
-// f draw from the same pool, so shards × sweep workers never oversubscribe
-// GOMAXPROCS. The first error (or context cancellation) stops new work
-// from being claimed; in-flight calls finish, every worker joins before
-// return (no goroutine leaks), and that first error is returned.
-func forEach(ctx context.Context, n int, parallel bool, f func(i int) error) error {
-	return par.Do(ctx, n, parallel, f)
-}
-
-// Cell is one simulation outcome within a sweep.
-type Cell struct {
-	Bench  string
-	Layout string
-	Result *streamfetch.Report
-}
-
-// Sweep runs every (benchmark, layout, engine) combination at one width on
-// a bounded worker pool (forEach). On error or cancellation it returns the
-// cells that completed (in job order, incomplete cells dropped) together
-// with the first error, so a cancelled sweep still yields its partial
-// results.
-func Sweep(ctx context.Context, benches []Bench, width int, layouts []string, engines []string, parallel bool) ([]Cell, error) {
-	type job struct {
-		bench          *Bench
-		layout, engine string
-	}
-	var jobs []job
-	for i := range benches {
-		for _, l := range layouts {
-			for _, e := range engines {
-				jobs = append(jobs, job{&benches[i], l, e})
-			}
-		}
-	}
-	reps := make([]*streamfetch.Report, len(jobs))
-	err := forEach(ctx, len(jobs), parallel, func(i int) error {
-		j := jobs[i]
-		rep, err := j.bench.Session.RunWith(ctx, streamfetch.WithWidth(width),
-			streamfetch.WithLayout(j.layout), streamfetch.WithEngine(j.engine))
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s w=%d: %w", j.bench.Name, j.layout, j.engine, width, err)
-		}
-		reps[i] = rep
-		return nil
-	})
-	var cells []Cell
-	for i, j := range jobs {
-		if reps[i] != nil {
-			cells = append(cells, Cell{Bench: j.bench.Name, Layout: j.layout, Result: reps[i]})
-		}
-	}
-	return cells, err
+// sweep runs the grid of c's benchmarks and engines over layouts and
+// widths through streamfetch.RunSweep, answering from st every cell a
+// figure has already run there.
+func sweep(ctx context.Context, c Config, st store.Store, layouts []string, widths ...int) ([]streamfetch.GridCell, error) {
+	return streamfetch.RunSweep(ctx, streamfetch.SweepRequest{
+		Benchmarks: c.Benchmarks,
+		Layouts:    layouts,
+		Engines:    c.Engines,
+		Widths:     widths,
+		Seed:       c.RefSeed,
+		TrainSeed:  c.TrainSeed,
+		Insts:      c.TraceInsts,
+		TrainInsts: c.TrainInsts,
+	}, st)
 }
 
 // HarmonicIPC aggregates the harmonic-mean IPC per (layout, engine) over the
 // suite, as the paper reports.
-func HarmonicIPC(cells []Cell) map[[2]string]float64 {
+func HarmonicIPC(cells []streamfetch.GridCell) map[[2]string]float64 {
 	group := map[[2]string][]float64{}
 	for _, c := range cells {
-		k := [2]string{c.Layout, c.Result.Engine}
-		group[k] = append(group[k], c.Result.IPC)
+		k := [2]string{c.Layout, c.Engine}
+		group[k] = append(group[k], c.Report.IPC)
 	}
 	out := map[[2]string]float64{}
 	for k, v := range group {
@@ -192,20 +158,25 @@ func HarmonicIPC(cells []Cell) map[[2]string]float64 {
 }
 
 // Fig8Data computes Figure 8: harmonic-mean IPC for 2-, 4- and 8-wide
-// pipelines, base and optimized layouts, every engine — one experiment per
-// width.
-func Fig8Data(ctx context.Context, benches []Bench, c Config) ([]*streamfetch.Experiment, error) {
+// pipelines, base and optimized layouts, every engine — one grid, one
+// experiment per width.
+func Fig8Data(ctx context.Context, c Config, st store.Store) ([]*streamfetch.Experiment, error) {
+	widths := []int{2, 4, 8}
+	cells, err := sweep(ctx, c, st, []string{"base", "optimized"}, widths...)
+	if err != nil {
+		return nil, err
+	}
+	byWidth := map[int][]streamfetch.GridCell{}
+	for _, cell := range cells {
+		byWidth[cell.Width] = append(byWidth[cell.Width], cell)
+	}
 	var exps []*streamfetch.Experiment
-	for _, width := range []int{2, 4, 8} {
-		cells, err := Sweep(ctx, benches, width, []string{"base", "optimized"}, c.engines(), c.Parallel)
-		if err != nil {
-			return nil, err
-		}
-		h := HarmonicIPC(cells)
+	for _, width := range widths {
+		h := HarmonicIPC(byWidth[width])
 		e := &streamfetch.Experiment{
 			Name: fmt.Sprintf("fig8-w%d", width),
 			Title: fmt.Sprintf("Figure 8: IPC, %d-wide processor (harmonic mean over %d benchmarks)",
-				width, len(benches)),
+				width, len(c.benchmarks())),
 			RowHeader: "engine",
 			Columns:   []string{"base", "optimized"},
 		}
@@ -219,42 +190,32 @@ func Fig8Data(ctx context.Context, benches []Bench, c Config) ([]*streamfetch.Ex
 
 // Fig9Data computes Figure 9: per-benchmark IPC for the 8-wide processor
 // with optimized layouts, with a harmonic-mean summary row.
-func Fig9Data(ctx context.Context, benches []Bench, c Config) (*streamfetch.Experiment, error) {
+func Fig9Data(ctx context.Context, c Config, st store.Store) (*streamfetch.Experiment, error) {
 	engines := c.engines()
-	cells, err := Sweep(ctx, benches, 8, []string{"optimized"}, engines, c.Parallel)
+	cells, err := sweep(ctx, c, st, []string{"optimized"}, 8)
 	if err != nil {
 		return nil, err
 	}
-	byBench := map[string]map[string]float64{}
+	ipc := map[string][]float64{} // per benchmark, in engine order
 	for _, cell := range cells {
-		if byBench[cell.Bench] == nil {
-			byBench[cell.Bench] = map[string]float64{}
-		}
-		byBench[cell.Bench][cell.Result.Engine] = cell.Result.IPC
+		ipc[cell.Benchmark] = append(ipc[cell.Benchmark], cell.Report.IPC)
 	}
-	names := make([]string, 0, len(byBench))
-	for n := range byBench {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	e := &streamfetch.Experiment{
 		Name:      "fig9",
 		Title:     "Figure 9: individual IPC, 8-wide processor, optimized codes",
 		RowHeader: "benchmark",
 		Columns:   engines,
 	}
-	perEngine := map[string][]float64{}
-	for _, n := range names {
-		row := make([]float64, len(engines))
-		for j, eng := range engines {
-			row[j] = byBench[n][eng]
-			perEngine[eng] = append(perEngine[eng], byBench[n][eng])
+	perEngine := make([][]float64, len(engines))
+	for _, n := range slices.Sorted(maps.Keys(ipc)) {
+		e.AddRow(n, ipc[n]...)
+		for j, v := range ipc[n] {
+			perEngine[j] = append(perEngine[j], v)
 		}
-		e.AddRow(n, row...)
 	}
 	hmean := make([]float64, len(engines))
-	for j, eng := range engines {
-		hmean[j] = stats.HarmonicMean(perEngine[eng])
+	for j := range engines {
+		hmean[j] = stats.HarmonicMean(perEngine[j])
 	}
 	e.AddSummary("Hmean", hmean...)
 	return e, nil
@@ -263,7 +224,17 @@ func Fig9Data(ctx context.Context, benches []Bench, c Config) (*streamfetch.Expe
 // Table3Data computes Table 3: branch misprediction rate and fetch IPC for
 // the 8-wide processor, base and optimized layouts. Misprediction rates are
 // stored in percent.
-func Table3Data(ctx context.Context, benches []Bench, c Config) (*streamfetch.Experiment, error) {
+func Table3Data(ctx context.Context, c Config, st store.Store) (*streamfetch.Experiment, error) {
+	cells, err := sweep(ctx, c, st, []string{"base", "optimized"}, 8)
+	if err != nil {
+		return nil, err
+	}
+	mp, fi := map[[2]string][]float64{}, map[[2]string][]float64{}
+	for _, cell := range cells {
+		k := [2]string{cell.Layout, cell.Engine}
+		mp[k] = append(mp[k], cell.Report.MispredRate)
+		fi[k] = append(fi[k], cell.Report.FetchIPC)
+	}
 	e := &streamfetch.Experiment{
 		Name:      "table3",
 		Title:     "Table 3: misprediction rate and fetch IPC, 8-wide processor",
@@ -272,21 +243,10 @@ func Table3Data(ctx context.Context, benches []Bench, c Config) (*streamfetch.Ex
 		Formats:   []string{"%.2f%%", "%.2f", "%.2f%%", "%.2f"},
 	}
 	for _, eng := range c.engines() {
-		row := map[string][2]float64{}
-		for _, l := range []string{"base", "optimized"} {
-			cells, err := Sweep(ctx, benches, 8, []string{l}, []string{eng}, c.Parallel)
-			if err != nil {
-				return nil, err
-			}
-			var mp, fi []float64
-			for _, cell := range cells {
-				mp = append(mp, cell.Result.MispredRate)
-				fi = append(fi, cell.Result.FetchIPC)
-			}
-			row[l] = [2]float64{stats.Mean(mp), stats.HarmonicMean(fi)}
-		}
+		base, opt := [2]string{"base", eng}, [2]string{"optimized", eng}
 		e.AddRow(engineLabel(eng),
-			100*row["base"][0], row["base"][1], 100*row["optimized"][0], row["optimized"][1])
+			100*stats.Mean(mp[base]), stats.HarmonicMean(fi[base]),
+			100*stats.Mean(mp[opt]), stats.HarmonicMean(fi[opt]))
 	}
 	return e, nil
 }
@@ -485,7 +445,7 @@ func AblationData(ctx context.Context, benches []Bench, c Config) (*streamfetch.
 		variant := v
 		ipc := make([]float64, len(benches))
 		mp := make([]float64, len(benches))
-		err := forEach(ctx, len(benches), c.Parallel, func(i int) error {
+		err := par.Do(ctx, len(benches), func(i int) error {
 			sc := frontend.DefaultStreamConfig()
 			if variant.mut != nil {
 				variant.mut(&sc.Predictor)

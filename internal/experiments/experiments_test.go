@@ -3,13 +3,17 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamfetch/internal/store"
 )
 
 func smallConfig() Config {
@@ -57,9 +61,9 @@ func TestPrepareUnknownBenchmark(t *testing.T) {
 }
 
 func TestSweepAndHarmonic(t *testing.T) {
-	benches := mustPrepare(t, smallConfig())
-	cells, err := Sweep(context.Background(), benches, 4,
-		[]string{"base", "optimized"}, []string{"streams"}, false)
+	c := smallConfig()
+	c.Engines = []string{"streams"}
+	cells, err := sweep(context.Background(), c, nil, []string{"base", "optimized"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,26 +79,27 @@ func TestSweepAndHarmonic(t *testing.T) {
 	}
 }
 
-// TestSweepUnknownEngine: a bad engine name is an error from Sweep, not a
-// panic inside a worker goroutine.
+// TestSweepUnknownEngine: a bad engine name is an error from RunSweep, not
+// a panic inside a worker goroutine.
 func TestSweepUnknownEngine(t *testing.T) {
-	benches := mustPrepare(t, smallConfig())
-	_, err := Sweep(context.Background(), benches, 4,
-		[]string{"base"}, []string{"warp-drive"}, true)
+	c := smallConfig()
+	c.Engines = []string{"warp-drive"}
+	_, err := sweep(context.Background(), c, nil, []string{"base"}, 4)
 	if err == nil {
-		t.Fatal("Sweep with unknown engine did not error")
+		t.Fatal("RunSweep with unknown engine did not error")
 	}
 	if !strings.Contains(err.Error(), "warp-drive") {
-		t.Errorf("error does not identify the failing job: %v", err)
+		t.Errorf("error does not identify the failing engine: %v", err)
 	}
 }
 
-// TestSweepCancellation: cancelling mid-sweep returns the cells completed
-// so far with ctx.Err, and the worker pool leaks no goroutines.
+// TestSweepCancellation: cancelling mid-sweep returns the whole grid with
+// ctx.Err: finished cells carry their report, cut-off and never-reached
+// cells a nil one. The worker pool leaks no goroutines.
 func TestSweepCancellation(t *testing.T) {
 	c := smallConfig()
 	c.TraceInsts = 400_000
-	benches := mustPrepare(t, c)
+	c.Engines = []string{"ev8", "ftb", "streams", "tcache"}
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -104,22 +109,27 @@ func TestSweepCancellation(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	cells, err := Sweep(ctx, benches, 8,
-		[]string{"base", "optimized"},
-		[]string{"ev8", "ftb", "streams", "tcache"}, true)
+	cells, err := sweep(ctx, c, nil, []string{"base", "optimized"}, 8)
 	if err == nil {
 		t.Skip("sweep finished before cancellation; nothing to assert")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(cells) >= 8 {
-		t.Errorf("cancelled sweep returned all %d cells", len(cells))
+	if len(cells) != 8 {
+		t.Fatalf("cancelled sweep returned %d cells, want the whole grid of 8", len(cells))
 	}
+	unanswered := 0
 	for _, cell := range cells {
-		if cell.Result == nil {
-			t.Fatal("partial sweep returned an incomplete cell")
+		switch {
+		case cell.Report == nil:
+			unanswered++
+		case cell.Report.Aborted || cell.Error != "":
+			t.Fatalf("partial sweep returned an incomplete cell: %+v", cell)
 		}
+	}
+	if unanswered == 0 {
+		t.Error("cancelled sweep answered every cell")
 	}
 
 	// Every worker must have joined: no goroutine leak.
@@ -131,6 +141,81 @@ func TestSweepCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d before sweep, %d after", before, runtime.NumGoroutine())
+}
+
+// countingStore counts the blob reads it answers and the blobs written
+// through it.
+type countingStore struct {
+	store.Store
+	hits, puts atomic.Int64
+}
+
+func (s *countingStore) GetBlob(key string) ([]byte, bool, error) {
+	blob, ok, err := s.Store.GetBlob(key)
+	if ok {
+		s.hits.Add(1)
+	}
+	return blob, ok, err
+}
+
+func (s *countingStore) PutBlob(key string, data []byte) error {
+	s.puts.Add(1)
+	return s.Store.PutBlob(key, data)
+}
+
+// TestRunSweepStore: a second RunSweep over the same store answers every
+// cell from it, writes nothing and returns the first run's cells byte for
+// byte; and Figure 9 and Table 3 after Figure 8 on one store simulate
+// nothing.
+func TestRunSweepStore(t *testing.T) {
+	ctx := context.Background()
+	c := figuresConfig()
+	st := &countingStore{Store: store.NewMem()}
+	first, err := sweep(ctx, c, st, []string{"base", "optimized"}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.puts.Load(); got != int64(len(first)) {
+		t.Fatalf("first sweep stored %d of %d cells", got, len(first))
+	}
+	st.hits.Store(0)
+	st.puts.Store(0)
+	second, err := sweep(ctx, c, st, []string{"base", "optimized"}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, puts := st.hits.Load(), st.puts.Load(); hits != int64(len(second)) || puts != 0 {
+		t.Fatalf("second sweep: %d of %d cells from the store, %d writes; want all, 0", hits, len(second), puts)
+	}
+	a, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("stored cells differ from simulated ones\nfirst:  %s\nsecond: %s", a, b)
+	}
+
+	figs := &countingStore{Store: store.NewMem()}
+	if _, err := Fig8Data(ctx, c, figs); err != nil {
+		t.Fatal(err)
+	}
+	figs.hits.Store(0)
+	figs.puts.Store(0)
+	if _, err := Fig9Data(ctx, c, figs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Table3Data(ctx, c, figs); err != nil {
+		t.Fatal(err)
+	}
+	// Figure 9 is 2 benchmarks x 4 engines, Table 3 twice that (both
+	// layouts).
+	if hits, puts := figs.hits.Load(), figs.puts.Load(); hits != 8+16 || puts != 0 {
+		t.Fatalf("Figure 9 and Table 3 after Figure 8: %d cells from the store, %d writes; want 24, 0", hits, puts)
+	}
 }
 
 func TestUnitSizesShape(t *testing.T) {
@@ -207,16 +292,16 @@ func TestFiguresPinned(t *testing.T) {
 func renderFigures(t *testing.T, c Config) string {
 	t.Helper()
 	ctx := context.Background()
-	benches := mustPrepare(t, c)
-	exps, err := Fig8Data(ctx, benches, c)
+	st := store.NewMem()
+	exps, err := Fig8Data(ctx, c, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig9, err := Fig9Data(ctx, benches, c)
+	fig9, err := Fig9Data(ctx, c, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table3, err := Table3Data(ctx, benches, c)
+	table3, err := Table3Data(ctx, c, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package par is the process-wide simulation worker budget. Every bounded
-// fan-out in the module — experiment sweeps, sharded session runs — draws
+// fan-out in the module — sweep cells, sharded session runs — draws
 // extra workers from one shared pool of GOMAXPROCS-1 tokens, so nested
 // parallelism (a sharded run inside a sweep worker) composes instead of
 // multiplying: total concurrency stays at GOMAXPROCS however the fan-outs
@@ -96,7 +96,7 @@ func tryAcquire() (func(), bool) {
 func TryHold() (release func(), ok bool) { return tryAcquire() }
 
 // Do runs f(0..n-1) on the calling goroutine plus however many extra
-// workers the shared budget can spare (none when parallel is false).
+// workers the shared budget can spare (none when GOMAXPROCS is 1).
 // Tokens are re-polled as indices are claimed, so a fan-out that starts
 // while the pool is momentarily drained still picks up workers freed by
 // other fan-outs finishing mid-run. The first error — or context
@@ -105,7 +105,7 @@ func TryHold() (release func(), ok bool) { return tryAcquire() }
 // first error is returned. A panic in f is contained the same way: it
 // becomes that call's error (stack attached) instead of unwinding a
 // worker goroutine and killing the process.
-func Do(ctx context.Context, n int, parallel bool, f func(i int) error) error {
+func Do(ctx context.Context, n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -158,7 +158,7 @@ func Do(ctx context.Context, n int, parallel bool, f func(i int) error) error {
 			if i >= n {
 				return
 			}
-			if parallel && i+1 < n {
+			if i+1 < n {
 				spawn()
 			}
 			if err := call(i); err != nil {

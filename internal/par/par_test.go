@@ -15,13 +15,14 @@ func restoreBudget(t *testing.T) {
 	t.Cleanup(func() { SetBudget(runtime.GOMAXPROCS(0) - 1) })
 }
 
-// TestDoRunsEverything: all indices run exactly once, serial and parallel.
+// TestDoRunsEverything: all indices run exactly once, serial (budget 0)
+// and parallel.
 func TestDoRunsEverything(t *testing.T) {
 	restoreBudget(t)
-	SetBudget(3)
-	for _, parallel := range []bool{false, true} {
+	for _, budget := range []int{0, 3} {
+		SetBudget(budget)
 		seen := make([]atomic.Int32, 50)
-		err := Do(context.Background(), len(seen), parallel, func(i int) error {
+		err := Do(context.Background(), len(seen), func(i int) error {
 			seen[i].Add(1)
 			return nil
 		})
@@ -30,7 +31,7 @@ func TestDoRunsEverything(t *testing.T) {
 		}
 		for i := range seen {
 			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("parallel=%v: index %d ran %d times", parallel, i, got)
+				t.Fatalf("budget %d: index %d ran %d times", budget, i, got)
 			}
 		}
 	}
@@ -55,10 +56,10 @@ func TestDoSharedBudget(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cur.Add(-1)
 	}
-	err := Do(context.Background(), 4, true, func(i int) error {
+	err := Do(context.Background(), 4, func(i int) error {
 		// Each outer worker opens an inner fan-out: the inner calls draw
 		// from the same pool, not a fresh one.
-		return Do(context.Background(), 4, true, func(j int) error {
+		return Do(context.Background(), 4, func(j int) error {
 			enter()
 			return nil
 		})
@@ -83,7 +84,7 @@ func TestDoPicksUpFreedTokens(t *testing.T) {
 		defer close(done)
 		// Drain the pool: the caller runs one task, the single token
 		// holds a worker in the other.
-		Do(context.Background(), 2, true, func(i int) error {
+		Do(context.Background(), 2, func(i int) error {
 			<-hold
 			return nil
 		})
@@ -92,7 +93,7 @@ func TestDoPicksUpFreedTokens(t *testing.T) {
 
 	var cur, max atomic.Int32
 	var release sync.Once
-	err := Do(context.Background(), 30, true, func(i int) error {
+	err := Do(context.Background(), 30, func(i int) error {
 		c := cur.Add(1)
 		for {
 			m := max.Load()
@@ -164,7 +165,7 @@ func TestDoFirstError(t *testing.T) {
 	SetBudget(0) // serial: deterministic claim order
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := Do(context.Background(), 100, true, func(i int) error {
+	err := Do(context.Background(), 100, func(i int) error {
 		ran.Add(1)
 		if i == 3 {
 			return boom
@@ -184,7 +185,7 @@ func TestDoCancellation(t *testing.T) {
 	restoreBudget(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := Do(ctx, 1000, true, func(i int) error {
+	err := Do(ctx, 1000, func(i int) error {
 		if ran.Add(1) == 5 {
 			cancel()
 		}

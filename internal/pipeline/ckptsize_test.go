@@ -28,8 +28,8 @@ func TestCheckpointSize(t *testing.T) {
 	prog := workload.Generate(params)
 	lay := layout.Optimized(prog, trace.CollectProfile(prog, 7, insts/4))
 	// Measured: ev8 130,035 bytes, ftb 134,244, streams 136,599, tcache
-	// 206,028.
-	limits := map[string]int{"ev8": 156_000, "ftb": 161_000, "streams": 164_000, "tcache": 247_000}
+	// 185,922.
+	limits := map[string]int{"ev8": 156_000, "ftb": 161_000, "streams": 164_000, "tcache": 223_000}
 	for _, name := range []string{"ev8", "ftb", "streams", "tcache"} {
 		t.Run(name, func(t *testing.T) {
 			p, err := sim.New(lay, trace.NewGenSource(prog, trace.GenConfig{Seed: 99, MaxInsts: insts}),

@@ -16,7 +16,6 @@ func appendTraceInsts(dst []byte, insts []TraceInst) []byte {
 	dst = wire.AppendU64(dst, uint64(len(insts)))
 	for _, ti := range insts {
 		dst = wire.AppendU64(dst, uint64(ti.Addr))
-		dst = wire.AppendU64(dst, uint64(ti.Inst.Addr))
 		dst = wire.AppendByte(dst, byte(ti.Inst.Class))
 		dst = wire.AppendByte(dst, byte(ti.Inst.Branch))
 	}
@@ -31,7 +30,7 @@ func loadTraceInsts(r *wire.Reader, max int) ([]TraceInst, error) {
 	insts := make([]TraceInst, n)
 	for i := range insts {
 		insts[i].Addr = isa.Addr(r.U64())
-		insts[i].Inst.Addr = isa.Addr(r.U64())
+		insts[i].Inst.Addr = insts[i].Addr
 		insts[i].Inst.Class = isa.Class(r.Byte())
 		insts[i].Inst.Branch = isa.BranchType(r.Byte())
 	}
@@ -40,13 +39,13 @@ func loadTraceInsts(r *wire.Reader, max int) ([]TraceInst, error) {
 
 // consistentTrace reports whether a restored trace is one the fill unit
 // could have built: its instructions start at its start address, and
-// every address is instruction-aligned and agrees with its instruction.
+// every address is instruction-aligned.
 func consistentTrace(tr *Trace, insts []TraceInst) bool {
 	if !tr.ID.Start.Valid() || !tr.Next.Valid() || (len(insts) > 0 && insts[0].Addr != tr.ID.Start) {
 		return false
 	}
 	for _, ti := range insts {
-		if !ti.Addr.Valid() || ti.Inst.Addr != ti.Addr {
+		if !ti.Addr.Valid() {
 			return false
 		}
 	}

@@ -1077,13 +1077,18 @@ func decodeReport(blob []byte) *Report {
 // putResult stores a clean result (a run's report or a sweep's cells)
 // under its content key, where later submissions and sweep cells find it.
 func (m *jobManager) putResult(key string, v any) {
-	blob, err := json.MarshalIndent(v, "", "  ")
+	blob, err := resultBlob(v)
 	if err != nil {
 		m.storeErrs.Add(1)
 		return
 	}
-	payload := append(blob, '\n')
-	m.storeWrite(func() error { return m.store.PutBlob(key, payload) })
+	m.storeWrite(func() error { return m.store.PutBlob(key, blob) })
+}
+
+// resultBlob encodes a result as the store holds it.
+func resultBlob(v any) ([]byte, error) {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	return append(blob, '\n'), err
 }
 
 // storeWrite runs one store write under the retry policy: transient
@@ -1433,7 +1438,7 @@ func (m *jobManager) newJob(id string, r *jobRequest, pol jobPolicy, at time.Tim
 	} else {
 		j.cellsTotal = len(cells)
 		j.run = func(ctx context.Context) (*Report, []GridCell, error) {
-			out, err := m.sweep(ctx, cells, j.noteCell)
+			out, err := sweepCells(ctx, cells, m.store, m.simulate, m.putResult, j.noteCell)
 			return nil, out, err
 		}
 	}
@@ -1473,21 +1478,67 @@ func (m *jobManager) simulate(ctx context.Context, req RunRequest, opts ...Optio
 	return rep, err
 }
 
-// sweep answers a sweep's cells on the process-wide worker budget,
-// returning one GridCell per cell in enumeration order. The first error
-// (or cancellation) stops new cells from being claimed; in-flight cells
-// finish, and the partial grid is returned with that error. Every
+// RunSweep answers every cell of a sweep, normalized and validated as
+// POST /v1/sweeps does, in enumeration order. A cell is answered by the
+// report stored under its run content key in st, or else simulated, and
+// stored there when clean; a nil st caches within this call only. The
+// execution-policy fields are the daemon's and are ignored. The first
+// error or cancellation stops new cells and is returned with the grid,
+// cells never reached keeping a nil Report.
+func RunSweep(ctx context.Context, req SweepRequest, st store.Store) ([]GridCell, error) {
+	if err := req.normalize(); err != nil {
+		return nil, err
+	}
+	if st == nil {
+		st = store.NewMem()
+	}
+	sessions := &sessionCache{cap: len(req.Benchmarks)} // cells share seeds and lengths
+	simulate := func(ctx context.Context, r RunRequest, opts ...Option) (*Report, error) {
+		spec := r.contentSpec()
+		return sessions.get(spec).RunWith(ctx, append(append(spec.runOptions(), r.runOptions()...), opts...)...)
+	}
+	put := func(key string, v any) {
+		if blob, err := resultBlob(v); err == nil {
+			_ = st.PutBlob(key, blob) // a lost write costs a later sweep one simulation
+		}
+	}
+	return sweepCells(ctx, req.cells(), st, simulate, put, func(int, int) {})
+}
+
+// sweepCells answers a sweep's cells on the process-wide worker budget,
+// returning one GridCell per cell in enumeration order. A cell is
+// answered by the report stored under its run content key in st, which
+// ran no simulation here and so carries no timings, or else by simulate,
+// and put stores a clean simulated report under that key. The first
+// error (or cancellation) stops new cells from being claimed; in-flight
+// cells finish, and the partial grid is returned with that error. Every
 // finished cell, a failed one included, ticks onCell, or a sweep grinding
-// through failing cells would look stalled to the watchdog and its
-// cells_done could never reach cells_total.
-func (m *jobManager) sweep(ctx context.Context, reqs []RunRequest, onCell func(done, total int)) ([]GridCell, error) {
+// through failing cells would look stalled to the daemon's watchdog and
+// its cells_done could never reach cells_total.
+func sweepCells(ctx context.Context, reqs []RunRequest, st store.Store,
+	simulate func(context.Context, RunRequest, ...Option) (*Report, error),
+	put func(key string, v any), onCell func(done, total int)) ([]GridCell, error) {
 	cells := make([]GridCell, len(reqs))
 	for i, r := range reqs {
 		cells[i] = GridCell{Benchmark: r.Benchmark, Layout: r.Layout, Engine: r.Engine, Width: r.Width}
 	}
+	answer := func(req RunRequest) (*Report, error) {
+		key := req.contentKey()
+		if blob, ok, err := st.GetBlob(key); err == nil && ok {
+			if rep := decodeReport(blob); rep != nil {
+				rep.Timings = nil
+				return rep, nil
+			}
+		}
+		rep, err := simulate(ctx, req)
+		if err == nil && rep != nil && !rep.Aborted {
+			put(key, rep)
+		}
+		return rep, err
+	}
 	var done atomic.Int64
-	err := par.Do(ctx, len(reqs), true, func(i int) error {
-		rep, err := m.cell(ctx, reqs[i])
+	err := par.Do(ctx, len(reqs), func(i int) error {
+		rep, err := answer(reqs[i])
 		c := &cells[i]
 		if err != nil {
 			c.Error = err.Error()
@@ -1499,26 +1550,6 @@ func (m *jobManager) sweep(ctx context.Context, reqs []RunRequest, onCell func(d
 		return err
 	})
 	return cells, err
-}
-
-// cell answers one sweep cell under its run content key: with the report
-// an earlier run or sweep stored there, or else by simulating it and
-// storing the report when it is clean. A stored report ran no
-// simulation, so it feeds neither the cost model nor the checkpoint
-// counters, and adds nothing to the sweep's timings.
-func (m *jobManager) cell(ctx context.Context, req RunRequest) (*Report, error) {
-	key := req.contentKey()
-	if blob, ok, err := m.store.GetBlob(key); err == nil && ok {
-		if rep := decodeReport(blob); rep != nil {
-			rep.Timings = nil
-			return rep, nil
-		}
-	}
-	rep, err := m.simulate(ctx, req)
-	if err == nil && rep != nil && !rep.Aborted {
-		m.putResult(key, rep)
-	}
-	return rep, err
 }
 
 // submitRun validates and submits a single-configuration run.

@@ -353,7 +353,7 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 	}
 
 	outs = make([]*shardOut, len(specs))
-	err = par.Do(ctx, len(specs), true, func(i int) error {
+	err = par.Do(ctx, len(specs), func(i int) error {
 		src, at, err := cur.Fork(i)
 		if err != nil {
 			return err
