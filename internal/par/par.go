@@ -96,7 +96,8 @@ func tryAcquire() (func(), bool) {
 func TryHold() (release func(), ok bool) { return tryAcquire() }
 
 // Do runs f(0..n-1) on the calling goroutine plus however many extra
-// workers the shared budget can spare (none when GOMAXPROCS is 1).
+// workers the shared budget can spare (none under a zero budget, the
+// default when GOMAXPROCS is 1).
 // Tokens are re-polled as indices are claimed, so a fan-out that starts
 // while the pool is momentarily drained still picks up workers freed by
 // other fan-outs finishing mid-run. The first error — or context
