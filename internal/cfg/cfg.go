@@ -92,6 +92,8 @@ func (m CondModel) PatternAt(i int) bool { return m.Pattern>>uint(i)&1 != 0 }
 // and ordered to leave little padding: it is 28 bytes, and a large
 // program holds tens of thousands.
 type Block struct {
+	// Proc is the index in Program.Procs of the procedure the block
+	// belongs to.
 	Proc   int32
 	NInsts int32
 	// Cont is the block where execution continues after a call returns.
@@ -108,13 +110,14 @@ type Block struct {
 	Branch isa.BranchType
 }
 
-// Proc is a procedure: a named entry block plus the set of blocks that
-// belong to it (used by the layout optimizer to keep procedures contiguous
-// in the baseline layout).
+// Proc is a procedure: a name and an entry block. Its blocks are the ones
+// whose Block.Proc tag is its index in Program.Procs, the one record of
+// membership; synthesis emits each procedure as one contiguous run of
+// block IDs, entry first, so the baseline layout keeps procedures
+// contiguous.
 type Proc struct {
-	Name   string
-	Entry  BlockID
-	Blocks []BlockID
+	Name  string
+	Entry BlockID
 }
 
 // Program is a whole-program CFG. Blocks[id] is block id. Build one with
@@ -347,18 +350,18 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("cfg: block %d has unknown branch type %v", i, b.Branch)
 		}
 	}
+	for i := range p.Blocks {
+		if pi := p.Blocks[i].Proc; pi < 0 || int(pi) >= len(p.Procs) {
+			return fmt.Errorf("cfg: block %d tagged proc %d of %d", i, pi, len(p.Procs))
+		}
+	}
 	for pi, proc := range p.Procs {
 		if proc.Entry < 0 || int(proc.Entry) >= len(p.Blocks) {
 			return fmt.Errorf("cfg: proc %d entry %d out of range", pi, proc.Entry)
 		}
-		for _, id := range proc.Blocks {
-			if id < 0 || int(id) >= len(p.Blocks) {
-				return fmt.Errorf("cfg: proc %d lists block %d out of range", pi, id)
-			}
-			if int(p.Blocks[id].Proc) != pi {
-				return fmt.Errorf("cfg: block %d in proc %d list but tagged proc %d",
-					id, pi, p.Blocks[id].Proc)
-			}
+		if int(p.Blocks[proc.Entry].Proc) != pi {
+			return fmt.Errorf("cfg: proc %d entry %d tagged proc %d",
+				pi, proc.Entry, p.Blocks[proc.Entry].Proc)
 		}
 	}
 	return nil

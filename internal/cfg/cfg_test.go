@@ -19,7 +19,7 @@ func tiny() *Program {
 	copy(p.AddSuccs(a, 2), []BlockID{1, 0})
 	b := p.AddBlock(Block{NInsts: 1, Branch: isa.BranchReturn, Cont: NoBlock})
 	p.Classes(b)[0] = isa.ClassBranch
-	p.Procs = []Proc{{Name: "main", Entry: 0, Blocks: []BlockID{0, 1}}}
+	p.Procs = []Proc{{Name: "main", Entry: 0}}
 	p.Compact()
 	return p
 }
@@ -57,6 +57,10 @@ func TestValidateRejects(t *testing.T) {
 			p.AddSuccs(1, 1)[0] = 0
 		}},
 		{"proc entry range", func(p *Program) { p.Procs[0].Entry = 77 }},
+		{"block proc tag range", func(p *Program) { p.Blocks[1].Proc = 1 }},
+		{"proc entry tagged elsewhere", func(p *Program) {
+			p.Procs = append(p.Procs, Proc{Name: "f", Entry: 1})
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

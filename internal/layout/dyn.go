@@ -35,18 +35,13 @@ func (d DynInst) IsBranch() bool { return d.Branch != isa.BranchNone }
 // side of a conditional, and an elided jump disappears entirely.
 func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 	b := &l.Prog.Blocks[id]
-	start := l.start[id]
-	n := int(l.slots[id])
-	arr := l.arr[id]
-
-	// Degenerate single-slot elided block behaves like AsIs.
-	if arr == ArrElide && b.NInsts == 1 {
-		arr = ArrAsIs
-	}
+	shape := l.shape[id]
+	arr := Arrangement(shape & arrMask)
+	n := slotCount(b.NInsts, arr)
 
 	nextStart := isa.Addr(0)
 	if next != cfg.NoBlock {
-		nextStart = l.start[next]
+		nextStart = l.Start(next)
 	}
 
 	// Body slots: everything before the block's own branch slot (if any).
@@ -69,7 +64,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		}
 	}
 
-	a := start
+	a := l.Start(id)
 	classes := l.Prog.Classes(id)
 	for s := 0; s < bodyEnd; s++ {
 		buf = append(buf, DynInst{
@@ -148,7 +143,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		switch b.Branch {
 		case isa.BranchCond:
 			// Taken iff control went to the encoded target side.
-			d.Taken = next == l.Prog.Succs(id)[l.condTarget[id]]
+			d.Taken = next == l.Prog.Succs(id)[shape>>condSideShift]
 			if !d.Taken {
 				d.NextAddr = a.Next()
 			}
@@ -184,8 +179,8 @@ func (l *Layout) AppendDynRun(buf []DynInst, ids []cfg.BlockID, next cfg.BlockID
 // DynLen returns the number of dynamic instructions one execution of block
 // id contributes when followed by next.
 func (l *Layout) DynLen(id, next cfg.BlockID) int {
-	n := int(l.slots[id])
-	if l.arr[id] == ArrAppendJump && l.Prog.Blocks[id].Branch == isa.BranchCond && next == l.Prog.Succs(id)[1] {
+	n := l.Slots(id)
+	if l.Arrange(id) == ArrAppendJump && l.Prog.Blocks[id].Branch == isa.BranchCond && next == l.Prog.Succs(id)[1] {
 		return n - 1 // taken side skips the materialized jump
 	}
 	return n

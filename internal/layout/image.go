@@ -53,7 +53,7 @@ func (l *Layout) buildDecode() {
 	l.decode = make([]uint32, l.totalSlots)
 	s := 0
 	for _, id := range l.Order {
-		for off := 0; off < int(l.slots[id]); off++ {
+		for off := range l.Slots(id) {
 			target := -1
 			if t, ok := l.staticTargetAt(id, off); ok {
 				target = int(t-CodeBase) / isa.InstBytes
@@ -96,9 +96,9 @@ func (l *Layout) BlockAt(a isa.Addr) (id cfg.BlockID, slot int, ok bool) {
 		return cfg.NoBlock, 0, false
 	}
 	// The last block in address order starting at or before a.
-	i := sort.Search(len(l.Order), func(i int) bool { return l.start[l.Order[i]] > a }) - 1
+	i := sort.Search(len(l.Order), func(i int) bool { return l.Start(l.Order[i]) > a }) - 1
 	id = l.Order[i]
-	return id, int(a-l.start[id]) / isa.InstBytes, true
+	return id, int(a-l.Start(id)) / isa.InstBytes, true
 }
 
 // InstAt returns the static instruction at address a. The front-end uses
@@ -147,25 +147,12 @@ func (l *Layout) CodeLimit() isa.Addr {
 // the source of truth the decode words are built from.
 func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
 	b := &l.Prog.Blocks[id]
-	classes := l.Prog.Classes(id)
-	n := int(l.slots[id])
-	switch l.arr[id] {
-	case ArrElide:
-		// Trailing jump removed: every remaining slot is a body
-		// instruction, except the degenerate one-slot case where the
-		// block was all jump (kept as a jump).
-		if b.NInsts == 1 {
-			return isa.Inst{Addr: a, Class: isa.ClassBranch, Branch: b.Branch}
-		}
-		return isa.Inst{Addr: a, Class: classes[slot]}
-	case ArrAppendJump:
-		if slot == n-1 {
-			return isa.Inst{Addr: a, Class: isa.ClassBranch, Branch: isa.BranchUncond}
-		}
-		return isa.Inst{Addr: a, Class: classes[slot], Branch: branchAtCFG(b, slot)}
-	default: // ArrAsIs
-		return isa.Inst{Addr: a, Class: classes[slot], Branch: branchAtCFG(b, slot)}
+	if l.Arrange(id) == ArrAppendJump && slot == int(b.NInsts) {
+		return isa.Inst{Addr: a, Class: isa.ClassBranch, Branch: isa.BranchUncond}
 	}
+	// An elided jump's slot is gone, so every slot left is a body or
+	// branch slot of the block itself.
+	return isa.Inst{Addr: a, Class: l.Prog.Classes(id)[slot], Branch: branchAtCFG(b, slot)}
 }
 
 // staticTargetAt computes the statically-encoded taken-path target of the
@@ -173,23 +160,20 @@ func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
 func (l *Layout) staticTargetAt(id cfg.BlockID, slot int) (isa.Addr, bool) {
 	b := &l.Prog.Blocks[id]
 	succs := l.Prog.Succs(id)
-	n := int(l.slots[id])
-	if l.arr[id] == ArrAppendJump && slot == n-1 {
+	if l.Arrange(id) == ArrAppendJump && slot == int(b.NInsts) {
 		// The materialized jump always goes to Succs[0] (the side the
 		// encoded conditional does not take), or the sole successor of
 		// a fall-through block.
-		return l.start[succs[0]], true
+		return l.Start(succs[0]), true
 	}
-	if branchAtCFG(b, slot) == isa.BranchNone && !(l.arr[id] == ArrElide && b.NInsts == 1) {
+	if branchAtCFG(b, slot) == isa.BranchNone {
 		return 0, false
 	}
 	switch b.Branch {
 	case isa.BranchCond:
-		return l.start[succs[l.condTarget[id]]], true
-	case isa.BranchUncond:
-		return l.start[succs[0]], true
-	case isa.BranchCall:
-		return l.start[succs[0]], true
+		return l.Start(succs[l.CondTargetSide(id)]), true
+	case isa.BranchUncond, isa.BranchCall:
+		return l.Start(succs[0]), true
 	default:
 		return 0, false // indirect/return: target not in the encoding
 	}

@@ -44,8 +44,11 @@ const CodeBase isa.Addr = 0x0001_0000
 // Layout is an address assignment for a program. Besides the per-block
 // tables it holds the static image: one packed uint32 decode word per code
 // slot (class, branch type and static target; format in image.go), about 4
-// bytes per slot. Slots are not mapped back to their owning blocks: BlockAt
-// searches the block starts, since nothing on the fetch path calls it.
+// bytes per slot. Per block it keeps 9 bytes: its place in Order, its start
+// slot and its shape; its slot count follows from the shape and the block's
+// NInsts (slotCount). Slots are not mapped back to their owning blocks:
+// BlockAt searches the block starts, since nothing on the fetch path calls
+// it.
 type Layout struct {
 	Prog *cfg.Program
 	// Name is "base" or "optimized".
@@ -53,19 +56,40 @@ type Layout struct {
 	// Order lists blocks in address order.
 	Order []cfg.BlockID
 
-	start []isa.Addr // block start address
-	slots []int32    // encoded slot count (NInsts +/- arrangement)
-	arr   []Arrangement
-	fall  []cfg.BlockID // block placed immediately after (NoBlock for last)
-	// condTarget is, for ArrAsIs conditional blocks, the successor index
-	// (0 or 1) reached by *taking* the encoded branch; the other side is
-	// the fall-through.
-	condTarget []int8
-	totalSlots int
+	// start is each block's first slot, counted from CodeBase; a decode
+	// word's target field caps the segment below 2^24 slots.
+	start []uint32
+	// shape packs each block's Arrangement (bits 0-1) and, for an ArrAsIs
+	// or ArrAppendJump conditional block, the successor index (0 or 1)
+	// reached by *taking* the encoded branch (bit 2; the other side is the
+	// fall-through or the appended jump).
+	shape         []uint8
+	totalSlots    int
+	maxBlockSlots int
 
 	// decode holds one packed word per slot of the code segment, built
 	// once in build(); see image.go.
 	decode []uint32
+}
+
+// Shape fields.
+const (
+	arrMask       = 0x3
+	condSideShift = 2
+)
+
+// slotCount returns the slots a block of n CFG instructions occupies under
+// arrangement arr: one more for an appended jump, one fewer for an elided
+// jump, and at least one.
+func slotCount(n int32, arr Arrangement) int {
+	s := int(n)
+	switch arr {
+	case ArrAppendJump:
+		s++
+	case ArrElide:
+		s--
+	}
+	return max(s, 1)
 }
 
 // contCalls returns, per block, the call block whose continuation it is
@@ -90,51 +114,45 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 			len(order), len(p.Blocks)))
 	}
 	l := &Layout{
-		Prog:       p,
-		Name:       name,
-		Order:      order,
-		start:      make([]isa.Addr, len(p.Blocks)),
-		slots:      make([]int32, len(p.Blocks)),
-		arr:        make([]Arrangement, len(p.Blocks)),
-		fall:       make([]cfg.BlockID, len(p.Blocks)),
-		condTarget: make([]int8, len(p.Blocks)),
+		Prog:          p,
+		Name:          name,
+		Order:         order,
+		start:         make([]uint32, len(p.Blocks)),
+		shape:         make([]uint8, len(p.Blocks)),
+		maxBlockSlots: 1,
 	}
-	// Layout successor relation.
 	for i, id := range order {
+		// next is the block laid out immediately after id.
+		next := cfg.NoBlock
 		if i+1 < len(order) {
-			l.fall[id] = order[i+1]
-		} else {
-			l.fall[id] = cfg.NoBlock
+			next = order[i+1]
 		}
-	}
-	// Decide arrangements.
-	for _, id := range order {
 		b := &p.Blocks[id]
 		succs := p.Succs(id)
-		next := l.fall[id]
 		arrange := ArrAsIs
-		slots := int32(b.NInsts)
+		var side uint8
 		switch b.Branch {
 		case isa.BranchNone:
 			if succs[0] != next {
 				arrange = ArrAppendJump
-				slots++
 			}
 		case isa.BranchUncond:
-			if succs[0] == next {
+			// An elided single-instruction jump block would have no
+			// slot left, so it keeps its jump (aimed at the adjacent
+			// block): real optimizers would merge it away, but keeping
+			// one slot preserves block identity.
+			if succs[0] == next && b.NInsts > 1 {
 				arrange = ArrElide
-				slots--
 			}
 		case isa.BranchCond:
 			switch {
 			case succs[0] == next:
-				l.condTarget[id] = 1
+				side = 1
 			case succs[1] == next:
-				l.condTarget[id] = 0
+				side = 0
 			default:
 				arrange = ArrAppendJump
-				l.condTarget[id] = 1 // encoded branch aims at Succs[1]
-				slots++              // appended jump aims at Succs[0]
+				side = 1 // encoded branch aims at Succs[1], the appended jump at Succs[0]
 			}
 		case isa.BranchCall, isa.BranchIndirectCall:
 			if b.Cont != next {
@@ -142,22 +160,11 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 					name, id, b.Cont, next))
 			}
 		}
-		if slots < 1 {
-			// An elided single-instruction jump block still occupies
-			// one slot (a nop); real optimizers would merge it away,
-			// but keeping one slot preserves block identity.
-			slots = 1
-			arrange = ArrAsIs
-		}
-		l.arr[id] = arrange
-		l.slots[id] = slots
-	}
-	// Assign addresses.
-	addr := CodeBase
-	for _, id := range order {
-		l.start[id] = addr
-		addr = addr.Plus(int(l.slots[id]))
-		l.totalSlots += int(l.slots[id])
+		l.shape[id] = uint8(arrange) | side<<condSideShift
+		l.start[id] = uint32(l.totalSlots)
+		n := slotCount(b.NInsts, arrange)
+		l.totalSlots += n
+		l.maxBlockSlots = max(l.maxBlockSlots, n)
 	}
 	if l.totalSlots >= maxSlots {
 		panic(fmt.Sprintf("layout %s: %d code slots do not fit a decode word (at most %d)",
@@ -337,39 +344,28 @@ func repairCallAdjacency(p *cfg.Program, order []cfg.BlockID, contOf []cfg.Block
 }
 
 // Start returns the first instruction address of block id.
-func (l *Layout) Start(id cfg.BlockID) isa.Addr { return l.start[id] }
+func (l *Layout) Start(id cfg.BlockID) isa.Addr { return CodeBase.Plus(int(l.start[id])) }
 
 // Slots returns the encoded instruction count of block id under this layout
 // (NInsts, plus an appended jump or minus an elided jump).
-func (l *Layout) Slots(id cfg.BlockID) int { return int(l.slots[id]) }
-
-// End returns the address one past the last slot of block id.
-func (l *Layout) End(id cfg.BlockID) isa.Addr {
-	return l.start[id].Plus(int(l.slots[id]))
+func (l *Layout) Slots(id cfg.BlockID) int {
+	return slotCount(l.Prog.Blocks[id].NInsts, l.Arrange(id))
 }
 
-// Arrange returns the arrangement of block id.
-func (l *Layout) Arrange(id cfg.BlockID) Arrangement { return l.arr[id] }
+// End returns the address one past the last slot of block id.
+func (l *Layout) End(id cfg.BlockID) isa.Addr { return l.Start(id).Plus(l.Slots(id)) }
 
-// FallThrough returns the block placed immediately after id.
-func (l *Layout) FallThrough(id cfg.BlockID) cfg.BlockID { return l.fall[id] }
+// Arrange returns the arrangement of block id.
+func (l *Layout) Arrange(id cfg.BlockID) Arrangement { return Arrangement(l.shape[id] & arrMask) }
 
 // CondTargetSide returns which successor index (0/1) the encoded conditional
 // branch of block id jumps to when taken.
-func (l *Layout) CondTargetSide(id cfg.BlockID) int { return int(l.condTarget[id]) }
+func (l *Layout) CondTargetSide(id cfg.BlockID) int { return int(l.shape[id] >> condSideShift) }
 
 // MaxBlockSlots returns the largest per-block slot count in the image: an
 // upper bound on the dynamic instructions one execution of any block can
 // emit, used to pre-size expansion buffers.
-func (l *Layout) MaxBlockSlots() int {
-	m := int32(1)
-	for _, n := range l.slots {
-		if n > m {
-			m = n
-		}
-	}
-	return int(m)
-}
+func (l *Layout) MaxBlockSlots() int { return l.maxBlockSlots }
 
 // CodeSize returns the total code size in bytes under this layout.
 func (l *Layout) CodeSize() int { return l.totalSlots * isa.InstBytes }
@@ -381,14 +377,14 @@ func (l *Layout) TotalSlots() int { return l.totalSlots }
 // continuations adjacent).
 func (l *Layout) Validate() error {
 	addr := CodeBase
-	for _, id := range l.Order {
-		if l.start[id] != addr {
+	for i, id := range l.Order {
+		if l.Start(id) != addr {
 			return fmt.Errorf("layout %s: block %d starts at %v, want %v",
-				l.Name, id, l.start[id], addr)
+				l.Name, id, l.Start(id), addr)
 		}
-		addr = addr.Plus(int(l.slots[id]))
+		addr = addr.Plus(l.Slots(id))
 		if b := &l.Prog.Blocks[id]; b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			if l.fall[id] != b.Cont {
+			if i+1 == len(l.Order) || l.Order[i+1] != b.Cont {
 				return fmt.Errorf("layout %s: call block %d not followed by continuation %d",
 					l.Name, id, b.Cont)
 			}

@@ -100,7 +100,8 @@ func condProb(m cfg.CondModel) float64 {
 // its instruction count, procedure, branch type, continuation, class list,
 // successors with their probabilities, condition model (zero for a block
 // without one) and indirect Markov probability (zero likewise), then the
-// procedure table and the entry block.
+// procedure table, each procedure with its blocks as their tags name them,
+// and the entry block.
 func programHash(p *cfg.Program) string {
 	e := &pinEncoder{h: sha256.New()}
 	e.str(p.Name)
@@ -142,12 +143,18 @@ func programHash(p *cfg.Program) string {
 		}
 		e.f64(markov)
 	}
+	// Each procedure's block list, in ID order, from the blocks' tags.
+	members := make([][]cfg.BlockID, len(p.Procs))
+	for i := range p.Blocks {
+		pi := p.Blocks[i].Proc
+		members[pi] = append(members[pi], cfg.BlockID(i))
+	}
 	e.i64(int64(len(p.Procs)))
-	for _, pr := range p.Procs {
+	for pi, pr := range p.Procs {
 		e.str(pr.Name)
 		e.block(pr.Entry)
-		e.i64(int64(len(pr.Blocks)))
-		for _, id := range pr.Blocks {
+		e.i64(int64(len(members[pi])))
+		for _, id := range members[pi] {
 			e.block(id)
 		}
 	}

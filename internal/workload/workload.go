@@ -326,11 +326,10 @@ func (b *builder) condModel() cfg.CondModel {
 }
 
 // genProc synthesizes one procedure as a chain of structured regions ending
-// in a return block.
+// in a return block: one contiguous run of block IDs tagged idx, entry
+// first.
 func (b *builder) genProc(idx int) {
 	b.proc = idx
-	start := len(b.prog.Blocks)
-
 	nRegions := b.rng.IntRange(b.p.RegionsPerProc[0], b.p.RegionsPerProc[1])
 	entry := b.newBlock(b.blockLen(), isa.BranchNone)
 	tail := entry // block whose control flow must be wired to the next region
@@ -343,18 +342,9 @@ func (b *builder) genProc(idx int) {
 	b.link(tail, ret)
 
 	b.prog.Procs = append(b.prog.Procs, cfg.Proc{
-		Name:   fmt.Sprintf("proc_%03d", idx),
-		Entry:  entry,
-		Blocks: b.blockIDsFrom(start),
+		Name:  fmt.Sprintf("proc_%03d", idx),
+		Entry: entry,
 	})
-}
-
-func (b *builder) blockIDsFrom(start int) []cfg.BlockID {
-	ids := make([]cfg.BlockID, 0, len(b.prog.Blocks)-start)
-	for i := start; i < len(b.prog.Blocks); i++ {
-		ids = append(ids, cfg.BlockID(i))
-	}
-	return ids
 }
 
 // link wires block t's fall-through/continuation edge to head. For blocks
@@ -576,10 +566,10 @@ func (b *builder) wireCalls() {
 // for as long as the trace generator wants.
 func (b *builder) genDriver() {
 	entry := b.prog.Procs[0].Entry
-	for _, id := range b.prog.Procs[0].Blocks {
-		if blk := &b.prog.Blocks[id]; blk.Branch == isa.BranchReturn {
+	for i := range b.prog.Blocks {
+		if blk := &b.prog.Blocks[i]; blk.Proc == 0 && blk.Branch == isa.BranchReturn {
 			blk.Branch = isa.BranchUncond
-			b.prog.AddSuccs(id, 1)[0] = entry
+			b.prog.AddSuccs(cfg.BlockID(i), 1)[0] = entry
 		}
 	}
 	b.prog.Entry = entry
