@@ -68,21 +68,24 @@ func (c *Cache) decodeState(r *wire.Reader, apply bool) error {
 		return wire.ErrMalformed
 	}
 	setBits := c.setBits()
-	for i := range c.ways {
-		tag, dist := r.U64(), r.U64()
-		if dist > clock || tag>>(64-setBits) != 0 {
-			return wire.ErrMalformed
-		}
-		w := way{stamp: clock - dist}
-		if w.stamp == 0 {
-			if tag != 0 {
+	for s := range nsets {
+		set := c.ways[s*nways : (s+1)*nways]
+		for i := range set {
+			tag, dist := r.U64(), r.U64()
+			if dist > clock || tag>>(64-setBits) != 0 {
 				return wire.ErrMalformed
 			}
-		} else {
-			w.tag = tag<<setBits | uint64(i/c.nways)
-		}
-		if apply {
-			c.ways[i] = w
+			w := way{stamp: clock - dist}
+			if w.stamp == 0 {
+				if tag != 0 {
+					return wire.ErrMalformed
+				}
+			} else {
+				w.tag = tag<<setBits | s
+			}
+			if apply {
+				set[i] = w
+			}
 		}
 	}
 	if err := r.Err(); err != nil {

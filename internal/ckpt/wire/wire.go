@@ -63,7 +63,8 @@ func AppendString(dst []byte, s string) []byte {
 // Reader decodes a buffer written with the Append functions. Errors are
 // sticky: after the first short or malformed read every subsequent call
 // returns a zero value, so decode loops can defer the single error check
-// to the end.
+// to the end. A failed read also consumes the rest of the input (fail), so
+// U64's fast path needs no error check of its own.
 type Reader struct {
 	b   []byte
 	pos int
@@ -77,21 +78,59 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // U64 decodes a varint. Input that ends inside it is ErrTruncated; one
 // longer than ten bytes, over 64 bits, or not the shortest encoding of
 // its value (a last byte of zero) is ErrMalformed.
+//
+// Warm state is mostly two- and three-byte varints of mixed length, which
+// a byte loop decodes at a branch misprediction apiece. So a varint that
+// ends within eight readable bytes decodes from one 64-bit load without a
+// branch on its length; the rest, and every error, take u64.
 func (r *Reader) U64() uint64 {
+	if r.pos <= len(r.b)-8 {
+		x := binary.LittleEndian.Uint64(r.b[r.pos:])
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			// The varint ends in byte k, the first with its top bit
+			// clear; keep bytes 0..k (all eight for k = 7, where the
+			// shift reaches 64) without their continuation bits.
+			end := uint(bits.TrailingZeros64(stop)) + 1 // 8(k+1)
+			x &= (1<<end - 1) & 0x7f7f7f7f7f7f7f7f
+			if end > 8 && x>>(end-8) == 0 {
+				r.fail(ErrMalformed) // not the shortest encoding
+				return 0
+			}
+			// Pack the 7-bit groups: pairs, then quads, then all eight.
+			x = x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
+			x = x&0x00003fff00003fff | x>>2&0x0fffc0000fffc000
+			x = x&0x000000000fffffff | x>>4&0x00ffffff_f0000000
+			r.pos += int(end / 8)
+			return x
+		}
+	}
+	return r.u64()
+}
+
+// u64 is U64's general case: a varint near the end of the input or longer
+// than eight bytes, or an error.
+func (r *Reader) u64() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.pos:])
 	switch {
 	case n == 0:
-		r.err = ErrTruncated
+		r.fail(ErrTruncated)
 		return 0
 	case n < 0 || (n > 1 && r.b[r.pos+n-1] == 0):
-		r.err = ErrMalformed
+		r.fail(ErrMalformed)
 		return 0
 	}
 	r.pos += n
 	return v
+}
+
+// fail records err as the reader's error and consumes the rest of the
+// input.
+func (r *Reader) fail(err error) {
+	r.err = err
+	r.pos = len(r.b)
 }
 
 // Bool decodes a single byte as a bool. Any nonzero byte is true.
@@ -103,7 +142,7 @@ func (r *Reader) Byte() byte {
 		return 0
 	}
 	if r.pos >= len(r.b) {
-		r.err = ErrTruncated
+		r.fail(ErrTruncated)
 		return 0
 	}
 	v := r.b[r.pos]
@@ -119,7 +158,7 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	if n > uint64(len(r.b)-r.pos) {
-		r.err = ErrMalformed
+		r.fail(ErrMalformed)
 		return nil
 	}
 	v := r.b[r.pos : r.pos+int(n)]
@@ -145,7 +184,7 @@ func (r *Reader) Count(max, size int) int {
 		return 0
 	}
 	if n > uint64(max) || n > uint64((len(r.b)-r.pos)/size) {
-		r.err = ErrMalformed
+		r.fail(ErrMalformed)
 		return 0
 	}
 	return int(n)
