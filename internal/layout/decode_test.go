@@ -167,8 +167,8 @@ func retainedHeap() uint64 {
 }
 
 // TestImageSize guards the size of the prepared static image: 176.gcc, the
-// largest benchmark, must be held in at most 3.5 MB of program and 3 MB
-// per layout.
+// largest benchmark, must be held in at most 3.5 MB of program and 2 MB
+// per layout (measured: 1.66 MB base, 1.65 MB optimized).
 func TestImageSize(t *testing.T) {
 	params, err := workload.ByName("176.gcc")
 	if err != nil {
@@ -195,12 +195,42 @@ func TestImageSize(t *testing.T) {
 		limit float64
 	}{
 		{"program", size(h0, h1), 3.5},
-		{"base layout", size(h2, h3), 3},
-		{"optimized layout", size(h3, h4), 3},
+		{"base layout", size(h2, h3), 2},
+		{"optimized layout", size(h3, h4), 2},
 	} {
 		t.Logf("176.gcc %s: %.2f MB retained", c.what, c.got)
 		if c.got > c.limit {
 			t.Errorf("176.gcc %s retains %.2f MB, limit %g MB", c.what, c.got, c.limit)
 		}
+	}
+}
+
+// TestSuiteLayoutFootprint guards what a daemon holding both layouts of
+// every benchmark resident pays for them, beside the programs: 4 bytes per
+// code slot of decode words and 9 per block (Order, start, shape). The
+// suite's 22 layouts must retain at most 19.5 MB.
+func TestSuiteLayoutFootprint(t *testing.T) {
+	const mb, limit = 1e6, 19.5
+	var layouts []*Layout
+	var retained uint64
+	blocks, slots := 0, 0
+	for _, params := range workload.Suite() {
+		prog := workload.Generate(params)
+		prof := trace.CollectProfile(prog, 7, 200_000)
+		h0 := retainedHeap()
+		layouts = append(layouts, Baseline(prog), Optimized(prog, prof))
+		retained += retainedHeap() - h0
+		runtime.KeepAlive(prof)
+		for _, l := range layouts[len(layouts)-2:] {
+			blocks += len(l.Order)
+			slots += l.TotalSlots()
+		}
+	}
+	runtime.KeepAlive(layouts)
+	got := float64(retained) / mb
+	t.Logf("%d layouts, %d blocks, %d slots: %.2f MB retained, %.2f bytes per slot, %.1f bytes per block beyond 4 per slot",
+		len(layouts), blocks, slots, got, float64(retained)/float64(slots), (float64(retained)-4*float64(slots))/float64(blocks))
+	if got > limit {
+		t.Errorf("the suite's layouts retain %.2f MB, limit %g MB", got, limit)
 	}
 }
