@@ -5,7 +5,13 @@
 // Usage:
 //
 //	experiments -exp all|fig8|fig9|table1|table2|table3|ablation|dist \
-//	            [-insts 2000000] [-bench 164.gzip,176.gcc] [-json]
+//	            [-insts 2000000] [-bench 164.gzip,176.gcc] [-json] [-store DIR]
+//
+// The grid figures (fig8, fig9, table3) share one result store, keyed by
+// each cell's run content key: in memory by default, so -exp all runs each
+// cell once; on disk under -store DIR, so a later run against the same
+// directory simulates only the cells it has not seen and prints the same
+// bytes.
 package main
 
 import (
@@ -29,6 +35,7 @@ func main() {
 	insts := flag.Uint64("insts", 2_000_000, "dynamic trace length per benchmark")
 	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all 11)")
 	asJSON := flag.Bool("json", false, "emit the experiments as a JSON array instead of text")
+	storeDir := flag.String("store", "", "directory of a result store that keeps grid cells across runs (default: in memory)")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
@@ -74,7 +81,25 @@ func main() {
 	}
 	table2 := one(func() (*streamfetch.Experiment, error) { return experiments.Table2Data(), nil })
 	table1 := one(func() (*streamfetch.Experiment, error) { return experiments.Table1Data(benches) })
-	cells := store.NewMem() // one result cache: every fig9 and table3 cell is a fig8 cell
+	// One result cache: every fig9 and table3 cell is a fig8 cell.
+	var cells store.Store = store.NewMem()
+	if *storeDir != "" {
+		fs, err := store.Open(*storeDir)
+		if err != nil {
+			fail(err)
+		}
+		defer fs.Close()
+		before, err := fs.Stats()
+		if err != nil {
+			fail(err)
+		}
+		defer func() {
+			if after, err := fs.Stats(); err == nil {
+				fmt.Fprintf(os.Stderr, "store %s: %d cells added\n", *storeDir, after.Blobs-before.Blobs)
+			}
+		}()
+		cells = fs
+	}
 	fig8 := func() ([]*streamfetch.Experiment, error) { return experiments.Fig8Data(ctx, cfg, cells) }
 	fig9 := one(func() (*streamfetch.Experiment, error) { return experiments.Fig9Data(ctx, cfg, cells) })
 	table3 := one(func() (*streamfetch.Experiment, error) { return experiments.Table3Data(ctx, cfg, cells) })

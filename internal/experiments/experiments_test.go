@@ -165,8 +165,9 @@ func (s *countingStore) PutBlob(key string, data []byte) error {
 
 // TestRunSweepStore: a second RunSweep over the same store answers every
 // cell from it, writes nothing and returns the first run's cells byte for
-// byte; and Figure 9 and Table 3 after Figure 8 on one store simulate
-// nothing.
+// byte, also from an FS store reopened in between, as two cmd/experiments
+// runs with one -store directory see it; and Figure 9 and Table 3 after
+// Figure 8 on one store simulate nothing.
 func TestRunSweepStore(t *testing.T) {
 	ctx := context.Background()
 	c := figuresConfig()
@@ -197,6 +198,30 @@ func TestRunSweepStore(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("stored cells differ from simulated ones\nfirst:  %s\nsecond: %s", a, b)
+	}
+
+	dir := t.TempDir()
+	for run := range 2 {
+		fs, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk := &countingStore{Store: fs}
+		cells, err := sweep(ctx, c, disk, []string{"base", "optimized"}, 8)
+		if err := errors.Join(err, fs.Close()); err != nil {
+			t.Fatal(err)
+		}
+		wantHits, wantPuts := int64(len(cells)), int64(0)
+		if run == 0 {
+			wantHits, wantPuts = 0, int64(len(cells))
+		}
+		if hits, puts := disk.hits.Load(), disk.puts.Load(); hits != wantHits || puts != wantPuts {
+			t.Fatalf("FS store, run %d: %d cells from the store, %d writes; want %d, %d",
+				run, hits, puts, wantHits, wantPuts)
+		}
+		if got, err := json.Marshal(cells); err != nil || !bytes.Equal(got, a) {
+			t.Fatalf("FS store, run %d: cells differ from the in-memory sweep (%v)\ngot:  %s\nwant: %s", run, err, got, a)
+		}
 	}
 
 	figs := &countingStore{Store: store.NewMem()}
