@@ -13,6 +13,12 @@
 // ones, removes unconditional jumps to adjacent blocks, and materializes
 // jumps when a chain breaks — exactly the mechanism by which code layout
 // optimization lengthens instruction streams.
+//
+// A resident layout is small: a 4-byte decode word per code slot (the
+// static image, image.go) and 9 bytes per block (its place in Order, its
+// start slot and a shape byte). Everything else about a block under the
+// layout, its slot count, end and fall-through block, follows from those
+// and the program.
 package layout
 
 import (
