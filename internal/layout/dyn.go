@@ -37,31 +37,19 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 	b := &l.Prog.Blocks[id]
 	shape := l.shape[id]
 	arr := Arrangement(shape & arrMask)
-	n := slotCount(b.NInsts, arr)
 
 	nextStart := isa.Addr(0)
 	if next != cfg.NoBlock {
 		nextStart = l.Start(next)
 	}
 
-	// Body slots: everything before the block's own branch slot (if any).
-	bodyEnd := n
+	// Body slots: every CFG instruction before the block's own branch, in
+	// every arrangement; an elided jump or an appended one only changes
+	// what follows them.
 	hasBranch := b.Branch != isa.BranchNone
-	switch arr {
-	case ArrElide:
-		hasBranch = false
-		bodyEnd = n
-	case ArrAppendJump:
-		if b.Branch == isa.BranchNone {
-			hasBranch = false
-			bodyEnd = n - 1
-		} else {
-			bodyEnd = n - 2 // CFG branch at n-2, materialized jump at n-1
-		}
-	default:
-		if hasBranch {
-			bodyEnd = n - 1
-		}
+	bodyEnd := int(b.NInsts)
+	if hasBranch {
+		bodyEnd--
 	}
 
 	a := l.Start(id)
