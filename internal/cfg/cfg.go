@@ -21,8 +21,8 @@
 //	BranchNone         one successor, pure fall-through
 //	BranchCond         Succs[0] = fall-through side, Succs[1] = branch side
 //	BranchUncond       one successor
-//	BranchCall         Succs[0] = callee entry; Cont = continuation block
-//	BranchIndirectCall Succs[*] = possible callee entries, with ArmProbs; Cont = continuation
+//	BranchCall         Succs[0] = callee entry; continues at Cont(id) = id+1
+//	BranchIndirectCall Succs[*] = possible callee entries, with ArmProbs; continues at id+1
 //	BranchReturn       no successors (target is dynamic, from the call stack)
 //	BranchIndirect     Succs[*] = possible targets, with ArmProbs
 package cfg
@@ -64,10 +64,11 @@ type CondModel struct {
 	// P is the probability of choosing Succs[1] (CondBias only).
 	P float64
 	// Trip is the mean loop trip count (CondLoop only). The actual trip
-	// count of each loop entry is drawn near Trip.
-	Trip int32
+	// count of each loop entry is drawn near Trip. Build a loop's model
+	// with LoopModel.
+	Trip int16
 	// TripJitter is the +/- range around Trip for per-entry trip counts.
-	TripJitter int32
+	TripJitter int16
 	Kind       CondKind
 	// Period is the length of the repeating choice sequence, 1 to
 	// MaxPeriod (CondPattern only).
@@ -75,6 +76,15 @@ type CondModel struct {
 	// Pattern holds the choice sequence as bits: bit i is choice i, set
 	// for the branch side (CondPattern only). Read it with PatternAt.
 	Pattern uint8
+}
+
+// LoopModel returns the CondLoop model of mean trip count trip, give or
+// take jitter. It panics if either does not fit the model's int16 fields.
+func LoopModel(trip, jitter int) CondModel {
+	if int(int16(trip)) != trip || int(int16(jitter)) != jitter {
+		panic(fmt.Sprintf("cfg: loop trip count %d+/-%d does not fit an int16", trip, jitter))
+	}
+	return CondModel{Kind: CondLoop, Trip: int16(trip), TripJitter: int16(jitter)}
 }
 
 // PatternAt returns choice i of a CondPattern's sequence, true for the
@@ -89,15 +99,11 @@ func (m CondModel) PatternAt(i int) bool { return m.Pattern>>uint(i)&1 != 0 }
 // arrays.
 //
 // A Block holds no pointers and no floats, and its fields are narrowed
-// and ordered to leave little padding: it is 28 bytes, and a large
-// program holds tens of thousands.
+// and ordered to leave little padding: it is 16 bytes, and a large
+// program holds tens of thousands. Nor does it store what block IDs
+// imply: a call continues at the next block (Program.Cont), and a block
+// belongs to the procedure whose entry is the last at or before it.
 type Block struct {
-	// Proc is the index in Program.Procs of the procedure the block
-	// belongs to.
-	Proc   int32
-	NInsts int32
-	// Cont is the block where execution continues after a call returns.
-	Cont BlockID
 	// classOff and succOff index the block's first class and first
 	// successor in the program's arrays; nSuccs counts its successors.
 	classOff uint32
@@ -106,15 +112,16 @@ type Block struct {
 	// cond model array for a cond block, the start of its probability run
 	// for an indirect branch or call; it is unused for other blocks.
 	model  uint32
-	nSuccs uint16
+	NInsts uint8
+	nSuccs uint8
 	Branch isa.BranchType
 }
 
-// Proc is a procedure: a name and an entry block. Its blocks are the ones
-// whose Block.Proc tag is its index in Program.Procs, the one record of
-// membership; synthesis emits each procedure as one contiguous run of
-// block IDs, entry first, so the baseline layout keeps procedures
-// contiguous.
+// Proc is a procedure: a name and an entry block. Its blocks are the run
+// of IDs from its entry up to the next procedure's entry (or the last
+// block): synthesis emits each procedure as one contiguous run, entry
+// first, and entries ascend from block 0, so the baseline layout keeps
+// procedures contiguous.
 type Proc struct {
 	Name  string
 	Entry BlockID
@@ -156,6 +163,17 @@ func (p *Program) Succs(id BlockID) []BlockID {
 	return p.succs[b.succOff:end:end]
 }
 
+// Cont returns the block where execution continues after call block id
+// returns, id+1, or NoBlock if id is not a call: synthesis emits each
+// call's continuation right after it, which is what lets every layout
+// place it there.
+func (p *Program) Cont(id BlockID) BlockID {
+	if p.Blocks[id].Branch.IsCall() {
+		return id + 1
+	}
+	return NoBlock
+}
+
 // Cond returns the branch model of cond block id.
 func (p *Program) Cond(id BlockID) CondModel { return p.conds[p.Blocks[id].model] }
 
@@ -182,17 +200,19 @@ func (p *Program) ArmProbs(id BlockID) []float64 {
 	return p.probs[off:end:end]
 }
 
-// AddBlock appends b to the program and returns its ID. It reserves
-// b.NInsts zero classes (ClassALU) for the block, to be filled through
-// Classes, and for a cond block a zero model, to be set with SetCond; the
-// block has no successors until AddSuccs gives it some.
-func (p *Program) AddBlock(b Block) BlockID {
-	if uint64(len(p.classes))+uint64(max(b.NInsts, 0)) > math.MaxUint32 {
+// AddBlock appends a block of n instructions ending in branch br and
+// returns its ID. It reserves n zero classes (ClassALU) for the block, to
+// be filled through Classes, and for a cond block a zero model, to be set
+// with SetCond; the block has no successors until AddSuccs gives it some.
+// It panics unless n is 1 to 255.
+func (p *Program) AddBlock(n int, br isa.BranchType) BlockID {
+	if n < 1 || n > math.MaxUint8 {
+		panic(fmt.Sprintf("cfg: a block of %d instructions, want 1 to %d", n, math.MaxUint8))
+	}
+	if uint64(len(p.classes))+uint64(n) > math.MaxUint32 {
 		panic("cfg: program exceeds 2^32 instructions")
 	}
-	b.classOff = uint32(len(p.classes))
-	b.succOff, b.nSuccs, b.model = 0, 0, 0
-	n := int(max(b.NInsts, 0))
+	b := Block{classOff: uint32(len(p.classes)), NInsts: uint8(n), Branch: br}
 	p.classes = grow(p.classes, n)
 	p.classes = p.classes[:len(p.classes)+n]
 	if b.Branch == isa.BranchCond {
@@ -208,14 +228,14 @@ func (p *Program) AddBlock(b Block) BlockID {
 // a zero Markov probability and n zero arm probabilities, to be set with
 // SetIndMarkov and through ArmProbs. Successors and probabilities the
 // block had before stay in their arrays unused, so a builder calls it once
-// per block.
+// per block. It panics on more than 255 successors.
 func (p *Program) AddSuccs(id BlockID, n int) []BlockID {
-	if n < 0 || n > math.MaxUint16 || uint64(len(p.succs))+uint64(n) > math.MaxUint32 ||
+	if n < 0 || n > math.MaxUint8 || uint64(len(p.succs))+uint64(n) > math.MaxUint32 ||
 		uint64(len(p.probs))+uint64(n)+1 > math.MaxUint32 {
 		panic(fmt.Sprintf("cfg: block %d cannot hold %d successors", id, n))
 	}
 	b := &p.Blocks[id]
-	b.succOff, b.nSuccs = uint32(len(p.succs)), uint16(n)
+	b.succOff, b.nSuccs = uint32(len(p.succs)), uint8(n)
 	p.succs = grow(p.succs, n)
 	for range n {
 		p.succs = append(p.succs, NoBlock)
@@ -281,7 +301,7 @@ func (p *Program) Validate() error {
 	for i := range p.Blocks {
 		b := &p.Blocks[i]
 		id := BlockID(i)
-		if b.NInsts <= 0 {
+		if b.NInsts == 0 {
 			return fmt.Errorf("cfg: block %d has %d instructions", i, b.NInsts)
 		}
 		if uint64(b.classOff)+uint64(b.NInsts) > uint64(len(p.classes)) {
@@ -331,11 +351,8 @@ func (p *Program) Validate() error {
 			if len(succs) == 0 {
 				return fmt.Errorf("cfg: block %d (call) has no callees", i)
 			}
-			if b.Cont == NoBlock {
-				return fmt.Errorf("cfg: block %d (call) has no continuation", i)
-			}
-			if b.Cont < 0 || int(b.Cont) >= len(p.Blocks) {
-				return fmt.Errorf("cfg: block %d continuation %d out of range", i, b.Cont)
+			if i+1 == len(p.Blocks) {
+				return fmt.Errorf("cfg: call block %d is the last, with no continuation", i)
 			}
 		case isa.BranchReturn:
 			if len(succs) != 0 {
@@ -350,18 +367,18 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("cfg: block %d has unknown branch type %v", i, b.Branch)
 		}
 	}
-	for i := range p.Blocks {
-		if pi := p.Blocks[i].Proc; pi < 0 || int(pi) >= len(p.Procs) {
-			return fmt.Errorf("cfg: block %d tagged proc %d of %d", i, pi, len(p.Procs))
-		}
+	// Procedures partition the blocks into runs: the first starts at
+	// block 0, and each entry lies past the one before.
+	if len(p.Procs) == 0 || p.Procs[0].Entry != 0 {
+		return fmt.Errorf("cfg: the first procedure does not start at block 0")
 	}
 	for pi, proc := range p.Procs {
-		if proc.Entry < 0 || int(proc.Entry) >= len(p.Blocks) {
+		if int(proc.Entry) >= len(p.Blocks) {
 			return fmt.Errorf("cfg: proc %d entry %d out of range", pi, proc.Entry)
 		}
-		if int(p.Blocks[proc.Entry].Proc) != pi {
-			return fmt.Errorf("cfg: proc %d entry %d tagged proc %d",
-				pi, proc.Entry, p.Blocks[proc.Entry].Proc)
+		if pi > 0 && proc.Entry <= p.Procs[pi-1].Entry {
+			return fmt.Errorf("cfg: proc %d entry %d not past proc %d's entry %d",
+				pi, proc.Entry, pi-1, p.Procs[pi-1].Entry)
 		}
 	}
 	return nil

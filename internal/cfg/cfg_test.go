@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -14,10 +15,10 @@ import (
 // and a return.
 func tiny() *Program {
 	p := &Program{Name: "tiny"}
-	a := p.AddBlock(Block{NInsts: 2, Branch: isa.BranchCond, Cont: NoBlock})
+	a := p.AddBlock(2, isa.BranchCond)
 	p.Classes(a)[1] = isa.ClassBranch
 	copy(p.AddSuccs(a, 2), []BlockID{1, 0})
-	b := p.AddBlock(Block{NInsts: 1, Branch: isa.BranchReturn, Cont: NoBlock})
+	b := p.AddBlock(1, isa.BranchReturn)
 	p.Classes(b)[0] = isa.ClassBranch
 	p.Procs = []Proc{{Name: "main", Entry: 0}}
 	p.Compact()
@@ -30,11 +31,15 @@ func TestValidateAccepts(t *testing.T) {
 	}
 }
 
+// TestValidateRejects checks that Validate refuses each broken program, and
+// that the builder panics on a value the narrowed fields cannot hold
+// rather than store it truncated.
 func TestValidateRejects(t *testing.T) {
-	cases := []struct {
+	type mutation struct {
 		name string
 		mut  func(*Program)
-	}{
+	}
+	cases := []mutation{
 		{"bad entry", func(p *Program) { p.Entry = 99 }},
 		{"zero insts", func(p *Program) { p.Blocks[0].NInsts = 0 }},
 		{"classes mismatch", func(p *Program) { p.Blocks[1].NInsts = 2 }},
@@ -56,10 +61,17 @@ func TestValidateRejects(t *testing.T) {
 		{"return with succs", func(p *Program) {
 			p.AddSuccs(1, 1)[0] = 0
 		}},
-		{"proc entry range", func(p *Program) { p.Procs[0].Entry = 77 }},
-		{"block proc tag range", func(p *Program) { p.Blocks[1].Proc = 1 }},
-		{"proc entry tagged elsewhere", func(p *Program) {
-			p.Procs = append(p.Procs, Proc{Name: "f", Entry: 1})
+		{"proc entry range", func(p *Program) {
+			p.Procs = append(p.Procs, Proc{Name: "f", Entry: 77})
+		}},
+		{"proc entries not from 0", func(p *Program) { p.Procs[0].Entry = 1 }},
+		{"no procs", func(p *Program) { p.Procs = nil }},
+		{"proc entries not ascending", func(p *Program) {
+			p.Procs = append(p.Procs, Proc{Name: "f", Entry: 0})
+		}},
+		{"call as the last block", func(p *Program) {
+			p.Blocks[1].Branch = isa.BranchCall
+			p.AddSuccs(1, 1)[0] = 0
 		}},
 	}
 	for _, c := range cases {
@@ -71,18 +83,47 @@ func TestValidateRejects(t *testing.T) {
 			}
 		})
 	}
+	panics := []mutation{
+		{"AddBlock over 255 instructions", func(p *Program) { p.AddBlock(256, isa.BranchNone) }},
+		{"AddSuccs over 255 successors", func(p *Program) { p.AddSuccs(0, 256) }},
+		{"SetCond trip count outside int16", func(p *Program) {
+			p.SetCond(0, LoopModel(math.MaxInt16+1, 0))
+		}},
+		{"SetCond trip jitter outside int16", func(p *Program) {
+			p.SetCond(0, LoopModel(4, math.MinInt16-1))
+		}},
+	}
+	for _, c := range panics {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("out-of-range value accepted")
+				}
+			}()
+			c.mut(tiny())
+		})
+	}
 }
 
+// TestValidateCallNeedsContinuation: a call continues at the next block,
+// so a call with a block after it is valid and one without is not.
 func TestValidateCallNeedsContinuation(t *testing.T) {
 	p := tiny()
 	p.Blocks[0].Branch = isa.BranchCall
 	p.AddSuccs(0, 1)[0] = 1
-	if err := p.Validate(); err == nil {
-		t.Fatal("call without continuation accepted")
-	}
-	p.Blocks[0].Cont = 1
 	if err := p.Validate(); err != nil {
 		t.Fatalf("call with continuation rejected: %v", err)
+	}
+	if got := p.Cont(0); got != 1 {
+		t.Errorf("Cont(call 0) = %d, want 1", got)
+	}
+	if got := p.Cont(1); got != NoBlock {
+		t.Errorf("Cont(return 1) = %d, want NoBlock", got)
+	}
+	p.Blocks[1].Branch = isa.BranchIndirectCall
+	copy(p.AddSuccs(1, 1), []BlockID{0})
+	if err := p.Validate(); err == nil {
+		t.Fatal("call without continuation accepted")
 	}
 }
 
@@ -135,17 +176,21 @@ func TestProfileAccumulation(t *testing.T) {
 	}
 }
 
-// TestBlockSize keeps a Block at most 32 bytes and a successor at 4, and
-// a Block and the elements of the program's side arrays free of pointers:
-// a field added or reordered carelessly grows every resident program, and
-// a pointer makes the collector scan every block. A Block holds no float
-// either: branch probabilities live beside it, for the blocks that have
-// them.
+// TestBlockSize keeps a Block and a CondModel at 16 bytes and a successor
+// at 4, and a Block and the elements of the program's side arrays free of
+// pointers: a field added or widened carelessly grows every resident
+// program, and a pointer makes the collector scan every block. A Block
+// holds no float either: branch probabilities live beside it, for the
+// blocks that have them.
 func TestBlockSize(t *testing.T) {
-	n := unsafe.Sizeof(Block{})
-	t.Logf("cfg.Block is %d bytes", n)
-	if n > 32 {
-		t.Fatalf("cfg.Block is %d bytes, want at most 32", n)
+	for _, c := range []struct {
+		what string
+		size uintptr
+	}{{"cfg.Block", unsafe.Sizeof(Block{})}, {"cfg.CondModel", unsafe.Sizeof(CondModel{})}} {
+		t.Logf("%s is %d bytes", c.what, c.size)
+		if c.size != 16 {
+			t.Errorf("%s is %d bytes, want 16", c.what, c.size)
+		}
 	}
 	if n := unsafe.Sizeof(BlockID(0)); n != 4 {
 		t.Fatalf("a successor is %d bytes, want 4", n)

@@ -11,14 +11,12 @@
 //
 // The slot's own address is its index, so it is not stored. FetchAt,
 // InstAt and StaticTarget run once per fetched instruction (correct- and
-// wrong-path) and are single loads plus shifts. BlockAt, which nothing on
-// the fetch path calls, answers by binary search over the block starts
-// instead of keeping a per-slot owner table.
+// wrong-path) and are single loads plus shifts. No slot is mapped back to
+// the block owning it: nothing on the fetch path asks.
 package layout
 
 import (
 	"fmt"
-	"sort"
 
 	"streamfetch/internal/cfg"
 	"streamfetch/internal/isa"
@@ -48,11 +46,11 @@ func packWord(inst isa.Inst, target int) uint32 {
 }
 
 // buildDecode fills the decode words from the per-block source of truth
-// (instAtSlot, staticTargetAt).
-func (l *Layout) buildDecode() {
+// (instAtSlot, staticTargetAt), walking the blocks in address order.
+func (l *Layout) buildDecode(order []cfg.BlockID) {
 	l.decode = make([]uint32, l.totalSlots)
 	s := 0
-	for _, id := range l.Order {
+	for _, id := range order {
 		for off := range l.Slots(id) {
 			target := -1
 			if t, ok := l.staticTargetAt(id, off); ok {
@@ -86,19 +84,6 @@ func instOf(a isa.Addr, w uint32) isa.Inst {
 		Class:  isa.Class(w >> classShift & fieldMask),
 		Branch: isa.BranchType(w >> branchShift),
 	}
-}
-
-// BlockAt returns the block containing address a and the slot offset within
-// it. ok is false when a is outside the code segment. It binary-searches
-// the block starts: nothing on the per-instruction fetch path calls it.
-func (l *Layout) BlockAt(a isa.Addr) (id cfg.BlockID, slot int, ok bool) {
-	if _, ok := l.slotOf(a); !ok {
-		return cfg.NoBlock, 0, false
-	}
-	// The last block in address order starting at or before a.
-	i := sort.Search(len(l.Order), func(i int) bool { return l.Start(l.Order[i]) > a }) - 1
-	id = l.Order[i]
-	return id, int(a-l.Start(id)) / isa.InstBytes, true
 }
 
 // InstAt returns the static instruction at address a. The front-end uses

@@ -15,14 +15,16 @@
 // optimization lengthens instruction streams.
 //
 // A resident layout is small: a 4-byte decode word per code slot (the
-// static image, image.go) and 9 bytes per block (its place in Order, its
-// start slot and a shape byte). Everything else about a block under the
-// layout, its slot count, end and fall-through block, follows from those
-// and the program.
+// static image, image.go) and 5 bytes per block (its start slot and a
+// shape byte). Everything else about a block under the layout, its slot
+// count, end, fall-through block and place in address order, follows
+// from those and the program.
 package layout
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"streamfetch/internal/cfg"
@@ -50,17 +52,14 @@ const CodeBase isa.Addr = 0x0001_0000
 // Layout is an address assignment for a program. Besides the per-block
 // tables it holds the static image: one packed uint32 decode word per code
 // slot (class, branch type and static target; format in image.go), about 4
-// bytes per slot. Per block it keeps 9 bytes: its place in Order, its start
-// slot and its shape; its slot count follows from the shape and the block's
-// NInsts (slotCount). Slots are not mapped back to their owning blocks:
-// BlockAt searches the block starts, since nothing on the fetch path calls
-// it.
+// bytes per slot. Per block it keeps 5 bytes: its start slot and its
+// shape; its slot count follows from the shape and the block's NInsts
+// (slotCount). Neither the order the blocks were laid out in nor the
+// owner of each slot is stored: nothing on the fetch path needs them.
 type Layout struct {
 	Prog *cfg.Program
 	// Name is "base" or "optimized".
 	Name string
-	// Order lists blocks in address order.
-	Order []cfg.BlockID
 
 	// start is each block's first slot, counted from CodeBase; a decode
 	// word's target field caps the segment below 2^24 slots.
@@ -87,7 +86,7 @@ const (
 // slotCount returns the slots a block of n CFG instructions occupies under
 // arrangement arr: one more for an appended jump, one fewer for an elided
 // jump, and at least one.
-func slotCount(n int32, arr Arrangement) int {
+func slotCount(n uint8, arr Arrangement) int {
 	s := int(n)
 	switch arr {
 	case ArrAppendJump:
@@ -96,21 +95,6 @@ func slotCount(n int32, arr Arrangement) int {
 		s--
 	}
 	return max(s, 1)
-}
-
-// contCalls returns, per block, the call block whose continuation it is
-// (NoBlock otherwise).
-func contCalls(p *cfg.Program) []cfg.BlockID {
-	m := make([]cfg.BlockID, len(p.Blocks))
-	for i := range m {
-		m[i] = cfg.NoBlock
-	}
-	for i, b := range p.Blocks {
-		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			m[b.Cont] = cfg.BlockID(i)
-		}
-	}
-	return m
 }
 
 // build assigns addresses following order.
@@ -122,7 +106,6 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 	l := &Layout{
 		Prog:          p,
 		Name:          name,
-		Order:         order,
 		start:         make([]uint32, len(p.Blocks)),
 		shape:         make([]uint8, len(p.Blocks)),
 		maxBlockSlots: 1,
@@ -161,9 +144,9 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 				side = 1 // encoded branch aims at Succs[1], the appended jump at Succs[0]
 			}
 		case isa.BranchCall, isa.BranchIndirectCall:
-			if b.Cont != next {
+			if p.Cont(id) != next {
 				panic(fmt.Sprintf("layout %s: call block %d continuation %d not adjacent (next %d)",
-					name, id, b.Cont, next))
+					name, id, p.Cont(id), next))
 			}
 		}
 		l.shape[id] = uint8(arrange) | side<<condSideShift
@@ -176,18 +159,17 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 		panic(fmt.Sprintf("layout %s: %d code slots do not fit a decode word (at most %d)",
 			name, l.totalSlots, maxSlots-1))
 	}
-	l.buildDecode()
+	l.buildDecode(order)
 	return l
 }
 
-// Baseline lays blocks out in program (creation) order, repaired so that
-// call continuations stay adjacent to their call sites.
+// Baseline lays blocks out in program (creation) order, which keeps every
+// call continuation, the next block, adjacent to its call site.
 func Baseline(p *cfg.Program) *Layout {
 	order := make([]cfg.BlockID, len(p.Blocks))
 	for i := range order {
 		order[i] = cfg.BlockID(i)
 	}
-	order = repairCallAdjacency(p, order, contCalls(p))
 	return build(p, "base", order)
 }
 
@@ -228,12 +210,10 @@ func Optimized(p *cfg.Program, prof *cfg.Profile) *Layout {
 	}
 
 	// 1. Mandatory merges: a call's continuation must follow it.
-	for i, b := range p.Blocks {
-		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			if !merge(cfg.BlockID(i), b.Cont) {
-				panic(fmt.Sprintf("layout: cannot keep continuation %d after call %d",
-					b.Cont, i))
-			}
+	for i := range p.Blocks {
+		id := cfg.BlockID(i)
+		if cont := p.Cont(id); cont != cfg.NoBlock && !merge(id, cont) {
+			panic(fmt.Sprintf("layout: cannot keep continuation %d after call %d", cont, id))
 		}
 	}
 
@@ -319,36 +299,6 @@ func Optimized(p *cfg.Program, prof *cfg.Profile) *Layout {
 	return build(p, "optimized", order)
 }
 
-// repairCallAdjacency re-orders blocks minimally so every call block is
-// immediately followed by its continuation.
-func repairCallAdjacency(p *cfg.Program, order []cfg.BlockID, contOf []cfg.BlockID) []cfg.BlockID {
-	out := make([]cfg.BlockID, 0, len(order))
-	emitted := make([]bool, len(p.Blocks))
-	var emit func(id cfg.BlockID)
-	emit = func(id cfg.BlockID) {
-		if emitted[id] {
-			return
-		}
-		emitted[id] = true
-		out = append(out, id)
-		if b := &p.Blocks[id]; b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			emit(b.Cont)
-		}
-	}
-	for _, id := range order {
-		// Skip continuations here; they are pulled in by their call.
-		if contOf[id] != cfg.NoBlock && !emitted[id] {
-			continue
-		}
-		emit(id)
-	}
-	// Any continuation whose call was never placed (unreachable code).
-	for _, id := range order {
-		emit(id)
-	}
-	return out
-}
-
 // Start returns the first instruction address of block id.
 func (l *Layout) Start(id cfg.BlockID) isa.Addr { return CodeBase.Plus(int(l.start[id])) }
 
@@ -379,21 +329,37 @@ func (l *Layout) CodeSize() int { return l.totalSlots * isa.InstBytes }
 // TotalSlots returns the total encoded instruction count.
 func (l *Layout) TotalSlots() int { return l.totalSlots }
 
-// Validate checks internal invariants (addresses contiguous, call
-// continuations adjacent).
+// addressOrder returns the blocks in address order, sorted by start slot.
+func (l *Layout) addressOrder() []cfg.BlockID {
+	order := make([]cfg.BlockID, len(l.start))
+	for i := range order {
+		order[i] = cfg.BlockID(i)
+	}
+	slices.SortFunc(order, func(a, b cfg.BlockID) int { return cmp.Compare(l.start[a], l.start[b]) })
+	return order
+}
+
+// Validate checks internal invariants: the blocks tile the code segment
+// from CodeBase without gap or overlap, and every call continuation
+// starts where its call ends.
 func (l *Layout) Validate() error {
 	addr := CodeBase
-	for i, id := range l.Order {
+	for _, id := range l.addressOrder() {
 		if l.Start(id) != addr {
 			return fmt.Errorf("layout %s: block %d starts at %v, want %v",
 				l.Name, id, l.Start(id), addr)
 		}
 		addr = addr.Plus(l.Slots(id))
-		if b := &l.Prog.Blocks[id]; b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			if i+1 == len(l.Order) || l.Order[i+1] != b.Cont {
-				return fmt.Errorf("layout %s: call block %d not followed by continuation %d",
-					l.Name, id, b.Cont)
-			}
+	}
+	if addr != l.CodeLimit() {
+		return fmt.Errorf("layout %s: blocks end at %v, code limit %v", l.Name, addr, l.CodeLimit())
+	}
+	for i := range l.Prog.Blocks {
+		id := cfg.BlockID(i)
+		cont := l.Prog.Cont(id)
+		if cont != cfg.NoBlock && (int(cont) == len(l.start) || l.Start(cont) != l.End(id)) {
+			return fmt.Errorf("layout %s: call block %d not followed by continuation %d",
+				l.Name, id, cont)
 		}
 	}
 	return nil

@@ -37,33 +37,41 @@ func TestOptimizedValid(t *testing.T) {
 		if err := l.Validate(); err != nil {
 			t.Fatalf("%s: optimized layout invalid: %v", name, err)
 		}
-		if len(l.Order) != prog.NumBlocks() {
-			t.Fatalf("%s: order has %d blocks, want %d", name, len(l.Order), prog.NumBlocks())
-		}
 	}
 }
 
-func TestBlockAtRoundTrip(t *testing.T) {
+// TestValidateRejects: Validate catches a gap in the code segment, and a
+// call continuation that still tiles the segment but no longer follows its
+// call.
+func TestValidateRejects(t *testing.T) {
 	prog := genProgram(t, "164.gzip")
-	for _, l := range []*Layout{Baseline(prog), Optimized(prog, trace.CollectProfile(prog, 7, 100_000))} {
-		for _, id := range l.Order {
-			for s := 0; s < l.Slots(id); s++ {
-				a := l.Start(id).Plus(s)
-				gotID, gotSlot, ok := l.BlockAt(a)
-				if !ok {
-					t.Fatalf("%s: BlockAt(%v) not found", l.Name, a)
-				}
-				if gotID != id || gotSlot != s {
-					t.Fatalf("%s: BlockAt(%v) = (%d,%d), want (%d,%d)",
-						l.Name, a, gotID, gotSlot, id, s)
-				}
-			}
+	call := cfg.NoBlock
+	for i, b := range prog.Blocks {
+		if b.Branch == isa.BranchCall {
+			call = cfg.BlockID(i)
+			break
 		}
-		if _, _, ok := l.BlockAt(CodeBase - 4); ok {
-			t.Error("BlockAt before code base succeeded")
+	}
+	if call == cfg.NoBlock {
+		t.Fatal("164.gzip has no call")
+	}
+	// Open a gap before the first block after a non-call that is no call
+	// itself, so that only the tiling check sees it.
+	gap := Baseline(prog)
+	for i := 1; i < len(prog.Blocks); i++ {
+		if !prog.Blocks[i-1].Branch.IsCall() && !prog.Blocks[i].Branch.IsCall() {
+			gap.start[i]++
+			break
 		}
-		if _, _, ok := l.BlockAt(l.CodeLimit()); ok {
-			t.Error("BlockAt past code limit succeeded")
+	}
+	// Swap the continuation, call+1, with the block after it.
+	swapped := Baseline(prog)
+	s := swapped.start[call+1]
+	swapped.start[call+2] = s
+	swapped.start[call+1] = s + uint32(swapped.Slots(call+2))
+	for name, l := range map[string]*Layout{"gap": gap, "continuation moved": swapped} {
+		if err := l.Validate(); err == nil {
+			t.Errorf("%s: broken layout accepted", name)
 		}
 	}
 }
@@ -71,7 +79,8 @@ func TestBlockAtRoundTrip(t *testing.T) {
 func TestInstAtBranchSlots(t *testing.T) {
 	prog := genProgram(t, "164.gzip")
 	l := Baseline(prog)
-	for _, id := range l.Order {
+	for i := range prog.Blocks {
+		id := cfg.BlockID(i)
 		b := prog.Blocks[id]
 		n := l.Slots(id)
 		last, ok := l.InstAt(l.Start(id).Plus(n - 1))
@@ -99,7 +108,8 @@ func TestStaticTargetsResolve(t *testing.T) {
 	prog := genProgram(t, "175.vpr")
 	l := Baseline(prog)
 	checked := 0
-	for _, id := range l.Order {
+	for i := range prog.Blocks {
+		id := cfg.BlockID(i)
 		b := prog.Blocks[id]
 		if b.Branch != isa.BranchCond || l.Arrange(id) != ArrAsIs {
 			continue

@@ -30,9 +30,10 @@ var layoutHashes = map[string]string{
 	"300.twolf":   "96d3a146435e38c586deb3528a610960179e0a1010808feae08a1fed38dcffdd",
 }
 
-// layoutHash folds one layout into h: its order, then per block in ID
-// order its start, slot count, arrangement and conditional target side,
-// then every code slot's instruction and static target.
+// layoutHash folds one layout into h: its order (the blocks in address
+// order, derived from their starts), then per block in ID order its start,
+// slot count, arrangement and conditional target side, then every code
+// slot's instruction and static target.
 func layoutHash(h hash.Hash, l *Layout) {
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -40,8 +41,9 @@ func layoutHash(h hash.Hash, l *Layout) {
 		h.Write(buf[:])
 	}
 	h.Write([]byte(l.Name))
-	u64(uint64(len(l.Order)))
-	for _, id := range l.Order {
+	order := l.addressOrder()
+	u64(uint64(len(order)))
+	for _, id := range order {
 		u64(uint64(id))
 	}
 	for i := range l.Prog.Blocks {

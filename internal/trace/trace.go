@@ -176,10 +176,10 @@ func (g *Generator) step(id cfg.BlockID, b *cfg.Block) cfg.BlockID {
 		}
 		return succs[0]
 	case isa.BranchCall:
-		g.stack = append(g.stack, b.Cont)
+		g.stack = append(g.stack, g.prog.Cont(id))
 		return succs[0]
 	case isa.BranchIndirectCall:
-		g.stack = append(g.stack, b.Cont)
+		g.stack = append(g.stack, g.prog.Cont(id))
 		return succs[g.pickArm(id, len(succs))]
 	case isa.BranchIndirect:
 		return succs[g.pickArm(id, len(succs))]

@@ -74,7 +74,7 @@ func TestTraceFollowsCFGEdges(t *testing.T) {
 		next := tr.Blocks[i+1]
 		switch {
 		case b.Branch.IsCall():
-			stack = append(stack, b.Cont)
+			stack = append(stack, prog.Cont(id))
 			if !hasSucc(prog, id, next) {
 				t.Fatalf("call block %d jumped to non-callee %d", id, next)
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"sort"
 	"testing"
 
 	"streamfetch/internal/cfg"
@@ -96,12 +97,19 @@ func condProb(m cfg.CondModel) float64 {
 	return 0.5
 }
 
+// procOf returns the index of the procedure holding block id: the last
+// whose entry is at or before it.
+func procOf(p *cfg.Program, id cfg.BlockID) int {
+	return sort.Search(len(p.Procs), func(i int) bool { return p.Procs[i].Entry > id }) - 1
+}
+
 // programHash returns the SHA-256 of a canonical encoding of p: per block
 // its instruction count, procedure, branch type, continuation, class list,
 // successors with their probabilities, condition model (zero for a block
 // without one) and indirect Markov probability (zero likewise), then the
-// procedure table, each procedure with its blocks as their tags name them,
-// and the entry block.
+// procedure table, each procedure with its blocks, and the entry block.
+// A block's procedure and continuation are read through their derived
+// forms, procOf and Program.Cont.
 func programHash(p *cfg.Program) string {
 	e := &pinEncoder{h: sha256.New()}
 	e.str(p.Name)
@@ -110,9 +118,9 @@ func programHash(p *cfg.Program) string {
 		id := cfg.BlockID(i)
 		b := &p.Blocks[i]
 		e.i64(int64(b.NInsts))
-		e.i64(int64(b.Proc))
+		e.i64(int64(procOf(p, id)))
 		e.u64(uint64(b.Branch))
-		e.block(b.Cont)
+		e.block(p.Cont(id))
 		cs := p.Classes(id)
 		e.i64(int64(len(cs)))
 		for _, c := range cs {
@@ -143,10 +151,10 @@ func programHash(p *cfg.Program) string {
 		}
 		e.f64(markov)
 	}
-	// Each procedure's block list, in ID order, from the blocks' tags.
+	// Each procedure's block list, in ID order.
 	members := make([][]cfg.BlockID, len(p.Procs))
 	for i := range p.Blocks {
-		pi := p.Blocks[i].Proc
+		pi := procOf(p, cfg.BlockID(i))
 		members[pi] = append(members[pi], cfg.BlockID(i))
 	}
 	e.i64(int64(len(p.Procs)))

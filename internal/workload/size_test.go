@@ -39,9 +39,10 @@ func retainedHeap() uint64 {
 
 // TestSuiteProgramFootprint guards what a daemon holding every benchmark's
 // program resident pays: the 11 synthesized programs together must retain
-// at most 16 MB.
+// at most 10.6 MB (measured: 9.20 MB, 16-byte blocks and cond models; with
+// 28-byte blocks and 24-byte cond models they retained 13.12 MB).
 func TestSuiteProgramFootprint(t *testing.T) {
-	const mb, limit = 1e6, 16
+	const mb, limit = 1e6, 10.6
 	suite := Suite()
 	progs := make([]*cfg.Program, 0, len(suite))
 	blocks := 0
@@ -57,6 +58,6 @@ func TestSuiteProgramFootprint(t *testing.T) {
 	t.Logf("%d programs, %d blocks: %.2f MB retained, %.1f bytes per block",
 		len(progs), blocks, got, got*mb/float64(blocks))
 	if got > limit {
-		t.Errorf("the suite's programs retain %.2f MB, limit %d MB", got, limit)
+		t.Errorf("the suite's programs retain %.2f MB, limit %g MB", got, limit)
 	}
 }

@@ -210,9 +210,9 @@ type builder struct {
 	rng  *xrand.RNG
 	prog *cfg.Program
 	proc int // current procedure index
-	// callSites collects (block, calleeCount) to wire after all
-	// procedures exist. Callees of proc i are always procs > i, so the
-	// static call graph is a DAG and the call stack is bounded.
+	// callSites collects the calls to wire after all procedures exist.
+	// Callees of proc i are always procs > i, so the static call graph
+	// is a DAG and the call stack is bounded.
 	callSites []callSite
 	// callees and calleeProbs are wireCalls' scratch lists of an indirect
 	// call's targets and their probabilities.
@@ -222,6 +222,7 @@ type builder struct {
 
 type callSite struct {
 	block    cfg.BlockID
+	caller   int // the procedure holding the call
 	indirect bool
 }
 
@@ -252,12 +253,7 @@ func (b *builder) newBlock(n int, br isa.BranchType) cfg.BlockID {
 	if n < 1 {
 		n = 1
 	}
-	id := b.prog.AddBlock(cfg.Block{
-		Proc:   int32(b.proc),
-		NInsts: int32(n),
-		Branch: br,
-		Cont:   cfg.NoBlock,
-	})
+	id := b.prog.AddBlock(n, br)
 	b.classes(b.prog.Classes(id), br)
 	switch br {
 	case isa.BranchNone, isa.BranchUncond:
@@ -326,8 +322,7 @@ func (b *builder) condModel() cfg.CondModel {
 }
 
 // genProc synthesizes one procedure as a chain of structured regions ending
-// in a return block: one contiguous run of block IDs tagged idx, entry
-// first.
+// in a return block: one contiguous run of block IDs, entry first.
 func (b *builder) genProc(idx int) {
 	b.proc = idx
 	nRegions := b.rng.IntRange(b.p.RegionsPerProc[0], b.p.RegionsPerProc[1])
@@ -347,19 +342,16 @@ func (b *builder) genProc(idx int) {
 	})
 }
 
-// link wires block t's fall-through/continuation edge to head. For blocks
-// that already transfer control (cond/loop exits are wired by genRegion),
-// link only fills the missing successor.
+// link wires block t's fall-through edge to head. For blocks that already
+// transfer control (cond/loop exits are wired by genRegion), link only
+// fills the missing successor; t is never a call, whose region ends in its
+// continuation.
 func (b *builder) link(t, head cfg.BlockID) {
 	blk := &b.prog.Blocks[t]
 	switch blk.Branch {
 	case isa.BranchNone, isa.BranchUncond:
 		if s := b.prog.Succs(t); s[0] == cfg.NoBlock {
 			s[0] = head
-		}
-	case isa.BranchCall, isa.BranchIndirectCall:
-		if blk.Cont == cfg.NoBlock {
-			blk.Cont = head
 		}
 	case isa.BranchCond:
 		// Loop headers and hammock conds wire both edges in genRegion;
@@ -414,11 +406,7 @@ func (b *builder) genLoop(depth int) (head, out cfg.BlockID) {
 			jitter = 1
 		}
 	}
-	b.prog.SetCond(header, cfg.CondModel{
-		Kind:       cfg.CondLoop,
-		Trip:       int32(trip),
-		TripJitter: int32(jitter),
-	})
+	b.prog.SetCond(header, cfg.LoopModel(trip, jitter))
 	// Loop bodies span several structured regions, like real inner loops;
 	// this sets the stream length achievable inside loops (one taken
 	// back-edge per iteration).
@@ -506,12 +494,12 @@ func (b *builder) genCall() (head, out cfg.BlockID) {
 		bt = isa.BranchIndirectCall
 	}
 	blk := b.newBlock(b.blockLen(), bt)
-	b.callSites = append(b.callSites, callSite{block: blk, indirect: indirect})
-	// Every call gets a private epilogue block as its continuation, so
-	// that continuations are unique per call site and can always be laid
-	// out immediately after the call (the return-address invariant).
+	b.callSites = append(b.callSites, callSite{block: blk, caller: b.proc, indirect: indirect})
+	// Every call gets a private epilogue block as its continuation, the
+	// next block ID (cfg.Program.Cont), so that continuations are unique
+	// per call site and can always be laid out immediately after the call
+	// (the return-address invariant).
 	epi := b.newBlock(b.rng.IntRange(1, 3), isa.BranchNone)
-	b.prog.Blocks[blk].Cont = epi
 	return blk, epi
 }
 
@@ -523,14 +511,14 @@ func (b *builder) wireCalls() {
 	for _, cs := range b.callSites {
 		// wireCalls adds successors but no blocks, so blk stays valid.
 		blk := &b.prog.Blocks[cs.block]
-		caller := int(blk.Proc)
+		caller := cs.caller
 		if caller >= n-1 {
 			// Last procedure cannot call anyone: demote to a plain
 			// fall-through block into its continuation.
+			cont := b.prog.Cont(cs.block)
 			blk.Branch = isa.BranchNone
 			b.prog.Classes(cs.block)[blk.NInsts-1] = isa.ClassALU
-			b.prog.AddSuccs(cs.block, 1)[0] = blk.Cont
-			blk.Cont = cfg.NoBlock
+			b.prog.AddSuccs(cs.block, 1)[0] = cont
 			continue
 		}
 		if cs.indirect {
@@ -561,15 +549,19 @@ func (b *builder) wireCalls() {
 	}
 }
 
-// genDriver turns procedure 0 into the program driver: its return block is
-// replaced by an unconditional jump back to its entry so the program runs
-// for as long as the trace generator wants.
+// genDriver turns procedure 0, the blocks before procedure 1's entry, into
+// the program driver: its return block is replaced by an unconditional
+// jump back to its entry so the program runs for as long as the trace
+// generator wants.
 func (b *builder) genDriver() {
-	entry := b.prog.Procs[0].Entry
-	for i := range b.prog.Blocks {
-		if blk := &b.prog.Blocks[i]; blk.Proc == 0 && blk.Branch == isa.BranchReturn {
+	entry, end := b.prog.Procs[0].Entry, cfg.BlockID(len(b.prog.Blocks))
+	if len(b.prog.Procs) > 1 {
+		end = b.prog.Procs[1].Entry
+	}
+	for i := entry; i < end; i++ {
+		if blk := &b.prog.Blocks[i]; blk.Branch == isa.BranchReturn {
 			blk.Branch = isa.BranchUncond
-			b.prog.AddSuccs(cfg.BlockID(i), 1)[0] = entry
+			b.prog.AddSuccs(i, 1)[0] = entry
 		}
 	}
 	b.prog.Entry = entry

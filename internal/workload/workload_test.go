@@ -77,10 +77,11 @@ func TestCallContinuationsUnique(t *testing.T) {
 	seen := map[cfg.BlockID]cfg.BlockID{}
 	for i, b := range prog.Blocks {
 		if b.Branch == isa.BranchCall || b.Branch == isa.BranchIndirectCall {
-			if prev, dup := seen[b.Cont]; dup {
-				t.Fatalf("continuation %d shared by calls %d and %d", b.Cont, prev, i)
+			cont := prog.Cont(cfg.BlockID(i))
+			if prev, dup := seen[cont]; dup {
+				t.Fatalf("continuation %d shared by calls %d and %d", cont, prev, i)
 			}
-			seen[b.Cont] = cfg.BlockID(i)
+			seen[cont] = cfg.BlockID(i)
 		}
 	}
 	if len(seen) == 0 {
@@ -95,11 +96,11 @@ func TestCallGraphIsDAG(t *testing.T) {
 		if b.Branch != isa.BranchCall && b.Branch != isa.BranchIndirectCall {
 			continue
 		}
+		caller := procOf(prog, cfg.BlockID(i))
 		for _, to := range prog.Succs(cfg.BlockID(i)) {
-			callee := prog.Blocks[to].Proc
-			if callee <= b.Proc {
+			if callee := procOf(prog, to); callee <= caller {
 				t.Fatalf("call from proc %d to proc %d breaks the DAG invariant",
-					b.Proc, callee)
+					caller, callee)
 			}
 		}
 	}

@@ -388,10 +388,10 @@ func TestPrepConcurrentNew(t *testing.T) {
 // TestPrepReplayHeap guards the memory the benchmark's replay shape holds:
 // a generating session and a trace-file session each for 176.gcc and
 // 253.perlbmk, prepared on the baseline layout, retain one program and
-// layout per benchmark (about 7.4 MiB). A program per session would retain
-// about 14.7 MiB.
+// layout per benchmark (about 5.6 MiB). A program per session would retain
+// about 8.8 MiB.
 func TestPrepReplayHeap(t *testing.T) {
-	const limit = 11 << 20
+	const limit = 13 << 19 // 6.5 MiB
 	ctx := context.Background()
 	benches := []string{"176.gcc", "253.perlbmk"}
 	paths := make([]string, len(benches))
