@@ -91,3 +91,30 @@ func TestLoadStateRejectsInconsistentWays(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadStateAllocFree: restoring a hierarchy allocates nothing beyond
+// its reader, which a restore builds once for the whole snapshot. Every
+// interval after the first of a sharded or sampled run restores one.
+func TestLoadStateAllocFree(t *testing.T) {
+	src := NewHierarchy(DefaultHierarchy(8))
+	for i := range 20_000 {
+		src.FetchLatency(isa.Addr(i * 4 * (1 + i%7)))
+		src.LoadLatency(isa.Addr(1<<30 + i*8*(1+i%13)))
+	}
+	state := src.AppendState(nil)
+	dst := NewHierarchy(DefaultHierarchy(8))
+	r := wire.NewReader(state)
+	allocs := testing.AllocsPerRun(20, func() {
+		*r = *wire.NewReader(state)
+		if err := dst.LoadState(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per Hierarchy.LoadState of %d bytes", allocs, len(state))
+	if allocs != 0 {
+		t.Fatalf("Hierarchy.LoadState allocates %.1f times, want 0", allocs)
+	}
+	if !bytes.Equal(dst.AppendState(nil), state) {
+		t.Fatal("restored hierarchy encodes differently")
+	}
+}

@@ -191,16 +191,18 @@ func (r *Reader) Count(max, size int) int {
 }
 
 // TwoPass restores a payload in place with the all-or-nothing contract of
-// a decode into scratch, without the scratch copy: decode runs first over
-// a copy of r with apply false, only validating, and then, if that
-// succeeded, over r with apply true, storing straight into its target. A
+// a decode into scratch, without the scratch copy: decode runs first with
+// apply false, only validating, and then, if that succeeded, again from
+// the same position with apply true, storing straight into its target. A
 // failed first pass leaves the target untouched and r holding the error.
+// It rewinds r rather than validate over a copy of it, which would escape
+// to the heap through the indirect call: a restore allocates nothing.
 func (r *Reader) TwoPass(decode func(r *Reader, apply bool) error) error {
-	check := *r
-	if err := decode(&check, false); err != nil {
-		*r = check
+	pos, err := r.pos, r.err
+	if err := decode(r, false); err != nil {
 		return err
 	}
+	r.pos, r.err = pos, err
 	return decode(r, true)
 }
 
