@@ -158,9 +158,9 @@ func retainedHeap() uint64 {
 }
 
 // TestImageSize guards the size of the prepared static image: 176.gcc, the
-// largest benchmark, must be held in at most 2.1 MB of program and 1.6 MB
-// per layout (measured: 1.80 MB program, 1.43 MB base, 1.42 MB optimized).
-// A layout that kept its order array would retain 1.66 MB.
+// largest benchmark, must be held in at most 2.1 MB of program and 0.9 MB
+// per layout (measured: 1.80 MB program, 0.77 MB base, 0.76 MB optimized).
+// A layout that kept a 4-byte decode word per slot would retain 1.42 MB.
 func TestImageSize(t *testing.T) {
 	params, err := workload.ByName("176.gcc")
 	if err != nil {
@@ -187,8 +187,8 @@ func TestImageSize(t *testing.T) {
 		limit float64
 	}{
 		{"program", size(h0, h1), 2.1},
-		{"base layout", size(h2, h3), 1.6},
-		{"optimized layout", size(h3, h4), 1.6},
+		{"base layout", size(h2, h3), 0.9},
+		{"optimized layout", size(h3, h4), 0.9},
 	} {
 		t.Logf("176.gcc %s: %.2f MB retained", c.what, c.got)
 		if c.got > c.limit {
@@ -198,15 +198,16 @@ func TestImageSize(t *testing.T) {
 }
 
 // TestSuiteLayoutFootprint guards what a daemon holding both layouts of
-// every benchmark resident pays for them, beside the programs: 4 bytes per
-// code slot of decode words and 5 per block (start, shape). The suite's 22
-// layouts must retain at most 16.8 MB (measured: 14.65 MB; with an order
-// array, 4 more bytes per block, they would retain 16.98 MB).
+// every benchmark resident pays for them, beside the programs: the static
+// image, 1 + 1/8 + 4/64 bytes per code slot (kind byte, direct bitmap,
+// rank) and 4 per direct branch, and 5 bytes per block (start, shape).
+// The suite's 22 layouts must retain at most 9.0 MB (measured: 7.85 MB;
+// with a 4-byte decode word per slot they retained 14.65 MB).
 func TestSuiteLayoutFootprint(t *testing.T) {
-	const mb, limit = 1e6, 16.8
+	const mb, limit = 1e6, 9.0
 	var layouts []*Layout
 	var retained uint64
-	blocks, slots := 0, 0
+	blocks, slots, direct := 0, 0, 0
 	for _, params := range workload.Suite() {
 		prog := workload.Generate(params)
 		prof := trace.CollectProfile(prog, 7, 200_000)
@@ -217,12 +218,14 @@ func TestSuiteLayoutFootprint(t *testing.T) {
 		for _, l := range layouts[len(layouts)-2:] {
 			blocks += l.Prog.NumBlocks()
 			slots += l.TotalSlots()
+			direct += len(l.targets)
 		}
 	}
 	runtime.KeepAlive(layouts)
 	got := float64(retained) / mb
-	t.Logf("%d layouts, %d blocks, %d slots: %.2f MB retained, %.2f bytes per slot, %.1f bytes per block beyond 4 per slot",
-		len(layouts), blocks, slots, got, float64(retained)/float64(slots), (float64(retained)-4*float64(slots))/float64(blocks))
+	image := float64(slots)*(1+1.0/8+4.0/64) + 4*float64(direct)
+	t.Logf("%d layouts, %d blocks, %d slots, %d direct branches: %.2f MB retained, %.2f MB of it image, %.1f bytes per block beyond the image",
+		len(layouts), blocks, slots, direct, got, image/mb, (float64(retained)-image)/float64(blocks))
 	if got > limit {
 		t.Errorf("the suite's layouts retain %.2f MB, limit %g MB", got, limit)
 	}

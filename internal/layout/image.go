@@ -2,21 +2,30 @@
 // basic block dictionary" of the paper's simulator (§4.1), which lets the
 // front-end fetch down wrong paths through real code.
 //
-// The image is one packed uint32 decode word per code slot, indexed by
-// (addr-CodeBase)/isa.InstBytes and built once in build():
+// The image is indexed by slot, (addr-CodeBase)/isa.InstBytes, and built
+// once in build(). A slot's decode word is its kind byte and, for a direct
+// branch, its entry in the target index:
 //
-//	bits  0-23  static taken-path target as slot+1 (0 = no encoded target)
-//	bits 24-27  isa.Class
-//	bits 28-31  isa.BranchType
+//	kind[s]     bits 0-3 isa.Class, bits 4-7 isa.BranchType
+//	direct      one bit per slot, set where the slot is a direct branch
+//	            (conditional, unconditional, call, or an appended jump):
+//	            exactly the slots with a static taken-path target
+//	rank[w]     the set bits of direct before its 64-slot word w
+//	targets[i]  the target slot of the i-th direct branch, in slot order
 //
-// The slot's own address is its index, so it is not stored. FetchAt,
-// InstAt and StaticTarget run once per fetched instruction (correct- and
-// wrong-path) and are single loads plus shifts. No slot is mapped back to
-// the block owning it: nothing on the fetch path asks.
+// That is 1 + 1/8 + 4/64 bytes per slot plus 4 per direct branch, about
+// one slot in nine. The slot's own address is its index, so it is not
+// stored. FetchAt and InstAt run once per fetched instruction (correct-
+// and wrong-path) and are a single byte load; StaticTarget, asked only at
+// decode of a taken or jump-following transition, is a bit test, a
+// popcount and two loads. No slot is mapped back to the block owning it:
+// nothing on the fetch path asks.
 package layout
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"streamfetch/internal/cfg"
 	"streamfetch/internal/isa"
@@ -24,52 +33,59 @@ import (
 
 // Decode word fields.
 const (
-	targetBits  = 24
-	targetMask  = 1<<targetBits - 1
-	classShift  = 24
-	branchShift = 28
+	branchShift = 4
 	fieldMask   = 0xF // class and branch fields are 4 bits each
 
-	// maxSlots bounds the code segment: every slot+1 must fit the target
-	// field.
-	maxSlots = targetMask
+	// maxSlots bounds the code segment below 2^24-1 slots (64 MiB of
+	// code, over fifty times the suite's largest layout), so a slot
+	// index, a target or a rank always fits 24 bits.
+	maxSlots = 1<<24 - 1
 )
 
-// packWord encodes one slot's decode word; target is the slot index of
-// the static taken-path target, or -1 for none.
-func packWord(inst isa.Inst, target int) uint32 {
+// packKind encodes one slot's kind byte.
+func packKind(inst isa.Inst) uint8 {
 	if inst.Class > fieldMask || inst.Branch > fieldMask {
 		panic(fmt.Sprintf("layout: class %d / branch %d at %v do not fit a decode word",
 			inst.Class, inst.Branch, inst.Addr))
 	}
-	return uint32(target+1) | uint32(inst.Class)<<classShift | uint32(inst.Branch)<<branchShift
+	return uint8(inst.Class) | uint8(inst.Branch)<<branchShift
 }
 
-// buildDecode fills the decode words from the per-block source of truth
-// (instAtSlot, staticTargetAt), walking the blocks in address order.
-func (l *Layout) buildDecode(order []cfg.BlockID) {
-	l.decode = make([]uint32, l.totalSlots)
+// buildImage fills the kind bytes and the target index from the per-block
+// source of truth (instAtSlot, staticTargetAt), walking the blocks in
+// address order.
+func (l *Layout) buildImage(order []cfg.BlockID) {
+	words := (l.totalSlots + 63) / 64
+	l.kind = make([]uint8, l.totalSlots)
+	l.direct = make([]uint64, words)
+	l.rank = make([]uint32, words)
+	var targets []uint32
 	s := 0
 	for _, id := range order {
 		for off := range l.Slots(id) {
-			target := -1
+			l.kind[s] = packKind(l.instAtSlot(id, off, CodeBase.Plus(s)))
 			if t, ok := l.staticTargetAt(id, off); ok {
-				target = int(t-CodeBase) / isa.InstBytes
+				l.direct[s/64] |= 1 << (s % 64)
+				targets = append(targets, uint32(t-CodeBase)/isa.InstBytes)
 			}
-			l.decode[s] = packWord(l.instAtSlot(id, off, CodeBase.Plus(s)), target)
 			s++
 		}
 	}
+	// A copy, so that the image holds no spare capacity.
+	l.targets = slices.Clone(targets)
+	n := 0
+	for w, set := range l.direct {
+		l.rank[w] = uint32(n)
+		n += bits.OnesCount64(set)
+	}
 }
 
-// slotOf maps an address to its decode slot; ok is false outside the code
+// slotOf maps an address to its slot; ok is false outside the code
 // segment.
 func (l *Layout) slotOf(a isa.Addr) (int, bool) {
-	if a < CodeBase {
-		return 0, false
-	}
-	// Unsigned, so that an address far above the segment (a wild
-	// wrong-path target) cannot wrap to a negative slot.
+	// Unsigned: an address below CodeBase wraps far above the segment,
+	// and one far above it (a wild wrong-path target) cannot wrap to a
+	// negative slot.
 	s := uint64(a-CodeBase) / isa.InstBytes
 	if s >= uint64(l.totalSlots) {
 		return 0, false
@@ -77,12 +93,12 @@ func (l *Layout) slotOf(a isa.Addr) (int, bool) {
 	return int(s), true
 }
 
-// instOf unpacks the instruction at address a from its decode word.
-func instOf(a isa.Addr, w uint32) isa.Inst {
+// instOf unpacks the instruction at address a from its kind byte.
+func instOf(a isa.Addr, k uint8) isa.Inst {
 	return isa.Inst{
 		Addr:   a,
-		Class:  isa.Class(w >> classShift & fieldMask),
-		Branch: isa.BranchType(w >> branchShift),
+		Class:  isa.Class(k & fieldMask),
+		Branch: isa.BranchType(k >> branchShift),
 	}
 }
 
@@ -93,7 +109,7 @@ func (l *Layout) InstAt(a isa.Addr) (isa.Inst, bool) {
 	if !ok {
 		return isa.Inst{}, false
 	}
-	return instOf(a, l.decode[s]), true
+	return instOf(a, l.kind[s]), true
 }
 
 // FetchAt is the total variant of InstAt used by fetch engines: addresses
@@ -103,7 +119,7 @@ func (l *Layout) InstAt(a isa.Addr) (isa.Inst, bool) {
 // redirects fetch back into code.
 func (l *Layout) FetchAt(a isa.Addr) isa.Inst {
 	if s, ok := l.slotOf(a); ok {
-		return instOf(a, l.decode[s])
+		return instOf(a, l.kind[s])
 	}
 	return isa.Inst{Addr: a, Class: isa.ClassALU}
 }
@@ -116,11 +132,13 @@ func (l *Layout) StaticTarget(a isa.Addr) (isa.Addr, bool) {
 	if !ok {
 		return 0, false
 	}
-	t := l.decode[s] & targetMask
-	if t == 0 {
+	w, bit := s/64, uint64(1)<<(s%64)
+	set := l.direct[w]
+	if set&bit == 0 {
 		return 0, false
 	}
-	return CodeBase.Plus(int(t - 1)), true
+	i := int(l.rank[w]) + bits.OnesCount64(set&(bit-1))
+	return CodeBase.Plus(int(l.targets[i])), true
 }
 
 // CodeLimit returns the first address past the code segment.
@@ -129,7 +147,7 @@ func (l *Layout) CodeLimit() isa.Addr {
 }
 
 // instAtSlot materializes the instruction at a given slot of a block; it is
-// the source of truth the decode words are built from.
+// the source of truth the kind bytes are built from.
 func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
 	b := &l.Prog.Blocks[id]
 	if l.Arrange(id) == ArrAppendJump && slot == int(b.NInsts) {
@@ -141,7 +159,8 @@ func (l *Layout) instAtSlot(id cfg.BlockID, slot int, a isa.Addr) isa.Inst {
 }
 
 // staticTargetAt computes the statically-encoded taken-path target of the
-// instruction at a given slot of a block (the decode-word source of truth).
+// instruction at a given slot of a block (the target index's source of
+// truth).
 func (l *Layout) staticTargetAt(id cfg.BlockID, slot int) (isa.Addr, bool) {
 	b := &l.Prog.Blocks[id]
 	succs := l.Prog.Succs(id)

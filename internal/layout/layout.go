@@ -14,11 +14,11 @@
 // jumps when a chain breaks — exactly the mechanism by which code layout
 // optimization lengthens instruction streams.
 //
-// A resident layout is small: a 4-byte decode word per code slot (the
-// static image, image.go) and 5 bytes per block (its start slot and a
-// shape byte). Everything else about a block under the layout, its slot
-// count, end, fall-through block and place in address order, follows
-// from those and the program.
+// A resident layout is small: about 1.2 bytes per code slot plus 4 per
+// direct branch (the static image, image.go) and 5 bytes per block (its
+// start slot and a shape byte). Everything else about a block under the
+// layout, its slot count, end, fall-through block and place in address
+// order, follows from those and the program.
 package layout
 
 import (
@@ -50,19 +50,20 @@ const (
 const CodeBase isa.Addr = 0x0001_0000
 
 // Layout is an address assignment for a program. Besides the per-block
-// tables it holds the static image: one packed uint32 decode word per code
-// slot (class, branch type and static target; format in image.go), about 4
-// bytes per slot. Per block it keeps 5 bytes: its start slot and its
-// shape; its slot count follows from the shape and the block's NInsts
-// (slotCount). Neither the order the blocks were laid out in nor the
-// owner of each slot is stored: nothing on the fetch path needs them.
+// tables it holds the static image (format in image.go): a kind byte per
+// code slot (class and branch type) and a target index by rank for the
+// direct branches, about 1.2 bytes per slot plus 4 per direct branch. Per
+// block it keeps 5 bytes: its start slot and its shape; its slot count
+// follows from the shape and the block's NInsts (slotCount). Neither the
+// order the blocks were laid out in nor the owner of each slot is stored:
+// nothing on the fetch path needs them.
 type Layout struct {
 	Prog *cfg.Program
 	// Name is "base" or "optimized".
 	Name string
 
-	// start is each block's first slot, counted from CodeBase; a decode
-	// word's target field caps the segment below 2^24 slots.
+	// start is each block's first slot, counted from CodeBase; maxSlots
+	// caps the segment below 2^24-1 slots.
 	start []uint32
 	// shape packs each block's Arrangement (bits 0-1) and, for an ArrAsIs
 	// or ArrAppendJump conditional block, the successor index (0 or 1)
@@ -72,9 +73,14 @@ type Layout struct {
 	totalSlots    int
 	maxBlockSlots int
 
-	// decode holds one packed word per slot of the code segment, built
-	// once in build(); see image.go.
-	decode []uint32
+	// The static image, built once in build(); see image.go. kind holds
+	// one byte per slot of the code segment; direct marks the slots with
+	// a static target, rank counts them before each 64-slot word, and
+	// targets holds their target slots in slot order.
+	kind    []uint8
+	direct  []uint64
+	rank    []uint32
+	targets []uint32
 }
 
 // Shape fields.
@@ -159,7 +165,7 @@ func build(p *cfg.Program, name string, order []cfg.BlockID) *Layout {
 		panic(fmt.Sprintf("layout %s: %d code slots do not fit a decode word (at most %d)",
 			name, l.totalSlots, maxSlots-1))
 	}
-	l.buildDecode(order)
+	l.buildImage(order)
 	return l
 }
 

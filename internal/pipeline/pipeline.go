@@ -221,8 +221,10 @@ func (w *Window) Find(seq uint64) *Entry {
 // stores: each static memory instruction streams through a private hot
 // region with occasional jumps across the working set, approximating the
 // locality mix of integer codes. Address sequences depend only on the
-// committed instruction stream, so every fetch architecture sees identical
-// data-cache behaviour.
+// committed instruction stream and its PCs, so every fetch engine sees
+// identical data-cache behaviour under one layout. Across layouts they
+// differ: Next hashes the PC, and a layout moves the PCs of the same
+// static instructions.
 //
 // Per-instruction counts are slot-indexed over the code segment, so the
 // hot path is two array loads instead of a map access, but they are paged:

@@ -388,10 +388,11 @@ func TestPrepConcurrentNew(t *testing.T) {
 // TestPrepReplayHeap guards the memory the benchmark's replay shape holds:
 // a generating session and a trace-file session each for 176.gcc and
 // 253.perlbmk, prepared on the baseline layout, retain one program and
-// layout per benchmark (about 5.6 MiB). A program per session would retain
-// about 8.8 MiB.
+// layout per benchmark (about 4.5 MiB; 5.6 MiB with a 4-byte decode word
+// per code slot). A program and layout per session would retain about
+// 6.5 MiB.
 func TestPrepReplayHeap(t *testing.T) {
-	const limit = 13 << 19 // 6.5 MiB
+	const limit = 21 << 18 // 5.25 MiB
 	ctx := context.Background()
 	benches := []string{"176.gcc", "253.perlbmk"}
 	paths := make([]string, len(benches))
