@@ -4,6 +4,8 @@
 package layout
 
 import (
+	"slices"
+
 	"streamfetch/internal/cfg"
 	"streamfetch/internal/isa"
 )
@@ -33,10 +35,13 @@ func (d DynInst) IsBranch() bool { return d.Branch != isa.BranchNone }
 // trace), and returns the extended slice. The expansion accounts for the
 // block's arrangement: an appended jump executes only on the fall-through
 // side of a conditional, and an elided jump disappears entirely.
+//
+// buf grows at most once per block, for the block's longest expansion, and
+// every instruction is written field by field into its slot: building each
+// record and appending it would copy it through a temporary.
 func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 	b := &l.Prog.Blocks[id]
 	shape := l.shape[id]
-	arr := Arrangement(shape & arrMask)
 
 	nextStart := isa.Addr(0)
 	if next != cfg.NoBlock {
@@ -46,20 +51,23 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 	// Body slots: every CFG instruction before the block's own branch, in
 	// every arrangement; an elided jump or an appended one only changes
 	// what follows them.
+	classes := l.Prog.Classes(id)
 	hasBranch := b.Branch != isa.BranchNone
-	bodyEnd := int(b.NInsts)
 	if hasBranch {
-		bodyEnd--
+		classes = classes[:len(classes)-1]
 	}
 
+	// Room for the block's longest expansion, its slot count (the body and
+	// a not-taken conditional and its appended jump, say), so a buffer
+	// with room for MaxBlockSlots per block never grows.
+	arr := Arrangement(shape & arrMask)
+	n := len(buf)
+	buf = slices.Grow(buf, slotCount(b.NInsts, arr))[:n+len(classes)]
+	body := buf[n:]
 	a := l.Start(id)
-	classes := l.Prog.Classes(id)
-	for s := 0; s < bodyEnd; s++ {
-		buf = append(buf, DynInst{
-			Addr:     a,
-			NextAddr: a.Next(),
-			Class:    classes[s],
-		})
+	for s, c := range classes {
+		d := &body[s]
+		d.Addr, d.NextAddr, d.Class, d.Branch, d.Taken = a, a.Next(), c, isa.BranchNone, false
 		a = a.Next()
 	}
 
@@ -73,47 +81,18 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		return buf
 
 	case ArrAppendJump:
-		if b.Branch == isa.BranchNone {
+		if !hasBranch {
 			// Body then jump to the sole successor.
-			buf = append(buf, DynInst{
-				Addr:     a,
-				NextAddr: nextStart,
-				Class:    isa.ClassBranch,
-				Branch:   isa.BranchUncond,
-				Taken:    true,
-			})
-			return buf
+			return put(buf, a, nextStart, isa.BranchUncond, true)
 		}
 		// Conditional with both successors remote: the encoded branch
 		// aims at Succs[1]; the jump at Succs[0].
-		takenSide := next == l.Prog.Succs(id)[1]
-		if takenSide {
-			buf = append(buf, DynInst{
-				Addr:     a,
-				NextAddr: nextStart,
-				Class:    isa.ClassBranch,
-				Branch:   isa.BranchCond,
-				Taken:    true,
-			})
-			return buf
+		if next == l.Prog.Succs(id)[1] {
+			return put(buf, a, nextStart, isa.BranchCond, true)
 		}
 		// Not taken: fall into the materialized jump, then jump.
-		buf = append(buf, DynInst{
-			Addr:     a,
-			NextAddr: a.Next(),
-			Class:    isa.ClassBranch,
-			Branch:   isa.BranchCond,
-			Taken:    false,
-		})
-		a = a.Next()
-		buf = append(buf, DynInst{
-			Addr:     a,
-			NextAddr: nextStart,
-			Class:    isa.ClassBranch,
-			Branch:   isa.BranchUncond,
-			Taken:    true,
-		})
-		return buf
+		buf = put(buf, a, a.Next(), isa.BranchCond, false)
+		return put(buf, a.Next(), nextStart, isa.BranchUncond, true)
 
 	default: // ArrAsIs
 		if !hasBranch {
@@ -122,30 +101,28 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 			}
 			return buf
 		}
-		d := DynInst{
-			Addr:     a,
-			NextAddr: nextStart,
-			Class:    isa.ClassBranch,
-			Branch:   b.Branch,
-		}
-		switch b.Branch {
-		case isa.BranchCond:
-			// Taken iff control went to the encoded target side.
-			d.Taken = next == l.Prog.Succs(id)[shape>>condSideShift]
-			if !d.Taken {
-				d.NextAddr = a.Next()
-			}
-		default:
+		if b.Branch != isa.BranchCond {
 			// Unconditional transfers are always taken.
-			d.Taken = true
+			return put(buf, a, nextStart, b.Branch, true)
 		}
 		if next == cfg.NoBlock {
-			d.NextAddr = 0
-			d.Taken = b.Branch != isa.BranchCond
+			return put(buf, a, 0, isa.BranchCond, false)
 		}
-		buf = append(buf, d)
-		return buf
+		// Taken iff control went to the encoded target side.
+		if next == l.Prog.Succs(id)[shape>>condSideShift] {
+			return put(buf, a, nextStart, isa.BranchCond, true)
+		}
+		return put(buf, a, a.Next(), isa.BranchCond, false)
 	}
+}
+
+// put appends one branch instruction at a, of type br, transferring to
+// next, into capacity AppendDyn has already reserved.
+func put(buf []DynInst, a, next isa.Addr, br isa.BranchType, taken bool) []DynInst {
+	buf = buf[:len(buf)+1]
+	d := &buf[len(buf)-1]
+	d.Addr, d.NextAddr, d.Class, d.Branch, d.Taken = a, next, isa.ClassBranch, br, taken
+	return buf
 }
 
 // AppendDynRun appends the dynamic instructions of a run of consecutively
@@ -162,14 +139,4 @@ func (l *Layout) AppendDynRun(buf []DynInst, ids []cfg.BlockID, next cfg.BlockID
 		buf = l.AppendDyn(buf, ids[i], ids[i+1])
 	}
 	return l.AppendDyn(buf, ids[len(ids)-1], next)
-}
-
-// DynLen returns the number of dynamic instructions one execution of block
-// id contributes when followed by next.
-func (l *Layout) DynLen(id, next cfg.BlockID) int {
-	n := l.Slots(id)
-	if l.Arrange(id) == ArrAppendJump && l.Prog.Blocks[id].Branch == isa.BranchCond && next == l.Prog.Succs(id)[1] {
-		return n - 1 // taken side skips the materialized jump
-	}
-	return n
 }
