@@ -14,31 +14,32 @@ import (
 )
 
 var (
-	suiteOnce    sync.Once
-	suiteLayouts []*Layout
+	packedOnce   sync.Once
+	packedImages []*Layout
 )
 
-// decodeLayouts builds both layouts of every benchmark in the suite, the
-// same way sessions do, once per test binary.
-func decodeLayouts(t *testing.T) []*Layout {
+// suiteImages builds both layouts of every benchmark in the suite, the
+// same way sessions do, once per test binary: each with its packed static
+// image (a kind byte per code slot and the rank-indexed direct targets).
+func suiteImages(t *testing.T) []*Layout {
 	t.Helper()
-	suiteOnce.Do(func() {
+	packedOnce.Do(func() {
 		for _, params := range workload.Suite() {
 			prog := workload.Generate(params)
 			prof := trace.CollectProfile(prog, 7, 200_000)
-			suiteLayouts = append(suiteLayouts, Baseline(prog), Optimized(prog, prof))
+			packedImages = append(packedImages, Baseline(prog), Optimized(prog, prof))
 		}
 	})
-	return suiteLayouts
+	return packedImages
 }
 
-// TestDecodeTablesMatchOracle differentially checks the packed decode words
-// (InstAt, FetchAt, StaticTarget) against a walk over the blocks in
+// TestDecodeTablesMatchOracle differentially checks the packed image's
+// lookups (InstAt, FetchAt, StaticTarget) against a walk over the blocks in
 // address order and their Slots that materializes each slot from its
 // block, for both layouts of every benchmark, plus unmapped addresses on
 // either side of the code segment.
 func TestDecodeTablesMatchOracle(t *testing.T) {
-	for _, l := range decodeLayouts(t) {
+	for _, l := range suiteImages(t) {
 		name := l.Prog.Name + "/" + l.Name
 		a := CodeBase
 		for _, id := range l.addressOrder() {
@@ -81,10 +82,10 @@ func TestDecodeTablesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestDecodeTableTargetsInSegment: every statically-encoded target must be
-// a code address (the 0 "no target" field can never encode one).
+// TestDecodeTableTargetsInSegment: every target the rank index returns for
+// a direct branch must lie in the code segment.
 func TestDecodeTableTargetsInSegment(t *testing.T) {
-	for _, l := range decodeLayouts(t) {
+	for _, l := range suiteImages(t) {
 		for a := CodeBase; a < l.CodeLimit(); a = a.Next() {
 			if tgt, ok := l.StaticTarget(a); ok {
 				if tgt < CodeBase || tgt >= l.CodeLimit() {

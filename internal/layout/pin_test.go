@@ -14,7 +14,7 @@ import (
 
 // layoutHashes pins, for every benchmark, its baseline layout and its
 // optimized layout trained on profile seed 7 for 200,000 instructions (the
-// pair decodeLayouts builds). A change to how blocks are ordered, arranged
+// pair suiteImages builds). A change to how blocks are ordered, arranged
 // or addressed, or to what any code slot decodes to, shows up here for all
 // 11 benchmarks rather than the few the report goldens run.
 var layoutHashes = map[string]string{
@@ -76,7 +76,7 @@ func layoutHash(h hash.Hash, l *Layout) {
 // recorded hash.
 func TestLayoutPinned(t *testing.T) {
 	suite := workload.Suite()
-	layouts := decodeLayouts(t)
+	layouts := suiteImages(t)
 	if len(layouts) != 2*len(suite) {
 		t.Fatalf("%d layouts for %d benchmarks", len(layouts), len(suite))
 	}
@@ -95,7 +95,7 @@ func TestLayoutPinned(t *testing.T) {
 
 // dynHashes pins, for every benchmark, the dynamic expansion of a seeded
 // 100,000-instruction trace (trace seed 99) under its baseline and its
-// optimized layout (the pair decodeLayouts builds): every field of every
+// optimized layout (the pair suiteImages builds): every field of every
 // DynInst, in order. Both AppendDyn block by block and AppendDynRun in
 // 512-block runs must produce it.
 var dynHashes = map[string]string{
@@ -137,7 +137,7 @@ func dynHash(h hash.Hash, dyn []DynInst) {
 // AppendDyn and in 512-block runs through AppendDynRun.
 func TestDynExpansionPinned(t *testing.T) {
 	suite := workload.Suite()
-	layouts := decodeLayouts(t)
+	layouts := suiteImages(t)
 	if len(layouts) != 2*len(suite) {
 		t.Fatalf("%d layouts for %d benchmarks", len(layouts), len(suite))
 	}

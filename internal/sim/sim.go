@@ -131,10 +131,12 @@ const supplyBatch = 512
 
 // dynSupply lazily expands the block trace into dynamic instructions under
 // the layout. It pulls blocks supplyBatch at a time through one
-// Source.NextBatch interface call and expands them en masse into a
-// reusable dyn-inst window, so the driver's peek/advance path is an array
-// read — no interface calls, no allocation — and memory stays one batch's
-// worth regardless of trace length. The final block of each batch is
+// Source.NextBatch interface call and expands them with one AppendDynRun
+// call into a reusable dyn-inst window, sized by initBatch for a full
+// batch's worst case, which AppendDyn fills in place, field by field. The
+// driver's peek/advance path is an array read — no interface calls, no
+// allocation — and memory stays one batch's worth regardless of trace
+// length. The final block of each batch is
 // carried into the next fill, since expansion needs the dynamically
 // following block.
 //
