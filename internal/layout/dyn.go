@@ -57,8 +57,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 		classes = classes[:len(classes)-1]
 	}
 
-	// Room for the block's longest expansion, its slot count (the body and
-	// a not-taken conditional and its appended jump, say), so a buffer
+	// Reserve the block's slot count, its longest expansion, so a buffer
 	// with room for MaxBlockSlots per block never grows.
 	arr := Arrangement(shape & arrMask)
 	n := len(buf)
@@ -106,6 +105,7 @@ func (l *Layout) AppendDyn(buf []DynInst, id, next cfg.BlockID) []DynInst {
 			return put(buf, a, nextStart, b.Branch, true)
 		}
 		if next == cfg.NoBlock {
+			// The trace ends here: neither side was reached.
 			return put(buf, a, 0, isa.BranchCond, false)
 		}
 		// Taken iff control went to the encoded target side.

@@ -136,9 +136,8 @@ const supplyBatch = 512
 // batch's worst case, which AppendDyn fills in place, field by field. The
 // driver's peek/advance path is an array read — no interface calls, no
 // allocation — and memory stays one batch's worth regardless of trace
-// length. The final block of each batch is
-// carried into the next fill, since expansion needs the dynamically
-// following block.
+// length. The final block of each batch is carried into the next fill,
+// since expansion needs the dynamically following block.
 //
 // A source with a warmup lead-in (warm != nil) never spans a region
 // boundary in one NextBatch, so one LastRegion call classifies a whole
