@@ -298,41 +298,17 @@ func TestCheckpointTraceFileOverwritten(t *testing.T) {
 	sameReport(t, "restored run over the copy vs plain", stripCkpt(rep), plain)
 }
 
-// TestCheckpointInapplicable: configurations with no stable trace
-// identity or no warmable prefix run checkpoint-free even with a store
+// TestCheckpointInapplicable: cold shards skip their prefix, leaving no
+// warm state to capture, so they run checkpoint-free even with a store
 // installed.
 func TestCheckpointInapplicable(t *testing.T) {
-	ctx := context.Background()
-	st := store.NewMem()
-
-	// In-memory trace: no stable identity.
-	gen := streamfetch.New("164.gzip", streamfetch.WithInstructions(100_000))
-	tr, err := gen.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep, err := streamfetch.New("164.gzip",
-		streamfetch.WithTrace(tr),
-		streamfetch.WithShards(2),
-		streamfetch.WithWarmup(10_000),
-		streamfetch.WithCheckpoints(st),
-	).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CheckpointHits != 0 || rep.CheckpointMisses != 0 {
-		t.Fatalf("in-memory trace checkpointed: hits=%d misses=%d",
-			rep.CheckpointHits, rep.CheckpointMisses)
-	}
-
-	// Cold shards: the prefix is skipped, nothing to capture.
-	rep, err = streamfetch.New("164.gzip",
 		streamfetch.WithInstructions(100_000),
 		streamfetch.WithShards(2),
 		streamfetch.WithWarmup(10_000),
 		streamfetch.WithColdShards(),
-		streamfetch.WithCheckpoints(st),
-	).Run(ctx)
+		streamfetch.WithCheckpoints(store.NewMem()),
+	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

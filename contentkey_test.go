@@ -106,7 +106,7 @@ func TestContentKeyPinned(t *testing.T) {
 // without re-pinning, fails TestModelVersionPinsGoldens.
 const (
 	goldensPinVersion = 2
-	goldensPin        = "ee04a29b7207fa0c6018a42dcd6810b561f45f8f23862e00cde4666ee8f13706"
+	goldensPin        = "0eb4f2bf0ab5ed8d71bc61e845ffc7b972b4e4faeb3515ee632f361a0d4879bb"
 )
 
 // goldensHash hashes the names and bytes of testdata/golden_*.json in

@@ -107,9 +107,9 @@ func TestWarmGolden(t *testing.T) {
 }
 
 // TestCappedRunPinned pins the full report of a WithMaxInstructions run
-// over each trace source: a generated trace, an indexed trace file and an
-// in-memory trace. The cap is a trace position in every plan, so the
-// three sources report the same figures, and TraceInsts is what the one
+// over each trace source: a generated trace and an indexed trace file.
+// The cap is a trace position in every plan, so the two sources report
+// the same figures, and TraceInsts is what the one
 // interval measured: the blocks wholly inside the first 50,000 CFG
 // instructions. The same run sharded, warm or cold, tiles that same
 // window, so its instruction and branch counts must equal the unsharded
@@ -134,10 +134,6 @@ func TestCappedRunPinned(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := newSession().Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
 	plans := []struct {
 		name string
 		opts []streamfetch.Option
@@ -153,7 +149,6 @@ func TestCappedRunPinned(t *testing.T) {
 	}{
 		{"gen", nil},
 		{"file", []streamfetch.Option{streamfetch.WithTraceFile(path)}},
-		{"mem", []streamfetch.Option{streamfetch.WithTrace(tr)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := newSession(tc.opts...).Run(ctx)

@@ -11,7 +11,8 @@
 //   - FileSource incrementally decodes the binary trace format (Open,
 //     NewReader in file.go), so saved traces far larger than RAM replay.
 //   - SliceSource wraps an existing []cfg.BlockID (NewSliceSource, or
-//     Trace.Source) for tests and profiles that already hold a trace.
+//     Trace.Source) for tests: it is the reference the streamed sources
+//     are checked against.
 //   - IntervalSource restricts another source to one instruction window
 //     of the trace (NewInterval in interval.go).
 //
@@ -59,7 +60,7 @@ type Source interface {
 	Name() string
 	// TotalInsts returns the trace's CFG-level instruction count and
 	// whether it is exact. Sources that know their full length up front
-	// (in-memory traces, file headers, indexed files) report it
+	// (slice-backed sources, file headers, indexed files) report it
 	// immediately; streamed sources report a running or unknown count
 	// (exact only once the stream is exhausted, and 0 for formats that
 	// carry no running count).

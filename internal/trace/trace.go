@@ -10,8 +10,8 @@
 // for the paper's 300M-instruction SPEC2000 trace files.
 //
 // Traces are delivered through the pull-based Source interface (source.go):
-// generated on the fly, streamed from disk, or wrapped around an in-memory
-// slice. Consumers that iterate a Source run in memory independent of trace
+// generated on the fly, streamed from disk, or, in tests, wrapped around a
+// block slice. Consumers that iterate a Source run in memory independent of trace
 // length, which is what makes paper-scale (100M+ instruction) runs
 // practical. Sources deliver blocks in bulk through Source.NextBatch — one
 // interface call per batch instead of one per block — and Blocks ranges
@@ -292,33 +292,4 @@ func CollectProfile(p *cfg.Program, seed uint64, maxInsts uint64) *cfg.Profile {
 		}
 	}
 	return prof
-}
-
-// Stats summarizes basic dynamic properties of a trace.
-type Stats struct {
-	Blocks        int
-	Insts         uint64
-	MeanBlockLen  float64
-	CondBranches  uint64
-	OtherBranches uint64
-}
-
-// Summarize computes trace statistics against its program.
-func (t *Trace) Summarize(p *cfg.Program) Stats {
-	var s Stats
-	s.Blocks = len(t.Blocks)
-	s.Insts = t.Insts
-	for _, id := range t.Blocks {
-		switch p.Blocks[id].Branch {
-		case isa.BranchCond:
-			s.CondBranches++
-		case isa.BranchNone:
-		default:
-			s.OtherBranches++
-		}
-	}
-	if s.Blocks > 0 {
-		s.MeanBlockLen = float64(s.Insts) / float64(s.Blocks)
-	}
-	return s
 }

@@ -178,21 +178,6 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	prog := genProg(t, "164.gzip")
-	tr := Generate(prog, GenConfig{Seed: 4, MaxInsts: 50_000})
-	s := tr.Summarize(prog)
-	if s.Blocks != len(tr.Blocks) || s.Insts != tr.Insts {
-		t.Fatalf("summary counts wrong: %+v", s)
-	}
-	if s.MeanBlockLen < 2 || s.MeanBlockLen > 12 {
-		t.Fatalf("implausible mean block length %.2f", s.MeanBlockLen)
-	}
-	if s.CondBranches == 0 {
-		t.Fatal("no conditional branches observed")
-	}
-}
-
 func TestMarkovIndirectCorrelation(t *testing.T) {
 	prog := genProg(t, "253.perlbmk") // switch heavy
 	g := NewGenerator(prog, 11, nil)

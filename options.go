@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"streamfetch/internal/store"
-	"streamfetch/internal/trace"
 )
 
 // Option configures a Session, either at New or per run through RunWith.
@@ -83,13 +82,6 @@ func WithTraceFile(path string) Option {
 	return func(s *Session) { s.traceFile = path }
 }
 
-// WithTrace replays an already-materialized in-memory trace instead of
-// generating one from the seed (useful for tests and profiles that hold a
-// trace). It takes precedence over WithTraceFile.
-func WithTrace(tr *trace.Trace) Option {
-	return func(s *Session) { s.traceData = tr }
-}
-
 // WithShards splits the run into n contiguous trace intervals simulated
 // independently — in parallel up to the process-wide worker budget — and
 // merged into one report (default 1: a single sequential run). By default
@@ -146,8 +138,7 @@ func WithColdShards() Option {
 // checkpoint up, so a file overwritten in place, even by a trace of the
 // same length, misses; the same trace at another path hits. Any
 // mismatch, torn blob or stale format decodes as a clean miss.
-// In-memory traces (WithTrace) have no stable identity and never use
-// checkpoints, nor do cold shards (WithColdShards), whose skipped
+// Cold shards (WithColdShards) never use checkpoints: their skipped
 // prefix leaves nothing to capture. Report.CheckpointHits/Misses count
 // the outcomes. nil disables checkpointing (the default).
 func WithCheckpoints(st store.Store) Option {

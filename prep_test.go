@@ -76,16 +76,13 @@ func TestPrepOverridesShareArtifacts(t *testing.T) {
 						engine, lay, c.name, run.opt == s.opt, c.sameOpt)
 				}
 			}
-			if s.ref.tr != nil {
-				t.Errorf("%s/%s: a run materialized the reference trace", engine, lay)
-			}
 		}
 	}
 }
 
 // TestPrepOptimizedOnlySkipsBaseline: a session that only ever runs the
 // optimized layout — plain, sharded and sampled — and asks for its
-// program, source and trace never builds the baseline layout.
+// program and source never builds the baseline layout.
 func TestPrepOptimizedOnlySkipsBaseline(t *testing.T) {
 	ctx := context.Background()
 	s := New("164.gzip", WithOptimizedLayout(), WithInstructions(40_000))
@@ -111,9 +108,6 @@ func TestPrepOptimizedOnlySkipsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.Close()
-	if _, err := s.Trace(); err != nil {
-		t.Fatal(err)
-	}
 	if s.prog.base != nil {
 		t.Fatal("an optimized-only session built the baseline layout")
 	}
@@ -269,17 +263,12 @@ func TestPrepConcurrentShared(t *testing.T) {
 }
 
 // TestPrepProgramSharedAcrossSources: sessions of one benchmark share its
-// program and baseline layout whether they generate their trace, replay
-// a trace file or replay an in-memory trace; a session of another
-// benchmark shares neither.
+// program and baseline layout whether they generate their trace or replay
+// a trace file; a session of another benchmark shares neither.
 func TestPrepProgramSharedAcrossSources(t *testing.T) {
 	ctx := context.Background()
 	const bench = "176.gcc"
 	rec := New(bench, WithInstructions(10_000))
-	tr, err := rec.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "gcc.trc")
 	f, err := os.Create(path)
 	if err != nil {
@@ -295,7 +284,6 @@ func TestPrepProgramSharedAcrossSources(t *testing.T) {
 	sessions := map[string]*Session{
 		"generated":  New(bench),
 		"trace file": New(bench, WithTraceFile(path)),
-		"in-memory":  New(bench, WithTrace(tr)),
 	}
 	prog, err := rec.Program()
 	if err != nil {

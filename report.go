@@ -147,8 +147,8 @@ type IntervalReport struct {
 }
 
 // newReport lifts a sim.Result into the public report shape. traceInsts is
-// the trace's total instruction count when the source knew it (materialized
-// traces, fully-drained generators and file footers); for a run cut short
+// the trace's total instruction count when the source knew it
+// (fully-drained generators and file footers); for a run cut short
 // mid-stream it is the count supplied so far, or 0 when unknown.
 func newReport(benchmark string, lay *layout.Layout, traceInsts uint64, seed uint64, res sim.Result) *Report {
 	rep := &Report{

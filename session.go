@@ -98,9 +98,9 @@ type Progress struct {
 	Layout    string
 	Width     int
 	// Retired counts correct-path instructions committed so far. Total is
-	// the run's instruction target when one is known up front: the trace
-	// total for materialized or header-bearing replays, the configured
-	// generation budget for seeded runs, or MaxInstructions when lower.
+	// the run's instruction target when one is known up front: the
+	// configured generation budget for seeded runs, the trace total for
+	// header-bearing replays, or MaxInstructions when lower.
 	// Total is 0 when the length is unknown until EOF (a streamed trace
 	// file with no header total).
 	Retired uint64
@@ -223,14 +223,6 @@ func (o *optimized) layout(ctx context.Context, p *program) (*layout.Layout, err
 	return o.lay, nil
 }
 
-// refTrace caches a session's materialized reference trace (Trace). It
-// depends on the seed, length and trace source, so it belongs to the
-// session alone; runs stream their trace and never touch it.
-type refTrace struct {
-	mu sync.Mutex
-	tr *trace.Trace
-}
-
 // Session is one configured simulation pipeline. Options passed to New fix
 // its defaults; RunWith overrides them per run while sharing the prepared
 // program and layouts. A Session is safe for concurrent RunWith calls.
@@ -247,7 +239,6 @@ type Session struct {
 	maxInsts   uint64
 	lineBytes  int
 	traceFile  string
-	traceData  *trace.Trace
 	shards     int
 	warmup     uint64
 	coldShards bool
@@ -273,7 +264,6 @@ type Session struct {
 
 	prog *program
 	opt  *optimized
-	ref  *refTrace
 }
 
 // training returns the input the session's optimized layout is profiled
@@ -322,7 +312,6 @@ func New(benchmark string, opts ...Option) *Session {
 		trainSeed:  defaultTrainSeed,
 		insts:      defaultInsts,
 		prog:       programOf(benchmark),
-		ref:        &refTrace{},
 	}
 	for _, o := range opts {
 		o(s)
@@ -353,14 +342,12 @@ func (s *Session) ensure(ctx context.Context, layoutName string) (*layout.Layout
 	return s.prog.baseline(ctx)
 }
 
-// newSource builds a fresh trace source for one run: the in-memory trace
-// installed by WithTrace, an incremental decode of the WithTraceFile file,
-// or (the default) blocks produced on the fly from the seeded CFG walk.
-// prog must be the session's prepared program.
+// newSource builds a fresh trace source for one run: an incremental
+// decode of the WithTraceFile file or (the default) blocks produced on the
+// fly from the seeded CFG walk. prog must be the session's prepared
+// program.
 func (s *Session) newSource(prog *cfg.Program) (trace.Source, error) {
 	switch {
-	case s.traceData != nil:
-		return s.traceData.Source(), nil
 	case s.traceFile != "":
 		src, err := trace.Open(s.traceFile)
 		if err != nil {
@@ -402,47 +389,16 @@ func (s *Session) Layout(name string) (*layout.Layout, error) {
 }
 
 // Source returns a fresh trace source positioned at the start of the
-// session's trace: the replayed file or in-memory trace when one is
-// configured, otherwise the seeded generator. Every call returns an
-// independent single-use source emitting the identical sequence, so
-// analyses can walk the trace repeatedly without materializing it; the
-// caller closes it.
+// session's trace: the replayed file when one is configured, otherwise the
+// seeded generator. Every call returns an independent single-use source
+// emitting the identical sequence, so analyses can walk the trace
+// repeatedly without materializing it; the caller closes it.
 func (s *Session) Source() (trace.Source, error) {
 	prog, err := s.Program()
 	if err != nil {
 		return nil, err
 	}
 	return s.newSource(prog)
-}
-
-// Trace materializes the session's reference trace in memory, generating
-// (or reading) and caching it on first call. This is a convenience for
-// analyses that need random access; its memory is proportional to the
-// trace length, so paper-scale runs should iterate Source instead.
-func (s *Session) Trace() (*trace.Trace, error) {
-	if s.traceData != nil {
-		// WithTrace already holds the materialized trace.
-		return s.traceData, nil
-	}
-	prog, err := s.Program()
-	if err != nil {
-		return nil, err
-	}
-	r := s.ref
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tr == nil {
-		src, err := s.newSource(prog)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := trace.Drain(src)
-		if err != nil {
-			return nil, fmt.Errorf("streamfetch: reading trace: %w", err)
-		}
-		r.tr = tr
-	}
-	return r.tr, nil
 }
 
 // Benchmark returns the session's benchmark name.
@@ -458,7 +414,7 @@ func (s *Session) Run(ctx context.Context) (*Report, error) {
 // RunWith executes one simulation with per-run option overrides, sharing
 // the session's prepared artifacts: the program and baseline layout depend
 // on the benchmark alone, so overriding the reference seed, instruction
-// count, trace file or in-memory trace reuses them. Only an override that
+// count or trace file reuses them. Only an override that
 // changes the training input (WithTrainSeed, WithTrainInstructions, or
 // WithInstructions when the training length defaults to a quarter of it)
 // profiles its own optimized layout, for that run only. Every run is a
@@ -516,7 +472,7 @@ func (s *Session) simConfig(ctx context.Context, lay *layout.Layout, total uint6
 // reportSeed returns the seed a report should carry: a replayed trace was
 // not generated from the session seed, so it is not attributed to one.
 func (s *Session) reportSeed() uint64 {
-	if s.traceFile != "" || s.traceData != nil {
+	if s.traceFile != "" {
 		return 0
 	}
 	return s.seed

@@ -13,12 +13,12 @@
 //
 // Positioning costs one pass over the trace per run, not one per
 // interval: a trace.Cursor walks the run's source forward once
-// (fast-forwarding the seeded CFG walk, stepping an in-memory trace, or
-// seeking through a trace file's chunk index) and forks it at each
-// interval's lead-in start, so a K-interval plan pays O(trace) where K
-// skips from the head paid O(K·trace). A fork holds only the state its
-// walk has touched (the CFG walk's branch state is paged by code), and a
-// trace file forks by reopening its path.
+// (fast-forwarding the seeded CFG walk or seeking through a trace file's
+// chunk index) and forks it at each interval's lead-in start, so a
+// K-interval plan pays O(trace) where K skips from the head paid
+// O(K·trace). A fork holds only the state its walk has touched (the CFG
+// walk's branch state is paged by code), and a trace file forks by
+// reopening its path.
 //
 // Warm state comes from one functional-warming pass per run
 // (sim.Processor.WarmPrefix): a single walk from the trace head, at decode
@@ -288,9 +288,7 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 			continue
 		}
 		o.boundary = spec.start - s.warmup
-		// In-memory traces have no stable identity across runs: they
-		// never checkpoint.
-		if s.ckptStore != nil && s.traceData == nil {
+		if s.ckptStore != nil {
 			if s.traceFile != "" && traceSum == "" {
 				if traceSum, err = traceDigest(s.traceFile); err != nil {
 					return nil, 0, err
@@ -685,13 +683,11 @@ func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *R
 }
 
 // traceTotal returns the partition basis: the logical run's length in CFG
-// instructions. Exact for in-memory traces, seeded budgets, legacy headers
-// and indexed files; a footer-only trace file is pre-scanned once (a
-// decode-only pass, no simulation).
+// instructions. Exact for seeded budgets, legacy headers and indexed
+// files; a footer-only trace file is pre-scanned once (a decode-only pass,
+// no simulation).
 func (s *Session) traceTotal(prog *cfg.Program) (uint64, error) {
 	switch {
-	case s.traceData != nil:
-		return s.traceData.Insts, nil
 	case s.traceFile != "":
 		src, err := trace.Open(s.traceFile)
 		if err != nil {

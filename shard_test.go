@@ -249,9 +249,8 @@ func TestRunShardedCancel(t *testing.T) {
 }
 
 // TestRunRejectsForeignTrace: a trace recorded from another benchmark
-// names blocks the bound program does not have. Every run shape, over a
-// trace file and an in-memory trace alike, must fail with an error naming
-// such a block, never panic.
+// names blocks the bound program does not have. Every run shape over such
+// a trace file must fail with an error naming such a block, never panic.
 func TestRunRejectsForeignTrace(t *testing.T) {
 	ctx := context.Background()
 	gcc := streamfetch.New("176.gcc", streamfetch.WithInstructions(200_000))
@@ -266,82 +265,87 @@ func TestRunRejectsForeignTrace(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := gcc.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
 	gzip := streamfetch.New("164.gzip")
 	prog, err := gzip.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
 	named := regexp.MustCompile(`block (\d+) outside the (bound )?program \((\d+) blocks\)`)
-	for _, src := range []struct {
+	for _, shape := range []struct {
 		name string
-		opt  streamfetch.Option
+		opts []streamfetch.Option
 	}{
-		{"file", streamfetch.WithTraceFile(path)},
-		{"mem", streamfetch.WithTrace(tr)},
+		{"single", nil},
+		{"sharded", []streamfetch.Option{streamfetch.WithShards(2)}},
+		{"sampled", []streamfetch.Option{streamfetch.WithSampling(4, 10_000)}},
 	} {
-		for _, shape := range []struct {
-			name string
-			opts []streamfetch.Option
-		}{
-			{"single", nil},
-			{"sharded", []streamfetch.Option{streamfetch.WithShards(2)}},
-			{"sampled", []streamfetch.Option{streamfetch.WithSampling(4, 10_000)}},
-		} {
-			t.Run(src.name+"/"+shape.name, func(t *testing.T) {
-				rep, err := gzip.RunWith(ctx, append([]streamfetch.Option{src.opt}, shape.opts...)...)
-				if err == nil {
-					t.Fatalf("foreign trace ran: %v", rep)
-				}
-				m := named.FindStringSubmatch(err.Error())
-				if m == nil || strings.Contains(err.Error(), "panic") {
-					t.Fatalf("error does not name a foreign block: %v", err)
-				}
-				id, _ := strconv.Atoi(m[1])
-				if n, _ := strconv.Atoi(m[3]); n != len(prog.Blocks) || id < n {
-					t.Fatalf("error names block %d of %d, program has %d: %v", id, n, len(prog.Blocks), err)
-				}
-			})
-		}
+		t.Run("file/"+shape.name, func(t *testing.T) {
+			rep, err := gzip.RunWith(ctx, append([]streamfetch.Option{streamfetch.WithTraceFile(path)}, shape.opts...)...)
+			if err == nil {
+				t.Fatalf("foreign trace ran: %v", rep)
+			}
+			m := named.FindStringSubmatch(err.Error())
+			if m == nil || strings.Contains(err.Error(), "panic") {
+				t.Fatalf("error does not name a foreign block: %v", err)
+			}
+			id, _ := strconv.Atoi(m[1])
+			if n, _ := strconv.Atoi(m[3]); n != len(prog.Blocks) || id < n {
+				t.Fatalf("error names block %d of %d, program has %d: %v", id, n, len(prog.Blocks), err)
+			}
+		})
 	}
 }
 
-// TestSampledInMemoryFootprint guards what positioning a sampled run's
-// windows costs: 16 windows over an in-memory 8M-instruction 176.gcc
-// trace allocate at most 128 MB (about 38 MB; 89 MB while each warm
-// snapshot's sections were built apart and copied into a doubling
-// buffer). One cursor walks the slice once and forks it at each
-// window; a prefix-sum table per window (8 bytes a block, 13 MB here)
-// took about 400 MB.
-func TestSampledInMemoryFootprint(t *testing.T) {
-	const limit = 128 << 20
+// TestSampledFootprint guards what positioning a sampled run's windows
+// costs: 16 windows over an 8M-instruction 176.gcc trace, generated or
+// replayed from a file, allocate at most 28 MB (about 21.6 MB generated
+// and 22.8 MB from the file; 89 MB while each warm snapshot's sections
+// were built apart and copied into a doubling buffer). One cursor walks
+// the source once and forks it at each window; a prefix-sum table per
+// window (8 bytes a block, 13 MB here) took about 400 MB.
+func TestSampledFootprint(t *testing.T) {
+	const limit, insts = 28 << 20, 8_000_000
 	ctx := context.Background()
-	s := streamfetch.New("176.gcc", streamfetch.WithInstructions(8_000_000))
-	tr, err := s.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := streamfetch.New("176.gcc", streamfetch.WithInstructions(insts))
 	if err := s.Prepare(ctx); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	rep, err := s.RunWith(ctx, streamfetch.WithTrace(tr),
-		streamfetch.WithSampling(16, 20_000), streamfetch.WithWarmup(20_000))
-	runtime.ReadMemStats(&after)
+	path := filepath.Join(t.TempDir(), "gcc.trc")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Samples != 16 {
-		t.Fatalf("ran %d windows, want 16", rep.Samples)
+	if _, err := s.WriteTrace(ctx, f); err != nil {
+		t.Fatal(err)
 	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("16 windows over %d in-memory instructions: %d bytes allocated", tr.Insts, alloc)
-	if alloc > limit {
-		t.Errorf("sampled in-memory run allocates %d bytes, limit %d", alloc, limit)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []struct {
+		name string
+		opts []streamfetch.Option
+	}{
+		{"gen", nil},
+		{"file", []streamfetch.Option{streamfetch.WithTraceFile(path)}},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rep, err := s.RunWith(ctx, append(src.opts,
+				streamfetch.WithSampling(16, 20_000), streamfetch.WithWarmup(20_000))...)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Samples != 16 {
+				t.Fatalf("ran %d windows, want 16", rep.Samples)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("16 windows over %d instructions: %d bytes allocated", insts, alloc)
+			if alloc > limit {
+				t.Errorf("sampled run allocates %d bytes, limit %d", alloc, limit)
+			}
+		})
 	}
 }
