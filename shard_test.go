@@ -280,7 +280,7 @@ func TestRunRejectsForeignTrace(t *testing.T) {
 		{"sampled", []streamfetch.Option{streamfetch.WithSampling(4, 10_000)}},
 	} {
 		t.Run("file/"+shape.name, func(t *testing.T) {
-			rep, err := gzip.RunWith(ctx, append([]streamfetch.Option{streamfetch.WithTraceFile(path)}, shape.opts...)...)
+			rep, err := gzip.RunWith(ctx, append(shape.opts, streamfetch.WithTraceFile(path))...)
 			if err == nil {
 				t.Fatalf("foreign trace ran: %v", rep)
 			}
