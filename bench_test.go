@@ -1,7 +1,8 @@
 // Benchmark harness for configurations no table of cmd/experiments
 // computes: the line-width sweep of Figure 7, ablations of the stream
-// fetch design choices (next-stream predictor, I-cache banks, FTQ depth)
-// and raw simulator throughput. Run with:
+// fetch design choices (I-cache banks, FTQ depth) and raw simulator
+// throughput. The next-stream predictor's ablation is cmd/experiments
+// -exp ablation. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -22,7 +23,6 @@ import (
 	"testing"
 
 	"streamfetch"
-	"streamfetch/internal/core"
 	"streamfetch/internal/experiments"
 	"streamfetch/internal/frontend"
 	"streamfetch/internal/stats"
@@ -98,41 +98,6 @@ func BenchmarkFig7Misalignment(b *testing.B) {
 					fi = append(fi, r.FetchIPC)
 				}
 				b.ReportMetric(stats.HarmonicMean(fi), "fetch-IPC")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStreamPredictor compares the next-stream-predictor design
-// choices of §3.2: the full cascade, no mispredict upgrades, a single
-// address-indexed table, and strict path priority on double hits.
-func BenchmarkAblationStreamPredictor(b *testing.B) {
-	benches := prepared(b)
-	variants := []struct {
-		name string
-		mut  func(*core.PredictorConfig)
-	}{
-		{"cascade", nil},
-		{"noupgrade", func(p *core.PredictorConfig) { p.NoUpgrade = true }},
-		{"singletable", func(p *core.PredictorConfig) { p.NoCascade = true }},
-		{"pathpriority", func(p *core.PredictorConfig) { p.AlwaysPathPriority = true }},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var ipc, mp []float64
-				for _, bench := range benches {
-					sc := frontend.DefaultStreamConfig()
-					if v.mut != nil {
-						v.mut(&sc.Predictor)
-					}
-					r := runStreams(b, bench, streamfetch.WithEngineOptions(sc))
-					ipc = append(ipc, r.IPC)
-					mp = append(mp, r.MispredRate)
-				}
-				b.ReportMetric(stats.HarmonicMean(ipc), "IPC")
-				b.ReportMetric(100*stats.Mean(mp), "mispred-%")
 			}
 		})
 	}

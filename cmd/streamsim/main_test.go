@@ -88,8 +88,8 @@ func TestRunBadFlags(t *testing.T) {
 }
 
 // TestRunForeignTrace: replaying another benchmark's trace is an input
-// error — exit 1 naming the foreign block on stderr — whether the run is
-// single-shot or sharded, never a crash.
+// error — exit 1 naming both benchmarks (or a foreign block) on stderr —
+// whether the run is single-shot or sharded, never a crash.
 func TestRunForeignTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gcc.trc")
 	f, err := os.Create(path)
@@ -103,7 +103,7 @@ func TestRunForeignTrace(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	foreign := regexp.MustCompile(`block \d+ outside the (bound )?program`)
+	foreign := regexp.MustCompile(`recorded for 176\.gcc, not 164\.gzip|block \d+ outside the (bound )?program`)
 	for _, extra := range [][]string{nil, {"-shards", "2"}} {
 		args := append([]string{"-bench", "164.gzip", "-trace", path}, extra...)
 		var stdout, stderr bytes.Buffer

@@ -4,11 +4,11 @@
 //
 // Traces are always encoded as they are generated — constant memory at any
 // length, the paper's 300M-instruction scale and beyond — and carry the
-// STRMTRC2 chunk index: sharded replays size their intervals from it
-// without a pre-scan, and cold-shard replays (streamsim -shards -cold)
-// seek straight to their intervals instead of decoding everything before
-// them. Legacy index-less files still replay and shard; they just decode
-// linearly.
+// STRMTRC2 chunk index: replays size their plans from it without a
+// pre-scan, and sharded, sampled and cold-shard replays seek straight to
+// their intervals instead of decoding everything before them. A replay or
+// -inspect refuses a file without a valid index (an older index-less or
+// STRMTRC1 file, or one whose index was clipped): re-record it here.
 //
 // Usage:
 //
@@ -85,8 +85,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	// Blocks flow straight from the seeded CFG walk into the encoder; the
-	// session binds its program, so the file carries the seek index.
+	// Blocks flow straight from the seeded CFG walk into the encoder,
+	// which records the chunk index from the session's program.
 	info, err := session.WriteTrace(ctx, f)
 	if err != nil {
 		f.Close()
@@ -108,10 +108,5 @@ func printInfo(w io.Writer, prefix string, info streamfetch.TraceInfo) {
 	fmt.Fprintf(w, "insts   %d\n", info.Insts)
 	if info.Blocks > 0 {
 		fmt.Fprintf(w, "mean block length %.2f instructions\n", info.MeanBlockLen())
-	}
-	if info.Seekable {
-		fmt.Fprintln(w, "seekable: yes (chunk index present; sharded replays seek)")
-	} else {
-		fmt.Fprintln(w, "seekable: no (sharded replays decode linearly)")
 	}
 }

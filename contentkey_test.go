@@ -308,14 +308,16 @@ func TestContentKeyProperties(t *testing.T) {
 			m.Layout = "base"
 		}
 		mutants["layout"] = m
+		// Width and line size move to other buildable geometries: the
+		// I-cache line must stay a power of two that tiles the cache.
 		m = r
-		m.Width = cmp.Or(r.Width, defaultWidth) + 1
+		m.Width = cmp.Or(r.Width, defaultWidth) * 2
 		mutants["width"] = m
 		m = r
 		m.MaxInsts = r.MaxInsts + 1 + rng.Uint64N(100)
 		mutants["max_insts"] = m
 		m = r
-		m.ICacheLineBytes = r.ICacheLineBytes + 32
+		m.ICacheLineBytes = cmp.Or(r.ICacheLineBytes, 32) * 2
 		mutants["icache_line_bytes"] = m
 		for field, m := range mutants {
 			if key(m) == k {
@@ -442,7 +444,7 @@ func randomSweepRequest(rng *rand.Rand) SweepRequest {
 		ColdShards: rng.IntN(4) == 0,
 	}
 	if rng.IntN(3) > 0 {
-		r.Widths = []int{8, 4, 2, 1 + rng.IntN(16)}[:1+rng.IntN(4)]
+		r.Widths = []int{8, 4, 2, 1 << rng.IntN(5)}[:1+rng.IntN(4)]
 	}
 	return r
 }

@@ -17,8 +17,8 @@ import (
 // single-shot run and a two-shard run of 164.gzip must each return a
 // report or an error. A panic (even one the interval executor recovers
 // into an error) or a run that does not finish fails. Seeds are valid
-// traces of 164.gzip and of 176.gcc (whose blocks the gzip program does
-// not all have), and a truncated copy of the first.
+// traces of 164.gzip and of 176.gcc (which the gzip session refuses by
+// name), and a truncated copy of the first.
 func FuzzReplay(f *testing.F) {
 	for _, bench := range []string{"164.gzip", "176.gcc"} {
 		var buf bytes.Buffer

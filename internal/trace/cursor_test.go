@@ -2,8 +2,6 @@ package trace
 
 import (
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -13,32 +11,11 @@ import (
 )
 
 // forkingSources returns, per backing that forks (generator, slice,
-// indexed file, index-less file), a constructor of fresh program-bound
-// sources over skipTrace's sequence.
+// file), a constructor of fresh program-bound sources over skipTrace's
+// sequence.
 func forkingSources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]func() Source {
 	t.Helper()
-	indexed := writeIndexed(t, prog, tr)
-	plain := filepath.Join(t.TempDir(), "plain.trc")
-	f, err := os.Create(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	file := func(path string) func() Source {
-		return func() Source {
-			src, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src.Bind(prog)
-			return src
-		}
-	}
+	path := writeIndexed(t, prog, tr)
 	return map[string]func() Source{
 		"gen": func() Source { return NewGenSource(prog, GenConfig{Seed: 11, MaxInsts: 120_000}) },
 		"slice": func() Source {
@@ -46,8 +23,14 @@ func forkingSources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]func(
 			src.Bind(prog)
 			return src
 		},
-		"indexed":   file(indexed),
-		"unindexed": file(plain),
+		"file": func() Source {
+			src, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.Bind(prog)
+			return src
+		},
 	}
 }
 

@@ -8,13 +8,15 @@
 // chunks of zig-zag varint deltas of block IDs (which compresses loopy
 // traces well), a zero-length terminator chunk, and a footer carrying the
 // total instruction and block counts — a trailer rather than a header
-// because a streaming writer only knows the totals at the end. An optional
-// chunk index follows the footer (older readers stop at the footer and
-// never see it): per-chunk stream offsets, block/instruction positions and
-// decoder state, which is what lets Skip seek straight to an interval
-// instead of decoding everything before it. The retired count-prefixed
-// format (STRMTRC1) is no longer read; re-record such traces with
-// cmd/tracegen.
+// because a streaming writer only knows the totals at the end. The chunk
+// index follows the footer: the totals again, then per-chunk stream
+// offsets, block/instruction positions and decoder state, which is what
+// sizes a replay up front and lets Skip seek straight to an interval
+// instead of decoding everything before it. Every writer records it, and
+// Open refuses a file without a valid one, as it refuses the retired
+// count-prefixed format (STRMTRC1): re-record such traces with
+// cmd/tracegen. A plain stream reader (NewReader) stops at the footer and
+// never needs the index.
 package trace
 
 import (
@@ -33,9 +35,7 @@ import (
 
 const (
 	magicV2 = "STRMTRC2"
-	// indexMagic terminates the optional chunk index trailing the footer.
-	// The index is backward-compatible both ways: old readers stop at the
-	// footer and never see it, and index-less files simply skip linearly.
+	// indexMagic terminates the chunk index trailing the footer.
 	indexMagic = "STRMIDX1"
 	maxName    = 1 << 10
 	// chunkBlocks is the writer's encoding granularity. Chunks exist so a
@@ -56,7 +56,7 @@ type chunkRef struct {
 	prev   int64
 }
 
-// chunkIndex is the decoded footer index of a seekable trace file.
+// chunkIndex is the decoded index trailing a trace file's footer.
 type chunkIndex struct {
 	totalInsts  uint64
 	totalBlocks uint64
@@ -77,9 +77,10 @@ func (ix *chunkIndex) find(target uint64) *chunkRef {
 
 // Writer streams a block sequence into the binary trace format. Blocks are
 // encoded as they are appended; nothing is buffered beyond the current
-// chunk, so arbitrarily long traces are written in constant memory. The
-// caller must Finish to emit the footer; a trace without one is detected as
-// truncated on read.
+// chunk (and one index entry per chunk), so arbitrarily long traces are
+// written in memory independent of their length. The caller must Finish to
+// emit the footer and index; a trace without them is detected as truncated
+// on read.
 type Writer struct {
 	bw       *bufio.Writer
 	chunk    []cfg.BlockID
@@ -87,9 +88,8 @@ type Writer struct {
 	blocks   uint64
 	finished bool
 
-	// Index state. off is the stream offset written so far; when a
-	// program is bound the writer records one chunkRef per chunk and
-	// emits the seek index after the footer.
+	// Index state: off is the stream offset written so far, and the
+	// program's block lengths place each chunk's instruction position.
 	off        uint64
 	prog       *cfg.Program
 	chunkInsts uint64
@@ -97,13 +97,14 @@ type Writer struct {
 	entries    []chunkRef
 }
 
-// NewWriter writes the header for a trace named name and returns the
-// streaming encoder.
-func NewWriter(w io.Writer, name string) (*Writer, error) {
+// NewWriter writes the header for a trace named name, recorded against p,
+// and returns the streaming encoder. p's block lengths give the chunk
+// index its instruction positions.
+func NewWriter(w io.Writer, name string, p *cfg.Program) (*Writer, error) {
 	if len(name) > maxName {
 		return nil, fmt.Errorf("trace: name too long (%d bytes)", len(name))
 	}
-	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<16), prog: p}
 	if err := tw.writeString(magicV2); err != nil {
 		return nil, err
 	}
@@ -115,13 +116,6 @@ func NewWriter(w io.Writer, name string) (*Writer, error) {
 	}
 	return tw, nil
 }
-
-// BindProgram supplies per-block instruction counts so the writer records
-// the chunk index that makes the file seekable (Skip by chunk rather than
-// linear decode). Bind before the first Append; without it the file is
-// still valid, just index-less. A block outside the program disables the
-// index rather than failing the write.
-func (w *Writer) BindProgram(p *cfg.Program) { w.prog = p }
 
 func (w *Writer) writeString(s string) error {
 	n, err := w.bw.WriteString(s)
@@ -145,20 +139,16 @@ func (w *Writer) writeVarint(v int64) error {
 	return err
 }
 
-// Append adds one block to the trace.
+// Append adds one block to the trace. A block outside the writer's
+// program fails: the index could not place it.
 func (w *Writer) Append(id cfg.BlockID) error {
 	if w.finished {
 		return errors.New("trace: Append after Finish")
 	}
-	if w.prog != nil {
-		if int(id) < 0 || int(id) >= len(w.prog.Blocks) {
-			// Trace does not match the bound program: write a valid
-			// index-less file instead of failing.
-			w.prog, w.entries, w.chunkInsts, w.instsSoFar = nil, nil, 0, 0
-		} else {
-			w.chunkInsts += uint64(w.prog.Blocks[id].NInsts)
-		}
+	if id < 0 || int(id) >= len(w.prog.Blocks) {
+		return fmt.Errorf("trace: block %d outside the program (%d blocks)", id, len(w.prog.Blocks))
 	}
+	w.chunkInsts += uint64(w.prog.Blocks[id].NInsts)
 	w.chunk = append(w.chunk, id)
 	if len(w.chunk) >= chunkBlocks {
 		return w.flushChunk()
@@ -169,22 +159,16 @@ func (w *Writer) Append(id cfg.BlockID) error {
 // Blocks returns the number of blocks appended so far.
 func (w *Writer) Blocks() uint64 { return w.blocks + uint64(len(w.chunk)) }
 
-// Indexed reports whether the writer is recording the chunk index (a
-// program is bound and every appended block belonged to it).
-func (w *Writer) Indexed() bool { return w.prog != nil }
-
 func (w *Writer) flushChunk() error {
 	if len(w.chunk) == 0 {
 		return nil
 	}
-	if w.prog != nil {
-		w.entries = append(w.entries, chunkRef{
-			off:    w.off,
-			blocks: w.blocks,
-			insts:  w.instsSoFar,
-			prev:   w.prev,
-		})
-	}
+	w.entries = append(w.entries, chunkRef{
+		off:    w.off,
+		blocks: w.blocks,
+		insts:  w.instsSoFar,
+		prev:   w.prev,
+	})
 	if err := w.writeUvarint(uint64(len(w.chunk))); err != nil {
 		return err
 	}
@@ -202,10 +186,9 @@ func (w *Writer) flushChunk() error {
 	return nil
 }
 
-// Finish flushes the remaining blocks and writes the terminator and footer;
-// totalInsts is the trace's CFG-level instruction count. When a program is
-// bound the chunk index follows the footer (invisible to pre-index
-// readers, which stop at the footer). The Writer is unusable afterwards.
+// Finish flushes the remaining blocks and writes the terminator, the footer
+// and the chunk index; totalInsts is the trace's CFG-level instruction
+// count. The Writer is unusable afterwards.
 func (w *Writer) Finish(totalInsts uint64) error {
 	if w.finished {
 		return errors.New("trace: Finish called twice")
@@ -223,10 +206,8 @@ func (w *Writer) Finish(totalInsts uint64) error {
 	if err := w.writeUvarint(w.blocks); err != nil {
 		return err
 	}
-	if w.prog != nil {
-		if err := w.writeIndex(totalInsts); err != nil {
-			return err
-		}
+	if err := w.writeIndex(totalInsts); err != nil {
+		return err
 	}
 	return w.bw.Flush()
 }
@@ -269,9 +250,9 @@ func (w *Writer) writeIndex(totalInsts uint64) error {
 	return err
 }
 
-// Write serializes t to w in the current format.
-func (t *Trace) Write(w io.Writer) error {
-	tw, err := NewWriter(w, t.Name)
+// Write serializes t, recorded against p, to w in the current format.
+func (t *Trace) Write(w io.Writer, p *cfg.Program) error {
+	tw, err := NewWriter(w, t.Name, p)
 	if err != nil {
 		return err
 	}
@@ -283,14 +264,13 @@ func (t *Trace) Write(w io.Writer) error {
 	return tw.Finish(t.Insts)
 }
 
-// FileSource incrementally decodes a binary trace stream (either format).
-// It implements Source; decode errors (including truncation) surface from
-// Err and Close once NextBatch returns 0.
+// FileSource incrementally decodes a binary trace stream. It implements
+// Source; decode errors (including truncation) surface from Err and Close
+// once NextBatch returns 0.
 type FileSource struct {
 	br   *bufio.Reader
-	raw  io.Reader // what br wraps (needed to reset after a seek)
-	file io.Closer // underlying file when opened via Open
-	path string    // the file's path when opened via Open: Fork reopens it
+	file *os.File // the file when opened via Open: seeks and closes
+	path string   // the file's path when opened via Open: Fork reopens it
 
 	name string
 	prev int64
@@ -299,11 +279,11 @@ type FileSource struct {
 	err  error
 
 	remaining uint64 // blocks left in the current chunk
-	insts     uint64 // from the footer (or index)
+	insts     uint64 // from the index, or else the footer
 	exact     bool
 
 	// Skip support: the bound program supplies block lengths, the index
-	// (when the file carries one) supplies seek targets, and the pending
+	// (of a file opened via Open) supplies seek targets, and the pending
 	// slot holds one decoded-but-undelivered block (Skip peeks at the
 	// boundary block without consuming it).
 	prog        *cfg.Program
@@ -311,7 +291,6 @@ type FileSource struct {
 	pending     [1]cfg.BlockID
 	havePending bool
 	index       *chunkIndex
-	seeker      io.Seeker
 }
 
 // NewReader reads the trace header from r and returns a streaming source
@@ -325,7 +304,7 @@ func NewReader(r io.Reader) (*FileSource, error) {
 	if string(got) != magicV2 {
 		return nil, fmt.Errorf("trace: bad magic %q (only %s is read)", got, magicV2)
 	}
-	s := &FileSource{br: br, raw: r}
+	s := &FileSource{br: br}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading name length: %w", err)
@@ -342,60 +321,64 @@ func NewReader(r io.Reader) (*FileSource, error) {
 }
 
 // Open opens a trace file as a streaming source; Close closes the file.
-// When the file carries a chunk index (written by an index-bound Writer)
-// the source is seekable — Skip jumps by chunk instead of decoding
-// linearly — and the totals are exact immediately. Index-less files
-// still replay and Skip, linearly.
+// The file's chunk index gives its exact totals up front and lets Skip
+// seek by chunk instead of decoding linearly. A file without a valid
+// index is refused: re-record it with cmd/tracegen.
 func Open(path string) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	idx := tryReadIndex(f) // uses ReadAt only: the read offset stays at 0
 	s, err := NewReader(f)
+	if err == nil {
+		// readIndex reads with ReadAt only, leaving the stream where the
+		// header ends.
+		s.index, err = readIndex(f)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	s.file = f
 	s.path = path
-	s.seeker = f
-	if idx != nil {
-		s.index = idx
-		s.insts = idx.totalInsts
-		s.exact = true
-	}
+	s.insts = s.index.totalInsts
+	s.exact = true
 	return s, nil
 }
 
-// tryReadIndex probes f for the trailing chunk index. Any shortfall —
-// file too small, missing magic, malformed section — yields nil: the file
-// is then treated as index-less and skipped linearly, never failed.
-func tryReadIndex(f *os.File) *chunkIndex {
+// errNoIndex refuses a trace file without a valid chunk index.
+var errNoIndex = errors.New("trace: no valid chunk index; re-record the trace with cmd/tracegen")
+
+// readIndex reads f's trailing chunk index. Any shortfall — file too
+// small, missing magic, malformed section — is errNoIndex.
+func readIndex(f *os.File) (*chunkIndex, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	size := st.Size()
 	if size < 16 {
-		return nil
+		return nil, errNoIndex
 	}
 	var trailer [16]byte
 	if _, err := f.ReadAt(trailer[:], size-16); err != nil {
-		return nil
+		return nil, err
 	}
 	if string(trailer[8:]) != indexMagic {
-		return nil
+		return nil, errNoIndex
 	}
 	secLen := int64(binary.LittleEndian.Uint64(trailer[:8]))
 	if secLen <= 0 || secLen > size-16 {
-		return nil
+		return nil, errNoIndex
 	}
 	buf := make([]byte, secLen)
 	if _, err := f.ReadAt(buf, size-16-secLen); err != nil {
-		return nil
+		return nil, err
 	}
-	return parseIndex(buf, uint64(size))
+	if ix := parseIndex(buf, uint64(size)); ix != nil {
+		return ix, nil
+	}
+	return nil, errNoIndex
 }
 
 // parseIndex decodes the index section; nil on any inconsistency.
@@ -450,12 +433,9 @@ func parseIndex(buf []byte, fileSize uint64) *chunkIndex {
 // first NextBatch or Skip.
 func (s *FileSource) Bind(p *cfg.Program) { s.prog = p }
 
-// Seekable reports whether Skip can seek (an indexed file opened from
-// disk) rather than decode linearly.
-func (s *FileSource) Seekable() bool { return s.index != nil && s.seeker != nil }
-
-// TotalBlocks returns the trace's block count and whether it is exact
-// before EOF (indexed files know it up front).
+// TotalBlocks returns the trace's block count and whether it is exact:
+// from the index of a file opened via Open, or else once the stream has
+// been decoded cleanly to its footer.
 func (s *FileSource) TotalBlocks() (uint64, bool) {
 	switch {
 	case s.index != nil:
@@ -477,9 +457,9 @@ func (s *FileSource) blockInsts(id cfg.BlockID) (uint64, bool) {
 }
 
 // Skip fast-forwards past whole blocks totalling at most n instructions.
-// With an index the skip seeks to the last chunk boundary at or before
-// the target and decodes the remainder; without one (index-less files,
-// plain readers) it decodes and discards linearly. Requires Bind.
+// A file opened via Open seeks through its index to the last chunk
+// boundary at or before the target and decodes the remainder; a stream
+// read by NewReader decodes and discards linearly. Requires Bind.
 func (s *FileSource) Skip(n uint64) (uint64, error) {
 	if s.done || n == 0 {
 		return 0, s.err
@@ -489,16 +469,16 @@ func (s *FileSource) Skip(n uint64) (uint64, error) {
 	}
 	start := s.instsRead
 	target := satAdd(start, n)
-	if s.index != nil && s.seeker != nil {
+	if s.index != nil {
 		// A chunk past the read position also lies past a pending block,
 		// which the seek then skips with the rest.
 		if e := s.index.find(target); e != nil && e.blocks > s.read {
-			if _, err := s.seeker.Seek(int64(e.off), io.SeekStart); err != nil {
+			if _, err := s.file.Seek(int64(e.off), io.SeekStart); err != nil {
 				s.done = true
 				s.err = fmt.Errorf("trace: seeking chunk at offset %d: %w", e.off, err)
 				return 0, s.err
 			}
-			s.br.Reset(s.raw)
+			s.br.Reset(s.file)
 			s.prev = e.prev
 			s.read = e.blocks
 			s.instsRead = e.insts
@@ -524,9 +504,8 @@ func (s *FileSource) Skip(n uint64) (uint64, error) {
 	return s.instsRead - start, s.err
 }
 
-// Fork reopens the file and skips the new source to where s stands:
-// seeking through the chunk index, or decoding the prefix again in an
-// index-less file. Only a bound source opened by path (Open) forks.
+// Fork reopens the file and seeks the new source through the chunk index
+// to where s stands. Only a bound source opened by path (Open) forks.
 func (s *FileSource) Fork() (Source, error) {
 	if s.path == "" || s.prog == nil {
 		return nil, errors.New("trace: only a bound trace file opened by path forks")
@@ -571,7 +550,8 @@ func (s *FileSource) startChunk() bool {
 	}
 	if n == 0 { // terminator: read and validate the footer
 		s.done = true
-		if s.insts, err = binary.ReadUvarint(s.br); err != nil {
+		insts, err := binary.ReadUvarint(s.br)
+		if err != nil {
 			s.err = fmt.Errorf("trace: reading instruction count: %w", err)
 			return false
 		}
@@ -580,11 +560,17 @@ func (s *FileSource) startChunk() bool {
 			s.err = fmt.Errorf("trace: reading block count: %w", err)
 			return false
 		}
-		if count != s.read {
+		switch {
+		case count != s.read:
 			s.err = fmt.Errorf("trace: footer says %d blocks, decoded %d", count, s.read)
-			return false
+		case s.index != nil && (insts != s.index.totalInsts || count != s.index.totalBlocks):
+			// The index sized the run: a footer that disagrees means one
+			// of them is corrupt.
+			s.err = fmt.Errorf("trace: footer says %d instructions in %d blocks, index %d in %d",
+				insts, count, s.index.totalInsts, s.index.totalBlocks)
+		default:
+			s.insts, s.exact = insts, true
 		}
-		s.exact = true
 		return false
 	}
 	s.remaining = n
@@ -650,9 +636,10 @@ func (s *FileSource) fail(err error) {
 // Name returns the benchmark name from the header.
 func (s *FileSource) Name() string { return s.name }
 
-// TotalInsts returns the trace's instruction count: exact up front for an
-// indexed file opened from disk, and otherwise exact once the footer has
-// been read (0 before that — the on-disk trace carries no running count).
+// TotalInsts returns the trace's instruction count: exact up front for a
+// file opened via Open (from its index), and for a stream read by
+// NewReader exact once the footer has been read (0 before that — the
+// stream carries no running count).
 func (s *FileSource) TotalInsts() (uint64, bool) { return s.insts, s.exact }
 
 // Err returns the first decode error encountered (nil on a clean stream).

@@ -1,9 +1,9 @@
 // Fuzz coverage for the trace codecs: the service and the CLIs hand
 // untrusted bytes to Open/NewReader and untrusted block sequences to the
 // Writer, so the decoders must round-trip what the writer produces, reject
-// truncation inside the stream, tolerate truncation that only clips the
-// trailing chunk index, and never panic or spin on corrupt input —
-// including corrupt chunk indexes, which seeks consult before the stream.
+// truncation inside the stream, refuse at Open a file whose trailing chunk
+// index is clipped, and never panic or spin on corrupt input — including
+// corrupt chunk indexes, which seeks consult before the stream.
 package trace
 
 import (
@@ -47,17 +47,14 @@ func payloadBlocks(payload []byte, prog *cfg.Program) ([]cfg.BlockID, uint64) {
 	return blocks, insts
 }
 
-// encodeTrace serializes blocks in the current format; withIndex binds the
-// program so the writer appends the seek index.
-func encodeTrace(t testing.TB, prog *cfg.Program, blocks []cfg.BlockID, insts uint64, withIndex bool) []byte {
+// encodeTrace serializes blocks in the current format, chunk index
+// included.
+func encodeTrace(t testing.TB, prog *cfg.Program, blocks []cfg.BlockID, insts uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, prog.Name)
+	w, err := NewWriter(&buf, prog.Name, prog)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if withIndex {
-		w.BindProgram(prog)
 	}
 	for _, id := range blocks {
 		if err := w.Append(id); err != nil {
@@ -125,11 +122,12 @@ func addTestdataSeeds(f *testing.F, add func(data []byte)) {
 }
 
 // FuzzTraceRoundTrip drives writer→reader round trips from an arbitrary
-// block sequence and an arbitrary truncation point: both formats must
-// reproduce the sequence exactly; seek-based Skip must agree with the
-// prefix-summed slice oracle; truncation inside the stream or footer must
-// surface a decode error; truncation that only clips the trailing index
-// must decode cleanly (the index is an optimization, never a dependency).
+// block sequence and an arbitrary truncation point: the stream reader and
+// the opened file must reproduce the sequence exactly; seek-based Skip
+// must agree with the prefix-summed slice oracle; truncation inside the
+// stream or footer must surface a decode error; truncation that only clips
+// the trailing index must be refused by Open, while the stream reader,
+// which stops at the footer, still decodes it cleanly.
 func FuzzTraceRoundTrip(f *testing.F) {
 	prog := genProg(f, "164.gzip")
 	for _, n := range []uint64{0, 1_500, 30_000} {
@@ -140,18 +138,15 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, cut uint32) {
 		batch := fuzzBatch(uint64(cut))
 		blocks, insts := payloadBlocks(payload, prog)
-		plain := encodeTrace(t, prog, blocks, insts, false)
-		indexed := encodeTrace(t, prog, blocks, insts, true)
-		if !bytes.Equal(plain, indexed[:len(plain)]) {
-			t.Fatal("index-less encoding is not a prefix of the indexed one")
-		}
+		indexed := encodeTrace(t, prog, blocks, insts)
+		plain := stripIndex(t, indexed)
 
 		// Round trip through the current format, streamed.
-		src, err := NewReader(bytes.NewReader(plain))
+		src, err := NewReader(bytes.NewReader(indexed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSequence(t, src, batch, blocks, insts, "v2 plain")
+		assertSequence(t, src, batch, blocks, insts, "v2 stream")
 
 		// Round trip through the indexed file, with a seek: Skip on the
 		// indexed FileSource must agree with the SliceSource oracle.
@@ -160,9 +155,6 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer fsrc.Close()
-		if !fsrc.Seekable() {
-			t.Fatal("indexed file not seekable")
-		}
 		fsrc.Bind(prog)
 		skip := uint64(cut) % (insts + 1)
 		got, err := fsrc.Skip(skip)
@@ -192,37 +184,31 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Truncation semantics.
+		// Truncation semantics. A clipped file has lost its index
+		// trailer, so Open refuses it wherever the cut lands.
 		cutAt := int(cut) % (len(indexed) + 1)
-		tsrc, err := Open(writeTempTrace(t, indexed[:cutAt]))
+		if cutAt == len(indexed) {
+			return
+		}
+		if tsrc, err := Open(writeTempTrace(t, indexed[:cutAt])); err == nil {
+			tsrc.Close()
+			t.Fatalf("truncation at %d/%d opened", cutAt, len(indexed))
+		}
+		tsrc, err := NewReader(bytes.NewReader(indexed[:cutAt]))
 		if cutAt >= len(plain) {
 			// Only index bytes are missing: stream and footer are intact,
-			// so the file must still decode fully and cleanly.
+			// so the stream reader must still decode fully and cleanly.
 			if err != nil {
-				t.Fatalf("index-only truncation at %d/%d failed Open: %v", cutAt, len(indexed), err)
+				t.Fatalf("index-only truncation at %d/%d failed NewReader: %v", cutAt, len(indexed), err)
 			}
-			trunc := drainSource(t, tsrc, batch)
-			if err := tsrc.Close(); err != nil {
-				t.Fatalf("index-only truncation at %d/%d failed decode: %v", cutAt, len(indexed), err)
-			}
-			if len(trunc) != len(blocks) {
-				t.Fatalf("index-only truncation decoded %d blocks, want %d", len(trunc), len(blocks))
-			}
-			for i := range trunc {
-				if trunc[i] != blocks[i] {
-					t.Fatalf("index-only truncation: block %d = %d, want %d", i, trunc[i], blocks[i])
-				}
-			}
-		} else {
+			assertSequence(t, tsrc, batch, blocks, insts, "index-only truncation")
+		} else if err == nil {
 			// Bytes missing from the stream or footer: a decode error is
 			// mandatory — a truncated trace must never read as a shorter
 			// valid trace.
-			if err == nil {
-				drainSource(t, tsrc, batch)
-				if tsrc.Err() == nil {
-					t.Fatalf("truncation inside the stream at %d/%d decoded without error", cutAt, len(plain))
-				}
-				tsrc.Close()
+			drainSource(t, tsrc, batch)
+			if tsrc.Err() == nil {
+				t.Fatalf("truncation inside the stream at %d/%d decoded without error", cutAt, len(plain))
 			}
 		}
 	})
@@ -254,8 +240,9 @@ func assertSequence(t *testing.T, src Source, batch int, blocks []cfg.BlockID, i
 // that Open either fails cleanly or yields a source that can Skip (seeking
 // through whatever index survived validation) and drain without panicking
 // or running away. Seeds are the committed testdata traces, a current
-// encoding under the retired STRMTRC1 magic, and an indexed file with its
-// index region corrupted.
+// encoding under the retired STRMTRC1 magic, an indexed file with its
+// index region corrupted, and one whose index totals disagree with its
+// footer.
 func FuzzOpen(f *testing.F) {
 	prog := genProg(f, "164.gzip")
 	addTestdataSeeds(f, func(data []byte) {
@@ -263,7 +250,7 @@ func FuzzOpen(f *testing.F) {
 		f.Add(data, uint64(10_000))
 	})
 	tr := Generate(prog, GenConfig{Seed: 5, MaxInsts: 2_000})
-	indexed := encodeTrace(f, prog, tr.Blocks, tr.Insts, true)
+	indexed := encodeTrace(f, prog, tr.Blocks, tr.Insts)
 	f.Add(append([]byte("STRMTRC1"), indexed[len(magicV2):]...), uint64(500))
 	for _, flip := range []int{20, len(indexed) - 10, len(indexed) - 20} {
 		if flip < 0 || flip >= len(indexed) {
@@ -273,6 +260,7 @@ func FuzzOpen(f *testing.F) {
 		corrupt[flip] ^= 0xff
 		f.Add(corrupt, uint64(1_000))
 	}
+	f.Add(patchIndexTotals(f, indexed, 1, 0), uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, skip uint64) {
 		src, err := Open(writeTempTrace(t, data))
 		if err != nil {

@@ -2,9 +2,9 @@ package trace
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/binary"
 	"slices"
+	"strings"
 	"testing"
 
 	"streamfetch/internal/cfg"
@@ -38,13 +38,13 @@ func skipTrace(t testing.TB) (*cfg.Program, *Trace) {
 }
 
 // sources returns fresh, program-bound sources over the identical
-// sequence, one per backing (generator, slice, plain reader, indexed
-// file).
+// sequence, one per backing (generator, slice, plain stream reader,
+// indexed file).
 func sources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]Source {
 	t.Helper()
 
 	var v2 bytes.Buffer
-	if err := tr.Write(&v2); err != nil {
+	if err := tr.Write(&v2, prog); err != nil {
 		t.Fatal(err)
 	}
 	plain, err := NewReader(bytes.NewReader(v2.Bytes()))
@@ -54,9 +54,6 @@ func sources(t *testing.T, prog *cfg.Program, tr *Trace) map[string]Source {
 	plain.Bind(prog)
 
 	indexed := openIndexed(t, prog, tr)
-	if !indexed.Seekable() {
-		t.Fatal("indexed file source is not seekable")
-	}
 
 	slice := tr.Source()
 	slice.Bind(prog)
@@ -85,28 +82,11 @@ func openIndexed(t *testing.T, prog *cfg.Program, tr *Trace) *FileSource {
 // its path.
 func writeIndexed(t *testing.T, prog *cfg.Program, tr *Trace) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "t.trc")
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := tr.Write(&buf, prog); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriter(f, tr.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BindProgram(prog)
-	for _, id := range tr.Blocks {
-		if err := w.Append(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(tr.Insts); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeTempTrace(t, buf.Bytes())
 }
 
 // TestSkipDifferential: on every backing, skipping then reading delivers
@@ -178,12 +158,12 @@ func TestSkipRepeated(t *testing.T) {
 // TestSkipNeedsProgram: slice- and file-backed sources refuse to skip
 // without a bound program rather than miscounting.
 func TestSkipNeedsProgram(t *testing.T) {
-	_, tr := skipTrace(t)
+	prog, tr := skipTrace(t)
 	if _, err := tr.Source().Skip(10); err == nil {
 		t.Error("SliceSource.Skip without Bind succeeded")
 	}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := tr.Write(&buf, prog); err != nil {
 		t.Fatal(err)
 	}
 	src, err := NewReader(&buf)
@@ -195,9 +175,10 @@ func TestSkipNeedsProgram(t *testing.T) {
 	}
 }
 
-// TestIndexRoundTrip: an index-bound writer produces a file whose index
-// reports the exact totals up front, while index-less writes and legacy
-// files stay non-seekable but fully readable.
+// TestIndexRoundTrip: a written file's index reports the exact totals up
+// front, and Open refuses a file whose index is missing, clipped or
+// corrupt, naming cmd/tracegen, while a plain stream reader still decodes
+// the index-less bytes.
 func TestIndexRoundTrip(t *testing.T) {
 	prog, tr := skipTrace(t)
 	src := openIndexed(t, prog, tr)
@@ -221,26 +202,103 @@ func TestIndexRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The same bytes through a plain reader (no seeking) still replay.
-	path := filepath.Join(t.TempDir(), "plain.trc")
-	f, err := os.Create(path)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf, prog); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Bytes()
+	stream := stripIndex(t, whole)
+	corrupt := bytes.Clone(whole)
+	// An unterminated varint where the index's totals begin fails its
+	// parse.
+	for i := len(stream); i < len(stream)+10; i++ {
+		corrupt[i] = 0xff
+	}
+	for name, data := range map[string][]byte{
+		"index-less": stream,
+		"clipped":    whole[:len(whole)-1],
+		"corrupt":    corrupt,
+	} {
+		src, err := Open(writeTempTrace(t, data))
+		if err == nil {
+			src.Close()
+			t.Fatalf("%s index: Open accepted the file", name)
+		}
+		if !strings.Contains(err.Error(), "cmd/tracegen") {
+			t.Fatalf("%s index: error %q does not say to re-record with cmd/tracegen", name, err)
+		}
+	}
+	plain, err := NewReader(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Write(f); err != nil {
+	if got := slices.Collect(Blocks(plain)); !slices.Equal(got, tr.Blocks) {
+		t.Fatalf("index-less stream decoded %d blocks, want %d", len(got), len(tr.Blocks))
+	}
+	if err := plain.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+}
+
+// stripIndex returns a written trace without its trailing chunk index:
+// the header, block stream and footer.
+func stripIndex(t testing.TB, data []byte) []byte {
+	t.Helper()
+	if len(data) < 16 || string(data[len(data)-8:]) != indexMagic {
+		t.Fatal("trace carries no chunk index")
+	}
+	secLen := binary.LittleEndian.Uint64(data[len(data)-16:])
+	return data[:len(data)-16-int(secLen)]
+}
+
+// TestFooterIndexMismatch: a file whose index totals disagree with its
+// footer opens (the index parses) but fails at the end of its stream,
+// since the index alone sizes a replay's plan.
+func TestFooterIndexMismatch(t *testing.T) {
+	prog := genProg(t, "164.gzip")
+	tr := Generate(prog, GenConfig{Seed: 3, MaxInsts: 30_000})
+	var buf bytes.Buffer
+	if err := tr.Write(&buf, prog); err != nil {
 		t.Fatal(err)
 	}
-	unindexed, err := Open(path)
+	for _, d := range []struct{ insts, blocks uint64 }{{1, 0}, {0, 1}, {1000, 0}} {
+		src, err := Open(writeTempTrace(t, patchIndexTotals(t, buf.Bytes(), d.insts, d.blocks)))
+		if err != nil {
+			t.Fatalf("%+v: patched index refused at Open: %v", d, err)
+		}
+		if n, _ := src.TotalInsts(); n != tr.Insts+d.insts {
+			t.Fatalf("%+v: TotalInsts = %d, want the patched %d", d, n, tr.Insts+d.insts)
+		}
+		for range Blocks(src) {
+		}
+		if err := src.Close(); err == nil || !strings.Contains(err.Error(), "index") {
+			t.Fatalf("%+v: footer/index mismatch not reported: %v", d, err)
+		}
+	}
+}
+
+// patchIndexTotals returns a written trace whose chunk index claims
+// dInsts more instructions and dBlocks more blocks than its footer,
+// otherwise intact.
+func patchIndexTotals(t testing.TB, data []byte, dInsts, dBlocks uint64) []byte {
+	t.Helper()
+	stream := stripIndex(t, data)
+	sec := bytes.NewReader(data[len(stream) : len(data)-16])
+	insts, err := binary.ReadUvarint(sec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer unindexed.Close()
-	if unindexed.Seekable() {
-		t.Error("index-less file claims to be seekable")
+	blocks, err := binary.ReadUvarint(sec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var patched []byte
+	patched = binary.AppendUvarint(patched, insts+dInsts)
+	patched = binary.AppendUvarint(patched, blocks+dBlocks)
+	patched = append(patched, data[len(data)-16-sec.Len():len(data)-16]...)
+	out := append(bytes.Clone(stream), patched...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(patched)))
+	return append(out, indexMagic...)
 }
 
 // TestIntervalTiling: for any shard count, the measured windows of

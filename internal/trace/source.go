@@ -50,20 +50,21 @@ type Source interface {
 	// delivered is the one containing instruction offset skipped. Skipping
 	// past EOF exhausts the source and returns the instructions that
 	// remained. File- and slice-backed sources need a program bound (Bind)
-	// for the per-block instruction counts; an indexed trace file seeks,
-	// everything else fast-forwards linearly without layout expansion or
-	// simulation, so a skip costs O(n). Positioning many intervals of one
-	// trace is a Cursor's job: one walk forward, forked at each interval,
-	// instead of one skip from the head per interval.
+	// for the per-block instruction counts; a trace file opened by path
+	// seeks through its chunk index, everything else fast-forwards
+	// linearly without layout expansion or simulation, so a skip costs
+	// O(n). Positioning many intervals of one trace is a Cursor's job:
+	// one walk forward, forked at each interval, instead of one skip from
+	// the head per interval.
 	Skip(n uint64) (skipped uint64, err error)
 	// Name returns the benchmark name the trace records.
 	Name() string
 	// TotalInsts returns the trace's CFG-level instruction count and
 	// whether it is exact. Sources that know their full length up front
-	// (slice-backed sources, file headers, indexed files) report it
+	// (slice-backed sources, trace files opened by path) report it
 	// immediately; streamed sources report a running or unknown count
-	// (exact only once the stream is exhausted, and 0 for formats that
-	// carry no running count).
+	// (exact only once the stream is exhausted, and 0 for a stream read
+	// by NewReader, which carries no running count).
 	TotalInsts() (n uint64, exact bool)
 	// Close releases any resources held by the source and reports any
 	// decode error encountered while streaming. Close on generator- and

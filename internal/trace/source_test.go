@@ -65,7 +65,7 @@ func TestFileSourceStreams(t *testing.T) {
 	prog := genProg(t, "164.gzip")
 	tr := Generate(prog, GenConfig{Seed: 9, MaxInsts: 30_000})
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := tr.Write(&buf, prog); err != nil {
 		t.Fatal(err)
 	}
 	src, err := NewReader(&buf)
@@ -98,10 +98,12 @@ func TestFileSourceTruncation(t *testing.T) {
 		tr.Blocks = append(tr.Blocks, cfg.BlockID(i%7))
 	}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := tr.Write(&buf, genProg(t, "164.gzip")); err != nil {
 		t.Fatal(err)
 	}
-	whole := buf.Bytes()
+	// The cuts land in the block stream and footer, which is all a stream
+	// reader reads.
+	whole := stripIndex(t, buf.Bytes())
 	for _, cut := range []int{len(whole) - 1, len(whole) - 2, len(whole) / 2} {
 		src, err := NewReader(bytes.NewReader(whole[:cut]))
 		if err != nil {
@@ -142,12 +144,17 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestWriterMisuse: appending after Finish and double Finish are errors.
+// TestWriterMisuse: a block outside the writer's program, appending after
+// Finish and double Finish are errors.
 func TestWriterMisuse(t *testing.T) {
+	prog := genProg(t, "164.gzip")
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "x")
+	w, err := NewWriter(&buf, "x", prog)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := w.Append(cfg.BlockID(len(prog.Blocks))); err == nil {
+		t.Error("Append of a block outside the program succeeded")
 	}
 	if err := w.Finish(0); err != nil {
 		t.Fatal(err)

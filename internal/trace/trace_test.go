@@ -122,7 +122,7 @@ func TestFileRoundTrip(t *testing.T) {
 	prog := genProg(t, "164.gzip")
 	tr := Generate(prog, GenConfig{Seed: 9, MaxInsts: 30_000})
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := tr.Write(&buf, prog); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got, err := Read(&buf)
@@ -141,13 +141,14 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 func TestFileRoundTripProperty(t *testing.T) {
+	prog := genProg(t, "164.gzip")
 	f := func(ids []uint16, insts uint64) bool {
 		tr := &Trace{Name: "prop", Insts: insts}
 		for _, id := range ids {
-			tr.Blocks = append(tr.Blocks, cfg.BlockID(id))
+			tr.Blocks = append(tr.Blocks, cfg.BlockID(int(id)%len(prog.Blocks)))
 		}
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := tr.Write(&buf, prog); err != nil {
 			return false
 		}
 		got, err := Read(&buf)

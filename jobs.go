@@ -167,6 +167,9 @@ func (r *RunRequest) validate() error {
 	if r.Width < 0 {
 		return fmt.Errorf("negative width %d", r.Width)
 	}
+	if err := checkGeometry(cmp.Or(r.Width, defaultWidth), r.ICacheLineBytes); err != nil {
+		return err
+	}
 	if r.Shards < 0 {
 		return fmt.Errorf("negative shards %d", r.Shards)
 	}

@@ -10,7 +10,10 @@ import (
 // Option configures a Session, either at New or per run through RunWith.
 type Option func(*Session)
 
-// WithWidth sets the pipe width (2, 4 or 8 in the paper; default 8).
+// WithWidth sets the pipe width (2, 4 or 8 in the paper; default 8). The
+// I-cache line is 4x the width in instructions, so unless
+// WithICacheLineBytes overrides it the width must be a power of two up to
+// 2048; a run refuses one its cache cannot build.
 func WithWidth(w int) Option {
 	return func(s *Session) { s.width = w }
 }
@@ -77,7 +80,9 @@ func WithMaxInstructions(n uint64) Option {
 // WithTraceFile replays a saved binary trace file (see cmd/tracegen)
 // instead of generating a trace from the seed. The file is decoded
 // incrementally on each run, so traces far larger than RAM replay in
-// constant memory.
+// constant memory; its chunk index sizes the run. A run refuses a file
+// recorded for another benchmark, and one without a valid chunk index
+// (re-record it with cmd/tracegen).
 func WithTraceFile(path string) Option {
 	return func(s *Session) { s.traceFile = path }
 }
@@ -91,9 +96,9 @@ func WithTraceFile(path string) Option {
 // every shard boundary, so merged figures track a single-shot run closely
 // and warming costs one O(trace) walk however many shards there are. Pair
 // with WithWarmup to also warm the pipeline before each measure window.
-// WithColdShards skips the prefix instead — seeking through an indexed
-// trace file (see cmd/tracegen) or fast-forwarding the seeded CFG walk —
-// for O(interval) work per shard at the cost of cold-start bias.
+// WithColdShards skips the prefix instead — seeking through a trace
+// file's chunk index (see cmd/tracegen) or fast-forwarding the seeded CFG
+// walk — for O(interval) work per shard at the cost of cold-start bias.
 func WithShards(n int) Option {
 	return func(s *Session) { s.shards = n }
 }
@@ -109,9 +114,9 @@ func WithWarmup(insts uint64) Option {
 
 // WithColdShards disables functional warming in sharded runs: no pass
 // walks the trace to warm the shard boundaries; shards skip straight to
-// their intervals — seeking through the trace file's chunk index when it
-// has one, or fast-forwarding the seeded CFG walk — and start cold except
-// for the WithWarmup lead-in. This is the speed-maximal mode: the run's
+// their intervals — seeking through the trace file's chunk index, or
+// fast-forwarding the seeded CFG walk — and start cold except for the
+// WithWarmup lead-in. This is the speed-maximal mode: the run's
 // work drops to O(intervals) with no O(trace) warming walk, at the cost
 // of cold-start bias in cycle-derived figures (the 1MB L2 in particular
 // warms far slower than any practical WithWarmup covers). Instruction and
@@ -129,7 +134,7 @@ func WithColdShards() Option {
 // takes at each for the next run — including a restarted daemon or
 // another daemon sharing the store. A run restoring every boundary still
 // positions its intervals with one pass over the trace (a CFG walk
-// without simulation, or a seek per interval in an indexed trace file),
+// without simulation, or a seek per interval in a trace file),
 // then simulates each interval's lead-in and window. A hit and a miss restore the same
 // bytes, so reports differ only in their checkpoint counters.
 // Checkpoints key on the preparation inputs (benchmark, seeds, engine,
@@ -164,7 +169,9 @@ func WithSampling(k int, intervalInsts uint64) Option {
 
 // WithICacheLineBytes overrides the L1 instruction cache line size,
 // keeping the rest of the Table-2 hierarchy (the Figure-7 misalignment
-// sweeps; default is 4x the pipe width in instructions).
+// sweeps; default, and 0, is 4x the pipe width in instructions). The size
+// must be a power of two up to 32 KB, half the cache; a run refuses any
+// other.
 func WithICacheLineBytes(n int) Option {
 	return func(s *Session) { s.lineBytes = n }
 }

@@ -341,6 +341,26 @@ func TestServiceBackpressureAndCancel(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsUnbuildableGeometry: a run or sweep whose cache
+// geometry cannot be built is a 400 at submission, never an accepted job
+// that fails in its worker.
+func TestServiceRejectsUnbuildableGeometry(t *testing.T) {
+	sc := newServiceClient(t, newTestServer(t))
+	for _, req := range []any{
+		streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 10_000, Width: 3},
+		streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 10_000, ICacheLineBytes: 48},
+		streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 10_000, ICacheLineBytes: -8},
+	} {
+		if code := sc.do("POST", "/v1/runs", req, nil); code != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, want 400", req, code)
+		}
+	}
+	sweep := streamfetch.SweepRequest{Benchmarks: []string{"164.gzip"}, Insts: 10_000, Widths: []int{8, 6}}
+	if code := sc.do("POST", "/v1/sweeps", sweep, nil); code != http.StatusBadRequest {
+		t.Errorf("sweep with width 6: status %d, want 400", code)
+	}
+}
+
 // TestServiceEnginesAndHealth covers the discovery and liveness surface.
 func TestServiceEnginesAndHealth(t *testing.T) {
 	srv := newTestServer(t, streamfetch.WithQueueDepth(4), streamfetch.WithWorkers(2))

@@ -34,9 +34,11 @@
 // Every run is a plan of trace intervals executed by one interval executor
 // (shard.go) and merged into one Report: the whole trace as one interval,
 // WithShards intervals simulated in parallel, or WithSampling measure
-// windows. Each interval checks the blocks it delivers against the
-// program, so a trace recorded from another benchmark fails the run with
-// an error naming the foreign block.
+// windows. A trace file recorded for another benchmark fails the run
+// before it simulates, with an error naming both benchmarks, and each
+// interval checks the blocks it delivers against the program, so a file
+// naming blocks its program lacks fails with an error naming such a
+// block.
 //
 // New fetch engines plug in through the registry in internal/frontend:
 // Register a factory under a name and every sweep, table and cmd picks it
@@ -98,11 +100,9 @@ type Progress struct {
 	Layout    string
 	Width     int
 	// Retired counts correct-path instructions committed so far. Total is
-	// the run's instruction target when one is known up front: the
-	// configured generation budget for seeded runs, the trace total for
-	// header-bearing replays, or MaxInstructions when lower.
-	// Total is 0 when the length is unknown until EOF (a streamed trace
-	// file with no header total).
+	// the run's instruction target: the configured generation budget for
+	// seeded runs, the trace file's indexed total for replays, or
+	// MaxInstructions when lower.
 	Retired uint64
 	Total   uint64
 	Cycles  uint64
@@ -327,7 +327,33 @@ func (s *Session) validate() error {
 	if s.width <= 0 {
 		return fmt.Errorf("streamfetch: invalid pipe width %d", s.width)
 	}
+	if err := checkGeometry(s.width, s.lineBytes); err != nil {
+		return fmt.Errorf("streamfetch: %w", err)
+	}
 	return checkLayout(s.layoutName)
+}
+
+// hierarchy is the cache geometry a run of the given pipe width builds:
+// Table 2's, with the WithICacheLineBytes override when positive.
+func hierarchy(width, lineBytes int) cache.HierarchyConfig {
+	h := cache.DefaultHierarchy(width)
+	if lineBytes > 0 {
+		h.ICache.LineBytes = lineBytes
+	}
+	return h
+}
+
+// checkGeometry rejects a (positive) pipe width or an I-cache line size
+// whose hierarchy cannot be built. Only the L1 I-cache depends on them:
+// its line is the width's fetch block unless overridden.
+func checkGeometry(width, lineBytes int) error {
+	if lineBytes < 0 {
+		return fmt.Errorf("negative icache line size %d", lineBytes)
+	}
+	if err := hierarchy(width, lineBytes).ICache.Validate(); err != nil {
+		return fmt.Errorf("width %d, icache line size %d: %w", width, lineBytes, err)
+	}
+	return nil
 }
 
 // ensure prepares (or reuses) the requested layout and the program under
@@ -345,13 +371,17 @@ func (s *Session) ensure(ctx context.Context, layoutName string) (*layout.Layout
 // newSource builds a fresh trace source for one run: an incremental
 // decode of the WithTraceFile file or (the default) blocks produced on the
 // fly from the seeded CFG walk. prog must be the session's prepared
-// program.
+// program. A trace file recorded for another benchmark is refused.
 func (s *Session) newSource(prog *cfg.Program) (trace.Source, error) {
 	switch {
 	case s.traceFile != "":
 		src, err := trace.Open(s.traceFile)
 		if err != nil {
 			return nil, fmt.Errorf("streamfetch: opening trace %s: %w", s.traceFile, err)
+		}
+		if src.Name() != s.benchmark {
+			src.Close()
+			return nil, fmt.Errorf("streamfetch: trace %s was recorded for %s, not %s", s.traceFile, src.Name(), s.benchmark)
 		}
 		return src, nil
 	default:
@@ -440,11 +470,8 @@ func (s *Session) simConfig(ctx context.Context, lay *layout.Layout, total uint6
 		Width:            s.width,
 		Engine:           s.engine,
 		EngineOptions:    s.engineOpts,
+		Hier:             hierarchy(s.width, s.lineBytes),
 		ProgressInterval: s.progressEvery,
-	}
-	if s.lineBytes > 0 {
-		cfg.Hier = cache.DefaultHierarchy(s.width)
-		cfg.Hier.ICache.LineBytes = s.lineBytes
 	}
 	cb := s.onProgress
 	cfg.OnProgress = func(retired, cycles uint64) bool {

@@ -93,6 +93,42 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRejectsUnbuildableGeometry: a pipe width or I-cache line size the
+// cache hierarchy cannot build (a line that is not a power of two, or
+// too large for the cache) and a negative line size are refused at the
+// input boundary, by Session validation and by RunRequest validation,
+// which every sweep cell goes through; neither reaches a simulation.
+func TestRejectsUnbuildableGeometry(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range []struct{ width, lineBytes int }{
+		{3, 0}, {5, 0}, {6, 0}, {4096, 0}, {8, 48}, {8, 1 << 20}, {8, -8},
+	} {
+		s := New("164.gzip", WithInstructions(10_000), WithWidth(g.width), WithICacheLineBytes(g.lineBytes))
+		if err := s.Prepare(ctx); err == nil {
+			t.Errorf("%+v: Prepare accepted the geometry", g)
+		}
+		if _, err := s.Run(ctx); err == nil || strings.Contains(err.Error(), "panic") {
+			t.Errorf("%+v: Run = %v, want a validation error", g, err)
+		}
+		r := RunRequest{Benchmark: "164.gzip", Width: g.width, ICacheLineBytes: g.lineBytes}
+		if err := r.validate(); err == nil {
+			t.Errorf("%+v: RunRequest validated", g)
+		}
+		if g.lineBytes == 0 {
+			sw := SweepRequest{Benchmarks: []string{"164.gzip"}, Widths: []int{8, g.width}}
+			if err := sw.normalize(); err == nil {
+				t.Errorf("%+v: sweep validated", g)
+			}
+		}
+	}
+	for _, g := range []struct{ width, lineBytes int }{{1, 0}, {16, 0}, {2048, 0}, {8, 32}, {8, 64}, {3, 64}} {
+		r := RunRequest{Benchmark: "164.gzip", Width: g.width, ICacheLineBytes: g.lineBytes}
+		if err := r.validate(); err != nil {
+			t.Errorf("%+v: buildable geometry refused: %v", g, err)
+		}
+	}
+}
+
 // TestRunAlreadyCancelled: a cancelled context must stop Run even when the
 // artifacts are already prepared and the run is too short to hit a progress
 // checkpoint.

@@ -69,8 +69,7 @@ type intervalSpec struct{ start, end uint64 }
 
 // runPlan is one run's intervals, ascending by start, tiling at most the
 // capped trace. total is the run's instruction target for progress
-// callbacks (0 when unknown until EOF), refined by each interval's
-// source; group is the interval count they report, 0 for an unsharded
+// callbacks; group is the interval count they report, 0 for an unsharded
 // run.
 type runPlan struct {
 	specs []intervalSpec
@@ -144,33 +143,25 @@ func (s *Session) run(ctx context.Context) (*Report, error) {
 }
 
 // plan tiles the session's trace, capped by WithMaxInstructions at a
-// trace position: one interval for an unsharded run, without sizing a
-// trace file first, or the sharded or sampled partition of the capped
-// trace.
+// trace position: one interval for an unsharded run, or the sharded or
+// sampled partition of the capped trace.
 func (s *Session) plan(prog *cfg.Program) (*runPlan, error) {
-	whole := s.samples == 0 && s.shards <= 1
-	// An unsharded run leaves a trace file's length unknown (0) until the
-	// file opens, where runInterval reads its exact total.
-	unsized := whole && s.traceFile != ""
-	var total uint64
-	if !unsized {
-		var err error
-		if total, err = s.traceTotal(prog); err != nil {
-			return nil, err
-		}
+	total, err := s.traceTotal(prog)
+	if err != nil {
+		return nil, err
 	}
 	// partTotal is the length the plan tiles, and last the end of its last
 	// interval: 0, the trace's end, unless the cap cuts the trace. A
 	// seeded generator may overshoot its budget by the crossing block,
 	// and file totals are then covered exactly.
 	partTotal, last := total, uint64(0)
-	if s.maxInsts > 0 && (unsized || s.maxInsts < total) {
+	if s.maxInsts > 0 && s.maxInsts < total {
 		partTotal, last = s.maxInsts, s.maxInsts
 	}
 	switch {
 	case s.samples > 0:
 		return s.samplePlan(partTotal, last), nil
-	case !whole:
+	case s.shards > 1:
 		return s.shardPlan(partTotal, last), nil
 	}
 	return &runPlan{specs: []intervalSpec{{end: last}}, total: partTotal}, nil
@@ -216,9 +207,8 @@ func (s *Session) shardPlan(partTotal, last uint64) *runPlan {
 func (s *Session) samplePlan(partTotal, last uint64) *runPlan {
 	var specs []intervalSpec
 	if partTotal == 0 || s.sampleInsts >= partTotal {
-		// The window covers the whole (or an unknown-length) trace:
-		// degenerate to one full interval, ending at last; the CI is
-		// then zero.
+		// The window covers the whole (or an empty) trace: degenerate
+		// to one full interval, ending at last; the CI is then zero.
 		specs = []intervalSpec{{start: 0, end: last}}
 	} else {
 		k := s.samples
@@ -490,11 +480,7 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPla
 		src.Close()
 		return nil, err
 	}
-	total := p.total
-	if n, exact := iv.TotalInsts(); exact && (total == 0 || n < total) {
-		total = n
-	}
-	proc, err := sim.New(lay, iv, s.simConfig(ctx, lay, total, i, p.group))
+	proc, err := sim.New(lay, iv, s.simConfig(ctx, lay, p.total, i, p.group))
 	if err != nil {
 		iv.Close()
 		return nil, err
@@ -683,32 +669,15 @@ func (s *Session) mergeOuts(lay *layout.Layout, p *runPlan, outs []*shardOut) *R
 }
 
 // traceTotal returns the partition basis: the logical run's length in CFG
-// instructions. Exact for seeded budgets, legacy headers and indexed
-// files; a footer-only trace file is pre-scanned once (a decode-only pass,
-// no simulation).
+// instructions, the seeded budget or a trace file's indexed total.
 func (s *Session) traceTotal(prog *cfg.Program) (uint64, error) {
-	switch {
-	case s.traceFile != "":
-		src, err := trace.Open(s.traceFile)
-		if err != nil {
-			return 0, fmt.Errorf("streamfetch: opening trace %s: %w", s.traceFile, err)
-		}
-		if n, exact := src.TotalInsts(); exact {
-			src.Close()
-			return n, nil
-		}
-		src.Bind(prog)
-		n, err := src.Skip(^uint64(0))
-		if err == nil {
-			err = src.Close()
-		} else {
-			src.Close()
-		}
-		if err != nil {
-			return 0, fmt.Errorf("streamfetch: sizing trace %s: %w", s.traceFile, err)
-		}
-		return n, nil
-	default:
+	if s.traceFile == "" {
 		return s.insts, nil
 	}
+	src, err := s.newSource(prog)
+	if err != nil {
+		return 0, err
+	}
+	n, _ := src.TotalInsts()
+	return n, src.Close()
 }

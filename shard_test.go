@@ -95,8 +95,8 @@ func TestRunShardedMergeInvariants(t *testing.T) {
 	}
 }
 
-// TestRunShardedTraceFile: sharding a replayed trace file (seekable via
-// the chunk index) merges to the same instruction totals as a sequential
+// TestRunShardedTraceFile: sharding a replayed trace file (positioned
+// through its chunk index) merges to the same instruction totals as a sequential
 // replay of the same file.
 func TestRunShardedTraceFile(t *testing.T) {
 	ctx := context.Background()
@@ -175,15 +175,11 @@ func TestRunShardedCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := gen.WriteTrace(ctx, f)
-	if err != nil {
+	if _, err := gen.WriteTrace(ctx, f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if !info.Seekable {
-		t.Fatal("session-written trace carries no index")
 	}
 
 	s := streamfetch.New("164.gzip", streamfetch.WithTraceFile(path))
@@ -248,51 +244,74 @@ func TestRunShardedCancel(t *testing.T) {
 	}
 }
 
-// TestRunRejectsForeignTrace: a trace recorded from another benchmark
-// names blocks the bound program does not have. Every run shape over such
-// a trace file must fail with an error naming such a block, never panic.
+// TestRunRejectsForeignTrace: every run shape over a trace file recorded
+// for another benchmark must fail, in both directions, never panic. The
+// session refuses the file by its header's benchmark name before it
+// simulates; an error naming a block outside the program is the check
+// behind it, for a file whose blocks do not fit the program.
 func TestRunRejectsForeignTrace(t *testing.T) {
 	ctx := context.Background()
-	gcc := streamfetch.New("176.gcc", streamfetch.WithInstructions(200_000))
-	path := filepath.Join(t.TempDir(), "gcc.trc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	write := func(bench string) string {
+		path := filepath.Join(t.TempDir(), bench+".trc")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := streamfetch.New(bench, streamfetch.WithInstructions(200_000)).WriteTrace(ctx, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if _, err := gcc.WriteTrace(ctx, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gzip := streamfetch.New("164.gzip")
-	prog, err := gzip.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	named := regexp.MustCompile(`block (\d+) outside the (bound )?program \((\d+) blocks\)`)
-	for _, shape := range []struct {
-		name string
-		opts []streamfetch.Option
+	named := regexp.MustCompile(`recorded for (\S+), not (\S+)|block (\d+) outside the (bound )?program \((\d+) blocks\)`)
+	for _, dir := range []struct {
+		name          string
+		trace, replay string
 	}{
-		{"single", nil},
-		{"sharded", []streamfetch.Option{streamfetch.WithShards(2)}},
-		{"sampled", []streamfetch.Option{streamfetch.WithSampling(4, 10_000)}},
+		// The gcc trace names blocks gzip's program does not have; the
+		// gzip trace's blocks all fit gcc's program, so only its name
+		// tells it apart.
+		{"file", "176.gcc", "164.gzip"},
+		{"reverse", "164.gzip", "176.gcc"},
 	} {
-		t.Run("file/"+shape.name, func(t *testing.T) {
-			rep, err := gzip.RunWith(ctx, append(shape.opts, streamfetch.WithTraceFile(path))...)
-			if err == nil {
-				t.Fatalf("foreign trace ran: %v", rep)
-			}
-			m := named.FindStringSubmatch(err.Error())
-			if m == nil || strings.Contains(err.Error(), "panic") {
-				t.Fatalf("error does not name a foreign block: %v", err)
-			}
-			id, _ := strconv.Atoi(m[1])
-			if n, _ := strconv.Atoi(m[3]); n != len(prog.Blocks) || id < n {
-				t.Fatalf("error names block %d of %d, program has %d: %v", id, n, len(prog.Blocks), err)
-			}
-		})
+		path := write(dir.trace)
+		s := streamfetch.New(dir.replay)
+		prog, err := s.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range []struct {
+			name string
+			opts []streamfetch.Option
+		}{
+			{"single", nil},
+			{"sharded", []streamfetch.Option{streamfetch.WithShards(2)}},
+			{"sampled", []streamfetch.Option{streamfetch.WithSampling(4, 10_000)}},
+		} {
+			t.Run(dir.name+"/"+shape.name, func(t *testing.T) {
+				rep, err := s.RunWith(ctx, append(shape.opts, streamfetch.WithTraceFile(path))...)
+				if err == nil {
+					t.Fatalf("foreign trace ran: %v", rep)
+				}
+				m := named.FindStringSubmatch(err.Error())
+				if m == nil || strings.Contains(err.Error(), "panic") {
+					t.Fatalf("error names neither the benchmarks nor a foreign block: %v", err)
+				}
+				if m[1] != "" {
+					if m[1] != dir.trace || m[2] != dir.replay {
+						t.Fatalf("error names trace %s and session %s, want %s and %s: %v",
+							m[1], m[2], dir.trace, dir.replay, err)
+					}
+					return
+				}
+				id, _ := strconv.Atoi(m[3])
+				if n, _ := strconv.Atoi(m[5]); n != len(prog.Blocks) || id < n {
+					t.Fatalf("error names block %d of %d, program has %d: %v", id, n, len(prog.Blocks), err)
+				}
+			})
+		}
 	}
 }
 

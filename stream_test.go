@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"streamfetch/internal/trace"
@@ -102,37 +103,30 @@ func TestWriteTraceCancellation(t *testing.T) {
 	}
 }
 
-// TestWriteTraceForeignTraceIndexless: re-encoding a trace recorded for a
-// different benchmark must not write a seek index — the session's program
-// has the wrong block lengths, and wrong instruction offsets would corrupt
+// TestWriteTraceRefusesForeignTrace: re-encoding a trace recorded for a
+// different benchmark fails: the session's program has the wrong block
+// lengths, and an index with wrong instruction offsets would corrupt
 // sharded seeks silently.
-func TestWriteTraceForeignTraceIndexless(t *testing.T) {
+func TestWriteTraceRefusesForeignTrace(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "gzip.trc")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := New("164.gzip", WithInstructions(30_000)).WriteTrace(ctx, f)
-	if err != nil {
+	if _, err := New("164.gzip", WithInstructions(30_000)).WriteTrace(ctx, f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !own.Seekable {
-		t.Fatal("native trace written without an index")
-	}
-	// A 176.gcc session replaying the gzip file re-encodes a trace named
-	// 164.gzip: block IDs may be in range of gcc's program by accident,
-	// so the name mismatch must disable the index.
+	// A 176.gcc session replaying the gzip file would re-encode a trace
+	// named 164.gzip whose block IDs may be in range of gcc's program by
+	// accident.
 	var buf bytes.Buffer
-	foreign, err := New("176.gcc", WithTraceFile(path)).WriteTrace(ctx, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if foreign.Seekable {
-		t.Fatal("foreign trace re-encoded with an index from the wrong program")
+	_, err = New("176.gcc", WithTraceFile(path)).WriteTrace(ctx, &buf)
+	if err == nil || !strings.Contains(err.Error(), "recorded for 164.gzip, not 176.gcc") {
+		t.Fatalf("foreign trace re-encoded: err = %v", err)
 	}
 }
 

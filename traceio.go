@@ -17,10 +17,6 @@ type TraceInfo struct {
 	Name   string `json:"name"`
 	Blocks uint64 `json:"blocks"`
 	Insts  uint64 `json:"insts"`
-	// Seekable reports whether the file carries the chunk index that
-	// lets sharded runs seek to an interval instead of decoding linearly
-	// (only known when inspecting a file by path).
-	Seekable bool `json:"seekable,omitempty"`
 }
 
 // MeanBlockLen returns the mean dynamic basic-block length in instructions
@@ -36,8 +32,10 @@ func (i TraceInfo) MeanBlockLen() float64 {
 const writeTraceCheck = 1 << 16
 
 // WriteTrace streams the session's trace source to w in the binary trace
-// format without materializing it, so arbitrarily long traces are written
-// in memory independent of their length. The context cancels long exports.
+// format, chunk index included, without materializing it, so arbitrarily
+// long traces are written in memory independent of their length. A
+// session replaying a trace file recorded for another benchmark fails
+// (see WithTraceFile). The context cancels long exports.
 func (s *Session) WriteTrace(ctx context.Context, w io.Writer) (TraceInfo, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -45,25 +43,18 @@ func (s *Session) WriteTrace(ctx context.Context, w io.Writer) (TraceInfo, error
 	if s.benchmark == "" {
 		return TraceInfo{}, fmt.Errorf("streamfetch: empty benchmark name")
 	}
-	src, err := s.Source()
+	prog, err := s.Program()
+	if err != nil {
+		return TraceInfo{}, err
+	}
+	src, err := s.newSource(prog)
 	if err != nil {
 		return TraceInfo{}, err
 	}
 	defer src.Close()
-	tw, err := trace.NewWriter(w, src.Name())
+	tw, err := trace.NewWriter(w, src.Name(), prog)
 	if err != nil {
 		return TraceInfo{}, err
-	}
-	// Bind the benchmark program so the writer records the chunk index:
-	// the written file then supports seeking sharded replays. The index's
-	// instruction offsets come from the program's block lengths, so bind
-	// only when the trace actually records this session's benchmark — a
-	// foreign trace (replayed from another benchmark's file) is written
-	// index-less rather than with silently wrong offsets.
-	if src.Name() == s.benchmark {
-		if prog, perr := s.Program(); perr == nil {
-			tw.BindProgram(prog)
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return TraceInfo{}, err
@@ -85,12 +76,7 @@ func (s *Session) WriteTrace(ctx context.Context, w io.Writer) (TraceInfo, error
 	if err := tw.Finish(insts); err != nil {
 		return TraceInfo{}, err
 	}
-	return TraceInfo{
-		Name:     src.Name(),
-		Blocks:   tw.Blocks(),
-		Insts:    insts,
-		Seekable: tw.Indexed(),
-	}, nil
+	return TraceInfo{Name: src.Name(), Blocks: tw.Blocks(), Insts: insts}, nil
 }
 
 // InspectTrace incrementally decodes a binary trace stream and returns its
@@ -100,28 +86,6 @@ func InspectTrace(r io.Reader) (TraceInfo, error) {
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	return inspect(src)
-}
-
-// InspectTraceFile summarizes a trace file by path, reporting whether it is
-// seekable. An indexed file answers from the index without decoding the
-// stream; anything else decodes once, like InspectTrace.
-func InspectTraceFile(path string) (TraceInfo, error) {
-	src, err := trace.Open(path)
-	if err != nil {
-		return TraceInfo{}, err
-	}
-	defer src.Close()
-	if src.Seekable() {
-		insts, _ := src.TotalInsts()
-		blocks, _ := src.TotalBlocks()
-		return TraceInfo{Name: src.Name(), Blocks: blocks, Insts: insts, Seekable: true}, nil
-	}
-	return inspect(src)
-}
-
-// inspect decodes src to its end, counting blocks.
-func inspect(src *trace.FileSource) (TraceInfo, error) {
 	var blocks uint64
 	for range trace.Blocks(src) {
 		blocks++
@@ -130,5 +94,19 @@ func inspect(src *trace.FileSource) (TraceInfo, error) {
 		return TraceInfo{}, err
 	}
 	insts, _ := src.TotalInsts()
+	return TraceInfo{Name: src.Name(), Blocks: blocks, Insts: insts}, nil
+}
+
+// InspectTraceFile summarizes a trace file by path from its chunk index,
+// without decoding the stream. A file without a valid index is refused
+// (see trace.Open).
+func InspectTraceFile(path string) (TraceInfo, error) {
+	src, err := trace.Open(path)
+	if err != nil {
+		return TraceInfo{}, err
+	}
+	defer src.Close()
+	insts, _ := src.TotalInsts()
+	blocks, _ := src.TotalBlocks()
 	return TraceInfo{Name: src.Name(), Blocks: blocks, Insts: insts}, nil
 }
