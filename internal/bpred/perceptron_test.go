@@ -1,6 +1,9 @@
 package bpred
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -142,5 +145,57 @@ func BenchmarkPerceptron(b *testing.B) {
 		if pr.Taken != taken {
 			p.Recover()
 		}
+	}
+}
+
+// perceptronStatePin is the sha256 of TestPerceptronStatePinned's
+// encoded states. A snapshot carries these bytes, so they may not move
+// under an unchanged ckpt.Version.
+const perceptronStatePin = "778bf1cda7322792a9d345661c963e7900b45f85e1804e14d30c5a70e5db8e68"
+
+// TestPerceptronStatePinned trains perceptrons of three geometries on a
+// fixed seeded branch sequence through the public predict, speculate,
+// recover and commit calls, saturating some weights, and pins their
+// AppendState bytes: the
+// snapshot format (row and column counts, then every weight as a varint
+// of its 16-bit two's complement, then the local and global histories)
+// and the weights training leaves.
+func TestPerceptronStatePinned(t *testing.T) {
+	h := sha256.New()
+	for _, cfg := range []PerceptronConfig{
+		DefaultPerceptronConfig(),
+		{Perceptrons: 16, GlobalBits: 13, LocalEntries: 32, LocalBits: 4},
+		// theta (199) above the weight bound, so a weight that predicts
+		// well keeps training into saturation.
+		{Perceptrons: 8, GlobalBits: 64, LocalEntries: 16, LocalBits: 32},
+	} {
+		p := NewPerceptron(cfg)
+		rng := rand.New(rand.NewSource(7))
+		pcs := make([]uint64, 300)
+		for i := range pcs {
+			pcs[i] = rng.Uint64() &^ 3
+		}
+		for i := 0; i < 50_000; i++ {
+			pc := pcs[rng.Intn(len(pcs))]
+			// Mostly biased branches, some correlated with recent history.
+			taken := pc>>5&1 == 1
+			if pc>>6&3 == 0 {
+				taken = p.Hist.Ret&1 != 0
+			} else if rng.Intn(10) == 0 {
+				taken = !taken
+			}
+			pr := p.Predict(pc)
+			p.OnPredict(pr.Taken)
+			p.UpdateAtCommit(pc, taken)
+			if pr.Taken != taken {
+				p.Recover()
+			}
+		}
+		state := p.AppendState(nil)
+		fmt.Fprintf(h, "%+v %d\n", cfg, len(state))
+		h.Write(state)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != perceptronStatePin {
+		t.Fatalf("perceptron states hash to %s, pinned %s: training or the snapshot encoding moved", got, perceptronStatePin)
 	}
 }
