@@ -490,9 +490,16 @@ func (p *Processor) Run() Result {
 	}
 
 	maxCycles := uint64(1) << 40
+	robSize := cfg.Pipeline.ROBSize
 cycles:
 	for cycle < maxCycles {
 		cycle++
+		// A cycle that retires, takes the warmup snapshot, resolves,
+		// issues and fetches nothing is idle, and so is every cycle after
+		// it until the next timed event (nextEvent): the loop skips them.
+		// busy records the snapshot and the resolution.
+		retiredBefore := res.Retired
+		busy := false
 
 		// 1. Retire. Retirement runs before misprediction resolution so
 		// that, on the cycle a branch resolves, the branch itself (and
@@ -552,6 +559,7 @@ cycles:
 			warmPending = false
 			haveWarm = true
 			warmSnap = p.counters(&res, cycle)
+			busy = true
 		}
 		// 2. Resolve an outstanding misprediction.
 		if havePending && cycle >= pending.resolve {
@@ -564,6 +572,7 @@ cycles:
 			wrongPath = false
 			havePrev = false
 			havePending = false
+			busy = true
 		}
 		// Progress fires on retired instructions — and, as a backstop, on a
 		// cycle cadence: an engine that stops retiring (wedged, livelocked)
@@ -584,17 +593,19 @@ cycles:
 
 		// 3. Issue fetch buffer into the ROB. A wrong-path instruction
 		// has no slot: it never retires, so its latency is never read.
-		for k := 0; k < width && win.FetchLen() > 0 && !win.ROBFull(); k++ {
+		issue := min(width, win.FetchLen(), robSize-win.ROBLen())
+		for range issue {
 			if e := win.Issue(); e != nil {
 				e.DoneCycle = cycle + uint64(lat.For(e))
 			}
 		}
 
-		// 4. Fetch.
-		if supplyDone && !wrongPath {
-			continue // nothing correct left to fetch
-		}
-		if cycle < fetchHold || win.FetchLen()+width > win.FetchCap() {
+		// 4. Fetch: not once nothing correct is left to fetch, during a
+		// decode redirect's bubble, or into a full fetch buffer.
+		if (supplyDone && !wrongPath) || cycle < fetchHold || win.FetchLen()+width > win.FetchCap() {
+			if !busy && issue == 0 && res.Retired == retiredBefore {
+				cycle = max(cycle, nextEvent(win, cycle, maxCycles, pending.resolve, fetchHold, nextProgCycle)-1)
+			}
 			continue
 		}
 		out = p.engine.Cycle(out[:0])
@@ -674,6 +685,34 @@ cycles:
 		res.Counters = res.Counters.Delta(warmSnap)
 	}
 	return res
+}
+
+// nextEvent returns the earliest cycle after cycle, and at most limit, at
+// which an idle pipeline can change: the ROB head completes or (a branch)
+// resolves, or one of the timers falls due (the misprediction resolution,
+// the end of a decode bubble, the progress backstop). A timer already
+// past, such as the resolution of a misprediction no longer outstanding,
+// is no event. Every other input of a cycle changes only when a cycle
+// retires, resolves, issues or fetches, so the cycles before it pass as
+// the idle one did.
+func nextEvent(win *pipeline.Window, cycle, limit uint64, timers ...uint64) uint64 {
+	next := limit
+	for _, c := range timers {
+		if c > cycle {
+			next = min(next, c)
+		}
+	}
+	if win.ROBLen() > 0 {
+		if h := win.Head(); h != nil {
+			if h.DoneCycle > cycle {
+				next = min(next, h.DoneCycle)
+			}
+			if h.Branch != isa.BranchNone && h.ResolveCycle > cycle {
+				next = min(next, h.ResolveCycle)
+			}
+		}
+	}
+	return next
 }
 
 // alwaysDecodes reports whether the transition from the instruction at
