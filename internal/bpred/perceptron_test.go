@@ -67,26 +67,49 @@ func refTrain(w []int16, gbits uint, ghist uint64, lhist uint32, taken bool) {
 	}
 }
 
-// TestPerceptronMatchesReference differentially checks the branchless
-// predict and train loops against the textbook formula: random weights
-// (saturated ones included), random global and local histories, random
-// outcomes, and then a checkpoint round trip that must continue
-// identically.
+// TestPerceptronMatchesReference differentially checks the packed
+// predict and train kernels against the textbook formula over several
+// geometries (global histories of 1 to 64 bits, so rows that end mid-word
+// and on a word edge, and local histories of 4 and 14 bits): random
+// weights (a quarter of them saturated), random global and local
+// histories, random outcomes, and then a checkpoint round trip that must
+// continue identically. The test reads and writes a packed row only
+// through weights and setWeights.
 func TestPerceptronMatchesReference(t *testing.T) {
-	cfg := DefaultPerceptronConfig()
+	for _, gbits := range []uint{1, 8, 13, 40, 64} {
+		for _, lbits := range []uint{4, 14} {
+			cfg := PerceptronConfig{Perceptrons: 64, GlobalBits: gbits, LocalEntries: 256, LocalBits: lbits}
+			if gbits == 40 && lbits == 14 {
+				cfg = DefaultPerceptronConfig()
+			}
+			t.Run(fmt.Sprintf("g%d-l%d", gbits, lbits), func(t *testing.T) { perceptronMatchesReference(t, cfg) })
+		}
+	}
+}
+
+func perceptronMatchesReference(t *testing.T, cfg PerceptronConfig) {
 	rng := rand.New(rand.NewSource(1))
 	p := NewPerceptron(cfg)
-	for _, row := range p.weights {
+	row := make([]int16, 1+cfg.GlobalBits+cfg.LocalBits)
+	for r := range cfg.Perceptrons {
 		for i := range row {
-			row[i] = int16(rng.Intn(255) - 127)
+			switch rng.Intn(8) {
+			case 0:
+				row[i] = maxWeight
+			case 1:
+				row[i] = -maxWeight
+			default:
+				row[i] = int16(rng.Intn(255) - 127)
+			}
 		}
+		p.setWeights(r, row)
 	}
 	for i := range p.local.table {
 		p.local.table[i] = rng.Uint32()
 	}
 	trained := 0
 	step := func(p *Perceptron, pc uint64, taken bool) PerceptronPred {
-		want := slices.Clone(p.weights[p.index(pc)])
+		want := p.weights(nil, int(p.index(pc)))
 		pr := p.predictWith(pc, p.Hist.Ret)
 		if y := refOutput(want, cfg.GlobalBits, pr.ghist, pr.lhist); pr.output != y {
 			t.Fatalf("pc %#x: output %d, reference %d", pc, pr.output, y)
@@ -100,7 +123,7 @@ func TestPerceptronMatchesReference(t *testing.T) {
 			trained++
 		}
 		p.UpdateAtCommit(pc, taken)
-		if got := p.weights[pr.index]; !slices.Equal(got, want) {
+		if got := p.weights(nil, int(pr.index)); !slices.Equal(got, want) {
 			t.Fatalf("pc %#x: trained weights %v, reference %v", pc, got, want)
 		}
 		return pr
@@ -197,5 +220,17 @@ func TestPerceptronStatePinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != perceptronStatePin {
 		t.Fatalf("perceptron states hash to %s, pinned %s: training or the snapshot encoding moved", got, perceptronStatePin)
+	}
+}
+
+// TestPerceptronFootprint bounds the Table-2 predictor's weight storage:
+// 512 rows of 55 weights pack into 7 words of lanes, a bias byte and a
+// 16-bit sum each, about 30 KB (its 16-bit rows took 56 KB).
+func TestPerceptronFootprint(t *testing.T) {
+	p := NewPerceptron(DefaultPerceptronConfig())
+	size := 8*cap(p.lanes) + cap(p.bias) + 2*cap(p.sum) + 8*cap(p.valid)
+	t.Logf("perceptron weights: %d bytes", size)
+	if size > 32<<10 {
+		t.Fatalf("perceptron weights take %d bytes, want at most %d", size, 32<<10)
 	}
 }

@@ -311,16 +311,15 @@ func (f *FTB) LoadState(r *wire.Reader) error {
 }
 
 // AppendState appends the perceptron weights plus global and local
-// histories.
+// histories: the row and column counts, then every row's weights in the
+// order weights gives them, each as its 16-bit two's complement.
 func (p *Perceptron) AppendState(dst []byte) []byte {
-	dst = wire.AppendU64(dst, uint64(len(p.weights)))
-	if len(p.weights) > 0 {
-		dst = wire.AppendU64(dst, uint64(len(p.weights[0])))
-	} else {
-		dst = wire.AppendU64(dst, 0)
-	}
-	for _, row := range p.weights {
-		for _, w := range row {
+	rows, cols := len(p.bias), p.cols()
+	dst = wire.AppendU64(dst, uint64(rows))
+	dst = wire.AppendU64(dst, uint64(cols))
+	var buf [1 + 64 + 32]int16
+	for ri := range rows {
+		for _, w := range p.weights(buf[:0], ri) {
 			dst = wire.AppendU64(dst, uint64(uint16(w)))
 		}
 	}
@@ -331,6 +330,10 @@ func (p *Perceptron) AppendState(dst []byte) []byte {
 	return p.Hist.AppendState(dst)
 }
 
+// cols is the number of weights of a perceptron: its bias and one per
+// history bit.
+func (p *Perceptron) cols() int { return 1 + int(p.cfg.GlobalBits+p.cfg.LocalBits) }
+
 // LoadState restores a perceptron predictor of identical geometry.
 func (p *Perceptron) LoadState(r *wire.Reader) error {
 	rows := r.U64()
@@ -338,11 +341,7 @@ func (p *Perceptron) LoadState(r *wire.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	wantCols := 0
-	if len(p.weights) > 0 {
-		wantCols = len(p.weights[0])
-	}
-	if rows != uint64(len(p.weights)) || cols != uint64(wantCols) {
+	if rows != uint64(len(p.bias)) || cols != uint64(p.cols()) {
 		return wire.ErrMalformed
 	}
 	scratch := make([]int16, rows*cols)
@@ -370,8 +369,8 @@ func (p *Perceptron) LoadState(r *wire.Reader) error {
 	if err := hist.LoadState(r); err != nil {
 		return err
 	}
-	for ri := range p.weights {
-		copy(p.weights[ri], scratch[ri*int(cols):(ri+1)*int(cols)])
+	for ri := range int(rows) {
+		p.setWeights(ri, scratch[ri*int(cols):(ri+1)*int(cols)])
 	}
 	copy(p.local.table, lscratch)
 	p.Hist = hist

@@ -16,6 +16,12 @@ type warmState interface {
 	LoadState(r *wire.Reader) error
 }
 
+// rawState is an encoding to restore, built by hand.
+type rawState []byte
+
+func (s rawState) AppendState(dst []byte) []byte { return append(dst, s...) }
+func (s rawState) LoadState(*wire.Reader) error  { panic("bpred: a raw encoding is only restored from") }
+
 // rejectsState requires that restoring bad's encoding into fresh fails as
 // malformed and leaves fresh unmodified.
 func rejectsState(t *testing.T, bad, fresh warmState) {
@@ -50,8 +56,19 @@ func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 	}
 	perc := func(w int16) warmState {
 		p := NewPerceptron(DefaultPerceptronConfig())
-		p.weights[3][1] = w
+		row := p.weights(nil, 3)
+		row[1] = w
+		p.setWeights(3, row)
 		return p
+	}
+	// A lane cannot hold a weight past the bound, so percPast splices one
+	// into a fresh predictor's encoding: after the row and column counts,
+	// each of its zero weights is one byte.
+	percPast := func(w int16) warmState {
+		p := NewPerceptron(DefaultPerceptronConfig())
+		enc := p.AppendState(nil)
+		at := len(wire.AppendU64(wire.AppendU64(nil, uint64(len(p.bias))), uint64(p.cols()))) + 3*p.cols() + 1
+		return rawState(append(append(slices.Clip(enc[:at]), wire.AppendU64(nil, uint64(uint16(w)))...), enc[at+1:]...))
 	}
 	ras := func(top isa.Addr) warmState {
 		r := NewRAS(4)
@@ -72,8 +89,8 @@ func TestLoadStateRejectsUnrunnableState(t *testing.T) {
 		{"btb counter out of range", btb(true, BTBEntry{Target: 0x1000, Type: isa.BranchCond, Ctr: 200}), btb(false, BTBEntry{})},
 		{"invalid btb way's counter out of range", btb(false, BTBEntry{Ctr: 4}), btb(false, BTBEntry{})},
 		{"ras misaligned return address", ras(0x1003), ras(0)},
-		{"perceptron weight past 8 bits", perc(maxWeight + 1), perc(5)},
-		{"negative perceptron weight past 8 bits", perc(-maxWeight - 1), perc(5)},
+		{"perceptron weight past 8 bits", percPast(maxWeight + 1), perc(5)},
+		{"negative perceptron weight past 8 bits", percPast(-maxWeight - 1), perc(5)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { rejectsState(t, c.bad, c.fresh) })
