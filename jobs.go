@@ -1643,31 +1643,21 @@ func (m *jobManager) retire(j *job) {
 	}
 }
 
-// persist makes a terminal job durable: its result blob lands in the
-// content-addressed cache (successful jobs only — partial or failed
-// output must never be served as a hit) and its envelope is journaled so
-// a restart keeps serving it. The one exception is a job cancelled by
+// persist makes a terminal job durable: its envelope is journaled so a
+// restart keeps serving it. The one exception is a job cancelled by
 // shutdown rather than by a client: it stays journaled as accepted, which
 // is exactly what makes a restarted daemon re-enqueue and finish it.
 //
-// Also releases the job's coalescing slot, after the result blob is
-// written: until then an identical submission finds neither the slot nor
-// the cache entry, and would simulate again. A submission that coalesces
-// onto the finished job in that window gets its done envelope.
+// Also releases the job's coalescing slot. A successful job's result
+// blob (successful jobs only — partial or failed output must never be
+// served as a hit) is already in the content-addressed cache: runJob
+// writes it before the job reads done. Until the slot is released, an
+// identical submission coalesces onto the finished job and gets its done
+// envelope; after, it is a cache hit.
 func (m *jobManager) persist(j *job) {
 	j.mu.Lock()
 	state, userCancel := j.state, j.userCancel
-	rep, cells := j.report, j.cells
 	j.mu.Unlock()
-
-	if state == JobDone {
-		switch {
-		case j.kind == "run" && rep != nil && !rep.Aborted:
-			m.putResult(j.key, rep)
-		case j.kind == "sweep" && len(cells) > 0:
-			m.putResult(j.key, cells)
-		}
-	}
 
 	m.mu.Lock()
 	if m.inflight[j.key] == j {
@@ -1778,6 +1768,16 @@ func (m *jobManager) runJob(j *job) {
 			err = cause
 		default:
 			state = JobCancelled
+		}
+	}
+	// The result blob lands before finish publishes the job, so a client
+	// that reads it done can GET its hit id at once.
+	if state == JobDone {
+		switch {
+		case j.kind == "run" && rep != nil && !rep.Aborted:
+			m.putResult(j.key, rep)
+		case j.kind == "sweep" && len(cells) > 0:
+			m.putResult(j.key, cells)
 		}
 	}
 	j.finish(JobRunning, state, rep, cells, err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,5 +387,54 @@ func TestServiceCrashRecovery(t *testing.T) {
 				h.StoreBlobs, h.StoreBytes, h.StoreJournalDepth)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// putHookStore calls onPut before every blob write.
+type putHookStore struct {
+	store.Store
+	onPut func(key string)
+}
+
+func (s *putHookStore) PutBlob(key string, blob []byte) error {
+	s.onPut(key)
+	return s.Store.PutBlob(key, blob)
+}
+
+// TestResultStoredBeforeDone: a run's result blob is written before the
+// job reads done, so a client that sees the done envelope can GET the
+// run's hit id at once. The store hook looks at the job from the outside
+// at the moment its result blob is written: it must still be running.
+func TestResultStoredBeforeDone(t *testing.T) {
+	ready := make(chan struct{})
+	var (
+		sc    *serviceClient
+		id    string
+		key   string
+		state atomic.Value // the job's state as its result blob is written
+	)
+	st := &putHookStore{Store: store.NewMem(), onPut: func(k string) {
+		<-ready
+		if k != key {
+			return
+		}
+		var env streamfetch.JobEnvelope
+		if code := sc.do("GET", "/v1/runs/"+id, nil, &env); code != http.StatusOK {
+			t.Errorf("GET /v1/runs/%s while storing its result: status %d", id, code)
+		}
+		state.Store(env.State)
+	}}
+	sc = newServiceClient(t, newTestServer(t, streamfetch.WithStore(st), streamfetch.WithWorkers(1)))
+	env := sc.submit("/v1/runs", streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 20_000, Seed: 43})
+	id, key = env.ID, env.Key
+	close(ready)
+	if got := sc.await(id, time.Minute); got.State != streamfetch.JobDone {
+		t.Fatalf("run finished %s, want done", got.State)
+	}
+	if got := state.Load(); got != streamfetch.JobRunning {
+		t.Fatalf("the job read %q while its result blob was written, want %q", got, streamfetch.JobRunning)
+	}
+	if code := sc.do("GET", "/v1/runs/run-hit-"+key, nil, nil); code != http.StatusOK {
+		t.Fatalf("GET run-hit-%s right after done: status %d, want 200", key, code)
 	}
 }

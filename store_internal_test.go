@@ -348,10 +348,11 @@ func (s *gatedPutStore) PutBlob(key string, data []byte) error {
 	return s.Store.PutBlob(key, data)
 }
 
-// TestCoalesceUntilCached: a finished job keeps its coalescing slot until
-// its result blob is cached. An identical submission made while that write
-// is still in flight finds no cache entry; it must coalesce onto the
-// finished job rather than simulate again.
+// TestCoalesceUntilCached: a job keeps its coalescing slot until its
+// result blob is cached, and reads done only after that write. An
+// identical submission made while the write is still in flight finds no
+// cache entry; it must coalesce onto the running job rather than simulate
+// again, and gets the leader's done report once the write lands.
 func TestCoalesceUntilCached(t *testing.T) {
 	st := &gatedPutStore{
 		Store: store.NewMem(),
@@ -378,8 +379,8 @@ func TestCoalesceUntilCached(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("the leader never wrote its result")
 	}
-	if env := leader.envelope(); env.State != JobDone {
-		t.Fatalf("leader is %s (error %q) while writing its result, want done", env.State, env.Error)
+	if env := leader.envelope(); env.State != JobRunning {
+		t.Fatalf("leader is %s (error %q) while writing its result, want running", env.State, env.Error)
 	}
 
 	misses, coalesced := srv.mgr.misses.Load(), srv.mgr.coalesced.Load()
@@ -396,10 +397,15 @@ func TestCoalesceUntilCached(t *testing.T) {
 	if got := srv.mgr.misses.Load(); got != misses {
 		t.Errorf("misses counter = %d, want %d: the submission simulated again", got, misses)
 	}
+	releaseOnce.Do(func() { close(st.release) })
+	select {
+	case <-twin.done:
+	case <-time.After(time.Minute):
+		t.Fatal("the leader never finished")
+	}
 	if env := twin.envelope(); env.State != JobDone || env.Report == nil {
 		t.Errorf("coalesced envelope: state %s, report %v; want the leader's done report", env.State, env.Report != nil)
 	}
-	releaseOnce.Do(func() { close(st.release) })
 }
 
 // TestRecoveredJobKeyedByRequest: a recovered job is keyed by its
