@@ -25,8 +25,9 @@ type Config struct {
 	DecodePenalty int
 	// MulLatency is the latency of long integer operations.
 	MulLatency int
-	// DataWorkingSet is the benchmark data footprint driving synthetic
-	// load/store addresses.
+	// DataWorkingSet is the data footprint driving synthetic load/store
+	// addresses (0 = 2 MB). Runs leave it 0: workload.Params'
+	// per-benchmark footprint does not reach it.
 	DataWorkingSet int
 }
 

@@ -63,8 +63,10 @@ type Params struct {
 	SwitchFanout [2]int
 	// MaxDepth bounds nesting of structured regions.
 	MaxDepth int
-	// DataWorkingSet is the benchmark's data footprint in bytes, used to
-	// synthesize load/store addresses in the back-end model.
+	// DataWorkingSet is the benchmark's intended data footprint in bytes.
+	// Nothing reads it yet: no run sets pipeline.Config.DataWorkingSet
+	// from it, so every benchmark's load/store addresses span that
+	// config's 2 MB default.
 	DataWorkingSet int
 	// IndirectCallFrac is the chance a call region uses an indirect call
 	// over several callees instead of a direct one.
