@@ -35,16 +35,16 @@ func DefaultPerceptronConfig() PerceptronConfig {
 // holds its weight plus 128 (excess-128), so training's ±127 bound keeps
 // every lane in 1..255 and a lane never carries into its neighbour; lanes
 // past the last history bit hold weight 0 and never train. Scoring masks
-// a word by eight history bits and sums its lanes with two adds and a
-// multiply, and training steps every lane of a word at once.
+// a word by its eight history bits and adds its lanes pairwise into four
+// 16-bit partial sums, which one multiply folds at the end; training
+// steps every lane of a word at once.
 type Perceptron struct {
 	cfg PerceptronConfig
-	// lanes holds the packed rows, stride words each; bias and sum hold
-	// each row's bias weight and the sum of its input weights.
-	lanes  []uint64
-	bias   []int8
-	sum    []int16
-	stride int
+	// lanes holds the packed rows, len(valid) words each; bias and sum
+	// hold each row's bias weight and the sum of its input weights.
+	lanes []uint64
+	bias  []int8
+	sum   []int16
 	// gWords is how many words of a row weigh the global history; valid
 	// has a 1 in the low bit of every lane of a row that weighs a
 	// history bit.
@@ -108,7 +108,6 @@ func NewPerceptron(cfg PerceptronConfig) *Perceptron {
 		lanes:  lanes,
 		bias:   make([]int8, cfg.Perceptrons),
 		sum:    make([]int16, cfg.Perceptrons),
-		stride: stride,
 		gWords: gWords,
 		valid:  valid,
 		gmask:  ^uint64(0) >> (64 - cfg.GlobalBits),
@@ -133,8 +132,9 @@ func (p *Perceptron) index(pc uint64) uint64 {
 
 // row returns the packed input weights of perceptron idx.
 func (p *Perceptron) row(idx uint64) []uint64 {
-	i := int(idx) * p.stride
-	return p.lanes[i : i+p.stride : i+p.stride]
+	n := len(p.valid)
+	i := int(idx) * n
+	return p.lanes[i : i+n : i+n]
 }
 
 // Predict computes the perceptron output for branch pc using the current
