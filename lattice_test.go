@@ -63,7 +63,7 @@ func hashCounters(h hash.Hash, path string, v reflect.Value) {
 		fmt.Fprintf(h, "%s=%t\n", path, v.Bool())
 	case reflect.String:
 		fmt.Fprintf(h, "%s=%q\n", path, v.String())
-	case reflect.Float64:
+	case reflect.Float64, reflect.Pointer:
 	default:
 		panic(fmt.Sprintf("hashCounters: %s has unhandled kind %s", path, v.Kind()))
 	}
