@@ -220,6 +220,26 @@ func TestCheckpointKeyInvalidation(t *testing.T) {
 	}
 }
 
+// TestCheckpointSpelledDefaultLine: a checkpoint key is the run identity
+// less its plan fields, so a run spelling the width's own I-cache line
+// restores every boundary that a run omitting it stored.
+func TestCheckpointSpelledDefaultLine(t *testing.T) {
+	ctx := context.Background()
+	st := store.NewMem()
+	if _, err := ckptSession("streams").RunWith(ctx, streamfetch.WithCheckpoints(st)); err != nil {
+		t.Fatal(err)
+	}
+	// 128 bytes is the 8-wide default pipe's own line.
+	rep, err := ckptSession("streams").RunWith(ctx, streamfetch.WithCheckpoints(st), streamfetch.WithICacheLineBytes(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CheckpointHits != 2 || rep.CheckpointMisses != 0 {
+		t.Fatalf("spelled-out default line: %d checkpoint hits, %d misses, want 2 and 0",
+			rep.CheckpointHits, rep.CheckpointMisses)
+	}
+}
+
 // TestCheckpointTraceFileOverwritten: trace-file checkpoints key on the
 // file's content, not its path. Two 164.gzip traces of the same length
 // (seeds 16 and 18), written in turn to one path, share no checkpoint:

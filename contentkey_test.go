@@ -13,16 +13,21 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
-	"streamfetch/internal/layout"
+	"streamfetch/internal/cache"
+	"streamfetch/internal/frontend"
+	"streamfetch/internal/store"
 )
 
 // contentKeyShapes are request shapes whose content keys are pinned in
 // TestContentKeyPinned, recorded at modelVersion 2. A changed hash means
 // cached results would stop being found (or, worse, a different request
 // would collide with them); only a modelVersion bump moves them on
-// purpose, and it moves every one of them.
+// purpose, and it moves every one of them. A normalization fix may move a
+// shape only onto the key its omitted twin already has: a field spelled
+// as its (derived) default keys as omitted.
 var contentKeyShapes = []struct {
 	name  string
 	run   *RunRequest
@@ -41,7 +46,7 @@ var contentKeyShapes = []struct {
 		want: "c1dc9c5e6cf8f95520ad4791b2e7ef73e1aaaf7359dc1df05a1b8b0c2f3822d6"},
 	{name: "run train insts spelled as the derived default", run: &RunRequest{Benchmark: "164.gzip",
 		Insts: 1_000_000, TrainInsts: 250_000},
-		want: "94f233a871fc622d80a5fcb9068de79494e3807e7d6f4cff9d9640dcb9d62142"},
+		want: "29e7b4c9d0fba7b2674c3dd9407e6ef8a08e03865c1c74c4d464b351621e0cf2"},
 	{name: "run sharded warm", run: &RunRequest{Benchmark: "176.gcc", Engine: "ev8", Insts: 8_000_000,
 		Shards: 4, Warmup: 20_000},
 		want: "d013fd610e4b2eb080ddf3e08aa68b33a57c18eb8e7e87025b8dc42bed4122e2"},
@@ -57,7 +62,10 @@ var contentKeyShapes = []struct {
 		want: "535ad0d0fa883b993b08eb272a9898d7fe6f8b5775769a98be2e7ef26634cf0d"},
 	{name: "run cap, line size and width", run: &RunRequest{Benchmark: "300.twolf", Engine: "tcache", Width: 4,
 		MaxInsts: 100_000, ICacheLineBytes: 64},
-		want: "927c4b3fe43945e5c75b8d003bc73e8816bb27cfa393a183ad166317160d58e4"},
+		want: "d9b8d672a31452f931ae90c44c6d865d51ffb98aa92a61fff6cfe456238c03d2"},
+	{name: "run line size override", run: &RunRequest{Benchmark: "300.twolf", Engine: "tcache", Width: 4,
+		MaxInsts: 100_000, ICacheLineBytes: 128},
+		want: "7865162ca74c33bda74387e3aea33f191957d71dd79e51607edcac1ad7791e53"},
 	{name: "sweep defaults", sweep: &SweepRequest{},
 		want: "3f4a74b832f498d59b0a8ccadc25f0b01d339978705042f9ae5f5919512462d0"},
 	{name: "sweep axes and seed", sweep: &SweepRequest{Benchmarks: []string{"176.gcc"},
@@ -153,7 +161,7 @@ func TestKeysCarryModelVersion(t *testing.T) {
 	if err := sweep.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	ck, ok := New("164.gzip").ckptKeySpec(&layout.Layout{Name: "base"}, 10_000, "")
+	ck, ok := New("164.gzip").ckptKeySpec(10_000, "")
 	if !ok {
 		t.Fatal("a default session has no checkpoint identity")
 	}
@@ -164,7 +172,7 @@ func TestKeysCarryModelVersion(t *testing.T) {
 	}{
 		{"run", run.keySpec(), []string{"v"}},
 		{"sweep", sweep.keySpec(), []string{"cell", "v"}},
-		{"checkpoint", ck, []string{"model"}},
+		{"checkpoint", ck, []string{"run", "v"}},
 	} {
 		b, err := json.Marshal(c.spec)
 		if err != nil {
@@ -212,8 +220,9 @@ func randomRunRequest(rng *rand.Rand) RunRequest {
 }
 
 // spelledVariant returns a request that normalizes equal to r: defaults
-// toggled between omitted and spelled out, fields the request's mode
-// ignores changed, and fresh execution policy.
+// and derived defaults (the width's I-cache line, a quarter of insts for
+// train_insts) toggled between omitted and spelled out, fields the
+// request's mode ignores changed, and fresh execution policy.
 func spelledVariant(rng *rand.Rand, r RunRequest) RunRequest {
 	v := r
 	toggle := func(s *string, def string) {
@@ -239,6 +248,16 @@ func spelledVariant(rng *rand.Rand, r RunRequest) RunRequest {
 		v.TrainSeed = defaultTrainSeed
 	} else if v.TrainSeed == defaultTrainSeed {
 		v.TrainSeed = 0
+	}
+	if line := cache.DefaultHierarchy(cmp.Or(v.Width, defaultWidth)).ICache.LineBytes; v.ICacheLineBytes == 0 {
+		v.ICacheLineBytes = line
+	} else if v.ICacheLineBytes == line {
+		v.ICacheLineBytes = 0
+	}
+	if v.TrainInsts == 0 {
+		v.TrainInsts = v.Insts / 4
+	} else if v.TrainInsts == v.Insts/4 {
+		v.TrainInsts = 0
 	}
 	switch {
 	case v.Samples > 0:
@@ -282,7 +301,7 @@ func TestContentKeyProperties(t *testing.T) {
 			t.Fatalf("normalize-equal requests hash apart: %+v", r)
 		}
 
-		spec := r.contentSpec()
+		spec := r.session()
 		mutants := map[string]RunRequest{}
 		m := r
 		m.Seed = spec.seed + 1 + rng.Uint64N(100)
@@ -309,7 +328,8 @@ func TestContentKeyProperties(t *testing.T) {
 		}
 		mutants["layout"] = m
 		// Width and line size move to other buildable geometries: the
-		// I-cache line must stay a power of two that tiles the cache.
+		// I-cache line must stay a power of two that tiles the cache, and
+		// the effective line (the width's default when unset) doubles.
 		m = r
 		m.Width = cmp.Or(r.Width, defaultWidth) * 2
 		mutants["width"] = m
@@ -317,7 +337,7 @@ func TestContentKeyProperties(t *testing.T) {
 		m.MaxInsts = r.MaxInsts + 1 + rng.Uint64N(100)
 		mutants["max_insts"] = m
 		m = r
-		m.ICacheLineBytes = cmp.Or(r.ICacheLineBytes, 32) * 2
+		m.ICacheLineBytes = hierarchy(spec.width, spec.lineBytes).ICache.LineBytes * 2
 		mutants["icache_line_bytes"] = m
 		for field, m := range mutants {
 			if key(m) == k {
@@ -542,6 +562,85 @@ func TestSweepKeyProperties(t *testing.T) {
 	}
 }
 
+// TestCkptKeyProperties: a checkpoint key is the run identity less its
+// plan fields. Sessions that differ only in plan fields (shards, warmup,
+// cold shards, sampling, the cap) or in a spelled-out (derived) default
+// share a boundary's key; every other run-identity field, the trace
+// digest, the engine options and the boundary split it, and every
+// run-identity field but the plan's is one that splits.
+func TestCkptKeyProperties(t *testing.T) {
+	spec := func(boundary uint64, traceSum string, opts ...Option) ckptKeySpec {
+		t.Helper()
+		s := configure("164.gzip", append([]Option{WithInstructions(300_000)}, opts...)...)
+		if err := s.validate(); err != nil {
+			t.Fatal(err)
+		}
+		k, ok := s.ckptKeySpec(boundary, traceSum)
+		if !ok {
+			t.Fatal("no checkpoint identity")
+		}
+		return k
+	}
+	base := spec(10_000, "")
+	for name, opts := range map[string][]Option{
+		"shards":              {WithShards(4)},
+		"warmup":              {WithShards(4), WithWarmup(5_000)},
+		"cold shards":         {WithShards(4), WithColdShards()},
+		"sampling":            {WithSampling(8, 10_000), WithWarmup(5_000)},
+		"cap":                 {WithMaxInstructions(100_000)},
+		"default line":        {WithICacheLineBytes(cache.DefaultHierarchy(defaultWidth).ICache.LineBytes)},
+		"derived train insts": {WithTrainInstructions(75_000)},
+	} {
+		if k := spec(10_000, "", opts...); store.Key(k) != store.Key(base) {
+			t.Errorf("%s split the checkpoint key: %+v vs %+v", name, k, base)
+		}
+	}
+
+	// fields is a run identity's JSON object.
+	fields := func(run runKeySpec) map[string]any {
+		var m map[string]any
+		raw, err := json.Marshal(run)
+		if err == nil {
+			err = json.Unmarshal(raw, &m)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	baseFields := fields(base.Run)
+	covered := map[string]bool{}
+	for name, k := range map[string]ckptKeySpec{
+		"benchmark":      spec(10_000, "", func(s *Session) { s.benchmark = "300.twolf" }),
+		"seed":           spec(10_000, "", WithSeed(1)),
+		"train seed":     spec(10_000, "", WithTrainSeed(1)),
+		"insts":          spec(10_000, "", WithInstructions(400_000)),
+		"train insts":    spec(10_000, "", WithTrainInstructions(50_000)),
+		"engine":         spec(10_000, "", WithEngine("ev8")),
+		"layout":         spec(10_000, "", WithOptimizedLayout()),
+		"width":          spec(10_000, "", WithWidth(4)),
+		"line":           spec(10_000, "", WithICacheLineBytes(64)),
+		"engine options": spec(10_000, "", WithEngineOptions(frontend.DefaultStreamConfig())),
+		"trace digest":   spec(10_000, strings.Repeat("ab", 32)),
+		"boundary":       spec(20_000, ""),
+	} {
+		if store.Key(k) == store.Key(base) {
+			t.Errorf("%s kept the checkpoint key: %+v", name, k)
+		}
+		for f, v := range fields(k.Run) {
+			if v != baseFields[f] {
+				covered[f] = true
+			}
+		}
+	}
+	plan := []string{"v", "kind", "max_insts", "shards", "warmup", "cold_shards", "samples", "sample_insts"}
+	for f := range baseFields {
+		if !covered[f] && !slices.Contains(plan, f) {
+			t.Errorf("run identity field %q splits no checkpoint key here: add a case for it", f)
+		}
+	}
+}
+
 // FuzzRunRequestKey drives arbitrary bytes through what POST /v1/runs
 // does to its body: the strict decode (unknown fields rejected), validate
 // and contentKey. A request is either rejected or yields a key that
@@ -553,6 +652,7 @@ func FuzzRunRequestKey(f *testing.F) {
 		`{"benchmark":"176.gcc","engine":"ev8","layout":"optimized","width":4,"insts":100000,"max_insts":50000}`,
 		`{"benchmark":"164.gzip","shards":4,"warmup":20000,"cold_shards":true,"icache_line_bytes":64}`,
 		`{"benchmark":"300.twolf","samples":8,"sample_insts":50000,"warmup":1000,"seed":3,"train_seed":4,"train_insts":9}`,
+		`{"benchmark":"164.gzip","width":8,"icache_line_bytes":128,"insts":1000000,"train_insts":250000}`,
 		`{"benchmark":"164.gzip","timeout_ms":5,"priority":-1,"deadline_ms":100}`,
 		`{"benchmark":"164.gzip","unknown":1}`,
 		`{"benchmark":"nope"}`,

@@ -21,13 +21,11 @@
 package streamfetch
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,6 +34,7 @@ import (
 
 	"math"
 
+	"streamfetch/internal/cache"
 	"streamfetch/internal/metrics"
 	"streamfetch/internal/par"
 	"streamfetch/internal/retry"
@@ -143,48 +142,47 @@ type RunRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
+// validate checks the request as POST /v1/runs does; see resolve.
 func (r *RunRequest) validate() error {
-	if r.Benchmark == "" {
-		return errors.New("missing benchmark")
-	}
-	if r.TimeoutMS < 0 {
-		return fmt.Errorf("negative timeout_ms %d", r.TimeoutMS)
-	}
-	if r.DeadlineMS < 0 {
-		return fmt.Errorf("negative deadline_ms %d", r.DeadlineMS)
-	}
-	if !slices.Contains(Benchmarks(), r.Benchmark) {
-		return fmt.Errorf("unknown benchmark %q", r.Benchmark)
-	}
-	if r.Engine != "" && !slices.Contains(Engines(), r.Engine) {
-		return fmt.Errorf("unknown engine %q", r.Engine)
-	}
-	if r.Layout != "" {
-		if err := checkLayout(r.Layout); err != nil {
-			return err
-		}
-	}
-	if r.Width < 0 {
-		return fmt.Errorf("negative width %d", r.Width)
-	}
-	if err := checkGeometry(cmp.Or(r.Width, defaultWidth), r.ICacheLineBytes); err != nil {
-		return err
-	}
-	if r.Shards < 0 {
-		return fmt.Errorf("negative shards %d", r.Shards)
-	}
-	if r.Samples < 0 {
-		return fmt.Errorf("negative samples %d", r.Samples)
-	}
-	if r.Samples > 0 && r.SampleInsts == 0 {
-		return errors.New("samples need a positive sample_insts window")
-	}
-	return nil
+	_, err := r.resolve()
+	return err
 }
 
-// runOptions maps the per-run fields onto session options (preparation
-// fields are the session's own, via the cache key).
-func (r *RunRequest) runOptions() []Option {
+// resolve checks the fields only the JSON boundary can carry out of
+// range, then resolves the request's session and validates it. On the Go
+// API a non-positive shard or sample count means "off"; in a request it
+// is a mistake.
+func (r *RunRequest) resolve() (*Session, error) {
+	if r.TimeoutMS < 0 {
+		return nil, fmt.Errorf("negative timeout_ms %d", r.TimeoutMS)
+	}
+	if r.DeadlineMS < 0 {
+		return nil, fmt.Errorf("negative deadline_ms %d", r.DeadlineMS)
+	}
+	if r.Shards < 0 {
+		return nil, fmt.Errorf("negative shards %d", r.Shards)
+	}
+	if r.Samples < 0 {
+		return nil, fmt.Errorf("negative samples %d", r.Samples)
+	}
+	s := r.session()
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// session resolves the request into the session a run of it is: the
+// session defaults, then its options. It prepares nothing; the session
+// cache binds it to prepared artifacts.
+func (r *RunRequest) session() *Session {
+	return configure(r.Benchmark, r.options()...)
+}
+
+// options maps every semantic field the request sets onto its session
+// option. A negative width or line size is passed too, so that
+// Session.validate refuses it rather than the default standing in.
+func (r *RunRequest) options() []Option {
 	var opts []Option
 	if r.Engine != "" {
 		opts = append(opts, WithEngine(r.Engine))
@@ -192,25 +190,37 @@ func (r *RunRequest) runOptions() []Option {
 	if r.Layout != "" {
 		opts = append(opts, WithLayout(r.Layout))
 	}
-	if r.Width > 0 {
+	if r.Width != 0 {
 		opts = append(opts, WithWidth(r.Width))
 	}
-	if r.MaxInsts > 0 {
+	if r.Seed != 0 {
+		opts = append(opts, WithSeed(r.Seed))
+	}
+	if r.TrainSeed != 0 {
+		opts = append(opts, WithTrainSeed(r.TrainSeed))
+	}
+	if r.Insts != 0 {
+		opts = append(opts, WithInstructions(r.Insts))
+	}
+	if r.TrainInsts != 0 {
+		opts = append(opts, WithTrainInstructions(r.TrainInsts))
+	}
+	if r.MaxInsts != 0 {
 		opts = append(opts, WithMaxInstructions(r.MaxInsts))
 	}
-	if r.Shards > 0 {
+	if r.Shards != 0 {
 		opts = append(opts, WithShards(r.Shards))
 	}
-	if r.Warmup > 0 {
+	if r.Warmup != 0 {
 		opts = append(opts, WithWarmup(r.Warmup))
 	}
 	if r.ColdShards {
 		opts = append(opts, WithColdShards())
 	}
-	if r.ICacheLineBytes > 0 {
+	if r.ICacheLineBytes != 0 {
 		opts = append(opts, WithICacheLineBytes(r.ICacheLineBytes))
 	}
-	if r.Samples > 0 {
+	if r.Samples != 0 {
 		opts = append(opts, WithSampling(r.Samples, r.SampleInsts))
 	}
 	return opts
@@ -298,58 +308,13 @@ func (r *SweepRequest) cells() []RunRequest {
 	return cells
 }
 
-// contentSpec is the input half of a request's content identity: the
-// benchmark, seeds and instruction counts with defaults resolved. It
-// feeds runKeySpec (and, through a sweep's cells, sweepKeySpec), and
-// splits into a preparation identity (prep, the session-cache key) and
-// per-run options (runOptions: the reference seed and length, which no
-// prepared artifact depends on).
-type contentSpec struct {
-	benchmark         string
-	seed, trainSeed   uint64
-	insts, trainInsts uint64
-}
-
-// normalized resolves zero fields to the session defaults so "default by
-// omission" and "default spelled out" share one content key. trainInsts
-// stays 0 when unset: the key has always hashed it as given, and the
-// session derives the effective training length itself (Session.training),
-// so the rule lives in one place.
-func (p contentSpec) normalized() contentSpec {
-	if p.seed == 0 {
-		p.seed = defaultSeed
-	}
-	if p.trainSeed == 0 {
-		p.trainSeed = defaultTrainSeed
-	}
-	if p.insts == 0 {
-		p.insts = defaultInsts
-	}
-	return p
-}
-
-// runOptions are the spec's per-run fields, passed to every run of a
-// shared session.
-func (p contentSpec) runOptions() []Option {
-	return []Option{WithSeed(p.seed), WithInstructions(p.insts)}
-}
-
-// prep returns the spec's preparation identity.
-func (p contentSpec) prep() prepSpec {
-	return prepSpec{p.benchmark, trainingOf(p.trainSeed, p.trainInsts, p.insts)}
-}
-
 // prepSpec is the session-cache key: what a session's prepared artifacts
 // depend on. The program and baseline layout depend on the benchmark
 // alone, the optimized layout also on the training input; the reference
-// seed and length reach each run as options (contentSpec.runOptions).
+// seed and length are the run's own.
 type prepSpec struct {
 	benchmark string
 	train     training
-}
-
-func (r *RunRequest) contentSpec() contentSpec {
-	return contentSpec{r.Benchmark, r.Seed, r.TrainSeed, r.Insts, r.TrainInsts}.normalized()
 }
 
 // modelVersion is the version of the model's semantics, carried by every
@@ -363,7 +328,9 @@ const modelVersion = 2
 
 // runKeySpec is the canonical identity of a run's output: every semantic
 // field of a RunRequest with defaults resolved, so "default by omission"
-// and "default spelled out" hash to one content key. Runs are
+// and "default spelled out" hash to one content key. A derived default
+// counts too: train_insts of insts/4 and the width's own I-cache line
+// key as omitted. Runs are
 // deterministic for a fixed spec — same spec, byte-identical Report —
 // which is what makes the key sound as a cache address and a coalescing
 // handle. V is modelVersion.
@@ -387,37 +354,48 @@ type runKeySpec struct {
 	SampleInsts uint64 `json:"sample_insts"`
 }
 
-// contentKey hashes the request's normalized semantic fields. Call only
-// after validate.
+// contentKey hashes the request's resolved identity. Call only after
+// validate.
 func (r *RunRequest) contentKey() string {
 	return store.Key(r.keySpec())
 }
 
-// keySpec resolves the request's semantic fields into its runKeySpec.
-// Call only after validate.
+// keySpec resolves the request into its runKeySpec. Call only after
+// validate.
 func (r *RunRequest) keySpec() runKeySpec {
-	p := r.contentSpec()
+	return r.session().keySpec()
+}
+
+// keySpec is the session's run identity (runKeySpec): its resolved
+// configuration, with the fields its plan ignores zeroed. Call only
+// after validate.
+func (s *Session) keySpec() runKeySpec {
 	k := runKeySpec{
 		V:    modelVersion,
 		Kind: "run",
 
-		Benchmark:  p.benchmark,
-		Seed:       p.seed,
-		TrainSeed:  p.trainSeed,
-		Insts:      p.insts,
-		TrainInsts: p.trainInsts,
+		Benchmark:  s.benchmark,
+		Engine:     s.engine,
+		Layout:     s.layoutName,
+		Width:      s.width,
+		Seed:       s.seed,
+		TrainSeed:  s.trainSeed,
+		Insts:      s.insts,
+		TrainInsts: s.trainInsts,
+		LineBytes:  s.lineBytes,
 
-		Engine:     cmp.Or(r.Engine, defaultEngine),
-		Layout:     cmp.Or(r.Layout, defaultLayout),
-		Width:      cmp.Or(r.Width, defaultWidth),
-		MaxInsts:   r.MaxInsts,
-		Shards:     max(r.Shards, 1),
-		Warmup:     r.Warmup,
-		ColdShards: r.ColdShards,
-		LineBytes:  r.ICacheLineBytes,
-
-		Samples:     max(r.Samples, 0),
-		SampleInsts: r.SampleInsts,
+		MaxInsts:    s.maxInsts,
+		Shards:      max(s.shards, 1),
+		Warmup:      s.warmup,
+		ColdShards:  s.coldShards,
+		Samples:     max(s.samples, 0),
+		SampleInsts: s.sampleInsts,
+	}
+	if k.TrainInsts == k.Insts/4 {
+		k.TrainInsts = 0
+	}
+	if k.LineBytes == cache.DefaultHierarchy(k.Width).ICache.LineBytes {
+		k.LineBytes = 0
 	}
 	if k.Samples > 0 {
 		// Sampling replaces sharding: the shard count is ignored, while
@@ -470,14 +448,15 @@ func (r *SweepRequest) keySpec() sweepKeySpec {
 }
 
 // jobRequest is a validated request parsed into everything a job is built
-// from: kind, content key, the bytes journaled for it, the runs it
-// simulates (a run's one request, or a sweep's cells) and its execution
-// policy. A journaled request parses as its submission did.
+// from: kind, content key, the bytes journaled for it, the resolved
+// sessions of the runs it simulates (a run's one request, or a sweep's
+// cells) and its execution policy. A journaled request parses as its
+// submission did.
 type jobRequest struct {
 	kind    string // "run" or "sweep"
 	key     string
 	reqJSON json.RawMessage
-	cells   []RunRequest
+	cells   []*Session
 
 	timeoutMS, deadlineMS int64
 	priority              int
@@ -485,10 +464,11 @@ type jobRequest struct {
 
 // runJobRequest validates a run request and parses it for submission.
 func runJobRequest(req RunRequest) (*jobRequest, error) {
-	if err := req.validate(); err != nil {
+	s, err := req.resolve()
+	if err != nil {
 		return nil, err
 	}
-	return newJobRequest("run", req, req.contentKey(), []RunRequest{req}, req.TimeoutMS, req.DeadlineMS, req.Priority)
+	return newJobRequest("run", req, store.Key(s.keySpec()), []*Session{s}, req.TimeoutMS, req.DeadlineMS, req.Priority)
 }
 
 // sweepJobRequest normalizes a sweep request and parses it for
@@ -497,11 +477,20 @@ func sweepJobRequest(req SweepRequest) (*jobRequest, error) {
 	if err := req.normalize(); err != nil {
 		return nil, err
 	}
-	return newJobRequest("sweep", req, req.contentKey(), req.cells(), req.TimeoutMS, req.DeadlineMS, req.Priority)
+	return newJobRequest("sweep", req, req.contentKey(), sessionsOf(req.cells()), req.TimeoutMS, req.DeadlineMS, req.Priority)
+}
+
+// sessionsOf resolves each validated request into its session.
+func sessionsOf(reqs []RunRequest) []*Session {
+	ss := make([]*Session, len(reqs))
+	for i := range reqs {
+		ss[i] = reqs[i].session()
+	}
+	return ss
 }
 
 // newJobRequest completes a parsed request with the bytes journaled for it.
-func newJobRequest(kind string, req any, key string, cells []RunRequest, timeoutMS, deadlineMS int64, priority int) (*jobRequest, error) {
+func newJobRequest(kind string, req any, key string, cells []*Session, timeoutMS, deadlineMS int64, priority int) (*jobRequest, error) {
 	reqJSON, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -537,16 +526,16 @@ func journaledRequest(kind string, reqJSON json.RawMessage) (*jobRequest, error)
 // request).
 const maxCachedSessions = 64
 
-// sessionCache shares prepared sessions across jobs, keyed by preparation
-// identity (prepSpec) and least-recently-used beyond its bound. Requests
-// that differ only in reference seed or length share one session, since
-// those reach each run as options. Like every session in the process, the
-// cached sessions of one benchmark share one program and baseline layout
-// (programOf), so the bound limits optimized layouts, and a benchmark
-// whose sessions have all been evicted frees its program. Sessions are
-// safe for concurrent RunWith, so two jobs over the same preparation run
-// simultaneously; an evicted session keeps serving jobs already holding
-// it and is garbage-collected when they finish.
+// sessionCache shares prepared artifacts across jobs, keyed by
+// preparation identity (prepSpec) and least-recently-used beyond its
+// bound. Requests that differ only in reference seed or length share one
+// entry, since no prepared artifact depends on those. Like every session
+// in the process, the cached sessions of one benchmark share one program
+// and baseline layout (programOf), so the bound limits optimized layouts,
+// and a benchmark whose sessions have all been evicted frees its program.
+// Sessions are safe for concurrent RunWith, so two jobs over the same
+// preparation run simultaneously; an evicted entry keeps serving jobs
+// already holding it and is garbage-collected when they finish.
 type sessionCache struct {
 	mu  sync.Mutex
 	cap int // fixed before first use
@@ -554,10 +543,11 @@ type sessionCache struct {
 	use []prepSpec // LRU order, least recently used first
 }
 
-// get returns the session for spec's preparation identity. Every run of
-// it passes its own seed and length (contentSpec.runOptions).
-func (c *sessionCache) get(spec contentSpec) *Session {
-	key := spec.prep()
+// get binds the resolved configuration cfg to the artifacts cached for
+// its preparation identity, caching cfg's own on a miss.
+func (c *sessionCache) get(cfg *Session) *Session {
+	key := prepSpec{cfg.benchmark, cfg.training()}
+	run := *cfg
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.m[key]; ok {
@@ -567,23 +557,20 @@ func (c *sessionCache) get(spec contentSpec) *Session {
 				break
 			}
 		}
-		return s
+		run.prog, run.opt = s.prog, s.opt
+		return &run
 	}
 	if c.m == nil {
 		c.m = map[prepSpec]*Session{}
 	}
-	// The training length is spelled out, so no run's length changes it;
-	// spec.insts derives the same length where that is 0 (traces under 4
-	// instructions), which WithTrainInstructions cannot spell.
-	s := New(spec.benchmark, WithTrainSeed(key.train.seed),
-		WithTrainInstructions(key.train.insts), WithInstructions(spec.insts))
-	c.m[key] = s
+	run.prog, run.opt = programOf(cfg.benchmark), &optimized{train: key.train}
+	c.m[key] = &run
 	c.use = append(c.use, key)
 	for len(c.use) > c.cap {
 		delete(c.m, c.use[0])
 		c.use = c.use[1:]
 	}
-	return s
+	return &run
 }
 
 func (c *sessionCache) size() int {
@@ -1157,33 +1144,29 @@ type jobPolicy struct {
 	predicted float64
 }
 
-// sloKey buckets the request for the cost model: engine, width and
-// execution shape, with the session defaults resolved.
-func (r *RunRequest) sloKey() slo.Key {
+// sloKey buckets the run for the cost model: engine, width and
+// execution shape.
+func (s *Session) sloKey() slo.Key {
 	mode := slo.ModePlain
 	switch {
-	case r.Samples > 0:
+	case s.samples > 0:
 		mode = slo.ModeSampled
-	case r.Shards > 1:
+	case s.shards > 1:
 		mode = slo.ModeSharded
 	}
-	return slo.Key{
-		Engine: cmp.Or(r.Engine, defaultEngine),
-		Width:  cmp.Or(r.Width, defaultWidth),
-		Mode:   mode,
-	}
+	return slo.Key{Engine: s.engine, Width: s.width, Mode: mode}
 }
 
 // workInsts estimates how many instructions the run will simulate: the
 // trace length, cut by max_insts, or the sampled windows' coverage
 // (lead-ins included) for sampled runs.
-func (r *RunRequest) workInsts() uint64 {
-	n := r.contentSpec().insts
-	if r.MaxInsts > 0 && r.MaxInsts < n {
-		n = r.MaxInsts
+func (s *Session) workInsts() uint64 {
+	n := s.insts
+	if s.maxInsts > 0 && s.maxInsts < n {
+		n = s.maxInsts
 	}
-	if r.Samples > 0 {
-		if w := uint64(r.Samples) * (r.SampleInsts + r.Warmup); w < n {
+	if s.samples > 0 {
+		if w := uint64(s.samples) * (s.sampleInsts + s.warmup); w < n {
 			n = w
 		}
 	}
@@ -1448,14 +1431,15 @@ func (m *jobManager) newJob(id string, r *jobRequest, pol jobPolicy, at time.Tim
 	return j
 }
 
-// simulate runs one request on its cached session, with stage timings and
-// the daemon's store for warm-state checkpoints. An interval opens by
-// restoring its boundary's warm state whether the snapshot comes from the
-// store or from the run's own warming walk, so the content-keyed result
-// cache stays sound: reports differ at most in their checkpoint counters.
-// The run feeds those counters and, when clean, the cost model. A panic
-// fails this simulation only, with the stack in its error.
-func (m *jobManager) simulate(ctx context.Context, req RunRequest, opts ...Option) (rep *Report, err error) {
+// simulate runs one resolved request on its cached preparation, with
+// stage timings and the daemon's store for warm-state checkpoints. An
+// interval opens by restoring its boundary's warm state whether the
+// snapshot comes from the store or from the run's own warming walk, so
+// the content-keyed result cache stays sound: reports differ at most in
+// their checkpoint counters. The run feeds those counters and, when
+// clean, the cost model. A panic fails this simulation only, with the
+// stack in its error.
+func (m *jobManager) simulate(ctx context.Context, cfg *Session, opts ...Option) (rep *Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, err = nil, fmt.Errorf("streamfetch: simulation panicked: %v\n%s", r, debug.Stack())
@@ -1464,10 +1448,8 @@ func (m *jobManager) simulate(ctx context.Context, req RunRequest, opts ...Optio
 	if h := m.runHook; h != nil {
 		h()
 	}
-	spec := req.contentSpec()
-	opts = append(append(append(spec.runOptions(), req.runOptions()...), opts...),
-		WithStageTimings(), WithCheckpoints(m.store))
-	rep, err = m.sessions.get(spec).RunWith(ctx, opts...)
+	opts = append([]Option{WithStageTimings(), WithCheckpoints(m.store)}, opts...)
+	rep, err = m.sessions.get(cfg).RunWith(ctx, opts...)
 	if rep != nil {
 		m.ckptHits.Add(int64(rep.CheckpointHits))
 		m.ckptMisses.Add(int64(rep.CheckpointMisses))
@@ -1476,7 +1458,7 @@ func (m *jobManager) simulate(ctx context.Context, req RunRequest, opts ...Optio
 	// for this (engine, width, mode) reflects this machine. Aborted or
 	// failed runs are not representative.
 	if err == nil && rep != nil && !rep.Aborted && rep.Timings != nil {
-		m.slo.Observe(req.sloKey(), rep.Retired, rep.Timings.workSeconds())
+		m.slo.Observe(cfg.sloKey(), rep.Retired, rep.Timings.workSeconds())
 	}
 	return rep, err
 }
@@ -1496,16 +1478,15 @@ func RunSweep(ctx context.Context, req SweepRequest, st store.Store) ([]GridCell
 		st = store.NewMem()
 	}
 	sessions := &sessionCache{cap: len(req.Benchmarks)} // cells share seeds and lengths
-	simulate := func(ctx context.Context, r RunRequest, opts ...Option) (*Report, error) {
-		spec := r.contentSpec()
-		return sessions.get(spec).RunWith(ctx, append(append(spec.runOptions(), r.runOptions()...), opts...)...)
+	simulate := func(ctx context.Context, cfg *Session, opts ...Option) (*Report, error) {
+		return sessions.get(cfg).RunWith(ctx, opts...)
 	}
 	put := func(key string, v any) {
 		if blob, err := resultBlob(v); err == nil {
 			_ = st.PutBlob(key, blob) // a lost write costs a later sweep one simulation
 		}
 	}
-	return sweepCells(ctx, req.cells(), st, simulate, put, func(int, int) {})
+	return sweepCells(ctx, sessionsOf(req.cells()), st, simulate, put, func(int, int) {})
 }
 
 // sweepCells answers a sweep's cells on the process-wide worker budget,
@@ -1518,15 +1499,15 @@ func RunSweep(ctx context.Context, req SweepRequest, st store.Store) ([]GridCell
 // finished cell, a failed one included, ticks onCell, or a sweep grinding
 // through failing cells would look stalled to the daemon's watchdog and
 // its cells_done could never reach cells_total.
-func sweepCells(ctx context.Context, reqs []RunRequest, st store.Store,
-	simulate func(context.Context, RunRequest, ...Option) (*Report, error),
+func sweepCells(ctx context.Context, reqs []*Session, st store.Store,
+	simulate func(context.Context, *Session, ...Option) (*Report, error),
 	put func(key string, v any), onCell func(done, total int)) ([]GridCell, error) {
 	cells := make([]GridCell, len(reqs))
 	for i, r := range reqs {
-		cells[i] = GridCell{Benchmark: r.Benchmark, Layout: r.Layout, Engine: r.Engine, Width: r.Width}
+		cells[i] = GridCell{Benchmark: r.benchmark, Layout: r.layoutName, Engine: r.engine, Width: r.width}
 	}
-	answer := func(req RunRequest) (*Report, error) {
-		key := req.contentKey()
+	answer := func(req *Session) (*Report, error) {
+		key := store.Key(req.keySpec())
 		if blob, ok, err := st.GetBlob(key); err == nil && ok {
 			if rep := decodeReport(blob); rep != nil {
 				rep.Timings = nil

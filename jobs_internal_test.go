@@ -14,30 +14,32 @@ import (
 // limit. Reference seeds do not split entries: they are per-run options.
 func TestSessionCacheLRU(t *testing.T) {
 	c := sessionCache{cap: 2}
-	spec := func(seed, trainSeed uint64) contentSpec {
-		return contentSpec{benchmark: "164.gzip", seed: seed, trainSeed: trainSeed}.normalized()
+	// get binds each configuration to the cached preparation: the
+	// optimized layout it shares is the entry's identity.
+	prep := func(seed, trainSeed uint64) *optimized {
+		return c.get(configure("164.gzip", WithSeed(seed), WithTrainSeed(trainSeed))).opt
 	}
-	a := c.get(spec(1, 1))
-	if got := c.get(spec(1, 1)); got != a {
+	a := prep(1, 1)
+	if got := prep(1, 1); got != a {
 		t.Fatal("repeated spec did not reuse the cached session")
 	}
-	if got := c.get(spec(2, 1)); got != a {
+	if got := prep(2, 1); got != a {
 		t.Fatal("a fresh reference seed split the cache")
 	}
-	b := c.get(spec(1, 2))
+	b := prep(1, 2)
 	if b == a {
 		t.Fatal("a fresh train seed shared a session")
 	}
 	// Touch a so train seed 2 is now least recently used, then overflow.
-	c.get(spec(1, 1))
-	c.get(spec(1, 3))
+	prep(1, 1)
+	prep(1, 3)
 	if got := c.size(); got != 2 {
 		t.Fatalf("cache size %d, want 2", got)
 	}
-	if got := c.get(spec(1, 1)); got != a {
+	if got := prep(1, 1); got != a {
 		t.Error("recently used session was evicted")
 	}
-	if got := c.get(spec(1, 2)); got == b {
+	if got := prep(1, 2); got == b {
 		t.Error("least recently used session was not evicted")
 	}
 }

@@ -236,8 +236,9 @@ func TestPrepConcurrentShared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			spec := contentSpec{benchmark: "164.gzip", seed: x.seed, trainSeed: x.trainSeed, insts: insts}
-			rep, err := c.get(spec).RunWith(ctx, append(spec.runOptions(), WithLayout(x.layout))...)
+			cfg := configure("164.gzip", WithSeed(x.seed), WithTrainSeed(x.trainSeed), WithInstructions(insts),
+				WithLayout(x.layout))
+			rep, err := c.get(cfg).Run(ctx)
 			if err != nil {
 				t.Error(err)
 				return

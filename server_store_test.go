@@ -83,6 +83,33 @@ func TestServiceCacheHit(t *testing.T) {
 	}
 }
 
+// TestServiceCacheHitSpelledDefault: a request spelling the width's own
+// I-cache line is the same run as one omitting it, so once the omitted
+// spelling has run, the spelled one is a cache hit with the same report.
+func TestServiceCacheHitSpelledDefault(t *testing.T) {
+	srv := newTestServer(t, streamfetch.WithWorkers(1))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	sc := newServiceClient(t, srv)
+
+	req := streamfetch.RunRequest{Benchmark: "164.gzip", Insts: 20_000}
+	first := sc.await(sc.submit("/v1/runs", req).ID, time.Minute)
+	if first.State != streamfetch.JobDone {
+		t.Fatalf("job finished %s (error %q), want done", first.State, first.Error)
+	}
+	req.ICacheLineBytes = 128 // the 8-wide default pipe's own line
+	var env streamfetch.JobEnvelope
+	if code := sc.do("POST", "/v1/runs", req, &env); code != http.StatusOK || !env.Cached {
+		t.Fatalf("spelled-out default line: status %d, cached %v, want 200 and a cache hit", code, env.Cached)
+	}
+	if g, w := reportJSON(t, env.Report), reportJSON(t, first.Report); !bytes.Equal(g, w) {
+		t.Errorf("cached report diverged from the original\ncached:\n%s\noriginal:\n%s", g, w)
+	}
+}
+
 // TestCacheHitIsARead: a store-cache hit writes nothing. Twenty hits on an
 // FS store make no journal call and add no job to the registry. Each hit's
 // id names its content key and answers GET and DELETE (a no-op: the hit

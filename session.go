@@ -192,12 +192,6 @@ func (p *program) baseline(ctx context.Context) (*layout.Layout, error) {
 // seed and the effective training length.
 type training struct{ seed, insts uint64 }
 
-// trainingOf resolves the effective training length: trainInsts
-// (WithTrainInstructions) or, by default, a quarter of the trace length.
-func trainingOf(seed, trainInsts, insts uint64) training {
-	return training{seed, cmp.Or(trainInsts, insts/4)}
-}
-
 // optimized holds the profile-guided layout of one program for one
 // training input, built on first use.
 type optimized struct {
@@ -267,9 +261,10 @@ type Session struct {
 }
 
 // training returns the input the session's optimized layout is profiled
-// on (see trainingOf).
+// on: the train seed and WithTrainInstructions or, by default, a quarter
+// of the trace length.
 func (s *Session) training() training {
-	return trainingOf(s.trainSeed, s.trainInsts, s.insts)
+	return training{s.trainSeed, cmp.Or(s.trainInsts, s.insts/4)}
 }
 
 // withOverrides applies per-run options to a copy of s. The copy shares
@@ -286,9 +281,9 @@ func (s *Session) withOverrides(opts []Option) *Session {
 	return &run
 }
 
-// Session defaults, shared with the service's content keys (contentSpec)
-// so "default by omission" and "default spelled out" stay one
-// configuration everywhere.
+// Session defaults. configure is the one place they apply, so the
+// service's content keys (Session.keySpec) read them from the resolved
+// session, never from here.
 const (
 	defaultSeed      = 99
 	defaultTrainSeed = 7
@@ -303,6 +298,17 @@ const (
 // and a 2M-instruction trace. Configuration errors surface from
 // Run/Prepare, so calls chain: New(...).Run(ctx).
 func New(benchmark string, opts ...Option) *Session {
+	s := configure(benchmark, opts...)
+	s.prog = programOf(benchmark)
+	s.opt = &optimized{train: s.training()}
+	return s
+}
+
+// configure resolves a session's configuration, the defaults and then
+// opts, without binding it to prepared artifacts. A service request is
+// one (RunRequest.session): its content key derives from the resolved
+// configuration, and the session cache binds it to shared artifacts.
+func configure(benchmark string, opts ...Option) *Session {
 	s := &Session{
 		benchmark:  benchmark,
 		width:      defaultWidth,
@@ -311,12 +317,10 @@ func New(benchmark string, opts ...Option) *Session {
 		seed:       defaultSeed,
 		trainSeed:  defaultTrainSeed,
 		insts:      defaultInsts,
-		prog:       programOf(benchmark),
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.opt = &optimized{train: s.training()}
 	return s
 }
 
@@ -324,11 +328,20 @@ func (s *Session) validate() error {
 	if s.benchmark == "" {
 		return errors.New("streamfetch: empty benchmark name")
 	}
+	if _, err := workload.ByName(s.benchmark); err != nil {
+		return fmt.Errorf("streamfetch: unknown benchmark %q", s.benchmark)
+	}
+	if _, ok := frontend.Lookup(s.engine); !ok {
+		return fmt.Errorf("streamfetch: unknown engine %q", s.engine)
+	}
 	if s.width <= 0 {
 		return fmt.Errorf("streamfetch: invalid pipe width %d", s.width)
 	}
 	if err := checkGeometry(s.width, s.lineBytes); err != nil {
 		return fmt.Errorf("streamfetch: %w", err)
+	}
+	if s.samples > 0 && s.sampleInsts == 0 {
+		return errors.New("streamfetch: sampled runs need a positive window length (WithSampling)")
 	}
 	return checkLayout(s.layoutName)
 }

@@ -100,9 +100,6 @@ func (s *Session) run(ctx context.Context) (*Report, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if s.samples > 0 && s.sampleInsts == 0 {
-		return nil, fmt.Errorf("streamfetch: sampled runs need a positive window length (WithSampling)")
-	}
 	prepStart := time.Now()
 	lay, err := s.ensure(ctx, s.layoutName)
 	if err != nil {
@@ -284,7 +281,7 @@ func (s *Session) runIntervals(ctx context.Context, lay *layout.Layout, p *runPl
 					return nil, 0, err
 				}
 			}
-			if k, ok := s.ckptKeySpec(lay, o.boundary, traceSum); ok {
+			if k, ok := s.ckptKeySpec(o.boundary, traceSum); ok {
 				o.key = store.Key(k)
 				o.stored = s.storedCkpt(o.key, o.boundary)
 				o.hit = o.stored != nil
@@ -515,31 +512,23 @@ func (s *Session) runInterval(ctx context.Context, lay *layout.Layout, p *runPla
 }
 
 // ckptKeySpec is a checkpoint's canonical identity, hashed into its
-// store key. It covers every session input that shapes the warm state
-// at a boundary: the trace identity (benchmark, seeds, lengths, and a
-// trace file's sha256, so a file overwritten in place keys anew), the
-// code layout, the hierarchy geometry, the engine
-// and its options, and the boundary position itself. Two versions retire
-// old blobs wholesale: Model (modelVersion) when what warming computes
-// changes, Version (ckpt.Version) when the snapshot format does. A blob
-// under a reused key is never replaced, so a format change must move the
-// key too, or the stale blob would miss forever.
+// store key: the run identity less its plan fields (Session.keySpec, so
+// a field spelled as its default shares checkpoints with the omitted
+// one), a trace file's sha256 (so a file overwritten in place keys
+// anew), the engine options and the boundary position itself. The plan
+// fields (cap, shards, warmup, cold shards, sampling) choose which
+// boundaries a run visits, not the warm state at one. Two versions
+// retire old blobs wholesale: Run.V (modelVersion) when what warming
+// computes changes, Version (ckpt.Version) when the snapshot format does.
+// A blob under a reused key is never replaced, so a format change must
+// move the key too, or the stale blob would miss forever.
 type ckptKeySpec struct {
-	Kind       string `json:"kind"`
-	Model      int    `json:"model"`
-	Version    int    `json:"version"`
-	Benchmark  string `json:"benchmark"`
-	TraceSum   string `json:"trace_sha256,omitempty"`
-	Seed       uint64 `json:"seed"`
-	TrainSeed  uint64 `json:"train_seed"`
-	Insts      uint64 `json:"insts"`
-	TrainInsts uint64 `json:"train_insts"`
-	Layout     string `json:"layout"`
-	Width      int    `json:"width"`
-	LineBytes  int    `json:"line_bytes,omitempty"`
-	Engine     string `json:"engine"`
-	EngineOpts string `json:"engine_opts,omitempty"`
-	Boundary   uint64 `json:"boundary"`
+	Kind       string     `json:"kind"`
+	Version    int        `json:"version"`
+	Run        runKeySpec `json:"run"`
+	TraceSum   string     `json:"trace_sha256,omitempty"`
+	EngineOpts string     `json:"engine_opts,omitempty"`
+	Boundary   uint64     `json:"boundary"`
 }
 
 // ckptKeySpec resolves this session's checkpoint identity at the given
@@ -548,7 +537,7 @@ type ckptKeySpec struct {
 // second return is false when the configuration has no stable identity
 // (unserializable engine options) and checkpointing must stay off for
 // the run.
-func (s *Session) ckptKeySpec(lay *layout.Layout, boundary uint64, traceSum string) (ckptKeySpec, bool) {
+func (s *Session) ckptKeySpec(boundary uint64, traceSum string) (ckptKeySpec, bool) {
 	opts := ""
 	if s.engineOpts != nil {
 		b, err := json.Marshal(s.engineOpts)
@@ -557,23 +546,13 @@ func (s *Session) ckptKeySpec(lay *layout.Layout, boundary uint64, traceSum stri
 		}
 		opts = string(b)
 	}
-	// The effective training length, so "default by omission" and
-	// "default spelled out" share checkpoints.
-	train := s.training().insts
+	run := s.keySpec()
+	run.MaxInsts, run.Shards, run.Warmup, run.ColdShards, run.Samples, run.SampleInsts = 0, 0, 0, false, 0, 0
 	return ckptKeySpec{
 		Kind:       "ckpt",
-		Model:      modelVersion,
 		Version:    ckpt.Version,
-		Benchmark:  s.benchmark,
+		Run:        run,
 		TraceSum:   traceSum,
-		Seed:       s.seed,
-		TrainSeed:  s.trainSeed,
-		Insts:      s.insts,
-		TrainInsts: train,
-		Layout:     lay.Name,
-		Width:      s.width,
-		LineBytes:  s.lineBytes,
-		Engine:     s.engine,
 		EngineOpts: opts,
 		Boundary:   boundary,
 	}, true

@@ -322,7 +322,7 @@ func TestSweepCellsShareRunCache(t *testing.T) {
 		t.Errorf("cell not served from the store as stored, without timings: hits %d (want %d), timings %+v",
 			cached.CheckpointHits, stored.CheckpointHits, cached.Timings)
 	}
-	if got := m.slo.Rate(run.sloKey()); got != slo.NewModel().Rate(run.sloKey()) {
+	if got := m.slo.Rate(run.session().sloKey()); got != slo.NewModel().Rate(run.session().sloKey()) {
 		t.Errorf("cached cell taught the cost model: rate %v", got)
 	}
 	if m.ckptHits.Load() != int64(fresh.CheckpointHits) || m.ckptMisses.Load() != int64(fresh.CheckpointMisses) {
